@@ -1,8 +1,14 @@
 """Finite-dimensional real normed spaces and the averaged complexification norm.
 
 A space is a dimension plus a norm descriptor.  The complexification norm on
-X (+) X is the L2 average of || x cos(phi) + y sin(phi) || over a full period,
-evaluated by the periodic trapezoid rule with node doubling.
+X (+) X is the L2 average of || x cos(phi) + y sin(phi) || over a full period.
+
+For l1, l-infinity, weighted l1/l-infinity and polyhedral bases, and subspaces
+of them, the base norm is a sum or a maximum of |<f_j, .>|, so the integrand
+is built from sinusoids |a_j cos(phi) + b_j sin(phi)| and its mean has a closed
+form; these kinds are evaluated exactly.  Every other base (general p,
+Euclidean-like, sums, nested complexifications) is evaluated by the periodic
+trapezoid rule with node doubling.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ import numpy as np
 
 from .errors import DescriptorError, DimensionMismatchError, QuadratureError
 
-# Quadrature policy: uniform nodes on [-pi, pi), doubling from 64 up to 4096.
+# Trapezoid fallback policy (bases without a closed form; see
+# _sinusoid_pieces): uniform nodes on [-pi, pi), doubling from 64 up to 4096.
 # Doubling stops when every batch entry changes by less than QUAD_RTOL.  For
-# integrands with kinks (l1-type base norms) the budget is reached first; the
+# integrands with kinks (general-p base norms) the budget is reached first; the
 # last value is accepted as long as the final relative change is below
 # QUAD_FAIL_RTOL, otherwise a QuadratureError is raised.
 QUAD_START_NODES = 64
@@ -97,6 +104,7 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.weights = np.asarray(d.weights, dtype=float)
         if d.weights.shape != (dim,):
             raise DescriptorError("weight vector length must equal dim")
+        _check_finite(d.weights, "weights")
         if not (d.p >= 1):
             raise DescriptorError("WeightedLp requires p >= 1")
         if not np.all(d.weights > 0):
@@ -105,6 +113,7 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.gram = np.asarray(d.gram, dtype=float)
         if d.gram.shape != (dim, dim):
             raise DescriptorError("Gram matrix shape must be dim x dim")
+        _check_finite(d.gram, "Gram matrix")
         if not np.allclose(d.gram, d.gram.T, atol=1e-12):
             raise DescriptorError("Gram matrix must be symmetric")
         if np.linalg.eigvalsh(d.gram)[0] <= 0:
@@ -113,6 +122,7 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.functionals = np.asarray(d.functionals, dtype=float)
         if d.functionals.ndim != 2 or d.functionals.shape[1] != dim:
             raise DescriptorError("functionals must be rows of length dim")
+        _check_finite(d.functionals, "functionals")
         if np.linalg.matrix_rank(d.functionals) < dim:
             raise DescriptorError("functionals must span the dual (definite norm)")
     elif isinstance(d, ComplexificationOfBase):
@@ -125,10 +135,16 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.basis = np.asarray(d.basis, dtype=float)
         if d.basis.shape != (d.ambient.dim, dim):
             raise DescriptorError("basis must be ambient.dim x dim")
+        _check_finite(d.basis, "basis")
         if np.linalg.matrix_rank(d.basis) < dim:
             raise DescriptorError("basis must have full column rank")
     else:
         raise DescriptorError(f"unknown descriptor {type(d).__name__}")
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise DescriptorError(f"{what} must be finite")
 
 
 def descriptor_equal(a: NormDescriptor, b: NormDescriptor) -> bool:
@@ -232,7 +248,7 @@ def _lp_batch(X: np.ndarray, p: float, weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Complexification norm by periodic trapezoid quadrature
+# Complexification norm: closed forms, trapezoid quadrature otherwise
 # ---------------------------------------------------------------------------
 
 def complexification_norm(base: NormedSpace, x, y, *, rtol: float = QUAD_RTOL,
@@ -247,10 +263,17 @@ def complexification_norm(base: NormedSpace, x, y, *, rtol: float = QUAD_RTOL,
 def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray, *,
                                 rtol: float = QUAD_RTOL,
                                 max_nodes: int = QUAD_MAX_NODES) -> np.ndarray:
-    """Batched complexification norm; all rows share the same node count.
+    """Batched complexification norm.
 
-    Sharing the node count keeps rotation invariance exact at the discrete
-    level whenever the rotation angle is a multiple of the node spacing.
+    Bases recognized by `_sinusoid_pieces` are evaluated exactly.  The others
+    go through the trapezoid rule, where all rows share the node count; that
+    keeps rotation invariance exact at the discrete level whenever the
+    rotation angle is a multiple of the node spacing.  ``rtol`` and
+    ``max_nodes`` govern only the trapezoid rule.
+
+    The norm is homogeneous, so each row pair is first scaled by a power of
+    two near its largest entry and the value scaled back: nothing overflows or
+    underflows in between, and the scaling itself is exact.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -264,13 +287,90 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
     if not np.any(nonzero):
         return out
     Xn, Yn = X[nonzero], Y[nonzero]
+    _, exp = np.frexp(np.maximum(np.max(np.abs(Xn), axis=1),
+                                 np.max(np.abs(Yn), axis=1)))
+    Xn, Yn = np.ldexp(Xn, -exp[:, None]), np.ldexp(Yn, -exp[:, None])
 
+    pieces = _sinusoid_pieces(base)
+    if pieces is None:
+        mean_sq = _trapezoid_mean_sq(base, Xn, Yn, rtol, max_nodes)
+    else:
+        mean_sq = _sinusoid_mean_sq(Xn, Yn, *pieces)
+    out[nonzero] = np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
+    return out
+
+
+def _sinusoid_mean_sq(X: np.ndarray, Y: np.ndarray, F: np.ndarray,
+                      combiner: str) -> np.ndarray:
+    """Exact mean over phi of ||x cos phi + y sin phi||^2, per row, for the base
+    norm sum_j |<f_j, .>| ("sum") or max_j |<f_j, .>| ("max"), f_j the rows of F.
+
+    Along the row the j-th term is |a_j cos phi + b_j sin phi| with
+    a = F x and b = F y, i.e. |P_j . u| for P_j = (a_j, b_j), u = (cos, sin).
+    """
+    A, B = X @ F.T, Y @ F.T
+    m = F.shape[0]
+    mean_sq = _sum_mean_sq if combiner == "sum" else _max_mean_sq
+    # chunk over rows to bound the (rows, m, 2m) pairwise intermediates
+    rows_per_chunk = max(1, _CHUNK_ELEMENTS // (2 * m * m))
+    return np.concatenate([mean_sq(A[lo:lo + rows_per_chunk], B[lo:lo + rows_per_chunk])
+                           for lo in range(0, len(A), rows_per_chunk)])
+
+
+def _sum_mean_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean of (sum_j |P_j . u|)^2: each pair of terms averages to
+    ((pi/2 - delta) P_j.P_l + |P_j x P_l|) / pi, delta the angle between them."""
+    dot = a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :]
+    cross = np.abs(a[:, :, None] * b[:, None, :] - b[:, :, None] * a[:, None, :])
+    delta = np.arctan2(cross, dot)
+    return np.sum((np.pi / 2 - delta) * dot + cross, axis=(1, 2)) / np.pi
+
+
+def _max_mean_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean of max_j (P_j . u)^2, integrated arc by arc.
+
+    P_j attains the maximum on the arc of directions where P_j.u >= +-P_l.u for
+    every l, and -P_j on the opposite arc.  Each condition is the half circle
+    around D = P_j -+ P_l, so the arc follows from the angles of these D
+    relative to P_j, and |P_j|^2 cos^2 is integrated over it exactly.  Two
+    functionals see one D with opposite signs (it is formed by a single
+    subtraction), so their arcs meet without overlap or gap even when the
+    functionals nearly coincide; exact duplicates leave the arc to the lower
+    index.
+    """
+    m = a.shape[1]
+    aj, bj = a[:, :, None], b[:, :, None]
+    earlier = np.tri(m, k=-1, dtype=bool)  # earlier[j, l] is l < j
+    duplicate = np.zeros(a.shape, dtype=bool)
+    # largest and smallest angle of the D relative to P_j; the start value 0 is
+    # D = P_j itself, the condition P_j.u >= 0
+    top = np.zeros(a.shape)
+    bottom = np.zeros(a.shape)
+    for sign in (-1.0, 1.0):
+        da = aj + sign * a[:, None, :]
+        db = bj + sign * b[:, None, :]
+        zero = (da == 0.0) & (db == 0.0)
+        duplicate |= np.any(zero & earlier, axis=2)
+        # D = 0 constrains nothing (atan2 of signed zeros could say pi)
+        rel = np.where(zero, 0.0, np.arctan2(aj * db - bj * da, aj * da + bj * db))
+        top = np.maximum(top, rel.max(axis=2))
+        bottom = np.minimum(bottom, rel.min(axis=2))
+    width = np.where(duplicate, 0.0, np.maximum(bottom - top + np.pi, 0.0))
+    # the arc is [top - pi/2, bottom + pi/2]; the arcs of -P_j double the sum
+    integral = (a * a + b * b) * (width + np.cos(top + bottom) * np.sin(width))
+    return np.sum(integral, axis=1) / (2.0 * np.pi)
+
+
+def _trapezoid_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
+                       rtol: float, max_nodes: int) -> np.ndarray:
+    """Mean over phi of ||x cos phi + y sin phi||^2, per row, by the periodic
+    trapezoid rule with node doubling."""
     n = QUAD_START_NODES
-    sums = _quad_sum_sq(base, Xn, Yn, _quad_nodes(n))
+    sums = _quad_sum_sq(base, X, Y, _quad_nodes(n))
     values = sums / n
     while True:
         # doubling only adds the midpoints of the current uniform grid
-        sums = sums + _quad_sum_sq(base, Xn, Yn, _quad_nodes(n, midpoints=True))
+        sums = sums + _quad_sum_sq(base, X, Y, _quad_nodes(n, midpoints=True))
         n *= 2
         new = sums / n
         change = np.abs(new - values) / np.maximum(np.abs(new), 1e-300)
@@ -283,8 +383,7 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
                     f"quadrature did not settle within {max_nodes} nodes "
                     f"(last relative change {np.max(change):.3e})")
             break
-    out[nonzero] = np.sqrt(np.maximum(values, 0.0))
-    return out
+    return values
 
 
 def _quad_nodes(n: int, midpoints: bool = False) -> np.ndarray:
@@ -329,7 +428,7 @@ def direct_sum(left: NormedSpace, right: NormedSpace, mode: str) -> NormedSpace:
 
 
 # ---------------------------------------------------------------------------
-# Euclidean recognition (exact fast paths)
+# Recognition of exact fast paths
 # ---------------------------------------------------------------------------
 
 def euclidean_gram(space: NormedSpace) -> Optional[np.ndarray]:
@@ -360,6 +459,27 @@ def euclidean_gram(space: NormedSpace) -> Optional[np.ndarray]:
         if g is None:
             return None
         return d.basis.T @ g @ d.basis
+    return None
+
+
+def _sinusoid_pieces(space: NormedSpace) -> Optional[tuple]:
+    """(F, combiner) with ||x|| = sum_j |(F x)_j| ("sum") or max_j |(F x)_j|
+    ("max"), or None when the norm is not of that form.
+
+    Recognizes Lp and WeightedLp with p = 1 or p = inf, Polyhedral norms, and
+    (recursively) subspaces of these, whose functionals are F @ basis.
+    """
+    d = space.norm_desc
+    if isinstance(d, (Lp, WeightedLp)) and d.p in (1.0, math.inf):
+        F = np.eye(space.dim) if isinstance(d, Lp) else np.diag(d.weights)
+        return F, "sum" if d.p == 1.0 else "max"
+    if isinstance(d, Polyhedral):
+        return d.functionals, "max"
+    if isinstance(d, SubspaceNorm):
+        pieces = _sinusoid_pieces(d.ambient)
+        if pieces is None:
+            return None
+        return pieces[0] @ d.basis, pieces[1]
     return None
 
 

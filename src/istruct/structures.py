@@ -75,9 +75,11 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, seed: int,
                                samples: int, angles: int):
     """Max over sampled unit vectors and grid angles of | ||ax + bAx|| - 1 |.
 
-    The angle grid divides the quadrature node grid, so for complexification
-    norms the rotated evaluations reuse the same discretization and the check
-    is not polluted by quadrature error.
+    Complexification norms over l1, l-infinity, weighted l1/l-infinity,
+    polyhedral and subspace-of-these bases are exact, so for them the check
+    sees only rounding.  For the trapezoid fallback (other bases) the angle
+    grid divides the quadrature node grid, so the rotated evaluations reuse
+    the same discretization and the check is not polluted by quadrature error.
     """
     n = space.dim
     rng = np.random.default_rng(seed)
@@ -88,7 +90,6 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, seed: int,
     worst = -1.0
     witness = None
     chunk = max(1, 32768 // angles)
-    AX_T = None
     for lo in range(0, samples, chunk):
         Xc = X[lo:lo + chunk]
         AXc = Xc @ A.T

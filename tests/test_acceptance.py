@@ -61,7 +61,7 @@ def test_criterion_2_l1_spot_value():
     target = math.sqrt(1.0 + 2.0 / math.pi)
     err = abs(value - target)
     report(2, f"l1 plane averaged norm of ((1,0),(0,1)) = {value:.8f} "
-              f"(error {err:.2e})", err <= 1e-6)
+              f"(error {err:.2e})", err <= 1e-14)
 
 
 def test_criterion_3_natural_structures_and_rejection():

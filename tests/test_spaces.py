@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from istruct.errors import DescriptorError, DimensionMismatchError
 from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             NormedSpace, Polyhedral, SubspaceNorm,
-                            WeightedLp, complexification_norm,
+                            WeightedLp, _sinusoid_pieces,
+                            complexification_norm,
                             complexification_norm_batch, direct_sum,
                             euclidean_gram, lp_space, norm, norm_batch,
                             space_equal, space_from_dict, space_to_dict)
@@ -99,6 +100,18 @@ def test_bad_descriptors_raise():
         NormedSpace(3, ComplexificationOfBase(lp_space(2, 2.0)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda bad: NormedSpace(2, WeightedLp(1.0, np.array([1.0, bad]))),
+    lambda bad: NormedSpace(2, EuclideanQuadratic(np.array([[1.0, 0.0], [0.0, bad]]))),
+    lambda bad: NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]]))),
+    lambda bad: NormedSpace(1, SubspaceNorm(lp_space(2, 1.0), np.array([[1.0], [bad]]))),
+], ids=["wlp-weights", "quad-gram", "poly-functionals", "sub-basis"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_descriptor_data_rejected(make, bad):
+    with pytest.raises(DescriptorError, match="finite"):
+        make(bad)
+
+
 def test_dimension_checks():
     with pytest.raises(DimensionMismatchError):
         norm(lp_space(2, 2.0), [1.0, 2.0, 3.0])
@@ -123,7 +136,12 @@ def test_euclidean_closed_form():
 
 def test_l1_plane_spot_value():
     value = complexification_norm(lp_space(2, 1.0), [1.0, 0.0], [0.0, 1.0])
-    assert value == pytest.approx(math.sqrt(1.0 + 2.0 / math.pi), abs=1e-6)
+    assert value == pytest.approx(math.sqrt(1.0 + 2.0 / math.pi), abs=1e-14)
+
+
+def test_linf_plane_spot_value():
+    value = complexification_norm(lp_space(2, math.inf), [1.0, 0.0], [0.0, 1.0])
+    assert value == pytest.approx(math.sqrt(0.5 + 1.0 / math.pi), abs=1e-14)
 
 
 def test_complexification_rotation_invariance_on_grid():
@@ -153,6 +171,177 @@ def test_complexified_space_norm_dispatch():
     assert space.dim == 4
     v = norm(space, [1.0, 0.0, 0.0, 0.0])
     assert v == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Exact complexification norms: bases that are a sum or max of |functionals|
+# ---------------------------------------------------------------------------
+
+HEX = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _exact_bases():
+    rng = np.random.default_rng(7)
+    bases = {}
+    for dim in (2, 3, 4):
+        w = rng.uniform(0.5, 2.0, dim)
+        bases[f"l1-{dim}"] = lp_space(dim, 1.0)
+        bases[f"linf-{dim}"] = lp_space(dim, math.inf)
+        bases[f"wl1-{dim}"] = NormedSpace(dim, WeightedLp(1.0, w))
+        bases[f"wlinf-{dim}"] = NormedSpace(dim, WeightedLp(math.inf, w))
+    bases["hex"] = NormedSpace(2, Polyhedral(HEX))
+    bases["poly-3x6"] = NormedSpace(3, Polyhedral(rng.standard_normal((6, 3))))
+    bases["sub-of-l1-4"] = NormedSpace(2, SubspaceNorm(lp_space(4, 1.0),
+                                                       rng.standard_normal((4, 2))))
+    return bases
+
+
+EXACT_BASES = _exact_bases()
+
+
+def _grid_reference(base, x, y, nodes=2 ** 18):
+    """Mean of ||x cos phi + y sin phi||^2 on a uniform grid, square-rooted."""
+    total = 0.0
+    block = 2 ** 14
+    for lo in range(0, nodes, block):
+        phi = 2.0 * math.pi * np.arange(lo, lo + block) / nodes
+        vals = norm_batch(base, np.outer(np.cos(phi), x) + np.outer(np.sin(phi), y))
+        total += float(np.sum(vals * vals))
+    return math.sqrt(total / nodes)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BASES))
+def test_exact_cplx_norm_matches_fine_grid(name):
+    base = EXACT_BASES[name]
+    assert _sinusoid_pieces(base) is not None
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = rng.standard_normal(base.dim), rng.standard_normal(base.dim)
+        assert complexification_norm(base, x, y) == pytest.approx(
+            _grid_reference(base, x, y), rel=1e-9, abs=0.0)
+
+
+def test_sinusoid_pieces_recognition():
+    assert _sinusoid_pieces(lp_space(2, 1.0))[1] == "sum"
+    assert _sinusoid_pieces(lp_space(2, math.inf))[1] == "max"
+    F, combiner = _sinusoid_pieces(EXACT_BASES["sub-of-l1-4"])
+    assert combiner == "sum" and F.shape == (4, 2)
+    for other in (lp_space(2, 2.0), lp_space(2, 3.0),
+                  NormedSpace(2, EuclideanQuadratic(np.eye(2))),
+                  direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "sum"),
+                  direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "complexification"),
+                  NormedSpace(1, SubspaceNorm(lp_space(2, 3.0), np.ones((2, 1))))):
+        assert _sinusoid_pieces(other) is None
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BASES))
+def test_exact_cplx_norm_row_matches_batch(name):
+    base = EXACT_BASES[name]
+    rng = np.random.default_rng(12)
+    X, Y = rng.standard_normal((64, base.dim)), rng.standard_normal((64, base.dim))
+    batch = complexification_norm_batch(base, X, Y)
+    single = [complexification_norm(base, x, y) for x, y in zip(X, Y)]
+    np.testing.assert_allclose(single, batch, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BASES))
+def test_exact_cplx_norm_rotation_invariant_off_grid(name):
+    base = EXACT_BASES[name]
+    rng = np.random.default_rng(13)
+    X, Y = rng.standard_normal((64, base.dim)), rng.standard_normal((64, base.dim))
+    c, s = math.cos(0.1234), math.sin(0.1234)
+    ref = complexification_norm_batch(base, X, Y)
+    rot = complexification_norm_batch(base, c * X - s * Y, s * X + c * Y)
+    assert np.max(np.abs(rot - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BASES) + ["l3-3"])
+def test_cplx_norm_at_extreme_scales(name):
+    base = EXACT_BASES.get(name, lp_space(3, 3.0))
+    rng = np.random.default_rng(14)
+    X, Y = rng.standard_normal((8, base.dim)), rng.standard_normal((8, base.dim))
+    ref = complexification_norm_batch(base, X, Y)
+    for scale in (1e-300, 1e-170, 1e170, 1e300):
+        vals = complexification_norm_batch(base, scale * X, scale * Y)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+        np.testing.assert_allclose(vals / scale, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BASES))
+def test_exact_cplx_norm_degenerate_rows(name):
+    base = EXACT_BASES[name]
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal(base.dim)
+    zero = np.zeros(base.dim)
+    X = np.array([zero, x, x, x])
+    Y = np.array([zero, zero, 2.5 * x, -x])
+    vals = complexification_norm_batch(base, X, Y)
+    nx = norm(base, x)
+    # ||x cos + t x sin|| = |cos + t sin| ||x||, whose mean square is (1 + t^2)/2
+    expected = [0.0, nx * math.sqrt(0.5), nx * math.sqrt(3.625), nx]
+    np.testing.assert_allclose(vals, expected, rtol=1e-14, atol=0.0)
+
+
+def test_exact_cplx_norm_functional_vanishing_on_row():
+    rng = np.random.default_rng(16)
+    x, y = rng.standard_normal(2), rng.standard_normal(2)
+    pad = np.zeros(1)
+    x3, y3 = np.concatenate([x, pad]), np.concatenate([y, pad])
+    hex3 = np.vstack([np.hstack([HEX, np.zeros((3, 1))]), [[0.0, 0.0, 1.0]]])
+    pairs = [(lp_space(2, 1.0), lp_space(3, 1.0)),
+             (lp_space(2, math.inf), lp_space(3, math.inf)),
+             (NormedSpace(2, Polyhedral(HEX)), NormedSpace(3, Polyhedral(hex3)))]
+    for flat, padded in pairs:
+        assert complexification_norm(padded, x3, y3) == pytest.approx(
+            complexification_norm(flat, x, y), rel=1e-15, abs=0.0)
+
+
+def test_exact_cplx_norm_duplicated_and_parallel_functionals():
+    rng = np.random.default_rng(17)
+    X, Y = rng.standard_normal((32, 2)), rng.standard_normal((32, 2))
+    hex_ = NormedSpace(2, Polyhedral(HEX))
+    repeated = NormedSpace(2, Polyhedral(np.vstack([HEX, HEX[0], -HEX[1], -HEX])))
+    np.testing.assert_allclose(complexification_norm_batch(repeated, X, Y),
+                               complexification_norm_batch(hex_, X, Y),
+                               rtol=1e-14, atol=0.0)
+    # a longer parallel functional hides the shorter one
+    longer = np.array([HEX[0], HEX[1], 2.0 * HEX[2]])
+    with_short = NormedSpace(2, Polyhedral(np.vstack([longer, HEX[2], -HEX[2]])))
+    np.testing.assert_allclose(complexification_norm_batch(with_short, X, Y),
+                               complexification_norm_batch(
+                                   NormedSpace(2, Polyhedral(longer)), X, Y),
+                               rtol=1e-14, atol=0.0)
+    # copies a few ulp off: their arcs must neither overlap nor leave a gap
+    near = HEX * (1.0 + 2.0 ** -52 * rng.integers(1, 4, HEX.shape))
+    nearly = NormedSpace(2, Polyhedral(np.vstack([HEX, near, -near])))
+    np.testing.assert_allclose(complexification_norm_batch(nearly, X, Y),
+                               complexification_norm_batch(hex_, X, Y),
+                               rtol=1e-14, atol=0.0)
+    # in the "sum" form, +-duplicated functionals add up
+    weighted = NormedSpace(2, WeightedLp(1.0, np.array([2.0, 1.0])))
+    for basis in ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                  [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]):
+        sub = NormedSpace(2, SubspaceNorm(lp_space(3, 1.0), np.array(basis)))
+        np.testing.assert_allclose(complexification_norm_batch(sub, X, Y),
+                                   complexification_norm_batch(weighted, X, Y),
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_exact_cplx_norm_large_polyhedral_batch():
+    rng = np.random.default_rng(18)
+    F = rng.standard_normal((40, 3))
+    base = NormedSpace(3, Polyhedral(F))
+    X, Y = rng.standard_normal((32768, 3)), rng.standard_normal((32768, 3))
+    vals = complexification_norm_batch(base, X, Y)
+    # max_j |P_j|^2 / 2 <= mean of max_j (P_j . u)^2 <= max_j |P_j|^2
+    longest = np.sqrt(np.max((X @ F.T) ** 2 + (Y @ F.T) ** 2, axis=1))
+    assert np.all(vals >= longest * math.sqrt(0.5) * (1 - 1e-15))
+    assert np.all(vals <= longest * (1 + 1e-15))
+    for i in (0, 12345, 32767):
+        assert vals[i] == pytest.approx(complexification_norm(base, X[i], Y[i]),
+                                        rel=1e-15, abs=0.0)
+    assert vals[0] == pytest.approx(_grid_reference(base, X[0], Y[0]),
+                                    rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
