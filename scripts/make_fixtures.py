@@ -1,6 +1,6 @@
 """Regenerate the bundled scenario and chain fixtures under src/istruct/data/.
 
-Run from the repository root:  python3 scripts/make_fixtures.py
+Run from the repository root:  PYTHONPATH=src python3 scripts/make_fixtures.py
 """
 
 import json

@@ -1,12 +1,19 @@
 """Run a verification suite from the bundled scenario and print a summary.
 
-Usage:  python3 scripts/run_paper_suite.py [--suite paper-all] [--out report.json]
+Usage (from the repository root):
+
+    PYTHONPATH=src python3 scripts/run_paper_suite.py [--suite paper-all] [--out report.json]
+
+Exit status as for `istruct run`: 0 all claims came out as expected, 1 at least
+one did not, 2 parse or resolution error.
 """
 
 import argparse
 import json
+import sys
 
 from istruct.cli import bundled_scenario_path, load_scenario, run_suite
+from istruct.errors import ScenarioError
 
 
 def main():
@@ -17,8 +24,12 @@ def main():
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    scenario = load_scenario(bundled_scenario_path())
-    report = run_suite(scenario, args.suite, seed=args.seed)
+    try:
+        scenario = load_scenario(bundled_scenario_path())
+        report = run_suite(scenario, args.suite, seed=args.seed)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     width = max(len(c["id"]) for c in report["claims"])
     failures = 0

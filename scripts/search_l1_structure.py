@@ -2,7 +2,7 @@
 and is found quickly) with the l1 plane (no norm-compatible structure exists;
 the search reports its best residual and an exhausted budget).
 
-Usage:  python3 scripts/search_l1_structure.py [--budget 2000] [--seed 0]
+Usage:  PYTHONPATH=src python3 scripts/search_l1_structure.py [--budget 2000] [--seed 0]
 """
 
 import argparse

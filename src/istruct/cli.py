@@ -22,7 +22,8 @@ import numpy as np
 
 from . import corpus as corpus_gen
 from .config import Tolerances
-from .errors import IstructError, ScenarioError, StructureValidationError
+from .errors import (DescriptorError, IstructError, ScenarioError,
+                     StructureValidationError)
 from .ideals import (HILBERT_SCHMIDT, IdealOracle, RealOperator,
                      audit_self_conjugacy, ideal_norm, oracle_from_dict)
 from .morphisms import block_diag2
@@ -491,6 +492,18 @@ def _jsonify(obj):
     return obj
 
 
+class _ClaimParams(dict):
+    """A claim's parameters; a missing required one is a scenario error that
+    names the claim and the key."""
+
+    def __init__(self, claim_id: str, claim: dict):
+        super().__init__(claim)
+        self.claim_id = claim_id
+
+    def __missing__(self, key):
+        raise ScenarioError(f"claim {self.claim_id!r} lacks parameter {key!r}")
+
+
 def run_claim(claim_id: str, claim: dict, res: Resolver, seed: int,
               tol: Tolerances) -> dict:
     kind = claim.get("kind")
@@ -499,7 +512,9 @@ def run_claim(claim_id: str, claim: dict, res: Resolver, seed: int,
         raise ScenarioError(f"claim {claim_id!r} has unknown kind {kind!r}")
     rng = _rng_for(seed, claim_id)
     try:
-        report = handler(claim, res, rng, tol)
+        report = handler(_ClaimParams(claim_id, claim), res, rng, tol)
+    except ScenarioError:
+        raise
     except IstructError as exc:
         report = VerificationReport(kind, VIOLATED, residuals={},
                                     witness={"error": str(exc)})
@@ -529,6 +544,13 @@ def run_suite(scenario: dict, suite: str, *, seed=None, tol_alg=None,
     for cid in claim_ids:
         if cid not in claims:
             raise ScenarioError(f"suite {suite!r} references unknown claim {cid!r}")
+    # bad descriptor data is a scenario error, whichever claims use the space
+    for name in scenario.get("spaces", {}):
+        try:
+            res.space(name)
+        except (DescriptorError, KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(
+                f"space {name!r} is invalid ({type(exc).__name__}: {exc})") from exc
 
     workers = int(os.environ.get("ISTRUCT_THREADS", "0") or "0")
     if workers > 1:

@@ -6,14 +6,22 @@ X (+) X is the L2 average of || x cos(phi) + y sin(phi) || over a full period.
 For l1, l-infinity, weighted l1/l-infinity and polyhedral bases, and subspaces
 of them, the base norm is a sum or a maximum of |<f_j, .>|, so the integrand
 is built from sinusoids |a_j cos(phi) + b_j sin(phi)| and its mean has a closed
-form; these kinds are evaluated exactly.  Every other base (general p,
-Euclidean-like, sums, nested complexifications) is evaluated by the periodic
-trapezoid rule with node doubling.
+form; these kinds are evaluated exactly.
+
+For general-p bases, sums and subspaces of these, the integrand is analytic
+between the zeros of finitely many functionals (see _breakpoint_functionals).
+The period is split there and each arc is integrated by composite
+Gauss-Legendre quadrature, which converges spectrally where the periodic
+trapezoid rule, held back by the kinks, does not.  Only Euclidean-like bases,
+whose integrand is smooth, nested complexifications, and sums or subspaces
+with such a part use the periodic trapezoid rule with node doubling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -21,18 +29,27 @@ import numpy as np
 
 from .errors import DescriptorError, DimensionMismatchError, QuadratureError
 
-# Trapezoid fallback policy (bases without a closed form; see
-# _sinusoid_pieces): uniform nodes on [-pi, pi), doubling from 64 up to 4096.
-# Doubling stops when every batch entry changes by less than QUAD_RTOL.  For
-# integrands with kinks (general-p base norms) the budget is reached first; the
-# last value is accepted as long as the final relative change is below
-# QUAD_FAIL_RTOL, otherwise a QuadratureError is raised.
+# Quadrature policy for bases without a closed form (see _sinusoid_pieces).
+# QUAD_RTOL is the relative accuracy sought for the mean square and
+# QUAD_MAX_NODES the norm evaluations allowed per row.  Arc quadrature (bases
+# with breakpoint functionals) refines arc by arc until two successive
+# doublings each change an arc by less than its share of QUAD_RTOL.  The
+# trapezoid rule (the other bases: Euclidean-like, nested complexifications)
+# takes uniform nodes on [-pi, pi), doubling from QUAD_START_NODES, until every
+# batch entry changes by less than QUAD_RTOL.  A row that reaches the node
+# budget first keeps its last value if its last relative change is below
+# QUAD_FAIL_RTOL; otherwise a QuadratureError is raised.
 QUAD_START_NODES = 64
 QUAD_MAX_NODES = 4096
 QUAD_RTOL = 1e-10
 QUAD_FAIL_RTOL = 1e-5
 
 _CHUNK_ELEMENTS = 4_000_000
+
+# 8-point Gauss-Legendre rule on [0, 1], the panel rule of the arc quadrature
+_GL_POINTS = 8
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
+_GL_T, _GL_W = (_GL_T + 1.0) / 2.0, _GL_W / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +282,15 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
                                 max_nodes: int = QUAD_MAX_NODES) -> np.ndarray:
     """Batched complexification norm.
 
-    Bases recognized by `_sinusoid_pieces` are evaluated exactly.  The others
-    go through the trapezoid rule, where all rows share the node count; that
-    keeps rotation invariance exact at the discrete level whenever the
-    rotation angle is a multiple of the node spacing.  ``rtol`` and
-    ``max_nodes`` govern only the trapezoid rule.
+    Bases recognized by `_sinusoid_pieces` are evaluated exactly.  Bases with
+    breakpoint functionals (`_breakpoint_functionals`) are integrated arc by
+    arc between their kinks, each row on its own arcs, so rotating a row moves
+    its arcs with it and rotation invariance holds to a few ulps at every
+    angle.  The others (Euclidean-like bases, nested complexifications, and
+    sums or subspaces with such a part) go through the trapezoid rule, where
+    all rows share the node count; there rotation invariance is exact at the
+    discrete level whenever the rotation angle is a multiple of the node
+    spacing.  ``rtol`` and ``max_nodes`` govern both quadratures.
 
     The norm is homogeneous, so each row pair is first scaled by a power of
     two near its largest entry and the value scaled back: nothing overflows or
@@ -292,10 +313,14 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
     Xn, Yn = np.ldexp(Xn, -exp[:, None]), np.ldexp(Yn, -exp[:, None])
 
     pieces = _sinusoid_pieces(base)
-    if pieces is None:
-        mean_sq = _trapezoid_mean_sq(base, Xn, Yn, rtol, max_nodes)
-    else:
+    if pieces is not None:
         mean_sq = _sinusoid_mean_sq(Xn, Yn, *pieces)
+    else:
+        G = _breakpoint_functionals(base)
+        if G is None:
+            mean_sq = _trapezoid_mean_sq(base, Xn, Yn, rtol, max_nodes)
+        else:
+            mean_sq = _arc_mean_sq(base, Xn, Yn, G, rtol, max_nodes)
     out[nonzero] = np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
     return out
 
@@ -359,6 +384,107 @@ def _max_mean_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the arc is [top - pi/2, bottom + pi/2]; the arcs of -P_j double the sum
     integral = (a * a + b * b) * (width + np.cos(top + bottom) * np.sin(width))
     return np.sum(integral, axis=1) / (2.0 * np.pi)
+
+
+def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray, G: np.ndarray,
+                 rtol: float, max_nodes: int) -> np.ndarray:
+    """Mean over phi of ||x cos phi + y sin phi||^2, per row, integrated arc by
+    arc between the zeros of <g, x cos phi + y sin phi> for the rows g of G.
+
+    The integrand has period pi, and its kinks and endpoint singularities lie
+    at those zeros, so it is analytic inside each arc.  Each arc takes
+    composite 8-point Gauss-Legendre after the smoothstep substitution (see
+    _arc_rule) and doubles its panels until two successive doublings have each
+    changed it by less than its width's share of rtol times the row's
+    integral: at 8 and 16 nodes two estimates can agree by chance while both
+    are still off.  A row whose next doubling would take it past max_nodes
+    evaluations stops there; its unsettled change must then be below
+    QUAD_FAIL_RTOL, otherwise a QuadratureError is raised.
+    """
+    k = len(X)
+    A, B = X @ G.T, Y @ G.T
+    zeros = np.arctan2(A, -B)
+    # a functional vanishing on the whole row has no zero: repeat the zero of
+    # the row's largest functional, which makes an empty arc
+    largest = zeros[np.arange(k), np.argmax(np.abs(A) + np.abs(B), axis=1)]
+    zeros = np.where((A == 0.0) & (B == 0.0), largest[:, None], zeros)
+    ends = np.sort(np.mod(zeros, np.pi), axis=1)
+    widths = np.diff(ends, axis=1, append=ends[:, :1] + np.pi)
+    row, col = np.nonzero(widths > 0.0)
+    start, width = ends[row, col], widths[row, col]
+    Xa, Ya = X[row], Y[row]
+
+    value = _arc_integrals(base, Xa, Ya, start, width, 0)
+    change = np.zeros(len(row))
+    passed = np.zeros(len(row), dtype=bool)
+    # levels 0 and 1 are always taken: their difference is the first estimate
+    used = 3 * _GL_POINTS * np.bincount(row, minlength=k)
+    active = np.arange(len(row))
+    level = 0
+    while active.size:
+        level += 1
+        new = _arc_integrals(base, Xa[active], Ya[active], start[active],
+                             width[active], level)
+        change[active] = new - value[active]
+        value[active] = new
+        total = np.bincount(row, weights=value, minlength=k)
+        ok = np.abs(change[active]) <= rtol / np.pi * total[row[active]] * width[active]
+        settled = ok & passed[active]
+        passed[active] = ok
+        active = active[~settled]
+        # rows whose next doubling would pass the node budget stop here
+        used += _GL_POINTS * 2 ** (level + 1) * np.bincount(row[active], minlength=k)
+        stop = (used > max_nodes)[row[active]]
+        if np.any(stop):
+            unsettled = np.bincount(row[active[stop]],
+                                    weights=np.abs(change[active[stop]]), minlength=k)
+            worst = float(np.max(unsettled / total))
+            if worst > QUAD_FAIL_RTOL:
+                raise QuadratureError(
+                    f"quadrature did not settle within {max_nodes} nodes "
+                    f"(last relative change {worst:.3e})")
+            active = active[~stop]
+    return np.bincount(row, weights=value, minlength=k) / np.pi
+
+
+# one entry per level reached; no rule is larger than a row's node budget
+@functools.lru_cache(maxsize=None)
+def _arc_rule(level: int) -> tuple:
+    """Nodes and weights on [0, 1] of composite 8-point Gauss-Legendre with
+    2**level panels, after the substitution t -> 3t^2 - 2t^3.
+
+    The substitution's derivative 6t(1 - t) vanishes at both ends, which turns
+    an endpoint singularity |phi - phi_0|^p of the integrand into t^(2p + 1).
+    """
+    panels = 2 ** level
+    t = ((np.arange(panels)[:, None] + _GL_T) / panels).ravel()
+    weights = np.tile(_GL_W, panels) / panels
+    nodes, weights = t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t) * weights
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by the cache
+    return nodes, weights
+
+
+def _arc_integrals(base: NormedSpace, X: np.ndarray, Y: np.ndarray, start: np.ndarray,
+                   width: np.ndarray, level: int) -> np.ndarray:
+    """Integral of ||x cos phi + y sin phi||^2 over [start, start + width] per
+    row, by the rule of _arc_rule at the given level."""
+    s, w = _arc_rule(level)
+    n = len(s)
+    k, d = X.shape
+    out = np.empty(k)
+    # chunk over arcs to bound the (arcs * nodes, dim) intermediate
+    per_chunk = max(1, _CHUNK_ELEMENTS // (n * d))
+    for lo in range(0, k, per_chunk):
+        hi = min(k, lo + per_chunk)
+        phi = start[lo:hi, None] + width[lo:hi, None] * s
+        c, sn = np.cos(phi), np.sin(phi)
+        # one coordinate at a time: far faster than broadcasting over a short
+        # last axis
+        Z = np.stack([X[lo:hi, j, None] * c + Y[lo:hi, j, None] * sn
+                      for j in range(d)], axis=-1)
+        vals = norm_batch(base, Z.reshape(-1, d)).reshape(hi - lo, n)
+        out[lo:hi] = width[lo:hi] * np.sum(vals * vals * w, axis=1)
+    return out
 
 
 def _trapezoid_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
@@ -483,6 +609,46 @@ def _sinusoid_pieces(space: NormedSpace) -> Optional[tuple]:
     return None
 
 
+def _breakpoint_functionals(space: NormedSpace) -> Optional[np.ndarray]:
+    """Rows g such that ||x cos phi + y sin phi|| is analytic in phi between
+    the zeros of <g, x cos phi + y sin phi>, or None when no such finite set is
+    known (Euclidean-like bases, whose norm is analytic off zero, and nested
+    complexifications).
+
+    Lp and WeightedLp give the coordinate rows (p = inf: the maximum's rows and
+    their crossings), Polyhedral its functionals and their crossings, a sum the
+    block stack of both parts, and a subspace the ambient rows times its basis.
+    """
+    d = space.norm_desc
+    if isinstance(d, (Lp, WeightedLp)) and d.p != 2.0:
+        if not math.isinf(d.p):
+            return np.eye(space.dim)
+        return _with_crossings(np.eye(space.dim) if isinstance(d, Lp)
+                               else np.diag(d.weights))
+    if isinstance(d, Polyhedral):
+        return _with_crossings(d.functionals)
+    if isinstance(d, SumNorm):
+        left = _breakpoint_functionals(d.left)
+        right = _breakpoint_functionals(d.right)
+        if left is None or right is None:
+            return None
+        out = np.zeros((len(left) + len(right), space.dim))
+        out[:len(left), :d.left.dim] = left
+        out[len(left):, d.left.dim:] = right
+        return out
+    if isinstance(d, SubspaceNorm):
+        G = _breakpoint_functionals(d.ambient)
+        return None if G is None else G @ d.basis
+    return None
+
+
+def _with_crossings(F: np.ndarray) -> np.ndarray:
+    """F's rows plus f_j + f_l and f_j - f_l for j < l: max_j |<f_j, .>| has
+    its kinks where some |<f_j, .>| = |<f_l, .>| or <f_j, .> = 0."""
+    j, l = np.triu_indices(len(F), k=1)
+    return np.vstack([F, F[j] + F[l], F[j] - F[l]])
+
+
 # ---------------------------------------------------------------------------
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
@@ -534,4 +700,7 @@ def space_to_dict(space: NormedSpace) -> dict:
 
 
 def space_from_dict(obj: dict) -> NormedSpace:
-    return NormedSpace(int(obj["dim"]), descriptor_from_dict(obj["norm"]))
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise DescriptorError(f"dimension must be an integer, got {dim!r}")
+    return NormedSpace(int(dim), descriptor_from_dict(obj["norm"]))

@@ -112,3 +112,37 @@ def test_threaded_run_matches_serial(scenario_path, monkeypatch):
     serial.pop("timestamp"), threaded.pop("timestamp")
     assert json.dumps(serial, sort_keys=True) == \
         json.dumps(threaded, sort_keys=True)
+
+
+def _nan_in_hex_functionals(scenario):
+    scenario["spaces"]["hex-2"]["norm"]["functionals"][2][0] = float("nan")
+
+
+def _fractional_dim(scenario):
+    scenario["spaces"]["plane-l3"]["dim"] = 2.7
+
+
+def _claim_without_space(scenario):
+    del scenario["claims"]["natural-l3"]["space"]
+
+
+@pytest.mark.parametrize("edit, suite, words", [
+    (_nan_in_hex_functionals, "pelczynski-chain", ["'hex-2'", "finite"]),
+    (_fractional_dim, "pelczynski-chain", ["'plane-l3'", "integer", "2.7"]),
+    (_claim_without_space, "only-l3", ["'natural-l3'", "parameter 'space'"]),
+], ids=["nan-functional", "fractional-dim", "missing-parameter"])
+def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, edit,
+                                    suite, words):
+    with open(scenario_path, encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    scenario["suites"]["only-l3"] = ["natural-l3"]
+    edit(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["run", str(path), "--suite", suite,
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    for word in words:
+        assert word in err

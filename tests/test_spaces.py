@@ -1,14 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
-from istruct.errors import DescriptorError, DimensionMismatchError
+from istruct.errors import (DescriptorError, DimensionMismatchError,
+                            QuadratureError)
 from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             NormedSpace, Polyhedral, SubspaceNorm,
-                            WeightedLp, _sinusoid_pieces,
+                            WeightedLp, _breakpoint_functionals,
+                            _sinusoid_pieces,
                             complexification_norm,
                             complexification_norm_batch, direct_sum,
                             euclidean_gram, lp_space, norm, norm_batch,
@@ -342,6 +346,123 @@ def test_exact_cplx_norm_large_polyhedral_batch():
                                         rel=1e-15, abs=0.0)
     assert vals[0] == pytest.approx(_grid_reference(base, X[0], Y[0]),
                                     rel=1e-9, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Arc quadrature: general-p, sum and subspace bases
+# ---------------------------------------------------------------------------
+
+def _arc_bases():
+    """name -> (base, rows whose zeros are the kinks of the base norm)."""
+    rng = np.random.default_rng(21)
+    bases = {}
+    for p in (1.2, 1.5, 3.0):
+        for dim in (2, 3, 4):
+            bases[f"l{p:g}-{dim}"] = (lp_space(dim, p), np.eye(dim))
+    bases["l7.5-3"] = (lp_space(3, 7.5), np.eye(3))
+    bases["wl3-3"] = (NormedSpace(3, WeightedLp(3.0, rng.uniform(0.5, 2.0, 3))), np.eye(3))
+    # the l-infinity part also kinks where its two coordinates cross
+    bases["l1+linf"] = (direct_sum(lp_space(2, 1.0), lp_space(2, math.inf), "sum"),
+                        np.vstack([np.eye(4), [[0, 0, 1, 1], [0, 0, 1, -1]]]))
+    bases["l3+l1"] = (direct_sum(lp_space(2, 3.0), lp_space(2, 1.0), "sum"), np.eye(4))
+    basis = rng.standard_normal((4, 2))
+    bases["sub-of-l3-4"] = (NormedSpace(2, SubspaceNorm(lp_space(4, 3.0), basis)), basis)
+    return bases
+
+
+ARC_BASES = _arc_bases()
+
+
+def _arc_reference(base, kinks, x, y):
+    """sqrt of (1/pi) * integral over [0, pi) of ||x cos phi + y sin phi||^2, by
+    adaptive quadrature on each arc between the zeros of the kink rows."""
+    a, b = kinks @ x, kinks @ y
+    zeros = np.mod(np.arctan2(a, -b)[(a != 0.0) | (b != 0.0)], np.pi)
+    ends = np.unique(np.concatenate([[0.0, np.pi], zeros]))
+
+    def f(phi):
+        return norm(base, x * math.cos(phi) + y * math.sin(phi)) ** 2
+
+    with warnings.catch_warnings():
+        # quad reports roundoff once it is at the level of epsrel
+        warnings.simplefilter("ignore", IntegrationWarning)
+        total = sum(quad(f, lo, hi, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+                    for lo, hi in zip(ends[:-1], ends[1:]))
+    return math.sqrt(total / np.pi)
+
+
+@pytest.mark.parametrize("name", sorted(ARC_BASES))
+def test_arc_cplx_norm_matches_adaptive_reference(name):
+    base, kinks = ARC_BASES[name]
+    assert _sinusoid_pieces(base) is None and _breakpoint_functionals(base) is not None
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal(base.dim)
+    noise = rng.standard_normal(base.dim)
+    zero = np.zeros(base.dim)
+    rows = [(rng.standard_normal(base.dim), rng.standard_normal(base.dim))
+            for _ in range(3)]
+    rows += [(x, 2.5 * x), (x, -0.7 * x + 1e-8 * noise), (x, zero), (zero, x)]
+    for x, y in rows:
+        ref = _arc_reference(base, kinks, x, y)
+        for scale in (1e-300, 1.0, 1e300):
+            value = complexification_norm(base, scale * x, scale * y) / scale
+            assert value == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(ARC_BASES))
+def test_arc_cplx_norm_row_matches_batch(name):
+    base, _ = ARC_BASES[name]
+    rng = np.random.default_rng(23)
+    X, Y = rng.standard_normal((64, base.dim)), rng.standard_normal((64, base.dim))
+    batch = complexification_norm_batch(base, X, Y)
+    single = [complexification_norm(base, x, y) for x, y in zip(X, Y)]
+    np.testing.assert_allclose(single, batch, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(ARC_BASES))
+def test_arc_cplx_norm_rotation_invariant_off_grid(name):
+    base, _ = ARC_BASES[name]
+    rng = np.random.default_rng(24)
+    X, Y = rng.standard_normal((64, base.dim)), rng.standard_normal((64, base.dim))
+    c, s = math.cos(0.1234), math.sin(0.1234)
+    ref = complexification_norm_batch(base, X, Y)
+    rot = complexification_norm_batch(base, c * X - s * Y, s * X + c * Y)
+    assert np.max(np.abs(rot - ref) / ref) <= 1e-14
+
+
+def test_arc_cplx_norm_small_node_budget_raises():
+    base = lp_space(3, 7.5)
+    rng = np.random.default_rng(25)
+    X, Y = rng.standard_normal((16, 3)), rng.standard_normal((16, 3))
+    with pytest.raises(QuadratureError, match="did not settle within 64 nodes"):
+        complexification_norm_batch(base, X, Y, max_nodes=64)
+    complexification_norm_batch(base, X, Y)
+
+
+def test_breakpoint_functionals_recognition():
+    l1, linf = lp_space(2, 1.0), lp_space(2, math.inf)
+    crossings = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    np.testing.assert_array_equal(_breakpoint_functionals(lp_space(3, 3.0)), np.eye(3))
+    np.testing.assert_array_equal(_breakpoint_functionals(linf), crossings)
+    stacked = np.zeros((6, 4))
+    stacked[:2, :2] = np.eye(2)
+    stacked[2:, 2:] = crossings
+    np.testing.assert_array_equal(
+        _breakpoint_functionals(direct_sum(l1, linf, "sum")), stacked)
+    hex_sum = direct_sum(NormedSpace(2, Polyhedral(HEX)), l1, "sum")
+    assert _breakpoint_functionals(hex_sum).shape == (9 + 2, 4)
+    basis = np.array([[1.0], [2.0], [3.0]])
+    np.testing.assert_array_equal(
+        _breakpoint_functionals(NormedSpace(1, SubspaceNorm(lp_space(3, 1.5), basis))),
+        basis)
+    for other in (lp_space(2, 2.0),
+                  NormedSpace(2, WeightedLp(2.0, np.array([1.0, 2.0]))),
+                  NormedSpace(2, EuclideanQuadratic(np.eye(2))),
+                  NormedSpace(1, SubspaceNorm(lp_space(2, 2.0), np.ones((2, 1)))),
+                  direct_sum(lp_space(2, 3.0), lp_space(2, 3.0), "complexification"),
+                  direct_sum(l1, l1, "complexification"),
+                  direct_sum(l1, lp_space(2, 2.0), "sum")):
+        assert _breakpoint_functionals(other) is None
 
 
 # ---------------------------------------------------------------------------
