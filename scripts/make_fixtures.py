@@ -78,7 +78,7 @@ CLAIMS = {
                        "A": [[0.0, -2.0], [0.5, 0.0]],
                        "samples": 128, "angles": 16},
     "search-l2": {"kind": "search-structure", "space": "plane-l2",
-                  "budget": 300, "expect_found": True},
+                  "expect_found": True},
     # constructions
     "prop1": {"kind": "prop1-roundtrip", "count": 8, "half_dims": [1, 2, 3]},
     "squares": {"kind": "squares", "count": 10, "dims": [2, 4, 6]},

@@ -1,39 +1,22 @@
-"""Contrast the i-operator search on the Euclidean plane (a structure exists
-and is found quickly) with the l1 plane (no norm-compatible structure exists;
-the search reports its best residual and an exhausted budget).
+"""The three answers of the i-operator existence decision: found on the
+Euclidean plane, none on the l1 plane (its isometry group is finite), and
+undecided on l1 (+) l2, where no exact argument applies.
 
-Usage:  PYTHONPATH=src python3 scripts/search_l1_structure.py [--budget 2000] [--seed 0]
+Usage:  PYTHONPATH=src python3 scripts/search_l1_structure.py
 """
 
-import argparse
-import math
-import time
-
-from istruct.spaces import lp_space
+from istruct.spaces import direct_sum, lp_space
 from istruct.structures import search_i_operator
 
 
-def run(label, space, budget, seed):
-    start = time.perf_counter()
-    result = search_i_operator(space, budget=budget, seed=seed)
-    elapsed = time.perf_counter() - start
-    print(f"{label}: {result.tag} "
-          f"(best residual {result.best_residual:.3e}, {elapsed:.2f}s)")
-    if result.found is not None:
-        print(f"  A =\n{result.found.A.round(6)}")
-
-
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
-    run("l2 plane  ", lp_space(2, 2.0), args.budget, args.seed)
-    run("l1 plane  ", lp_space(2, 1.0), args.budget, args.seed)
-    run("linf plane", lp_space(2, math.inf), args.budget, args.seed)
-    print("\nA residual stuck far above tolerance is evidence, not proof, "
-          "that no compatible structure exists on that space.")
+    for label, space in [("l2 plane", lp_space(2, 2.0)),
+                         ("l1 plane", lp_space(2, 1.0)),
+                         ("l1 (+) l2", direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum"))]:
+        result = search_i_operator(space)
+        print(f"{label:10} {result.tag}")
+        if result.found is not None:
+            print(f"  A =\n{result.found.A}")
 
 
 if __name__ == "__main__":

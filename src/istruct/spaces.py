@@ -13,8 +13,9 @@ between the zeros of finitely many functionals (see _breakpoint_functionals).
 The period is split there and each arc is integrated by composite
 Gauss-Legendre quadrature, which converges spectrally where the periodic
 trapezoid rule, held back by the kinks, does not.  Only Euclidean-like bases,
-whose integrand is smooth, nested complexifications, and sums or subspaces
-with such a part use the periodic trapezoid rule with node doubling.
+whose integrand is smooth, and nested complexifications (with sums or
+subspaces that have such a part) use the periodic trapezoid rule with node
+doubling.
 """
 
 from __future__ import annotations
@@ -287,10 +288,11 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
     arc between their kinks, each row on its own arcs, so rotating a row moves
     its arcs with it and rotation invariance holds to a few ulps at every
     angle.  The others (Euclidean-like bases, nested complexifications, and
-    sums or subspaces with such a part) go through the trapezoid rule, where
-    all rows share the node count; there rotation invariance is exact at the
-    discrete level whenever the rotation angle is a multiple of the node
-    spacing.  ``rtol`` and ``max_nodes`` govern both quadratures.
+    sums or subspaces with a nested complexification part) go through the
+    trapezoid rule, where all rows share the node count; there rotation
+    invariance is exact at the discrete level whenever the rotation angle is a
+    multiple of the node spacing.  ``rtol`` and ``max_nodes`` govern both
+    quadratures.
 
     The norm is homogeneous, so each row pair is first scaled by a power of
     two near its largest entry and the value scaled back: nothing overflows or
@@ -612,12 +614,13 @@ def _sinusoid_pieces(space: NormedSpace) -> Optional[tuple]:
 def _breakpoint_functionals(space: NormedSpace) -> Optional[np.ndarray]:
     """Rows g such that ||x cos phi + y sin phi|| is analytic in phi between
     the zeros of <g, x cos phi + y sin phi>, or None when no such finite set is
-    known (Euclidean-like bases, whose norm is analytic off zero, and nested
-    complexifications).
+    known (nested complexifications) or none is needed (Euclidean-like bases,
+    whose norm is analytic off zero and which keep the trapezoid rule).
 
     Lp and WeightedLp give the coordinate rows (p = inf: the maximum's rows and
     their crossings), Polyhedral its functionals and their crossings, a sum the
-    block stack of both parts, and a subspace the ambient rows times its basis.
+    block stack of both parts (see _part_breakpoints), and a subspace the
+    ambient rows times its basis.
     """
     d = space.norm_desc
     if isinstance(d, (Lp, WeightedLp)) and d.p != 2.0:
@@ -628,8 +631,7 @@ def _breakpoint_functionals(space: NormedSpace) -> Optional[np.ndarray]:
     if isinstance(d, Polyhedral):
         return _with_crossings(d.functionals)
     if isinstance(d, SumNorm):
-        left = _breakpoint_functionals(d.left)
-        right = _breakpoint_functionals(d.right)
+        left, right = _part_breakpoints(d.left), _part_breakpoints(d.right)
         if left is None or right is None:
             return None
         out = np.zeros((len(left) + len(right), space.dim))
@@ -640,6 +642,15 @@ def _breakpoint_functionals(space: NormedSpace) -> Optional[np.ndarray]:
         G = _breakpoint_functionals(d.ambient)
         return None if G is None else G @ d.basis
     return None
+
+
+def _part_breakpoints(part: NormedSpace) -> Optional[np.ndarray]:
+    """Breakpoint rows of one part of a sum.  A Euclidean-like part gets its
+    coordinate rows: its norm is analytic except where its whole block
+    vanishes, which is a zero of every coordinate."""
+    if euclidean_gram(part) is not None:
+        return np.eye(part.dim)
+    return _breakpoint_functionals(part)
 
 
 def _with_crossings(F: np.ndarray) -> np.ndarray:

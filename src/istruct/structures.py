@@ -1,4 +1,4 @@
-"""Pairs [X, A]: i-operator validation, conjugation, and existence search.
+"""Pairs [X, A]: i-operator validation, conjugation, and existence decision.
 
 An i-operator A on a real space X satisfies A^2 = -I and makes every rotation
 alpha*I + beta*A with alpha^2 + beta^2 = 1 an isometry.  Validation is exact
@@ -11,12 +11,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, StructureValidationError
-from .spaces import (NormedSpace, direct_sum, euclidean_gram, norm,
-                     norm_batch, space_equal, space_from_dict, space_to_dict)
+from .spaces import (Lp, NormedSpace, WeightedLp, _sinusoid_pieces,
+                     direct_sum, euclidean_gram, norm, norm_batch,
+                     space_equal, space_from_dict, space_to_dict)
 
 DEFAULT_SAMPLE_VECTORS = 512
 DEFAULT_SAMPLE_ANGLES = 64
@@ -183,70 +183,61 @@ def complex_scalar_action(s: ComplexStructure, alpha: float, beta: float, x) -> 
 
 
 # ---------------------------------------------------------------------------
-# Heuristic existence search
+# Existence
 # ---------------------------------------------------------------------------
+
+FOUND = "found"
+ODD_DIMENSION = "odd dimension"
+NONE_FINITE_GROUP = "none: finite isometry group"
+UNDECIDED = "undecided"
+
 
 @dataclass(eq=False)
 class SearchResult:
     found: Optional[ComplexStructure]
-    best_residual: float
-    tag: str  # "found" | "budget exhausted" | "odd dimension"
+    best_residual: float  # algebraic + isometry residual of best_candidate
+    tag: str  # FOUND | ODD_DIMENSION | NONE_FINITE_GROUP | UNDECIDED
     best_candidate: Optional[np.ndarray] = None
 
 
-def search_i_operator(space: NormedSpace, budget: int = 2000,
-                      seed: int = 0, *, tol: Tolerances = DEFAULT_TOL) -> SearchResult:
-    """Local search for an i-operator; not a nonexistence proof.
+def search_i_operator(space: NormedSpace, *,
+                      tol: Tolerances = DEFAULT_TOL) -> SearchResult:
+    """Decide whether the space carries an i-operator.
 
-    Candidates are parametrized as M J M^{-1} with J the canonical block
-    rotation, so the algebraic condition holds by construction and only the
-    sampled isometry residual is minimized.  "found" is returned only after
-    full validation passes.
+    - Odd dimension: none (A^2 = -I forces an even dimension).
+    - Euclidean-like norm with Gram G = L L': A = L^-T J L' is one, J the
+      canonical block rotation (A'GA = G and GA is antisymmetric); it is
+      returned after the exact Gram validation passes.
+    - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
+      up to the weights) and every norm whose unit ball is a polytope
+      (l1, l-infinity, weighted l1/l-infinity, Polyhedral and subspaces of
+      these: the isometries permute the finitely many vertices): the isometry
+      group is finite, so it cannot contain the circle {alpha I + beta A}.
+    - Any other norm (sums, nested complexifications, subspaces of general-p
+      bases) is undecided, which is not a nonexistence proof.  So is a Gram
+      matrix so ill-conditioned that the constructed A misses tol in floating
+      point; it is still returned as best_candidate.
     """
     n = space.dim
     if n % 2 != 0:
-        return SearchResult(None, float("inf"), "odd dimension")
-    J = natural_i_operator_matrix(n // 2)
-    rng = np.random.default_rng(seed)
-
-    def candidate(mvec):
-        M = np.eye(n) + mvec.reshape(n, n)
-        if abs(np.linalg.det(M)) < 1e-8:
-            return None
-        return M @ J @ np.linalg.inv(M)
-
-    def objective(mvec):
-        A = candidate(mvec)
-        if A is None:
-            return 1e6
-        c = certify(space, A, seed=seed, samples=64, angles=16)
-        return c.algebraic_residual + c.isometry_residual
-
-    evals = 0
-    best_val = float("inf")
-    best_A = None
-    restart = 0
-    while evals < budget:
-        if restart == 0:
-            m0 = np.zeros(n * n)
-        else:
-            m0 = 0.5 * rng.standard_normal(n * n)
-        restart += 1
-        res = scipy.optimize.minimize(
-            objective, m0, method="Nelder-Mead",
-            options={"maxfev": max(1, min(budget - evals, 400)),
-                     "xatol": 1e-10, "fatol": 1e-12})
-        evals += res.nfev
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_A = candidate(res.x)
-            if best_A is not None and best_val <= tol.tol_iso:
-                try:
-                    s = validate_i_operator(space, best_A, tol=tol, seed=seed)
-                    return SearchResult(s, best_val, "found", best_A)
-                except StructureValidationError:
-                    pass  # full validation stricter than the search proxy
-    return SearchResult(None, best_val, "budget exhausted", best_A)
+        return SearchResult(None, float("inf"), ODD_DIMENSION)
+    gram = euclidean_gram(space)
+    if gram is not None:
+        L = np.linalg.cholesky(gram)
+        A = np.linalg.solve(L.T, natural_i_operator_matrix(n // 2) @ L.T)
+        try:
+            s = validate_i_operator(space, A, tol=tol)
+        except StructureValidationError as exc:
+            c = exc.certificate
+            return SearchResult(None, c.algebraic_residual + c.isometry_residual,
+                                UNDECIDED, A)
+        c = s.certificate
+        return SearchResult(s, c.algebraic_residual + c.isometry_residual, FOUND, A)
+    # p = 2 is Euclidean-like and decided above
+    if (isinstance(space.norm_desc, (Lp, WeightedLp))
+            or _sinusoid_pieces(space) is not None):
+        return SearchResult(None, float("inf"), NONE_FINITE_GROUP)
+    return SearchResult(None, float("inf"), UNDECIDED)
 
 
 # ---------------------------------------------------------------------------

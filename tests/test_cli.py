@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import istruct
 from istruct.cli import (bundled_scenario_path, load_scenario, main,
                          run_suite)
 from istruct.errors import ScenarioError
@@ -104,14 +108,43 @@ def test_expected_violation_counts_as_success(tmp_path):
     assert report["claims"][0]["outcome"] == "verified"
 
 
-def test_threaded_run_matches_serial(scenario_path, monkeypatch):
-    scenario = load_scenario(scenario_path)
-    serial = run_suite(scenario, "pelczynski-chain")
-    monkeypatch.setenv("ISTRUCT_THREADS", "4")
-    threaded = run_suite(scenario, "pelczynski-chain")
-    serial.pop("timestamp"), threaded.pop("timestamp")
-    assert json.dumps(serial, sort_keys=True) == \
-        json.dumps(threaded, sort_keys=True)
+def test_undecided_structure_search_is_inconclusive(tmp_path, capsys):
+    l1 = {"dim": 2, "norm": {"kind": "lp", "p": 1.0}}
+    l2 = {"dim": 2, "norm": {"kind": "lp", "p": 2.0}}
+    scenario = {
+        "schema": 1, "seed": 7,
+        "spaces": {"l1+l2": {"dim": 4, "norm": {"kind": "sum", "left": l1,
+                                                "right": l2}}},
+        "claims": {"search": {"kind": "search-structure", "space": "l1+l2",
+                              "budget": 300, "expect_found": False}},
+        "suites": {"only": ["search"]},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "report.json"
+    code = main(["run", str(path), "--suite", "only", "--out", str(out)])
+    assert code == 1
+    assert "FAILED: search" in capsys.readouterr().err
+    claim = json.loads(out.read_text())["claims"][0]
+    assert claim["outcome"] == "violated"
+    assert claim["report"]["status"] == "inconclusive"
+    assert claim["report"]["notes"] == ["tag: undecided"]
+
+
+def test_paper_suite_runs_without_scipy(tmp_path):
+    # scipy costs most of the import time; nothing at run time may load it
+    code = (
+        "import sys\n"
+        "import istruct, istruct.cli\n"
+        "assert istruct.cli.main(['run', istruct.cli.bundled_scenario_path(),\n"
+        f"    '--suite', 'paper-all', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(istruct.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _nan_in_hex_functionals(scenario):

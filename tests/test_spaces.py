@@ -15,8 +15,9 @@ from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             _sinusoid_pieces,
                             complexification_norm,
                             complexification_norm_batch, direct_sum,
-                            euclidean_gram, lp_space, norm, norm_batch,
-                            space_equal, space_from_dict, space_to_dict)
+                            euclidean_gram, euclidean_space, lp_space, norm,
+                            norm_batch, space_equal, space_from_dict,
+                            space_to_dict)
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -367,6 +368,14 @@ def _arc_bases():
     bases["l3+l1"] = (direct_sum(lp_space(2, 3.0), lp_space(2, 1.0), "sum"), np.eye(4))
     basis = rng.standard_normal((4, 2))
     bases["sub-of-l3-4"] = (NormedSpace(2, SubspaceNorm(lp_space(4, 3.0), basis)), basis)
+    # a Euclidean-like part kinks only where its whole block vanishes
+    l1_l2 = direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum")
+    bases["l1+l2"] = (l1_l2, np.eye(4))
+    gram = np.array([[2.0, 0.5], [0.5, 1.0]])
+    bases["quad+l3"] = (direct_sum(euclidean_space(2, gram), lp_space(3, 3.0), "sum"),
+                        np.eye(5))
+    basis = rng.standard_normal((4, 3))
+    bases["sub-of-l1+l2"] = (NormedSpace(3, SubspaceNorm(l1_l2, basis)), basis)
     return bases
 
 
@@ -407,6 +416,20 @@ def test_arc_cplx_norm_matches_adaptive_reference(name):
         for scale in (1e-300, 1.0, 1e300):
             value = complexification_norm(base, scale * x, scale * y) / scale
             assert value == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["l1+l2", "quad+l3"])
+def test_arc_cplx_norm_parallel_euclidean_block(name):
+    # the Euclidean block of y is (nearly) a multiple of that of x, so the
+    # block (nearly) vanishes at one angle while the other block does not
+    base, kinks = ARC_BASES[name]
+    rng = np.random.default_rng(26)
+    for t in (2.5, -0.7, 1e-3):
+        for eps in (0.0, 1e-12, 1e-8, 1e-4):
+            x, y = rng.standard_normal(base.dim), rng.standard_normal(base.dim)
+            y[:2] = t * x[:2] + eps * rng.standard_normal(2)
+            ref = _arc_reference(base, kinks, x, y)
+            assert complexification_norm(base, x, y) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(ARC_BASES))
@@ -451,6 +474,9 @@ def test_breakpoint_functionals_recognition():
         _breakpoint_functionals(direct_sum(l1, linf, "sum")), stacked)
     hex_sum = direct_sum(NormedSpace(2, Polyhedral(HEX)), l1, "sum")
     assert _breakpoint_functionals(hex_sum).shape == (9 + 2, 4)
+    # a Euclidean-like part of a sum contributes its coordinate rows
+    np.testing.assert_array_equal(
+        _breakpoint_functionals(direct_sum(l1, lp_space(3, 2.0), "sum")), np.eye(5))
     basis = np.array([[1.0], [2.0], [3.0]])
     np.testing.assert_array_equal(
         _breakpoint_functionals(NormedSpace(1, SubspaceNorm(lp_space(3, 1.5), basis))),
@@ -461,7 +487,7 @@ def test_breakpoint_functionals_recognition():
                   NormedSpace(1, SubspaceNorm(lp_space(2, 2.0), np.ones((2, 1)))),
                   direct_sum(lp_space(2, 3.0), lp_space(2, 3.0), "complexification"),
                   direct_sum(l1, l1, "complexification"),
-                  direct_sum(l1, lp_space(2, 2.0), "sum")):
+                  direct_sum(l1, direct_sum(l1, l1, "complexification"), "sum")):
         assert _breakpoint_functionals(other) is None
 
 

@@ -5,15 +5,23 @@ import pytest
 
 from istruct.corpus import (pairing_conjugation_matrix, random_exact_structure,
                             signed_pairing_matrix)
+from istruct.config import DEFAULT_TOL
 from istruct.errors import (DimensionMismatchError, StructureValidationError)
-from istruct.spaces import NormedSpace, Polyhedral, lp_space, norm
-from istruct.structures import (certify, complex_scalar_action,
+from istruct.spaces import (NormedSpace, Polyhedral, SubspaceNorm, WeightedLp,
+                            direct_sum, euclidean_space, lp_space, norm)
+from istruct.structures import (FOUND, NONE_FINITE_GROUP, ODD_DIMENSION,
+                                UNDECIDED, certify, complex_scalar_action,
                                 conjugate_structure, natural_i_operator,
                                 natural_i_operator_matrix, reevaluate_witness,
                                 search_i_operator, structure_from_dict,
                                 structure_to_dict, validate_i_operator)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _random_gram(n, seed):
+    M = np.random.default_rng(seed).standard_normal((n, n))
+    return M @ M.T + n * np.eye(n)
 
 
 def test_rotation_is_i_operator_on_euclidean_plane():
@@ -130,28 +138,82 @@ def test_random_exact_structure_certificate():
 
 
 # ---------------------------------------------------------------------------
-# Search
+# Existence decision
 # ---------------------------------------------------------------------------
 
 def test_search_finds_structure_on_euclidean_plane():
-    result = search_i_operator(lp_space(2, 2.0), budget=300, seed=0)
-    assert result.tag == "found"
-    assert result.found is not None
-    assert result.found.certificate.isometry_residual <= 1e-8
+    result = search_i_operator(lp_space(2, 2.0))
+    assert result.tag == FOUND
+    s = result.found
+    assert s is not None and s.certificate.exact
+    assert s.certificate.algebraic_residual == 0.0
+    assert s.certificate.isometry_residual == 0.0
+    assert result.best_residual == 0.0
+    assert np.array_equal(s.A, J2)
+
+
+@pytest.mark.parametrize("space", [
+    euclidean_space(4, _random_gram(4, 11)),
+    euclidean_space(6, _random_gram(6, 12)),
+    NormedSpace(2, WeightedLp(2.0, np.array([1.0, 9.0]))),
+    direct_sum(lp_space(2, 2.0), lp_space(2, 2.0), "complexification"),
+], ids=["quad-4", "quad-6", "weighted-l2", "cplx-l2"])
+def test_search_finds_structure_on_euclidean_like_spaces(space):
+    result = search_i_operator(space)
+    assert result.tag == FOUND
+    c = result.found.certificate
+    assert c.exact and c.samples_used == 0
+    assert result.best_residual == c.algebraic_residual + c.isometry_residual
+    assert result.best_residual <= 1e-12
 
 
 def test_search_odd_dimension():
-    result = search_i_operator(lp_space(3, 2.0), budget=10)
-    assert result.tag == "odd dimension"
+    result = search_i_operator(lp_space(3, 2.0))
+    assert result.tag == ODD_DIMENSION
     assert result.found is None
 
 
-def test_search_exhausts_budget_on_l1_plane():
-    # no complex structure makes the l1 plane norm complex-homogeneous
-    result = search_i_operator(lp_space(2, 1.0), budget=120, seed=0)
-    assert result.tag == "budget exhausted"
+@pytest.mark.parametrize("space", [
+    lp_space(2, 1.0),
+    lp_space(2, math.inf),
+    NormedSpace(4, WeightedLp(1.0, np.array([1.0, 2.0, 3.0, 4.0]))),
+    lp_space(2, 3.0),
+    NormedSpace(4, WeightedLp(1.5, np.array([1.0, 1.0, 2.0, 2.0]))),
+    NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
+    NormedSpace(2, SubspaceNorm(lp_space(3, 1.0), np.array([[1.0, 0.0], [0.0, 1.0],
+                                                            [1.0, -2.0]]))),
+], ids=["l1", "linf", "weighted-l1", "l3", "weighted-l1.5", "polyhedral",
+        "sub-of-l1"])
+def test_search_proves_none_when_isometry_group_is_finite(space):
+    # no complex structure makes these norms complex-homogeneous
+    result = search_i_operator(space)
+    assert result.tag == NONE_FINITE_GROUP
+    assert result.found is None and result.best_candidate is None
+
+
+@pytest.mark.parametrize("space", [
+    direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum"),
+    direct_sum(lp_space(2, 1.0), lp_space(2, 1.0), "complexification"),
+    NormedSpace(2, SubspaceNorm(lp_space(3, 3.0), np.array([[1.0, 0.0], [0.0, 1.0],
+                                                            [1.0, 1.0]]))),
+], ids=["l1+l2", "cplx-l1", "sub-of-l3"])
+def test_search_undecided_elsewhere(space):
+    result = search_i_operator(space)
+    assert result.tag == UNDECIDED
     assert result.found is None
-    assert result.best_residual > 1e-8
+
+
+def test_search_undecided_when_gram_too_ill_conditioned():
+    # A = L^-T J L' exists, but its entries near 1e6 leave A^2 + I far above
+    # tol_alg in floating point
+    c, s = math.cos(0.3), math.sin(0.3)
+    Q = np.array([[c, -s], [s, c]])
+    space = euclidean_space(2, Q @ np.diag([1.0, 1e12]) @ Q.T)
+    result = search_i_operator(space)
+    assert result.tag == UNDECIDED
+    assert result.found is None
+    assert result.best_candidate is not None
+    assert result.best_residual > DEFAULT_TOL.tol_alg
 
 
 # ---------------------------------------------------------------------------
