@@ -12,6 +12,7 @@ import argparse
 import datetime
 import json
 import math
+import numbers
 import sys
 import zlib
 from importlib import resources
@@ -31,7 +32,7 @@ from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          search_chain)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
 from .spaces import (complexification_norm, complexification_norm_batch,
-                     euclidean_gram, lp_space, space_from_dict)
+                     lp_space, norm_batch, space_from_dict)
 from .structures import (UNDECIDED, natural_i_operator, reevaluate_witness,
                          search_i_operator, validate_i_operator)
 from .theory import (build_complexification_witness, extract_conjugation,
@@ -63,34 +64,44 @@ def load_scenario(path: str) -> dict:
     if "seed" not in data:
         raise ScenarioError("scenario must declare a seed (reproducibility)")
     for section in ("spaces", "structures", "oracles", "claims", "suites"):
-        data.setdefault(section, {})
+        if not isinstance(data.setdefault(section, {}), dict):
+            raise ScenarioError(f"scenario section {section!r} must be an object")
     return data
 
 
 class Resolver:
-    """Resolves named references in a scenario."""
+    """The named spaces and oracles of a scenario, all built when it is
+    resolved: bad data is a scenario error, whichever claims use it."""
 
-    def __init__(self, scenario: dict, tol: Tolerances):
-        self.scenario = scenario
-        self.tol = tol
-        self._spaces = {}
-        self._oracles = {}
+    def __init__(self, scenario: dict):
+        self.spaces = {name: _build("space", name, space_from_dict, obj)
+                       for name, obj in scenario.get("spaces", {}).items()}
+        self.oracles = {name: _build("oracle", name, oracle_from_dict, obj)
+                        for name, obj in scenario.get("oracles", {}).items()}
 
     def space(self, name: str):
-        if name not in self._spaces:
-            defs = self.scenario["spaces"]
-            if name not in defs:
-                raise ScenarioError(f"unknown space {name!r}")
-            self._spaces[name] = space_from_dict(defs[name])
-        return self._spaces[name]
+        if name not in self.spaces:
+            raise ScenarioError(f"unknown space {name!r}")
+        return self.spaces[name]
 
     def oracle(self, name: str) -> IdealOracle:
-        if name not in self._oracles:
-            defs = self.scenario["oracles"]
-            if name not in defs:
-                raise ScenarioError(f"unknown oracle {name!r}")
-            self._oracles[name] = oracle_from_dict(defs[name])
-        return self._oracles[name]
+        if name not in self.oracles:
+            raise ScenarioError(f"unknown oracle {name!r}")
+        return self.oracles[name]
+
+
+def _build(what: str, name: str, from_dict, obj):
+    try:
+        return from_dict(obj)
+    except (DescriptorError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(
+            f"{what} {name!r} is invalid ({type(exc).__name__}: {exc})") from exc
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +113,22 @@ def _rng_for(seed: int, claim_id: str) -> np.random.Generator:
 
 
 def _h_euclidean_closed_form(params, res, rng, tol):
-    count = int(params.get("count", 50))
-    lo, hi = params.get("dims", [2, 8])
+    """The closed form against the definition: ||x cos phi + y sin phi||^2 is a
+    trigonometric polynomial of degree 2, whose mean over 8 uniform angles is
+    exact."""
+    count = params.integer("count", 50)
+    lo, hi = params.integers("dims", [2, 8], length=2)
+    phi = 2.0 * np.pi * np.arange(8) / 8
     worst = 0.0
     for _ in range(count):
         dim = int(rng.integers(lo, hi + 1))
         space = corpus_gen.random_euclidean_space(dim, rng, explicit_gram=bool(rng.integers(2)))
-        g = euclidean_gram(space)
         x = rng.standard_normal(dim)
         y = rng.standard_normal(dim)
-        quad = complexification_norm(space, x, y)
-        closed = math.sqrt((x @ g @ x + y @ g @ y) / 2.0)
-        worst = max(worst, abs(quad - closed))
+        closed = complexification_norm(space, x, y)
+        rows = np.cos(phi)[:, None] * x + np.sin(phi)[:, None] * y
+        defined = math.sqrt(np.mean(norm_batch(space, rows) ** 2))
+        worst = max(worst, abs(closed - defined))
     status = VERIFIED if worst <= 1e-10 else VIOLATED
     return VerificationReport("euclidean-closed-form", status,
                               residuals={"worst_abs_error": worst},
@@ -134,9 +149,9 @@ def _h_l1_spot_value(params, res, rng, tol):
 
 def _h_rotation_invariance(params, res, rng, tol):
     space = res.space(params["space"])
-    count = int(params.get("count", 25))
-    angles = int(params.get("angles", 16))
-    bound = float(params.get("tol", 1e-8))
+    count = params.integer("count", 25)
+    angles = params.integer("angles", 16)
+    bound = params.number("tol", 1e-8)
     # x then y for each pair, the order of the draws
     xy = rng.standard_normal((count, 2, space.dim))
     x, y = xy[:, None, 0, :], xy[:, None, 1, :]
@@ -158,11 +173,11 @@ def _h_rotation_invariance(params, res, rng, tol):
 
 def _h_natural_i_operator(params, res, rng, tol):
     base = res.space(params["space"])
-    samples = int(params.get("samples", 512))
-    ang = int(params.get("angles", 64))
+    samples = params.integer("samples", 512)
+    ang = params.integer("angles", 64)
     try:
         s = natural_i_operator(base, tol=tol, samples=samples, angles=ang,
-                               seed=int(params.get("seed", 0)))
+                               seed=params.integer("seed", 0))
     except StructureValidationError as exc:
         c = exc.certificate
         return VerificationReport(
@@ -183,11 +198,11 @@ def _h_natural_i_operator(params, res, rng, tol):
 
 def _h_validate_structure(params, res, rng, tol):
     space = res.space(params["space"])
-    A = np.asarray(params["A"], dtype=float)
+    A = params.matrix("A")
     try:
         s = validate_i_operator(space, A, tol=tol,
-                                samples=int(params.get("samples", 512)),
-                                angles=int(params.get("angles", 64)))
+                                samples=params.integer("samples", 512),
+                                angles=params.integer("angles", 64))
     except StructureValidationError as exc:
         c = exc.certificate
         wit = {"error": str(exc)}
@@ -205,11 +220,11 @@ def _h_validate_structure(params, res, rng, tol):
 def _h_reject_structure(params, res, rng, tol):
     """Verified iff the candidate is rejected with a reproducible witness."""
     space = res.space(params["space"])
-    A = np.asarray(params["A"], dtype=float)
+    A = params.matrix("A")
     try:
         validate_i_operator(space, A, tol=tol,
-                            samples=int(params.get("samples", 512)),
-                            angles=int(params.get("angles", 64)))
+                            samples=params.integer("samples", 512),
+                            angles=params.integer("angles", 64))
     except StructureValidationError as exc:
         c = exc.certificate
         wit = None
@@ -232,8 +247,8 @@ def _h_reject_structure(params, res, rng, tol):
 
 
 def _h_prop1_roundtrip(params, res, rng, tol):
-    count = int(params.get("count", 10))
-    half_dims = params.get("half_dims", [1, 2, 3])
+    count = params.integer("count", 10)
+    half_dims = params.integers("half_dims", [1, 2, 3])
     worst = {"involution": 0.0, "anticommutation": 0.0,
              "inverse_composition": 0.0, "norm_excess": 0.0}
     for _ in range(count):
@@ -254,8 +269,8 @@ def _h_prop1_roundtrip(params, res, rng, tol):
 
 
 def _h_squares(params, res, rng, tol):
-    count = int(params.get("count", 10))
-    dims = params.get("dims", [2, 4, 6])
+    count = params.integer("count", 10)
+    dims = params.integers("dims", [2, 4, 6])
     worst_respect = worst_inv = 0.0
     for _ in range(count):
         dim = int(rng.choice(dims))
@@ -273,8 +288,8 @@ def _h_squares(params, res, rng, tol):
 
 
 def _h_real_cartesian(params, res, rng, tol):
-    count = int(params.get("count", 25))
-    max_dim = int(params.get("max_dim", 6))
+    count = params.integer("count", 25)
+    max_dim = params.integer("max_dim", 6)
     worst = 0.0
     for _ in range(count):
         m = int(rng.integers(1, max_dim + 1))
@@ -297,9 +312,9 @@ def _random_complex_op(rng, dims, tol):
 
 
 def _h_complex_cartesian(params, res, rng, tol):
-    count = int(params.get("count", 25))
-    dims = params.get("dims", [2, 4])
-    corrupt = bool(params.get("corrupt", False))
+    count = params.integer("count", 25)
+    dims = params.integers("dims", [2, 4])
+    corrupt = params.flag("corrupt", False)
     worst = 0.0
     for _ in range(count):
         op = _random_complex_op(rng, dims, tol)
@@ -316,8 +331,8 @@ def _h_complex_cartesian(params, res, rng, tol):
 
 def _h_theorem_real(params, res, rng, tol):
     oracle = res.oracle(params["oracle"])
-    count = int(params.get("count", 30))
-    dims = params.get("dims", [1, 2, 3])
+    count = params.integer("count", 30)
+    dims = params.integers("dims", [1, 2, 3])
     corpus = []
     for _ in range(count):
         dim_d = int(rng.choice(dims))
@@ -329,24 +344,24 @@ def _h_theorem_real(params, res, rng, tol):
 
 def _h_theorem_complex(params, res, rng, tol):
     oracle = res.oracle(params["oracle"])
-    count = int(params.get("count", 30))
-    dims = params.get("dims", [2, 4])
+    count = params.integer("count", 30)
+    dims = params.integers("dims", [2, 4])
     corpus = [_random_complex_op(rng, dims, tol) for _ in range(count)]
     return verify_theorem_complex(oracle, corpus)
 
 
 def _h_self_conjugacy(params, res, rng, tol):
     oracle = res.oracle(params["oracle"])
-    count = int(params.get("count", 20))
-    dims = params.get("dims", [2, 4])
+    count = params.integer("count", 20)
+    dims = params.integers("dims", [2, 4])
     corpus = [_random_complex_op(rng, dims, tol) for _ in range(count)]
     return audit_self_conjugacy(oracle, corpus, tol=tol)
 
 
 def _h_hs_doubling(params, res, rng, tol):
-    count = int(params.get("count", 25))
-    dims = params.get("dims", [1, 2, 3, 4])
-    bound = float(params.get("tol", 1e-10))
+    count = params.integer("count", 25)
+    dims = params.integers("dims", [1, 2, 3, 4])
+    bound = params.number("tol", 1e-10)
     worst = 0.0
     for _ in range(count):
         dim_d = int(rng.choice(dims))
@@ -369,8 +384,12 @@ def _load_chain(params):
     fixture = params.get("fixture", "bundled")
     if fixture == "bundled":
         return reference_chain()
-    with open(fixture, "r", encoding="utf-8") as fh:
-        return chain_from_dict(json.load(fh))
+    try:
+        with open(fixture, "r", encoding="utf-8") as fh:
+            return chain_from_dict(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"claim {params.claim_id!r} cannot load fixture "
+                            f"{fixture!r}: {exc}") from exc
 
 
 def _h_pelczynski_chain(params, res, rng, tol):
@@ -401,9 +420,9 @@ def _h_chain_mutations(params, res, rng, tol):
 def _h_chain_search(params, res, rng, tol):
     source = expr_from_list(params.get("from", [["X", "+"]]))
     target = expr_from_list(params.get("to", [["X", "-"]]))
-    depth = int(params.get("depth", 10))
+    depth = params.integer("depth", 10)
     rules = params.get("rules")
-    expect_found = bool(params.get("expect_found", True))
+    expect_found = params.flag("expect_found", True)
     chain = search_chain(source, target, depth, rules=rules)
     if chain is None:
         found = False
@@ -424,17 +443,17 @@ def _h_chain_search(params, res, rng, tol):
 
 def _h_factorization_check(params, res, rng, tol):
     space = res.space(params.get("space", "plane-l2"))
-    A = np.asarray(params.get("A", [[0.0, -1.0], [1.0, 0.0]]), dtype=float)
+    A = params.matrix("A", [[0.0, -1.0], [1.0, 0.0]])
     s = validate_i_operator(space, A, tol=tol)
-    R = np.asarray(params.get("R", [[1.0, 0.0], [0.0, -1.0]]), dtype=float)
-    S = np.asarray(params.get("S", [[1.0, 0.0], [0.0, -1.0]]), dtype=float)
+    R = params.matrix("R", [[1.0, 0.0], [0.0, -1.0]])
+    S = params.matrix("S", [[1.0, 0.0], [0.0, -1.0]])
     return factorization_hypothesis_check(R, S, s, tol=tol)
 
 
 def _h_search_structure(params, res, rng, tol):
     # a "budget" key from older scenario files is ignored: the decision is exact
     space = res.space(params["space"])
-    expect_found = bool(params.get("expect_found", True))
+    expect_found = params.flag("expect_found", True)
     result = search_i_operator(space, tol=tol)
     found = result.found is not None
     if result.tag == UNDECIDED:
@@ -496,8 +515,8 @@ def _jsonify(obj):
 
 
 class _ClaimParams(dict):
-    """A claim's parameters; a missing required one is a scenario error that
-    names the claim and the key."""
+    """A claim's parameters.  A missing required one, or one of the wrong
+    type, is a scenario error that names the claim and the key."""
 
     def __init__(self, claim_id: str, claim: dict):
         super().__init__(claim)
@@ -506,13 +525,53 @@ class _ClaimParams(dict):
     def __missing__(self, key):
         raise ScenarioError(f"claim {self.claim_id!r} lacks parameter {key!r}")
 
+    def _what(self, key) -> str:
+        return f"claim {self.claim_id!r} parameter {key!r}"
+
+    def integer(self, key, default) -> int:
+        return _integer(self.get(key, default), self._what(key))
+
+    def integers(self, key, default, length=None) -> list:
+        value = self.get(key, default)
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            size = f"{length} integers" if length else "integers"
+            raise ScenarioError(f"{self._what(key)} must be a list of {size}, got {value!r}")
+        return [_integer(v, self._what(key)) for v in value]
+
+    def flag(self, key, default) -> bool:
+        value = self.get(key, default)
+        if not isinstance(value, bool):
+            raise ScenarioError(f"{self._what(key)} must be true or false, got {value!r}")
+        return value
+
+    def number(self, key, default) -> float:
+        value = self.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ScenarioError(f"{self._what(key)} must be a number, got {value!r}")
+        return float(value)
+
+    def matrix(self, key, default=None) -> np.ndarray:
+        value = self[key] if default is None else self.get(key, default)
+        try:
+            A = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            A = None
+        if A is None or A.ndim != 2:
+            raise ScenarioError(f"{self._what(key)} must be a matrix, got {value!r}")
+        return A
+
 
 def run_claim(claim_id: str, claim: dict, res: Resolver, seed: int,
               tol: Tolerances) -> dict:
+    if not isinstance(claim, dict):
+        raise ScenarioError(f"claim {claim_id!r} must be an object, got {claim!r}")
     kind = claim.get("kind")
     handler = HANDLERS.get(kind)
     if handler is None:
         raise ScenarioError(f"claim {claim_id!r} has unknown kind {kind!r}")
+    expect = claim.get("expect", VERIFIED)
+    if expect not in (VERIFIED, VIOLATED, INCONCLUSIVE):
+        raise ScenarioError(f"claim {claim_id!r} expects unknown status {expect!r}")
     rng = _rng_for(seed, claim_id)
     try:
         report = handler(_ClaimParams(claim_id, claim), res, rng, tol)
@@ -521,7 +580,6 @@ def run_claim(claim_id: str, claim: dict, res: Resolver, seed: int,
     except IstructError as exc:
         report = VerificationReport(kind, VIOLATED, residuals={},
                                     witness={"error": str(exc)})
-    expect = claim.get("expect", VERIFIED)
     outcome = VERIFIED if report.status == expect else VIOLATED
     entry = {"id": claim_id, "kind": kind, "expected": expect,
              "outcome": outcome, "report": report.to_dict()}
@@ -533,27 +591,23 @@ def run_suite(scenario: dict, suite: str, *, seed=None, tol_alg=None,
     suites = scenario["suites"]
     if suite not in suites:
         raise ScenarioError(f"unknown suite {suite!r}")
-    seed = int(scenario["seed"] if seed is None else seed)
+    seed = _integer(scenario["seed"] if seed is None else seed, "seed")
     tols = dict(scenario.get("tolerances", {}))
     if tol_alg is not None:
         tols["tol_alg"] = tol_alg
     if tol_iso is not None:
         tols["tol_iso"] = tol_iso
-    tol = Tolerances(**{k: float(v) for k, v in tols.items()})
-    res = Resolver(scenario, tol)
+    try:
+        tol = Tolerances(**{k: float(v) for k, v in tols.items()})
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid tolerances {tols!r} ({exc})") from exc
 
     claim_ids = suites[suite]
     claims = scenario["claims"]
     for cid in claim_ids:
         if cid not in claims:
             raise ScenarioError(f"suite {suite!r} references unknown claim {cid!r}")
-    # bad descriptor data is a scenario error, whichever claims use the space
-    for name in scenario.get("spaces", {}):
-        try:
-            res.space(name)
-        except (DescriptorError, KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(
-                f"space {name!r} is invalid ({type(exc).__name__}: {exc})") from exc
+    res = Resolver(scenario)
 
     results = [run_claim(cid, claims[cid], res, seed, tol) for cid in claim_ids]
 

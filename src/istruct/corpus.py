@@ -41,7 +41,6 @@ def pairing_conjugation_matrix(A: np.ndarray, rng: np.random.Generator) -> np.nd
         if done[p]:
             continue
         q = int(np.argmax(np.abs(A[:, p])))
-        s = A[q, p]
         done[p] = done[q] = True
         kind = int(rng.integers(4))
         if kind == 0:      # reflect: e_p -> e_p, e_q -> -e_q
@@ -52,7 +51,6 @@ def pairing_conjugation_matrix(A: np.ndarray, rng: np.random.Generator) -> np.nd
             T[q, p], T[p, q] = 1.0, 1.0
         else:              # negated swap
             T[q, p], T[p, q] = -1.0, -1.0
-        del s
     return T
 
 

@@ -14,7 +14,7 @@ class DescriptorError(IstructError):
 
 
 class QuadratureError(IstructError):
-    """The doubling quadrature did not settle within its node budget."""
+    """The arc quadrature did not settle within its node budget."""
 
 
 class StructureValidationError(IstructError):

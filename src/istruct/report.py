@@ -34,11 +34,3 @@ class VerificationReport:
                 "tolerances": dict(self.tolerances), "seeds": dict(self.seeds),
                 "notes": list(self.notes)}
 
-
-def worst_status(reports) -> str:
-    statuses = [r.status for r in reports]
-    if VIOLATED in statuses:
-        return VIOLATED
-    if INCONCLUSIVE in statuses:
-        return INCONCLUSIVE
-    return VERIFIED

@@ -3,19 +3,17 @@
 A space is a dimension plus a norm descriptor.  The complexification norm on
 X (+) X is the L2 average of || x cos(phi) + y sin(phi) || over a full period.
 
-For l1, l-infinity, weighted l1/l-infinity and polyhedral bases, and subspaces
-of them, the base norm is a sum or a maximum of |<f_j, .>|, so the integrand
-is built from sinusoids |a_j cos(phi) + b_j sin(phi)| and its mean has a closed
-form; these kinds are evaluated exactly.
+For Euclidean-like bases the mean is (x'Gx + y'Gy) / 2.  For l1,
+l-infinity, weighted l1/l-infinity and polyhedral bases, and subspaces of
+them, the base norm is a sum or a maximum of |<f_j, .>|, so the integrand is
+built from sinusoids |a_j cos(phi) + b_j sin(phi)| and its mean has a closed
+form as well.
 
-For general-p bases, sums and subspaces of these, the integrand is analytic
-between the zeros of finitely many functionals (see _breakpoint_functionals).
-The period is split there and each arc is integrated by composite
-Gauss-Legendre quadrature, which converges spectrally where the periodic
-trapezoid rule, held back by the kinks, does not.  Only Euclidean-like bases,
-whose integrand is smooth, and nested complexifications (with sums or
-subspaces that have such a part) use the periodic trapezoid rule with node
-doubling.
+Every other base (general p, sums, subspaces, nested complexifications) has
+an integrand that is analytic between finitely many kink angles per row (see
+_kink_angles).  The period is split there and each arc is integrated by
+composite Gauss-Legendre quadrature, which converges spectrally on analytic
+arcs.
 """
 
 from __future__ import annotations
@@ -30,17 +28,12 @@ import numpy as np
 
 from .errors import DescriptorError, DimensionMismatchError, QuadratureError
 
-# Quadrature policy for bases without a closed form (see _sinusoid_pieces).
-# QUAD_RTOL is the relative accuracy sought for the mean square and
-# QUAD_MAX_NODES the norm evaluations allowed per row.  Arc quadrature (bases
-# with breakpoint functionals) refines arc by arc until two successive
-# doublings each change an arc by less than its share of QUAD_RTOL.  The
-# trapezoid rule (the other bases: Euclidean-like, nested complexifications)
-# takes uniform nodes on [-pi, pi), doubling from QUAD_START_NODES, until every
-# batch entry changes by less than QUAD_RTOL.  A row that reaches the node
-# budget first keeps its last value if its last relative change is below
-# QUAD_FAIL_RTOL; otherwise a QuadratureError is raised.
-QUAD_START_NODES = 64
+# Arc quadrature policy (bases without a closed form).  QUAD_RTOL is the
+# relative accuracy sought for the mean square and QUAD_MAX_NODES the norm
+# evaluations allowed per row.  Each arc is refined until two successive
+# doublings each change it by less than its share of QUAD_RTOL.  A row that
+# reaches the node budget first keeps its value if its last relative change is
+# below QUAD_FAIL_RTOL; otherwise a QuadratureError is raised.
 QUAD_MAX_NODES = 4096
 QUAD_RTOL = 1e-10
 QUAD_FAIL_RTOL = 1e-5
@@ -165,28 +158,9 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise DescriptorError(f"{what} must be finite")
 
 
-def descriptor_equal(a: NormDescriptor, b: NormDescriptor) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Lp):
-        return a.p == b.p
-    if isinstance(a, WeightedLp):
-        return a.p == b.p and np.array_equal(a.weights, b.weights)
-    if isinstance(a, EuclideanQuadratic):
-        return np.array_equal(a.gram, b.gram)
-    if isinstance(a, Polyhedral):
-        return np.array_equal(a.functionals, b.functionals)
-    if isinstance(a, ComplexificationOfBase):
-        return space_equal(a.base, b.base)
-    if isinstance(a, SumNorm):
-        return space_equal(a.left, b.left) and space_equal(a.right, b.right)
-    if isinstance(a, SubspaceNorm):
-        return space_equal(a.ambient, b.ambient) and np.array_equal(a.basis, b.basis)
-    return False
-
-
 def space_equal(a: NormedSpace, b: NormedSpace) -> bool:
-    return a.dim == b.dim and descriptor_equal(a.norm_desc, b.norm_desc)
+    # descriptor data is finite, so the serialized forms compare exactly
+    return space_to_dict(a) == space_to_dict(b)
 
 
 # Convenience constructors -------------------------------------------------
@@ -266,33 +240,28 @@ def _lp_batch(X: np.ndarray, p: float, weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Complexification norm: closed forms, trapezoid quadrature otherwise
+# Complexification norm: closed forms, arc quadrature otherwise
 # ---------------------------------------------------------------------------
 
-def complexification_norm(base: NormedSpace, x, y, *, rtol: float = QUAD_RTOL,
+def complexification_norm(base: NormedSpace, x, y, *,
                           max_nodes: int = QUAD_MAX_NODES) -> float:
     """Averaged norm ( mean over phi of ||x cos phi + y sin phi||^2 )^(1/2)."""
     x = _check_vector(x, base.dim)
     y = _check_vector(y, base.dim)
     return float(complexification_norm_batch(base, x[None, :], y[None, :],
-                                             rtol=rtol, max_nodes=max_nodes)[0])
+                                             max_nodes=max_nodes)[0])
 
 
 def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray, *,
-                                rtol: float = QUAD_RTOL,
                                 max_nodes: int = QUAD_MAX_NODES) -> np.ndarray:
     """Batched complexification norm.
 
-    Bases recognized by `_sinusoid_pieces` are evaluated exactly.  Bases with
-    breakpoint functionals (`_breakpoint_functionals`) are integrated arc by
-    arc between their kinks, each row on its own arcs, so rotating a row moves
-    its arcs with it and rotation invariance holds to a few ulps at every
-    angle.  The others (Euclidean-like bases, nested complexifications, and
-    sums or subspaces with a nested complexification part) go through the
-    trapezoid rule, where all rows share the node count; there rotation
-    invariance is exact at the discrete level whenever the rotation angle is a
-    multiple of the node spacing.  ``rtol`` and ``max_nodes`` govern both
-    quadratures.
+    Euclidean-like bases (`euclidean_gram`) and bases recognized by
+    `_sinusoid_pieces` are evaluated exactly.  Every other base is integrated
+    arc by arc between the kink angles of each row (`_kink_angles`), so
+    rotating a row moves its arcs with it and rotation invariance holds to a
+    few ulps at every angle.  ``max_nodes`` bounds the norm evaluations per
+    row of that quadrature.
 
     The norm is homogeneous, so each row pair is first scaled by a power of
     two near its largest entry and the value scaled back: nothing overflows or
@@ -314,15 +283,15 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
                                  np.max(np.abs(Yn), axis=1)))
     Xn, Yn = np.ldexp(Xn, -exp[:, None]), np.ldexp(Yn, -exp[:, None])
 
+    gram = euclidean_gram(base)
     pieces = _sinusoid_pieces(base)
-    if pieces is not None:
+    if gram is not None:
+        mean_sq = (np.einsum("ki,ij,kj->k", Xn, gram, Xn)
+                   + np.einsum("ki,ij,kj->k", Yn, gram, Yn)) / 2.0
+    elif pieces is not None:
         mean_sq = _sinusoid_mean_sq(Xn, Yn, *pieces)
     else:
-        G = _breakpoint_functionals(base)
-        if G is None:
-            mean_sq = _trapezoid_mean_sq(base, Xn, Yn, rtol, max_nodes)
-        else:
-            mean_sq = _arc_mean_sq(base, Xn, Yn, G, rtol, max_nodes)
+        mean_sq = _arc_mean_sq(base, Xn, Yn, _kink_angles(base, Xn, Yn), max_nodes)
     out[nonzero] = np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
     return out
 
@@ -388,29 +357,26 @@ def _max_mean_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(integral, axis=1) / (2.0 * np.pi)
 
 
-def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray, G: np.ndarray,
-                 rtol: float, max_nodes: int) -> np.ndarray:
+def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray, kinks: np.ndarray,
+                 max_nodes: int) -> np.ndarray:
     """Mean over phi of ||x cos phi + y sin phi||^2, per row, integrated arc by
-    arc between the zeros of <g, x cos phi + y sin phi> for the rows g of G.
+    arc between the row's kink angles in [0, pi) (nan: no kink).
 
-    The integrand has period pi, and its kinks and endpoint singularities lie
-    at those zeros, so it is analytic inside each arc.  Each arc takes
-    composite 8-point Gauss-Legendre after the smoothstep substitution (see
-    _arc_rule) and doubles its panels until two successive doublings have each
-    changed it by less than its width's share of rtol times the row's
-    integral: at 8 and 16 nodes two estimates can agree by chance while both
-    are still off.  A row whose next doubling would take it past max_nodes
-    evaluations stops there; its unsettled change must then be below
+    The integrand has period pi and is analytic inside each arc.  Each arc
+    takes composite 8-point Gauss-Legendre after the smoothstep substitution
+    (see _arc_rule) and doubles its panels until two successive doublings have
+    each changed it by less than its width's share of QUAD_RTOL times the
+    row's integral: at 8 and 16 nodes two estimates can agree by chance while
+    both are still off.  A row whose next doubling would take it past
+    max_nodes evaluations stops there; its unsettled change must then be below
     QUAD_FAIL_RTOL, otherwise a QuadratureError is raised.
     """
     k = len(X)
-    A, B = X @ G.T, Y @ G.T
-    zeros = np.arctan2(A, -B)
-    # a functional vanishing on the whole row has no zero: repeat the zero of
-    # the row's largest functional, which makes an empty arc
-    largest = zeros[np.arange(k), np.argmax(np.abs(A) + np.abs(B), axis=1)]
-    zeros = np.where((A == 0.0) & (B == 0.0), largest[:, None], zeros)
-    ends = np.sort(np.mod(zeros, np.pi), axis=1)
+    # a missing kink repeats the row's largest one, which makes an empty arc;
+    # a row with no kink at all gets one at 0, so its single arc is [0, pi)
+    largest = np.fmax.reduce(kinks, axis=1, initial=0.0)
+    ends = np.sort(np.column_stack([np.where(np.isnan(kinks), largest[:, None], kinks),
+                                    largest]), axis=1)
     widths = np.diff(ends, axis=1, append=ends[:, :1] + np.pi)
     row, col = np.nonzero(widths > 0.0)
     start, width = ends[row, col], widths[row, col]
@@ -430,7 +396,7 @@ def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray, G: np.ndarray,
         change[active] = new - value[active]
         value[active] = new
         total = np.bincount(row, weights=value, minlength=k)
-        ok = np.abs(change[active]) <= rtol / np.pi * total[row[active]] * width[active]
+        ok = np.abs(change[active]) <= QUAD_RTOL / np.pi * total[row[active]] * width[active]
         settled = ok & passed[active]
         passed[active] = ok
         active = active[~settled]
@@ -487,53 +453,6 @@ def _arc_integrals(base: NormedSpace, X: np.ndarray, Y: np.ndarray, start: np.nd
         vals = norm_batch(base, Z.reshape(-1, d)).reshape(hi - lo, n)
         out[lo:hi] = width[lo:hi] * np.sum(vals * vals * w, axis=1)
     return out
-
-
-def _trapezoid_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
-                       rtol: float, max_nodes: int) -> np.ndarray:
-    """Mean over phi of ||x cos phi + y sin phi||^2, per row, by the periodic
-    trapezoid rule with node doubling."""
-    n = QUAD_START_NODES
-    sums = _quad_sum_sq(base, X, Y, _quad_nodes(n))
-    values = sums / n
-    while True:
-        # doubling only adds the midpoints of the current uniform grid
-        sums = sums + _quad_sum_sq(base, X, Y, _quad_nodes(n, midpoints=True))
-        n *= 2
-        new = sums / n
-        change = np.abs(new - values) / np.maximum(np.abs(new), 1e-300)
-        values = new
-        if np.max(change) < rtol:
-            break
-        if n >= max_nodes:
-            if np.max(change) > QUAD_FAIL_RTOL:
-                raise QuadratureError(
-                    f"quadrature did not settle within {max_nodes} nodes "
-                    f"(last relative change {np.max(change):.3e})")
-            break
-    return values
-
-
-def _quad_nodes(n: int, midpoints: bool = False) -> np.ndarray:
-    offset = 0.5 if midpoints else 0.0
-    return -math.pi + 2.0 * math.pi * (np.arange(n) + offset) / n
-
-
-def _quad_sum_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
-                 phi: np.ndarray) -> np.ndarray:
-    """Sum over the given nodes of ||x cos phi + y sin phi||^2, per row."""
-    c, s = np.cos(phi), np.sin(phi)
-    n = len(phi)
-    k, d = X.shape
-    acc = np.empty(k)
-    # chunk over rows to bound the (rows * nodes, dim) intermediate
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // max(n * d, 1))
-    for lo in range(0, k, rows_per_chunk):
-        hi = min(k, lo + rows_per_chunk)
-        Z = X[lo:hi, None, :] * c[None, :, None] + Y[lo:hi, None, :] * s[None, :, None]
-        vals = norm_batch(base, Z.reshape(-1, d)).reshape(hi - lo, n)
-        acc[lo:hi] = np.sum(vals * vals, axis=1)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -613,17 +532,20 @@ def _sinusoid_pieces(space: NormedSpace) -> Optional[tuple]:
 
 def _breakpoint_functionals(space: NormedSpace) -> Optional[np.ndarray]:
     """Rows g such that ||x cos phi + y sin phi|| is analytic in phi between
-    the zeros of <g, x cos phi + y sin phi>, or None when no such finite set is
-    known (nested complexifications) or none is needed (Euclidean-like bases,
-    whose norm is analytic off zero and which keep the trapezoid rule).
+    the zeros of <g, x cos phi + y sin phi>, or None when the norm has no such
+    rows (nested complexifications, and sums or subspaces with such a part).
 
-    Lp and WeightedLp give the coordinate rows (p = inf: the maximum's rows and
-    their crossings), Polyhedral its functionals and their crossings, a sum the
-    block stack of both parts (see _part_breakpoints), and a subspace the
-    ambient rows times its basis.
+    A Euclidean-like norm gives the coordinate rows: it is analytic except
+    where the whole vector vanishes, which is a zero of every coordinate.  Lp
+    and WeightedLp give the coordinate rows too (p = inf: the maximum's rows
+    and their crossings), Polyhedral its functionals and their crossings, a
+    sum the block stack of both parts, and a subspace the ambient rows times
+    its basis.
     """
     d = space.norm_desc
-    if isinstance(d, (Lp, WeightedLp)) and d.p != 2.0:
+    if euclidean_gram(space) is not None:
+        return np.eye(space.dim)
+    if isinstance(d, (Lp, WeightedLp)):
         if not math.isinf(d.p):
             return np.eye(space.dim)
         return _with_crossings(np.eye(space.dim) if isinstance(d, Lp)
@@ -631,7 +553,7 @@ def _breakpoint_functionals(space: NormedSpace) -> Optional[np.ndarray]:
     if isinstance(d, Polyhedral):
         return _with_crossings(d.functionals)
     if isinstance(d, SumNorm):
-        left, right = _part_breakpoints(d.left), _part_breakpoints(d.right)
+        left, right = _breakpoint_functionals(d.left), _breakpoint_functionals(d.right)
         if left is None or right is None:
             return None
         out = np.zeros((len(left) + len(right), space.dim))
@@ -644,13 +566,56 @@ def _breakpoint_functionals(space: NormedSpace) -> Optional[np.ndarray]:
     return None
 
 
-def _part_breakpoints(part: NormedSpace) -> Optional[np.ndarray]:
-    """Breakpoint rows of one part of a sum.  A Euclidean-like part gets its
-    coordinate rows: its norm is analytic except where its whole block
-    vanishes, which is a zero of every coordinate."""
-    if euclidean_gram(part) is not None:
-        return np.eye(part.dim)
-    return _breakpoint_functionals(part)
+def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per row, angles in [0, pi) between which ||x cos phi + y sin phi|| is
+    analytic in phi, one column per candidate kink (nan: none there).
+
+    With breakpoint functionals these are their zeros along the row.  A sum
+    takes the angles of both parts, each on its own block, and a subspace
+    those of its ambient space.  For the complexification of a base with
+    breakpoint functionals g_k, the inner kinks along psi are the zeros of
+    P_k . (cos psi, sin psi) with P_k = (<g_k, u>, <g_k, v>), where
+    (u, v) = x cos phi + y sin phi; the mean over psi stops being analytic in
+    phi where two inner kinks collide, at the zeros of P_k x P_l, and where
+    some P_k vanishes.  P_k x P_l vanishes there too, unless every P_l stays
+    parallel to P_k (rows in a complex line, such as (x, 0), (y, 0)), so each
+    P_k also adds the angle where |P_k| is least.  A base without breakpoint
+    functionals gives no angles: the whole period is one arc.
+    """
+    d = space.norm_desc
+    G = _breakpoint_functionals(space)
+    if G is not None:
+        A, B = X @ G.T, Y @ G.T
+        # a functional that vanishes on the whole row has no zero there
+        return np.where((A == 0.0) & (B == 0.0), np.nan, np.mod(np.arctan2(A, -B), np.pi))
+    if isinstance(d, SumNorm):
+        n = d.left.dim
+        return np.hstack([_kink_angles(d.left, X[:, :n], Y[:, :n]),
+                          _kink_angles(d.right, X[:, n:], Y[:, n:])])
+    if isinstance(d, SubspaceNorm):
+        return _kink_angles(d.ambient, X @ d.basis.T, Y @ d.basis.T)
+    G = _breakpoint_functionals(d.base)
+    if G is None:
+        return np.empty((len(X), 0))
+    n = d.base.dim
+    # P_k(phi) = (a_k cos + b_k sin, c_k cos + e_k sin)
+    a, b = X[:, :n] @ G.T, Y[:, :n] @ G.T
+    c, e = X[:, n:] @ G.T, Y[:, n:] @ G.T
+    k, l = np.triu_indices(G.shape[0], k=1)
+    # P_k x P_l = cc cos^2 + cs cos sin + ss sin^2
+    cc = a[:, k] * c[:, l] - c[:, k] * a[:, l]
+    ss = b[:, k] * e[:, l] - e[:, k] * b[:, l]
+    cs = (a[:, k] * e[:, l] - e[:, k] * a[:, l]) + (b[:, k] * c[:, l] - c[:, k] * b[:, l])
+    # = ((cc + ss) + (cc - ss) cos 2 phi + cs sin 2 phi) / 2, zero where
+    # cos(2 phi - centre) = -(cc + ss) / r; a product that vanishes
+    # identically (0 / 0) or never (|ratio| > 1) gives nan
+    r = np.hypot(cc - ss, cs)
+    centre = np.arctan2(cs, cc - ss)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        half = np.arccos(-(cc + ss) / r)
+    # 2 |P_k|^2 = const + (a^2 + c^2 - b^2 - e^2) cos 2 phi + 2 (ab + ce) sin 2 phi
+    least = (np.arctan2(2.0 * (a * b + c * e), a * a + c * c - b * b - e * e) + np.pi) / 2.0
+    return np.mod(np.hstack([(centre - half) / 2.0, (centre + half) / 2.0, least]), np.pi)
 
 
 def _with_crossings(F: np.ndarray) -> np.ndarray:

@@ -75,14 +75,10 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, seed: int,
                                samples: int, angles: int):
     """Max over sampled unit vectors and grid angles of | ||ax + bAx|| - 1 |.
 
-    Complexification norms over l1, l-infinity, weighted l1/l-infinity,
-    polyhedral and subspace-of-these bases are exact, and those over
-    general-p, sum and subspace bases are integrated between the kinks of
-    each rotated row to far below QUAD_RTOL, so for them the check sees
-    little more than rounding at any angle.  For the trapezoid rule (Euclidean-like bases and
-    nested complexifications) the angle grid divides the quadrature node
-    grid, so the rotated evaluations reuse the same discretization and the
-    check is not polluted by quadrature error.
+    Complexification norms over Euclidean-like, l1, l-infinity, weighted
+    l1/l-infinity, polyhedral and subspace-of-these bases are exact, and every
+    other base is integrated between the kinks of each rotated row to far
+    below QUAD_RTOL, so the check sees little more than rounding at any angle.
     """
     n = space.dim
     rng = np.random.default_rng(seed)

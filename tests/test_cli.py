@@ -159,11 +159,41 @@ def _claim_without_space(scenario):
     del scenario["claims"]["natural-l3"]["space"]
 
 
+def _edit(path, value):
+    """An edit that sets scenario[path[0]][path[1]]... to value."""
+    def edit(scenario):
+        target = scenario
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, suite, words", [
     (_nan_in_hex_functionals, "pelczynski-chain", ["'hex-2'", "finite"]),
     (_fractional_dim, "pelczynski-chain", ["'plane-l3'", "integer", "2.7"]),
     (_claim_without_space, "only-l3", ["'natural-l3'", "parameter 'space'"]),
-], ids=["nan-functional", "fractional-dim", "missing-parameter"])
+    (_edit(["seed"], "abc"), "pelczynski-chain", ["seed", "'abc'"]),
+    (_edit(["tolerances", "tol_typo"], 1e-9), "pelczynski-chain", ["tol_typo"]),
+    (_edit(["claims", "natural-l3"], "natural"), "only-l3", ["'natural-l3'", "object"]),
+    (_edit(["claims", "chain-reference", "fixture"], "no/such/chain.json"),
+     "pelczynski-chain", ["'chain-reference'", "no/such/chain.json"]),
+    (_edit(["claims", "natural-l3", "expect"], "verifyed"), "only-l3",
+     ["'natural-l3'", "'verifyed'"]),
+    (_edit(["claims", "closed-form", "count"], "many"), "spaces",
+     ["'closed-form'", "'count'", "'many'"]),
+    (_edit(["claims", "closed-form", "dims"], [2, 3, 4]), "spaces",
+     ["'closed-form'", "'dims'", "[2, 3, 4]"]),
+    (_edit(["claims", "factorization", "A"], [[0.0, -1.0], [1.0]]), "pelczynski-chain",
+     ["'factorization'", "'A'", "matrix"]),
+    (_edit(["claims", "chain-search-blocked", "expect_found"], "no"), "pelczynski-chain",
+     ["'chain-search-blocked'", "'expect_found'", "'no'"]),
+    (_edit(["oracles", "c-all", "descriptor"], {"type": "nope"}), "pelczynski-chain",
+     ["'c-all'", "'nope'"]),
+], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
+        "unknown-tolerance", "claim-not-object", "missing-fixture", "expect-typo",
+        "count-not-integer", "dims-not-a-pair", "ragged-matrix", "flag-not-boolean",
+        "unknown-oracle-type"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, edit,
                                     suite, words):
     with open(scenario_path, encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from istruct.errors import (DescriptorError, DimensionMismatchError,
 from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             NormedSpace, Polyhedral, SubspaceNorm,
                             WeightedLp, _breakpoint_functionals,
-                            _sinusoid_pieces,
+                            _kink_angles, _sinusoid_pieces,
                             complexification_norm,
                             complexification_norm_batch, direct_sum,
                             euclidean_gram, euclidean_space, lp_space, norm,
@@ -137,6 +137,25 @@ def test_euclidean_closed_form():
         expected = math.sqrt((x @ g @ x + y @ g @ y) / 2.0)
         assert complexification_norm(space, x, y) == pytest.approx(
             expected, abs=1e-10)
+
+
+def _eight_angle_cplx_norm(base, X, Y):
+    """The definition on 8 uniform angles, exact for the degree-2 trigonometric
+    polynomial ||x cos phi + y sin phi||^2 of a Euclidean-like base."""
+    phi = 2.0 * math.pi * np.arange(8) / 8
+    sq = [norm_batch(base, X * math.cos(t) + Y * math.sin(t)) ** 2 for t in phi]
+    return np.sqrt(np.mean(sq, axis=0))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+def test_euclidean_cplx_norm_matches_eight_angle_definition(dim):
+    rng = np.random.default_rng(29)
+    M = rng.standard_normal((dim, dim))
+    quad_space = euclidean_space(dim, M @ M.T + 0.1 * np.eye(dim))
+    for base in (quad_space, _cplx(quad_space)):
+        X, Y = rng.standard_normal((32, base.dim)), rng.standard_normal((32, base.dim))
+        np.testing.assert_allclose(complexification_norm_batch(base, X, Y),
+                                   _eight_angle_cplx_norm(base, X, Y), rtol=1e-14, atol=0.0)
 
 
 def test_l1_plane_spot_value():
@@ -376,17 +395,35 @@ def _arc_bases():
                         np.eye(5))
     basis = rng.standard_normal((4, 3))
     bases["sub-of-l1+l2"] = (NormedSpace(3, SubspaceNorm(l1_l2, basis)), basis)
+    # nested complexifications kink where two inner kinks collide; their
+    # reference takes no interior points, so it does not depend on that rule
+    for name, inner in (("l1", lp_space(2, 1.0)), ("l3", lp_space(2, 3.0)),
+                        ("linf", lp_space(2, math.inf)),
+                        ("hex", NormedSpace(2, Polyhedral(HEX))),
+                        ("l1.5-3", lp_space(3, 1.5)), ("l1+l2", l1_l2)):
+        bases[f"cplx-{name}"] = (_cplx(inner), None)
+    l1_cplx = direct_sum(lp_space(1, 1.0), _cplx(lp_space(2, 1.0)), "sum")
+    bases["l1+cplx-l1"] = (l1_cplx, None)
+    basis = rng.standard_normal((5, 3))
+    bases["sub-of-l1+cplx-l1"] = (NormedSpace(3, SubspaceNorm(l1_cplx, basis)), None)
     return bases
+
+
+def _cplx(base):
+    return direct_sum(base, base, "complexification")
 
 
 ARC_BASES = _arc_bases()
 
 
-def _arc_reference(base, kinks, x, y):
+def _arc_reference(base, kinks, x, y, epsrel=2e-14):
     """sqrt of (1/pi) * integral over [0, pi) of ||x cos phi + y sin phi||^2, by
-    adaptive quadrature on each arc between the zeros of the kink rows."""
-    a, b = kinks @ x, kinks @ y
-    zeros = np.mod(np.arctan2(a, -b)[(a != 0.0) | (b != 0.0)], np.pi)
+    adaptive quadrature on each arc between the zeros of the kink rows (kinks
+    None: on the whole of [0, pi))."""
+    zeros = []
+    if kinks is not None:
+        a, b = kinks @ x, kinks @ y
+        zeros = np.mod(np.arctan2(a, -b)[(a != 0.0) | (b != 0.0)], np.pi)
     ends = np.unique(np.concatenate([[0.0, np.pi], zeros]))
 
     def f(phi):
@@ -395,7 +432,7 @@ def _arc_reference(base, kinks, x, y):
     with warnings.catch_warnings():
         # quad reports roundoff once it is at the level of epsrel
         warnings.simplefilter("ignore", IntegrationWarning)
-        total = sum(quad(f, lo, hi, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        total = sum(quad(f, lo, hi, epsabs=0.0, epsrel=epsrel, limit=400)[0]
                     for lo, hi in zip(ends[:-1], ends[1:]))
     return math.sqrt(total / np.pi)
 
@@ -403,7 +440,7 @@ def _arc_reference(base, kinks, x, y):
 @pytest.mark.parametrize("name", sorted(ARC_BASES))
 def test_arc_cplx_norm_matches_adaptive_reference(name):
     base, kinks = ARC_BASES[name]
-    assert _sinusoid_pieces(base) is None and _breakpoint_functionals(base) is not None
+    assert _sinusoid_pieces(base) is None and euclidean_gram(base) is None
     rng = np.random.default_rng(22)
     x = rng.standard_normal(base.dim)
     noise = rng.standard_normal(base.dim)
@@ -432,11 +469,17 @@ def test_arc_cplx_norm_parallel_euclidean_block(name):
             assert complexification_norm(base, x, y) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
+def _batch_rows(name):
+    # a nested complexification runs a quadrature at every node: fewer rows
+    return 64 if ARC_BASES[name][1] is not None else 8
+
+
 @pytest.mark.parametrize("name", sorted(ARC_BASES))
 def test_arc_cplx_norm_row_matches_batch(name):
     base, _ = ARC_BASES[name]
     rng = np.random.default_rng(23)
-    X, Y = rng.standard_normal((64, base.dim)), rng.standard_normal((64, base.dim))
+    k = _batch_rows(name)
+    X, Y = rng.standard_normal((k, base.dim)), rng.standard_normal((k, base.dim))
     batch = complexification_norm_batch(base, X, Y)
     single = [complexification_norm(base, x, y) for x, y in zip(X, Y)]
     np.testing.assert_allclose(single, batch, rtol=1e-15, atol=0.0)
@@ -446,11 +489,43 @@ def test_arc_cplx_norm_row_matches_batch(name):
 def test_arc_cplx_norm_rotation_invariant_off_grid(name):
     base, _ = ARC_BASES[name]
     rng = np.random.default_rng(24)
-    X, Y = rng.standard_normal((64, base.dim)), rng.standard_normal((64, base.dim))
+    k = _batch_rows(name)
+    X, Y = rng.standard_normal((k, base.dim)), rng.standard_normal((k, base.dim))
     c, s = math.cos(0.1234), math.sin(0.1234)
     ref = complexification_norm_batch(base, X, Y)
     rot = complexification_norm_batch(base, c * X - s * Y, s * X + c * Y)
     assert np.max(np.abs(rot - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["cplx-l1", "cplx-l3", "cplx-linf", "cplx-hex",
+                                  "cplx-l1.5-3"])
+def test_nested_cplx_norm_on_complex_lines(name):
+    # on rows (x1, t x1), (y1, t y1) every inner kink pair stays together, and
+    # the norm is sqrt((1 + t^2) / 2) times that of (x1, y1) over the inner base
+    base, _ = ARC_BASES[name]
+    inner = base.norm_desc.base
+    rng = np.random.default_rng(27)
+    for t in (0.0, 0.3, -2.0):
+        x, y = rng.standard_normal(inner.dim), rng.standard_normal(inner.dim)
+        expected = math.sqrt((1.0 + t * t) / 2.0) * complexification_norm(inner, x, y)
+        for first, second in (((x, t * x), (y, t * y)), ((t * x, x), (t * y, y))):
+            value = complexification_norm(base, np.concatenate(first),
+                                          np.concatenate(second))
+            assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_triple_nesting_settles_on_one_arc():
+    # the base has no breakpoint functionals, so [0, pi) is a single arc: it
+    # must reach the quadrature target or raise
+    base = _cplx(ARC_BASES["cplx-l1"][0])
+    rng = np.random.default_rng(28)
+    x, y = rng.standard_normal(base.dim), rng.standard_normal(base.dim)
+    try:
+        value = complexification_norm(base, x, y)
+    except QuadratureError:
+        return
+    reference = _arc_reference(base, None, x, y, epsrel=1e-11)
+    assert value == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
 def test_arc_cplx_norm_small_node_budget_raises():
@@ -474,21 +549,40 @@ def test_breakpoint_functionals_recognition():
         _breakpoint_functionals(direct_sum(l1, linf, "sum")), stacked)
     hex_sum = direct_sum(NormedSpace(2, Polyhedral(HEX)), l1, "sum")
     assert _breakpoint_functionals(hex_sum).shape == (9 + 2, 4)
-    # a Euclidean-like part of a sum contributes its coordinate rows
+    # a Euclidean-like norm, alone or as a part, contributes its coordinate rows
     np.testing.assert_array_equal(
         _breakpoint_functionals(direct_sum(l1, lp_space(3, 2.0), "sum")), np.eye(5))
+    for euclidean in (lp_space(2, 2.0),
+                      NormedSpace(2, WeightedLp(2.0, np.array([1.0, 2.0]))),
+                      NormedSpace(2, EuclideanQuadratic(np.eye(2))),
+                      NormedSpace(1, SubspaceNorm(lp_space(2, 2.0), np.ones((2, 1)))),
+                      _cplx(lp_space(2, 2.0))):
+        np.testing.assert_array_equal(_breakpoint_functionals(euclidean),
+                                      np.eye(euclidean.dim))
     basis = np.array([[1.0], [2.0], [3.0]])
     np.testing.assert_array_equal(
         _breakpoint_functionals(NormedSpace(1, SubspaceNorm(lp_space(3, 1.5), basis))),
         basis)
-    for other in (lp_space(2, 2.0),
-                  NormedSpace(2, WeightedLp(2.0, np.array([1.0, 2.0]))),
-                  NormedSpace(2, EuclideanQuadratic(np.eye(2))),
-                  NormedSpace(1, SubspaceNorm(lp_space(2, 2.0), np.ones((2, 1)))),
-                  direct_sum(lp_space(2, 3.0), lp_space(2, 3.0), "complexification"),
-                  direct_sum(l1, l1, "complexification"),
-                  direct_sum(l1, direct_sum(l1, l1, "complexification"), "sum")):
-        assert _breakpoint_functionals(other) is None
+    for name in ("cplx-l3", "cplx-l1", "l1+cplx-l1", "sub-of-l1+cplx-l1"):
+        assert _breakpoint_functionals(ARC_BASES[name][0]) is None
+
+
+def test_nested_kink_angles_skip_identical_pairs():
+    # hex's crossing rows f1 + f2, f1 - f3 and f2 - f3 are f3, -f2 and -f1, so
+    # those pairs' products vanish identically and give no angle
+    rng = np.random.default_rng(30)
+    X, Y = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    angles = _kink_angles(ARC_BASES["cplx-hex"][0], X, Y)
+    pairs = 9 * 8 // 2
+    assert angles.shape == (4, 2 * pairs + 9)
+    missing = np.isnan(angles)
+    k, l = np.triu_indices(9, k=1)
+    same = np.flatnonzero(((k == 2) & (l == 3)) | ((k == 1) & (l == 7)) | ((k == 0) & (l == 8)))
+    assert np.all(missing[:, same]) and np.all(missing[:, pairs + same])
+    assert np.all((angles[~missing] >= 0.0) & (angles[~missing] < np.pi))
+    # a triple nesting has no angles at all
+    assert _kink_angles(_cplx(ARC_BASES["cplx-l1"][0]), np.ones((3, 8)),
+                        np.ones((3, 8))).shape == (3, 0)
 
 
 # ---------------------------------------------------------------------------
