@@ -2,8 +2,11 @@
 suites, emit JSON reports.
 
 Exit status: 0 all claims came out as expected, 1 at least one claim failed,
-2 parse or resolution error.  Claims run in declaration order, which is the
-order of the report.
+2 parse or resolution error.  ``CLAIMS`` maps each claim kind to its handler
+and its parameter schema.  A suite builds every space and oracle of the
+scenario and checks every claim against its schema before the first claim
+runs, so bad input exits 2 whatever its place in the file.  Claims run in
+declaration order, which is the order of the report.
 """
 
 from __future__ import annotations
@@ -16,15 +19,15 @@ import numbers
 import sys
 import zlib
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import corpus as corpus_gen
 from .config import Tolerances
-from .errors import (DescriptorError, IstructError, ScenarioError,
-                     StructureValidationError)
-from .ideals import (HILBERT_SCHMIDT, IdealOracle, RealOperator,
-                     audit_self_conjugacy, ideal_norm, oracle_from_dict)
+from .errors import IstructError, ScenarioError, StructureValidationError
+from .ideals import (HILBERT_SCHMIDT, RealOperator, audit_self_conjugacy,
+                     ideal_norm, oracle_from_dict)
 from .morphisms import block_diag2
 from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          check_derivation, expr, expr_from_list,
@@ -34,7 +37,8 @@ from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
 from .spaces import (complexification_norm, complexification_norm_batch,
                      lp_space, norm_batch, space_from_dict)
 from .structures import (UNDECIDED, natural_i_operator, reevaluate_witness,
-                         search_i_operator, validate_i_operator)
+                         search_i_operator, validate_i_operator,
+                         witness_to_dict)
 from .theory import (build_complexification_witness, extract_conjugation,
                      verify_complex_cartesian_identities,
                      verify_real_cartesian_identities,
@@ -47,6 +51,10 @@ CAVEATS = [
     "threshold-style membership oracles are decision instruments, not "
     "operator ideals closed under addition",
 ]
+
+# what reading scenario data can raise on bad input
+_BAD_INPUT = (IstructError, AttributeError, KeyError, OSError, TypeError,
+              ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -63,64 +71,111 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError("scenario must be an object with schema = 1")
     if "seed" not in data:
         raise ScenarioError("scenario must declare a seed (reproducibility)")
-    for section in ("spaces", "structures", "oracles", "claims", "suites"):
+    for section in ("spaces", "oracles", "claims", "suites"):
         if not isinstance(data.setdefault(section, {}), dict):
             raise ScenarioError(f"scenario section {section!r} must be an object")
     return data
 
 
-class Resolver:
-    """The named spaces and oracles of a scenario, all built when it is
-    resolved: bad data is a scenario error, whichever claims use it."""
-
-    def __init__(self, scenario: dict):
-        self.spaces = {name: _build("space", name, space_from_dict, obj)
-                       for name, obj in scenario.get("spaces", {}).items()}
-        self.oracles = {name: _build("oracle", name, oracle_from_dict, obj)
-                        for name, obj in scenario.get("oracles", {}).items()}
-
-    def space(self, name: str):
-        if name not in self.spaces:
-            raise ScenarioError(f"unknown space {name!r}")
-        return self.spaces[name]
-
-    def oracle(self, name: str) -> IdealOracle:
-        if name not in self.oracles:
-            raise ScenarioError(f"unknown oracle {name!r}")
-        return self.oracles[name]
-
-
-def _build(what: str, name: str, from_dict, obj):
-    try:
-        return from_dict(obj)
-    except (DescriptorError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(
-            f"{what} {name!r} is invalid ({type(exc).__name__}: {exc})") from exc
-
-
-def _integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _build_all(scenario: dict, what: str, from_dict) -> dict:
+    """Every named space or oracle of the scenario, built: bad data is a
+    scenario error, whichever claims use it."""
+    built = {}
+    for name, obj in scenario.get(what + "s", {}).items():
+        try:
+            built[name] = from_dict(obj)
+        except _BAD_INPUT as exc:
+            raise ScenarioError(
+                f"{what} {name!r} is invalid ({type(exc).__name__}: {exc})") from exc
+    return built
 
 
 # ---------------------------------------------------------------------------
-# Claim handlers (each returns a VerificationReport)
+# Claim parameter types
 # ---------------------------------------------------------------------------
 
-def _rng_for(seed: int, claim_id: str) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(claim_id.encode())])
+class ParamType(NamedTuple):
+    """The values a claim parameter accepts, in words and as a test of
+    (value, resolved spaces and oracles), and what its handler gets for one."""
+
+    what: str
+    ok: Callable
+    read: Callable = lambda v, resolved: v
 
 
-def _h_euclidean_closed_form(params, res, rng, tol):
+REQUIRED = object()  # the default of a parameter a claim must give
+
+
+def _is_int(v, lo: int, even: bool = False) -> bool:
+    return (not isinstance(v, bool) and isinstance(v, numbers.Integral)
+            and v >= lo and not (even and v % 2))
+
+
+def _integer(lo: int) -> ParamType:
+    return ParamType(f"an integer >= {lo}", lambda v, _: _is_int(v, lo))
+
+
+def _integers(lo: int, even: bool = False) -> ParamType:
+    def ok(v, _):
+        return isinstance(v, list) and v and all(_is_int(x, lo, even) for x in v)
+    return ParamType(f"a nonempty list of {'even ' if even else ''}integers >= {lo}", ok)
+
+
+def _named(what: str, kind: str = None) -> ParamType:
+    """The name of one of the scenario's spaces or oracles (of a kind)."""
+    def ok(v, resolved):
+        return (isinstance(v, str) and v in resolved[what]
+                and (kind is None or resolved[what][v].kind == kind))
+    return ParamType(f"the name of a {kind + ' ' if kind else ''}{what} of the scenario",
+                     ok, lambda v, resolved: resolved[what][v])
+
+
+def _load_fixture(path: str, resolved) -> ChainDerivation:
+    if path == "bundled":
+        return reference_chain()
+    with open(path, "r", encoding="utf-8") as fh:
+        return chain_from_dict(json.load(fh))
+
+
+COUNT = SAMPLES = _integer(1)
+# angle 0 is the reference and every norm is even, so fewer than 3 grid
+# angles check nothing
+ANGLES = _integer(3)
+DIMS = _integers(1)
+EVEN_DIMS = _integers(2, even=True)
+DIM_RANGE = ParamType("a pair [lo, hi] of integers with 1 <= lo <= hi",
+                      lambda v, _: isinstance(v, list) and len(v) == 2
+                      and all(_is_int(x, 1) for x in v) and v[0] <= v[1])
+BOUND = ParamType("a finite number >= 0",
+                  lambda v, _: not isinstance(v, bool) and isinstance(v, numbers.Real)
+                  and math.isfinite(v) and v >= 0, lambda v, _: float(v))
+FLAG = ParamType("true or false", lambda v, _: isinstance(v, bool))
+MATRIX = ParamType("a matrix (a list of equal-length rows of numbers)",
+                   lambda v, _: np.ndim(v) == 2, lambda v, _: np.asarray(v, dtype=float))
+EXPR = ParamType("a nonempty list of [label, sign] atoms (labels X, Y, Z; signs +, -)",
+                 lambda v, _: isinstance(v, list) and all(isinstance(a, list) for a in v),
+                 lambda v, _: expr_from_list(v))
+# None, the default, is every rule
+RULE_IDS = ParamType(f"a nonempty list of rule ids from {sorted(RULES)}",
+                     lambda v, _: v is None or (isinstance(v, list) and v and all(
+                         isinstance(r, str) and r in RULES for r in v)))
+FIXTURE = ParamType('"bundled" or the path of a chain file',
+                    lambda v, _: isinstance(v, str), _load_fixture)
+SPACE = _named("space")
+
+
+# ---------------------------------------------------------------------------
+# Claim handlers: (typed parameters, rng, tolerances) -> VerificationReport
+# ---------------------------------------------------------------------------
+
+def _h_euclidean_closed_form(params, rng, tol):
     """The closed form against the definition: ||x cos phi + y sin phi||^2 is a
     trigonometric polynomial of degree 2, whose mean over 8 uniform angles is
     exact."""
-    count = params.integer("count", 50)
-    lo, hi = params.integers("dims", [2, 8], length=2)
+    lo, hi = params["dims"]
     phi = 2.0 * np.pi * np.arange(8) / 8
     worst = 0.0
-    for _ in range(count):
+    for _ in range(params["count"]):
         dim = int(rng.integers(lo, hi + 1))
         space = corpus_gen.random_euclidean_space(dim, rng, explicit_gram=bool(rng.integers(2)))
         x = rng.standard_normal(dim)
@@ -136,7 +191,7 @@ def _h_euclidean_closed_form(params, res, rng, tol):
                               tolerances={"abs": 1e-10})
 
 
-def _h_l1_spot_value(params, res, rng, tol):
+def _h_l1_spot_value(params, rng, tol):
     value = complexification_norm(lp_space(2, 1.0), [1.0, 0.0], [0.0, 1.0])
     target = math.sqrt(1.0 + 2.0 / math.pi)
     err = abs(value - target)
@@ -147,11 +202,11 @@ def _h_l1_spot_value(params, res, rng, tol):
                               tolerances={"abs": 1e-6})
 
 
-def _h_rotation_invariance(params, res, rng, tol):
-    space = res.space(params["space"])
-    count = params.integer("count", 25)
-    angles = params.integer("angles", 16)
-    bound = params.number("tol", 1e-8)
+def _h_rotation_invariance(params, rng, tol):
+    space = params["space"]
+    count = params["count"]
+    angles = params["angles"]
+    bound = params["tol"]
     # x then y for each pair, the order of the draws
     xy = rng.standard_normal((count, 2, space.dim))
     x, y = xy[:, None, 0, :], xy[:, None, 1, :]
@@ -171,13 +226,10 @@ def _h_rotation_invariance(params, res, rng, tol):
                               tolerances={"abs": bound})
 
 
-def _h_natural_i_operator(params, res, rng, tol):
-    base = res.space(params["space"])
-    samples = params.integer("samples", 512)
-    ang = params.integer("angles", 64)
+def _h_natural_i_operator(params, rng, tol):
     try:
-        s = natural_i_operator(base, tol=tol, samples=samples, angles=ang,
-                               seed=params.integer("seed", 0))
+        s = natural_i_operator(params["space"], tol=tol, samples=params["samples"],
+                               angles=params["angles"], seed=params["seed"])
     except StructureValidationError as exc:
         c = exc.certificate
         return VerificationReport(
@@ -196,19 +248,15 @@ def _h_natural_i_operator(params, res, rng, tol):
         tolerances={"algebraic": 1e-12, "isometry": 1e-8})
 
 
-def _h_validate_structure(params, res, rng, tol):
-    space = res.space(params["space"])
-    A = params.matrix("A")
+def _h_validate_structure(params, rng, tol):
     try:
-        s = validate_i_operator(space, A, tol=tol,
-                                samples=params.integer("samples", 512),
-                                angles=params.integer("angles", 64))
+        s = validate_i_operator(params["space"], params["A"], tol=tol,
+                                samples=params["samples"], angles=params["angles"])
     except StructureValidationError as exc:
         c = exc.certificate
         wit = {"error": str(exc)}
         if c is not None and c.witness is not None:
-            wit["witness"] = {"x": np.asarray(c.witness[0]).tolist(),
-                              "alpha": c.witness[1], "beta": c.witness[2]}
+            wit["witness"] = witness_to_dict(c.witness)
         return VerificationReport("validate-structure", VIOLATED,
                                   residuals={}, witness=wit)
     c = s.certificate
@@ -217,14 +265,12 @@ def _h_validate_structure(params, res, rng, tol):
                                          "isometry": c.isometry_residual})
 
 
-def _h_reject_structure(params, res, rng, tol):
+def _h_reject_structure(params, rng, tol):
     """Verified iff the candidate is rejected with a reproducible witness."""
-    space = res.space(params["space"])
-    A = params.matrix("A")
+    space, A = params["space"], params["A"]
     try:
-        validate_i_operator(space, A, tol=tol,
-                            samples=params.integer("samples", 512),
-                            angles=params.integer("angles", 64))
+        validate_i_operator(space, A, tol=tol, samples=params["samples"],
+                            angles=params["angles"])
     except StructureValidationError as exc:
         c = exc.certificate
         wit = None
@@ -232,10 +278,8 @@ def _h_reject_structure(params, res, rng, tol):
         if c is not None and c.witness is not None:
             redo = reevaluate_witness(space, A, c.witness)
             reproduced = abs(redo - c.isometry_residual) <= 1e-9
-            wit = {"x": np.asarray(c.witness[0]).tolist(),
-                   "alpha": c.witness[1], "beta": c.witness[2],
-                   "residual": c.isometry_residual,
-                   "reevaluated": redo}
+            wit = {**witness_to_dict(c.witness),
+                   "residual": c.isometry_residual, "reevaluated": redo}
         status = VERIFIED if reproduced else VIOLATED
         return VerificationReport(
             "reject-structure", status,
@@ -246,13 +290,11 @@ def _h_reject_structure(params, res, rng, tol):
                               witness={"error": "candidate unexpectedly valid"})
 
 
-def _h_prop1_roundtrip(params, res, rng, tol):
-    count = params.integer("count", 10)
-    half_dims = params.integers("half_dims", [1, 2, 3])
+def _h_prop1_roundtrip(params, rng, tol):
     worst = {"involution": 0.0, "anticommutation": 0.0,
              "inverse_composition": 0.0, "norm_excess": 0.0}
-    for _ in range(count):
-        m = int(rng.choice(half_dims))
+    for _ in range(params["count"]):
+        m = int(rng.choice(params["half_dims"]))
         s, iso = corpus_gen.random_complexification_isomorphism(m, rng, tol=tol)
         T = extract_conjugation(iso, tol=1e-8)
         wit = build_complexification_witness(s, T, tol=tol)
@@ -268,12 +310,10 @@ def _h_prop1_roundtrip(params, res, rng, tol):
         tolerances={"residuals": 1e-8, "norm_slack": 1e-6})
 
 
-def _h_squares(params, res, rng, tol):
-    count = params.integer("count", 10)
-    dims = params.integers("dims", [2, 4, 6])
+def _h_squares(params, rng, tol):
     worst_respect = worst_inv = 0.0
-    for _ in range(count):
-        dim = int(rng.choice(dims))
+    for _ in range(params["count"]):
+        dim = int(rng.choice(params["dims"]))
         s = corpus_gen.random_exact_structure(dim, rng, tol=tol)
         rep = verify_squares_isomorphism(s, tol=tol, samples=64, angles=16)
         if not rep.ok:
@@ -287,11 +327,10 @@ def _h_squares(params, res, rng, tol):
         tolerances={"respect": 0.0, "inverse": 1e-12})
 
 
-def _h_real_cartesian(params, res, rng, tol):
-    count = params.integer("count", 25)
-    max_dim = params.integer("max_dim", 6)
+def _h_real_cartesian(params, rng, tol):
+    max_dim = params["max_dim"]
     worst = 0.0
-    for _ in range(count):
+    for _ in range(params["count"]):
         m = int(rng.integers(1, max_dim + 1))
         n = int(rng.integers(1, max_dim + 1))
         rep = verify_real_cartesian_identities(rng.standard_normal((m, n)))
@@ -311,15 +350,12 @@ def _random_complex_op(rng, dims, tol):
     return corpus_gen.random_respecting_operator(dom, cod, rng, tol=tol)
 
 
-def _h_complex_cartesian(params, res, rng, tol):
-    count = params.integer("count", 25)
-    dims = params.integers("dims", [2, 4])
-    corrupt = params.flag("corrupt", False)
+def _h_complex_cartesian(params, rng, tol):
     worst = 0.0
-    for _ in range(count):
-        op = _random_complex_op(rng, dims, tol)
-        rep = verify_complex_cartesian_identities(op, tol=tol,
-                                                  corrupt_annotation=corrupt)
+    for _ in range(params["count"]):
+        op = _random_complex_op(rng, params["dims"], tol)
+        rep = verify_complex_cartesian_identities(
+            op, tol=tol, corrupt_annotation=params["corrupt"])
         if not rep.ok:
             return rep
         worst = max(worst, max(rep.residuals.values()))
@@ -329,43 +365,32 @@ def _h_complex_cartesian(params, res, rng, tol):
                                           "deviation": tol.abs_tol})
 
 
-def _h_theorem_real(params, res, rng, tol):
-    oracle = res.oracle(params["oracle"])
-    count = params.integer("count", 30)
-    dims = params.integers("dims", [1, 2, 3])
+def _h_theorem_real(params, rng, tol):
     corpus = []
-    for _ in range(count):
-        dim_d = int(rng.choice(dims))
-        dim_c = int(rng.choice(dims))
+    for _ in range(params["count"]):
+        dim_d = int(rng.choice(params["dims"]))
+        dim_c = int(rng.choice(params["dims"]))
         corpus.append(RealOperator(rng.standard_normal((dim_c, dim_d)),
                                    lp_space(dim_d, 2.0), lp_space(dim_c, 2.0)))
-    return verify_theorem_real(oracle, corpus)
+    return verify_theorem_real(params["oracle"], corpus)
 
 
-def _h_theorem_complex(params, res, rng, tol):
-    oracle = res.oracle(params["oracle"])
-    count = params.integer("count", 30)
-    dims = params.integers("dims", [2, 4])
-    corpus = [_random_complex_op(rng, dims, tol) for _ in range(count)]
-    return verify_theorem_complex(oracle, corpus)
+def _h_theorem_complex(params, rng, tol):
+    corpus = [_random_complex_op(rng, params["dims"], tol) for _ in range(params["count"])]
+    return verify_theorem_complex(params["oracle"], corpus)
 
 
-def _h_self_conjugacy(params, res, rng, tol):
-    oracle = res.oracle(params["oracle"])
-    count = params.integer("count", 20)
-    dims = params.integers("dims", [2, 4])
-    corpus = [_random_complex_op(rng, dims, tol) for _ in range(count)]
-    return audit_self_conjugacy(oracle, corpus, tol=tol)
+def _h_self_conjugacy(params, rng, tol):
+    corpus = [_random_complex_op(rng, params["dims"], tol) for _ in range(params["count"])]
+    return audit_self_conjugacy(params["oracle"], corpus, tol=tol)
 
 
-def _h_hs_doubling(params, res, rng, tol):
-    count = params.integer("count", 25)
-    dims = params.integers("dims", [1, 2, 3, 4])
-    bound = params.number("tol", 1e-10)
+def _h_hs_doubling(params, rng, tol):
+    bound = params["tol"]
     worst = 0.0
-    for _ in range(count):
-        dim_d = int(rng.choice(dims))
-        dim_c = int(rng.choice(dims))
+    for _ in range(params["count"]):
+        dim_d = int(rng.choice(params["dims"]))
+        dim_c = int(rng.choice(params["dims"]))
         T = rng.standard_normal((dim_c, dim_d))
         dom, cod = lp_space(dim_d, 2.0), lp_space(dim_c, 2.0)
         base = ideal_norm(HILBERT_SCHMIDT, T, dom, cod).value
@@ -380,26 +405,13 @@ def _h_hs_doubling(params, res, rng, tol):
                               tolerances={"abs": bound})
 
 
-def _load_chain(params):
-    fixture = params.get("fixture", "bundled")
-    if fixture == "bundled":
-        return reference_chain()
-    try:
-        with open(fixture, "r", encoding="utf-8") as fh:
-            return chain_from_dict(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"claim {params.claim_id!r} cannot load fixture "
-                            f"{fixture!r}: {exc}") from exc
+def _h_pelczynski_chain(params, rng, tol):
+    return check_derivation(params["fixture"], start=expr("X+"), end=expr("X-"))
 
 
-def _h_pelczynski_chain(params, res, rng, tol):
-    chain = _load_chain(params)
-    return check_derivation(chain, start=expr("X+"), end=expr("X-"))
-
-
-def _h_chain_mutations(params, res, rng, tol):
+def _h_chain_mutations(params, rng, tol):
     """Every single-step rule-id mutation must fail at the mutated index."""
-    chain = _load_chain(params)
+    chain = params["fixture"]
     rule_ids = sorted(RULES)
     failures = []
     for idx, step in enumerate(chain.steps):
@@ -417,13 +429,11 @@ def _h_chain_mutations(params, res, rng, tol):
                               witness=failures or None)
 
 
-def _h_chain_search(params, res, rng, tol):
-    source = expr_from_list(params.get("from", [["X", "+"]]))
-    target = expr_from_list(params.get("to", [["X", "-"]]))
-    depth = params.integer("depth", 10)
-    rules = params.get("rules")
-    expect_found = params.flag("expect_found", True)
-    chain = search_chain(source, target, depth, rules=rules)
+def _h_chain_search(params, rng, tol):
+    source, target = params["from"], params["to"]
+    rules = params["rules"]
+    expect_found = params["expect_found"]
+    chain = search_chain(source, target, params["depth"], rules=rules)
     if chain is None:
         found = False
         sound = True
@@ -441,20 +451,14 @@ def _h_chain_search(params, res, rng, tol):
         notes=[f"rules: {rules or 'all'}"])
 
 
-def _h_factorization_check(params, res, rng, tol):
-    space = res.space(params.get("space", "plane-l2"))
-    A = params.matrix("A", [[0.0, -1.0], [1.0, 0.0]])
-    s = validate_i_operator(space, A, tol=tol)
-    R = params.matrix("R", [[1.0, 0.0], [0.0, -1.0]])
-    S = params.matrix("S", [[1.0, 0.0], [0.0, -1.0]])
-    return factorization_hypothesis_check(R, S, s, tol=tol)
+def _h_factorization_check(params, rng, tol):
+    s = validate_i_operator(params["space"], params["A"], tol=tol)
+    return factorization_hypothesis_check(params["R"], params["S"], s, tol=tol)
 
 
-def _h_search_structure(params, res, rng, tol):
-    # a "budget" key from older scenario files is ignored: the decision is exact
-    space = res.space(params["space"])
-    expect_found = params.flag("expect_found", True)
-    result = search_i_operator(space, tol=tol)
+def _h_search_structure(params, rng, tol):
+    expect_found = params["expect_found"]
+    result = search_i_operator(params["space"], tol=tol)
     found = result.found is not None
     if result.tag == UNDECIDED:
         status = INCONCLUSIVE
@@ -470,26 +474,55 @@ def _h_search_structure(params, res, rng, tol):
         notes=[f"tag: {result.tag}"])
 
 
-HANDLERS = {
-    "euclidean-closed-form": _h_euclidean_closed_form,
-    "l1-spot-value": _h_l1_spot_value,
-    "rotation-invariance": _h_rotation_invariance,
-    "natural-i-operator": _h_natural_i_operator,
-    "validate-structure": _h_validate_structure,
-    "reject-structure": _h_reject_structure,
-    "prop1-roundtrip": _h_prop1_roundtrip,
-    "squares": _h_squares,
-    "real-cartesian": _h_real_cartesian,
-    "complex-cartesian": _h_complex_cartesian,
-    "theorem-real": _h_theorem_real,
-    "theorem-complex": _h_theorem_complex,
-    "self-conjugacy": _h_self_conjugacy,
-    "hs-doubling": _h_hs_doubling,
-    "pelczynski-chain": _h_pelczynski_chain,
-    "chain-mutations": _h_chain_mutations,
-    "chain-search": _h_chain_search,
-    "factorization-check": _h_factorization_check,
-    "search-structure": _h_search_structure,
+_STRUCTURE = {"space": (SPACE, REQUIRED), "A": (MATRIX, REQUIRED),
+              "samples": (SAMPLES, 512), "angles": (ANGLES, 64)}
+_COMPLEX_CORPUS = {"oracle": (_named("oracle", "complex"), REQUIRED),
+                   "dims": (EVEN_DIMS, [2, 4])}
+_FIXTURE = {"fixture": (FIXTURE, "bundled")}
+_FLIP = [[1.0, 0.0], [0.0, -1.0]]
+
+# kind -> (handler, {parameter: (type, default or REQUIRED)}); a parameter the
+# schema does not list is ignored (older files give search-structure a budget)
+CLAIMS = {
+    "euclidean-closed-form": (_h_euclidean_closed_form,
+                              {"count": (COUNT, 50), "dims": (DIM_RANGE, [2, 8])}),
+    "l1-spot-value": (_h_l1_spot_value, {}),
+    "rotation-invariance": (_h_rotation_invariance,
+                            {"space": (SPACE, REQUIRED), "count": (COUNT, 25),
+                             "angles": (ANGLES, 16), "tol": (BOUND, 1e-8)}),
+    "natural-i-operator": (_h_natural_i_operator,
+                           {"space": (SPACE, REQUIRED), "samples": (SAMPLES, 512),
+                            "angles": (ANGLES, 64), "seed": (_integer(0), 0)}),
+    "validate-structure": (_h_validate_structure, _STRUCTURE),
+    "reject-structure": (_h_reject_structure, _STRUCTURE),
+    "prop1-roundtrip": (_h_prop1_roundtrip,
+                        {"count": (COUNT, 10), "half_dims": (DIMS, [1, 2, 3])}),
+    "squares": (_h_squares, {"count": (COUNT, 10), "dims": (EVEN_DIMS, [2, 4, 6])}),
+    "real-cartesian": (_h_real_cartesian,
+                       {"count": (COUNT, 25), "max_dim": (_integer(1), 6)}),
+    "complex-cartesian": (_h_complex_cartesian,
+                          {"count": (COUNT, 25), "dims": (EVEN_DIMS, [2, 4]),
+                           "corrupt": (FLAG, False)}),
+    "theorem-real": (_h_theorem_real,
+                     {"oracle": (_named("oracle", "real"), REQUIRED),
+                      "count": (COUNT, 30), "dims": (DIMS, [1, 2, 3])}),
+    "theorem-complex": (_h_theorem_complex, {**_COMPLEX_CORPUS, "count": (COUNT, 30)}),
+    "self-conjugacy": (_h_self_conjugacy, {**_COMPLEX_CORPUS, "count": (COUNT, 20)}),
+    "hs-doubling": (_h_hs_doubling,
+                    {"count": (COUNT, 25), "dims": (DIMS, [1, 2, 3, 4]),
+                     "tol": (BOUND, 1e-10)}),
+    "pelczynski-chain": (_h_pelczynski_chain, _FIXTURE),
+    "chain-mutations": (_h_chain_mutations, _FIXTURE),
+    "chain-search": (_h_chain_search,
+                     {"from": (EXPR, [["X", "+"]]), "to": (EXPR, [["X", "-"]]),
+                      "depth": (_integer(0), 10), "rules": (RULE_IDS, None),
+                      "expect_found": (FLAG, True)}),
+    "factorization-check": (_h_factorization_check,
+                            {"space": (SPACE, "plane-l2"),
+                             "A": (MATRIX, [[0.0, -1.0], [1.0, 0.0]]),
+                             "R": (MATRIX, _FLIP), "S": (MATRIX, _FLIP)}),
+    "search-structure": (_h_search_structure,
+                         {"space": (SPACE, REQUIRED), "expect_found": (FLAG, True)}),
 }
 
 
@@ -514,69 +547,39 @@ def _jsonify(obj):
     return obj
 
 
-class _ClaimParams(dict):
-    """A claim's parameters.  A missing required one, or one of the wrong
-    type, is a scenario error that names the claim and the key."""
-
-    def __init__(self, claim_id: str, claim: dict):
-        super().__init__(claim)
-        self.claim_id = claim_id
-
-    def __missing__(self, key):
-        raise ScenarioError(f"claim {self.claim_id!r} lacks parameter {key!r}")
-
-    def _what(self, key) -> str:
-        return f"claim {self.claim_id!r} parameter {key!r}"
-
-    def integer(self, key, default) -> int:
-        return _integer(self.get(key, default), self._what(key))
-
-    def integers(self, key, default, length=None) -> list:
-        value = self.get(key, default)
-        if not isinstance(value, list) or not value or length not in (None, len(value)):
-            size = f"{length} integers" if length else "integers"
-            raise ScenarioError(f"{self._what(key)} must be a list of {size}, got {value!r}")
-        return [_integer(v, self._what(key)) for v in value]
-
-    def flag(self, key, default) -> bool:
-        value = self.get(key, default)
-        if not isinstance(value, bool):
-            raise ScenarioError(f"{self._what(key)} must be true or false, got {value!r}")
-        return value
-
-    def number(self, key, default) -> float:
-        value = self.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ScenarioError(f"{self._what(key)} must be a number, got {value!r}")
-        return float(value)
-
-    def matrix(self, key, default=None) -> np.ndarray:
-        value = self[key] if default is None else self.get(key, default)
-        try:
-            A = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            A = None
-        if A is None or A.ndim != 2:
-            raise ScenarioError(f"{self._what(key)} must be a matrix, got {value!r}")
-        return A
-
-
-def run_claim(claim_id: str, claim: dict, res: Resolver, seed: int,
-              tol: Tolerances) -> dict:
+def parse_claim(claim_id: str, claim, resolved: dict) -> tuple:
+    """(kind, expect, typed parameters) of a claim, checked against its
+    schema; ``resolved`` maps "space" and "oracle" to the built objects by
+    name.  Bad input is a scenario error naming the claim and the key."""
     if not isinstance(claim, dict):
         raise ScenarioError(f"claim {claim_id!r} must be an object, got {claim!r}")
     kind = claim.get("kind")
-    handler = HANDLERS.get(kind)
-    if handler is None:
+    if not isinstance(kind, str) or kind not in CLAIMS:
         raise ScenarioError(f"claim {claim_id!r} has unknown kind {kind!r}")
     expect = claim.get("expect", VERIFIED)
     if expect not in (VERIFIED, VIOLATED, INCONCLUSIVE):
         raise ScenarioError(f"claim {claim_id!r} expects unknown status {expect!r}")
-    rng = _rng_for(seed, claim_id)
+    params = {}
+    for key, (ptype, default) in CLAIMS[kind][1].items():
+        value = claim.get(key, default)
+        if value is REQUIRED:
+            raise ScenarioError(f"claim {claim_id!r} lacks parameter {key!r}")
+        try:
+            if not ptype.ok(value, resolved):
+                raise ValueError()  # reported without detail
+            params[key] = ptype.read(value, resolved)
+        except _BAD_INPUT as exc:
+            detail = f" ({exc})" if str(exc) else ""
+            raise ScenarioError(f"claim {claim_id!r} parameter {key!r} must be "
+                                f"{ptype.what}, got {value!r}{detail}") from exc
+    return kind, expect, params
+
+
+def run_claim(claim_id: str, parsed: tuple, seed: int, tol: Tolerances) -> dict:
+    kind, expect, params = parsed
+    rng = np.random.default_rng([seed, zlib.crc32(claim_id.encode())])
     try:
-        report = handler(_ClaimParams(claim_id, claim), res, rng, tol)
-    except ScenarioError:
-        raise
+        report = CLAIMS[kind][0](params, rng, tol)
     except IstructError as exc:
         report = VerificationReport(kind, VIOLATED, residuals={},
                                     witness={"error": str(exc)})
@@ -591,7 +594,10 @@ def run_suite(scenario: dict, suite: str, *, seed=None, tol_alg=None,
     suites = scenario["suites"]
     if suite not in suites:
         raise ScenarioError(f"unknown suite {suite!r}")
-    seed = _integer(scenario["seed"] if seed is None else seed, "seed")
+    seed = scenario["seed"] if seed is None else seed
+    if not _is_int(seed, 0):
+        raise ScenarioError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = int(seed)
     tols = dict(scenario.get("tolerances", {}))
     if tol_alg is not None:
         tols["tol_alg"] = tol_alg
@@ -607,9 +613,11 @@ def run_suite(scenario: dict, suite: str, *, seed=None, tol_alg=None,
     for cid in claim_ids:
         if cid not in claims:
             raise ScenarioError(f"suite {suite!r} references unknown claim {cid!r}")
-    res = Resolver(scenario)
+    resolved = {"space": _build_all(scenario, "space", space_from_dict),
+                "oracle": _build_all(scenario, "oracle", oracle_from_dict)}
+    parsed = {cid: parse_claim(cid, claim, resolved) for cid, claim in claims.items()}
 
-    results = [run_claim(cid, claims[cid], res, seed, tol) for cid in claim_ids]
+    results = [run_claim(cid, parsed[cid], seed, tol) for cid in claim_ids]
 
     return {"schema": SCHEMA_VERSION, "suite": suite, "seed": seed,
             "tolerances": {"abs_tol": tol.abs_tol, "rel_tol": tol.rel_tol,

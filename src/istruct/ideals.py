@@ -119,7 +119,6 @@ class RealFormOf:
     """Real oracle evaluating a complex oracle on the doubled operator."""
 
     base: "IdealOracle"
-    norm_variant: str = "complexification"  # or "sum" for sensitivity checks
     samples: int = 64
     angles: int = 16
     seed: int = 0
@@ -215,19 +214,13 @@ def complexify_ideal(real_oracle: IdealOracle) -> IdealOracle:
     return IdealOracle("complex", ComplexifiedReal(real_oracle))
 
 
-def realify_ideal(complex_oracle: IdealOracle, *,
-                  norm_variant: str = "complexification",
-                  samples: int = 64, angles: int = 16,
-                  seed: int = 0) -> IdealOracle:
+def realify_ideal(complex_oracle: IdealOracle, *, samples: int = 64,
+                  angles: int = 16, seed: int = 0) -> IdealOracle:
     """Membership of T := membership of [T (+) T, N_X, N_Y] in the complex
-    class, with the doubled spaces carrying the averaged norm (default) or the
-    sum norm behind the sensitivity switch."""
+    class, with the doubled spaces carrying the averaged norm."""
     if complex_oracle.kind != "complex":
         raise DescriptorError("realify_ideal expects a complex-kind oracle")
-    if norm_variant not in ("complexification", "sum"):
-        raise DescriptorError(f"unknown norm variant {norm_variant!r}")
-    return IdealOracle("real", RealFormOf(complex_oracle, norm_variant,
-                                          samples, angles, seed))
+    return IdealOracle("real", RealFormOf(complex_oracle, samples, angles, seed))
 
 
 def conjugate_ideal(complex_oracle: IdealOracle) -> IdealOracle:

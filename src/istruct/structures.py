@@ -240,18 +240,22 @@ def search_i_operator(space: NormedSpace, *,
 # Serialization
 # ---------------------------------------------------------------------------
 
+def witness_to_dict(witness) -> Optional[dict]:
+    """A certificate's (x, alpha, beta) witness as JSON data."""
+    if witness is None:
+        return None
+    x, alpha, beta = witness
+    return {"x": np.asarray(x).tolist(), "alpha": alpha, "beta": beta}
+
+
 def structure_to_dict(s: ComplexStructure) -> dict:
     c = s.certificate
-    wit = None
-    if c.witness is not None:
-        wit = {"x": np.asarray(c.witness[0]).tolist(),
-               "alpha": c.witness[1], "beta": c.witness[2]}
     return {"space": space_to_dict(s.space), "A": s.A.tolist(),
             "certificate": {"algebraic_residual": c.algebraic_residual,
                             "isometry_residual": c.isometry_residual,
                             "samples_used": c.samples_used,
                             "exact": c.exact,
-                            "witness": wit}}
+                            "witness": witness_to_dict(c.witness)}}
 
 
 def structure_from_dict(obj: dict, *, tol: Tolerances = DEFAULT_TOL,

@@ -11,17 +11,15 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import WitnessError
-from .morphisms import (RespectingOperator, block_diag2, injection_first,
-                        injection_second, is_isomorphism, make_respecting,
-                        matrix_norm_between, surjection_first,
-                        surjection_second)
+from .morphisms import (RANK_RTOL, RespectingOperator, block_diag2,
+                        injection_first, injection_second, is_isomorphism,
+                        make_respecting, matrix_norm_between,
+                        surjection_first, surjection_second)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
 from .spaces import (EuclideanQuadratic, NormedSpace, Polyhedral, SubspaceNorm,
                      direct_sum, euclidean_gram)
 from .structures import (ComplexStructure, natural_i_operator,
                          validate_i_operator)
-
-RANK_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +181,7 @@ def split_structure(s: ComplexStructure, *, tol: Tolerances = DEFAULT_TOL,
                     seed: int = 0, mode: str = "sum") -> ComplexStructure:
     """[X (+) X, A (+) -A] with the sum norm (or the averaged norm)."""
     space2 = direct_sum(s.space, s.space, mode)
-    n = s.space.dim
-    A2 = np.zeros((2 * n, 2 * n))
-    A2[:n, :n] = s.A
-    A2[n:, n:] = -s.A
-    return validate_i_operator(space2, A2, tol=tol, samples=samples,
+    return validate_i_operator(space2, _split_matrix(s.A), tol=tol, samples=samples,
                                angles=angles, seed=seed)
 
 

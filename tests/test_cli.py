@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import istruct
+from istruct import cli
 from istruct.cli import (bundled_scenario_path, load_scenario, main,
                          run_suite)
 from istruct.errors import ScenarioError
@@ -169,6 +170,31 @@ def _edit(path, value):
     return edit
 
 
+@pytest.fixture
+def claim_runs(monkeypatch):
+    """The ids run_claim is called with, in order."""
+    runs = []
+    run_claim = cli.run_claim
+
+    def counted(claim_id, *args, **kwargs):
+        runs.append(claim_id)
+        return run_claim(claim_id, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_claim", counted)
+    return runs
+
+
+def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
+    with open(scenario_path, encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    scenario["suites"]["only-l3"] = ["natural-l3"]
+    edit(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return main(["run", str(path), "--suite", suite,
+                 "--out", str(tmp_path / "report.json"), *extra])
+
+
 @pytest.mark.parametrize("edit, suite, words", [
     (_nan_in_hex_functionals, "pelczynski-chain", ["'hex-2'", "finite"]),
     (_fractional_dim, "pelczynski-chain", ["'plane-l3'", "integer", "2.7"]),
@@ -190,22 +216,97 @@ def _edit(path, value):
      ["'chain-search-blocked'", "'expect_found'", "'no'"]),
     (_edit(["oracles", "c-all", "descriptor"], {"type": "nope"}), "pelczynski-chain",
      ["'c-all'", "'nope'"]),
+    # parameters outside the range of their kind's schema
+    (_edit(["claims", "chain-search-found", "from"], 5), "pelczynski-chain",
+     ["'chain-search-found'", "'from'", "[label, sign]"]),
+    (_edit(["claims", "closed-form", "dims"], [6, 2]), "spaces",
+     ["'closed-form'", "'dims'", "[6, 2]"]),
+    (_edit(["claims", "real-cartesian", "max_dim"], 0), "squares",
+     ["'real-cartesian'", "'max_dim'", ">= 1"]),
+    (_edit(["claims", "squares", "dims"], [3]), "squares",
+     ["'squares'", "'dims'", "even"]),
+    (_edit(["claims", "complex-cartesian", "dims"], [3]), "squares",
+     ["'complex-cartesian'", "'dims'", "even"]),
+    (_edit(["claims", "theorem-complex-all", "dims"], [3]), "ideal-transforms",
+     ["'theorem-complex-all'", "'dims'", "even"]),
+    (_edit(["claims", "audit-opnorm", "dims"], [3]), "ideal-transforms",
+     ["'audit-opnorm'", "'dims'", "even"]),
+    (_edit(["claims", "natural-l3", "angles"], 0), "only-l3",
+     ["'natural-l3'", "'angles'", ">= 3"]),
+    (_edit(["claims", "natural-l3", "seed"], -1), "only-l3",
+     ["'natural-l3'", "'seed'", ">= 0"]),
+    (_edit(["seed"], -5), "pelczynski-chain", ["seed", ">= 0", "-5"]),
+    (_edit(["claims", "closed-form", "count"], -1), "spaces",
+     ["'closed-form'", "'count'", ">= 1"]),
+    (_edit(["claims", "prop1", "count"], 0), "prop1-roundtrip",
+     ["'prop1'", "'count'", ">= 1"]),
+    (_edit(["claims", "rotation-l1", "angles"], 1), "spaces",
+     ["'rotation-l1'", "'angles'", ">= 3"]),
+    (_edit(["claims", "rotation-l2", "angles"], 2), "spaces",
+     ["'rotation-l2'", "'angles'", ">= 3"]),
+    (_edit(["claims", "natural-l3", "samples"], 0), "only-l3",
+     ["'natural-l3'", "'samples'", ">= 1"]),
+    (_edit(["claims", "chain-search-blocked", "rules"], ["R99"]), "pelczynski-chain",
+     ["'chain-search-blocked'", "'rules'", "R99"]),
+    (_edit(["claims", "chain-search-blocked", "rules"], "R3"), "pelczynski-chain",
+     ["'chain-search-blocked'", "'rules'", "list"]),
+    (_edit(["claims", "chain-search-found", "from"], [["W", "+"]]), "pelczynski-chain",
+     ["'chain-search-found'", "'from'", "'W'"]),
+    (_edit(["claims", "chain-search-found", "depth"], -1), "pelczynski-chain",
+     ["'chain-search-found'", "'depth'", ">= 0"]),
+    (_edit(["claims", "prop1", "half_dims"], [0]), "prop1-roundtrip",
+     ["'prop1'", "'half_dims'", ">= 1"]),
+    (_edit(["claims", "hs-doubling", "dims"], [0]), "ideal-transforms",
+     ["'hs-doubling'", "'dims'", ">= 1"]),
+    (_edit(["claims", "theorem-real-hs", "dims"], [0]), "ideal-transforms",
+     ["'theorem-real-hs'", "'dims'", ">= 1"]),
+    (_edit(["claims", "chain-mutations", "fixture"], 5), "pelczynski-chain",
+     ["'chain-mutations'", "'fixture'", "path"]),
+    # the remaining parameterised kinds
+    (_edit(["claims", "validate-cplx-l1", "angles"], 2), "structures",
+     ["'validate-cplx-l1'", "'angles'", ">= 3"]),
+    (_edit(["claims", "reject-l1-rotation", "samples"], 0), "structures",
+     ["'reject-l1-rotation'", "'samples'", ">= 1"]),
+    (_edit(["claims", "search-l2", "expect_found"], "no"), "structures",
+     ["'search-l2'", "'expect_found'", "'no'"]),
+    (_edit(["claims", "theorem-real-hs", "oracle"], "c-all"), "ideal-transforms",
+     ["'theorem-real-hs'", "'oracle'", "real oracle", "'c-all'"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
         "unknown-tolerance", "claim-not-object", "missing-fixture", "expect-typo",
         "count-not-integer", "dims-not-a-pair", "ragged-matrix", "flag-not-boolean",
-        "unknown-oracle-type"])
-def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, edit,
-                                    suite, words):
-    with open(scenario_path, encoding="utf-8") as fh:
-        scenario = json.load(fh)
-    scenario["suites"]["only-l3"] = ["natural-l3"]
-    edit(scenario)
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
-    code = main(["run", str(path), "--suite", suite,
-                 "--out", str(tmp_path / "report.json")])
-    assert code == 2
+        "unknown-oracle-type", "from-not-expr", "dims-reversed", "max-dim-zero",
+        "odd-squares-dim", "odd-cartesian-dim", "odd-theorem-complex-dim",
+        "odd-audit-dim", "natural-angles-zero", "natural-seed-negative",
+        "scenario-seed-negative", "count-negative", "count-zero",
+        "rotation-angles-one", "rotation-angles-two", "natural-samples-zero",
+        "unknown-rule", "rules-not-list", "bad-atom", "depth-negative",
+        "half-dim-zero", "hs-dim-zero", "theorem-real-dim-zero", "fixture-not-path",
+        "validate-angles-two", "reject-samples-zero", "search-flag-not-boolean",
+        "wrong-oracle-kind"])
+def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
+                                    edit, suite, words):
+    assert _run_edited(scenario_path, tmp_path, edit, suite) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     for word in words:
         assert word in err
+    assert claim_runs == []
+
+
+def test_bad_last_claim_exits_before_any_claim_runs(scenario_path, tmp_path, capsys,
+                                                    claim_runs):
+    def edit(scenario):
+        assert scenario["suites"]["paper-all"][-1] == "validate-cplx-l1"
+        scenario["claims"]["validate-cplx-l1"]["samples"] = 0
+
+    assert _run_edited(scenario_path, tmp_path, edit, "paper-all") == 2
+    assert "'validate-cplx-l1'" in capsys.readouterr().err
+    assert claim_runs == []
+
+
+def test_negative_seed_flag_exits_2(scenario_path, tmp_path, capsys, claim_runs):
+    assert _run_edited(scenario_path, tmp_path, lambda s: None, "pelczynski-chain",
+                       "--seed", "-3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "-3" in err
+    assert claim_runs == []

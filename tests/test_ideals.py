@@ -119,12 +119,6 @@ def test_realified_norm_threshold_matches_base():
         assert decide_real(dropped, item) == expected
 
 
-def test_realify_rejects_bad_variant():
-    with pytest.raises(DescriptorError):
-        realify_ideal(IdealOracle("complex", AllOperators()),
-                      norm_variant="max")
-
-
 def test_conjugate_ideal_flips_structure_sensitive_decision():
     oracle = IdealOracle("complex", MatrixPredicate(
         "a-entry-sign", PREDICATES[("a-entry-sign", "complex")]))
