@@ -162,16 +162,19 @@ SCENARIO = {
 }
 
 
+def fixture_texts() -> dict:
+    """File name under src/istruct/data -> the text it should hold."""
+    return {
+        "paper_all.json": json.dumps(SCENARIO, indent=2, sort_keys=True) + "\n",
+        "prop8_chain.json": json.dumps(chain_to_dict(reference_chain()), indent=2) + "\n",
+    }
+
+
 def main():
     DATA.mkdir(parents=True, exist_ok=True)
-    with open(DATA / "paper_all.json", "w", encoding="utf-8") as fh:
-        json.dump(SCENARIO, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(DATA / "prop8_chain.json", "w", encoding="utf-8") as fh:
-        json.dump(chain_to_dict(reference_chain()), fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {DATA / 'paper_all.json'}")
-    print(f"wrote {DATA / 'prop8_chain.json'}")
+    for name, text in fixture_texts().items():
+        (DATA / name).write_text(text, encoding="utf-8")
+        print(f"wrote {DATA / name}")
 
 
 if __name__ == "__main__":

@@ -8,12 +8,18 @@ the hypothesis relations of the decomposition argument:
     R3: X+ <-> Y+ . Z+        R7: X- <-> Y- . Z-
     R8: Y+ <-> X-             R4: Y- <-> X+
     R5: X+ <-> X+ . X+        R6: X- <-> X- . X-
+
+An expression is stored as a count vector: six nonnegative integers, the
+multiplicities of X+, X-, Y+, Y-, Z+, Z- in that (sorted) order.  Each rule
+in each direction is one move (need, delta) of a table built from RULES at
+import: it applies where every count is at least ``need`` and adds ``delta``.
+The chain search is a breadth-first search over raw count tuples.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
+from operator import add, lt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,35 +48,46 @@ class Atom:
         return f"{self.label}{self.sign}"
 
 
-class SumExpr:
-    """An unordered, nonempty direct sum of atoms."""
+# the coordinates of a count vector; sorted, as '+' < '-'
+ATOMS = tuple(Atom(label, sign) for label in LABELS for sign in SIGNS)
+_POSITION = {a: i for i, a in enumerate(ATOMS)}
 
-    __slots__ = ("_items",)
+
+class SumExpr:
+    """An unordered, nonempty direct sum of atoms, held as its count vector."""
+
+    __slots__ = ("counts",)
 
     def __init__(self, atoms):
-        items = tuple(sorted(atoms, key=lambda a: (a.label, a.sign)))
-        if not items:
+        counts = [0] * len(ATOMS)
+        for a in atoms:
+            counts[_POSITION[a]] += 1
+        if not any(counts):
             raise IstructError("a direct-sum expression must be nonempty")
-        object.__setattr__(self, "_items", items)
+        self.counts = tuple(counts)
+
+    @classmethod
+    def from_counts(cls, counts: tuple) -> "SumExpr":
+        """The expression of a nonempty count vector (not checked)."""
+        e = object.__new__(cls)
+        e.counts = counts
+        return e
 
     @property
     def atoms(self):
-        return self._items
-
-    def counter(self) -> Counter:
-        return Counter(self._items)
+        return tuple(a for a, k in zip(ATOMS, self.counts) for _ in range(k))
 
     def __len__(self):
-        return len(self._items)
+        return sum(self.counts)
 
     def __eq__(self, other):
-        return isinstance(other, SumExpr) and self._items == other._items
+        return isinstance(other, SumExpr) and self.counts == other.counts
 
     def __hash__(self):
-        return hash(self._items)
+        return hash(self.counts)
 
     def __str__(self):
-        return " . ".join(str(a) for a in self._items)
+        return " . ".join(str(a) for a in self.atoms)
 
     def __repr__(self):
         return f"SumExpr({self})"
@@ -92,6 +109,26 @@ RULES: dict = {
 
 FORWARD = "fwd"
 REVERSE = "rev"
+DIRECTIONS = (FORWARD, REVERSE)
+
+
+def _move(lhs: SumExpr, rhs: SumExpr) -> tuple:
+    """(need, delta, growth): lhs's counts, rhs - lhs, and its atom total."""
+    delta = tuple(b - a for a, b in zip(lhs.counts, rhs.counts))
+    return lhs.counts, delta, sum(delta)
+
+
+# (rule id, direction) -> move
+MOVES: dict = {(rid, d): _move(*(pair if d == FORWARD else pair[::-1]))
+               for rid, pair in RULES.items() for d in DIRECTIONS}
+
+
+def _check_rule(rule_id: str, direction: str = FORWARD):
+    if rule_id not in RULES:
+        raise IstructError(f"unknown rule id {rule_id!r}")
+    if direction not in DIRECTIONS:
+        raise IstructError(f"direction must be {FORWARD!r} or {REVERSE!r}, "
+                           f"got {direction!r}")
 
 
 def apply_rule(e: SumExpr, rule_id: str, direction: str = FORWARD,
@@ -102,22 +139,11 @@ def apply_rule(e: SumExpr, rule_id: str, direction: str = FORWARD,
     result, so the set has at most one element; it is empty when the pattern
     does not occur or when the result would exceed the atom cap.
     """
-    if rule_id not in RULES:
-        raise IstructError(f"unknown rule id {rule_id!r}")
-    if direction not in (FORWARD, REVERSE):
-        raise IstructError(f"direction must be {FORWARD!r} or {REVERSE!r}")
-    lhs, rhs = RULES[rule_id]
-    if direction == REVERSE:
-        lhs, rhs = rhs, lhs
-    have = e.counter()
-    need = lhs.counter()
-    if any(have[a] < k for a, k in need.items()):
+    _check_rule(rule_id, direction)
+    need, delta, growth = MOVES[rule_id, direction]
+    if len(e) + growth > max_atoms or any(map(lt, e.counts, need)):
         return set()
-    rest = have - need
-    rest.update(rhs.counter())
-    if sum(rest.values()) > max_atoms:
-        return set()
-    return {SumExpr(rest.elements())}
+    return {SumExpr.from_counts(tuple(map(add, e.counts, delta)))}
 
 
 @dataclass(eq=False)
@@ -173,42 +199,45 @@ def search_chain(source: SumExpr, target: SumExpr, max_depth: int,
                  max_atoms: int = DEFAULT_MAX_ATOMS) -> Optional[ChainDerivation]:
     """Breadth-first search over the rewrite relation; None if unreachable.
 
-    Expansion order is deterministic (rule id, direction), so the returned
-    chain is reproducible.
+    Expansion order is deterministic (rule id, then fwd before rev), so the
+    returned chain is reproducible.  Nodes are count tuples; expressions and
+    steps are built only along the chain found.
     """
     if max_depth < 0:
         raise IstructError("max_depth must be >= 0")
     rule_ids = sorted(RULES) if rules is None else list(rules)
+    for rid in rule_ids:
+        _check_rule(rid)
     if source == target:
         return ChainDerivation(source, [])
-    seen = {source: None}
-    frontier = deque([source])
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
-        next_frontier = deque()
-        while frontier:
-            e = frontier.popleft()
-            for rid in rule_ids:
-                for direction in (FORWARD, REVERSE):
-                    for out in sorted(apply_rule(e, rid, direction, max_atoms),
-                                      key=str):
-                        if out in seen:
-                            continue
-                        seen[out] = (e, rid, direction)
-                        if out == target:
-                            return _backtrack(source, out, seen)
-                        next_frontier.append(out)
+    moves = [(rid, d, *MOVES[rid, d]) for rid in rule_ids for d in DIRECTIONS]
+    goal = target.counts
+    seen = {source.counts: None}
+    frontier = [source.counts]
+    for _ in range(max_depth):
+        next_frontier = []
+        for node in frontier:
+            room = max_atoms - sum(node)
+            for rid, d, need, delta, growth in moves:
+                if growth > room or any(map(lt, node, need)):
+                    continue
+                out = tuple(map(add, node, delta))
+                if out in seen:
+                    continue
+                seen[out] = (node, rid, d)
+                if out == goal:
+                    return _backtrack(source, out, seen)
+                next_frontier.append(out)
         frontier = next_frontier
     return None
 
 
-def _backtrack(source: SumExpr, target: SumExpr, seen: dict) -> ChainDerivation:
+def _backtrack(source: SumExpr, goal: tuple, seen: dict) -> ChainDerivation:
     steps = []
-    node = target
-    while node != source:
+    node = goal
+    while seen[node] is not None:
         prev, rid, direction = seen[node]
-        steps.append(Step(node, rid, direction))
+        steps.append(Step(SumExpr.from_counts(node), rid, direction))
         node = prev
     steps.reverse()
     return ChainDerivation(source, steps)
@@ -276,8 +305,12 @@ def chain_to_dict(chain: ChainDerivation) -> dict:
 
 
 def chain_from_dict(obj: dict) -> ChainDerivation:
+    """The chain a JSON object describes; an unknown rule id or direction is
+    an error here, before any step is checked."""
     steps = [Step(expr_from_list(st["expr"]), st["rule"], st.get("dir", FORWARD))
              for st in obj["steps"]]
+    for step in steps:
+        _check_rule(step.rule, step.direction)
     return ChainDerivation(expr_from_list(obj["start"]), steps)
 
 

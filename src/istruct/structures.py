@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, StructureValidationError
 from .spaces import (Lp, NormedSpace, WeightedLp, _sinusoid_pieces,
-                     direct_sum, euclidean_gram, norm, norm_batch,
+                     direct_sum, euclidean_gram, lp_space, norm, norm_batch,
                      space_equal, space_from_dict, space_to_dict)
 
 DEFAULT_SAMPLE_VECTORS = 512
@@ -123,7 +123,13 @@ def validate_i_operator(space: NormedSpace, A, *, tol: Tolerances = DEFAULT_TOL,
         raise StructureValidationError(
             f"odd dimension {space.dim}: A^2 = -I forces even dimension "
             "(determinant argument)")
-    cert = certify(space, A, seed=seed, samples=samples, angles=angles)
+    return _accept(space, A, certify(space, A, seed=seed, samples=samples,
+                                     angles=angles), tol)
+
+
+def _accept(space: NormedSpace, A, cert: Certificate,
+            tol: Tolerances) -> ComplexStructure:
+    """The pair [space, A] if the certificate's residuals are within tol."""
     if cert.algebraic_residual > tol.tol_alg:
         raise StructureValidationError(
             f"algebraic residual ||A^2 + I||_max = {cert.algebraic_residual:.3e} "
@@ -202,8 +208,12 @@ def search_i_operator(space: NormedSpace, *,
 
     - Odd dimension: none (A^2 = -I forces an even dimension).
     - Euclidean-like norm with Gram G = L L': A = L^-T J L' is one, J the
-      canonical block rotation (A'GA = G and GA is antisymmetric); it is
-      returned after the exact Gram validation passes.
+      canonical block rotation (A'GA = G and GA is antisymmetric).  It is
+      checked algebraically in whitened coordinates, where the norm is l2:
+      W = L' A L^-T against W^2 = -I and W'W = I, and the certificate holds
+      W's residuals.  These are A's conditions measured in the space's own
+      norm; in the coordinate basis A's entries grow with the condition of G
+      and so does the rounding in A^2 + I.
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
       up to the weights) and every norm whose unit ball is a polytope
       (l1, l-infinity, weighted l1/l-infinity, Polyhedral and subspaces of
@@ -211,8 +221,10 @@ def search_i_operator(space: NormedSpace, *,
       group is finite, so it cannot contain the circle {alpha I + beta A}.
     - Any other norm (sums, nested complexifications, subspaces of general-p
       bases) is undecided, which is not a nonexistence proof.  So is a Gram
-      matrix so ill-conditioned that the constructed A misses tol in floating
-      point; it is still returned as best_candidate.
+      matrix so ill-conditioned that W misses tol in floating point (a 2 x 2
+      Gram of condition 1e8 often does: the whitened residual of even the
+      correctly rounded A is of order eps * cond(G)); A is still returned as
+      best_candidate.
     """
     n = space.dim
     if n % 2 != 0:
@@ -221,8 +233,9 @@ def search_i_operator(space: NormedSpace, *,
     if gram is not None:
         L = np.linalg.cholesky(gram)
         A = np.linalg.solve(L.T, natural_i_operator_matrix(n // 2) @ L.T)
+        W = L.T @ np.linalg.solve(L, A.T).T
         try:
-            s = validate_i_operator(space, A, tol=tol)
+            s = _accept(space, A, certify(lp_space(n, 2.0), W), tol)
         except StructureValidationError as exc:
             c = exc.certificate
             return SearchResult(None, c.algebraic_residual + c.isometry_residual,

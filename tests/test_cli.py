@@ -10,6 +10,7 @@ from istruct import cli
 from istruct.cli import (bundled_scenario_path, load_scenario, main,
                          run_suite)
 from istruct.errors import ScenarioError
+from istruct.pelczynski import chain_to_dict, reference_chain
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +185,25 @@ def claim_runs(monkeypatch):
     return runs
 
 
+def _chain_with(field, value):
+    """The bundled chain as JSON data, with step 0's field set to value."""
+    chain = chain_to_dict(reference_chain())
+    chain["steps"][0][field] = value
+    return chain
+
+
 def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
+    """Run the suite on an edited copy of the bundled scenario; a chain
+    object an edit puts in a claim's "fixture" is written to a file first."""
     with open(scenario_path, encoding="utf-8") as fh:
         scenario = json.load(fh)
     scenario["suites"]["only-l3"] = ["natural-l3"]
     edit(scenario)
+    for claim_id, claim in scenario["claims"].items():
+        if isinstance(claim, dict) and isinstance(claim.get("fixture"), dict):
+            chain_path = tmp_path / f"{claim_id}-chain.json"
+            chain_path.write_text(json.dumps(claim["fixture"]))
+            claim["fixture"] = str(chain_path)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     return main(["run", str(path), "--suite", suite,
@@ -262,6 +277,15 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      ["'theorem-real-hs'", "'dims'", ">= 1"]),
     (_edit(["claims", "chain-mutations", "fixture"], 5), "pelczynski-chain",
      ["'chain-mutations'", "'fixture'", "path"]),
+    # chain files citing a rule or direction the checker does not have
+    (_edit(["claims", "chain-reference", "fixture"], _chain_with("rule", "R99")),
+     "pelczynski-chain", ["'chain-reference'", "'fixture'", "R99"]),
+    (_edit(["claims", "chain-mutations", "fixture"], _chain_with("rule", "R99")),
+     "pelczynski-chain", ["'chain-mutations'", "'fixture'", "R99"]),
+    (_edit(["claims", "chain-reference", "fixture"], _chain_with("dir", "sideways")),
+     "pelczynski-chain", ["'chain-reference'", "'fixture'", "sideways"]),
+    (_edit(["claims", "chain-mutations", "fixture"], _chain_with("dir", "sideways")),
+     "pelczynski-chain", ["'chain-mutations'", "'fixture'", "sideways"]),
     # the remaining parameterised kinds
     (_edit(["claims", "validate-cplx-l1", "angles"], 2), "structures",
      ["'validate-cplx-l1'", "'angles'", ">= 3"]),
@@ -281,7 +305,8 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "rotation-angles-one", "rotation-angles-two", "natural-samples-zero",
         "unknown-rule", "rules-not-list", "bad-atom", "depth-negative",
         "half-dim-zero", "hs-dim-zero", "theorem-real-dim-zero", "fixture-not-path",
-        "validate-angles-two", "reject-samples-zero", "search-flag-not-boolean",
+        "chain-unknown-rule", "mutations-unknown-rule", "chain-bad-direction",
+        "mutations-bad-direction", "validate-angles-two", "reject-samples-zero", "search-flag-not-boolean",
         "wrong-oracle-kind"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
                                     edit, suite, words):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter, deque
 from importlib import resources
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from istruct.errors import IstructError
-from istruct.pelczynski import (FORWARD, REVERSE, RULES, Atom,
+from istruct.pelczynski import (ATOMS, FORWARD, REVERSE, RULES, Atom,
                                 ChainDerivation, Step, SumExpr, apply_rule,
                                 chain_from_dict, chain_to_dict,
                                 check_derivation, expr, expr_from_list,
@@ -17,6 +18,64 @@ from istruct.spaces import lp_space
 from istruct.structures import validate_i_operator
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+TOKENS = [str(a) for a in ATOMS]
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: rule application on Counters of atoms and a BFS over
+# SumExpr objects, independent of the count-vector move table
+# ---------------------------------------------------------------------------
+
+def oracle_apply_rule(e, rule_id, direction=FORWARD, max_atoms=8):
+    lhs, rhs = RULES[rule_id]
+    if direction == REVERSE:
+        lhs, rhs = rhs, lhs
+    have = Counter(e.atoms)
+    need = Counter(lhs.atoms)
+    if any(have[a] < k for a, k in need.items()):
+        return set()
+    rest = have - need
+    rest.update(Counter(rhs.atoms))
+    if sum(rest.values()) > max_atoms:
+        return set()
+    return {SumExpr(rest.elements())}
+
+
+def oracle_search_chain(source, target, max_depth, rules=None, max_atoms=8):
+    rule_ids = sorted(RULES) if rules is None else list(rules)
+    if source == target:
+        return ChainDerivation(source, [])
+    seen = {source: None}
+    frontier = deque([source])
+    depth = 0
+    while frontier and depth < max_depth:
+        depth += 1
+        next_frontier = deque()
+        while frontier:
+            e = frontier.popleft()
+            for rid in rule_ids:
+                for direction in (FORWARD, REVERSE):
+                    for out in sorted(oracle_apply_rule(e, rid, direction, max_atoms),
+                                      key=str):
+                        if out in seen:
+                            continue
+                        seen[out] = (e, rid, direction)
+                        if out == target:
+                            steps = []
+                            node = out
+                            while node != source:
+                                prev, r, d = seen[node]
+                                steps.append(Step(node, r, d))
+                                node = prev
+                            return ChainDerivation(source, steps[::-1])
+                        next_frontier.append(out)
+        frontier = next_frontier
+    return None
+
+
+def _exprs(max_size):
+    return st.lists(st.sampled_from(TOKENS), min_size=1,
+                    max_size=max_size).map(lambda toks: expr(*toks))
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +116,24 @@ def test_apply_rule_respects_atom_cap():
     e = expr(*["X+"] * 8)
     assert apply_rule(e, "R5") == set()  # would need nine atoms
     assert apply_rule(e, "R5", max_atoms=9) == {expr(*["X+"] * 9)}
+
+
+@settings(deadline=None, max_examples=200)
+@given(e=_exprs(9), cap=st.integers(1, 10))
+def test_apply_rule_matches_counter_oracle(e, cap):
+    for rule in sorted(RULES):
+        for direction in (FORWARD, REVERSE):
+            assert apply_rule(e, rule, direction, cap) == \
+                oracle_apply_rule(e, rule, direction, cap)
+
+
+def test_expr_keeps_sorted_atom_order():
+    e = expr("Z-", "X-", "Y+", "X+", "Z+", "Y-", "X+")
+    assert str(e) == "X+ . X+ . X- . Y+ . Y- . Z+ . Z-"
+    assert e.counts == (2, 1, 1, 1, 1, 1)
+    assert len(e) == 7
+    assert expr_to_list(e)[:3] == [["X", "+"], ["X", "+"], ["X", "-"]]
+    assert SumExpr.from_counts(e.counts) == e
 
 
 def test_apply_rule_rejects_bad_ids():
@@ -125,6 +202,33 @@ def test_search_without_bridges_fails():
                         rules=["R3", "R5", "R6", "R7"]) is None
 
 
+@settings(deadline=None, max_examples=300)
+@given(source=_exprs(4), target=_exprs(4),
+       rules=st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=6,
+                      unique=True),
+       depth=st.integers(0, 8), cap=st.integers(4, 9))
+def test_search_matches_counter_oracle(source, target, rules, depth, cap):
+    chain = search_chain(source, target, depth, rules=rules, max_atoms=cap)
+    expected = oracle_search_chain(source, target, depth, rules=rules, max_atoms=cap)
+    if expected is None:
+        assert chain is None
+        return
+    assert chain_to_dict(chain) == chain_to_dict(expected)
+    assert check_derivation(chain, start=source, end=target, max_atoms=cap).ok
+
+
+@pytest.mark.parametrize("depth", [10, 11, 12, 13])
+def test_bridge_search_matches_counter_oracle(depth):
+    chain = search_chain(expr("X+"), expr("X-"), depth)
+    assert chain_to_dict(chain) == chain_to_dict(
+        oracle_search_chain(expr("X+"), expr("X-"), depth))
+
+
+def test_search_rejects_unknown_rule_before_searching():
+    with pytest.raises(IstructError, match="R99"):
+        search_chain(expr("X+"), expr("X+"), 3, rules=["R3", "R99"])
+
+
 def test_search_trivial_and_deterministic():
     trivial = search_chain(expr("X+"), expr("X+"), 5)
     assert trivial.steps == []
@@ -148,6 +252,22 @@ def test_chain_serialization_roundtrip():
     assert again.start == chain.start
     assert [(s.expr, s.rule, s.direction) for s in again.steps] == \
         [(s.expr, s.rule, s.direction) for s in chain.steps]
+
+
+@pytest.mark.parametrize("field, value", [("rule", "R99"), ("dir", "sideways")])
+def test_chain_from_dict_rejects_unknown_rule_or_direction(field, value):
+    obj = chain_to_dict(reference_chain())
+    obj["steps"][3][field] = value
+    with pytest.raises(IstructError, match=value):
+        chain_from_dict(obj)
+
+
+def test_in_memory_unknown_rule_is_a_violated_step():
+    chain = reference_chain()
+    chain.steps[2] = Step(chain.steps[2].expr, "R99")
+    rep = check_derivation(chain)
+    assert rep.status == "violated"
+    assert rep.witness["step"] == 2 and "R99" in rep.witness["reason"]
 
 
 def test_bundled_chain_fixture_matches_reference():

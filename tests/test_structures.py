@@ -203,9 +203,32 @@ def test_search_undecided_elsewhere(space):
     assert result.found is None
 
 
+def _conditioned_gram(n, condition, seed):
+    """Q diag(logspace(0, log10 condition)) Q' with a random orthogonal Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return Q @ np.diag(np.logspace(0, math.log10(condition), n)) @ Q.T
+
+
+@pytest.mark.parametrize("n, condition", [
+    (2, 1e7), (4, 1e7), (6, 1e7), (8, 1e8), (10, 1e8), (12, 1e8),
+])
+def test_search_finds_structure_on_ill_conditioned_grams(n, condition):
+    # A^2 + I in the coordinate basis misses tol_alg for all of these; the
+    # whitened check sees the operator in the space's own norm.  At condition
+    # 1e8 dims 2-6 are left out: the whitened residual of A, of order
+    # eps * cond(G), misses tol_alg on part of them (in dim 2 even for the
+    # correctly rounded operator)
+    for seed in range(10):
+        result = search_i_operator(euclidean_space(n, _conditioned_gram(n, condition, seed)))
+        assert result.tag == FOUND
+        c = result.found.certificate
+        assert c.exact and c.algebraic_residual <= DEFAULT_TOL.tol_alg
+        assert c.isometry_residual <= DEFAULT_TOL.tol_iso
+
+
 def test_search_undecided_when_gram_too_ill_conditioned():
-    # A = L^-T J L' exists, but its entries near 1e6 leave A^2 + I far above
-    # tol_alg in floating point
+    # A = L^-T J L' exists, but at condition 1e12 even its whitened form
+    # L' A L^-T is far from J in floating point
     c, s = math.cos(0.3), math.sin(0.3)
     Q = np.array([[c, -s], [s, c]])
     space = euclidean_space(2, Q @ np.diag([1.0, 1e12]) @ Q.T)
