@@ -213,7 +213,9 @@ def search_i_operator(space: NormedSpace, *,
       W = L' A L^-T against W^2 = -I and W'W = I, and the certificate holds
       W's residuals.  These are A's conditions measured in the space's own
       norm; in the coordinate basis A's entries grow with the condition of G
-      and so does the rounding in A^2 + I.
+      and so does the rounding in A^2 + I.  W's residuals measure A against
+      L L', not G, so the isometry residual also counts Cholesky's backward
+      error max |L^-1 G L^-T - I| (0 for G = I).
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
       up to the weights) and every norm whose unit ball is a polytope
       (l1, l-infinity, weighted l1/l-infinity, Polyhedral and subspaces of
@@ -234,8 +236,14 @@ def search_i_operator(space: NormedSpace, *,
         L = np.linalg.cholesky(gram)
         A = np.linalg.solve(L.T, natural_i_operator_matrix(n // 2) @ L.T)
         W = L.T @ np.linalg.solve(L, A.T).T
+        c = certify(lp_space(n, 2.0), W)
+        # W's residuals measure A against L L', the computed factorisation;
+        # G differs from it by Cholesky's backward error, measured here in
+        # the same whitened coordinates
+        whitened_gram = np.linalg.solve(L, np.linalg.solve(L, gram).T)
+        c.isometry_residual += float(np.max(np.abs(whitened_gram - np.eye(n))))
         try:
-            s = _accept(space, A, certify(lp_space(n, 2.0), W), tol)
+            s = _accept(space, A, c, tol)
         except StructureValidationError as exc:
             c = exc.certificate
             return SearchResult(None, c.algebraic_residual + c.isometry_residual,

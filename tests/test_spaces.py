@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from istruct import spaces
 from istruct.errors import (DescriptorError, DimensionMismatchError,
                             QuadratureError)
 from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
@@ -18,6 +20,7 @@ from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             euclidean_gram, euclidean_space, lp_space, norm,
                             norm_batch, space_equal, space_from_dict,
                             space_to_dict)
+from istruct.structures import natural_i_operator
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -495,6 +498,66 @@ def test_arc_cplx_norm_rotation_invariant_off_grid(name):
     ref = complexification_norm_batch(base, X, Y)
     rot = complexification_norm_batch(base, c * X - s * Y, s * X + c * Y)
     assert np.max(np.abs(rot - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(ARC_BASES))
+def test_arc_cplx_norm_does_not_depend_on_block_size(name, monkeypatch):
+    # a budget of 1 puts one arc in each block; 4,000,000 puts a whole level
+    # of these rows in one block
+    base, kinks = ARC_BASES[name]
+    rng = np.random.default_rng(29)
+    # a nested complexification runs a quadrature at every node: one row
+    k = 16 if kinks is not None else 1
+    X, Y = rng.standard_normal((k, base.dim)), rng.standard_normal((k, base.dim))
+    ref = complexification_norm_batch(base, X, Y)
+    for budget in (1, 4_000_000):
+        monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", budget)
+        np.testing.assert_array_equal(complexification_norm_batch(base, X, Y), ref)
+
+
+def _layout_spaces():
+    rng = np.random.default_rng(30)
+    out = {}
+    for dim in (2, 3, 9):
+        for p in (1.0, 2.0, 3.0, math.inf):
+            out[f"l{p:g}-{dim}"] = lp_space(dim, p)
+            out[f"wl{p:g}-{dim}"] = NormedSpace(dim, WeightedLp(p, rng.uniform(0.5, 2.0, dim)))
+    M = rng.standard_normal((3, 3))
+    out["quad-3"] = NormedSpace(3, EuclideanQuadratic(M @ M.T + 3.0 * np.eye(3)))
+    out["poly-3"] = NormedSpace(3, Polyhedral(rng.standard_normal((7, 3))))
+    out["sum-9"] = direct_sum(lp_space(4, 3.0), lp_space(5, 1.0), "sum")
+    out["sub-3"] = NormedSpace(3, SubspaceNorm(lp_space(9, 1.5), rng.standard_normal((9, 3))))
+    out["cplx-l1-4"] = _cplx(lp_space(2, 1.0))
+    out["cplx-l3-4"] = _cplx(lp_space(2, 3.0))
+    out["cplx-l3+l1-8"] = _cplx(ARC_BASES["l3+l1"][0])
+    return out
+
+
+LAYOUT_SPACES = _layout_spaces()
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SPACES))
+def test_norm_batch_does_not_depend_on_memory_layout(name):
+    space = LAYOUT_SPACES[name]
+    rng = np.random.default_rng(31)
+    k = 8 if name.startswith("cplx") else 300
+    X = rng.standard_normal((k, space.dim))
+    ref = norm_batch(space, np.ascontiguousarray(X))
+    wide = np.hstack([rng.standard_normal((k, 2)), X, rng.standard_normal((k, 3))])
+    for Z in (np.asfortranarray(X), wide[:, 2:2 + space.dim],
+              np.asfortranarray(wide)[:, 2:2 + space.dim]):
+        np.testing.assert_array_equal(norm_batch(space, Z), ref)
+
+
+def test_arc_quadrature_memory_stays_bounded():
+    # paper-all's natural-l3: 2048 rows of sampled rotations, each a quadrature
+    tracemalloc.start()
+    try:
+        natural_i_operator(lp_space(2, 3.0), samples=128, angles=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_000_000
 
 
 @pytest.mark.parametrize("name", ["cplx-l1", "cplx-l3", "cplx-linf", "cplx-hex",

@@ -226,6 +226,21 @@ def test_search_finds_structure_on_ill_conditioned_grams(n, condition):
         assert c.isometry_residual <= DEFAULT_TOL.tol_iso
 
 
+def test_search_certificate_counts_cholesky_backward_error():
+    # the whitened check certifies A for the computed L L'; what separates
+    # that from G enters the isometry residual
+    for seed in range(5):
+        gram = _conditioned_gram(8, 1e8, seed)
+        L = np.linalg.cholesky(gram)
+        backward = np.max(np.abs(np.linalg.solve(L, np.linalg.solve(L, gram).T) - np.eye(8)))
+        assert backward > 0.0
+        result = search_i_operator(euclidean_space(8, gram))
+        assert result.tag == FOUND
+        assert result.found.certificate.isometry_residual >= backward
+    # G = I factors exactly
+    assert search_i_operator(lp_space(4, 2.0)).found.certificate.isometry_residual == 0.0
+
+
 def test_search_undecided_when_gram_too_ill_conditioned():
     # A = L^-T J L' exists, but at condition 1e12 even its whitened form
     # L' A L^-T is far from J in floating point
