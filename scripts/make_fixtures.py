@@ -58,16 +58,11 @@ CLAIMS = {
     # structures
     "natural-l2": {"kind": "natural-i-operator", "space": "plane-l2"},
     "natural-quad": {"kind": "natural-i-operator", "space": "quad-2"},
-    "natural-l1": {"kind": "natural-i-operator", "space": "plane-l1",
-                   "samples": 128, "angles": 16},
-    "natural-linf": {"kind": "natural-i-operator", "space": "plane-linf",
-                     "samples": 128, "angles": 16},
-    "natural-l3": {"kind": "natural-i-operator", "space": "plane-l3",
-                   "samples": 128, "angles": 16},
-    "natural-wl1": {"kind": "natural-i-operator", "space": "wl1-2",
-                    "samples": 128, "angles": 16},
-    "natural-hex": {"kind": "natural-i-operator", "space": "hex-2",
-                    "samples": 128, "angles": 16},
+    "natural-l1": {"kind": "natural-i-operator", "space": "plane-l1"},
+    "natural-linf": {"kind": "natural-i-operator", "space": "plane-linf"},
+    "natural-l3": {"kind": "natural-i-operator", "space": "plane-l3"},
+    "natural-wl1": {"kind": "natural-i-operator", "space": "wl1-2"},
+    "natural-hex": {"kind": "natural-i-operator", "space": "hex-2"},
     "validate-cplx-l1": {"kind": "validate-structure", "space": "cplx-l1",
                          "A": [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
                                [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],

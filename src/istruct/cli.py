@@ -227,17 +227,7 @@ def _h_rotation_invariance(params, rng, tol):
 
 
 def _h_natural_i_operator(params, rng, tol):
-    try:
-        s = natural_i_operator(params["space"], tol=tol, samples=params["samples"],
-                               angles=params["angles"], seed=params["seed"])
-    except StructureValidationError as exc:
-        c = exc.certificate
-        return VerificationReport(
-            "natural-i-operator", VIOLATED,
-            residuals={"algebraic": c.algebraic_residual if c else float("nan"),
-                       "isometry": c.isometry_residual if c else float("nan")},
-            witness={"error": str(exc)})
-    c = s.certificate
+    c = natural_i_operator(params["space"]).certificate
     ok = c.algebraic_residual <= 1e-12 and c.isometry_residual <= 1e-8
     return VerificationReport(
         "natural-i-operator", VERIFIED if ok else VIOLATED,
@@ -394,8 +384,8 @@ def _h_hs_doubling(params, rng, tol):
         T = rng.standard_normal((dim_c, dim_d))
         dom, cod = lp_space(dim_d, 2.0), lp_space(dim_c, 2.0)
         base = ideal_norm(HILBERT_SCHMIDT, T, dom, cod).value
-        dom2 = natural_i_operator(dom, tol=tol).space
-        cod2 = natural_i_operator(cod, tol=tol).space
+        dom2 = natural_i_operator(dom).space
+        cod2 = natural_i_operator(cod).space
         doubled = ideal_norm(HILBERT_SCHMIDT, block_diag2(T), dom2, cod2).value
         worst = max(worst, abs(doubled - math.sqrt(2.0) * base))
     status = VERIFIED if worst <= bound else VIOLATED
@@ -482,7 +472,8 @@ _FIXTURE = {"fixture": (FIXTURE, "bundled")}
 _FLIP = [[1.0, 0.0], [0.0, -1.0]]
 
 # kind -> (handler, {parameter: (type, default or REQUIRED)}); a parameter the
-# schema does not list is ignored (older files give search-structure a budget)
+# schema does not list is ignored (older files give search-structure a budget
+# and natural-i-operator samples, angles and a seed)
 CLAIMS = {
     "euclidean-closed-form": (_h_euclidean_closed_form,
                               {"count": (COUNT, 50), "dims": (DIM_RANGE, [2, 8])}),
@@ -490,9 +481,7 @@ CLAIMS = {
     "rotation-invariance": (_h_rotation_invariance,
                             {"space": (SPACE, REQUIRED), "count": (COUNT, 25),
                              "angles": (ANGLES, 16), "tol": (BOUND, 1e-8)}),
-    "natural-i-operator": (_h_natural_i_operator,
-                           {"space": (SPACE, REQUIRED), "samples": (SAMPLES, 512),
-                            "angles": (ANGLES, 64), "seed": (_integer(0), 0)}),
+    "natural-i-operator": (_h_natural_i_operator, {"space": (SPACE, REQUIRED)}),
     "validate-structure": (_h_validate_structure, _STRUCTURE),
     "reject-structure": (_h_reject_structure, _STRUCTURE),
     "prop1-roundtrip": (_h_prop1_roundtrip,

@@ -100,7 +100,7 @@ def random_complexification_isomorphism(half_dim: int, rng: np.random.Generator,
     from .structures import natural_i_operator
 
     y = random_euclidean_space(half_dim, rng, explicit_gram=True)
-    ny = natural_i_operator(y, tol=tol)
+    ny = natural_i_operator(y)
     dim = 2 * half_dim
     S0 = np.eye(dim) + spread * rng.standard_normal((dim, dim)) / np.sqrt(dim)
     G_target = euclidean_gram(ny.space)

@@ -15,9 +15,10 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DescriptorError, DimensionMismatchError
-from .morphisms import RespectingOperator, block_diag2, make_respecting
+from .morphisms import (RespectingOperator, _whitened, block_diag2,
+                        make_respecting)
 from .report import VERIFIED, VIOLATED, VerificationReport
-from .spaces import NormedSpace, euclidean_gram
+from .spaces import NormedSpace
 from .structures import natural_i_operator
 
 THRESHOLD_ATOL = 1e-9  # norm thresholds accept up to bound + THRESHOLD_ATOL
@@ -47,23 +48,17 @@ class IdealNormValue:
     exact: bool
 
 
-def _whitened(T: np.ndarray, dom: NormedSpace, cod: NormedSpace) -> np.ndarray:
-    g_dom, g_cod = euclidean_gram(dom), euclidean_gram(cod)
-    if g_dom is None or g_cod is None:
-        raise DescriptorError(
-            "ideal norms require Euclidean-like norms on both spaces")
-    l_dom = np.linalg.cholesky(g_dom)
-    l_cod = np.linalg.cholesky(g_cod)
-    return l_cod.T @ T @ np.linalg.inv(l_dom.T)
-
-
 def ideal_norm(functional: str, T, dom: NormedSpace, cod: NormedSpace) -> IdealNormValue:
     """operator_norm, hilbert_schmidt, or trace_norm of T : dom -> cod."""
     T = np.asarray(T, dtype=float)
     if T.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
             f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
-    sv = np.linalg.svd(_whitened(T, dom, cod), compute_uv=False)
+    M = _whitened(T, dom, cod)
+    if M is None:
+        raise DescriptorError(
+            "ideal norms require Euclidean-like norms on both spaces")
+    sv = np.linalg.svd(M, compute_uv=False)
     if functional == OPERATOR_NORM:
         return IdealNormValue(functional, float(sv[0]) if sv.size else 0.0, True)
     if functional == HILBERT_SCHMIDT:
@@ -119,9 +114,6 @@ class RealFormOf:
     """Real oracle evaluating a complex oracle on the doubled operator."""
 
     base: "IdealOracle"
-    samples: int = 64
-    angles: int = 16
-    seed: int = 0
 
 
 @dataclass(eq=False)
@@ -195,11 +187,9 @@ def decide_complex(oracle: IdealOracle, op: RespectingOperator) -> bool:
 
 
 def _decide_real_form(d: RealFormOf, item: RealOperator) -> bool:
-    dom = natural_i_operator(item.domain, samples=d.samples, angles=d.angles,
-                             seed=d.seed)
-    cod = natural_i_operator(item.codomain, samples=d.samples, angles=d.angles,
-                             seed=d.seed)
-    doubled = make_respecting(dom, cod, block_diag2(item.matrix))
+    doubled = make_respecting(natural_i_operator(item.domain),
+                              natural_i_operator(item.codomain),
+                              block_diag2(item.matrix))
     return decide_complex(d.base, doubled)
 
 
@@ -214,13 +204,12 @@ def complexify_ideal(real_oracle: IdealOracle) -> IdealOracle:
     return IdealOracle("complex", ComplexifiedReal(real_oracle))
 
 
-def realify_ideal(complex_oracle: IdealOracle, *, samples: int = 64,
-                  angles: int = 16, seed: int = 0) -> IdealOracle:
+def realify_ideal(complex_oracle: IdealOracle) -> IdealOracle:
     """Membership of T := membership of [T (+) T, N_X, N_Y] in the complex
     class, with the doubled spaces carrying the averaged norm."""
     if complex_oracle.kind != "complex":
         raise DescriptorError("realify_ideal expects a complex-kind oracle")
-    return IdealOracle("real", RealFormOf(complex_oracle, samples, angles, seed))
+    return IdealOracle("real", RealFormOf(complex_oracle))
 
 
 def conjugate_ideal(complex_oracle: IdealOracle) -> IdealOracle:

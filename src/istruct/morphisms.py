@@ -12,8 +12,7 @@ from .errors import (CompositionError, DimensionMismatchError,
                      RespectViolationError)
 from .spaces import NormedSpace, euclidean_gram, norm_batch
 from .structures import (ComplexStructure, conjugate_structure,
-                         natural_i_operator, structure_equal,
-                         structure_to_dict)
+                         natural_i_operator, structure_equal)
 
 RANK_RTOL = 1e-10  # smallest singular value > RANK_RTOL * largest
 
@@ -87,17 +86,14 @@ def make_respecting(domain: ComplexStructure, codomain: ComplexStructure, T,
 
 
 def complexify_operator(T, baseX: NormedSpace, baseY: NormedSpace, *,
-                        tol: Tolerances = DEFAULT_TOL,
-                        samples: int = 512, angles: int = 64,
-                        seed: int = 0) -> RespectingOperator:
+                        tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
     """T (+) T between the complexified spaces with their natural i-operators."""
     T = np.asarray(T, dtype=float)
     if T.shape != (baseY.dim, baseX.dim):
         raise DimensionMismatchError(
             f"T must be {baseY.dim} x {baseX.dim}, got {T.shape}")
-    dom = natural_i_operator(baseX, tol=tol, samples=samples, angles=angles, seed=seed)
-    cod = natural_i_operator(baseY, tol=tol, samples=samples, angles=angles, seed=seed)
-    return make_respecting(dom, cod, block_diag2(T), tol=tol)
+    return make_respecting(natural_i_operator(baseX), natural_i_operator(baseY),
+                           block_diag2(T), tol=tol)
 
 
 def conjugate_operator(op: RespectingOperator) -> RespectingOperator:
@@ -154,6 +150,19 @@ def is_isomorphism(op: RespectingOperator, *,
 # Operator norm estimation
 # ---------------------------------------------------------------------------
 
+def _whitened(T: np.ndarray, dom: NormedSpace,
+              cod: NormedSpace) -> Optional[np.ndarray]:
+    """L_cod' T L_dom^-T for the Cholesky factors G = L L' of the two Grams:
+    T in coordinates where both norms are l2.  None unless both spaces are
+    Euclidean-like."""
+    g_dom, g_cod = euclidean_gram(dom), euclidean_gram(cod)
+    if g_dom is None or g_cod is None:
+        return None
+    l_dom = np.linalg.cholesky(g_dom)
+    l_cod = np.linalg.cholesky(g_cod)
+    return l_cod.T @ T @ np.linalg.inv(l_dom.T)
+
+
 def matrix_norm_between(T: np.ndarray, dom: NormedSpace, cod: NormedSpace, *,
                         samples: int = 2000, seed: int = 0) -> tuple[float, bool]:
     """Norm of T : dom -> cod; (value, exact).
@@ -166,11 +175,8 @@ def matrix_norm_between(T: np.ndarray, dom: NormedSpace, cod: NormedSpace, *,
     if T.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
             f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
-    g_dom, g_cod = euclidean_gram(dom), euclidean_gram(cod)
-    if g_dom is not None and g_cod is not None:
-        l_dom = np.linalg.cholesky(g_dom)
-        l_cod = np.linalg.cholesky(g_cod)
-        M = l_cod.T @ T @ np.linalg.inv(l_dom.T)
+    M = _whitened(T, dom, cod)
+    if M is not None:
         sv = np.linalg.svd(M, compute_uv=False)
         return float(sv[0]) if sv.size else 0.0, True
 
@@ -188,13 +194,3 @@ def operator_norm_estimate(op: RespectingOperator, samples: int = 2000,
     value, _ = matrix_norm_between(op.matrix, op.domain.space, op.codomain.space,
                                    samples=samples, seed=seed)
     return value
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def operator_to_dict(op: RespectingOperator) -> dict:
-    return {"domain": structure_to_dict(op.domain),
-            "codomain": structure_to_dict(op.codomain),
-            "T": op.matrix.tolist()}

@@ -258,24 +258,22 @@ def _fold_columns(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
 # Complexification norm: closed forms, arc quadrature otherwise
 # ---------------------------------------------------------------------------
 
-def complexification_norm(base: NormedSpace, x, y, *,
-                          max_nodes: int = QUAD_MAX_NODES) -> float:
+def complexification_norm(base: NormedSpace, x, y) -> float:
     """Averaged norm ( mean over phi of ||x cos phi + y sin phi||^2 )^(1/2)."""
     x = _check_vector(x, base.dim)
     y = _check_vector(y, base.dim)
-    return float(complexification_norm_batch(base, x[None, :], y[None, :],
-                                             max_nodes=max_nodes)[0])
+    return float(complexification_norm_batch(base, x[None, :], y[None, :])[0])
 
 
-def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray, *,
-                                max_nodes: int = QUAD_MAX_NODES) -> np.ndarray:
+def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
+                                Y: np.ndarray) -> np.ndarray:
     """Batched complexification norm.
 
     Euclidean-like bases (`euclidean_gram`) and bases recognized by
     `_sinusoid_pieces` are evaluated exactly.  Every other base is integrated
     arc by arc between the kink angles of each row (`_kink_angles`), so
     rotating a row moves its arcs with it and rotation invariance holds to a
-    few ulps at every angle.  ``max_nodes`` bounds the norm evaluations per
+    few ulps at every angle.  QUAD_MAX_NODES bounds the norm evaluations per
     row of that quadrature.
 
     The norm is homogeneous, so each row pair is first scaled by a power of
@@ -306,7 +304,7 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
     elif pieces is not None:
         mean_sq = _sinusoid_mean_sq(Xn, Yn, *pieces)
     else:
-        mean_sq = _arc_mean_sq(base, Xn, Yn, _kink_angles(base, Xn, Yn), max_nodes)
+        mean_sq = _arc_mean_sq(base, Xn, Yn, _kink_angles(base, Xn, Yn))
     out[nonzero] = np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
     return out
 
@@ -372,8 +370,8 @@ def _max_mean_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(integral, axis=1) / (2.0 * np.pi)
 
 
-def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray, kinks: np.ndarray,
-                 max_nodes: int) -> np.ndarray:
+def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
+                 kinks: np.ndarray) -> np.ndarray:
     """Mean over phi of ||x cos phi + y sin phi||^2, per row, integrated arc by
     arc between the row's kink angles in [0, pi) (nan: no kink).
 
@@ -383,8 +381,8 @@ def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray, kinks: np.ndar
     each changed it by less than its width's share of QUAD_RTOL times the
     row's integral: at 8 and 16 nodes two estimates can agree by chance while
     both are still off.  A row whose next doubling would take it past
-    max_nodes evaluations stops there; its unsettled change must then be below
-    QUAD_FAIL_RTOL, otherwise a QuadratureError is raised.
+    QUAD_MAX_NODES evaluations stops there; its unsettled change must then be
+    below QUAD_FAIL_RTOL, otherwise a QuadratureError is raised.
     """
     k = len(X)
     # a missing kink repeats the row's largest one, which makes an empty arc;
@@ -417,14 +415,14 @@ def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray, kinks: np.ndar
         active = active[~settled]
         # rows whose next doubling would pass the node budget stop here
         used += _GL_POINTS * 2 ** (level + 1) * np.bincount(row[active], minlength=k)
-        stop = (used > max_nodes)[row[active]]
+        stop = (used > QUAD_MAX_NODES)[row[active]]
         if np.any(stop):
             unsettled = np.bincount(row[active[stop]],
                                     weights=np.abs(change[active[stop]]), minlength=k)
             worst = float(np.max(unsettled / total))
             if worst > QUAD_FAIL_RTOL:
                 raise QuadratureError(
-                    f"quadrature did not settle within {max_nodes} nodes "
+                    f"quadrature did not settle within {QUAD_MAX_NODES} nodes "
                     f"(last relative change {worst:.3e})")
             active = active[~stop]
     return np.bincount(row, weights=value, minlength=k) / np.pi

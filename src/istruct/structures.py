@@ -2,7 +2,8 @@
 
 An i-operator A on a real space X satisfies A^2 = -I and makes every rotation
 alpha*I + beta*A with alpha^2 + beta^2 = 1 an isometry.  Validation is exact
-(algebraic) for Euclidean-like norms and sampled otherwise.
+(algebraic) for Euclidean-like norms, structural for the natural operator N on
+a complexification (an isometry by construction), and sampled otherwise.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, StructureValidationError
-from .spaces import (Lp, NormedSpace, WeightedLp, _sinusoid_pieces,
-                     direct_sum, euclidean_gram, lp_space, norm, norm_batch,
-                     space_equal, space_from_dict, space_to_dict)
+from .spaces import (ComplexificationOfBase, Lp, NormedSpace, WeightedLp,
+                     _sinusoid_pieces, direct_sum, euclidean_gram, lp_space,
+                     norm, norm_batch, space_equal, space_from_dict,
+                     space_to_dict)
 
 DEFAULT_SAMPLE_VECTORS = 512
 DEFAULT_SAMPLE_ANGLES = 64
@@ -66,6 +68,13 @@ def certify(space: NormedSpace, A, *, seed: int = 0,
         r1 = np.max(np.abs(A.T @ gram @ A - gram))
         r2 = np.max(np.abs(A.T @ gram + gram @ A))
         return Certificate(alg, float(max(r1, r2)), 0, True, None)
+
+    # N = natural_i_operator_matrix on X_C: cos t I + sin t N maps the row
+    # x cos phi + y sin phi of (x, y) to the row at phi - t, and the norm is a
+    # mean over the full period of phi, so every rotation is an isometry
+    if (isinstance(space.norm_desc, ComplexificationOfBase)
+            and np.array_equal(A, natural_i_operator_matrix(n // 2))):
+        return Certificate(alg, 0.0, 0, True, None)
 
     iso, witness, used = _sampled_isometry_residual(space, A, seed, samples, angles)
     return Certificate(alg, iso, used, False, witness)
@@ -165,14 +174,11 @@ def natural_i_operator_matrix(n: int) -> np.ndarray:
     return N
 
 
-def natural_i_operator(base: NormedSpace, *, tol: Tolerances = DEFAULT_TOL,
-                       seed: int = 0, samples: int = DEFAULT_SAMPLE_VECTORS,
-                       angles: int = DEFAULT_SAMPLE_ANGLES) -> ComplexStructure:
-    """The doubled space with the averaged norm and (x1, x2) -> (-x2, x1)."""
+def natural_i_operator(base: NormedSpace) -> ComplexStructure:
+    """The doubled space with the averaged norm and (x1, x2) -> (-x2, x1),
+    certified exactly by the argument in certify."""
     space = direct_sum(base, base, "complexification")
-    N = natural_i_operator_matrix(base.dim)
-    return validate_i_operator(space, N, tol=tol, seed=seed, samples=samples,
-                               angles=angles)
+    return validate_i_operator(space, natural_i_operator_matrix(base.dim))
 
 
 def complex_scalar_action(s: ComplexStructure, alpha: float, beta: float, x) -> np.ndarray:
@@ -216,14 +222,16 @@ def search_i_operator(space: NormedSpace, *,
       and so does the rounding in A^2 + I.  W's residuals measure A against
       L L', not G, so the isometry residual also counts Cholesky's backward
       error max |L^-1 G L^-T - I| (0 for G = I).
+    - Any other complexification X_C: the natural operator N, an isometry by
+      construction (see certify), with residual 0.
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
       up to the weights) and every norm whose unit ball is a polytope
       (l1, l-infinity, weighted l1/l-infinity, Polyhedral and subspaces of
       these: the isometries permute the finitely many vertices): the isometry
       group is finite, so it cannot contain the circle {alpha I + beta A}.
-    - Any other norm (sums, nested complexifications, subspaces of general-p
-      bases) is undecided, which is not a nonexistence proof.  So is a Gram
-      matrix so ill-conditioned that W misses tol in floating point (a 2 x 2
+    - Any other norm (sums, subspaces of general-p bases) is undecided,
+      which is not a nonexistence proof.  So is a Gram matrix so
+      ill-conditioned that W misses tol in floating point (a 2 x 2
       Gram of condition 1e8 often does: the whitened residual of even the
       correctly rounded A is of order eps * cond(G)); A is still returned as
       best_candidate.
@@ -250,6 +258,9 @@ def search_i_operator(space: NormedSpace, *,
                                 UNDECIDED, A)
         c = s.certificate
         return SearchResult(s, c.algebraic_residual + c.isometry_residual, FOUND, A)
+    if isinstance(space.norm_desc, ComplexificationOfBase):
+        s = natural_i_operator(space.norm_desc.base)
+        return SearchResult(s, 0.0, FOUND, s.A)
     # p = 2 is Euclidean-like and decided above
     if (isinstance(space.norm_desc, (Lp, WeightedLp))
             or _sinusoid_pieces(space) is not None):

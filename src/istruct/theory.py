@@ -87,9 +87,7 @@ def build_complexification_witness(s: ComplexStructure, T, *,
                                    tol: Tolerances = DEFAULT_TOL,
                                    hyp_tol: float = 1e-8,
                                    norm_samples: int = 2000,
-                                   seed: int = 0,
-                                   iso_samples: int = 128,
-                                   iso_angles: int = 16) -> ComplexificationWitness:
+                                   seed: int = 0) -> ComplexificationWitness:
     """Realize [X, A] as the doubled space over Y = {x + Tx}.
 
     The forward map is x -> (Ax + TAx, x + Tx) in Y-coordinates; the inverse
@@ -116,8 +114,7 @@ def build_complexification_witness(s: ComplexStructure, T, *,
     B = U[:, :rank]
 
     y_space = _induced_subspace(s.space, B)
-    ny = natural_i_operator(y_space, tol=tol, samples=iso_samples,
-                            angles=iso_angles, seed=seed)
+    ny = natural_i_operator(y_space)
 
     S_mat = np.vstack([B.T @ (P @ A), B.T @ P])
     S_inv_mat = 0.5 * np.hstack([-(A @ B), B])
@@ -189,8 +186,7 @@ def squares_isomorphism(s: ComplexStructure, *, tol: Tolerances = DEFAULT_TOL,
                         samples: int = 128, angles: int = 16,
                         seed: int = 0) -> RespectingOperator:
     """Isomorphism [X (+) X, N_X] -> [X (+) X, A (+) -A]."""
-    dom = natural_i_operator(s.space, tol=tol, samples=samples, angles=angles,
-                             seed=seed)
+    dom = natural_i_operator(s.space)
     cod = split_structure(s, tol=tol, samples=samples, angles=angles, seed=seed)
     return make_respecting(dom, cod, squares_isomorphism_matrix(s.A), tol=tol)
 
@@ -309,17 +305,14 @@ def verify_complex_cartesian_identities(op: RespectingOperator, *,
 # Transform roundtrips at the oracle level
 # ---------------------------------------------------------------------------
 
-def verify_theorem_real(oracle, corpus: Sequence, *,
-                        samples: int = 64, angles: int = 16,
-                        seed: int = 0) -> VerificationReport:
+def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
     """Unfold real -> complex -> real and compare decisions on the corpus.
 
     Each corpus item is a RealOperator.  The unfolded oracle queries the
     doubled matrix between the complexified spaces.
     """
     from .ideals import complexify_ideal, decide_real, realify_ideal
-    unfolded = realify_ideal(complexify_ideal(oracle), samples=samples,
-                             angles=angles, seed=seed)
+    unfolded = realify_ideal(complexify_ideal(oracle))
     mismatches = []
     for idx, item in enumerate(corpus):
         direct = decide_real(oracle, item)
@@ -331,7 +324,6 @@ def verify_theorem_real(oracle, corpus: Sequence, *,
         claim="real-ideal-roundtrip", status=status,
         residuals={"mismatches": float(len(mismatches))},
         witness=mismatches or None,
-        seeds={"seed": seed},
         notes=["threshold-style oracles are decision instruments, not ideals "
                "closed under addition"])
 
@@ -350,8 +342,7 @@ def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
     """
     from .ideals import (audit_self_conjugacy, complexify_ideal, decide_complex,
                          realify_ideal)
-    unfolded = complexify_ideal(realify_ideal(oracle, samples=samples,
-                                              angles=angles, seed=seed))
+    unfolded = complexify_ideal(realify_ideal(oracle))
     if self_conjugate is None:
         audit = audit_self_conjugacy(oracle, corpus, samples=samples,
                                      angles=angles, seed=seed)

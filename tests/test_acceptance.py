@@ -77,7 +77,7 @@ def test_criterion_3_natural_structures_and_rejection():
     ok = True
     detail = []
     for name, base in families.items():
-        s = natural_i_operator(base, samples=256, angles=32)
+        s = natural_i_operator(base)
         c = s.certificate
         good = c.algebraic_residual <= 1e-12 and c.isometry_residual <= 1e-8
         ok &= good

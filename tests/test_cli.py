@@ -246,10 +246,6 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      ["'theorem-complex-all'", "'dims'", "even"]),
     (_edit(["claims", "audit-opnorm", "dims"], [3]), "ideal-transforms",
      ["'audit-opnorm'", "'dims'", "even"]),
-    (_edit(["claims", "natural-l3", "angles"], 0), "only-l3",
-     ["'natural-l3'", "'angles'", ">= 3"]),
-    (_edit(["claims", "natural-l3", "seed"], -1), "only-l3",
-     ["'natural-l3'", "'seed'", ">= 0"]),
     (_edit(["seed"], -5), "pelczynski-chain", ["seed", ">= 0", "-5"]),
     (_edit(["claims", "closed-form", "count"], -1), "spaces",
      ["'closed-form'", "'count'", ">= 1"]),
@@ -259,8 +255,6 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      ["'rotation-l1'", "'angles'", ">= 3"]),
     (_edit(["claims", "rotation-l2", "angles"], 2), "spaces",
      ["'rotation-l2'", "'angles'", ">= 3"]),
-    (_edit(["claims", "natural-l3", "samples"], 0), "only-l3",
-     ["'natural-l3'", "'samples'", ">= 1"]),
     (_edit(["claims", "chain-search-blocked", "rules"], ["R99"]), "pelczynski-chain",
      ["'chain-search-blocked'", "'rules'", "R99"]),
     (_edit(["claims", "chain-search-blocked", "rules"], "R3"), "pelczynski-chain",
@@ -300,9 +294,8 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "count-not-integer", "dims-not-a-pair", "ragged-matrix", "flag-not-boolean",
         "unknown-oracle-type", "from-not-expr", "dims-reversed", "max-dim-zero",
         "odd-squares-dim", "odd-cartesian-dim", "odd-theorem-complex-dim",
-        "odd-audit-dim", "natural-angles-zero", "natural-seed-negative",
-        "scenario-seed-negative", "count-negative", "count-zero",
-        "rotation-angles-one", "rotation-angles-two", "natural-samples-zero",
+        "odd-audit-dim", "scenario-seed-negative", "count-negative", "count-zero",
+        "rotation-angles-one", "rotation-angles-two",
         "unknown-rule", "rules-not-list", "bad-atom", "depth-negative",
         "half-dim-zero", "hs-dim-zero", "theorem-real-dim-zero", "fixture-not-path",
         "chain-unknown-rule", "mutations-unknown-rule", "chain-bad-direction",

@@ -20,7 +20,8 @@ from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             euclidean_gram, euclidean_space, lp_space, norm,
                             norm_batch, space_equal, space_from_dict,
                             space_to_dict)
-from istruct.structures import natural_i_operator
+from istruct.structures import (_sampled_isometry_residual,
+                                natural_i_operator_matrix)
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -550,10 +551,12 @@ def test_norm_batch_does_not_depend_on_memory_layout(name):
 
 
 def test_arc_quadrature_memory_stays_bounded():
-    # paper-all's natural-l3: 2048 rows of sampled rotations, each a quadrature
+    # 2048 rows of sampled rotations of N on cplx(l3), each a quadrature
+    space = _cplx(lp_space(2, 3.0))
+    N = natural_i_operator_matrix(2)
     tracemalloc.start()
     try:
-        natural_i_operator(lp_space(2, 3.0), samples=128, angles=16)
+        _sampled_isometry_residual(space, N, 0, 128, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -591,12 +594,14 @@ def test_triple_nesting_settles_on_one_arc():
     assert value == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
-def test_arc_cplx_norm_small_node_budget_raises():
+def test_arc_cplx_norm_small_node_budget_raises(monkeypatch):
     base = lp_space(3, 7.5)
     rng = np.random.default_rng(25)
     X, Y = rng.standard_normal((16, 3)), rng.standard_normal((16, 3))
-    with pytest.raises(QuadratureError, match="did not settle within 64 nodes"):
-        complexification_norm_batch(base, X, Y, max_nodes=64)
+    with monkeypatch.context() as patch:
+        patch.setattr(spaces, "QUAD_MAX_NODES", 64)
+        with pytest.raises(QuadratureError, match="did not settle within 64 nodes"):
+            complexification_norm_batch(base, X, Y)
     complexification_norm_batch(base, X, Y)
 
 

@@ -10,7 +10,8 @@ from istruct.errors import (DimensionMismatchError, StructureValidationError)
 from istruct.spaces import (NormedSpace, Polyhedral, SubspaceNorm, WeightedLp,
                             direct_sum, euclidean_space, lp_space, norm)
 from istruct.structures import (FOUND, NONE_FINITE_GROUP, ODD_DIMENSION,
-                                UNDECIDED, certify, complex_scalar_action,
+                                UNDECIDED, _sampled_isometry_residual,
+                                certify, complex_scalar_action,
                                 conjugate_structure, natural_i_operator,
                                 natural_i_operator_matrix, reevaluate_witness,
                                 search_i_operator, structure_from_dict,
@@ -77,9 +78,46 @@ def test_natural_i_operator_matrix_layout():
     NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
 ])
 def test_natural_i_operator_validates(base):
-    s = natural_i_operator(base, samples=128, angles=16)
-    assert s.certificate.algebraic_residual <= 1e-12
-    assert s.certificate.isometry_residual <= 1e-8
+    c = natural_i_operator(base).certificate
+    assert c.exact and c.samples_used == 0
+    assert c.algebraic_residual == 0.0
+    assert c.isometry_residual == 0.0
+
+
+HEX = NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])))
+
+
+def _cplx(base):
+    return direct_sum(base, base, "complexification")
+
+
+@pytest.mark.parametrize("base", [
+    lp_space(2, 1.0),
+    lp_space(2, math.inf),
+    lp_space(2, 3.0),
+    NormedSpace(2, WeightedLp(1.0, np.array([1.0, 2.0]))),
+    HEX,
+    lp_space(3, 1.5),
+    direct_sum(lp_space(2, 1.0), lp_space(2, math.inf), "sum"),
+], ids=["l1", "linf", "l3", "weighted-l1", "hex-2", "l1.5-3", "l1+linf"])
+def test_natural_i_operator_is_isometric_under_quadrature(base):
+    # certify decides N by its proof; sampling it still checks the
+    # complexification norm's quadrature on the bases the scenarios use
+    N = natural_i_operator_matrix(base.dim)
+    iso, _, used = _sampled_isometry_residual(_cplx(base), N, 0, 128, 16)
+    assert used == 128 * 16
+    assert iso <= 1e-8
+
+
+@pytest.mark.parametrize("space, A", [
+    (_cplx(lp_space(2, 1.0)), -natural_i_operator_matrix(2)),
+    (_cplx(lp_space(2, 1.0)), natural_i_operator_matrix(2)[:, [1, 0, 3, 2]]),
+    (direct_sum(lp_space(2, 1.0), lp_space(2, 1.0), "sum"), natural_i_operator_matrix(2)),
+], ids=["minus-N", "column-permuted-N", "N-on-sum"])
+def test_structural_certificate_is_only_for_n_on_a_complexification(space, A):
+    c = certify(space, A, samples=16, angles=8)
+    assert not c.exact
+    assert c.samples_used == 16 * 8
 
 
 def test_conjugate_structure_negates_matrix():
@@ -101,7 +139,7 @@ def test_complex_scalar_action():
 
 
 def test_scalar_action_is_isometric():
-    s = natural_i_operator(lp_space(2, 1.0), samples=64, angles=16)
+    s = natural_i_operator(lp_space(2, 1.0))
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4)
     for th in (0.3, 1.1, 2.9):
@@ -192,11 +230,25 @@ def test_search_proves_none_when_isometry_group_is_finite(space):
 
 
 @pytest.mark.parametrize("space", [
+    _cplx(lp_space(2, 1.0)),
+    _cplx(lp_space(2, 3.0)),
+    _cplx(HEX),
+    _cplx(_cplx(lp_space(2, 1.0))),
+], ids=["cplx-l1", "cplx-l3", "cplx-hex", "cplx-cplx-l1"])
+def test_search_finds_natural_operator_on_complexifications(space):
+    result = search_i_operator(space)
+    assert result.tag == FOUND
+    s = result.found
+    assert np.array_equal(s.A, natural_i_operator_matrix(space.dim // 2))
+    assert s.certificate.exact and s.certificate.samples_used == 0
+    assert result.best_residual == 0.0
+
+
+@pytest.mark.parametrize("space", [
     direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum"),
-    direct_sum(lp_space(2, 1.0), lp_space(2, 1.0), "complexification"),
     NormedSpace(2, SubspaceNorm(lp_space(3, 3.0), np.array([[1.0, 0.0], [0.0, 1.0],
                                                             [1.0, 1.0]]))),
-], ids=["l1+l2", "cplx-l1", "sub-of-l3"])
+], ids=["l1+l2", "sub-of-l3"])
 def test_search_undecided_elsewhere(space):
     result = search_i_operator(space)
     assert result.tag == UNDECIDED
@@ -259,7 +311,7 @@ def test_search_undecided_when_gram_too_ill_conditioned():
 # ---------------------------------------------------------------------------
 
 def test_structure_serialization_roundtrip():
-    s = natural_i_operator(lp_space(2, 1.0), samples=64, angles=16)
+    s = natural_i_operator(lp_space(2, 1.0))
     obj = structure_to_dict(s)
     revalidated = structure_from_dict(obj, samples=64, angles=16)
     assert np.array_equal(revalidated.A, s.A)
