@@ -22,8 +22,7 @@ from .structures import (Certificate, ComplexStructure, certify,
 from .morphisms import (RespectingOperator, block_diag2, complexify_operator,
                         compose, conjugate_operator, identity_operator,
                         injection_first, injection_second, is_isomorphism,
-                        make_respecting, operator_norm_estimate,
-                        surjection_first, surjection_second)
+                        make_respecting, surjection_first, surjection_second)
 from .theory import (ComplexificationWitness, build_complexification_witness,
                      extract_conjugation, squares_isomorphism,
                      verify_complex_cartesian_identities,

@@ -36,9 +36,9 @@ from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
 from .spaces import (complexification_norm, complexification_norm_batch,
                      lp_space, norm_batch, space_from_dict)
-from .structures import (UNDECIDED, natural_i_operator, reevaluate_witness,
-                         search_i_operator, validate_i_operator,
-                         witness_to_dict)
+from .structures import (UNDECIDED, certify, natural_i_operator,
+                         reevaluate_witness, search_i_operator,
+                         validate_i_operator, witness_to_dict)
 from .theory import (build_complexification_witness, extract_conjugation,
                      verify_complex_cartesian_identities,
                      verify_real_cartesian_identities,
@@ -227,7 +227,8 @@ def _h_rotation_invariance(params, rng, tol):
 
 
 def _h_natural_i_operator(params, rng, tol):
-    c = natural_i_operator(params["space"]).certificate
+    s = natural_i_operator(params["space"])
+    c = certify(s.space, s.A)
     ok = c.algebraic_residual <= 1e-12 and c.isometry_residual <= 1e-8
     return VerificationReport(
         "natural-i-operator", VERIFIED if ok else VIOLATED,
@@ -304,8 +305,8 @@ def _h_squares(params, rng, tol):
     worst_respect = worst_inv = 0.0
     for _ in range(params["count"]):
         dim = int(rng.choice(params["dims"]))
-        s = corpus_gen.random_exact_structure(dim, rng, tol=tol)
-        rep = verify_squares_isomorphism(s, tol=tol, samples=64, angles=16)
+        s = corpus_gen.random_exact_structure(dim, rng)
+        rep = verify_squares_isomorphism(s, tol=tol)
         if not rep.ok:
             return rep
         worst_respect = max(worst_respect, rep.residuals["respect"])
@@ -335,8 +336,8 @@ def _h_real_cartesian(params, rng, tol):
 def _random_complex_op(rng, dims, tol):
     dim_d = int(rng.choice(dims))
     dim_c = int(rng.choice(dims))
-    dom = corpus_gen.random_exact_structure(dim_d, rng, tol=tol)
-    cod = corpus_gen.random_exact_structure(dim_c, rng, tol=tol)
+    dom = corpus_gen.random_exact_structure(dim_d, rng)
+    cod = corpus_gen.random_exact_structure(dim_c, rng)
     return corpus_gen.random_respecting_operator(dom, cod, rng, tol=tol)
 
 

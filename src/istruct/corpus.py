@@ -15,7 +15,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .morphisms import RespectingOperator, make_respecting
 from .spaces import (EuclideanQuadratic, NormedSpace, euclidean_gram,
                      lp_space)
-from .structures import ComplexStructure, validate_i_operator
+from .structures import BY_CONSTRUCTION, ComplexStructure, validate_i_operator
 
 
 def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,11 +54,14 @@ def pairing_conjugation_matrix(A: np.ndarray, rng: np.random.Generator) -> np.nd
     return T
 
 
-def random_exact_structure(dim: int, rng: np.random.Generator, *,
-                           tol: Tolerances = DEFAULT_TOL) -> ComplexStructure:
-    """A validated structure on the Euclidean space with an exact matrix."""
-    space = lp_space(dim, 2.0)
-    return validate_i_operator(space, signed_pairing_matrix(dim, rng), tol=tol)
+def random_exact_structure(dim: int, rng: np.random.Generator) -> ComplexStructure:
+    """A structure on the Euclidean space with an exact matrix.
+
+    A signed pairing is orthogonal and skew bitwise, so it carries
+    BY_CONSTRUCTION without a check.
+    """
+    return ComplexStructure(lp_space(dim, 2.0), signed_pairing_matrix(dim, rng),
+                            BY_CONSTRUCTION)
 
 
 def random_respecting_matrix(A: np.ndarray, B: np.ndarray,

@@ -16,10 +16,9 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DescriptorError, DimensionMismatchError
 from .morphisms import (RespectingOperator, _whitened, block_diag2,
-                        make_respecting)
+                        complexify_operator, make_respecting)
 from .report import VERIFIED, VIOLATED, VerificationReport
 from .spaces import NormedSpace
-from .structures import natural_i_operator
 
 THRESHOLD_ATOL = 1e-9  # norm thresholds accept up to bound + THRESHOLD_ATOL
 
@@ -187,10 +186,8 @@ def decide_complex(oracle: IdealOracle, op: RespectingOperator) -> bool:
 
 
 def _decide_real_form(d: RealFormOf, item: RealOperator) -> bool:
-    doubled = make_respecting(natural_i_operator(item.domain),
-                              natural_i_operator(item.codomain),
-                              block_diag2(item.matrix))
-    return decide_complex(d.base, doubled)
+    return decide_complex(d.base, complexify_operator(
+        item.matrix, item.domain, item.codomain))
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +220,26 @@ def conjugate_ideal(complex_oracle: IdealOracle) -> IdealOracle:
 # Self-conjugacy audit
 # ---------------------------------------------------------------------------
 
-def _square_operator(op: RespectingOperator, *, tol: Tolerances = DEFAULT_TOL,
-                     samples: int = 64, angles: int = 16,
-                     seed: int = 0) -> RespectingOperator:
+def _square_operator(op: RespectingOperator, *,
+                     tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
     """[T (+) T, A (+) -A, B (+) -B] on the averaged-norm doubled spaces."""
     from .theory import split_structure
-    dom = split_structure(op.domain, tol=tol, samples=samples, angles=angles,
-                          seed=seed, mode="complexification")
-    cod = split_structure(op.codomain, tol=tol, samples=samples, angles=angles,
-                          seed=seed, mode="complexification")
+    dom = split_structure(op.domain, tol=tol, mode="complexification")
+    cod = split_structure(op.codomain, tol=tol, mode="complexification")
     return make_respecting(dom, cod, block_diag2(op.matrix), tol=tol)
 
 
 def audit_self_conjugacy(oracle: IdealOracle,
                          corpus: Sequence[RespectingOperator], *,
-                         tol: Tolerances = DEFAULT_TOL,
-                         samples: int = 64, angles: int = 16,
-                         seed: int = 0) -> VerificationReport:
+                         tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
     """Check conjugation invariance and square determination on the corpus.
 
     Passing means: decisions agree on [T, A, B] vs [T, -A, -B], and the
     membership of the doubled operator [T (+) T, A (+) -A, B (+) -B] matches
-    the membership of [T, A, B] in both directions.
+    the membership of [T, A, B] in both directions.  The doubled spaces carry
+    the averaged norm, on which A (+) -A is an i-operator only for
+    Euclidean-like spaces (see theory.split_structure); elsewhere the audit
+    raises StructureValidationError.
     """
     from .morphisms import conjugate_operator
     conj = conjugate_ideal(oracle)
@@ -253,8 +248,7 @@ def audit_self_conjugacy(oracle: IdealOracle,
         direct = decide_complex(oracle, op)
         if decide_complex(conj, op) != direct:
             conj_mismatch.append({"index": idx})
-        sq = _square_operator(op, tol=tol, samples=samples, angles=angles,
-                              seed=seed)
+        sq = _square_operator(op, tol=tol)
         sq_decision = decide_complex(oracle, sq)
         if direct and not sq_decision:
             square_fwd.append({"index": idx})
@@ -269,7 +263,6 @@ def audit_self_conjugacy(oracle: IdealOracle,
                    "square_backward_failures": float(len(square_bwd))},
         witness={"conjugation": conj_mismatch, "square_forward": square_fwd,
                  "square_backward": square_bwd} if bad else None,
-        seeds={"seed": seed},
         notes=["threshold-style oracles are decision instruments, not ideals "
                "closed under addition",
                "no violation on a finite corpus is not a proof of "

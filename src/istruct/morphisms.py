@@ -85,15 +85,19 @@ def make_respecting(domain: ComplexStructure, codomain: ComplexStructure, T,
     return RespectingOperator(domain, codomain, T, res)
 
 
-def complexify_operator(T, baseX: NormedSpace, baseY: NormedSpace, *,
-                        tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
-    """T (+) T between the complexified spaces with their natural i-operators."""
+def complexify_operator(T, baseX: NormedSpace,
+                        baseY: NormedSpace) -> RespectingOperator:
+    """T (+) T between the complexified spaces with their natural i-operators.
+
+    Every entry of (T (+) T) N and of N (T (+) T) is one signed entry of T, so
+    the respect residual is exactly 0.
+    """
     T = np.asarray(T, dtype=float)
     if T.shape != (baseY.dim, baseX.dim):
         raise DimensionMismatchError(
             f"T must be {baseY.dim} x {baseX.dim}, got {T.shape}")
-    return make_respecting(natural_i_operator(baseX), natural_i_operator(baseY),
-                           block_diag2(T), tol=tol)
+    return RespectingOperator(natural_i_operator(baseX), natural_i_operator(baseY),
+                              block_diag2(T), 0.0)
 
 
 def conjugate_operator(op: RespectingOperator) -> RespectingOperator:
@@ -187,10 +191,3 @@ def matrix_norm_between(T: np.ndarray, dom: NormedSpace, cod: NormedSpace, *,
     keep = dn > 0
     ratios = norm_batch(cod, X[keep] @ T.T) / dn[keep]
     return float(np.max(ratios)) if ratios.size else 0.0, False
-
-
-def operator_norm_estimate(op: RespectingOperator, samples: int = 2000,
-                           seed: int = 0) -> float:
-    value, _ = matrix_norm_between(op.matrix, op.domain.space, op.codomain.space,
-                                   samples=samples, seed=seed)
-    return value

@@ -1,14 +1,18 @@
 """Pairs [X, A]: i-operator validation, conjugation, and existence decision.
 
 An i-operator A on a real space X satisfies A^2 = -I and makes every rotation
-alpha*I + beta*A with alpha^2 + beta^2 = 1 an isometry.  Validation is exact
-(algebraic) for Euclidean-like norms, structural for the natural operator N on
-a complexification (an isometry by construction), and sampled otherwise.
+alpha*I + beta*A with alpha^2 + beta^2 = 1 an isometry.  A construction that
+proves its result is an i-operator (the natural operator N on a
+complexification, signed pairings on l2, A (+) -A on a square) attaches the
+certificate of that proof, BY_CONSTRUCTION or the one it inherits, and runs no
+check.  `certify` measures candidates: exactly (algebraically) for
+Euclidean-like norms, structurally for N on a complexification, and by
+sampling otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -17,16 +21,16 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, StructureValidationError
 from .spaces import (ComplexificationOfBase, Lp, NormedSpace, WeightedLp,
                      _sinusoid_pieces, direct_sum, euclidean_gram, lp_space,
-                     norm, norm_batch, space_equal, space_from_dict,
-                     space_to_dict)
+                     norm, norm_batch, space_equal)
 
 DEFAULT_SAMPLE_VECTORS = 512
 DEFAULT_SAMPLE_ANGLES = 64
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Certificate:
-    """Validation evidence for a candidate i-operator."""
+    """Validation evidence for a candidate i-operator; frozen, so one instance
+    can be shared by every structure it certifies."""
 
     algebraic_residual: float
     isometry_residual: float
@@ -35,6 +39,11 @@ class Certificate:
     # worst witness for the isometry residual: (x, alpha, beta); None when the
     # check was algebraic
     witness: Optional[tuple] = None
+
+
+# the certificate of a construction whose result is an i-operator by proof,
+# with A^2 = -I bitwise and every rotation an exact isometry
+BY_CONSTRUCTION = Certificate(0.0, 0.0, 0, True, None)
 
 
 @dataclass(eq=False)
@@ -160,10 +169,8 @@ def conjugate_structure(s: ComplexStructure) -> ComplexStructure:
     wit = cert.witness
     if wit is not None:
         # alpha x + beta (-A) x = alpha x + (-beta) A x
-        wit = (wit[0], wit[1], -wit[2])
-    new_cert = Certificate(cert.algebraic_residual, cert.isometry_residual,
-                           cert.samples_used, cert.exact, wit)
-    return ComplexStructure(s.space, -s.A, new_cert)
+        cert = replace(cert, witness=(wit[0], wit[1], -wit[2]))
+    return ComplexStructure(s.space, -s.A, cert)
 
 
 def natural_i_operator_matrix(n: int) -> np.ndarray:
@@ -175,10 +182,16 @@ def natural_i_operator_matrix(n: int) -> np.ndarray:
 
 
 def natural_i_operator(base: NormedSpace) -> ComplexStructure:
-    """The doubled space with the averaged norm and (x1, x2) -> (-x2, x1),
-    certified exactly by the argument in certify."""
+    """The doubled space with the averaged norm and (x1, x2) -> (-x2, x1).
+
+    N is an i-operator by the argument in certify, so it carries
+    BY_CONSTRUCTION: N^2 = -I holds bitwise, and on a Euclidean-like base
+    (Gram diag(G, G) / 2) every entry of N'GN - G and GN + N'G is a difference
+    of two copies of one entry of G, so both are exactly 0 too.
+    """
     space = direct_sum(base, base, "complexification")
-    return validate_i_operator(space, natural_i_operator_matrix(base.dim))
+    return ComplexStructure(space, natural_i_operator_matrix(base.dim),
+                            BY_CONSTRUCTION)
 
 
 def complex_scalar_action(s: ComplexStructure, alpha: float, beta: float, x) -> np.ndarray:
@@ -249,7 +262,8 @@ def search_i_operator(space: NormedSpace, *,
         # G differs from it by Cholesky's backward error, measured here in
         # the same whitened coordinates
         whitened_gram = np.linalg.solve(L, np.linalg.solve(L, gram).T)
-        c.isometry_residual += float(np.max(np.abs(whitened_gram - np.eye(n))))
+        c = replace(c, isometry_residual=c.isometry_residual + float(
+            np.max(np.abs(whitened_gram - np.eye(n)))))
         try:
             s = _accept(space, A, c, tol)
         except StructureValidationError as exc:
@@ -278,31 +292,3 @@ def witness_to_dict(witness) -> Optional[dict]:
         return None
     x, alpha, beta = witness
     return {"x": np.asarray(x).tolist(), "alpha": alpha, "beta": beta}
-
-
-def structure_to_dict(s: ComplexStructure) -> dict:
-    c = s.certificate
-    return {"space": space_to_dict(s.space), "A": s.A.tolist(),
-            "certificate": {"algebraic_residual": c.algebraic_residual,
-                            "isometry_residual": c.isometry_residual,
-                            "samples_used": c.samples_used,
-                            "exact": c.exact,
-                            "witness": witness_to_dict(c.witness)}}
-
-
-def structure_from_dict(obj: dict, *, tol: Tolerances = DEFAULT_TOL,
-                        revalidate: bool = True, seed: int = 0,
-                        samples: int = DEFAULT_SAMPLE_VECTORS,
-                        angles: int = DEFAULT_SAMPLE_ANGLES) -> ComplexStructure:
-    space = space_from_dict(obj["space"])
-    A = np.asarray(obj["A"], dtype=float)
-    if revalidate:
-        return validate_i_operator(space, A, tol=tol, seed=seed,
-                                   samples=samples, angles=angles)
-    c = obj["certificate"]
-    wit = c.get("witness")
-    if wit is not None:
-        wit = (np.asarray(wit["x"], dtype=float), wit["alpha"], wit["beta"])
-    return ComplexStructure(space, A, Certificate(
-        c["algebraic_residual"], c["isometry_residual"], c["samples_used"],
-        c["exact"], wit))

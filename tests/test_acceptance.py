@@ -133,7 +133,7 @@ def test_criterion_5_square_space_isomorphisms():
     for _ in range(50):
         dim = int(rng.choice([2, 4, 6, 8]))
         s = random_exact_structure(dim, rng)
-        rep = verify_squares_isomorphism(s, samples=64, angles=16)
+        rep = verify_squares_isomorphism(s)
         ok &= rep.ok and rep.residuals["respect"] == 0.0
         worst_inv = max(worst_inv, rep.residuals["inverse_composition"])
     ok &= worst_inv <= 1e-12

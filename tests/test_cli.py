@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -147,6 +148,37 @@ def test_paper_suite_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _exact_algebra_scenario(seed):
+    """The benchmark's exact-algebra scenario, loaded from its file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "scenarios.py")
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.exact_algebra(seed)
+
+
+@pytest.mark.parametrize("suite", ["paper-all", "exact-algebra"])
+def test_constructions_are_not_recertified(scenario_path, monkeypatch, suite):
+    # structures exact by construction carry their certificate; certify runs
+    # only on candidates (1,158 and 6,726 calls per pass when it re-checked
+    # every construction)
+    calls = []
+    certify = istruct.structures.certify
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(istruct.structures, "certify", counted)
+    monkeypatch.setattr(cli, "certify", counted)
+    scenario = (load_scenario(scenario_path) if suite == "paper-all"
+                else _exact_algebra_scenario(7))
+    report = run_suite(scenario, suite)
+    assert all(c["outcome"] == "verified" for c in report["claims"])
+    assert 0 < len(calls) < 100
 
 
 def _nan_in_hex_functionals(scenario):

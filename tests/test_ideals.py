@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from istruct.corpus import random_exact_structure, random_respecting_operator
-from istruct.errors import DescriptorError
+from istruct.errors import DescriptorError, StructureValidationError
 from istruct.ideals import (AllOperators, IdealOracle, MatrixPredicate,
                             NoOperators, NormThreshold, RankThreshold,
                             RealOperator, PREDICATES, audit_self_conjugacy,
                             complexify_ideal, conjugate_ideal, decide_complex,
                             decide_real, ideal_norm, oracle_from_dict,
                             oracle_to_dict, realify_ideal)
-from istruct.spaces import lp_space
+from istruct.spaces import direct_sum, lp_space
+from istruct.structures import natural_i_operator_matrix, validate_i_operator
 
 L2_2 = lp_space(2, 2.0)
 
@@ -164,6 +165,19 @@ def test_audit_flags_structure_sensitive_oracle():
     rep = audit_self_conjugacy(oracle, corpus)
     assert rep.status == "violated"
     assert rep.witness["conjugation"]
+
+
+def test_audit_off_euclidean_is_a_typed_error():
+    # A (+) -A on the averaged square of l2^2 (+)_1 l2^2 misses isometry
+    plane = lp_space(2, 2.0)
+    s = validate_i_operator(direct_sum(plane, plane, "sum"),
+                            np.kron(np.eye(2), natural_i_operator_matrix(1)))
+    rng = np.random.default_rng(9)
+    corpus = [random_respecting_operator(s, s, rng)]
+    oracle = IdealOracle("complex", AllOperators())
+    with pytest.raises(StructureValidationError) as exc_info:
+        audit_self_conjugacy(oracle, corpus)
+    assert exc_info.value.certificate.isometry_residual > 1e-2
 
 
 # ---------------------------------------------------------------------------

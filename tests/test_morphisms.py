@@ -12,9 +12,9 @@ from istruct.morphisms import (block_diag2, complexify_operator, compose,
                                conjugate_operator, identity_operator,
                                injection_first, injection_second,
                                is_isomorphism, make_respecting,
-                               matrix_norm_between, operator_norm_estimate,
+                               matrix_norm_between, respect_residual,
                                surjection_first, surjection_second)
-from istruct.spaces import lp_space
+from istruct.spaces import NormedSpace, Polyhedral, lp_space
 from istruct.structures import validate_i_operator
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -126,6 +126,19 @@ def test_complexify_operator_preserves_norm():
     assert doubled == pytest.approx(base_norm, rel=1e-12)
 
 
+@pytest.mark.parametrize("baseX, baseY", [
+    (lp_space(2, 2.0), lp_space(3, 2.0)),
+    (lp_space(2, 1.0), lp_space(2, 3.0)),
+    (NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
+     lp_space(3, np.inf)),
+], ids=["l2-l2", "l1-l3", "hex-linf"])
+def test_complexify_operator_respects_by_construction(baseX, baseY):
+    T = np.random.default_rng(3).standard_normal((baseY.dim, baseX.dim))
+    op = complexify_operator(T, baseX, baseY)
+    assert op.respect_residual == 0.0
+    assert respect_residual(block_diag2(T), op.domain.A, op.codomain.A) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Norm estimation
 # ---------------------------------------------------------------------------
@@ -145,6 +158,9 @@ def test_matrix_norm_l1_attained_on_basis_vectors():
     assert value == pytest.approx(5.0)
 
 
-def test_operator_norm_estimate_identity():
+def test_matrix_norm_between_identity():
     s = euclid_structure(4, 8)
-    assert operator_norm_estimate(identity_operator(s)) == pytest.approx(1.0)
+    op = identity_operator(s)
+    value, exact = matrix_norm_between(op.matrix, op.domain.space,
+                                       op.codomain.space)
+    assert exact and value == pytest.approx(1.0)

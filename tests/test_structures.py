@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,13 @@ from istruct.config import DEFAULT_TOL
 from istruct.errors import (DimensionMismatchError, StructureValidationError)
 from istruct.spaces import (NormedSpace, Polyhedral, SubspaceNorm, WeightedLp,
                             direct_sum, euclidean_space, lp_space, norm)
-from istruct.structures import (FOUND, NONE_FINITE_GROUP, ODD_DIMENSION,
-                                UNDECIDED, _sampled_isometry_residual,
+from istruct.structures import (BY_CONSTRUCTION, FOUND, NONE_FINITE_GROUP,
+                                ODD_DIMENSION, UNDECIDED,
+                                _sampled_isometry_residual,
                                 certify, complex_scalar_action,
                                 conjugate_structure, natural_i_operator,
                                 natural_i_operator_matrix, reevaluate_witness,
-                                search_i_operator, structure_from_dict,
-                                structure_to_dict, validate_i_operator)
+                                search_i_operator, validate_i_operator)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -176,6 +177,46 @@ def test_random_exact_structure_certificate():
 
 
 # ---------------------------------------------------------------------------
+# Certificates carried by constructions, against certify
+# ---------------------------------------------------------------------------
+
+def _same_certificate(a, b):
+    assert a.algebraic_residual == b.algebraic_residual
+    assert a.isometry_residual == b.isometry_residual
+    assert a.samples_used == b.samples_used
+    assert a.exact == b.exact
+    assert a.witness is None and b.witness is None
+
+
+def test_certificate_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BY_CONSTRUCTION.isometry_residual = 1.0
+
+
+@pytest.mark.parametrize("base", [
+    lp_space(2, 1.0),
+    lp_space(2, 3.0),
+    HEX,
+    lp_space(2, 2.0),
+    euclidean_space(3, _random_gram(3, 11)),
+    _cplx(lp_space(2, 1.0)),
+], ids=["l1", "l3", "hex", "l2", "quad-3", "cplx-l1"])
+def test_natural_i_operator_proof_matches_certify(base):
+    s = natural_i_operator(base)
+    assert s.certificate is BY_CONSTRUCTION
+    _same_certificate(certify(s.space, s.A), s.certificate)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_random_exact_structure_proof_matches_certify(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        s = random_exact_structure(dim, rng)
+        assert s.certificate is BY_CONSTRUCTION
+        _same_certificate(certify(s.space, s.A), s.certificate)
+
+
+# ---------------------------------------------------------------------------
 # Existence decision
 # ---------------------------------------------------------------------------
 
@@ -305,15 +346,3 @@ def test_search_undecided_when_gram_too_ill_conditioned():
     assert result.best_candidate is not None
     assert result.best_residual > DEFAULT_TOL.tol_alg
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def test_structure_serialization_roundtrip():
-    s = natural_i_operator(lp_space(2, 1.0))
-    obj = structure_to_dict(s)
-    revalidated = structure_from_dict(obj, samples=64, angles=16)
-    assert np.array_equal(revalidated.A, s.A)
-    raw = structure_from_dict(obj, revalidate=False)
-    assert raw.certificate.samples_used == s.certificate.samples_used

@@ -4,11 +4,13 @@ import pytest
 from istruct.corpus import (random_complexification_isomorphism,
                             random_exact_structure,
                             random_respecting_operator)
-from istruct.errors import WitnessError
+from istruct.errors import StructureValidationError, WitnessError
 from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold,
                             RealOperator)
-from istruct.spaces import ComplexificationOfBase, lp_space, space_equal
-from istruct.structures import validate_i_operator
+from istruct.spaces import (ComplexificationOfBase, direct_sum, lp_space,
+                            space_equal)
+from istruct.structures import (certify, natural_i_operator_matrix,
+                                reevaluate_witness, validate_i_operator)
 from istruct.theory import (build_complexification_witness,
                             conjugation_matrix, extract_conjugation,
                             split_structure, squares_isomorphism,
@@ -94,11 +96,52 @@ def test_split_structure_complexification_mode():
     assert space_equal(sp.space.norm_desc.base, s.space)
 
 
+def _sum_of_planes():
+    """[l2^2 (+)_1 l2^2, J (+) J]: an i-operator whose space is not
+    Euclidean-like, certified by sampling."""
+    plane = lp_space(2, 2.0)
+    JJ = np.kron(np.eye(2), natural_i_operator_matrix(1))
+    return validate_i_operator(direct_sum(plane, plane, "sum"), JJ)
+
+
+# a sampled residual also sees the rounding of the norms it compares, a few
+# units in the last place, which a residual proved 0 does not contain
+ROUNDING = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("make, mode", [
+    (lambda: random_exact_structure(4, np.random.default_rng(6)), "sum"),
+    (lambda: random_exact_structure(4, np.random.default_rng(6)), "complexification"),
+    (_sum_of_planes, "sum"),
+], ids=["l2-sum", "l2-complexification", "planes-sum"])
+def test_split_structure_inherits_a_certificate_certify_confirms(make, mode):
+    s = make()
+    sp = split_structure(s, mode=mode)
+    inherited = sp.certificate
+    assert inherited.algebraic_residual == s.certificate.algebraic_residual
+    assert inherited.isometry_residual == s.certificate.isometry_residual
+    c = certify(sp.space, sp.A)
+    assert c.algebraic_residual <= inherited.algebraic_residual
+    slack = 0.0 if c.exact else ROUNDING
+    assert c.isometry_residual <= inherited.isometry_residual + slack
+    if inherited.witness is not None:
+        x, _, _ = inherited.witness
+        assert np.array_equal(x[len(x) // 2:], np.zeros(len(x) // 2))
+        redo = reevaluate_witness(sp.space, sp.A, inherited.witness)
+        assert redo == pytest.approx(inherited.isometry_residual, abs=1e-15)
+
+
+def test_averaged_square_off_euclidean_is_a_typed_error():
+    with pytest.raises(StructureValidationError) as exc_info:
+        split_structure(_sum_of_planes(), mode="complexification")
+    assert exc_info.value.certificate.isometry_residual > 1e-2
+
+
 def test_squares_isomorphism_exact():
     rng = np.random.default_rng(4)
     for dim in (2, 4, 6):
         s = random_exact_structure(dim, rng)
-        rep = verify_squares_isomorphism(s, samples=64, angles=16)
+        rep = verify_squares_isomorphism(s)
         assert rep.ok
         assert rep.residuals["respect"] == 0.0
         assert rep.residuals["inverse_composition"] <= 1e-12
@@ -106,7 +149,7 @@ def test_squares_isomorphism_exact():
 
 def test_squares_isomorphism_is_invertible():
     s = random_exact_structure(4, np.random.default_rng(5))
-    op = squares_isomorphism(s, samples=64, angles=16)
+    op = squares_isomorphism(s)
     assert np.linalg.matrix_rank(op.matrix) == 8
 
 
