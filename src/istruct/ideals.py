@@ -1,6 +1,12 @@
 """Membership oracles for operator classes, desk-scale ideal norms, and the
 real <-> complex transforms (doubling, forgetting, conjugating).
 
+`decide_real(oracle, corpus)` and `decide_complex(oracle, corpus)` decide a
+whole corpus in one call.  They group the operators by (domain, codomain),
+build what depends only on the two spaces once per group (the Gram factors,
+the complexified spaces and their natural i-operators), and run the norm and
+rank kernels on each group's stacked matrices.
+
 Threshold-style oracles are decision instruments for exercising the
 transforms; they are not operator ideals in the closed-under-addition sense,
 and every report produced here says so.
@@ -9,16 +15,18 @@ and every report produced here says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DescriptorError, DimensionMismatchError
-from .morphisms import (RespectingOperator, _whitened, block_diag2,
-                        complexify_operator, make_respecting)
+from .morphisms import (RespectingOperator, _checked_respect,
+                        _singular_values, block_diag2)
 from .report import VERIFIED, VIOLATED, VerificationReport
-from .spaces import NormedSpace
+from .spaces import NormedSpace, direct_sum, space_key
+from .structures import natural_i_operator
+from .theory import _split_matrix, _split_on
 
 THRESHOLD_ATOL = 1e-9  # norm thresholds accept up to bound + THRESHOLD_ATOL
 
@@ -53,17 +61,24 @@ def ideal_norm(functional: str, T, dom: NormedSpace, cod: NormedSpace) -> IdealN
     if T.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
             f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
-    M = _whitened(T, dom, cod)
-    if M is None:
+    return IdealNormValue(functional, float(ideal_norms(functional, T, dom, cod)),
+                          True)
+
+
+def ideal_norms(functional: str, Ts: np.ndarray, dom: NormedSpace,
+                cod: NormedSpace) -> np.ndarray:
+    """The ideal norm of each matrix of a stack Ts (..., cod.dim, dom.dim), from
+    one stacked SVD; each value is bitwise that of ideal_norm."""
+    sv = _singular_values(Ts, dom, cod)
+    if sv is None:
         raise DescriptorError(
             "ideal norms require Euclidean-like norms on both spaces")
-    sv = np.linalg.svd(M, compute_uv=False)
     if functional == OPERATOR_NORM:
-        return IdealNormValue(functional, float(sv[0]) if sv.size else 0.0, True)
+        return sv[..., 0]
     if functional == HILBERT_SCHMIDT:
-        return IdealNormValue(functional, float(np.sqrt(np.sum(sv * sv))), True)
+        return np.sqrt(np.sum(sv * sv, axis=-1))
     if functional == TRACE_NORM:
-        return IdealNormValue(functional, float(np.sum(sv)), True)
+        return np.sum(sv, axis=-1)
     raise DescriptorError(f"unknown ideal-norm functional {functional!r}")
 
 
@@ -134,60 +149,97 @@ class IdealOracle:
             raise DescriptorError(f"oracle kind must be real or complex, got {self.kind!r}")
 
 
-def rank_of(T: np.ndarray) -> int:
-    return int(np.linalg.matrix_rank(T))
+def decide_real(oracle: IdealOracle, corpus: Sequence[RealOperator]) -> np.ndarray:
+    """Membership of each RealOperator of the corpus, as a bool array in
+    corpus order (empty for an empty corpus).  The operators are grouped by
+    (domain, codomain), and each group is decided on its stacked matrices."""
+    _descriptor(oracle, "real")
+    out = np.zeros(len(corpus), dtype=bool)
+    for idx, dom, cod, Ts in _groups([(op.domain, op.codomain) for op in corpus],
+                                     [op.matrix for op in corpus]):
+        out[idx] = _decide(oracle, Ts, None, None, dom, cod)
+    return out
 
 
-def decide_real(oracle: IdealOracle, item: RealOperator) -> bool:
-    if oracle.kind != "real":
-        raise DescriptorError("expected a real-kind oracle")
-    d = oracle.descriptor
-    if isinstance(d, AllOperators):
-        return True
-    if isinstance(d, NoOperators):
-        return False
+def decide_complex(oracle: IdealOracle,
+                   corpus: Sequence[RespectingOperator]) -> np.ndarray:
+    """Membership of each [T, A, B] of the corpus, as a bool array in corpus
+    order (empty for an empty corpus).  The operators are grouped by (domain,
+    codomain) space, and each group is decided on its stacked T, A and B."""
+    _descriptor(oracle, "complex")
+    out = np.zeros(len(corpus), dtype=bool)
+    for idx, dom, cod, Ts, As, Bs in _complex_groups(corpus):
+        out[idx] = _decide(oracle, Ts, As, Bs, dom, cod)
+    return out
+
+
+def _groups(pairs: list, matrices: list):
+    """(indices, dom, cod, Ts) for each group of the (domain, codomain) pairs
+    under space equality, in order of first appearance; Ts stacks the group's
+    matrices as floats (k, cod.dim, dom.dim)."""
+    keys: dict = {}  # id -> key, computed once for a space shared by pairs
+    groups: dict = {}
+    for i, (dom, cod) in enumerate(pairs):
+        for space in (dom, cod):
+            if id(space) not in keys:
+                keys[id(space)] = space_key(space)
+        groups.setdefault((keys[id(dom)], keys[id(cod)]), (dom, cod, []))[2].append(i)
+    for dom, cod, idx in groups.values():
+        Ts = [np.asarray(matrices[i], dtype=float) for i in idx]
+        for T in Ts:
+            if T.shape != (cod.dim, dom.dim):
+                raise DimensionMismatchError(
+                    f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
+        yield idx, dom, cod, np.stack(Ts)
+
+
+def _complex_groups(corpus: Sequence[RespectingOperator]):
+    """_groups of a corpus of [T, A, B], with each group's structure matrices
+    stacked as well: (indices, dom, cod, Ts, As, Bs)."""
+    for idx, dom, cod, Ts in _groups(
+            [(op.domain.space, op.codomain.space) for op in corpus],
+            [op.matrix for op in corpus]):
+        yield (idx, dom, cod, Ts, np.stack([corpus[i].domain.A for i in idx]),
+               np.stack([corpus[i].codomain.A for i in idx]))
+
+
+def _descriptor(oracle: IdealOracle, kind: str) -> Descriptor:
+    if oracle.kind != kind:
+        raise DescriptorError(f"expected a {kind}-kind oracle")
+    return oracle.descriptor
+
+
+def _decide(oracle: IdealOracle, Ts: np.ndarray, As: Optional[np.ndarray],
+            Bs: Optional[np.ndarray], dom: NormedSpace,
+            cod: NormedSpace) -> np.ndarray:
+    """Membership of the k operators Ts (k, m, n) from dom to cod.  A
+    real-kind oracle gets As = Bs = None; a complex-kind one the stacks of
+    the operators' domain and codomain structure matrices."""
+    kind = "real" if As is None else "complex"
+    d = _descriptor(oracle, kind)
+    if isinstance(d, (AllOperators, NoOperators)):
+        return np.full(len(Ts), isinstance(d, AllOperators))
     if isinstance(d, NormThreshold):
-        v = ideal_norm(d.functional, item.matrix, item.domain, item.codomain)
-        return v.value <= d.bound + THRESHOLD_ATOL
+        return ideal_norms(d.functional, Ts, dom, cod) <= d.bound + THRESHOLD_ATOL
     if isinstance(d, RankThreshold):
-        return rank_of(item.matrix) <= d.r
+        return np.linalg.matrix_rank(Ts) <= d.r
     if isinstance(d, MatrixPredicate):
-        return bool(d.fn(item.matrix, item.domain, item.codomain))
-    if isinstance(d, RealFormOf):
-        return _decide_real_form(d, item)
+        if As is None:
+            return np.array([bool(d.fn(T, dom, cod)) for T in Ts], dtype=bool)
+        return np.array([bool(d.fn(T, A, B, dom, cod))
+                         for T, A, B in zip(Ts, As, Bs)], dtype=bool)
+    if kind == "real" and isinstance(d, RealFormOf):
+        # [T (+) T, N_X, N_Y] between the complexifications
+        nx, ny = natural_i_operator(dom), natural_i_operator(cod)
+        k = len(Ts)
+        return _decide(d.base, block_diag2(Ts), np.broadcast_to(nx.A, (k, *nx.A.shape)),
+                       np.broadcast_to(ny.A, (k, *ny.A.shape)), nx.space, ny.space)
+    if kind == "complex" and isinstance(d, ComplexifiedReal):
+        return _decide(d.base, Ts, None, None, dom, cod)
+    if kind == "complex" and isinstance(d, ConjugateOf):
+        return _decide(d.base, Ts, -As, -Bs, dom, cod)
     raise DescriptorError(
-        f"descriptor {type(d).__name__} is not valid for a real oracle")
-
-
-def decide_complex(oracle: IdealOracle, op: RespectingOperator) -> bool:
-    if oracle.kind != "complex":
-        raise DescriptorError("expected a complex-kind oracle")
-    d = oracle.descriptor
-    if isinstance(d, AllOperators):
-        return True
-    if isinstance(d, NoOperators):
-        return False
-    if isinstance(d, NormThreshold):
-        v = ideal_norm(d.functional, op.matrix, op.domain.space, op.codomain.space)
-        return v.value <= d.bound + THRESHOLD_ATOL
-    if isinstance(d, RankThreshold):
-        return rank_of(op.matrix) <= d.r
-    if isinstance(d, MatrixPredicate):
-        return bool(d.fn(op.matrix, op.domain.A, op.codomain.A,
-                         op.domain.space, op.codomain.space))
-    if isinstance(d, ComplexifiedReal):
-        return decide_real(d.base, RealOperator(op.matrix, op.domain.space,
-                                                op.codomain.space))
-    if isinstance(d, ConjugateOf):
-        from .morphisms import conjugate_operator
-        return decide_complex(d.base, conjugate_operator(op))
-    raise DescriptorError(
-        f"descriptor {type(d).__name__} is not valid for a complex oracle")
-
-
-def _decide_real_form(d: RealFormOf, item: RealOperator) -> bool:
-    return decide_complex(d.base, complexify_operator(
-        item.matrix, item.domain, item.codomain))
+        f"descriptor {type(d).__name__} is not valid for a {kind} oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +272,27 @@ def conjugate_ideal(complex_oracle: IdealOracle) -> IdealOracle:
 # Self-conjugacy audit
 # ---------------------------------------------------------------------------
 
-def _square_operator(op: RespectingOperator, *,
-                     tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
-    """[T (+) T, A (+) -A, B (+) -B] on the averaged-norm doubled spaces."""
-    from .theory import split_structure
-    dom = split_structure(op.domain, tol=tol, mode="complexification")
-    cod = split_structure(op.codomain, tol=tol, mode="complexification")
-    return make_respecting(dom, cod, block_diag2(op.matrix), tol=tol)
+def _squares(corpus: Sequence[RespectingOperator], *,
+             tol: Tolerances) -> list:
+    """[T (+) T, A (+) -A, B (+) -B] on the averaged-norm doubled spaces, for
+    each operator of the corpus in its order; the doubled spaces are built
+    once per (domain, codomain) group."""
+    out = [None] * len(corpus)
+    failures = []  # (corpus index, T A - B T) of squares that miss tol_alg
+    for idx, dom, cod, Ts, As, Bs in _complex_groups(corpus):
+        TT, A2s, B2s = block_diag2(Ts), _split_matrix(As), _split_matrix(Bs)
+        doms = _split_on(direct_sum(dom, dom, "complexification"),
+                         [corpus[i].domain for i in idx], A2s, tol=tol)
+        cods = _split_on(direct_sum(cod, cod, "complexification"),
+                         [corpus[i].codomain for i in idx], B2s, tol=tol)
+        R = TT @ A2s - B2s @ TT
+        res = np.max(np.abs(R), axis=(1, 2))
+        for j, i in enumerate(idx):
+            out[i] = RespectingOperator(doms[j], cods[j], TT[j], float(res[j]))
+        failures += [(idx[j], R[j]) for j in np.flatnonzero(res > tol.tol_alg)]
+    if failures:  # raise for the first failing square in corpus order
+        _checked_respect(min(failures, key=lambda f: f[0])[1], tol)
+    return out
 
 
 def audit_self_conjugacy(oracle: IdealOracle,
@@ -239,21 +305,16 @@ def audit_self_conjugacy(oracle: IdealOracle,
     the membership of [T, A, B] in both directions.  The doubled spaces carry
     the averaged norm, on which A (+) -A is an i-operator only for
     Euclidean-like spaces (see theory.split_structure); elsewhere the audit
-    raises StructureValidationError.
+    raises StructureValidationError.  The direct, the conjugate and the square
+    corpus are each decided in one call.
     """
-    from .morphisms import conjugate_operator
     conj = conjugate_ideal(oracle)
-    conj_mismatch, square_fwd, square_bwd = [], [], []
-    for idx, op in enumerate(corpus):
-        direct = decide_complex(oracle, op)
-        if decide_complex(conj, op) != direct:
-            conj_mismatch.append({"index": idx})
-        sq = _square_operator(op, tol=tol)
-        sq_decision = decide_complex(oracle, sq)
-        if direct and not sq_decision:
-            square_fwd.append({"index": idx})
-        if sq_decision and not direct:
-            square_bwd.append({"index": idx})
+    direct = decide_complex(oracle, corpus)
+    conjugated = decide_complex(conj, corpus)
+    square = decide_complex(oracle, _squares(corpus, tol=tol))
+    conj_mismatch = [{"index": int(i)} for i in np.flatnonzero(conjugated != direct)]
+    square_fwd = [{"index": int(i)} for i in np.flatnonzero(direct & ~square)]
+    square_bwd = [{"index": int(i)} for i in np.flatnonzero(square & ~direct)]
     bad = conj_mismatch or square_fwd or square_bwd
     return VerificationReport(
         claim="self-conjugacy-audit",

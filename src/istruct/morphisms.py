@@ -52,11 +52,12 @@ def surjection_second(n: int) -> np.ndarray:
 
 
 def block_diag2(T: np.ndarray) -> np.ndarray:
-    """T (+) T: (x1, x2) -> (T x1, T x2)."""
-    m, n = T.shape
-    out = np.zeros((2 * m, 2 * n))
-    out[:m, :n] = T
-    out[m:, n:] = T
+    """T (+) T: (x1, x2) -> (T x1, T x2); of each matrix of a stack
+    (..., m, n)."""
+    *lead, m, n = T.shape
+    out = np.zeros((*lead, 2 * m, 2 * n))
+    out[..., :m, :n] = T
+    out[..., m:, n:] = T
     return out
 
 
@@ -75,14 +76,20 @@ def make_respecting(domain: ComplexStructure, codomain: ComplexStructure, T,
     if T.shape != (codomain.space.dim, domain.space.dim):
         raise DimensionMismatchError(
             f"T must be {codomain.space.dim} x {domain.space.dim}, got {T.shape}")
-    R = T @ domain.A - codomain.A @ T
+    res = _checked_respect(T @ domain.A - codomain.A @ T, tol)
+    return RespectingOperator(domain, codomain, T, res)
+
+
+def _checked_respect(R: np.ndarray, tol: Tolerances) -> float:
+    """max |R| for R = T A - B T; rejected with the max-entry witness above
+    tol.tol_alg."""
     res = float(np.max(np.abs(R)))
     if res > tol.tol_alg:
         i, j = np.unravel_index(np.argmax(np.abs(R)), R.shape)
         raise RespectViolationError(
             f"T A - B T has entry {R[i, j]:.3e} at ({i}, {j}), above "
             f"{tol.tol_alg:.1e}", residual=res, witness=(int(i), int(j)))
-    return RespectingOperator(domain, codomain, T, res)
+    return res
 
 
 def complexify_operator(T, baseX: NormedSpace,
@@ -157,14 +164,24 @@ def is_isomorphism(op: RespectingOperator, *,
 def _whitened(T: np.ndarray, dom: NormedSpace,
               cod: NormedSpace) -> Optional[np.ndarray]:
     """L_cod' T L_dom^-T for the Cholesky factors G = L L' of the two Grams:
-    T in coordinates where both norms are l2.  None unless both spaces are
-    Euclidean-like."""
+    T (or each matrix of a stack (..., m, n)) in coordinates where both norms
+    are l2.  None unless both spaces are Euclidean-like."""
     g_dom, g_cod = euclidean_gram(dom), euclidean_gram(cod)
     if g_dom is None or g_cod is None:
         return None
     l_dom = np.linalg.cholesky(g_dom)
     l_cod = np.linalg.cholesky(g_cod)
     return l_cod.T @ T @ np.linalg.inv(l_dom.T)
+
+
+def _singular_values(T: np.ndarray, dom: NormedSpace,
+                     cod: NormedSpace) -> Optional[np.ndarray]:
+    """Singular values of T : dom -> cod in the spaces' norms, largest first,
+    or those of each matrix of a stack (..., m, n): one Cholesky per Gram and
+    one stacked SVD.  Each matrix's values are bitwise those of its own SVD.
+    None unless both spaces are Euclidean-like."""
+    M = _whitened(T, dom, cod)
+    return None if M is None else np.linalg.svd(M, compute_uv=False)
 
 
 def matrix_norm_between(T: np.ndarray, dom: NormedSpace, cod: NormedSpace, *,
@@ -179,9 +196,8 @@ def matrix_norm_between(T: np.ndarray, dom: NormedSpace, cod: NormedSpace, *,
     if T.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
             f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
-    M = _whitened(T, dom, cod)
-    if M is not None:
-        sv = np.linalg.svd(M, compute_uv=False)
+    sv = _singular_values(T, dom, cod)
+    if sv is not None:
         return float(sv[0]) if sv.size else 0.0, True
 
     rng = np.random.default_rng(seed)

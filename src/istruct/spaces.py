@@ -169,8 +169,27 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 
 
 def space_equal(a: NormedSpace, b: NormedSpace) -> bool:
-    # descriptor data is finite, so the serialized forms compare exactly
-    return space_to_dict(a) == space_to_dict(b)
+    return space_key(a) == space_key(b)
+
+
+def space_key(space: NormedSpace) -> tuple:
+    """A hashable key; two spaces are equal iff their keys are.
+
+    Descriptor data is finite, so the serialized forms compare exactly; the key
+    is the serialized form with every dict and list turned into a tuple (the
+    dicts are built with a fixed key order).  An Lp space, the common case,
+    is keyed by (dim, p) alone."""
+    if type(space.norm_desc) is Lp:
+        return space.dim, space.norm_desc.p
+    return _frozen(space_to_dict(space))
+
+
+def _frozen(obj):
+    if isinstance(obj, dict):
+        return tuple((k, _frozen(v)) for k, v in obj.items())
+    if isinstance(obj, list):
+        return tuple(_frozen(v) for v in obj)
+    return obj
 
 
 # Convenience constructors -------------------------------------------------

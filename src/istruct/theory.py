@@ -16,8 +16,8 @@ from .morphisms import (RANK_RTOL, RespectingOperator, block_diag2,
                         make_respecting, matrix_norm_between,
                         surjection_first, surjection_second)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
-from .spaces import (EuclideanQuadratic, NormedSpace, Polyhedral, SubspaceNorm,
-                     direct_sum, euclidean_gram)
+from .spaces import (ComplexificationOfBase, EuclideanQuadratic, NormedSpace,
+                     Polyhedral, SubspaceNorm, direct_sum, euclidean_gram)
 from .structures import (ComplexStructure, _accept, natural_i_operator,
                          validate_i_operator)
 
@@ -185,16 +185,26 @@ def split_structure(s: ComplexStructure, *, tol: Tolerances = DEFAULT_TOL,
     general not an i-operator (on X = l2^2 (+)_1 l2^2 with J (+) J the isometry
     residual is 7.9e-2), so the averaged square needs Euclidean-like X.
     """
-    space2 = direct_sum(s.space, s.space, mode)
-    A2 = _split_matrix(s.A)
-    if mode == "complexification" and euclidean_gram(s.space) is None:
-        return validate_i_operator(space2, A2, tol=tol)
-    cert = s.certificate
-    if cert.witness is not None:
-        x, alpha, beta = cert.witness
-        cert = replace(cert, witness=(np.concatenate([x, np.zeros_like(x)]),
-                                      alpha, beta))
-    return _accept(space2, A2, cert, tol)
+    return _split_on(direct_sum(s.space, s.space, mode), [s],
+                     _split_matrix(s.A[None]), tol=tol)[0]
+
+
+def _split_on(space2: NormedSpace, structures: Sequence[ComplexStructure],
+              A2s: np.ndarray, *, tol: Tolerances) -> list:
+    """split_structure of each structure, all on the space X that space2
+    doubles (either norm), with A2s the stack of their A (+) -A."""
+    if (isinstance(space2.norm_desc, ComplexificationOfBase)
+            and euclidean_gram(space2.norm_desc.base) is None):
+        return [validate_i_operator(space2, A2, tol=tol) for A2 in A2s]
+    out = []
+    for s, A2 in zip(structures, A2s):
+        cert = s.certificate
+        if cert.witness is not None:
+            x, alpha, beta = cert.witness
+            cert = replace(cert, witness=(np.concatenate([x, np.zeros_like(x)]),
+                                          alpha, beta))
+        out.append(_accept(space2, A2, cert, tol))
+    return out
 
 
 def squares_isomorphism(s: ComplexStructure, *,
@@ -245,10 +255,11 @@ def verify_real_cartesian_identities(T) -> VerificationReport:
 
 
 def _split_matrix(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = A
-    out[n:, n:] = -A
+    """A (+) -A; of each matrix of a stack (..., n, n)."""
+    n = A.shape[-1]
+    out = np.zeros((*A.shape[:-2], 2 * n, 2 * n))
+    out[..., :n, :n] = A
+    out[..., n:, n:] = -A
     return out
 
 
@@ -324,12 +335,11 @@ def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
     """
     from .ideals import complexify_ideal, decide_real, realify_ideal
     unfolded = realify_ideal(complexify_ideal(oracle))
-    mismatches = []
-    for idx, item in enumerate(corpus):
-        direct = decide_real(oracle, item)
-        back = decide_real(unfolded, item)
-        if direct != back:
-            mismatches.append({"index": idx, "direct": direct, "unfolded": back})
+    direct = decide_real(oracle, corpus)
+    back = decide_real(unfolded, corpus)
+    mismatches = [{"index": int(i), "direct": bool(direct[i]),
+                   "unfolded": bool(back[i])}
+                  for i in np.flatnonzero(direct != back)]
     status = VERIFIED if not mismatches else VIOLATED
     return VerificationReport(
         claim="real-ideal-roundtrip", status=status,
@@ -357,16 +367,14 @@ def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
     unfolded = complexify_ideal(realify_ideal(oracle))
     if self_conjugate is None:
         self_conjugate = audit_self_conjugacy(oracle, corpus).ok
-    inclusion_violations = []
-    equality_mismatches = []
-    for idx, op in enumerate(corpus):
-        back = decide_complex(unfolded, op)
-        direct = decide_complex(oracle, op)
-        if back and not direct:
-            inclusion_violations.append({"index": idx})
-        if self_conjugate and back != direct:
-            equality_mismatches.append(
-                {"index": idx, "direct": direct, "unfolded": back})
+    back = decide_complex(unfolded, corpus)
+    direct = decide_complex(oracle, corpus)
+    inclusion_violations = [{"index": int(i)}
+                            for i in np.flatnonzero(back & ~direct)]
+    equality_mismatches = [{"index": int(i), "direct": bool(direct[i]),
+                            "unfolded": bool(back[i])}
+                           for i in np.flatnonzero(back != direct)
+                           ] if self_conjugate else []
     bad = inclusion_violations + equality_mismatches
     status = VERIFIED if not bad else VIOLATED
     return VerificationReport(

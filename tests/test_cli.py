@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import istruct
@@ -179,6 +180,58 @@ def test_constructions_are_not_recertified(scenario_path, monkeypatch, suite):
     report = run_suite(scenario, suite)
     assert all(c["outcome"] == "verified" for c in report["claims"])
     assert 0 < len(calls) < 100
+
+
+def test_exact_algebra_decides_a_corpus_at_a_time(monkeypatch):
+    # the Gram factors of an ideal norm are built once per (domain,
+    # codomain) group of a corpus; one decision per operator made 2,000
+    # whitenings per pass
+    calls = []
+    whitened = istruct.morphisms._whitened
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return whitened(*args, **kwargs)
+
+    # wherever the kernel is reachable: a module may import it by name
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("istruct.")
+                and getattr(module, "_whitened", None) is whitened):
+            monkeypatch.setattr(module, "_whitened", counted)
+    report = run_suite(_exact_algebra_scenario(7), "exact-algebra")
+    assert all(c["outcome"] == "verified" for c in report["claims"])
+    assert 0 < len(calls) < 500
+
+
+# the witness of audit-c-a-sign in the exact-algebra scenario at seed 7, as
+# one decision per operator found it
+_A_SIGN_CONJUGATION = [0, 3, 4, 7, 10, 11, 12, 13, 14, 17, 18, 19, 21, 22, 23,
+                       24, 26, 27, 28, 31, 32, 33, 37, 38, 39, 40, 41, 42, 43,
+                       45, 46, 50, 51, 53, 55, 56]
+_A_SIGN_SQUARE_BACKWARD = [7, 10, 12, 13, 17, 19, 23, 24, 26, 28, 31, 32, 38,
+                           39, 45, 46, 51, 53, 55, 56]
+
+
+def test_audit_witness_lists_the_same_indices():
+    scenario = _exact_algebra_scenario(7)
+    scenario["suites"] = {"audit": ["audit-c-a-sign"]}
+    claim = run_suite(scenario, "audit")["claims"][0]
+    assert claim["report"]["status"] == "violated"
+    witness = claim["report"]["witness"]
+    assert [w["index"] for w in witness["conjugation"]] == _A_SIGN_CONJUGATION
+    assert [w["index"] for w in witness["square_backward"]] == _A_SIGN_SQUARE_BACKWARD
+    assert witness["square_forward"] == []
+
+
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_choice_draws_the_stream_of_rng_choice(length):
+    # the corpus handlers draw dimensions with cli._choice; if numpy changes
+    # rng.choice, this fails instead of the reports changing unnoticed
+    seq = [2 * k + 1 for k in range(length)]
+    a, b = np.random.default_rng(2024), np.random.default_rng(2024)
+    assert [int(a.choice(seq)) for _ in range(1000)] == \
+        [cli._choice(b, seq) for _ in range(1000)]
+    assert a.standard_normal() == b.standard_normal()
 
 
 def _nan_in_hex_functionals(scenario):

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from istruct.corpus import random_exact_structure, random_respecting_operator
-from istruct.errors import DescriptorError, StructureValidationError
-from istruct.ideals import (AllOperators, IdealOracle, MatrixPredicate,
-                            NoOperators, NormThreshold, RankThreshold,
-                            RealOperator, PREDICATES, audit_self_conjugacy,
-                            complexify_ideal, conjugate_ideal, decide_complex,
-                            decide_real, ideal_norm, oracle_from_dict,
+from istruct.corpus import (random_euclidean_space, random_exact_structure,
+                            random_respecting_operator)
+from istruct.errors import (DescriptorError, DimensionMismatchError,
+                            RespectViolationError, StructureValidationError)
+from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
+                            IdealOracle, MatrixPredicate, NoOperators,
+                            NormThreshold, RankThreshold, RealFormOf,
+                            RealOperator, PREDICATES, THRESHOLD_ATOL,
+                            audit_self_conjugacy, complexify_ideal,
+                            conjugate_ideal, decide_complex, decide_real,
+                            ideal_norm, ideal_norms, oracle_from_dict,
                             oracle_to_dict, realify_ideal)
-from istruct.spaces import direct_sum, lp_space
+from istruct.morphisms import (RespectingOperator, complexify_operator,
+                               conjugate_operator, respect_residual)
+from istruct.spaces import EuclideanQuadratic, NormedSpace, direct_sum, lp_space
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
 
 L2_2 = lp_space(2, 2.0)
@@ -62,35 +68,233 @@ def test_ideal_norm_requires_euclidean():
 
 def test_threshold_decisions():
     oracle = IdealOracle("real", NormThreshold("operator_norm", 1.0))
-    assert decide_real(oracle, real_op([[1.0, 0.0], [0.0, 0.5]]))
-    assert not decide_real(oracle, real_op([[2.0, 0.0], [0.0, 0.5]]))
+    assert decide_real(oracle, [real_op([[1.0, 0.0], [0.0, 0.5]])])[0]
+    assert not decide_real(oracle, [real_op([[2.0, 0.0], [0.0, 0.5]])])[0]
 
 
 def test_rank_threshold():
     oracle = IdealOracle("real", RankThreshold(1))
-    assert decide_real(oracle, real_op([[1.0, 2.0], [2.0, 4.0]]))
-    assert not decide_real(oracle, real_op([[1.0, 0.0], [0.0, 1.0]]))
+    assert decide_real(oracle, [real_op([[1.0, 2.0], [2.0, 4.0]])])[0]
+    assert not decide_real(oracle, [real_op([[1.0, 0.0], [0.0, 1.0]])])[0]
 
 
 def test_all_none_and_predicates():
-    assert decide_real(IdealOracle("real", AllOperators()), real_op([[0.0]]))
-    assert not decide_real(IdealOracle("real", NoOperators()), real_op([[1.0]]))
+    assert decide_real(IdealOracle("real", AllOperators()), [real_op([[0.0]])])[0]
+    assert not decide_real(IdealOracle("real", NoOperators()), [real_op([[1.0]])])[0]
     nz = IdealOracle("real", MatrixPredicate("nonzero",
                                              PREDICATES[("nonzero", "real")]))
-    assert decide_real(nz, real_op([[1.0]]))
-    assert not decide_real(nz, real_op([[0.0]]))
+    assert decide_real(nz, [real_op([[1.0]])])[0]
+    assert not decide_real(nz, [real_op([[0.0]])])[0]
 
 
 def test_kind_mismatch_raises():
     oracle = IdealOracle("real", AllOperators())
     with pytest.raises(DescriptorError):
-        decide_complex(oracle, complex_op())
+        decide_complex(oracle, [complex_op()])
     with pytest.raises(DescriptorError):
         conjugate_ideal(oracle)
     with pytest.raises(DescriptorError):
         realify_ideal(oracle)
     with pytest.raises(DescriptorError):
         complexify_ideal(IdealOracle("complex", AllOperators()))
+
+
+# ---------------------------------------------------------------------------
+# Corpus decisions against one decision per operator
+# ---------------------------------------------------------------------------
+
+def reference_real(oracle, item):
+    """The decision on one RealOperator, written out per descriptor."""
+    d = oracle.descriptor
+    if isinstance(d, AllOperators):
+        return True
+    if isinstance(d, NoOperators):
+        return False
+    if isinstance(d, NormThreshold):
+        value = ideal_norm(d.functional, item.matrix, item.domain, item.codomain).value
+        return value <= d.bound + THRESHOLD_ATOL
+    if isinstance(d, RankThreshold):
+        return int(np.linalg.matrix_rank(item.matrix)) <= d.r
+    if isinstance(d, MatrixPredicate):
+        return bool(d.fn(item.matrix, item.domain, item.codomain))
+    assert isinstance(d, RealFormOf)
+    return reference_complex(d.base, complexify_operator(
+        item.matrix, item.domain, item.codomain))
+
+
+def reference_complex(oracle, op):
+    """The decision on one [T, A, B], written out per descriptor."""
+    d = oracle.descriptor
+    if isinstance(d, ComplexifiedReal):
+        return reference_real(d.base, RealOperator(op.matrix, op.domain.space,
+                                                   op.codomain.space))
+    if isinstance(d, ConjugateOf):
+        return reference_complex(d.base, conjugate_operator(op))
+    if isinstance(d, MatrixPredicate):
+        return bool(d.fn(op.matrix, op.domain.A, op.codomain.A,
+                         op.domain.space, op.codomain.space))
+    return reference_real(IdealOracle("real", d),
+                          RealOperator(op.matrix, op.domain.space, op.codomain.space))
+
+
+def mixed_real_corpus(seed, count=80):
+    """Operators between l2 and random Gram spaces of dims 1-4, some spaces
+    shared, some equal but distinct objects; some zero or rank-one."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for dim in range(1, 5):
+        pool += [lp_space(dim, 2.0), random_euclidean_space(dim, rng, True)]
+        # an equal copy of the Gram space, a distinct object
+        pool.append(NormedSpace(dim, EuclideanQuadratic(pool[-1].norm_desc.gram.copy())))
+    corpus = []
+    for k in range(count):
+        dom, cod = pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))]
+        T = rng.standard_normal((cod.dim, dom.dim))
+        if k % 7 == 0:
+            T = np.zeros_like(T)
+        elif k % 5 == 0:
+            T = np.outer(rng.standard_normal(cod.dim), rng.standard_normal(dom.dim))
+        corpus.append(RealOperator(T, dom, cod))
+    return corpus
+
+
+def mixed_complex_corpus(seed, count=60):
+    """[T, A, B] over signed pairings on l2^2 and l2^4, and T (+) T between
+    complexifications of random Gram spaces; some T are zero."""
+    rng = np.random.default_rng(seed)
+    grams = [random_euclidean_space(dim, rng, True) for dim in (1, 2)]
+    corpus = []
+    for k in range(count):
+        if k % 3 == 0:
+            dom, cod = grams[int(rng.integers(2))], grams[int(rng.integers(2))]
+            T = rng.standard_normal((cod.dim, dom.dim))
+            corpus.append(complexify_operator(0.0 * T if k % 9 == 0 else T, dom, cod))
+            continue
+        dom = random_exact_structure(2 * int(rng.integers(1, 3)), rng)
+        cod = random_exact_structure(2 * int(rng.integers(1, 3)), rng)
+        op = random_respecting_operator(dom, cod, rng)
+        if k % 7 == 0:
+            op = RespectingOperator(op.domain, op.codomain, 0.0 * op.matrix, 0.0)
+        corpus.append(op)
+    return corpus
+
+
+def _real_oracles():
+    base = [NormThreshold("operator_norm", 1.5), NormThreshold("hilbert_schmidt", 2.0),
+            NormThreshold("trace_norm", 2.5), RankThreshold(1),
+            MatrixPredicate("nonzero", PREDICATES[("nonzero", "real")]),
+            AllOperators(), NoOperators()]
+    oracles = [IdealOracle("real", d) for d in base]
+    # RealFormOf(ComplexifiedReal(.)), and the real form of a conjugate
+    oracles += [realify_ideal(complexify_ideal(o)) for o in oracles]
+    oracles.append(realify_ideal(conjugate_ideal(IdealOracle(
+        "complex", NormThreshold("operator_norm", 1.5)))))
+    return oracles
+
+
+def _complex_oracles():
+    base = [NormThreshold("operator_norm", 1.5), NormThreshold("hilbert_schmidt", 2.0),
+            NormThreshold("trace_norm", 2.5), RankThreshold(2),
+            MatrixPredicate("nonzero", PREDICATES[("nonzero", "complex")]),
+            MatrixPredicate("a-entry-sign", PREDICATES[("a-entry-sign", "complex")]),
+            AllOperators(), NoOperators()]
+    oracles = [IdealOracle("complex", d) for d in base]
+    # ConjugateOf(.) and ComplexifiedReal(RealFormOf(.))
+    oracles += [conjugate_ideal(o) for o in oracles]
+    oracles += [complexify_ideal(realify_ideal(o)) for o in oracles]
+    oracles.append(complexify_ideal(IdealOracle("real", RankThreshold(1))))
+    return oracles
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_real_corpus_decisions_match_one_at_a_time(seed):
+    corpus = mixed_real_corpus(seed)
+    for oracle in _real_oracles():
+        got = decide_real(oracle, corpus)
+        assert got.dtype == bool and got.shape == (len(corpus),)
+        assert got.tolist() == [reference_real(oracle, item) for item in corpus]
+        assert decide_real(oracle, corpus[:1]).tolist() == [reference_real(oracle, corpus[0])]
+        assert decide_real(oracle, []).shape == (0,)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_complex_corpus_decisions_match_one_at_a_time(seed):
+    corpus = mixed_complex_corpus(seed)
+    for oracle in _complex_oracles():
+        got = decide_complex(oracle, corpus)
+        assert got.dtype == bool and got.shape == (len(corpus),)
+        assert got.tolist() == [reference_complex(oracle, op) for op in corpus]
+        assert decide_complex(oracle, corpus[:1]).tolist() == [reference_complex(oracle, corpus[0])]
+        assert decide_complex(oracle, []).shape == (0,)
+
+
+def test_corpus_decisions_are_not_trivial():
+    # the thresholds above split the corpora, so the comparison has teeth
+    real = mixed_real_corpus(0)
+    cplx = mixed_complex_corpus(0)
+    for oracle in _real_oracles()[:5]:
+        assert 0 < decide_real(oracle, real).sum() < len(real)
+    for oracle in _complex_oracles()[:6]:
+        assert 0 < decide_complex(oracle, cplx).sum() < len(cplx)
+
+
+@pytest.mark.parametrize("functional", ["operator_norm", "hilbert_schmidt", "trace_norm"])
+def test_stacked_ideal_norms_are_bitwise_per_matrix(functional):
+    rng = np.random.default_rng(5)
+    for m, n in [(1, 3), (3, 1), (4, 4), (8, 4), (8, 8)]:
+        dom, cod = random_euclidean_space(n, rng, True), random_euclidean_space(m, rng, True)
+        Ts = rng.standard_normal((20, m, n))
+        stacked = ideal_norms(functional, Ts, dom, cod)
+        assert stacked.tolist() == [ideal_norm(functional, T, dom, cod).value for T in Ts]
+
+
+# ---------------------------------------------------------------------------
+# Typed errors on the corpus path
+# ---------------------------------------------------------------------------
+
+def test_corpus_with_a_complex_oracle_for_real_operators_raises():
+    corpus = mixed_real_corpus(2, count=10)
+    with pytest.raises(DescriptorError, match="real-kind"):
+        decide_real(IdealOracle("complex", AllOperators()), corpus)
+    with pytest.raises(DescriptorError, match="not valid for a real oracle"):
+        decide_real(IdealOracle("real", ConjugateOf(IdealOracle("complex", AllOperators()))),
+                    corpus)
+
+
+@pytest.mark.parametrize("descriptor", [
+    NormThreshold("operator_norm", 1.0), RankThreshold(1), AllOperators(),
+    MatrixPredicate("nonzero", PREDICATES[("nonzero", "real")])])
+def test_corpus_with_a_misshapen_operator_raises(descriptor):
+    good = [real_op(np.eye(2)), real_op([[1.0, 2.0], [3.0, 4.0]])]
+    bad = RealOperator(np.ones((3, 2)), lp_space(2, 2.0), lp_space(2, 2.0))
+    for oracle in (IdealOracle("real", descriptor),
+                   realify_ideal(complexify_ideal(IdealOracle("real", descriptor)))):
+        with pytest.raises(DimensionMismatchError, match="T must be 2 x 2"):
+            decide_real(oracle, good[:1] + [bad] + good[1:])
+
+
+def test_corpus_with_a_norm_threshold_off_euclidean_raises():
+    l1 = lp_space(2, 1.0)
+    corpus = [real_op(np.eye(2)), RealOperator(np.eye(2), l1, l1), real_op([[2.0]])]
+    with pytest.raises(DescriptorError, match="Euclidean-like"):
+        decide_real(IdealOracle("real", NormThreshold("operator_norm", 1.0)), corpus)
+
+
+def test_audit_rejects_the_first_square_that_misses_respect():
+    # two operators that do not respect their structures, in groups (4, 4)
+    # and (2, 2); the (2, 2) group is built first, the (4, 4) one comes first
+    # in the corpus
+    good = [complex_op(seed=s, dim=2) for s in range(3)]
+    bad4, bad2 = complex_op(seed=7, dim=4), complex_op(seed=8, dim=2)
+    bad4 = RespectingOperator(bad4.domain, bad4.codomain, bad4.matrix + 0.25, 0.0)
+    bad2 = RespectingOperator(bad2.domain, bad2.codomain, bad2.matrix + 1.0, 0.0)
+    corpus = [good[0], bad4, good[1], bad2, good[2]]
+    with pytest.raises(RespectViolationError) as exc_info:
+        audit_self_conjugacy(IdealOracle("complex", AllOperators()), corpus)
+    first = respect_residual(bad4.matrix, bad4.domain.A, bad4.codomain.A)
+    later = respect_residual(bad2.matrix, bad2.domain.A, bad2.codomain.A)
+    assert abs(first - later) > 0.1
+    assert exc_info.value.residual == pytest.approx(first, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +305,9 @@ def test_complexified_real_matches_base_on_matrix():
     base = IdealOracle("real", NormThreshold("operator_norm", 1.5))
     lifted = complexify_ideal(base)
     op = complex_op(seed=1)
-    direct = decide_real(base, RealOperator(op.matrix, op.domain.space,
-                                            op.codomain.space))
-    assert decide_complex(lifted, op) == direct
+    direct = decide_real(base, [RealOperator(op.matrix, op.domain.space,
+                                             op.codomain.space)])[0]
+    assert decide_complex(lifted, [op])[0] == direct
 
 
 def test_realified_norm_threshold_matches_base():
@@ -117,7 +321,7 @@ def test_realified_norm_threshold_matches_base():
         item = real_op(T)
         expected = ideal_norm("operator_norm", T, item.domain,
                               item.codomain).value <= 1.0 + 1e-9
-        assert decide_real(dropped, item) == expected
+        assert decide_real(dropped, [item])[0] == expected
 
 
 def test_conjugate_ideal_flips_structure_sensitive_decision():
@@ -127,7 +331,7 @@ def test_conjugate_ideal_flips_structure_sensitive_decision():
     found_flip = False
     for seed in range(8):
         op = complex_op(seed=seed, dim=2)
-        if decide_complex(oracle, op) != decide_complex(conj, op):
+        if decide_complex(oracle, [op])[0] != decide_complex(conj, [op])[0]:
             found_flip = True
             break
     assert found_flip
