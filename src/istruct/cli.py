@@ -25,10 +25,11 @@ import numpy as np
 
 from . import corpus as corpus_gen
 from .config import Tolerances
-from .errors import IstructError, ScenarioError, StructureValidationError
+from .errors import (IstructError, ScenarioError, StructureValidationError,
+                     first_errors)
 from .ideals import (HILBERT_SCHMIDT, RealOperator, audit_self_conjugacy,
                      ideal_norms, oracle_from_dict)
-from .morphisms import block_diag2
+from .morphisms import RespectingOperator, _respect_residuals, block_diag2
 from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          check_derivation, expr, expr_from_list,
                          factorization_hypothesis_check, reference_chain,
@@ -37,13 +38,12 @@ from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
 from .spaces import (complexification_norm, complexification_norm_batch,
                      direct_sum, lp_space, norm_batch, space_from_dict)
 from .structures import (UNDECIDED, certify, natural_i_operator,
-                         reevaluate_witness, search_i_operator,
-                         validate_i_operator, witness_to_dict)
-from .theory import (build_complexification_witness, extract_conjugation,
-                     verify_complex_cartesian_identities,
-                     verify_real_cartesian_identities,
-                     verify_squares_isomorphism, verify_theorem_complex,
-                     verify_theorem_real)
+                         natural_i_operator_matrix, reevaluate_witness,
+                         search_i_operator, validate_i_operator,
+                         witness_to_dict)
+from .theory import (_complex_cartesian_reports, _conjugations,
+                     _real_cartesian_reports, _squares_reports, _witnesses,
+                     verify_theorem_complex, verify_theorem_real)
 
 SCHEMA_VERSION = 1
 
@@ -287,17 +287,73 @@ def _h_reject_structure(params, rng, tol):
                               witness={"error": "candidate unexpectedly valid"})
 
 
+def _draw_by_shape(count: int, draw: Callable) -> list:
+    """count calls of draw() in order, each giving (shape, item), grouped by
+    shape in order of first appearance: [(shape, corpus indices, items)]."""
+    groups: dict = {}
+    for i in range(count):
+        shape, item = draw()
+        idx, items = groups.setdefault(shape, ([], []))
+        idx.append(i)
+        items.append(item)
+    return [(shape, idx, items) for shape, (idx, items) in groups.items()]
+
+
+def _erred(outcome, error) -> bool:
+    """An item fails when its check raised."""
+    return error is not None
+
+
+def _failed(report, error) -> bool:
+    """An item fails when its check raised or its report is not ok."""
+    return error is not None or not report.ok
+
+
+def _corpus_outcomes(groups: list, check: Callable, fails: Callable = _erred) -> list:
+    """check(shape, items) of the shape groups, (outcome, error) pairs in each
+    group's order, as the outcomes in corpus order up to and including the
+    first item for which fails(outcome, error) holds, where a loop over the
+    items would stop: an error there is raised.  Groups come in order of
+    their first item, so those whose items all lie beyond that point are not
+    checked."""
+    out: dict = {}
+    stop = None
+    for shape, idx, items in groups:
+        if stop is not None and idx[0] > stop:
+            break
+        for i, (outcome, error) in zip(idx, check(shape, items)):
+            out[i] = outcome, error
+            if fails(outcome, error) and (stop is None or i < stop):
+                stop = i
+    if stop is not None and out[stop][1] is not None:
+        raise out[stop][1]
+    return [out[i][0] for i in range(len(out) if stop is None else stop + 1)]
+
+
+def _worst(reports: list, key: str = None) -> float:
+    """The largest residual under key of any report (under any key when key
+    is None), and 0 for no reports."""
+    return max([0.0] + [max(r.residuals.values()) if key is None else r.residuals[key]
+                        for r in reports])
+
+
 def _h_prop1_roundtrip(params, rng, tol):
-    worst = {"involution": 0.0, "anticommutation": 0.0,
-             "inverse_composition": 0.0, "norm_excess": 0.0}
-    for _ in range(params["count"]):
+    def draw():
         m = _choice(rng, params["half_dims"])
-        s, iso = corpus_gen.random_complexification_isomorphism(m, rng, tol=tol)
-        T = extract_conjugation(iso, tol=1e-8)
-        wit = build_complexification_witness(s, T, tol=tol)
-        r = wit.report.residuals
-        for key in worst:
-            worst[key] = max(worst[key], r[key])
+        return m, corpus_gen.complexification_draws(m, rng)
+
+    def check(m, draws):
+        c = corpus_gen._complexification_isomorphisms(
+            *(np.stack(z) for z in zip(*draws)), tol=tol, spread=0.3)
+        Ts, conj_errors = _conjugations(c.S0, c.A, natural_i_operator_matrix(m),
+                                        tol=1e-8)
+        w = _witnesses(c.A, Ts, c.gram, None, tol=tol, hyp_tol=1e-8,
+                       norm_samples=2000, seed=0)
+        return zip(w.outcomes, first_errors(c.errors, conj_errors, w.errors))
+
+    reports = _corpus_outcomes(_draw_by_shape(params["count"], draw), check)
+    worst = {key: _worst(reports, key) for key in
+             ("involution", "anticommutation", "inverse_composition", "norm_excess")}
     ok = (worst["involution"] <= 1e-8 and worst["anticommutation"] <= 1e-8
           and worst["inverse_composition"] <= 1e-8
           and worst["norm_excess"] <= 1e-6)
@@ -308,56 +364,86 @@ def _h_prop1_roundtrip(params, rng, tol):
 
 
 def _h_squares(params, rng, tol):
-    worst_respect = worst_inv = 0.0
-    for _ in range(params["count"]):
+    def draw():
         dim = _choice(rng, params["dims"])
-        s = corpus_gen.random_exact_structure(dim, rng)
-        rep = verify_squares_isomorphism(s, tol=tol)
-        if not rep.ok:
-            return rep
-        worst_respect = max(worst_respect, rep.residuals["respect"])
-        worst_inv = max(worst_inv, rep.residuals["inverse_composition"])
+        return dim, corpus_gen.random_exact_structure(dim, rng)
+
+    reports = _corpus_outcomes(
+        _draw_by_shape(params["count"], draw),
+        lambda dim, structures: zip(*_squares_reports(structures, tol=tol)), _failed)
+    if not reports[-1].ok:
+        return reports[-1]
     return VerificationReport(
         "square-space-isomorphism", VERIFIED,
-        residuals={"worst_respect": worst_respect,
-                   "worst_inverse_composition": worst_inv},
+        residuals={"worst_respect": _worst(reports, "respect"),
+                   "worst_inverse_composition": _worst(reports, "inverse_composition")},
         tolerances={"respect": 0.0, "inverse": 1e-12})
 
 
 def _h_real_cartesian(params, rng, tol):
     max_dim = params["max_dim"]
-    worst = 0.0
-    for _ in range(params["count"]):
+
+    def draw():
         m = int(rng.integers(1, max_dim + 1))
         n = int(rng.integers(1, max_dim + 1))
-        rep = verify_real_cartesian_identities(rng.standard_normal((m, n)))
-        if not rep.ok:
-            return rep
-        worst = max(worst, max(rep.residuals.values()))
+        return (m, n), rng.standard_normal((m, n))
+
+    reports = _corpus_outcomes(
+        _draw_by_shape(params["count"], draw),
+        lambda shape, Ts: ((r, None) for r in _real_cartesian_reports(np.stack(Ts))),
+        _failed)
+    if not reports[-1].ok:
+        return reports[-1]
     return VerificationReport("real-cartesian-identities", VERIFIED,
-                              residuals={"worst_deviation": worst},
+                              residuals={"worst_deviation": _worst(reports)},
                               tolerances={"deviation": 0.0})
 
 
-def _random_complex_op(rng, dims, tol):
+def _draw_complex_op(rng, dims) -> tuple:
+    """The draws of one random [T, A, B] between signed-pairing structures:
+    ((dim_d, dim_c), (dom, cod, the normal matrix T is projected from))."""
     dim_d = _choice(rng, dims)
     dim_c = _choice(rng, dims)
     dom = corpus_gen.random_exact_structure(dim_d, rng)
     cod = corpus_gen.random_exact_structure(dim_c, rng)
-    return corpus_gen.random_respecting_operator(dom, cod, rng, tol=tol)
+    return (dim_d, dim_c), (dom, cod, rng.standard_normal((dim_c, dim_d)))
+
+
+def _complex_ops(draws: list, tol) -> tuple:
+    """The operators of one shape group of _draw_complex_op draws: the stacks
+    of T, A and B, and the respect residual and error of each T."""
+    doms, cods, T0s = zip(*draws)
+    As = np.stack([s.A for s in doms])
+    Bs = np.stack([s.A for s in cods])
+    Ts = corpus_gen.respecting_part(np.stack(T0s), As, Bs)
+    return (Ts, As, Bs, *_respect_residuals(Ts, As, Bs, tol))
+
+
+def _random_complex_corpus(rng, dims, count, tol) -> list:
+    """count random [T, A, B], drawn in order and built a shape group at a
+    time; the first that fails to respect its structures raises."""
+    def check(shape, draws):
+        Ts, _, _, res, errors = _complex_ops(draws, tol)
+        return [(RespectingOperator(dom, cod, T, r), e)
+                for (dom, cod, _), T, r, e in zip(draws, Ts, res, errors)]
+
+    return _corpus_outcomes(_draw_by_shape(count, lambda: _draw_complex_op(rng, dims)),
+                            check)
 
 
 def _h_complex_cartesian(params, rng, tol):
-    worst = 0.0
-    for _ in range(params["count"]):
-        op = _random_complex_op(rng, params["dims"], tol)
-        rep = verify_complex_cartesian_identities(
-            op, tol=tol, corrupt_annotation=params["corrupt"])
-        if not rep.ok:
-            return rep
-        worst = max(worst, max(rep.residuals.values()))
+    def check(shape, draws):
+        Ts, As, Bs, _, errors = _complex_ops(draws, tol)
+        return zip(_complex_cartesian_reports(
+            Ts, As, Bs, tol=tol, corrupt_annotation=params["corrupt"]), errors)
+
+    reports = _corpus_outcomes(
+        _draw_by_shape(params["count"], lambda: _draw_complex_op(rng, params["dims"])),
+        check, _failed)
+    if not reports[-1].ok:
+        return reports[-1]
     return VerificationReport("complex-cartesian-identities", VERIFIED,
-                              residuals={"worst": worst},
+                              residuals={"worst": _worst(reports)},
                               tolerances={"respect": tol.tol_alg,
                                           "deviation": tol.abs_tol})
 
@@ -374,25 +460,25 @@ def _h_theorem_real(params, rng, tol):
 
 
 def _h_theorem_complex(params, rng, tol):
-    corpus = [_random_complex_op(rng, params["dims"], tol) for _ in range(params["count"])]
+    corpus = _random_complex_corpus(rng, params["dims"], params["count"], tol)
     return verify_theorem_complex(params["oracle"], corpus)
 
 
 def _h_self_conjugacy(params, rng, tol):
-    corpus = [_random_complex_op(rng, params["dims"], tol) for _ in range(params["count"])]
+    corpus = _random_complex_corpus(rng, params["dims"], params["count"], tol)
     return audit_self_conjugacy(params["oracle"], corpus, tol=tol)
 
 
 def _h_hs_doubling(params, rng, tol):
     bound = params["tol"]
-    by_dims = {}  # (dim_d, dim_c) -> the operators drawn with those dims
-    for _ in range(params["count"]):
+
+    def draw():
         dim_d = _choice(rng, params["dims"])
         dim_c = _choice(rng, params["dims"])
-        by_dims.setdefault((dim_d, dim_c), []).append(
-            rng.standard_normal((dim_c, dim_d)))
+        return (dim_d, dim_c), rng.standard_normal((dim_c, dim_d))
+
     worst = 0.0
-    for (dim_d, dim_c), Ts in by_dims.items():
+    for (dim_d, dim_c), _, Ts in _draw_by_shape(params["count"], draw):
         Ts = np.stack(Ts)
         dom, cod = lp_space(dim_d, 2.0), lp_space(dim_c, 2.0)
         base = ideal_norms(HILBERT_SCHMIDT, Ts, dom, cod)

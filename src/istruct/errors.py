@@ -48,3 +48,11 @@ class WitnessError(IstructError):
 
 class ScenarioError(IstructError):
     """A scenario file failed to parse or resolve."""
+
+
+def first_errors(*stages) -> list:
+    """Item by item, the first error of the stages' lists of errors (None
+    where an item passed a stage), or None for an item that passed them all:
+    the error a one-item call meets first, for each item of a stacked one."""
+    return [next((e for e in errors if e is not None), None)
+            for errors in zip(*stages)]

@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DescriptorError, DimensionMismatchError
-from .morphisms import (RespectingOperator, _checked_respect,
+from .errors import DescriptorError, DimensionMismatchError, first_errors
+from .morphisms import (RespectingOperator, _respect_residuals,
                         _singular_values, block_diag2)
 from .report import VERIFIED, VIOLATED, VerificationReport
 from .spaces import NormedSpace, direct_sum, space_key
@@ -276,22 +276,25 @@ def _squares(corpus: Sequence[RespectingOperator], *,
              tol: Tolerances) -> list:
     """[T (+) T, A (+) -A, B (+) -B] on the averaged-norm doubled spaces, for
     each operator of the corpus in its order; the doubled spaces are built
-    once per (domain, codomain) group."""
+    once per (domain, codomain) group.  The first failure in corpus order is
+    raised."""
     out = [None] * len(corpus)
-    failures = []  # (corpus index, T A - B T) of squares that miss tol_alg
+    errors = {}  # corpus index -> the first error of its square
     for idx, dom, cod, Ts, As, Bs in _complex_groups(corpus):
         TT, A2s, B2s = block_diag2(Ts), _split_matrix(As), _split_matrix(Bs)
-        doms = _split_on(direct_sum(dom, dom, "complexification"),
-                         [corpus[i].domain for i in idx], A2s, tol=tol)
-        cods = _split_on(direct_sum(cod, cod, "complexification"),
-                         [corpus[i].codomain for i in idx], B2s, tol=tol)
-        R = TT @ A2s - B2s @ TT
-        res = np.max(np.abs(R), axis=(1, 2))
+        doms, dom_errors = _split_on(direct_sum(dom, dom, "complexification"),
+                                     [corpus[i].domain for i in idx], A2s, tol=tol)
+        cods, cod_errors = _split_on(direct_sum(cod, cod, "complexification"),
+                                     [corpus[i].codomain for i in idx], B2s, tol=tol)
+        res, respect_errors = _respect_residuals(TT, A2s, B2s, tol)
+        first = first_errors(dom_errors, cod_errors, respect_errors)
         for j, i in enumerate(idx):
-            out[i] = RespectingOperator(doms[j], cods[j], TT[j], float(res[j]))
-        failures += [(idx[j], R[j]) for j in np.flatnonzero(res > tol.tol_alg)]
-    if failures:  # raise for the first failing square in corpus order
-        _checked_respect(min(failures, key=lambda f: f[0])[1], tol)
+            if first[j] is not None:
+                errors[i] = first[j]
+            else:
+                out[i] = RespectingOperator(doms[j], cods[j], TT[j], res[j])
+    if errors:
+        raise errors[min(errors)]
     return out
 
 

@@ -33,22 +33,22 @@ class RespectingOperator:
 
 def injection_first(n: int) -> np.ndarray:
     """x -> (x, 0), as a 2n x n block matrix."""
-    return np.vstack([np.eye(n), np.zeros((n, n))])
+    return np.eye(2 * n, n)
 
 
 def injection_second(n: int) -> np.ndarray:
     """x -> (0, x)."""
-    return np.vstack([np.zeros((n, n)), np.eye(n)])
+    return np.eye(2 * n, n, k=-n)
 
 
 def surjection_first(n: int) -> np.ndarray:
     """(x1, x2) -> x1, as an n x 2n block matrix."""
-    return np.hstack([np.eye(n), np.zeros((n, n))])
+    return np.eye(n, 2 * n)
 
 
 def surjection_second(n: int) -> np.ndarray:
     """(x1, x2) -> x2."""
-    return np.hstack([np.zeros((n, n)), np.eye(n)])
+    return np.eye(n, 2 * n, k=n)
 
 
 def block_diag2(T: np.ndarray) -> np.ndarray:
@@ -76,20 +76,29 @@ def make_respecting(domain: ComplexStructure, codomain: ComplexStructure, T,
     if T.shape != (codomain.space.dim, domain.space.dim):
         raise DimensionMismatchError(
             f"T must be {codomain.space.dim} x {domain.space.dim}, got {T.shape}")
-    res = _checked_respect(T @ domain.A - codomain.A @ T, tol)
-    return RespectingOperator(domain, codomain, T, res)
+    res, errors = _respect_residuals(T[None], domain.A, codomain.A, tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return RespectingOperator(domain, codomain, T, res[0])
 
 
-def _checked_respect(R: np.ndarray, tol: Tolerances) -> float:
-    """max |R| for R = T A - B T; rejected with the max-entry witness above
-    tol.tol_alg."""
-    res = float(np.max(np.abs(R)))
-    if res > tol.tol_alg:
-        i, j = np.unravel_index(np.argmax(np.abs(R)), R.shape)
-        raise RespectViolationError(
-            f"T A - B T has entry {R[i, j]:.3e} at ({i}, {j}), above "
-            f"{tol.tol_alg:.1e}", residual=res, witness=(int(i), int(j)))
-    return res
+def _respect_residuals(Ts: np.ndarray, As, Bs, tol: Tolerances) -> tuple:
+    """max |T A - B T| of each [T, A, B] of a stack Ts (k, m, n), with As and
+    Bs stacks or one matrix for all, as a list; and for each, the
+    RespectViolationError (with the max-entry witness) of a residual above
+    tol.tol_alg, or None."""
+    R = Ts @ As - Bs @ Ts
+    res = np.max(np.abs(R), axis=(1, 2)).tolist()
+    return res, [_respect_violation(R[j], r, tol) if r > tol.tol_alg else None
+                 for j, r in enumerate(res)]
+
+
+def _respect_violation(R: np.ndarray, res: float,
+                       tol: Tolerances) -> RespectViolationError:
+    i, j = np.unravel_index(np.argmax(np.abs(R)), R.shape)
+    return RespectViolationError(
+        f"T A - B T has entry {R[i, j]:.3e} at ({i}, {j}), above "
+        f"{tol.tol_alg:.1e}", residual=res, witness=(int(i), int(j)))
 
 
 def complexify_operator(T, baseX: NormedSpace,
@@ -148,30 +157,40 @@ def is_isomorphism(op: RespectingOperator, *,
     T = op.matrix
     if T.shape[0] != T.shape[1]:
         return IsomorphismResult(False, reason="non-square")
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
+    singular, sv, Tinv, res, errors = _inverses(T[None], op.domain.A, op.codomain.A, tol)
+    if singular[0]:
         return IsomorphismResult(False, reason="singular")
-    Tinv = np.linalg.inv(T)
-    inv_op = make_respecting(op.codomain, op.domain, Tinv, tol=tol)
+    if errors[0] is not None:
+        raise errors[0]
+    inv_op = RespectingOperator(op.codomain, op.domain, Tinv[0], res[0])
     return IsomorphismResult(True, inverse=inv_op,
-                             condition_number=float(sv[0] / sv[-1]))
+                             condition_number=float(sv[0, 0] / sv[0, -1]))
+
+
+def _inverses(Ts: np.ndarray, As, Bs, tol: Tolerances) -> tuple:
+    """The test of is_isomorphism on each square [T, A, B] of a stack Ts
+    (k, n, n): (singular mask, singular values, inverses, respect residuals
+    of the inverses, their errors).  A singular T gets the inverse 0, whose
+    residual is 0."""
+    sv = np.linalg.svd(Ts, compute_uv=False)
+    singular = sv[:, -1] <= RANK_RTOL * sv[:, 0]
+    Tinv = np.zeros_like(Ts)
+    Tinv[~singular] = np.linalg.inv(Ts[~singular])
+    res, errors = _respect_residuals(Tinv, Bs, As, tol)
+    return singular, sv, Tinv, res, errors
 
 
 # ---------------------------------------------------------------------------
 # Operator norm estimation
 # ---------------------------------------------------------------------------
 
-def _whitened(T: np.ndarray, dom: NormedSpace,
-              cod: NormedSpace) -> Optional[np.ndarray]:
+def _whitened(T: np.ndarray, g_dom: np.ndarray, g_cod: np.ndarray) -> np.ndarray:
     """L_cod' T L_dom^-T for the Cholesky factors G = L L' of the two Grams:
-    T (or each matrix of a stack (..., m, n)) in coordinates where both norms
-    are l2.  None unless both spaces are Euclidean-like."""
-    g_dom, g_cod = euclidean_gram(dom), euclidean_gram(cod)
-    if g_dom is None or g_cod is None:
-        return None
+    T in coordinates where both norms are l2.  T may be a stack (..., m, n),
+    and either Gram a stack (..., n, n) of one Gram per matrix."""
     l_dom = np.linalg.cholesky(g_dom)
     l_cod = np.linalg.cholesky(g_cod)
-    return l_cod.T @ T @ np.linalg.inv(l_dom.T)
+    return np.swapaxes(l_cod, -1, -2) @ T @ np.linalg.inv(np.swapaxes(l_dom, -1, -2))
 
 
 def _singular_values(T: np.ndarray, dom: NormedSpace,
@@ -180,8 +199,10 @@ def _singular_values(T: np.ndarray, dom: NormedSpace,
     or those of each matrix of a stack (..., m, n): one Cholesky per Gram and
     one stacked SVD.  Each matrix's values are bitwise those of its own SVD.
     None unless both spaces are Euclidean-like."""
-    M = _whitened(T, dom, cod)
-    return None if M is None else np.linalg.svd(M, compute_uv=False)
+    g_dom, g_cod = euclidean_gram(dom), euclidean_gram(cod)
+    if g_dom is None or g_cod is None:
+        return None
+    return np.linalg.svd(_whitened(T, g_dom, g_cod), compute_uv=False)
 
 
 def matrix_norm_between(T: np.ndarray, dom: NormedSpace, cod: NormedSpace, *,

@@ -134,11 +134,9 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.gram = np.asarray(d.gram, dtype=float)
         if d.gram.shape != (dim, dim):
             raise DescriptorError("Gram matrix shape must be dim x dim")
-        _check_finite(d.gram, "Gram matrix")
-        if not np.allclose(d.gram, d.gram.T, atol=1e-12):
-            raise DescriptorError("Gram matrix must be symmetric")
-        if np.linalg.eigvalsh(d.gram)[0] <= 0:
-            raise DescriptorError("Gram matrix must be positive definite")
+        defect = _gram_defects(d.gram[None])[0]
+        if defect is not None:
+            raise DescriptorError(defect)
     elif isinstance(d, Polyhedral):
         d.functionals = np.asarray(d.functionals, dtype=float)
         if d.functionals.ndim != 2 or d.functionals.shape[1] != dim:
@@ -161,6 +159,22 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
             raise DescriptorError("basis must have full column rank")
     else:
         raise DescriptorError(f"unknown descriptor {type(d).__name__}")
+
+
+def _gram_defects(grams: np.ndarray) -> list:
+    """For each Gram matrix of a stack (k, n, n), the message of the first
+    check it fails (finite, symmetric, positive definite), or None."""
+    finite = np.all(np.isfinite(grams), axis=(1, 2))
+    symmetric = np.all(np.isclose(grams, np.swapaxes(grams, 1, 2), atol=1e-12),
+                       axis=(1, 2))
+    # a stand-in for the matrices that fail earlier keeps eigvalsh finite
+    checked = np.where((finite & symmetric)[:, None, None], grams,
+                       np.eye(grams.shape[-1]))
+    definite = np.linalg.eigvalsh(checked)[:, 0] > 0
+    return ["Gram matrix must be finite" if not f
+            else "Gram matrix must be symmetric" if not s
+            else "Gram matrix must be positive definite" if not d else None
+            for f, s, d in zip(finite, symmetric, definite)]
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -532,19 +546,23 @@ def euclidean_gram(space: NormedSpace) -> Optional[np.ndarray]:
         return d.gram
     if isinstance(d, ComplexificationOfBase):
         g = euclidean_gram(d.base)
-        if g is None:
-            return None
-        n = d.base.dim
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = g / 2.0
-        out[n:, n:] = g / 2.0
-        return out
+        return None if g is None else _doubled_gram(g)
     if isinstance(d, SubspaceNorm):
         g = euclidean_gram(d.ambient)
         if g is None:
             return None
         return d.basis.T @ g @ d.basis
     return None
+
+
+def _doubled_gram(g: np.ndarray) -> np.ndarray:
+    """diag(G, G) / 2, the Gram of the complexification of a base with Gram
+    G; of each matrix of a stack (..., n, n)."""
+    n = g.shape[-1]
+    out = np.zeros((*g.shape[:-2], 2 * n, 2 * n))
+    out[..., :n, :n] = g / 2.0
+    out[..., n:, n:] = g / 2.0
+    return out
 
 
 def _sinusoid_pieces(space: NormedSpace) -> Optional[tuple]:

@@ -69,14 +69,10 @@ def certify(space: NormedSpace, A, *, seed: int = 0,
     n = space.dim
     if A.shape != (n, n):
         raise DimensionMismatchError(f"A must be {n} x {n}, got {A.shape}")
-    alg = float(np.max(np.abs(A @ A + np.eye(n))))
-
     gram = euclidean_gram(space)
     if gram is not None:
-        # rotations are G-isometries iff A'GA = G and GA is antisymmetric
-        r1 = np.max(np.abs(A.T @ gram @ A - gram))
-        r2 = np.max(np.abs(A.T @ gram + gram @ A))
-        return Certificate(alg, float(max(r1, r2)), 0, True, None)
+        return _gram_certificates(A[None], gram)[0]
+    alg = float(_algebraic_residuals(A[None])[0])
 
     # N = natural_i_operator_matrix on X_C: cos t I + sin t N maps the row
     # x cos phi + y sin phi of (x, y) to the row at phi - t, and the norm is a
@@ -87,6 +83,23 @@ def certify(space: NormedSpace, A, *, seed: int = 0,
 
     iso, witness, used = _sampled_isometry_residual(space, A, seed, samples, angles)
     return Certificate(alg, iso, used, False, witness)
+
+
+def _algebraic_residuals(As: np.ndarray) -> np.ndarray:
+    """max |A^2 + I| of each matrix of a stack (k, n, n)."""
+    return np.max(np.abs(As @ As + np.eye(As.shape[-1])), axis=(1, 2))
+
+
+def _gram_certificates(As: np.ndarray, grams: np.ndarray) -> list:
+    """certify of each candidate of a stack As (k, n, n) on the Euclidean-like
+    norm whose Gram is grams (one for all, or a stack (k, n, n))."""
+    alg = _algebraic_residuals(As)
+    At = np.swapaxes(As, 1, 2)
+    # rotations are G-isometries iff A'GA = G and GA is antisymmetric
+    r1 = np.max(np.abs(At @ grams @ As - grams), axis=(1, 2))
+    r2 = np.max(np.abs(At @ grams + grams @ As), axis=(1, 2))
+    return [Certificate(float(a), float(max(x, y)), 0, True, None)
+            for a, x, y in zip(alg, r1, r2)]
 
 
 def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, seed: int,
@@ -148,15 +161,24 @@ def validate_i_operator(space: NormedSpace, A, *, tol: Tolerances = DEFAULT_TOL,
 def _accept(space: NormedSpace, A, cert: Certificate,
             tol: Tolerances) -> ComplexStructure:
     """The pair [space, A] if the certificate's residuals are within tol."""
+    error = _rejection(cert, tol)
+    if error is not None:
+        raise error
+    return ComplexStructure(space, np.asarray(A, dtype=float), cert)
+
+
+def _rejection(cert: Certificate,
+               tol: Tolerances) -> Optional[StructureValidationError]:
+    """The error that rejects a certificate's residuals, or None within tol."""
     if cert.algebraic_residual > tol.tol_alg:
-        raise StructureValidationError(
+        return StructureValidationError(
             f"algebraic residual ||A^2 + I||_max = {cert.algebraic_residual:.3e} "
             f"exceeds {tol.tol_alg:.1e}", certificate=cert)
     if cert.isometry_residual > tol.tol_iso:
-        raise StructureValidationError(
+        return StructureValidationError(
             f"isometry residual {cert.isometry_residual:.3e} exceeds "
             f"{tol.tol_iso:.1e}", certificate=cert)
-    return ComplexStructure(space, np.asarray(A, dtype=float), cert)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -11,8 +12,16 @@ import istruct
 from istruct import cli
 from istruct.cli import (bundled_scenario_path, load_scenario, main,
                          run_suite)
-from istruct.errors import ScenarioError
+from istruct.config import Tolerances
+from istruct.corpus import (random_complexification_isomorphism,
+                            random_exact_structure, random_respecting_operator)
+from istruct.errors import IstructError, ScenarioError
 from istruct.pelczynski import chain_to_dict, reference_chain
+from istruct.report import VERIFIED, VIOLATED, VerificationReport
+from istruct.theory import (build_complexification_witness, extract_conjugation,
+                            verify_complex_cartesian_identities,
+                            verify_real_cartesian_identities,
+                            verify_squares_isomorphism)
 
 
 @pytest.fixture(scope="module")
@@ -413,3 +422,168 @@ def test_negative_seed_flag_exits_2(scenario_path, tmp_path, capsys, claim_runs)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err and "-3" in err
     assert claim_runs == []
+
+
+# ---------------------------------------------------------------------------
+# The corpus claims run a shape group at a time; the loops below run them one
+# operator at a time through the public single-item functions, in the order
+# of the draws, and must give the same report
+# ---------------------------------------------------------------------------
+
+def _loop_prop1(params, rng, tol):
+    worst = {"involution": 0.0, "anticommutation": 0.0,
+             "inverse_composition": 0.0, "norm_excess": 0.0}
+    for _ in range(params["count"]):
+        m = cli._choice(rng, params["half_dims"])
+        s, iso = random_complexification_isomorphism(m, rng, tol=tol)
+        T = extract_conjugation(iso, tol=1e-8)
+        r = build_complexification_witness(s, T, tol=tol).report.residuals
+        for key in worst:
+            worst[key] = max(worst[key], r[key])
+    ok = (worst["involution"] <= 1e-8 and worst["anticommutation"] <= 1e-8
+          and worst["inverse_composition"] <= 1e-8
+          and worst["norm_excess"] <= 1e-6)
+    return VerificationReport(
+        "complexification-roundtrip", VERIFIED if ok else VIOLATED,
+        residuals=worst, witness=None if ok else dict(worst),
+        tolerances={"residuals": 1e-8, "norm_slack": 1e-6})
+
+
+def _loop_squares(params, rng, tol):
+    worst_respect = worst_inv = 0.0
+    for _ in range(params["count"]):
+        s = random_exact_structure(cli._choice(rng, params["dims"]), rng)
+        rep = verify_squares_isomorphism(s, tol=tol)
+        if not rep.ok:
+            return rep
+        worst_respect = max(worst_respect, rep.residuals["respect"])
+        worst_inv = max(worst_inv, rep.residuals["inverse_composition"])
+    return VerificationReport(
+        "square-space-isomorphism", VERIFIED,
+        residuals={"worst_respect": worst_respect,
+                   "worst_inverse_composition": worst_inv},
+        tolerances={"respect": 0.0, "inverse": 1e-12})
+
+
+def _loop_real_cartesian(params, rng, tol):
+    worst = 0.0
+    for _ in range(params["count"]):
+        m = int(rng.integers(1, params["max_dim"] + 1))
+        n = int(rng.integers(1, params["max_dim"] + 1))
+        rep = verify_real_cartesian_identities(rng.standard_normal((m, n)))
+        if not rep.ok:
+            return rep
+        worst = max(worst, max(rep.residuals.values()))
+    return VerificationReport("real-cartesian-identities", VERIFIED,
+                              residuals={"worst_deviation": worst},
+                              tolerances={"deviation": 0.0})
+
+
+def _loop_complex_cartesian(params, rng, tol):
+    worst = 0.0
+    for _ in range(params["count"]):
+        dom = random_exact_structure(cli._choice(rng, params["dims"]), rng)
+        cod = random_exact_structure(cli._choice(rng, params["dims"]), rng)
+        op = random_respecting_operator(dom, cod, rng, tol=tol)
+        rep = verify_complex_cartesian_identities(
+            op, tol=tol, corrupt_annotation=params["corrupt"])
+        if not rep.ok:
+            return rep
+        worst = max(worst, max(rep.residuals.values()))
+    return VerificationReport("complex-cartesian-identities", VERIFIED,
+                              residuals={"worst": worst},
+                              tolerances={"respect": tol.tol_alg,
+                                          "deviation": tol.abs_tol})
+
+
+_LOOPS = {"prop1-roundtrip": _loop_prop1, "squares": _loop_squares,
+          "real-cartesian": _loop_real_cartesian,
+          "complex-cartesian": _loop_complex_cartesian}
+
+
+def _loop_report(claim_id, parsed, seed, tol):
+    """run_claim's report, with the claim run by its loop."""
+    kind, _, params = parsed
+    rng = np.random.default_rng([seed, zlib.crc32(claim_id.encode())])
+    try:
+        report = _LOOPS[kind](params, rng, tol)
+    except IstructError as exc:
+        report = VerificationReport(kind, VIOLATED, residuals={},
+                                    witness={"error": str(exc)})
+    return cli._jsonify(report.to_dict())
+
+
+def _parsed_claims(scenario):
+    """The scenario's claims of a migrated kind, parsed: {id: parsed}."""
+    resolved = {"space": cli._build_all(scenario, "space", cli.space_from_dict),
+                "oracle": cli._build_all(scenario, "oracle", cli.oracle_from_dict)}
+    return {cid: cli.parse_claim(cid, claim, resolved)
+            for cid, claim in scenario["claims"].items() if claim["kind"] in _LOOPS}
+
+
+# tolerances that pass, and ones at which items fail at different checks
+_LOOP_TOLERANCES = [Tolerances(), Tolerances(tol_alg=1e-20), Tolerances(tol_alg=5e-16),
+                    Tolerances(tol_alg=1e-15), Tolerances(tol_iso=1e-20),
+                    Tolerances(tol_alg=-1.0)]
+
+
+@pytest.mark.parametrize("workload", ["paper-all", "exact-algebra"])
+def test_shape_groups_report_what_the_loop_reports(scenario_path, workload):
+    scenario = (load_scenario(scenario_path) if workload == "paper-all"
+                else _exact_algebra_scenario(7))
+    claims = _parsed_claims(scenario)
+    assert sorted(kind for kind, _, _ in claims.values()) == sorted(
+        ["complex-cartesian", "complex-cartesian", "prop1-roundtrip",
+         "real-cartesian", "squares"])
+    assert any(params["corrupt"] for _, _, params in claims.values()
+               if "corrupt" in params)
+    for seed in (1, 2, 3, 7, 101, 12345):
+        for tol in _LOOP_TOLERANCES:
+            for cid, parsed in claims.items():
+                got = cli.run_claim(cid, parsed, seed, tol)["report"]
+                assert got == _loop_report(cid, parsed, seed, tol), (cid, seed, tol)
+
+
+def test_first_failing_prop1_item_gives_the_loop_message(scenario_path, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["run", scenario_path, "--suite", "prop1-roundtrip", "--out", str(out),
+                 "--tol-alg", "1e-20"]) == 1
+    claim = json.loads(out.read_text())["claims"][0]
+    scenario = load_scenario(scenario_path)
+    parsed = _parsed_claims(scenario)[claim["id"]]
+    loop = _loop_report(claim["id"], parsed, scenario["seed"], Tolerances(tol_alg=1e-20))
+    assert "algebraic residual" in loop["witness"]["error"]
+    assert claim["report"]["witness"]["error"] == loop["witness"]["error"]
+
+
+_KERNELS = [(istruct.corpus, "_complexification_isomorphisms"),
+            (istruct.theory, "_conjugations"), (istruct.theory, "_witnesses"),
+            (istruct.theory, "_squares_reports"),
+            (istruct.theory, "_real_cartesian_reports"),
+            (istruct.theory, "_complex_cartesian_reports")]
+
+
+def test_corpus_claims_run_one_kernel_call_per_shape_group(monkeypatch):
+    # one call per operator made 60 + 60 + 60 prop1, 60 squares, 300
+    # real-cartesian and 110 complex-cartesian calls per exact-algebra pass
+    calls = {name: 0 for _, name in _KERNELS}
+    for module, name in _KERNELS:
+        kernel = getattr(module, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        for m in (module, cli):
+            if getattr(m, name, None) is kernel:
+                monkeypatch.setattr(m, name, counted)
+    report = run_suite(_exact_algebra_scenario(7), "exact-algebra")
+    assert all(c["outcome"] == "verified" for c in report["claims"])
+    # prop1: half_dims [1, 2, 3]; squares: dims [2, 4, 6]; real-cartesian:
+    # (m, n) in [1, 6]^2; complex-cartesian: (dim_d, dim_c) in {2, 4}^2, twice
+    assert 0 < calls["_complexification_isomorphisms"] <= 3
+    assert 0 < calls["_conjugations"] <= 3
+    assert 0 < calls["_witnesses"] <= 3
+    assert 0 < calls["_squares_reports"] <= 3
+    assert 0 < calls["_real_cartesian_reports"] <= 36
+    assert 0 < calls["_complex_cartesian_reports"] <= 8

@@ -8,7 +8,8 @@ from istruct.corpus import (random_exact_structure, random_respecting_matrix,
                             random_respecting_operator)
 from istruct.errors import (CompositionError, DimensionMismatchError,
                             RespectViolationError)
-from istruct.morphisms import (block_diag2, complexify_operator, compose,
+from istruct.config import DEFAULT_TOL
+from istruct.morphisms import (_inverses, block_diag2, complexify_operator, compose,
                                conjugate_operator, identity_operator,
                                injection_first, injection_second,
                                is_isomorphism, make_respecting,
@@ -111,6 +112,34 @@ def test_block_identities_exact(T):
     reassembled = (injection_first(m) @ T @ surjection_first(n)
                    + injection_second(m) @ T @ surjection_second(n))
     assert np.array_equal(TT, reassembled)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_block_maps_are_the_stacked_identity_blocks(n):
+    eye, zero = np.eye(n), np.zeros((n, n))
+    for got, blocks in [(injection_first(n), np.vstack([eye, zero])),
+                        (injection_second(n), np.vstack([zero, eye])),
+                        (surjection_first(n), np.hstack([eye, zero])),
+                        (surjection_second(n), np.hstack([zero, eye]))]:
+        assert got.dtype == blocks.dtype and got.shape == blocks.shape
+        assert got.tobytes() == blocks.tobytes()
+
+
+def test_is_isomorphism_of_a_stack_is_that_of_each_operator():
+    rng = np.random.default_rng(8)
+    s = euclid_structure(4, 3)
+    ops = [random_respecting_operator(s, s, rng) for _ in range(4)]
+    ops[2] = make_respecting(s, s, np.zeros((4, 4)))
+    singular, _, Tinv, res, errors = _inverses(np.stack([op.matrix for op in ops]),
+                                               s.A, s.A, DEFAULT_TOL)
+    assert singular.tolist() == [False, False, True, False]
+    assert errors == [None] * 4
+    for op, inv, r, sing in zip(ops, Tinv, res, singular):
+        one = is_isomorphism(op)
+        assert one.is_isomorphism is not sing
+        if not sing:
+            assert np.array_equal(one.inverse.matrix, inv)
+            assert one.inverse.respect_residual == r
 
 
 def test_complexify_operator_preserves_norm():

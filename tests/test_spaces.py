@@ -109,6 +109,21 @@ def test_bad_descriptors_raise():
         NormedSpace(3, ComplexificationOfBase(lp_space(2, 2.0)))
 
 
+def test_gram_defects_of_a_stack_are_those_of_each_gram():
+    grams = np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]],
+                      [[1.0, 0.0], [0.0, np.inf]], [[2.0, 1.0], [1.0, 2.0]]])
+    defects = spaces._gram_defects(grams)
+    assert defects == [None, "Gram matrix must be symmetric",
+                       "Gram matrix must be positive definite",
+                       "Gram matrix must be finite", None]
+    for gram, defect in zip(grams, defects):
+        if defect is None:
+            NormedSpace(2, EuclideanQuadratic(gram))
+        else:
+            with pytest.raises(DescriptorError, match=defect):
+                NormedSpace(2, EuclideanQuadratic(gram))
+
+
 @pytest.mark.parametrize("make", [
     lambda bad: NormedSpace(2, WeightedLp(1.0, np.array([1.0, bad]))),
     lambda bad: NormedSpace(2, EuclideanQuadratic(np.array([[1.0, 0.0], [0.0, bad]]))),

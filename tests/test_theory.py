@@ -1,17 +1,25 @@
+import re
+
 import numpy as np
 import pytest
 
+from istruct.config import DEFAULT_TOL, Tolerances
 from istruct.corpus import (random_complexification_isomorphism,
                             random_exact_structure,
                             random_respecting_operator)
-from istruct.errors import StructureValidationError, WitnessError
+from istruct.errors import (RespectViolationError, StructureValidationError,
+                            WitnessError)
 from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold,
                             RealOperator)
 from istruct.spaces import (ComplexificationOfBase, direct_sum, lp_space,
                             space_equal)
-from istruct.structures import (certify, natural_i_operator_matrix,
-                                reevaluate_witness, validate_i_operator)
-from istruct.theory import (build_complexification_witness,
+from istruct.morphisms import RespectingOperator, make_respecting
+from istruct.structures import (certify, natural_i_operator,
+                                natural_i_operator_matrix, reevaluate_witness,
+                                validate_i_operator)
+from istruct.theory import (_complex_cartesian_reports, _conjugations,
+                            _real_cartesian_reports, _squares_reports, _witnesses,
+                            build_complexification_witness,
                             conjugation_matrix, extract_conjugation,
                             split_structure, squares_isomorphism,
                             verify_complex_cartesian_identities,
@@ -75,6 +83,67 @@ def test_witness_rejects_bad_hypotheses():
         build_complexification_witness(s, -np.eye(2))
     with pytest.raises(WitnessError, match="2 x 2"):
         build_complexification_witness(s, np.eye(3))
+
+
+def test_witness_reports_a_seed_only_when_a_norm_is_sampled():
+    T = conjugation_matrix(2)
+    exact = build_complexification_witness(natural_i_operator(lp_space(2, 2.0)), T,
+                                           seed=5)
+    assert exact.norm_bound["exact"] and exact.report.seeds == {}
+    sampled = build_complexification_witness(natural_i_operator(lp_space(2, 1.0)), T,
+                                             norm_samples=200, seed=5)
+    assert not sampled.norm_bound["exact"] and sampled.report.seeds == {"seed": 5}
+    assert sampled.report.ok
+
+
+def _isomorphism_stack(half_dim, count, seed):
+    rng = np.random.default_rng(seed)
+    return [random_complexification_isomorphism(half_dim, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("half_dim", [1, 2, 3])
+def test_stacked_witnesses_are_the_single_calls(half_dim):
+    pairs = _isomorphism_stack(half_dim, 5, half_dim)
+    ss, isos = zip(*pairs)
+    As = np.stack([s.A for s in ss])
+    Ts, errors = _conjugations(np.stack([iso.matrix for iso in isos]), As,
+                               isos[0].codomain.A, tol=1e-9)
+    assert errors == [None] * 5
+    w = _witnesses(As, Ts, np.stack([s.space.norm_desc.gram for s in ss]), None,
+                   tol=DEFAULT_TOL, hyp_tol=1e-8, norm_samples=2000, seed=0)
+    assert w.errors == [None] * 5
+    for j, (s, iso) in enumerate(pairs):
+        T = extract_conjugation(iso)
+        assert np.array_equal(T, Ts[j])
+        one = build_complexification_witness(s, T)
+        assert one.report.to_dict() == w.outcomes[j].to_dict()
+        assert one.norm_bound == w.norm_bounds[j]
+        assert np.array_equal(one.S.matrix, w.S[j])
+        assert np.array_equal(one.S_inverse.matrix, w.S_inverse[j])
+        assert np.array_equal(one.Y_basis, w.B[j])
+
+
+def test_extract_conjugation_rejects_a_singular_map():
+    s = validate_i_operator(lp_space(2, 2.0), J2)
+    iso = make_respecting(s, natural_i_operator(lp_space(1, 2.0)), np.zeros((2, 2)))
+    with pytest.raises(WitnessError, match="singular"):
+        extract_conjugation(iso)
+
+
+def test_stacked_conjugations_give_each_item_its_first_error():
+    (s, good), (_, other) = _isomorphism_stack(2, 2, 9)
+    ny = good.codomain
+    # other's S does not respect s's A, so its inverse fails the respect check
+    isos = [good, RespectingOperator(s, ny, np.zeros((4, 4)), 0.0),
+            RespectingOperator(s, ny, other.matrix, 0.0)]
+    _, errors = _conjugations(np.stack([iso.matrix for iso in isos]), s.A, ny.A,
+                              tol=1e-9)
+    assert errors[0] is None
+    assert "singular" in str(errors[1])
+    assert isinstance(errors[2], RespectViolationError)
+    for iso, error in zip(isos[1:], errors[1:]):
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            extract_conjugation(iso)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +216,19 @@ def test_squares_isomorphism_exact():
         assert rep.residuals["inverse_composition"] <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(tol_alg=-1.0)])
+def test_stacked_squares_reports_are_the_single_calls(tol):
+    rng = np.random.default_rng(12)
+    structures = [random_exact_structure(4, rng) for _ in range(6)]
+    reports, errors = _squares_reports(structures, tol=tol)
+    for s, report, error in zip(structures, reports, errors):
+        if error is None:
+            assert verify_squares_isomorphism(s, tol=tol).to_dict() == report.to_dict()
+        else:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                verify_squares_isomorphism(s, tol=tol)
+
+
 def test_squares_isomorphism_is_invertible():
     s = random_exact_structure(4, np.random.default_rng(5))
     op = squares_isomorphism(s)
@@ -165,6 +247,24 @@ def test_real_cartesian_identities_exact():
         rep = verify_real_cartesian_identities(T)
         assert rep.ok
         assert max(rep.residuals.values()) == 0.0
+
+
+def test_stacked_cartesian_reports_are_the_single_calls():
+    rng = np.random.default_rng(13)
+    Ts = rng.standard_normal((7, 3, 5))
+    for T, report in zip(Ts, _real_cartesian_reports(Ts)):
+        assert verify_real_cartesian_identities(T).to_dict() == report.to_dict()
+    ops = [random_respecting_operator(random_exact_structure(4, rng),
+                                      random_exact_structure(2, rng), rng)
+           for _ in range(5)]
+    stacks = [np.stack(x) for x in zip(*((op.matrix, op.domain.A, op.codomain.A)
+                                         for op in ops))]
+    for corrupt in (False, True):
+        reports = _complex_cartesian_reports(*stacks, tol=DEFAULT_TOL,
+                                             corrupt_annotation=corrupt)
+        for op, report in zip(ops, reports):
+            assert verify_complex_cartesian_identities(
+                op, corrupt_annotation=corrupt).to_dict() == report.to_dict()
 
 
 def test_complex_cartesian_identities():
