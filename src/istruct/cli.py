@@ -344,11 +344,11 @@ def _h_prop1_roundtrip(params, rng, tol):
 
     def check(m, draws):
         c = corpus_gen._complexification_isomorphisms(
-            *(np.stack(z) for z in zip(*draws)), tol=tol, spread=0.3)
+            *(np.stack(z) for z in zip(*draws)), tol=tol)
         Ts, conj_errors = _conjugations(c.S0, c.A, natural_i_operator_matrix(m),
                                         tol=1e-8)
-        w = _witnesses(c.A, Ts, c.gram, None, tol=tol, hyp_tol=1e-8,
-                       norm_samples=2000, seed=0)
+        w = _witnesses(c.A, Ts, c.gram, None, tol=tol, norm_samples=2000,
+                       seed=0)
         return zip(w.outcomes, first_errors(c.errors, conj_errors, w.errors))
 
     reports = _corpus_outcomes(_draw_by_shape(params["count"], draw), check)

@@ -23,6 +23,8 @@ from .structures import (BY_CONSTRUCTION, ComplexStructure, _gram_certificates,
                          _rejection, natural_i_operator,
                          natural_i_operator_matrix)
 
+SPREAD = 0.3  # S0 = I + SPREAD Z / sqrt(dim) for normal Z: well conditioned
+
 
 def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A random matrix with A^2 = -I exactly: a signed pairing of coordinates."""
@@ -123,8 +125,7 @@ def complexification_draws(half_dim: int, rng: np.random.Generator) -> tuple:
 
 
 def random_complexification_isomorphism(half_dim: int, rng: np.random.Generator,
-                                        *, tol: Tolerances = DEFAULT_TOL,
-                                        spread: float = 0.3):
+                                        *, tol: Tolerances = DEFAULT_TOL):
     """A structure [X, A] together with an isomorphism onto a doubled space
     with its natural i-operator.
 
@@ -133,7 +134,7 @@ def random_complexification_isomorphism(half_dim: int, rng: np.random.Generator,
     isomorphism and A = S0^{-1} N S0.
     """
     Zy, Zs = complexification_draws(half_dim, rng)
-    c = _complexification_isomorphisms(Zy[None], Zs[None], tol=tol, spread=spread)
+    c = _complexification_isomorphisms(Zy[None], Zs[None], tol=tol)
     if c.errors[0] is not None:
         raise c.errors[0]
     ny = natural_i_operator(NormedSpace(half_dim, EuclideanQuadratic(c.y_gram[0])))
@@ -157,7 +158,7 @@ class _Isomorphisms(NamedTuple):
 
 
 def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
-                                   tol: Tolerances, spread: float) -> _Isomorphisms:
+                                   tol: Tolerances) -> _Isomorphisms:
     """The isomorphisms of complexification_draws stacked (k, m, m) and
     (k, 2m, 2m): every Gram checked as a descriptor, every A certified and
     every S0 checked to respect (A, N)."""
@@ -165,7 +166,7 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     dim = 2 * m
     y_gram = _random_grams(Zy)
     N = natural_i_operator_matrix(m)
-    S0 = np.eye(dim) + spread * Zs / np.sqrt(dim)
+    S0 = np.eye(dim) + SPREAD * Zs / np.sqrt(dim)
     H = np.swapaxes(S0, 1, 2) @ _doubled_gram(y_gram) @ S0
     gram = (H + np.swapaxes(H, 1, 2)) / 2.0
     A = np.linalg.solve(S0, N @ S0)

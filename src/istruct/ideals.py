@@ -5,7 +5,10 @@ real <-> complex transforms (doubling, forgetting, conjugating).
 whole corpus in one call.  They group the operators by (domain, codomain),
 build what depends only on the two spaces once per group (the Gram factors,
 the complexified spaces and their natural i-operators), and run the norm and
-rank kernels on each group's stacked matrices.
+rank kernels on each group's stacked matrices.  Each public call groups its
+corpus once, and its later decisions (conjugate, square, unfolded) run on
+those groups.  A shape error names the first misshapen operator in corpus
+order.
 
 Threshold-style oracles are decision instruments for exercising the
 transforms; they are not operator ideals in the closed-under-addition sense,
@@ -22,11 +25,10 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DescriptorError, DimensionMismatchError, first_errors
 from .morphisms import (RespectingOperator, _respect_residuals,
-                        _singular_values, block_diag2)
+                        _singular_values, _split_matrix, block_diag2)
 from .report import VERIFIED, VIOLATED, VerificationReport
 from .spaces import NormedSpace, direct_sum, space_key
-from .structures import natural_i_operator
-from .theory import _split_matrix, _split_on
+from .structures import _split_on, natural_i_operator
 
 THRESHOLD_ATOL = 1e-9  # norm thresholds accept up to bound + THRESHOLD_ATOL
 
@@ -151,56 +153,56 @@ class IdealOracle:
 
 def decide_real(oracle: IdealOracle, corpus: Sequence[RealOperator]) -> np.ndarray:
     """Membership of each RealOperator of the corpus, as a bool array in
-    corpus order (empty for an empty corpus).  The operators are grouped by
-    (domain, codomain), and each group is decided on its stacked matrices."""
+    corpus order (empty for an empty corpus)."""
     _descriptor(oracle, "real")
-    out = np.zeros(len(corpus), dtype=bool)
-    for idx, dom, cod, Ts in _groups([(op.domain, op.codomain) for op in corpus],
-                                     [op.matrix for op in corpus]):
-        out[idx] = _decide(oracle, Ts, None, None, dom, cod)
-    return out
+    return _members(oracle, _groups((op.domain, op.codomain, op.matrix)
+                                    for op in corpus))
 
 
 def decide_complex(oracle: IdealOracle,
                    corpus: Sequence[RespectingOperator]) -> np.ndarray:
     """Membership of each [T, A, B] of the corpus, as a bool array in corpus
-    order (empty for an empty corpus).  The operators are grouped by (domain,
-    codomain) space, and each group is decided on its stacked T, A and B."""
+    order (empty for an empty corpus)."""
+    return _grouped(oracle, corpus)[1]
+
+
+def _grouped(oracle: IdealOracle, corpus: Sequence[RespectingOperator]) -> tuple:
+    """The groups of a corpus of [T, A, B], and a complex oracle's decisions."""
     _descriptor(oracle, "complex")
-    out = np.zeros(len(corpus), dtype=bool)
-    for idx, dom, cod, Ts, As, Bs in _complex_groups(corpus):
-        out[idx] = _decide(oracle, Ts, As, Bs, dom, cod)
-    return out
+    groups = _groups((op.domain.space, op.codomain.space, op.matrix, op.domain.A,
+                      op.codomain.A) for op in corpus)
+    return groups, _members(oracle, groups)
 
 
-def _groups(pairs: list, matrices: list):
-    """(indices, dom, cod, Ts) for each group of the (domain, codomain) pairs
-    under space equality, in order of first appearance; Ts stacks the group's
-    matrices as floats (k, cod.dim, dom.dim)."""
-    keys: dict = {}  # id -> key, computed once for a space shared by pairs
+def _groups(rows) -> list:
+    """(indices, dom, cod, Ts, *structure stacks) for each group of a corpus
+    given as rows (dom, cod, T, *structure matrices), under space equality of
+    (dom, cod) and in order of first appearance; Ts stacks the group's T as
+    floats (k, m, n).  The one pass that keys the spaces checks each shape, so
+    a shape error names the first misshapen operator in corpus order."""
+    keys: dict = {}  # id -> key, computed once for a space shared by rows
     groups: dict = {}
-    for i, (dom, cod) in enumerate(pairs):
+    for i, (dom, cod, T, *structures) in enumerate(rows):
         for space in (dom, cod):
             if id(space) not in keys:
                 keys[id(space)] = space_key(space)
-        groups.setdefault((keys[id(dom)], keys[id(cod)]), (dom, cod, []))[2].append(i)
-    for dom, cod, idx in groups.values():
-        Ts = [np.asarray(matrices[i], dtype=float) for i in idx]
-        for T in Ts:
-            if T.shape != (cod.dim, dom.dim):
-                raise DimensionMismatchError(
-                    f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
-        yield idx, dom, cod, np.stack(Ts)
+        T = np.asarray(T, dtype=float)
+        if T.shape != (cod.dim, dom.dim):
+            raise DimensionMismatchError(
+                f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
+        group = groups.setdefault((keys[id(dom)], keys[id(cod)]), (dom, cod, [], []))
+        group[2].append(i)
+        group[3].append((T, *structures))
+    return [(idx, dom, cod, *map(np.stack, zip(*items)))
+            for dom, cod, idx, items in groups.values()]
 
 
-def _complex_groups(corpus: Sequence[RespectingOperator]):
-    """_groups of a corpus of [T, A, B], with each group's structure matrices
-    stacked as well: (indices, dom, cod, Ts, As, Bs)."""
-    for idx, dom, cod, Ts in _groups(
-            [(op.domain.space, op.codomain.space) for op in corpus],
-            [op.matrix for op in corpus]):
-        yield (idx, dom, cod, Ts, np.stack([corpus[i].domain.A for i in idx]),
-               np.stack([corpus[i].codomain.A for i in idx]))
+def _members(oracle: IdealOracle, groups: list) -> np.ndarray:
+    """Membership of each operator of a grouped corpus, in corpus order."""
+    out = np.zeros(sum(len(g[0]) for g in groups), dtype=bool)
+    for idx, dom, cod, *stacks in groups:
+        out[idx] = _decide(oracle, dom, cod, *stacks)
+    return out
 
 
 def _descriptor(oracle: IdealOracle, kind: str) -> Descriptor:
@@ -209,9 +211,9 @@ def _descriptor(oracle: IdealOracle, kind: str) -> Descriptor:
     return oracle.descriptor
 
 
-def _decide(oracle: IdealOracle, Ts: np.ndarray, As: Optional[np.ndarray],
-            Bs: Optional[np.ndarray], dom: NormedSpace,
-            cod: NormedSpace) -> np.ndarray:
+def _decide(oracle: IdealOracle, dom: NormedSpace, cod: NormedSpace,
+            Ts: np.ndarray, As: Optional[np.ndarray] = None,
+            Bs: Optional[np.ndarray] = None) -> np.ndarray:
     """Membership of the k operators Ts (k, m, n) from dom to cod.  A
     real-kind oracle gets As = Bs = None; a complex-kind one the stacks of
     the operators' domain and codomain structure matrices."""
@@ -224,20 +226,19 @@ def _decide(oracle: IdealOracle, Ts: np.ndarray, As: Optional[np.ndarray],
     if isinstance(d, RankThreshold):
         return np.linalg.matrix_rank(Ts) <= d.r
     if isinstance(d, MatrixPredicate):
-        if As is None:
-            return np.array([bool(d.fn(T, dom, cod)) for T in Ts], dtype=bool)
-        return np.array([bool(d.fn(T, A, B, dom, cod))
-                         for T, A, B in zip(Ts, As, Bs)], dtype=bool)
+        mats = zip(Ts) if As is None else zip(Ts, As, Bs)
+        return np.array([bool(d.fn(*m, dom, cod)) for m in mats], dtype=bool)
     if kind == "real" and isinstance(d, RealFormOf):
         # [T (+) T, N_X, N_Y] between the complexifications
         nx, ny = natural_i_operator(dom), natural_i_operator(cod)
         k = len(Ts)
-        return _decide(d.base, block_diag2(Ts), np.broadcast_to(nx.A, (k, *nx.A.shape)),
-                       np.broadcast_to(ny.A, (k, *ny.A.shape)), nx.space, ny.space)
+        return _decide(d.base, nx.space, ny.space, block_diag2(Ts),
+                       np.broadcast_to(nx.A, (k, *nx.A.shape)),
+                       np.broadcast_to(ny.A, (k, *ny.A.shape)))
     if kind == "complex" and isinstance(d, ComplexifiedReal):
-        return _decide(d.base, Ts, None, None, dom, cod)
+        return _decide(d.base, dom, cod, Ts)
     if kind == "complex" and isinstance(d, ConjugateOf):
-        return _decide(d.base, Ts, -As, -Bs, dom, cod)
+        return _decide(d.base, dom, cod, Ts, -As, -Bs)
     raise DescriptorError(
         f"descriptor {type(d).__name__} is not valid for a {kind} oracle")
 
@@ -272,30 +273,26 @@ def conjugate_ideal(complex_oracle: IdealOracle) -> IdealOracle:
 # Self-conjugacy audit
 # ---------------------------------------------------------------------------
 
-def _squares(corpus: Sequence[RespectingOperator], *,
+def _squares(corpus: Sequence[RespectingOperator], groups: list, *,
              tol: Tolerances) -> list:
-    """[T (+) T, A (+) -A, B (+) -B] on the averaged-norm doubled spaces, for
-    each operator of the corpus in its order; the doubled spaces are built
-    once per (domain, codomain) group.  The first failure in corpus order is
-    raised."""
-    out = [None] * len(corpus)
+    """The groups of the squares [T (+) T, A (+) -A, B (+) -B] of a grouped
+    corpus, on each group's averaged-norm doubled spaces; the first failure
+    in corpus order is raised."""
+    squares = []
     errors = {}  # corpus index -> the first error of its square
-    for idx, dom, cod, Ts, As, Bs in _complex_groups(corpus):
+    for idx, dom, cod, Ts, As, Bs in groups:
+        dom2 = direct_sum(dom, dom, "complexification")
+        cod2 = direct_sum(cod, cod, "complexification")
         TT, A2s, B2s = block_diag2(Ts), _split_matrix(As), _split_matrix(Bs)
-        doms, dom_errors = _split_on(direct_sum(dom, dom, "complexification"),
-                                     [corpus[i].domain for i in idx], A2s, tol=tol)
-        cods, cod_errors = _split_on(direct_sum(cod, cod, "complexification"),
-                                     [corpus[i].codomain for i in idx], B2s, tol=tol)
-        res, respect_errors = _respect_residuals(TT, A2s, B2s, tol)
-        first = first_errors(dom_errors, cod_errors, respect_errors)
-        for j, i in enumerate(idx):
-            if first[j] is not None:
-                errors[i] = first[j]
-            else:
-                out[i] = RespectingOperator(doms[j], cods[j], TT[j], res[j])
+        first = first_errors(
+            _split_on(dom2, [corpus[i].domain for i in idx], A2s, tol=tol)[1],
+            _split_on(cod2, [corpus[i].codomain for i in idx], B2s, tol=tol)[1],
+            _respect_residuals(TT, A2s, B2s, tol)[1])
+        errors.update((i, e) for i, e in zip(idx, first) if e is not None)
+        squares.append((idx, dom2, cod2, TT, A2s, B2s))
     if errors:
         raise errors[min(errors)]
-    return out
+    return squares
 
 
 def audit_self_conjugacy(oracle: IdealOracle,
@@ -308,13 +305,16 @@ def audit_self_conjugacy(oracle: IdealOracle,
     the membership of [T, A, B] in both directions.  The doubled spaces carry
     the averaged norm, on which A (+) -A is an i-operator only for
     Euclidean-like spaces (see theory.split_structure); elsewhere the audit
-    raises StructureValidationError.  The direct, the conjugate and the square
-    corpus are each decided in one call.
+    raises StructureValidationError.
     """
-    conj = conjugate_ideal(oracle)
-    direct = decide_complex(oracle, corpus)
-    conjugated = decide_complex(conj, corpus)
-    square = decide_complex(oracle, _squares(corpus, tol=tol))
+    return _audit(oracle, corpus, *_grouped(oracle, corpus), tol=tol)
+
+
+def _audit(oracle: IdealOracle, corpus: Sequence[RespectingOperator], groups: list,
+           direct: np.ndarray, *, tol: Tolerances) -> VerificationReport:
+    """audit_self_conjugacy of a corpus, its groups and its decisions."""
+    conjugated = _members(conjugate_ideal(oracle), groups)
+    square = _members(oracle, _squares(corpus, groups, tol=tol))
     conj_mismatch = [{"index": int(i)} for i in np.flatnonzero(conjugated != direct)]
     square_fwd = [{"index": int(i)} for i in np.flatnonzero(direct & ~square)]
     square_bwd = [{"index": int(i)} for i in np.flatnonzero(square & ~direct)]

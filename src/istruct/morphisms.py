@@ -61,6 +61,13 @@ def block_diag2(T: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_matrix(A: np.ndarray) -> np.ndarray:
+    """A (+) -A; of each matrix of a stack (..., n, n)."""
+    out = block_diag2(A)
+    out[..., A.shape[-2]:, A.shape[-1]:] *= -1.0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------

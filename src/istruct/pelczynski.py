@@ -33,6 +33,7 @@ LABELS = ("X", "Y", "Z")
 SIGNS = ("+", "-")
 
 DEFAULT_MAX_ATOMS = 8
+PROJECTION_TOL = 1e-9  # max |P^2 - P| of a projection S R
 
 
 @dataclass(frozen=True)
@@ -248,8 +249,7 @@ def _backtrack(source: SumExpr, goal: tuple, seen: dict) -> ChainDerivation:
 # ---------------------------------------------------------------------------
 
 def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
-                                   tol: Tolerances = DEFAULT_TOL,
-                                   proj_tol: float = 1e-9) -> VerificationReport:
+                                   tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
     """Check R S = I, that R respects (A, -A) and S respects (-A, A), and that
     S R is a projection splitting the space into its range and kernel."""
     A = s.A
@@ -276,13 +276,13 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
         n - np.linalg.matrix_rank(split)) if split.size else float(n)
 
     bad = {k: v for k, v in residuals.items()
-           if v > (proj_tol if k == "projection" else tol.tol_alg)}
+           if v > (PROJECTION_TOL if k == "projection" else tol.tol_alg)}
     status = VERIFIED if not bad else VIOLATED
     return VerificationReport(
         claim="factorization-hypotheses", status=status,
         residuals=residuals,
         witness={"failed": bad} if bad else None,
-        tolerances={"algebraic": tol.tol_alg, "projection": proj_tol},
+        tolerances={"algebraic": tol.tol_alg, "projection": PROJECTION_TOL},
         notes=[f"range dimension {rank}, kernel dimension {n - rank}"])
 
 

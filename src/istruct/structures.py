@@ -13,7 +13,7 @@ sampling otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -193,6 +193,26 @@ def conjugate_structure(s: ComplexStructure) -> ComplexStructure:
         # alpha x + beta (-A) x = alpha x + (-beta) A x
         cert = replace(cert, witness=(wit[0], wit[1], -wit[2]))
     return ComplexStructure(s.space, -s.A, cert)
+
+
+def _split_on(space2: NormedSpace, structures: Sequence[ComplexStructure],
+              A2s: np.ndarray, *, tol: Tolerances) -> tuple:
+    """theory.split_structure of each structure, all on the space X that space2
+    doubles (either norm), with A2s the stack of their A (+) -A: the split
+    structures, and the error of each that fails (None where it is kept)."""
+    sampled = (isinstance(space2.norm_desc, ComplexificationOfBase)
+               and euclidean_gram(space2.norm_desc.base) is None)
+    certs = []
+    for s, A2 in zip(structures, A2s):
+        cert = certify(space2, A2) if sampled else s.certificate
+        if not sampled and cert.witness is not None:
+            x, alpha, beta = cert.witness
+            cert = replace(cert, witness=(np.concatenate([x, np.zeros_like(x)]),
+                                          alpha, beta))
+        certs.append(cert)
+    errors = [_rejection(c, tol) for c in certs]
+    return ([None if e else ComplexStructure(space2, A2, c)
+             for e, A2, c in zip(errors, A2s, certs)], errors)
 
 
 def natural_i_operator_matrix(n: int) -> np.ndarray:

@@ -12,23 +12,27 @@ corpus raises the error of its first failing item in corpus order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DescriptorError, WitnessError, first_errors
+from .ideals import (_audit, _grouped, _members, complexify_ideal, decide_real,
+                     realify_ideal)
 from .morphisms import (RANK_RTOL, RespectingOperator, _inverses,
-                        _respect_residuals, _whitened, block_diag2,
-                        injection_first, injection_second, matrix_norm_between,
-                        surjection_first, surjection_second)
+                        _respect_residuals, _split_matrix, _whitened,
+                        block_diag2, injection_first, injection_second,
+                        matrix_norm_between, surjection_first,
+                        surjection_second)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
-from .spaces import (ComplexificationOfBase, EuclideanQuadratic, NormedSpace,
-                     Polyhedral, SubspaceNorm, _doubled_gram, _gram_defects,
-                     direct_sum, euclidean_gram)
-from .structures import (ComplexStructure, _rejection, certify,
-                         natural_i_operator, natural_i_operator_matrix)
+from .spaces import (EuclideanQuadratic, NormedSpace, Polyhedral, SubspaceNorm,
+                     _doubled_gram, _gram_defects, direct_sum, euclidean_gram)
+from .structures import (ComplexStructure, _split_on, natural_i_operator,
+                         natural_i_operator_matrix)
+
+HYP_TOL = 1e-8  # residuals of T as an anticommuting involution
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +121,6 @@ def _induced_subspace(space: NormedSpace, basis: np.ndarray) -> NormedSpace:
 
 def build_complexification_witness(s: ComplexStructure, T, *,
                                    tol: Tolerances = DEFAULT_TOL,
-                                   hyp_tol: float = 1e-8,
                                    norm_samples: int = 2000,
                                    seed: int = 0) -> ComplexificationWitness:
     """Realize [X, A] as the doubled space over Y = {x + Tx}.
@@ -131,8 +134,7 @@ def build_complexification_witness(s: ComplexStructure, T, *,
         raise WitnessError(f"T must be {dim} x {dim}, got {T.shape}")
     gram = euclidean_gram(s.space)
     w = _witnesses(s.A[None], T[None], None if gram is None else gram[None],
-                   [s.space], tol=tol, hyp_tol=hyp_tol,
-                   norm_samples=norm_samples, seed=seed)
+                   [s.space], tol=tol, norm_samples=norm_samples, seed=seed)
     report = _single(w.outcomes[0], w.errors[0])
     y = w.y[0]
     ny = natural_i_operator(y if isinstance(y, NormedSpace)
@@ -160,7 +162,7 @@ class _Witnesses(NamedTuple):
 
 
 def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
-               spaces: Sequence[NormedSpace], *, tol: Tolerances, hyp_tol: float,
+               spaces: Sequence[NormedSpace], *, tol: Tolerances,
                norm_samples: int, seed: int) -> _Witnesses:
     """The witnesses for k structures [X_j, A_j] of one dimension n and their
     involutions T_j, stacked (k, n, n).  grams stacks the X_j's Grams when they
@@ -174,7 +176,7 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
     rank = np.sum(sv > RANK_RTOL * sv[:, :1], axis=1)
     errors = first_errors(
         [WitnessError(f"T is not an anticommuting involution (residuals "
-                      f"{a:.3e}, {b:.3e})") if max(a, b) > hyp_tol else None
+                      f"{a:.3e}, {b:.3e})") if max(a, b) > HYP_TOL else None
          for a, b in zip(r_inv, r_anti)],
         [WitnessError(f"I + T has rank {r}, expected {half}") if r != half
          else None for r in rank])
@@ -207,7 +209,7 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
         elif grams is not None:
             norm_bound, report = _witness_report(
                 r_inv[j], r_anti[j], round_dev[j], (s_norms[j], True),
-                (p_norms[j], True), hyp_tol=hyp_tol, seed=seed)
+                (p_norms[j], True), seed=seed)
         else:
             norm_bound, report = _witness_report(
                 r_inv[j], r_anti[j], round_dev[j],
@@ -215,7 +217,7 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
                                     samples=norm_samples, seed=seed),
                 matrix_norm_between(P[j], spaces[j], spaces[j],
                                     samples=norm_samples, seed=seed),
-                hyp_tol=hyp_tol, seed=seed)
+                seed=seed)
         norm_bounds.append(norm_bound)
         outcomes.append(report)
     return _Witnesses(B, S, S_inv, (res_s, res_inv), list(y), norm_bounds,
@@ -223,7 +225,7 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
 
 
 def _witness_report(r_inv, r_anti, round_dev, s_est: tuple, p_est: tuple, *,
-                    hyp_tol: float, seed: int) -> tuple:
+                    seed: int) -> tuple:
     """The norm bound and the report of one witness, from its residuals and
     the (value, exact) norms of S and of I + T."""
     (s_norm, s_exact), (p_norm, p_exact) = s_est, p_est
@@ -248,7 +250,7 @@ def _witness_report(r_inv, r_anti, round_dev, s_est: tuple, p_est: tuple, *,
                    "inverse_composition": round_dev,
                    "norm_excess": max(0.0, s_norm - p_norm)},
         witness=None if status == VERIFIED else {"norm_bound": norm_bound},
-        tolerances={"hyp_tol": hyp_tol, "norm_slack": 1e-6},
+        tolerances={"hyp_tol": HYP_TOL, "norm_slack": 1e-6},
         seeds={} if exact else {"seed": seed})
 
 
@@ -293,26 +295,6 @@ def split_structure(s: ComplexStructure, *, tol: Tolerances = DEFAULT_TOL,
     split, errors = _split_on(direct_sum(s.space, s.space, mode), [s],
                               _split_matrix(s.A[None]), tol=tol)
     return _single(split[0], errors[0])
-
-
-def _split_on(space2: NormedSpace, structures: Sequence[ComplexStructure],
-              A2s: np.ndarray, *, tol: Tolerances) -> tuple:
-    """split_structure of each structure, all on the space X that space2
-    doubles (either norm), with A2s the stack of their A (+) -A: the split
-    structures, and the error of each that fails (None where it is kept)."""
-    sampled = (isinstance(space2.norm_desc, ComplexificationOfBase)
-               and euclidean_gram(space2.norm_desc.base) is None)
-    certs = []
-    for s, A2 in zip(structures, A2s):
-        cert = certify(space2, A2) if sampled else s.certificate
-        if not sampled and cert.witness is not None:
-            x, alpha, beta = cert.witness
-            cert = replace(cert, witness=(np.concatenate([x, np.zeros_like(x)]),
-                                          alpha, beta))
-        certs.append(cert)
-    errors = [_rejection(c, tol) for c in certs]
-    return ([None if e else ComplexStructure(space2, A2, c)
-             for e, A2, c in zip(errors, A2s, certs)], errors)
 
 
 def squares_isomorphism(s: ComplexStructure, *,
@@ -402,15 +384,6 @@ def _real_cartesian_reports(Ts: np.ndarray) -> list:
     return reports
 
 
-def _split_matrix(A: np.ndarray) -> np.ndarray:
-    """A (+) -A; of each matrix of a stack (..., n, n)."""
-    n = A.shape[-1]
-    out = np.zeros((*A.shape[:-2], 2 * n, 2 * n))
-    out[..., :n, :n] = A
-    out[..., n:, n:] = -A
-    return out
-
-
 def verify_complex_cartesian_identities(op: RespectingOperator, *,
                                         tol: Tolerances = DEFAULT_TOL,
                                         corrupt_annotation: bool = False
@@ -496,7 +469,6 @@ def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
     Each corpus item is a RealOperator.  The unfolded oracle queries the
     doubled matrix between the complexified spaces.
     """
-    from .ideals import complexify_ideal, decide_real, realify_ideal
     unfolded = realify_ideal(complexify_ideal(oracle))
     direct = decide_real(oracle, corpus)
     back = decide_real(unfolded, corpus)
@@ -523,15 +495,14 @@ def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
     decision-neutral for the oracles shipped here (they depend on the matrix
     and the ambient norms only), mirroring the square-space isomorphism.
     Without self_conjugate the audit runs, whose averaged squares need a
-    corpus over Euclidean-like spaces (see split_structure).
+    corpus over Euclidean-like spaces (see split_structure).  The corpus is
+    grouped once for the audit and both decisions.
     """
-    from .ideals import (audit_self_conjugacy, complexify_ideal, decide_complex,
-                         realify_ideal)
     unfolded = complexify_ideal(realify_ideal(oracle))
+    groups, direct = _grouped(oracle, corpus)
     if self_conjugate is None:
-        self_conjugate = audit_self_conjugacy(oracle, corpus).ok
-    back = decide_complex(unfolded, corpus)
-    direct = decide_complex(oracle, corpus)
+        self_conjugate = _audit(oracle, corpus, groups, direct, tol=DEFAULT_TOL).ok
+    back = _members(unfolded, groups)
     inclusion_violations = [{"index": int(i)}
                             for i in np.flatnonzero(back & ~direct)]
     equality_mismatches = [{"index": int(i), "direct": bool(direct[i]),

@@ -587,3 +587,45 @@ def test_corpus_claims_run_one_kernel_call_per_shape_group(monkeypatch):
     assert 0 < calls["_squares_reports"] <= 3
     assert 0 < calls["_real_cartesian_reports"] <= 36
     assert 0 < calls["_complex_cartesian_reports"] <= 8
+
+
+def test_oracle_claims_group_their_corpus_once(monkeypatch):
+    # regrouping at every decision made 52 groupings per exact-algebra pass:
+    # 2 per theorem-real, 6 per theorem-complex and 4 per self-conjugacy claim
+    claims = []  # (kind, oracle, groupings, decisions) of each claim run
+    groups, members = istruct.ideals._groups, istruct.ideals._members
+
+    def counted_groups(rows):
+        out = groups(rows)
+        claims[-1][2].append(out)
+        return out
+
+    def counted_members(oracle, grouped):
+        claims[-1][3].append((oracle, grouped))
+        return members(oracle, grouped)
+
+    def counted_run(claim_id, parsed, *args, **kwargs):
+        kind, _, params = parsed
+        claims.append((kind, params.get("oracle"), [], []))
+        return run_claim(claim_id, parsed, *args, **kwargs)
+
+    run_claim = cli.run_claim
+    monkeypatch.setattr(cli, "run_claim", counted_run)
+    monkeypatch.setattr(istruct.ideals, "_groups", counted_groups)
+    for module in (istruct.ideals, istruct.theory):
+        monkeypatch.setattr(module, "_members", counted_members)
+    report = run_suite(_exact_algebra_scenario(7), "exact-algebra")
+    assert all(c["outcome"] == "verified" for c in report["claims"])
+    expected = {"theorem-real": 2, "theorem-complex": 1, "self-conjugacy": 1}
+    for kind, _, groupings, _ in claims:
+        assert len(groupings) == expected.get(kind, 0), kind
+    assert sum(len(groupings) for _, _, groupings, _ in claims) == 20
+    theorem_complex = [c for c in claims if c[0] == "theorem-complex"]
+    assert len(theorem_complex) == 4
+    for _, oracle, (grouped,), decisions in theorem_complex:
+        # the direct, conjugate and unfolded decisions of one corpus, each
+        # once, and one decision of the squares
+        on_corpus = [o for o, g in decisions if g is grouped]
+        assert len(on_corpus) == 3 and sum(o is oracle for o in on_corpus) == 1
+        assert len(set(map(id, on_corpus))) == 3
+        assert len(decisions) == 4

@@ -15,10 +15,12 @@ from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
                             conjugate_ideal, decide_complex, decide_real,
                             ideal_norm, ideal_norms, oracle_from_dict,
                             oracle_to_dict, realify_ideal)
-from istruct.morphisms import (RespectingOperator, complexify_operator,
-                               conjugate_operator, respect_residual)
+from istruct.morphisms import (RespectingOperator, block_diag2,
+                               complexify_operator, conjugate_operator,
+                               respect_residual)
 from istruct.spaces import EuclideanQuadratic, NormedSpace, direct_sum, lp_space
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
+from istruct.theory import split_structure, verify_theorem_complex
 
 L2_2 = lp_space(2, 2.0)
 
@@ -273,6 +275,48 @@ def test_corpus_with_a_misshapen_operator_raises(descriptor):
             decide_real(oracle, good[:1] + [bad] + good[1:])
 
 
+def _recording_predicate(kind, calls):
+    fn = PREDICATES[("nonzero", kind)]
+
+    def recorded(*args):
+        calls.append(1)
+        return fn(*args)
+
+    return IdealOracle(kind, MatrixPredicate("nonzero", recorded))
+
+
+def test_real_shape_error_names_the_first_misshapen_operator():
+    # item 1 (l2^3, 2 x 2) and item 2 (l2^2, 4 x 2) are both misshapen, in
+    # different groups; no group is decided before the error
+    l2_3 = lp_space(3, 2.0)
+    corpus = [real_op(np.eye(2)), RealOperator(np.eye(2), l2_3, l2_3),
+              RealOperator(np.ones((4, 2)), L2_2, L2_2)]
+    calls = []
+    for oracle in (_recording_predicate("real", calls),
+                   realify_ideal(complexify_ideal(_recording_predicate("real", calls)))):
+        with pytest.raises(DimensionMismatchError, match=r"T must be 3 x 3, got \(2, 2\)"):
+            decide_real(oracle, corpus)
+    assert calls == []
+
+
+def test_complex_shape_error_names_the_first_misshapen_operator():
+    # the corpus above, with structures: item 1 on l2^4, item 2 on l2^2
+    rng = np.random.default_rng(3)
+    s2, s4 = random_exact_structure(2, rng), random_exact_structure(4, rng)
+    corpus = [RespectingOperator(s2, s2, np.eye(2), 0.0),
+              RespectingOperator(s4, s4, np.eye(2), 0.0),
+              RespectingOperator(s2, s2, np.ones((4, 2)), 0.0)]
+    calls = []
+    oracle = _recording_predicate("complex", calls)
+    for run in (lambda: decide_complex(oracle, corpus),
+                lambda: decide_complex(conjugate_ideal(oracle), corpus),
+                lambda: audit_self_conjugacy(oracle, corpus),
+                lambda: verify_theorem_complex(oracle, corpus)):
+        with pytest.raises(DimensionMismatchError, match=r"T must be 4 x 4, got \(2, 2\)"):
+            run()
+    assert calls == []
+
+
 def test_corpus_with_a_norm_threshold_off_euclidean_raises():
     l1 = lp_space(2, 1.0)
     corpus = [real_op(np.eye(2)), RealOperator(np.eye(2), l1, l1), real_op([[2.0]])]
@@ -295,6 +339,66 @@ def test_audit_rejects_the_first_square_that_misses_respect():
     later = respect_residual(bad2.matrix, bad2.domain.A, bad2.codomain.A)
     assert abs(first - later) > 0.1
     assert exc_info.value.residual == pytest.approx(first, rel=1e-12)
+
+
+def reference_audit(oracle, corpus):
+    """The decisions of the audit, one operator at a time: on [T, A, B], on
+    [T, -A, -B] and on the square [T (+) T, A (+) -A, B (+) -B] between the
+    averaged-norm doubled spaces."""
+    direct, conjugated, square = [], [], []
+    for op in corpus:
+        direct.append(reference_complex(oracle, op))
+        conjugated.append(reference_complex(oracle, conjugate_operator(op)))
+        square.append(reference_complex(oracle, RespectingOperator(
+            split_structure(op.domain, mode="complexification"),
+            split_structure(op.codomain, mode="complexification"),
+            block_diag2(op.matrix), 0.0)))
+    return direct, conjugated, square
+
+
+def _indices(flags):
+    return [{"index": i} for i, flag in enumerate(flags) if flag]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grouped_audit_and_roundtrip_match_one_at_a_time(seed):
+    corpus = mixed_complex_corpus(seed)
+    statuses = set()
+    for oracle in _complex_oracles():
+        direct, conjugated, square = reference_audit(oracle, corpus)
+        conj = _indices(c != d for c, d in zip(conjugated, direct))
+        fwd = _indices(d and not q for d, q in zip(direct, square))
+        bwd = _indices(q and not d for d, q in zip(direct, square))
+        bad = conj or fwd or bwd
+        audit = audit_self_conjugacy(oracle, corpus).to_dict()
+        assert audit["status"] == ("violated" if bad else "verified")
+        assert audit["residuals"] == {"conjugation_mismatches": float(len(conj)),
+                                      "square_forward_failures": float(len(fwd)),
+                                      "square_backward_failures": float(len(bwd))}
+        assert audit["witness"] == ({"conjugation": conj, "square_forward": fwd,
+                                     "square_backward": bwd} if bad else None)
+        statuses.add(audit["status"])
+
+        unfolded = complexify_ideal(realify_ideal(oracle))
+        back = [reference_complex(unfolded, op) for op in corpus]
+        for given in (None, True, False):
+            self_conjugate = not bad if given is None else given
+            inclusion = _indices(b and not d for d, b in zip(direct, back))
+            equality = [{"index": i, "direct": d, "unfolded": b}
+                        for i, (d, b) in enumerate(zip(direct, back))
+                        if d != b] if self_conjugate else []
+            report = verify_theorem_complex(oracle, corpus,
+                                            self_conjugate=given).to_dict()
+            assert report["status"] == ("violated" if inclusion + equality
+                                        else "verified")
+            assert report["residuals"] == {
+                "inclusion_violations": float(len(inclusion)),
+                "equality_mismatches": float(len(equality))}
+            assert report["witness"] == ({"inclusion": inclusion, "equality": equality}
+                                         if inclusion + equality else None)
+            assert report["notes"][0] == f"audited self-conjugate: {self_conjugate}"
+    # the a-entry-sign predicate fails the audit, the thresholds pass it
+    assert statuses == {"verified", "violated"}
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_stacked_witnesses_are_the_single_calls(half_dim):
                                isos[0].codomain.A, tol=1e-9)
     assert errors == [None] * 5
     w = _witnesses(As, Ts, np.stack([s.space.norm_desc.gram for s in ss]), None,
-                   tol=DEFAULT_TOL, hyp_tol=1e-8, norm_samples=2000, seed=0)
+                   tol=DEFAULT_TOL, norm_samples=2000, seed=0)
     assert w.errors == [None] * 5
     for j, (s, iso) in enumerate(pairs):
         T = extract_conjugation(iso)
