@@ -29,14 +29,15 @@ from .errors import (IstructError, ScenarioError, StructureValidationError,
                      first_errors)
 from .ideals import (HILBERT_SCHMIDT, RealOperator, audit_self_conjugacy,
                      ideal_norms, oracle_from_dict)
-from .morphisms import RespectingOperator, _respect_residuals, block_diag2
+from .morphisms import RespectingOperator, _respect_residuals
 from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          check_derivation, expr, expr_from_list,
                          factorization_hypothesis_check, reference_chain,
                          search_chain)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
-from .spaces import (complexification_norm, complexification_norm_batch,
-                     direct_sum, lp_space, norm_batch, space_from_dict)
+from .spaces import (block_diag2, complexification_norm,
+                     complexification_norm_batch, direct_sum, lp_space,
+                     norm_batch, space_from_dict)
 from .structures import (UNDECIDED, certify, natural_i_operator,
                          natural_i_operator_matrix, reevaluate_witness,
                          search_i_operator, validate_i_operator,
@@ -71,7 +72,7 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError("scenario must be an object with schema = 1")
     if "seed" not in data:
         raise ScenarioError("scenario must declare a seed (reproducibility)")
-    for section in ("spaces", "oracles", "claims", "suites"):
+    for section in ("spaces", "oracles", "claims", "suites", "tolerances"):
         if not isinstance(data.setdefault(section, {}), dict):
             raise ScenarioError(f"scenario section {section!r} must be an object")
     return data
@@ -168,6 +169,15 @@ SPACE = _named("space")
 # Claim handlers: (typed parameters, rng, tolerances) -> VerificationReport
 # ---------------------------------------------------------------------------
 
+def _bounded(kind: str, ok: bool, residuals: dict, tolerances: dict,
+             witness) -> VerificationReport:
+    """The report of a claim that holds when ok, its residuals being within
+    its tolerances; the witness is kept only for a violation."""
+    return VerificationReport(kind, VERIFIED if ok else VIOLATED,
+                              residuals=residuals, tolerances=tolerances,
+                              witness=None if ok else witness)
+
+
 def _choice(rng, seq) -> int:
     """One entry of seq, drawn from the same stream as rng.choice(seq) (a
     test checks that), without converting seq to an array."""
@@ -190,22 +200,16 @@ def _h_euclidean_closed_form(params, rng, tol):
         rows = np.cos(phi)[:, None] * x + np.sin(phi)[:, None] * y
         defined = math.sqrt(np.mean(norm_batch(space, rows) ** 2))
         worst = max(worst, abs(closed - defined))
-    status = VERIFIED if worst <= 1e-10 else VIOLATED
-    return VerificationReport("euclidean-closed-form", status,
-                              residuals={"worst_abs_error": worst},
-                              witness=None if status == VERIFIED else {"worst": worst},
-                              tolerances={"abs": 1e-10})
+    return _bounded("euclidean-closed-form", worst <= 1e-10,
+                    {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
 
 
 def _h_l1_spot_value(params, rng, tol):
     value = complexification_norm(lp_space(2, 1.0), [1.0, 0.0], [0.0, 1.0])
     target = math.sqrt(1.0 + 2.0 / math.pi)
     err = abs(value - target)
-    status = VERIFIED if err <= 1e-6 else VIOLATED
-    return VerificationReport("l1-spot-value", status,
-                              residuals={"abs_error": err, "value": value},
-                              witness=None if status == VERIFIED else {"value": value},
-                              tolerances={"abs": 1e-6})
+    return _bounded("l1-spot-value", err <= 1e-6, {"abs_error": err, "value": value},
+                    {"abs": 1e-6}, {"value": value})
 
 
 def _h_rotation_invariance(params, rng, tol):
@@ -225,24 +229,19 @@ def _h_rotation_invariance(params, rng, tol):
     Y = (s * x + c * y).reshape(-1, space.dim)
     vals = complexification_norm_batch(space, X, Y).reshape(count, angles)
     worst = float(np.max(np.abs(vals[:, 1:] - vals[:, :1]), initial=0.0))
-    status = VERIFIED if worst <= bound else VIOLATED
-    return VerificationReport("rotation-invariance", status,
-                              residuals={"worst_abs_dev": worst},
-                              witness=None if status == VERIFIED else {"worst": worst},
-                              tolerances={"abs": bound})
+    return _bounded("rotation-invariance", worst <= bound, {"worst_abs_dev": worst},
+                    {"abs": bound}, {"worst": worst})
 
 
 def _h_natural_i_operator(params, rng, tol):
     s = natural_i_operator(params["space"])
     c = certify(s.space, s.A)
-    ok = c.algebraic_residual <= 1e-12 and c.isometry_residual <= 1e-8
-    return VerificationReport(
-        "natural-i-operator", VERIFIED if ok else VIOLATED,
-        residuals={"algebraic": c.algebraic_residual,
-                   "isometry": c.isometry_residual},
-        witness=None if ok else {"residuals": [c.algebraic_residual,
-                                               c.isometry_residual]},
-        tolerances={"algebraic": 1e-12, "isometry": 1e-8})
+    return _bounded(
+        "natural-i-operator",
+        c.algebraic_residual <= 1e-12 and c.isometry_residual <= 1e-8,
+        {"algebraic": c.algebraic_residual, "isometry": c.isometry_residual},
+        {"algebraic": 1e-12, "isometry": 1e-8},
+        {"residuals": [c.algebraic_residual, c.isometry_residual]})
 
 
 def _h_validate_structure(params, rng, tol):
@@ -287,18 +286,6 @@ def _h_reject_structure(params, rng, tol):
                               witness={"error": "candidate unexpectedly valid"})
 
 
-def _draw_by_shape(count: int, draw: Callable) -> list:
-    """count calls of draw() in order, each giving (shape, item), grouped by
-    shape in order of first appearance: [(shape, corpus indices, items)]."""
-    groups: dict = {}
-    for i in range(count):
-        shape, item = draw()
-        idx, items = groups.setdefault(shape, ([], []))
-        idx.append(i)
-        items.append(item)
-    return [(shape, idx, items) for shape, (idx, items) in groups.items()]
-
-
 def _erred(outcome, error) -> bool:
     """An item fails when its check raised."""
     return error is not None
@@ -309,16 +296,25 @@ def _failed(report, error) -> bool:
     return error is not None or not report.ok
 
 
-def _corpus_outcomes(groups: list, check: Callable, fails: Callable = _erred) -> list:
-    """check(shape, items) of the shape groups, (outcome, error) pairs in each
-    group's order, as the outcomes in corpus order up to and including the
-    first item for which fails(outcome, error) holds, where a loop over the
-    items would stop: an error there is raised.  Groups come in order of
-    their first item, so those whose items all lie beyond that point are not
-    checked."""
+def _corpus_outcomes(count: int, draw: Callable, check: Callable,
+                     fails: Callable = _erred) -> list:
+    """Run a corpus of count items a shape group at a time.  draw() is called
+    count times in order, each giving (shape, item); the items are grouped by
+    shape in order of first appearance, and check(shape, items) of each group
+    gives (outcome, error) pairs in the group's order.  The result is the
+    outcomes in corpus order up to and including the first item for which
+    fails(outcome, error) holds, where a loop over the items would stop: an
+    error there is raised.  Groups whose items all lie beyond that point are
+    not checked."""
+    groups: dict = {}
+    for i in range(count):
+        shape, item = draw()
+        idx, items = groups.setdefault(shape, ([], []))
+        idx.append(i)
+        items.append(item)
     out: dict = {}
     stop = None
-    for shape, idx, items in groups:
+    for shape, (idx, items) in groups.items():
         if stop is not None and idx[0] > stop:
             break
         for i, (outcome, error) in zip(idx, check(shape, items)):
@@ -347,20 +343,17 @@ def _h_prop1_roundtrip(params, rng, tol):
             *(np.stack(z) for z in zip(*draws)), tol=tol)
         Ts, conj_errors = _conjugations(c.S0, c.A, natural_i_operator_matrix(m),
                                         tol=1e-8)
-        w = _witnesses(c.A, Ts, c.gram, None, tol=tol, norm_samples=2000,
-                       seed=0)
+        w = _witnesses(c.A, Ts, c.gram, None, tol=tol)
         return zip(w.outcomes, first_errors(c.errors, conj_errors, w.errors))
 
-    reports = _corpus_outcomes(_draw_by_shape(params["count"], draw), check)
+    reports = _corpus_outcomes(params["count"], draw, check)
     worst = {key: _worst(reports, key) for key in
              ("involution", "anticommutation", "inverse_composition", "norm_excess")}
     ok = (worst["involution"] <= 1e-8 and worst["anticommutation"] <= 1e-8
           and worst["inverse_composition"] <= 1e-8
           and worst["norm_excess"] <= 1e-6)
-    return VerificationReport(
-        "complexification-roundtrip", VERIFIED if ok else VIOLATED,
-        residuals=worst, witness=None if ok else dict(worst),
-        tolerances={"residuals": 1e-8, "norm_slack": 1e-6})
+    return _bounded("complexification-roundtrip", ok, worst,
+                    {"residuals": 1e-8, "norm_slack": 1e-6}, dict(worst))
 
 
 def _h_squares(params, rng, tol):
@@ -369,7 +362,7 @@ def _h_squares(params, rng, tol):
         return dim, corpus_gen.random_exact_structure(dim, rng)
 
     reports = _corpus_outcomes(
-        _draw_by_shape(params["count"], draw),
+        params["count"], draw,
         lambda dim, structures: zip(*_squares_reports(structures, tol=tol)), _failed)
     if not reports[-1].ok:
         return reports[-1]
@@ -389,7 +382,7 @@ def _h_real_cartesian(params, rng, tol):
         return (m, n), rng.standard_normal((m, n))
 
     reports = _corpus_outcomes(
-        _draw_by_shape(params["count"], draw),
+        params["count"], draw,
         lambda shape, Ts: ((r, None) for r in _real_cartesian_reports(np.stack(Ts))),
         _failed)
     if not reports[-1].ok:
@@ -427,8 +420,7 @@ def _random_complex_corpus(rng, dims, count, tol) -> list:
         return [(RespectingOperator(dom, cod, T, r), e)
                 for (dom, cod, _), T, r, e in zip(draws, Ts, res, errors)]
 
-    return _corpus_outcomes(_draw_by_shape(count, lambda: _draw_complex_op(rng, dims)),
-                            check)
+    return _corpus_outcomes(count, lambda: _draw_complex_op(rng, dims), check)
 
 
 def _h_complex_cartesian(params, rng, tol):
@@ -438,8 +430,7 @@ def _h_complex_cartesian(params, rng, tol):
             Ts, As, Bs, tol=tol, corrupt_annotation=params["corrupt"]), errors)
 
     reports = _corpus_outcomes(
-        _draw_by_shape(params["count"], lambda: _draw_complex_op(rng, params["dims"])),
-        check, _failed)
+        params["count"], lambda: _draw_complex_op(rng, params["dims"]), check, _failed)
     if not reports[-1].ok:
         return reports[-1]
     return VerificationReport("complex-cartesian-identities", VERIFIED,
@@ -477,20 +468,18 @@ def _h_hs_doubling(params, rng, tol):
         dim_c = _choice(rng, params["dims"])
         return (dim_d, dim_c), rng.standard_normal((dim_c, dim_d))
 
-    worst = 0.0
-    for (dim_d, dim_c), _, Ts in _draw_by_shape(params["count"], draw):
+    def check(shape, Ts):
         Ts = np.stack(Ts)
-        dom, cod = lp_space(dim_d, 2.0), lp_space(dim_c, 2.0)
+        dom, cod = (lp_space(dim, 2.0) for dim in shape)
         base = ideal_norms(HILBERT_SCHMIDT, Ts, dom, cod)
         dom2 = direct_sum(dom, dom, "complexification")
         cod2 = direct_sum(cod, cod, "complexification")
         doubled = ideal_norms(HILBERT_SCHMIDT, block_diag2(Ts), dom2, cod2)
-        worst = max(worst, float(np.max(np.abs(doubled - math.sqrt(2.0) * base))))
-    status = VERIFIED if worst <= bound else VIOLATED
-    return VerificationReport("hs-doubling", status,
-                              residuals={"worst_abs_dev": worst},
-                              witness=None if status == VERIFIED else {"worst": worst},
-                              tolerances={"abs": bound})
+        return ((d, None) for d in np.abs(doubled - math.sqrt(2.0) * base).tolist())
+
+    worst = max(_corpus_outcomes(params["count"], draw, check))
+    return _bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
+                    {"abs": bound}, {"worst": worst})
 
 
 def _h_pelczynski_chain(params, rng, tol):
@@ -690,9 +679,12 @@ def run_suite(scenario: dict, suite: str, *, seed=None, tol_alg=None,
         tols["tol_alg"] = tol_alg
     if tol_iso is not None:
         tols["tol_iso"] = tol_iso
+    for key, value in tols.items():
+        if not BOUND.ok(value, None):
+            raise ScenarioError(f"tolerance {key!r} must be {BOUND.what}, got {value!r}")
     try:
         tol = Tolerances(**{k: float(v) for k, v in tols.items()})
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ScenarioError(f"invalid tolerances {tols!r} ({exc})") from exc
 
     claim_ids = suites[suite]

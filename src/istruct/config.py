@@ -2,14 +2,17 @@
 
 from dataclasses import dataclass
 
+SAMPLE_SEED = 0  # every sampled check draws its directions from this seed
+
 
 @dataclass(frozen=True)
 class Tolerances:
     """Comparison tolerances.
 
-    abs_tol/rel_tol are the generic scalar-comparison pair; tol_alg bounds
-    exact algebraic residuals (e.g. max-entry of A^2 + I); tol_iso bounds
-    sampled isometry residuals.
+    tol_alg bounds exact algebraic residuals (e.g. max-entry of A^2 + I);
+    tol_iso bounds sampled isometry residuals; abs_tol bounds only the
+    deviations of the complex Cartesian-square identities.  No check reads
+    rel_tol: it is only echoed in a suite's report.
     """
 
     abs_tol: float = 1e-12

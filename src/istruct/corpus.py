@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DescriptorError, first_errors
+from .errors import DescriptorError, first_errors, single
 from .morphisms import RespectingOperator, _respect_residuals, make_respecting
-from .spaces import (EuclideanQuadratic, NormedSpace, _doubled_gram,
-                     _gram_defects, lp_space)
+from .spaces import (EuclideanQuadratic, NormedSpace, _gram_defects,
+                     block_diag2, lp_space)
 from .structures import (BY_CONSTRUCTION, ComplexStructure, _gram_certificates,
                          _rejection, natural_i_operator,
                          natural_i_operator_matrix)
@@ -135,8 +135,7 @@ def random_complexification_isomorphism(half_dim: int, rng: np.random.Generator,
     """
     Zy, Zs = complexification_draws(half_dim, rng)
     c = _complexification_isomorphisms(Zy[None], Zs[None], tol=tol)
-    if c.errors[0] is not None:
-        raise c.errors[0]
+    c = single(c, c.errors[0])
     ny = natural_i_operator(NormedSpace(half_dim, EuclideanQuadratic(c.y_gram[0])))
     s = ComplexStructure(NormedSpace(2 * half_dim, EuclideanQuadratic(c.gram[0])),
                          c.A[0], c.certificates[0])
@@ -167,7 +166,7 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     y_gram = _random_grams(Zy)
     N = natural_i_operator_matrix(m)
     S0 = np.eye(dim) + SPREAD * Zs / np.sqrt(dim)
-    H = np.swapaxes(S0, 1, 2) @ _doubled_gram(y_gram) @ S0
+    H = np.swapaxes(S0, 1, 2) @ block_diag2(y_gram / 2.0) @ S0
     gram = (H + np.swapaxes(H, 1, 2)) / 2.0
     A = np.linalg.solve(S0, N @ S0)
     certs = _gram_certificates(A, gram)

@@ -56,3 +56,10 @@ def first_errors(*stages) -> list:
     the error a one-item call meets first, for each item of a stacked one."""
     return [next((e for e in errors if e is not None), None)
             for errors in zip(*stages)]
+
+
+def single(value, error):
+    """The value of a one-item kernel call, or its error (if not None) raised."""
+    if error is not None:
+        raise error
+    return value

@@ -23,11 +23,12 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DescriptorError, DimensionMismatchError, first_errors
+from .errors import DescriptorError, first_errors
 from .morphisms import (RespectingOperator, _respect_residuals,
-                        _singular_values, _split_matrix, block_diag2)
+                        _singular_values, _split_matrix)
 from .report import VERIFIED, VIOLATED, VerificationReport
-from .spaces import NormedSpace, direct_sum, space_key
+from .spaces import (NormedSpace, _checked_operator, block_diag2, direct_sum,
+                     space_key)
 from .structures import _split_on, natural_i_operator
 
 THRESHOLD_ATOL = 1e-9  # norm thresholds accept up to bound + THRESHOLD_ATOL
@@ -59,10 +60,7 @@ class IdealNormValue:
 
 def ideal_norm(functional: str, T, dom: NormedSpace, cod: NormedSpace) -> IdealNormValue:
     """operator_norm, hilbert_schmidt, or trace_norm of T : dom -> cod."""
-    T = np.asarray(T, dtype=float)
-    if T.shape != (cod.dim, dom.dim):
-        raise DimensionMismatchError(
-            f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
+    T = _checked_operator(T, dom, cod)
     return IdealNormValue(functional, float(ideal_norms(functional, T, dom, cod)),
                           True)
 
@@ -186,10 +184,7 @@ def _groups(rows) -> list:
         for space in (dom, cod):
             if id(space) not in keys:
                 keys[id(space)] = space_key(space)
-        T = np.asarray(T, dtype=float)
-        if T.shape != (cod.dim, dom.dim):
-            raise DimensionMismatchError(
-                f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
+        T = _checked_operator(T, dom, cod)
         group = groups.setdefault((keys[id(dom)], keys[id(cod)]), (dom, cod, [], []))
         group[2].append(i)
         group[3].append((T, *structures))

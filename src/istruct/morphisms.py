@@ -7,14 +7,15 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
-from .errors import (CompositionError, DimensionMismatchError,
-                     RespectViolationError)
-from .spaces import NormedSpace, euclidean_gram, norm_batch
+from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
+from .errors import CompositionError, RespectViolationError, single
+from .spaces import (NormedSpace, _checked_operator, block_diag2,
+                     euclidean_gram, norm_batch)
 from .structures import (ComplexStructure, conjugate_structure,
                          natural_i_operator, structure_equal)
 
 RANK_RTOL = 1e-10  # smallest singular value > RANK_RTOL * largest
+NORM_SAMPLES = 2000  # Gaussian directions of a sampled operator norm
 
 
 @dataclass(eq=False)
@@ -51,16 +52,6 @@ def surjection_second(n: int) -> np.ndarray:
     return np.eye(n, 2 * n, k=n)
 
 
-def block_diag2(T: np.ndarray) -> np.ndarray:
-    """T (+) T: (x1, x2) -> (T x1, T x2); of each matrix of a stack
-    (..., m, n)."""
-    *lead, m, n = T.shape
-    out = np.zeros((*lead, 2 * m, 2 * n))
-    out[..., :m, :n] = T
-    out[..., m:, n:] = T
-    return out
-
-
 def _split_matrix(A: np.ndarray) -> np.ndarray:
     """A (+) -A; of each matrix of a stack (..., n, n)."""
     out = block_diag2(A)
@@ -79,14 +70,9 @@ def respect_residual(T: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
 def make_respecting(domain: ComplexStructure, codomain: ComplexStructure, T,
                     *, tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
     """Wrap T as [T, A, B]; rejected with the max-entry witness if T A != B T."""
-    T = np.asarray(T, dtype=float)
-    if T.shape != (codomain.space.dim, domain.space.dim):
-        raise DimensionMismatchError(
-            f"T must be {codomain.space.dim} x {domain.space.dim}, got {T.shape}")
+    T = _checked_operator(T, domain.space, codomain.space)
     res, errors = _respect_residuals(T[None], domain.A, codomain.A, tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return RespectingOperator(domain, codomain, T, res[0])
+    return single(RespectingOperator(domain, codomain, T, res[0]), errors[0])
 
 
 def _respect_residuals(Ts: np.ndarray, As, Bs, tol: Tolerances) -> tuple:
@@ -115,10 +101,7 @@ def complexify_operator(T, baseX: NormedSpace,
     Every entry of (T (+) T) N and of N (T (+) T) is one signed entry of T, so
     the respect residual is exactly 0.
     """
-    T = np.asarray(T, dtype=float)
-    if T.shape != (baseY.dim, baseX.dim):
-        raise DimensionMismatchError(
-            f"T must be {baseY.dim} x {baseX.dim}, got {T.shape}")
+    T = _checked_operator(T, baseX, baseY)
     return RespectingOperator(natural_i_operator(baseX), natural_i_operator(baseY),
                               block_diag2(T), 0.0)
 
@@ -167,9 +150,8 @@ def is_isomorphism(op: RespectingOperator, *,
     singular, sv, Tinv, res, errors = _inverses(T[None], op.domain.A, op.codomain.A, tol)
     if singular[0]:
         return IsomorphismResult(False, reason="singular")
-    if errors[0] is not None:
-        raise errors[0]
-    inv_op = RespectingOperator(op.codomain, op.domain, Tinv[0], res[0])
+    inv_op = single(RespectingOperator(op.codomain, op.domain, Tinv[0], res[0]),
+                    errors[0])
     return IsomorphismResult(True, inverse=inv_op,
                              condition_number=float(sv[0, 0] / sv[0, -1]))
 
@@ -212,24 +194,21 @@ def _singular_values(T: np.ndarray, dom: NormedSpace,
     return np.linalg.svd(_whitened(T, g_dom, g_cod), compute_uv=False)
 
 
-def matrix_norm_between(T: np.ndarray, dom: NormedSpace, cod: NormedSpace, *,
-                        samples: int = 2000, seed: int = 0) -> tuple[float, bool]:
+def matrix_norm_between(T: np.ndarray, dom: NormedSpace,
+                        cod: NormedSpace) -> tuple[float, bool]:
     """Norm of T : dom -> cod; (value, exact).
 
     Exact via singular values when both norms are Euclidean-like; otherwise a
     sampled lower bound over seeded Gaussian directions plus the coordinate
     directions (which attain the sup for the common polyhedral cases).
     """
-    T = np.asarray(T, dtype=float)
-    if T.shape != (cod.dim, dom.dim):
-        raise DimensionMismatchError(
-            f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
+    T = _checked_operator(T, dom, cod)
     sv = _singular_values(T, dom, cod)
     if sv is not None:
         return float(sv[0]) if sv.size else 0.0, True
 
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((samples, dom.dim))
+    rng = np.random.default_rng(SAMPLE_SEED)
+    X = rng.standard_normal((NORM_SAMPLES, dom.dim))
     X = np.vstack([X, np.eye(dom.dim), -np.eye(dom.dim)])
     dn = norm_batch(dom, X)
     keep = dn > 0

@@ -231,6 +231,15 @@ def _check_vector(x, dim: int) -> np.ndarray:
     return x
 
 
+def _checked_operator(T, dom: NormedSpace, cod: NormedSpace) -> np.ndarray:
+    """T as a float matrix, checked to map dom to cod."""
+    T = np.asarray(T, dtype=float)
+    if T.shape != (cod.dim, dom.dim):
+        raise DimensionMismatchError(
+            f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
+    return T
+
+
 def norm(space: NormedSpace, x) -> float:
     """Evaluate the space's norm at a single vector."""
     x = _check_vector(x, space.dim)
@@ -526,6 +535,17 @@ def direct_sum(left: NormedSpace, right: NormedSpace, mode: str) -> NormedSpace:
     raise DescriptorError(f"unknown direct-sum mode {mode!r}")
 
 
+def block_diag2(T: np.ndarray) -> np.ndarray:
+    """T (+) T: (x1, x2) -> (T x1, T x2); of each matrix of a stack
+    (..., m, n).  With T = G / 2 it is the Gram of the complexification of a
+    base with Gram G."""
+    *lead, m, n = T.shape
+    out = np.zeros((*lead, 2 * m, 2 * n))
+    out[..., :m, :n] = T
+    out[..., m:, n:] = T
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Recognition of exact fast paths
 # ---------------------------------------------------------------------------
@@ -546,23 +566,13 @@ def euclidean_gram(space: NormedSpace) -> Optional[np.ndarray]:
         return d.gram
     if isinstance(d, ComplexificationOfBase):
         g = euclidean_gram(d.base)
-        return None if g is None else _doubled_gram(g)
+        return None if g is None else block_diag2(g / 2.0)
     if isinstance(d, SubspaceNorm):
         g = euclidean_gram(d.ambient)
         if g is None:
             return None
         return d.basis.T @ g @ d.basis
     return None
-
-
-def _doubled_gram(g: np.ndarray) -> np.ndarray:
-    """diag(G, G) / 2, the Gram of the complexification of a base with Gram
-    G; of each matrix of a stack (..., n, n)."""
-    n = g.shape[-1]
-    out = np.zeros((*g.shape[:-2], 2 * n, 2 * n))
-    out[..., :n, :n] = g / 2.0
-    out[..., n:, n:] = g / 2.0
-    return out
 
 
 def _sinusoid_pieces(space: NormedSpace) -> Optional[tuple]:

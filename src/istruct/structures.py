@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionMismatchError, StructureValidationError
+from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
+from .errors import DimensionMismatchError, StructureValidationError, single
 from .spaces import (ComplexificationOfBase, Lp, NormedSpace, WeightedLp,
                      _sinusoid_pieces, direct_sum, euclidean_gram, lp_space,
                      norm, norm_batch, space_equal)
@@ -61,8 +61,7 @@ def structure_equal(a: ComplexStructure, b: ComplexStructure) -> bool:
 # Validation
 # ---------------------------------------------------------------------------
 
-def certify(space: NormedSpace, A, *, seed: int = 0,
-            samples: int = DEFAULT_SAMPLE_VECTORS,
+def certify(space: NormedSpace, A, *, samples: int = DEFAULT_SAMPLE_VECTORS,
             angles: int = DEFAULT_SAMPLE_ANGLES) -> Certificate:
     """Compute residuals for a candidate i-operator without rejecting it."""
     A = np.asarray(A, dtype=float)
@@ -81,7 +80,7 @@ def certify(space: NormedSpace, A, *, seed: int = 0,
             and np.array_equal(A, natural_i_operator_matrix(n // 2))):
         return Certificate(alg, 0.0, 0, True, None)
 
-    iso, witness, used = _sampled_isometry_residual(space, A, seed, samples, angles)
+    iso, witness, used = _sampled_isometry_residual(space, A, samples, angles)
     return Certificate(alg, iso, used, False, witness)
 
 
@@ -102,8 +101,8 @@ def _gram_certificates(As: np.ndarray, grams: np.ndarray) -> list:
             for a, x, y in zip(alg, r1, r2)]
 
 
-def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, seed: int,
-                               samples: int, angles: int):
+def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
+                               angles: int):
     """Max over sampled unit vectors and grid angles of | ||ax + bAx|| - 1 |.
 
     Complexification norms over Euclidean-like, l1, l-infinity, weighted
@@ -112,7 +111,7 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, seed: int,
     below QUAD_RTOL, so the check sees little more than rounding at any angle.
     """
     n = space.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     X = rng.standard_normal((samples, n))
     theta = 2.0 * np.pi * np.arange(angles) / angles
     al, be = np.cos(theta), np.sin(theta)
@@ -147,24 +146,16 @@ def reevaluate_witness(space: NormedSpace, A: np.ndarray, witness) -> float:
 
 
 def validate_i_operator(space: NormedSpace, A, *, tol: Tolerances = DEFAULT_TOL,
-                        seed: int = 0, samples: int = DEFAULT_SAMPLE_VECTORS,
+                        samples: int = DEFAULT_SAMPLE_VECTORS,
                         angles: int = DEFAULT_SAMPLE_ANGLES) -> ComplexStructure:
     """Validate A as an i-operator on the space, or raise with a witness."""
     if space.dim % 2 != 0:
         raise StructureValidationError(
             f"odd dimension {space.dim}: A^2 = -I forces even dimension "
             "(determinant argument)")
-    return _accept(space, A, certify(space, A, seed=seed, samples=samples,
-                                     angles=angles), tol)
-
-
-def _accept(space: NormedSpace, A, cert: Certificate,
-            tol: Tolerances) -> ComplexStructure:
-    """The pair [space, A] if the certificate's residuals are within tol."""
-    error = _rejection(cert, tol)
-    if error is not None:
-        raise error
-    return ComplexStructure(space, np.asarray(A, dtype=float), cert)
+    cert = certify(space, A, samples=samples, angles=angles)
+    return single(ComplexStructure(space, np.asarray(A, dtype=float), cert),
+                  _rejection(cert, tol))
 
 
 def _rejection(cert: Certificate,
@@ -306,14 +297,10 @@ def search_i_operator(space: NormedSpace, *,
         whitened_gram = np.linalg.solve(L, np.linalg.solve(L, gram).T)
         c = replace(c, isometry_residual=c.isometry_residual + float(
             np.max(np.abs(whitened_gram - np.eye(n)))))
-        try:
-            s = _accept(space, A, c, tol)
-        except StructureValidationError as exc:
-            c = exc.certificate
-            return SearchResult(None, c.algebraic_residual + c.isometry_residual,
-                                UNDECIDED, A)
-        c = s.certificate
-        return SearchResult(s, c.algebraic_residual + c.isometry_residual, FOUND, A)
+        residual = c.algebraic_residual + c.isometry_residual
+        if _rejection(c, tol) is not None:
+            return SearchResult(None, residual, UNDECIDED, A)
+        return SearchResult(ComplexStructure(space, A, c), residual, FOUND, A)
     if isinstance(space.norm_desc, ComplexificationOfBase):
         s = natural_i_operator(space.norm_desc.base)
         return SearchResult(s, 0.0, FOUND, s.A)

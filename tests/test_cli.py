@@ -310,6 +310,13 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
     (_claim_without_space, "only-l3", ["'natural-l3'", "parameter 'space'"]),
     (_edit(["seed"], "abc"), "pelczynski-chain", ["seed", "'abc'"]),
     (_edit(["tolerances", "tol_typo"], 1e-9), "pelczynski-chain", ["tol_typo"]),
+    (_edit(["tolerances"], "x"), "pelczynski-chain", ["'tolerances'", "object"]),
+    (_edit(["tolerances"], 5), "pelczynski-chain", ["'tolerances'", "object"]),
+    (_edit(["tolerances", "tol_alg"], "nan"), "pelczynski-chain",
+     ["'tol_alg'", ">= 0", "'nan'"]),
+    (_edit(["tolerances", "tol_iso"], -1), "pelczynski-chain", ["'tol_iso'", ">= 0", "-1"]),
+    (_edit(["tolerances", "tol_alg"], True), "pelczynski-chain",
+     ["'tol_alg'", ">= 0", "True"]),
     (_edit(["claims", "natural-l3"], "natural"), "only-l3", ["'natural-l3'", "object"]),
     (_edit(["claims", "chain-reference", "fixture"], "no/such/chain.json"),
      "pelczynski-chain", ["'chain-reference'", "no/such/chain.json"]),
@@ -384,7 +391,9 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
     (_edit(["claims", "theorem-real-hs", "oracle"], "c-all"), "ideal-transforms",
      ["'theorem-real-hs'", "'oracle'", "real oracle", "'c-all'"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
-        "unknown-tolerance", "claim-not-object", "missing-fixture", "expect-typo",
+        "unknown-tolerance", "tolerances-string", "tolerances-number",
+        "tolerance-string-nan", "tolerance-negative", "tolerance-boolean",
+        "claim-not-object", "missing-fixture", "expect-typo",
         "count-not-integer", "dims-not-a-pair", "ragged-matrix", "flag-not-boolean",
         "unknown-oracle-type", "from-not-expr", "dims-reversed", "max-dim-zero",
         "odd-squares-dim", "odd-cartesian-dim", "odd-theorem-complex-dim",
@@ -421,6 +430,19 @@ def test_negative_seed_flag_exits_2(scenario_path, tmp_path, capsys, claim_runs)
                        "--seed", "-3") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err and "-3" in err
+    assert claim_runs == []
+
+
+@pytest.mark.parametrize("flag, value, key", [("--tol-alg", "nan", "'tol_alg'"),
+                                              ("--tol-iso", "-1", "'tol_iso'"),
+                                              ("--tol-alg", "inf", "'tol_alg'")])
+def test_bad_tolerance_flag_exits_2(scenario_path, tmp_path, capsys, claim_runs,
+                                    flag, value, key):
+    # a NaN tol_alg would pass every residual check, the planted violations too
+    assert _run_edited(scenario_path, tmp_path, lambda s: None, "paper-all",
+                       flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and value in err
     assert claim_runs == []
 
 

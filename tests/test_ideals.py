@@ -17,6 +17,7 @@ from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
                             oracle_to_dict, realify_ideal)
 from istruct.morphisms import (RespectingOperator, block_diag2,
                                complexify_operator, conjugate_operator,
+                               make_respecting, matrix_norm_between,
                                respect_residual)
 from istruct.spaces import EuclideanQuadratic, NormedSpace, direct_sum, lp_space
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
@@ -273,6 +274,25 @@ def test_corpus_with_a_misshapen_operator_raises(descriptor):
                    realify_ideal(complexify_ideal(IdealOracle("real", descriptor)))):
         with pytest.raises(DimensionMismatchError, match="T must be 2 x 2"):
             decide_real(oracle, good[:1] + [bad] + good[1:])
+
+
+_S2, _S4 = (random_exact_structure(dim, np.random.default_rng(dim)) for dim in (2, 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda T: make_respecting(_S2, _S4, T),
+    lambda T: complexify_operator(T, _S2.space, _S4.space),
+    lambda T: matrix_norm_between(T, _S2.space, _S4.space),
+    lambda T: ideal_norm("operator_norm", T, _S2.space, _S4.space),
+    lambda T: decide_real(IdealOracle("real", AllOperators()),
+                          [RealOperator(T, _S2.space, _S4.space)]),
+], ids=["make_respecting", "complexify_operator", "matrix_norm_between",
+        "ideal_norm", "decide_real"])
+def test_every_operator_shape_check_gives_the_same_error(call):
+    # a 2 x 2 T offered as a map from a 2-dimensional space to a 4-dimensional one
+    with pytest.raises(DimensionMismatchError) as exc_info:
+        call(np.eye(2))
+    assert str(exc_info.value) == "T must be 4 x 2, got (2, 2)"
 
 
 def _recording_predicate(kind, calls):

@@ -1,0 +1,33 @@
+"""The convenience scripts run end to end."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import istruct
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run_script(name):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(istruct.__file__)))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+
+def test_search_l1_structure_gives_all_three_answers():
+    done = _run_script("search_l1_structure.py")
+    assert done.returncode == 0, done.stderr
+    # one "<label padded to 10> <tag>" line per space, then A when found
+    tags = {line[:10].strip(): line[11:] for line in done.stdout.splitlines()
+            if not line.startswith((" ", "["))}
+    assert tags == {"l2 plane": "found", "l1 plane": "none: finite isometry group",
+                    "l1 (+) l2": "undecided"}
+
+
+def test_run_paper_suite_passes():
+    done = _run_script("run_paper_suite.py")
+    assert done.returncode == 0, done.stderr
+    assert "claims came out as expected (suite 'paper-all'" in done.stdout

@@ -571,7 +571,7 @@ def test_arc_quadrature_memory_stays_bounded():
     N = natural_i_operator_matrix(2)
     tracemalloc.start()
     try:
-        _sampled_isometry_residual(space, N, 0, 128, 16)
+        _sampled_isometry_residual(space, N, 128, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

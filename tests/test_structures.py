@@ -105,7 +105,7 @@ def test_natural_i_operator_is_isometric_under_quadrature(base):
     # certify decides N by its proof; sampling it still checks the
     # complexification norm's quadrature on the bases the scenarios use
     N = natural_i_operator_matrix(base.dim)
-    iso, _, used = _sampled_isometry_residual(_cplx(base), N, 0, 128, 16)
+    iso, _, used = _sampled_isometry_residual(_cplx(base), N, 128, 16)
     assert used == 128 * 16
     assert iso <= 1e-8
 
