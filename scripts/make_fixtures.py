@@ -1,12 +1,10 @@
-"""Regenerate the bundled scenario and chain fixtures under src/istruct/data/.
+"""Regenerate the bundled scenario under src/istruct/data/.
 
 Run from the repository root:  PYTHONPATH=src python3 scripts/make_fixtures.py
 """
 
 import json
 import pathlib
-
-from istruct.pelczynski import chain_to_dict, reference_chain
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "istruct" / "data"
 
@@ -161,7 +159,6 @@ def fixture_texts() -> dict:
     """File name under src/istruct/data -> the text it should hold."""
     return {
         "paper_all.json": json.dumps(SCENARIO, indent=2, sort_keys=True) + "\n",
-        "prop8_chain.json": json.dumps(chain_to_dict(reference_chain()), indent=2) + "\n",
     }
 
 

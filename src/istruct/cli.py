@@ -38,7 +38,8 @@ from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
 from .spaces import (block_diag2, complexification_norm,
                      complexification_norm_batch, direct_sum, lp_space,
                      norm_batch, space_from_dict)
-from .structures import (UNDECIDED, certify, natural_i_operator,
+from .structures import (DEFAULT_SAMPLE_ANGLES, DEFAULT_SAMPLE_VECTORS,
+                         UNDECIDED, certify, natural_i_operator,
                          natural_i_operator_matrix, reevaluate_witness,
                          search_i_operator, validate_i_operator,
                          witness_to_dict)
@@ -68,6 +69,12 @@ def load_scenario(path: str) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
+    _check_scenario(data)
+    return data
+
+
+def _check_scenario(data) -> None:
+    """Check a scenario's schema, seed, sections (an absent one is empty) and suites."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
         raise ScenarioError("scenario must be an object with schema = 1")
     if "seed" not in data:
@@ -75,7 +82,10 @@ def load_scenario(path: str) -> dict:
     for section in ("spaces", "oracles", "claims", "suites", "tolerances"):
         if not isinstance(data.setdefault(section, {}), dict):
             raise ScenarioError(f"scenario section {section!r} must be an object")
-    return data
+    for name, claim_ids in data["suites"].items():
+        if not (isinstance(claim_ids, list) and all(isinstance(c, str) for c in claim_ids)):
+            raise ScenarioError(
+                f"suite {name!r} must be a list of claim ids, got {claim_ids!r}")
 
 
 def _build_all(scenario: dict, what: str, from_dict) -> dict:
@@ -170,12 +180,12 @@ SPACE = _named("space")
 # ---------------------------------------------------------------------------
 
 def _bounded(kind: str, ok: bool, residuals: dict, tolerances: dict,
-             witness) -> VerificationReport:
+             witness, notes: tuple = ()) -> VerificationReport:
     """The report of a claim that holds when ok, its residuals being within
     its tolerances; the witness is kept only for a violation."""
     return VerificationReport(kind, VERIFIED if ok else VIOLATED,
                               residuals=residuals, tolerances=tolerances,
-                              witness=None if ok else witness)
+                              witness=None if ok else witness, notes=list(notes))
 
 
 def _choice(rng, seq) -> int:
@@ -500,10 +510,8 @@ def _h_chain_mutations(params, rng, tol):
                           and rep.witness.get("step") == idx):
             failures.append({"index": idx, "mutated_to": mutated_rule,
                              "status": rep.status, "witness": rep.witness})
-    status = VERIFIED if not failures else VIOLATED
-    return VerificationReport("chain-mutations", status,
-                              residuals={"failures": float(len(failures))},
-                              witness=failures or None)
+    return _bounded("chain-mutations", not failures,
+                    {"failures": float(len(failures))}, {}, failures)
 
 
 def _h_chain_search(params, rng, tol):
@@ -511,21 +519,12 @@ def _h_chain_search(params, rng, tol):
     rules = params["rules"]
     expect_found = params["expect_found"]
     chain = search_chain(source, target, params["depth"], rules=rules)
-    if chain is None:
-        found = False
-        sound = True
-        length = -1
-    else:
-        found = True
-        length = len(chain.steps)
-        sound = check_derivation(chain, start=source, end=target).ok
-    ok = (found == expect_found) and sound
-    return VerificationReport(
-        "chain-search", VERIFIED if ok else VIOLATED,
-        residuals={"length": float(length)},
-        witness=None if ok else {"found": found, "expected": expect_found,
-                                 "sound": sound},
-        notes=[f"rules: {rules or 'all'}"])
+    found = chain is not None
+    sound = not found or check_derivation(chain, start=source, end=target).ok
+    return _bounded("chain-search", found == expect_found and sound,
+                    {"length": float(len(chain.steps) if found else -1)}, {},
+                    {"found": found, "expected": expect_found, "sound": sound},
+                    [f"rules: {rules or 'all'}"])
 
 
 def _h_factorization_check(params, rng, tol):
@@ -552,7 +551,8 @@ def _h_search_structure(params, rng, tol):
 
 
 _STRUCTURE = {"space": (SPACE, REQUIRED), "A": (MATRIX, REQUIRED),
-              "samples": (SAMPLES, 512), "angles": (ANGLES, 64)}
+              "samples": (SAMPLES, DEFAULT_SAMPLE_VECTORS),
+              "angles": (ANGLES, DEFAULT_SAMPLE_ANGLES)}
 _COMPLEX_CORPUS = {"oracle": (_named("oracle", "complex"), REQUIRED),
                    "dims": (EVEN_DIMS, [2, 4])}
 _FIXTURE = {"fixture": (FIXTURE, "bundled")}
@@ -667,6 +667,7 @@ def run_claim(claim_id: str, parsed: tuple, seed: int, tol: Tolerances) -> dict:
 
 def run_suite(scenario: dict, suite: str, *, seed=None, tol_alg=None,
               tol_iso=None) -> dict:
+    _check_scenario(scenario)
     suites = scenario["suites"]
     if suite not in suites:
         raise ScenarioError(f"unknown suite {suite!r}")

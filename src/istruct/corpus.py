@@ -18,12 +18,12 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import DescriptorError, first_errors, single
 from .morphisms import RespectingOperator, _respect_residuals, make_respecting
 from .spaces import (EuclideanQuadratic, NormedSpace, _gram_defects,
-                     block_diag2, lp_space)
+                     block_diag2, euclidean_space, lp_space)
 from .structures import (BY_CONSTRUCTION, ComplexStructure, _gram_certificates,
                          _rejection, natural_i_operator,
                          natural_i_operator_matrix)
 
-SPREAD = 0.3  # S0 = I + SPREAD Z / sqrt(dim) for normal Z: well conditioned
+SPREAD = 0.3  # normal Z / sqrt(n) has norm ~2, so _near_identity is well conditioned
 
 
 def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -103,17 +103,20 @@ def random_respecting_operator(dom: ComplexStructure, cod: ComplexStructure,
 
 def random_euclidean_space(dim: int, rng: np.random.Generator,
                            explicit_gram: bool = False) -> NormedSpace:
-    if not explicit_gram:
-        return lp_space(dim, 2.0)
-    return NormedSpace(dim, EuclideanQuadratic(_random_grams(
-        rng.standard_normal((dim, dim)))))
+    return euclidean_space(dim, _random_grams(rng.standard_normal((dim, dim)))
+                           if explicit_gram else None)
+
+
+def _near_identity(Z: np.ndarray) -> np.ndarray:
+    """I + SPREAD Z / sqrt(n) of normal draws Z (n, n), or of each matrix of a stack."""
+    n = Z.shape[-1]
+    return np.eye(n) + SPREAD * Z / np.sqrt(n)
 
 
 def _random_grams(Z: np.ndarray) -> np.ndarray:
-    """M'M for M = I + 0.3 Z / sqrt(n): the Gram of random_euclidean_space from
+    """M'M for M = _near_identity(Z): the Gram of random_euclidean_space from
     its normal draws Z (n, n), or of each matrix of a stack."""
-    n = Z.shape[-1]
-    M = np.eye(n) + 0.3 * Z / np.sqrt(n)
+    M = _near_identity(Z)
     return np.swapaxes(M, -1, -2) @ M
 
 
@@ -162,10 +165,9 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     (k, 2m, 2m): every Gram checked as a descriptor, every A certified and
     every S0 checked to respect (A, N)."""
     m = Zy.shape[-1]
-    dim = 2 * m
     y_gram = _random_grams(Zy)
     N = natural_i_operator_matrix(m)
-    S0 = np.eye(dim) + SPREAD * Zs / np.sqrt(dim)
+    S0 = _near_identity(Zs)
     H = np.swapaxes(S0, 1, 2) @ block_diag2(y_gram / 2.0) @ S0
     gram = (H + np.swapaxes(H, 1, 2)) / 2.0
     A = np.linalg.solve(S0, N @ S0)

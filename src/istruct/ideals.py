@@ -37,6 +37,9 @@ OPERATOR_NORM = "operator_norm"
 HILBERT_SCHMIDT = "hilbert_schmidt"
 TRACE_NORM = "trace_norm"
 
+DECISION_NOTE = ("threshold-style oracles are decision instruments, not ideals "
+                 "closed under addition")
+
 
 @dataclass(eq=False)
 class RealOperator:
@@ -90,6 +93,10 @@ def ideal_norms(functional: str, Ts: np.ndarray, dom: NormedSpace,
 class NormThreshold:
     functional: str
     bound: float
+
+    def __post_init__(self):
+        if self.functional not in (OPERATOR_NORM, HILBERT_SCHMIDT, TRACE_NORM):
+            raise DescriptorError(f"unknown ideal-norm functional {self.functional!r}")
 
 
 @dataclass(eq=False)
@@ -322,8 +329,7 @@ def _audit(oracle: IdealOracle, corpus: Sequence[RespectingOperator], groups: li
                    "square_backward_failures": float(len(square_bwd))},
         witness={"conjugation": conj_mismatch, "square_forward": square_fwd,
                  "square_backward": square_bwd} if bad else None,
-        notes=["threshold-style oracles are decision instruments, not ideals "
-               "closed under addition",
+        notes=[DECISION_NOTE,
                "no violation on a finite corpus is not a proof of "
                "self-conjugacy"])
 
@@ -331,14 +337,6 @@ def _audit(oracle: IdealOracle, corpus: Sequence[RespectingOperator], groups: li
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-# registry of named predicates usable from scenario files, keyed (label, kind)
-PREDICATES: dict = {}
-
-
-def register_predicate(label: str, kind: str, fn: Callable) -> None:
-    PREDICATES[(label, kind)] = fn
-
 
 def _nonzero_real(T, dom, cod):
     return bool(np.any(T != 0.0))
@@ -353,9 +351,10 @@ def _a_entry_sign_complex(T, A, B, dom, cod):
     return bool(A[0, A.shape[1] - 1] <= 0.0)
 
 
-register_predicate("nonzero", "real", _nonzero_real)
-register_predicate("nonzero", "complex", _nonzero_complex)
-register_predicate("a-entry-sign", "complex", _a_entry_sign_complex)
+# the named predicates usable from scenario files, keyed (label, kind)
+PREDICATES = {("nonzero", "real"): _nonzero_real,
+              ("nonzero", "complex"): _nonzero_complex,
+              ("a-entry-sign", "complex"): _a_entry_sign_complex}
 
 
 def oracle_to_dict(oracle: IdealOracle) -> dict:

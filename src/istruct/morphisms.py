@@ -205,7 +205,7 @@ def matrix_norm_between(T: np.ndarray, dom: NormedSpace,
     T = _checked_operator(T, dom, cod)
     sv = _singular_values(T, dom, cod)
     if sv is not None:
-        return float(sv[0]) if sv.size else 0.0, True
+        return float(sv[0]), True
 
     rng = np.random.default_rng(SAMPLE_SEED)
     X = rng.standard_normal((NORM_SAMPLES, dom.dim))
@@ -213,4 +213,4 @@ def matrix_norm_between(T: np.ndarray, dom: NormedSpace,
     dn = norm_batch(dom, X)
     keep = dn > 0
     ratios = norm_batch(cod, X[keep] @ T.T) / dn[keep]
-    return float(np.max(ratios)) if ratios.size else 0.0, False
+    return float(np.max(ratios)), False

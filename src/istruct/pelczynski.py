@@ -265,10 +265,9 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
     }
     P = S @ R
     residuals["projection"] = float(np.max(np.abs(P @ P - P)))
-    sv = np.linalg.svd(P, compute_uv=False)
+    U, sv, Vt = np.linalg.svd(P)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
     # range basis (the summand carried by the image) and kernel basis
-    U, _, Vt = np.linalg.svd(P)
     range_basis = U[:, :rank]
     kernel_basis = Vt[rank:].T
     split = np.hstack([range_basis, kernel_basis])

@@ -327,8 +327,6 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
     if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != base.dim:
         raise DimensionMismatchError("X, Y must both be (k, base.dim)")
     k = X.shape[0]
-    if k == 0:
-        return np.zeros(0)
     nonzero = np.any(X != 0.0, axis=1) | np.any(Y != 0.0, axis=1)
     out = np.zeros(k)
     if not np.any(nonzero):

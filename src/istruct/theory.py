@@ -20,16 +20,16 @@ import numpy as np
 
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import DescriptorError, WitnessError, first_errors, single
-from .ideals import (_audit, _grouped, _members, complexify_ideal, decide_real,
-                     realify_ideal)
+from .ideals import (DECISION_NOTE, _audit, _grouped, _members, complexify_ideal,
+                     decide_real, realify_ideal)
 from .morphisms import (RANK_RTOL, RespectingOperator, _inverses,
                         _respect_residuals, _split_matrix, _whitened,
                         injection_first, injection_second,
                         matrix_norm_between, surjection_first,
                         surjection_second)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
-from .spaces import (EuclideanQuadratic, NormedSpace, Polyhedral, SubspaceNorm,
-                     _gram_defects, block_diag2, direct_sum, euclidean_gram)
+from .spaces import (EuclideanQuadratic, NormedSpace, SubspaceNorm, _gram_defects,
+                     block_diag2, direct_sum, euclidean_gram)
 from .structures import (ComplexStructure, _split_on, natural_i_operator,
                          natural_i_operator_matrix)
 
@@ -102,15 +102,6 @@ class ComplexificationWitness:
     report: VerificationReport
 
 
-def _induced_subspace(space: NormedSpace, basis: np.ndarray) -> NormedSpace:
-    """The subspace spanned by the basis columns, with the restricted norm,
-    of a space that is not Euclidean-like."""
-    m = basis.shape[1]
-    if isinstance(space.norm_desc, Polyhedral):
-        return NormedSpace(m, Polyhedral(space.norm_desc.functionals @ basis))
-    return NormedSpace(m, SubspaceNorm(space, basis))
-
-
 def build_complexification_witness(s: ComplexStructure, T, *,
                                    tol: Tolerances = DEFAULT_TOL
                                    ) -> ComplexificationWitness:
@@ -177,7 +168,7 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
         errors = first_errors(errors, [None if d is None else DescriptorError(d)
                                         for d in _gram_defects(y)])
     else:
-        y = [None if e else _induced_subspace(x, b)
+        y = [None if e else NormedSpace(half, SubspaceNorm(x, b))
              for e, x, b in zip(errors, spaces, B)]
     N = natural_i_operator_matrix(half)
     S = np.concatenate([Bt @ (P @ As), Bt @ P], axis=1)
@@ -470,8 +461,7 @@ def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
         claim="real-ideal-roundtrip", status=status,
         residuals={"mismatches": float(len(mismatches))},
         witness=mismatches or None,
-        notes=["threshold-style oracles are decision instruments, not ideals "
-               "closed under addition"])
+        notes=[DECISION_NOTE])
 
 
 def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
@@ -508,5 +498,4 @@ def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
         witness={"inclusion": inclusion_violations,
                  "equality": equality_mismatches} if bad else None,
         notes=[f"audited self-conjugate: {self_conjugate}",
-               "threshold-style oracles are decision instruments, not ideals "
-               "closed under addition"])
+               DECISION_NOTE])

@@ -390,6 +390,15 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      ["'search-l2'", "'expect_found'", "'no'"]),
     (_edit(["claims", "theorem-real-hs", "oracle"], "c-all"), "ideal-transforms",
      ["'theorem-real-hs'", "'oracle'", "real oracle", "'c-all'"]),
+    # a suite that is not a list of claim ids, run or elsewhere in the file
+    (_edit(["suites", "bad"], 5), "bad", ["suite 'bad'", "list of claim ids"]),
+    (_edit(["suites", "bad"], [["x"]]), "bad", ["suite 'bad'", "list of claim ids"]),
+    (_edit(["suites", "bad"], "abc"), "pelczynski-chain",
+     ["suite 'bad'", "list of claim ids", "'abc'"]),
+    (_edit(["suites", "bad"], {"closed-form": 1}), "bad",
+     ["suite 'bad'", "list of claim ids"]),
+    (_edit(["oracles", "r-opnorm-2", "descriptor", "functional"], "operator_nrom"),
+     "ideal-transforms", ["'r-opnorm-2'", "'operator_nrom'"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
         "unknown-tolerance", "tolerances-string", "tolerances-number",
         "tolerance-string-nan", "tolerance-negative", "tolerance-boolean",
@@ -403,7 +412,8 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "half-dim-zero", "hs-dim-zero", "theorem-real-dim-zero", "fixture-not-path",
         "chain-unknown-rule", "mutations-unknown-rule", "chain-bad-direction",
         "mutations-bad-direction", "validate-angles-two", "reject-samples-zero", "search-flag-not-boolean",
-        "wrong-oracle-kind"])
+        "wrong-oracle-kind", "suite-number", "suite-nested-list", "suite-string",
+        "suite-object", "functional-typo"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
                                     edit, suite, words):
     assert _run_edited(scenario_path, tmp_path, edit, suite) == 2
@@ -412,6 +422,20 @@ def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
     for word in words:
         assert word in err
     assert claim_runs == []
+
+
+@pytest.mark.parametrize("edit, words", [
+    (_edit(["tolerances"], "x"), ["'tolerances'", "object"]),
+    (lambda scenario: scenario.pop("seed"), ["seed"]),
+], ids=["tolerances-string", "no-seed"])
+def test_run_suite_checks_a_scenario_it_did_not_load(scenario_path, edit, words):
+    with open(scenario_path, encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    edit(scenario)
+    with pytest.raises(ScenarioError) as exc:
+        run_suite(scenario, "pelczynski-chain")
+    for word in words:
+        assert word in str(exc.value)
 
 
 def test_bad_last_claim_exits_before_any_claim_runs(scenario_path, tmp_path, capsys,

@@ -20,7 +20,7 @@ def _make_fixtures():
     return module
 
 
-@pytest.mark.parametrize("name", ["paper_all.json", "prop8_chain.json"])
+@pytest.mark.parametrize("name", ["paper_all.json"])
 def test_bundled_fixture_regenerates_byte_for_byte(name):
     texts = _make_fixtures().fixture_texts()
     committed = (ROOT / "src" / "istruct" / "data" / name).read_bytes()

@@ -1,6 +1,4 @@
-import json
 from collections import Counter, deque
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -268,13 +266,6 @@ def test_in_memory_unknown_rule_is_a_violated_step():
     rep = check_derivation(chain)
     assert rep.status == "violated"
     assert rep.witness["step"] == 2 and "R99" in rep.witness["reason"]
-
-
-def test_bundled_chain_fixture_matches_reference():
-    path = resources.files("istruct.data") / "prop8_chain.json"
-    with path.open("r", encoding="utf-8") as fh:
-        bundled = chain_from_dict(json.load(fh))
-    assert chain_to_dict(bundled) == chain_to_dict(reference_chain())
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,16 @@ def test_exact_cplx_norm_row_matches_batch(name):
     np.testing.assert_allclose(single, batch, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("base", [
+    NormedSpace(2, EuclideanQuadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))),
+    lp_space(3, 1.0), lp_space(3, 3.0)], ids=["quad", "l1", "l3"])
+def test_empty_cplx_norm_batch_is_an_empty_float_array(base):
+    # a Gram base, a sinusoid base and an arc base
+    empty = np.zeros((0, base.dim))
+    out = complexification_norm_batch(base, empty, empty)
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
 @pytest.mark.parametrize("name", sorted(EXACT_BASES))
 def test_exact_cplx_norm_rotation_invariant_off_grid(name):
     base = EXACT_BASES[name]

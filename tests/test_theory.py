@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -11,10 +12,10 @@ from istruct.errors import (RespectViolationError, StructureValidationError,
                             WitnessError)
 from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold,
                             RealOperator)
-from istruct.spaces import (ComplexificationOfBase, direct_sum, lp_space,
-                            space_equal)
+from istruct.spaces import (ComplexificationOfBase, NormedSpace, Polyhedral,
+                            SubspaceNorm, direct_sum, lp_space, space_equal)
 from istruct.morphisms import RespectingOperator, make_respecting
-from istruct.structures import (certify, natural_i_operator,
+from istruct.structures import (ComplexStructure, certify, natural_i_operator,
                                 natural_i_operator_matrix, reevaluate_witness,
                                 validate_i_operator)
 from istruct.theory import (_complex_cartesian_reports, _conjugations,
@@ -92,6 +93,19 @@ def test_witness_reports_a_seed_only_when_a_norm_is_sampled():
     sampled = build_complexification_witness(natural_i_operator(lp_space(2, 1.0)), T)
     assert not sampled.norm_bound["exact"] and sampled.report.seeds == {"seed": 0}
     assert sampled.report.ok
+
+
+def test_witness_on_a_polytope_restricts_the_norm_to_y():
+    # the l1 ball of R^4 as a polytope: its isometry group is finite, so N is
+    # no i-operator of it, and the witness is built for the unvalidated pair
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=4)))
+    space = NormedSpace(4, Polyhedral(signs))
+    N = natural_i_operator_matrix(2)
+    wit = build_complexification_witness(ComplexStructure(space, N, certify(space, N)),
+                                         conjugation_matrix(2))
+    y = wit.S.codomain.space.norm_desc.base
+    assert isinstance(y.norm_desc, SubspaceNorm) and y.norm_desc.ambient is space
+    assert wit.report.status == "verified"
 
 
 def _isomorphism_stack(half_dim, count, seed):
