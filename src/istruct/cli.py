@@ -86,6 +86,9 @@ def _check_scenario(data) -> None:
         if not (isinstance(claim_ids, list) and all(isinstance(c, str) for c in claim_ids)):
             raise ScenarioError(
                 f"suite {name!r} must be a list of claim ids, got {claim_ids!r}")
+        for cid in claim_ids:
+            if cid not in data["claims"]:
+                raise ScenarioError(f"suite {name!r} references unknown claim {cid!r}")
 
 
 def _build_all(scenario: dict, what: str, from_dict) -> dict:
@@ -254,46 +257,49 @@ def _h_natural_i_operator(params, rng, tol):
         {"residuals": [c.algebraic_residual, c.isometry_residual]})
 
 
-def _h_validate_structure(params, rng, tol):
+def _candidate(params, tol) -> tuple:
+    """(certificate, rejection) of the claim's candidate A on its space: the
+    StructureValidationError of a rejected A, whose certificate is None when
+    A failed before any sampling, or None for a valid A."""
     try:
-        s = validate_i_operator(params["space"], params["A"], tol=tol,
-                                samples=params["samples"], angles=params["angles"])
+        return validate_i_operator(params["space"], params["A"], tol=tol,
+                                   samples=params["samples"],
+                                   angles=params["angles"]).certificate, None
     except StructureValidationError as exc:
-        c = exc.certificate
-        wit = {"error": str(exc)}
-        if c is not None and c.witness is not None:
-            wit["witness"] = witness_to_dict(c.witness)
-        return VerificationReport("validate-structure", VIOLATED,
-                                  residuals={}, witness=wit)
-    c = s.certificate
-    return VerificationReport("validate-structure", VERIFIED,
-                              residuals={"algebraic": c.algebraic_residual,
-                                         "isometry": c.isometry_residual})
+        return exc.certificate, exc
+
+
+def _h_validate_structure(params, rng, tol):
+    c, rejection = _candidate(params, tol)
+    if rejection is None:
+        return VerificationReport("validate-structure", VERIFIED,
+                                  residuals={"algebraic": c.algebraic_residual,
+                                             "isometry": c.isometry_residual})
+    wit = {"error": str(rejection)}
+    if c is not None and c.witness is not None:
+        wit["witness"] = witness_to_dict(c.witness)
+    return VerificationReport("validate-structure", VIOLATED, residuals={}, witness=wit)
 
 
 def _h_reject_structure(params, rng, tol):
     """Verified iff the candidate is rejected with a reproducible witness."""
-    space, A = params["space"], params["A"]
-    try:
-        validate_i_operator(space, A, tol=tol, samples=params["samples"],
-                            angles=params["angles"])
-    except StructureValidationError as exc:
-        c = exc.certificate
-        wit = None
-        reproduced = True
-        if c is not None and c.witness is not None:
-            redo = reevaluate_witness(space, A, c.witness)
-            reproduced = abs(redo - c.isometry_residual) <= 1e-9
-            wit = {**witness_to_dict(c.witness),
-                   "residual": c.isometry_residual, "reevaluated": redo}
-        status = VERIFIED if reproduced else VIOLATED
-        return VerificationReport(
-            "reject-structure", status,
-            residuals={"isometry": c.isometry_residual if c else float("nan")},
-            witness=wit if status == VERIFIED else {"not_reproduced": wit},
-            notes=["candidate rejected as required"])
-    return VerificationReport("reject-structure", VIOLATED, residuals={},
-                              witness={"error": "candidate unexpectedly valid"})
+    c, rejection = _candidate(params, tol)
+    if rejection is None:
+        return VerificationReport("reject-structure", VIOLATED, residuals={},
+                                  witness={"error": "candidate unexpectedly valid"})
+    wit = None
+    reproduced = True
+    if c is not None and c.witness is not None:
+        redo = reevaluate_witness(params["space"], params["A"], c.witness)
+        reproduced = abs(redo - c.isometry_residual) <= 1e-9
+        wit = {**witness_to_dict(c.witness),
+               "residual": c.isometry_residual, "reevaluated": redo}
+    status = VERIFIED if reproduced else VIOLATED
+    return VerificationReport(
+        "reject-structure", status,
+        residuals={"isometry": c.isometry_residual if c else float("nan")},
+        witness=wit if status == VERIFIED else {"not_reproduced": wit},
+        notes=["candidate rejected as required"])
 
 
 def _erred(outcome, error) -> bool:
@@ -336,6 +342,15 @@ def _corpus_outcomes(count: int, draw: Callable, check: Callable,
     return [out[i][0] for i in range(len(out) if stop is None else stop + 1)]
 
 
+def _verdict(kind: str, reports: list, residuals: dict,
+             tolerances: dict) -> VerificationReport:
+    """A corpus claim's report: its last report run when that one failed, or
+    else verified with the corpus's worst residuals."""
+    if not reports[-1].ok:
+        return reports[-1]
+    return _bounded(kind, True, residuals, tolerances, None)
+
+
 def _worst(reports: list, key: str = None) -> float:
     """The largest residual under key of any report (under any key when key
     is None), and 0 for no reports."""
@@ -374,13 +389,10 @@ def _h_squares(params, rng, tol):
     reports = _corpus_outcomes(
         params["count"], draw,
         lambda dim, structures: zip(*_squares_reports(structures, tol=tol)), _failed)
-    if not reports[-1].ok:
-        return reports[-1]
-    return VerificationReport(
-        "square-space-isomorphism", VERIFIED,
-        residuals={"worst_respect": _worst(reports, "respect"),
-                   "worst_inverse_composition": _worst(reports, "inverse_composition")},
-        tolerances={"respect": 0.0, "inverse": 1e-12})
+    return _verdict("square-space-isomorphism", reports,
+                    {"worst_respect": _worst(reports, "respect"),
+                     "worst_inverse_composition": _worst(reports, "inverse_composition")},
+                    {"respect": 0.0, "inverse": 1e-12})
 
 
 def _h_real_cartesian(params, rng, tol):
@@ -395,11 +407,8 @@ def _h_real_cartesian(params, rng, tol):
         params["count"], draw,
         lambda shape, Ts: ((r, None) for r in _real_cartesian_reports(np.stack(Ts))),
         _failed)
-    if not reports[-1].ok:
-        return reports[-1]
-    return VerificationReport("real-cartesian-identities", VERIFIED,
-                              residuals={"worst_deviation": _worst(reports)},
-                              tolerances={"deviation": 0.0})
+    return _verdict("real-cartesian-identities", reports,
+                    {"worst_deviation": _worst(reports)}, {"deviation": 0.0})
 
 
 def _draw_complex_op(rng, dims) -> tuple:
@@ -441,22 +450,20 @@ def _h_complex_cartesian(params, rng, tol):
 
     reports = _corpus_outcomes(
         params["count"], lambda: _draw_complex_op(rng, params["dims"]), check, _failed)
-    if not reports[-1].ok:
-        return reports[-1]
-    return VerificationReport("complex-cartesian-identities", VERIFIED,
-                              residuals={"worst": _worst(reports)},
-                              tolerances={"respect": tol.tol_alg,
-                                          "deviation": tol.abs_tol})
+    return _verdict("complex-cartesian-identities", reports, {"worst": _worst(reports)},
+                    {"respect": tol.tol_alg, "deviation": tol.abs_tol})
+
+
+def _draw_real_op(rng, dims) -> tuple:
+    """The draws of one random real T: ((dim_d, dim_c), T of shape (dim_c, dim_d))."""
+    dim_d = _choice(rng, dims)
+    dim_c = _choice(rng, dims)
+    return (dim_d, dim_c), rng.standard_normal((dim_c, dim_d))
 
 
 def _h_theorem_real(params, rng, tol):
-    spaces = {dim: lp_space(dim, 2.0) for dim in params["dims"]}
-    corpus = []
-    for _ in range(params["count"]):
-        dim_d = _choice(rng, params["dims"])
-        dim_c = _choice(rng, params["dims"])
-        corpus.append(RealOperator(rng.standard_normal((dim_c, dim_d)),
-                                   spaces[dim_d], spaces[dim_c]))
+    draws = [_draw_real_op(rng, params["dims"]) for _ in range(params["count"])]
+    corpus = [RealOperator(T, *map(corpus_gen._euclidean, shape)) for shape, T in draws]
     return verify_theorem_real(params["oracle"], corpus)
 
 
@@ -473,11 +480,6 @@ def _h_self_conjugacy(params, rng, tol):
 def _h_hs_doubling(params, rng, tol):
     bound = params["tol"]
 
-    def draw():
-        dim_d = _choice(rng, params["dims"])
-        dim_c = _choice(rng, params["dims"])
-        return (dim_d, dim_c), rng.standard_normal((dim_c, dim_d))
-
     def check(shape, Ts):
         Ts = np.stack(Ts)
         dom, cod = (lp_space(dim, 2.0) for dim in shape)
@@ -487,7 +489,8 @@ def _h_hs_doubling(params, rng, tol):
         doubled = ideal_norms(HILBERT_SCHMIDT, block_diag2(Ts), dom2, cod2)
         return ((d, None) for d in np.abs(doubled - math.sqrt(2.0) * base).tolist())
 
-    worst = max(_corpus_outcomes(params["count"], draw, check))
+    worst = max(_corpus_outcomes(params["count"],
+                                 lambda: _draw_real_op(rng, params["dims"]), check))
     return _bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
                     {"abs": bound}, {"worst": worst})
 
@@ -688,16 +691,12 @@ def run_suite(scenario: dict, suite: str, *, seed=None, tol_alg=None,
     except TypeError as exc:
         raise ScenarioError(f"invalid tolerances {tols!r} ({exc})") from exc
 
-    claim_ids = suites[suite]
     claims = scenario["claims"]
-    for cid in claim_ids:
-        if cid not in claims:
-            raise ScenarioError(f"suite {suite!r} references unknown claim {cid!r}")
     resolved = {"space": _build_all(scenario, "space", space_from_dict),
                 "oracle": _build_all(scenario, "oracle", oracle_from_dict)}
     parsed = {cid: parse_claim(cid, claim, resolved) for cid, claim in claims.items()}
 
-    results = [run_claim(cid, parsed[cid], seed, tol) for cid in claim_ids]
+    results = [run_claim(cid, parsed[cid], seed, tol) for cid in suites[suite]]
 
     return {"schema": SCHEMA_VERSION, "suite": suite, "seed": seed,
             "tolerances": {"abs_tol": tol.abs_tol, "rel_tol": tol.rel_tol,

@@ -17,6 +17,7 @@ and every report produced here says so.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -97,11 +98,21 @@ class NormThreshold:
     def __post_init__(self):
         if self.functional not in (OPERATOR_NORM, HILBERT_SCHMIDT, TRACE_NORM):
             raise DescriptorError(f"unknown ideal-norm functional {self.functional!r}")
+        b = self.bound
+        if isinstance(b, bool) or not isinstance(b, numbers.Real) or not 0 <= b < np.inf:
+            raise DescriptorError(
+                f"norm threshold bound must be a finite number >= 0, got {b!r}")
+        self.bound = float(b)
 
 
 @dataclass(eq=False)
 class RankThreshold:
     r: int
+
+    def __post_init__(self):
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral) or self.r < 0:
+            raise DescriptorError(f"rank threshold r must be an integer >= 0, got {self.r!r}")
+        self.r = int(self.r)
 
 
 @dataclass(eq=False)
@@ -251,23 +262,20 @@ def _decide(oracle: IdealOracle, dom: NormedSpace, cod: NormedSpace,
 
 def complexify_ideal(real_oracle: IdealOracle) -> IdealOracle:
     """Membership of [T, A, B] := membership of the matrix T in the real class."""
-    if real_oracle.kind != "real":
-        raise DescriptorError("complexify_ideal expects a real-kind oracle")
+    _descriptor(real_oracle, "real")
     return IdealOracle("complex", ComplexifiedReal(real_oracle))
 
 
 def realify_ideal(complex_oracle: IdealOracle) -> IdealOracle:
     """Membership of T := membership of [T (+) T, N_X, N_Y] in the complex
     class, with the doubled spaces carrying the averaged norm."""
-    if complex_oracle.kind != "complex":
-        raise DescriptorError("realify_ideal expects a complex-kind oracle")
+    _descriptor(complex_oracle, "complex")
     return IdealOracle("real", RealFormOf(complex_oracle))
 
 
 def conjugate_ideal(complex_oracle: IdealOracle) -> IdealOracle:
     """Decide on the conjugated operator [T, -A, -B]."""
-    if complex_oracle.kind != "complex":
-        raise DescriptorError("conjugate_ideal expects a complex-kind oracle")
+    _descriptor(complex_oracle, "complex")
     return IdealOracle("complex", ConjugateOf(complex_oracle))
 
 
@@ -338,11 +346,7 @@ def _audit(oracle: IdealOracle, corpus: Sequence[RespectingOperator], groups: li
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _nonzero_real(T, dom, cod):
-    return bool(np.any(T != 0.0))
-
-
-def _nonzero_complex(T, A, B, dom, cod):
+def _nonzero(T, *rest):
     return bool(np.any(T != 0.0))
 
 
@@ -352,8 +356,8 @@ def _a_entry_sign_complex(T, A, B, dom, cod):
 
 
 # the named predicates usable from scenario files, keyed (label, kind)
-PREDICATES = {("nonzero", "real"): _nonzero_real,
-              ("nonzero", "complex"): _nonzero_complex,
+PREDICATES = {("nonzero", "real"): _nonzero,
+              ("nonzero", "complex"): _nonzero,
               ("a-entry-sign", "complex"): _a_entry_sign_complex}
 
 
@@ -381,9 +385,9 @@ def oracle_from_dict(obj: dict) -> IdealOracle:
     desc = obj["descriptor"]
     t = desc.get("type")
     if t == "norm_threshold":
-        d = NormThreshold(desc["functional"], float(desc["bound"]))
+        d = NormThreshold(desc["functional"], desc["bound"])
     elif t == "rank_threshold":
-        d = RankThreshold(int(desc["r"]))
+        d = RankThreshold(desc["r"])
     elif t == "predicate":
         label = desc["label"]
         fn = PREDICATES.get((label, kind))

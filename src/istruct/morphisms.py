@@ -63,10 +63,6 @@ def _split_matrix(A: np.ndarray) -> np.ndarray:
 # Construction
 # ---------------------------------------------------------------------------
 
-def respect_residual(T: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
-    return float(np.max(np.abs(T @ A - B @ T)))
-
-
 def make_respecting(domain: ComplexStructure, codomain: ComplexStructure, T,
                     *, tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
     """Wrap T as [T, A, B]; rejected with the max-entry witness if T A != B T."""

@@ -165,32 +165,27 @@ def check_derivation(chain: ChainDerivation, *, start: Optional[SumExpr] = None,
                      max_atoms: int = DEFAULT_MAX_ATOMS) -> VerificationReport:
     """Verified iff every step is one legal rule application and the declared
     endpoints match; an illegal step is reported with its index."""
+    def violated(witness: dict) -> VerificationReport:
+        return VerificationReport(claim="chain-derivation", status=VIOLATED,
+                                  residuals={}, witness=witness)
+
     if start is not None and chain.start != start:
-        return VerificationReport(
-            claim="chain-derivation", status=VIOLATED,
-            residuals={}, witness={"reason": "start mismatch",
-                                   "declared": str(start),
-                                   "actual": str(chain.start)})
+        return violated({"reason": "start mismatch", "declared": str(start),
+                         "actual": str(chain.start)})
     current = chain.start
     for idx, step in enumerate(chain.steps):
         try:
             reachable = apply_rule(current, step.rule, step.direction, max_atoms)
         except IstructError as exc:
-            return VerificationReport(
-                claim="chain-derivation", status=VIOLATED, residuals={},
-                witness={"step": idx, "reason": str(exc)})
+            return violated({"step": idx, "reason": str(exc)})
         if step.expr not in reachable:
-            return VerificationReport(
-                claim="chain-derivation", status=VIOLATED, residuals={},
-                witness={"step": idx, "from": str(current),
-                         "rule": f"{step.rule}:{step.direction}",
-                         "claimed": str(step.expr)})
+            return violated({"step": idx, "from": str(current),
+                             "rule": f"{step.rule}:{step.direction}",
+                             "claimed": str(step.expr)})
         current = step.expr
     if end is not None and current != end:
-        return VerificationReport(
-            claim="chain-derivation", status=VIOLATED, residuals={},
-            witness={"reason": "end mismatch", "declared": str(end),
-                     "actual": str(current)})
+        return violated({"reason": "end mismatch", "declared": str(end),
+                         "actual": str(current)})
     return VerificationReport(claim="chain-derivation", status=VERIFIED,
                               residuals={"steps": float(len(chain.steps))})
 

@@ -183,7 +183,7 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 
 
 def space_equal(a: NormedSpace, b: NormedSpace) -> bool:
-    return space_key(a) == space_key(b)
+    return a is b or space_key(a) == space_key(b)
 
 
 def space_key(space: NormedSpace) -> tuple:
@@ -191,10 +191,7 @@ def space_key(space: NormedSpace) -> tuple:
 
     Descriptor data is finite, so the serialized forms compare exactly; the key
     is the serialized form with every dict and list turned into a tuple (the
-    dicts are built with a fixed key order).  An Lp space, the common case,
-    is keyed by (dim, p) alone."""
-    if type(space.norm_desc) is Lp:
-        return space.dim, space.norm_desc.p
+    dicts are built with a fixed key order)."""
     return _frozen(space_to_dict(space))
 
 
@@ -693,48 +690,6 @@ def _with_crossings(F: np.ndarray) -> np.ndarray:
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
-def descriptor_to_dict(d: NormDescriptor) -> dict:
-    if isinstance(d, Lp):
-        return {"kind": "lp", "p": "inf" if math.isinf(d.p) else d.p}
-    if isinstance(d, WeightedLp):
-        return {"kind": "wlp", "p": "inf" if math.isinf(d.p) else d.p,
-                "weights": d.weights.tolist()}
-    if isinstance(d, EuclideanQuadratic):
-        return {"kind": "quad", "G": d.gram.tolist()}
-    if isinstance(d, Polyhedral):
-        return {"kind": "poly", "functionals": d.functionals.tolist()}
-    if isinstance(d, ComplexificationOfBase):
-        return {"kind": "cplx", "base": space_to_dict(d.base)}
-    if isinstance(d, SumNorm):
-        return {"kind": "sum", "left": space_to_dict(d.left),
-                "right": space_to_dict(d.right)}
-    if isinstance(d, SubspaceNorm):
-        return {"kind": "sub", "ambient": space_to_dict(d.ambient),
-                "basis": d.basis.tolist()}
-    raise DescriptorError(f"unknown descriptor {type(d).__name__}")
-
-
-def descriptor_from_dict(obj: dict) -> NormDescriptor:
-    kind = obj.get("kind")
-    if kind == "lp":
-        return Lp(math.inf if obj["p"] == "inf" else float(obj["p"]))
-    if kind == "wlp":
-        return WeightedLp(math.inf if obj["p"] == "inf" else float(obj["p"]),
-                          np.asarray(obj["weights"], dtype=float))
-    if kind == "quad":
-        return EuclideanQuadratic(np.asarray(obj["G"], dtype=float))
-    if kind == "poly":
-        return Polyhedral(np.asarray(obj["functionals"], dtype=float))
-    if kind == "cplx":
-        return ComplexificationOfBase(space_from_dict(obj["base"]))
-    if kind == "sum":
-        return SumNorm(space_from_dict(obj["left"]), space_from_dict(obj["right"]))
-    if kind == "sub":
-        return SubspaceNorm(space_from_dict(obj["ambient"]),
-                            np.asarray(obj["basis"], dtype=float))
-    raise DescriptorError(f"unknown descriptor kind {kind!r}")
-
-
 def space_to_dict(space: NormedSpace) -> dict:
     return {"dim": space.dim, "norm": descriptor_to_dict(space.norm_desc)}
 
@@ -744,3 +699,31 @@ def space_from_dict(obj: dict) -> NormedSpace:
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
         raise DescriptorError(f"dimension must be an integer, got {dim!r}")
     return NormedSpace(int(dim), descriptor_from_dict(obj["norm"]))
+
+
+_P = (lambda p: "inf" if math.isinf(p) else p, lambda v: math.inf if v == "inf" else float(v))
+_ARRAY = (np.ndarray.tolist, lambda v: np.asarray(v, dtype=float))
+_SPACE = (space_to_dict, space_from_dict)
+# kind -> (type, [(JSON key, attribute, (to JSON, from JSON))]), in field order
+_SERIAL = {"lp": (Lp, [("p", "p", _P)]),
+           "wlp": (WeightedLp, [("p", "p", _P), ("weights", "weights", _ARRAY)]),
+           "quad": (EuclideanQuadratic, [("G", "gram", _ARRAY)]),
+           "poly": (Polyhedral, [("functionals", "functionals", _ARRAY)]),
+           "cplx": (ComplexificationOfBase, [("base", "base", _SPACE)]),
+           "sum": (SumNorm, [("left", "left", _SPACE), ("right", "right", _SPACE)]),
+           "sub": (SubspaceNorm, [("ambient", "ambient", _SPACE), ("basis", "basis", _ARRAY)])}
+
+
+def descriptor_to_dict(d: NormDescriptor) -> dict:
+    for kind, (cls, fields) in _SERIAL.items():
+        if isinstance(d, cls):
+            return {"kind": kind, **{key: to(getattr(d, attr)) for key, attr, (to, _) in fields}}
+    raise DescriptorError(f"unknown descriptor {type(d).__name__}")
+
+
+def descriptor_from_dict(obj: dict) -> NormDescriptor:
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _SERIAL:
+        raise DescriptorError(f"unknown descriptor kind {kind!r}")
+    cls, fields = _SERIAL[kind]
+    return cls(*(back(obj[key]) for key, _, (_, back) in fields))

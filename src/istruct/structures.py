@@ -20,8 +20,8 @@ import numpy as np
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import DimensionMismatchError, StructureValidationError, single
 from .spaces import (ComplexificationOfBase, Lp, NormedSpace, WeightedLp,
-                     _sinusoid_pieces, direct_sum, euclidean_gram, lp_space,
-                     norm, norm_batch, space_equal)
+                     _check_vector, _sinusoid_pieces, direct_sum, euclidean_gram,
+                     lp_space, norm, norm_batch, space_equal)
 
 DEFAULT_SAMPLE_VECTORS = 512
 DEFAULT_SAMPLE_ANGLES = 64
@@ -229,10 +229,7 @@ def natural_i_operator(base: NormedSpace) -> ComplexStructure:
 
 def complex_scalar_action(s: ComplexStructure, alpha: float, beta: float, x) -> np.ndarray:
     """(alpha + i beta) . x := alpha x + beta A x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (s.space.dim,):
-        raise DimensionMismatchError(
-            f"expected vector of length {s.space.dim}, got {x.shape}")
+    x = _check_vector(x, s.space.dim)
     return alpha * x + beta * (s.A @ x)
 
 

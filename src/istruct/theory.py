@@ -402,7 +402,7 @@ def _complex_cartesian_reports(Ts: np.ndarray, As: np.ndarray, Bs: np.ndarray, *
     q1y, q2y = surjection_first(m), surjection_second(m)
 
     def rr(L, Adom, Acod):
-        return np.max(np.abs(L @ Adom - Acod @ L), axis=(1, 2))
+        return _respect_residuals(L, Adom, Acod, tol)[0]
 
     residuals = {
         "J1_X(A,split)": rr(j1x, As, A2),
@@ -444,6 +444,12 @@ def _complex_cartesian_reports(Ts: np.ndarray, As: np.ndarray, Bs: np.ndarray, *
 # Transform roundtrips at the oracle level
 # ---------------------------------------------------------------------------
 
+def _mismatches(direct: np.ndarray, back: np.ndarray) -> list:
+    """The witness entry of each index where the two decisions differ."""
+    return [{"index": int(i), "direct": bool(direct[i]), "unfolded": bool(back[i])}
+            for i in np.flatnonzero(direct != back)]
+
+
 def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
     """Unfold real -> complex -> real and compare decisions on the corpus.
 
@@ -453,9 +459,7 @@ def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
     unfolded = realify_ideal(complexify_ideal(oracle))
     direct = decide_real(oracle, corpus)
     back = decide_real(unfolded, corpus)
-    mismatches = [{"index": int(i), "direct": bool(direct[i]),
-                   "unfolded": bool(back[i])}
-                  for i in np.flatnonzero(direct != back)]
+    mismatches = _mismatches(direct, back)
     status = VERIFIED if not mismatches else VIOLATED
     return VerificationReport(
         claim="real-ideal-roundtrip", status=status,
@@ -485,10 +489,7 @@ def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
     back = _members(unfolded, groups)
     inclusion_violations = [{"index": int(i)}
                             for i in np.flatnonzero(back & ~direct)]
-    equality_mismatches = [{"index": int(i), "direct": bool(direct[i]),
-                            "unfolded": bool(back[i])}
-                           for i in np.flatnonzero(back != direct)
-                           ] if self_conjugate else []
+    equality_mismatches = _mismatches(direct, back) if self_conjugate else []
     bad = inclusion_violations + equality_mismatches
     status = VERIFIED if not bad else VIOLATED
     return VerificationReport(

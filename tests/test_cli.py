@@ -144,6 +144,60 @@ def test_undecided_structure_search_is_inconclusive(tmp_path, capsys):
     assert claim["report"]["notes"] == ["tag: undecided"]
 
 
+_J = [[0.0, -1.0], [1.0, 0.0]]
+_I3 = np.eye(3).tolist()
+
+
+@pytest.fixture(scope="module")
+def structure_claims():
+    """The reports of validate-structure and reject-structure on a rotation
+    that is not an i-operator (plane-l1), one that is (plane-l2) and a
+    candidate on an odd-dimensional space (l2^3), by claim id."""
+    scenario = {
+        "schema": 1, "seed": 3,
+        "spaces": {"plane-l1": {"dim": 2, "norm": {"kind": "lp", "p": 1.0}},
+                   "plane-l2": {"dim": 2, "norm": {"kind": "lp", "p": 2.0}},
+                   "l2-3": {"dim": 3, "norm": {"kind": "lp", "p": 2.0}}},
+        "claims": {
+            "validate-l1": {"kind": "validate-structure", "space": "plane-l1", "A": _J},
+            "validate-odd": {"kind": "validate-structure", "space": "l2-3", "A": _I3},
+            "reject-l2": {"kind": "reject-structure", "space": "plane-l2", "A": _J},
+            "reject-odd": {"kind": "reject-structure", "space": "l2-3", "A": _I3}},
+        "suites": {"only": ["validate-l1", "validate-odd", "reject-l2", "reject-odd"]},
+    }
+    return {c["id"]: c["report"] for c in run_suite(scenario, "only")["claims"]}
+
+
+def test_validate_structure_reports_the_sampled_witness(structure_claims):
+    report = structure_claims["validate-l1"]
+    assert report["status"] == VIOLATED and report["residuals"] == {}
+    assert list(report["witness"]) == ["error", "witness"]
+    assert report["witness"]["error"].startswith("isometry residual")
+    assert list(report["witness"]["witness"]) == ["x", "alpha", "beta"]
+
+
+def test_validate_structure_on_an_odd_dimension_has_no_witness(structure_claims):
+    report = structure_claims["validate-odd"]
+    assert report["status"] == VIOLATED and report["residuals"] == {}
+    assert list(report["witness"]) == ["error"]
+    assert report["witness"]["error"].startswith("odd dimension 3")
+
+
+def test_reject_structure_of_a_valid_candidate_is_violated(structure_claims):
+    report = structure_claims["reject-l2"]
+    assert report["status"] == VIOLATED and report["residuals"] == {}
+    assert report["witness"] == {"error": "candidate unexpectedly valid"}
+    assert report["notes"] == []
+
+
+def test_reject_structure_on_an_odd_dimension_is_verified(structure_claims):
+    report = structure_claims["reject-odd"]
+    assert report["status"] == VERIFIED
+    assert report["residuals"] == {"isometry": "nan"}
+    assert report["witness"] is None
+    assert report["notes"] == ["candidate rejected as required"]
+
+
 def test_paper_suite_runs_without_scipy(tmp_path):
     # scipy costs most of the import time; nothing at run time may load it
     code = (
@@ -399,6 +453,22 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      ["suite 'bad'", "list of claim ids"]),
     (_edit(["oracles", "r-opnorm-2", "descriptor", "functional"], "operator_nrom"),
      "ideal-transforms", ["'r-opnorm-2'", "'operator_nrom'"]),
+    # a suite that is not run names a claim the file does not have
+    (_edit(["suites", "other"], ["no-such-claim"]), "ideal-transforms",
+     ["suite 'other'", "unknown claim 'no-such-claim'"]),
+    # oracle parameters out of range
+    (_edit(["oracles", "r-opnorm-2", "descriptor", "bound"], "nan"), "ideal-transforms",
+     ["'r-opnorm-2'", "bound", "'nan'"]),
+    (_edit(["oracles", "r-opnorm-2", "descriptor", "bound"], -1), "ideal-transforms",
+     ["'r-opnorm-2'", "bound", "-1"]),
+    (_edit(["oracles", "r-opnorm-2", "descriptor", "bound"], True), "ideal-transforms",
+     ["'r-opnorm-2'", "bound", "True"]),
+    (_edit(["oracles", "r-rank-all", "descriptor", "r"], -2.7), "ideal-transforms",
+     ["'r-rank-all'", "r must", "-2.7"]),
+    (_edit(["oracles", "r-rank-all", "descriptor", "r"], -1), "ideal-transforms",
+     ["'r-rank-all'", "r must", "-1"]),
+    (_edit(["oracles", "r-rank-all", "descriptor", "r"], 2.5), "ideal-transforms",
+     ["'r-rank-all'", "r must", "2.5"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
         "unknown-tolerance", "tolerances-string", "tolerances-number",
         "tolerance-string-nan", "tolerance-negative", "tolerance-boolean",
@@ -413,7 +483,9 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "chain-unknown-rule", "mutations-unknown-rule", "chain-bad-direction",
         "mutations-bad-direction", "validate-angles-two", "reject-samples-zero", "search-flag-not-boolean",
         "wrong-oracle-kind", "suite-number", "suite-nested-list", "suite-string",
-        "suite-object", "functional-typo"])
+        "suite-object", "functional-typo", "suite-unknown-claim", "bound-nan",
+        "bound-negative", "bound-boolean", "r-negative-fraction", "r-negative",
+        "r-fraction"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
                                     edit, suite, words):
     assert _run_edited(scenario_path, tmp_path, edit, suite) == 2
@@ -447,6 +519,20 @@ def test_bad_last_claim_exits_before_any_claim_runs(scenario_path, tmp_path, cap
     assert _run_edited(scenario_path, tmp_path, edit, "paper-all") == 2
     assert "'validate-cplx-l1'" in capsys.readouterr().err
     assert claim_runs == []
+
+
+def test_list_suites_rejects_a_suite_naming_an_unknown_claim(scenario_path, tmp_path,
+                                                            capsys):
+    with open(scenario_path, encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    scenario["suites"]["other"] = ["no-such-claim"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["list-suites", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "suite 'other' references unknown claim 'no-such-claim'" in captured.err
 
 
 def test_negative_seed_flag_exits_2(scenario_path, tmp_path, capsys, claim_runs):

@@ -17,8 +17,7 @@ from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
                             oracle_to_dict, realify_ideal)
 from istruct.morphisms import (RespectingOperator, block_diag2,
                                complexify_operator, conjugate_operator,
-                               make_respecting, matrix_norm_between,
-                               respect_residual)
+                               make_respecting, matrix_norm_between)
 from istruct.spaces import EuclideanQuadratic, NormedSpace, direct_sum, lp_space
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
 from istruct.theory import split_structure, verify_theorem_complex
@@ -355,8 +354,8 @@ def test_audit_rejects_the_first_square_that_misses_respect():
     corpus = [good[0], bad4, good[1], bad2, good[2]]
     with pytest.raises(RespectViolationError) as exc_info:
         audit_self_conjugacy(IdealOracle("complex", AllOperators()), corpus)
-    first = respect_residual(bad4.matrix, bad4.domain.A, bad4.codomain.A)
-    later = respect_residual(bad2.matrix, bad2.domain.A, bad2.codomain.A)
+    first, later = (np.max(np.abs(op.matrix @ op.domain.A - op.codomain.A @ op.matrix))
+                    for op in (bad4, bad2))
     assert abs(first - later) > 0.1
     assert exc_info.value.residual == pytest.approx(first, rel=1e-12)
 
@@ -523,6 +522,21 @@ def test_audit_off_euclidean_is_a_typed_error():
 def test_oracle_serialization_roundtrip(obj):
     oracle = oracle_from_dict(obj)
     assert oracle_to_dict(oracle) == obj
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda v: NormThreshold("operator_norm", v), [math.nan, math.inf, -1.0, True, "1.0"]),
+    (RankThreshold, [-1, 2.5, -2.7, True, "2"]),
+], ids=["norm-threshold-bound", "rank-threshold-r"])
+def test_threshold_parameters_are_range_checked(make, bad):
+    for value in bad:
+        with pytest.raises(DescriptorError, match="must be"):
+            make(value)
+
+
+def test_threshold_parameters_are_stored_as_float_and_int():
+    assert type(NormThreshold("operator_norm", 2).bound) is float
+    assert type(RankThreshold(np.int64(3)).r) is int
 
 
 def test_unknown_predicate_rejected():

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -727,3 +729,53 @@ def test_space_serialization_roundtrip(space):
 def test_space_from_dict_rejects_unknown_kind():
     with pytest.raises(DescriptorError):
         space_from_dict({"dim": 2, "norm": {"kind": "mystery"}})
+
+
+_L1_2 = {"dim": 2, "norm": {"kind": "lp", "p": 1.0}}
+_L2_1 = {"dim": 1, "norm": {"kind": "lp", "p": 2.0}}
+
+
+@pytest.mark.parametrize("space, serial", [
+    (lp_space(3, 1.0), {"dim": 3, "norm": {"kind": "lp", "p": 1.0}}),
+    (lp_space(2, math.inf), {"dim": 2, "norm": {"kind": "lp", "p": "inf"}}),
+    (NormedSpace(2, WeightedLp(1.5, np.array([1.0, 2.0]))),
+     {"dim": 2, "norm": {"kind": "wlp", "p": 1.5, "weights": [1.0, 2.0]}}),
+    (NormedSpace(2, WeightedLp(math.inf, np.array([1.0, 2.0]))),
+     {"dim": 2, "norm": {"kind": "wlp", "p": "inf", "weights": [1.0, 2.0]}}),
+    (NormedSpace(2, EuclideanQuadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))),
+     {"dim": 2, "norm": {"kind": "quad", "G": [[2.0, 0.5], [0.5, 1.0]]}}),
+    (NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
+     {"dim": 2, "norm": {"kind": "poly",
+                         "functionals": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}}),
+    (direct_sum(lp_space(2, 1.0), lp_space(2, 1.0), "complexification"),
+     {"dim": 4, "norm": {"kind": "cplx", "base": _L1_2}}),
+    (direct_sum(lp_space(2, 1.0), lp_space(1, 2.0), "sum"),
+     {"dim": 3, "norm": {"kind": "sum", "left": _L1_2, "right": _L2_1}}),
+    (NormedSpace(1, SubspaceNorm(lp_space(2, 1.0), np.array([[1.0], [3.0]]))),
+     {"dim": 1, "norm": {"kind": "sub", "ambient": _L1_2, "basis": [[1.0], [3.0]]}}),
+], ids=["lp", "lp-inf", "wlp", "wlp-inf", "quad", "poly", "cplx", "sum", "sub"])
+def test_descriptor_serial_form(space, serial):
+    # json.dumps without sort_keys sees the key order and int/float types
+    assert json.dumps(space_to_dict(space)) == json.dumps(serial)
+    _assert_same_fields(space_from_dict(serial), space)
+
+
+def _assert_same_fields(a, b):
+    """a and b are the same space, descriptor field by descriptor field."""
+    assert a.dim == b.dim
+    assert type(a.norm_desc) is type(b.norm_desc)
+    for field in dataclasses.fields(a.norm_desc):
+        x, y = getattr(a.norm_desc, field.name), getattr(b.norm_desc, field.name)
+        if isinstance(x, NormedSpace):
+            _assert_same_fields(x, y)
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype == float and np.array_equal(x, y)
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
+def test_descriptor_serial_form_rejects_unknown_types():
+    with pytest.raises(DescriptorError, match="unknown descriptor object"):
+        spaces.descriptor_to_dict(object())
+    with pytest.raises(DescriptorError, match="unknown descriptor kind 'mystery'"):
+        spaces.descriptor_from_dict({"kind": "mystery"})

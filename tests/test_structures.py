@@ -139,6 +139,13 @@ def test_complex_scalar_action():
         complex_scalar_action(s, 1.0, 0.0, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_complex_scalar_action_rejects_non_finite_vectors(bad):
+    s = validate_i_operator(lp_space(2, 2.0), J2)
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        complex_scalar_action(s, 1.0, 0.0, [1.0, bad])
+
+
 def test_scalar_action_is_isometric():
     s = natural_i_operator(lp_space(2, 1.0))
     rng = np.random.default_rng(3)
