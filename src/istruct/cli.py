@@ -34,7 +34,7 @@ from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          check_derivation, expr, expr_from_list,
                          factorization_hypothesis_check, reference_chain,
                          search_chain)
-from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
+from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport, bounded
 from .spaces import (block_diag2, complexification_norm,
                      complexification_norm_batch, direct_sum, lp_space,
                      norm_batch, space_from_dict)
@@ -120,6 +120,11 @@ class ParamType(NamedTuple):
 REQUIRED = object()  # the default of a parameter a claim must give
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number (booleans, strings and NaN are not)."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+
+
 def _is_int(v, lo: int, even: bool = False) -> bool:
     return (not isinstance(v, bool) and isinstance(v, numbers.Integral)
             and v >= lo and not (even and v % 2))
@@ -160,12 +165,12 @@ EVEN_DIMS = _integers(2, even=True)
 DIM_RANGE = ParamType("a pair [lo, hi] of integers with 1 <= lo <= hi",
                       lambda v, _: isinstance(v, list) and len(v) == 2
                       and all(_is_int(x, 1) for x in v) and v[0] <= v[1])
-BOUND = ParamType("a finite number >= 0",
-                  lambda v, _: not isinstance(v, bool) and isinstance(v, numbers.Real)
-                  and math.isfinite(v) and v >= 0, lambda v, _: float(v))
+BOUND = ParamType("a finite number >= 0", lambda v, _: _is_number(v) and v >= 0,
+                  lambda v, _: float(v))
 FLAG = ParamType("true or false", lambda v, _: isinstance(v, bool))
-MATRIX = ParamType("a matrix (a list of equal-length rows of numbers)",
-                   lambda v, _: np.ndim(v) == 2, lambda v, _: np.asarray(v, dtype=float))
+MATRIX = ParamType("a matrix (a list of equal-length rows of finite numbers)",
+                   lambda v, _: np.ndim(v) == 2 and all(_is_number(x) for row in v for x in row),
+                   lambda v, _: np.asarray(v, dtype=float))
 EXPR = ParamType("a nonempty list of [label, sign] atoms (labels X, Y, Z; signs +, -)",
                  lambda v, _: isinstance(v, list) and all(isinstance(a, list) for a in v),
                  lambda v, _: expr_from_list(v))
@@ -181,15 +186,6 @@ SPACE = _named("space")
 # ---------------------------------------------------------------------------
 # Claim handlers: (typed parameters, rng, tolerances) -> VerificationReport
 # ---------------------------------------------------------------------------
-
-def _bounded(kind: str, ok: bool, residuals: dict, tolerances: dict,
-             witness, notes: tuple = ()) -> VerificationReport:
-    """The report of a claim that holds when ok, its residuals being within
-    its tolerances; the witness is kept only for a violation."""
-    return VerificationReport(kind, VERIFIED if ok else VIOLATED,
-                              residuals=residuals, tolerances=tolerances,
-                              witness=None if ok else witness, notes=list(notes))
-
 
 def _choice(rng, seq) -> int:
     """One entry of seq, drawn from the same stream as rng.choice(seq) (a
@@ -213,16 +209,16 @@ def _h_euclidean_closed_form(params, rng, tol):
         rows = np.cos(phi)[:, None] * x + np.sin(phi)[:, None] * y
         defined = math.sqrt(np.mean(norm_batch(space, rows) ** 2))
         worst = max(worst, abs(closed - defined))
-    return _bounded("euclidean-closed-form", worst <= 1e-10,
-                    {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
+    return bounded("euclidean-closed-form", worst <= 1e-10,
+                   {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
 
 
 def _h_l1_spot_value(params, rng, tol):
     value = complexification_norm(lp_space(2, 1.0), [1.0, 0.0], [0.0, 1.0])
     target = math.sqrt(1.0 + 2.0 / math.pi)
     err = abs(value - target)
-    return _bounded("l1-spot-value", err <= 1e-6, {"abs_error": err, "value": value},
-                    {"abs": 1e-6}, {"value": value})
+    return bounded("l1-spot-value", err <= 1e-6, {"abs_error": err, "value": value},
+                   {"abs": 1e-6}, {"value": value})
 
 
 def _h_rotation_invariance(params, rng, tol):
@@ -242,14 +238,14 @@ def _h_rotation_invariance(params, rng, tol):
     Y = (s * x + c * y).reshape(-1, space.dim)
     vals = complexification_norm_batch(space, X, Y).reshape(count, angles)
     worst = float(np.max(np.abs(vals[:, 1:] - vals[:, :1]), initial=0.0))
-    return _bounded("rotation-invariance", worst <= bound, {"worst_abs_dev": worst},
-                    {"abs": bound}, {"worst": worst})
+    return bounded("rotation-invariance", worst <= bound, {"worst_abs_dev": worst},
+                   {"abs": bound}, {"worst": worst})
 
 
 def _h_natural_i_operator(params, rng, tol):
     s = natural_i_operator(params["space"])
     c = certify(s.space, s.A)
-    return _bounded(
+    return bounded(
         "natural-i-operator",
         c.algebraic_residual <= 1e-12 and c.isometry_residual <= 1e-8,
         {"algebraic": c.algebraic_residual, "isometry": c.isometry_residual},
@@ -272,21 +268,20 @@ def _candidate(params, tol) -> tuple:
 def _h_validate_structure(params, rng, tol):
     c, rejection = _candidate(params, tol)
     if rejection is None:
-        return VerificationReport("validate-structure", VERIFIED,
-                                  residuals={"algebraic": c.algebraic_residual,
-                                             "isometry": c.isometry_residual})
+        return bounded("validate-structure", True,
+                       {"algebraic": c.algebraic_residual, "isometry": c.isometry_residual})
     wit = {"error": str(rejection)}
     if c is not None and c.witness is not None:
         wit["witness"] = witness_to_dict(c.witness)
-    return VerificationReport("validate-structure", VIOLATED, residuals={}, witness=wit)
+    return bounded("validate-structure", False, {}, witness=wit)
 
 
 def _h_reject_structure(params, rng, tol):
     """Verified iff the candidate is rejected with a reproducible witness."""
     c, rejection = _candidate(params, tol)
     if rejection is None:
-        return VerificationReport("reject-structure", VIOLATED, residuals={},
-                                  witness={"error": "candidate unexpectedly valid"})
+        return bounded("reject-structure", False, {},
+                       witness={"error": "candidate unexpectedly valid"})
     wit = None
     reproduced = True
     if c is not None and c.witness is not None:
@@ -348,7 +343,7 @@ def _verdict(kind: str, reports: list, residuals: dict,
     else verified with the corpus's worst residuals."""
     if not reports[-1].ok:
         return reports[-1]
-    return _bounded(kind, True, residuals, tolerances, None)
+    return bounded(kind, True, residuals, tolerances)
 
 
 def _worst(reports: list, key: str = None) -> float:
@@ -377,8 +372,8 @@ def _h_prop1_roundtrip(params, rng, tol):
     ok = (worst["involution"] <= 1e-8 and worst["anticommutation"] <= 1e-8
           and worst["inverse_composition"] <= 1e-8
           and worst["norm_excess"] <= 1e-6)
-    return _bounded("complexification-roundtrip", ok, worst,
-                    {"residuals": 1e-8, "norm_slack": 1e-6}, dict(worst))
+    return bounded("complexification-roundtrip", ok, worst,
+                   {"residuals": 1e-8, "norm_slack": 1e-6}, dict(worst))
 
 
 def _h_squares(params, rng, tol):
@@ -491,8 +486,8 @@ def _h_hs_doubling(params, rng, tol):
 
     worst = max(_corpus_outcomes(params["count"],
                                  lambda: _draw_real_op(rng, params["dims"]), check))
-    return _bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
-                    {"abs": bound}, {"worst": worst})
+    return bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
+                   {"abs": bound}, {"worst": worst})
 
 
 def _h_pelczynski_chain(params, rng, tol):
@@ -513,8 +508,8 @@ def _h_chain_mutations(params, rng, tol):
                           and rep.witness.get("step") == idx):
             failures.append({"index": idx, "mutated_to": mutated_rule,
                              "status": rep.status, "witness": rep.witness})
-    return _bounded("chain-mutations", not failures,
-                    {"failures": float(len(failures))}, {}, failures)
+    return bounded("chain-mutations", not failures, {"failures": float(len(failures))},
+                   witness=failures)
 
 
 def _h_chain_search(params, rng, tol):
@@ -524,10 +519,10 @@ def _h_chain_search(params, rng, tol):
     chain = search_chain(source, target, params["depth"], rules=rules)
     found = chain is not None
     sound = not found or check_derivation(chain, start=source, end=target).ok
-    return _bounded("chain-search", found == expect_found and sound,
-                    {"length": float(len(chain.steps) if found else -1)}, {},
-                    {"found": found, "expected": expect_found, "sound": sound},
-                    [f"rules: {rules or 'all'}"])
+    return bounded("chain-search", found == expect_found and sound,
+                   {"length": float(len(chain.steps) if found else -1)},
+                   witness={"found": found, "expected": expect_found, "sound": sound},
+                   notes=[f"rules: {rules or 'all'}"])
 
 
 def _h_factorization_check(params, rng, tol):
@@ -660,8 +655,7 @@ def run_claim(claim_id: str, parsed: tuple, seed: int, tol: Tolerances) -> dict:
     try:
         report = CLAIMS[kind][0](params, rng, tol)
     except IstructError as exc:
-        report = VerificationReport(kind, VIOLATED, residuals={},
-                                    witness={"error": str(exc)})
+        report = bounded(kind, False, {}, witness={"error": str(exc)})
     outcome = VERIFIED if report.status == expect else VIOLATED
     entry = {"id": claim_id, "kind": kind, "expected": expect,
              "outcome": outcome, "report": report.to_dict()}

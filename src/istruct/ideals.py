@@ -27,7 +27,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import DescriptorError, first_errors
 from .morphisms import (RespectingOperator, _respect_residuals,
                         _singular_values, _split_matrix)
-from .report import VERIFIED, VIOLATED, VerificationReport
+from .report import VerificationReport, bounded
 from .spaces import (NormedSpace, _checked_operator, block_diag2, direct_sum,
                      space_key)
 from .structures import _split_on, natural_i_operator
@@ -328,18 +328,15 @@ def _audit(oracle: IdealOracle, corpus: Sequence[RespectingOperator], groups: li
     conj_mismatch = [{"index": int(i)} for i in np.flatnonzero(conjugated != direct)]
     square_fwd = [{"index": int(i)} for i in np.flatnonzero(direct & ~square)]
     square_bwd = [{"index": int(i)} for i in np.flatnonzero(square & ~direct)]
-    bad = conj_mismatch or square_fwd or square_bwd
-    return VerificationReport(
-        claim="self-conjugacy-audit",
-        status=VIOLATED if bad else VERIFIED,
-        residuals={"conjugation_mismatches": float(len(conj_mismatch)),
-                   "square_forward_failures": float(len(square_fwd)),
-                   "square_backward_failures": float(len(square_bwd))},
+    return bounded(
+        "self-conjugacy-audit", not (conj_mismatch or square_fwd or square_bwd),
+        {"conjugation_mismatches": float(len(conj_mismatch)),
+         "square_forward_failures": float(len(square_fwd)),
+         "square_backward_failures": float(len(square_bwd))},
         witness={"conjugation": conj_mismatch, "square_forward": square_fwd,
-                 "square_backward": square_bwd} if bad else None,
+                 "square_backward": square_bwd},
         notes=[DECISION_NOTE,
-               "no violation on a finite corpus is not a proof of "
-               "self-conjugacy"])
+               "no violation on a finite corpus is not a proof of self-conjugacy"])
 
 
 # ---------------------------------------------------------------------------
@@ -361,43 +358,35 @@ PREDICATES = {("nonzero", "real"): _nonzero,
               ("a-entry-sign", "complex"): _a_entry_sign_complex}
 
 
+# type -> (descriptor type, its fields in JSON key order); a predicate's
+# function is looked up in PREDICATES by (label, kind)
+_SERIAL = {"norm_threshold": (NormThreshold, ("functional", "bound")),
+           "rank_threshold": (RankThreshold, ("r",)),
+           "predicate": (MatrixPredicate, ("label",)),
+           "all": (AllOperators, ()),
+           "none": (NoOperators, ())}
+
+
 def oracle_to_dict(oracle: IdealOracle) -> dict:
     d = oracle.descriptor
-    if isinstance(d, NormThreshold):
-        desc = {"type": "norm_threshold", "functional": d.functional,
-                "bound": d.bound}
-    elif isinstance(d, RankThreshold):
-        desc = {"type": "rank_threshold", "r": d.r}
-    elif isinstance(d, MatrixPredicate):
-        desc = {"type": "predicate", "label": d.label}
-    elif isinstance(d, AllOperators):
-        desc = {"type": "all"}
-    elif isinstance(d, NoOperators):
-        desc = {"type": "none"}
-    else:
-        raise DescriptorError(
-            f"descriptor {type(d).__name__} has no serial form")
-    return {"kind": oracle.kind, "descriptor": desc}
+    for t, (cls, fields) in _SERIAL.items():
+        if isinstance(d, cls):
+            return {"kind": oracle.kind,
+                    "descriptor": {"type": t, **{f: getattr(d, f) for f in fields}}}
+    raise DescriptorError(f"descriptor {type(d).__name__} has no serial form")
 
 
 def oracle_from_dict(obj: dict) -> IdealOracle:
     kind = obj["kind"]
     desc = obj["descriptor"]
     t = desc.get("type")
-    if t == "norm_threshold":
-        d = NormThreshold(desc["functional"], desc["bound"])
-    elif t == "rank_threshold":
-        d = RankThreshold(desc["r"])
-    elif t == "predicate":
-        label = desc["label"]
-        fn = PREDICATES.get((label, kind))
-        if fn is None:
-            raise DescriptorError(f"unknown {kind} predicate {label!r}")
-        d = MatrixPredicate(label, fn)
-    elif t == "all":
-        d = AllOperators()
-    elif t == "none":
-        d = NoOperators()
-    else:
+    if not isinstance(t, str) or t not in _SERIAL:
         raise DescriptorError(f"unknown oracle descriptor type {t!r}")
-    return IdealOracle(kind, d)
+    cls, fields = _SERIAL[t]
+    args = [desc[f] for f in fields]
+    if cls is MatrixPredicate:
+        fn = PREDICATES.get((args[0], kind))
+        if fn is None:
+            raise DescriptorError(f"unknown {kind} predicate {args[0]!r}")
+        args.append(fn)
+    return IdealOracle(kind, cls(*args))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, IstructError
-from .report import VERIFIED, VIOLATED, VerificationReport
+from .report import VerificationReport, bounded
 from .structures import ComplexStructure
 
 LABELS = ("X", "Y", "Z")
@@ -166,8 +166,7 @@ def check_derivation(chain: ChainDerivation, *, start: Optional[SumExpr] = None,
     """Verified iff every step is one legal rule application and the declared
     endpoints match; an illegal step is reported with its index."""
     def violated(witness: dict) -> VerificationReport:
-        return VerificationReport(claim="chain-derivation", status=VIOLATED,
-                                  residuals={}, witness=witness)
+        return bounded("chain-derivation", False, {}, witness=witness)
 
     if start is not None and chain.start != start:
         return violated({"reason": "start mismatch", "declared": str(start),
@@ -186,8 +185,7 @@ def check_derivation(chain: ChainDerivation, *, start: Optional[SumExpr] = None,
     if end is not None and current != end:
         return violated({"reason": "end mismatch", "declared": str(end),
                          "actual": str(current)})
-    return VerificationReport(claim="chain-derivation", status=VERIFIED,
-                              residuals={"steps": float(len(chain.steps))})
+    return bounded("chain-derivation", True, {"steps": float(len(chain.steps))})
 
 
 def search_chain(source: SumExpr, target: SumExpr, max_depth: int,
@@ -210,7 +208,11 @@ def search_chain(source: SumExpr, target: SumExpr, max_depth: int,
     goal = target.counts
     seen = {source.counts: None}
     frontier = [source.counts]
+    # at most C(max_atoms + 6, 6) count vectors exist, so the frontier empties
+    # long before a large max_depth runs out
     for _ in range(max_depth):
+        if not frontier:
+            break
         next_frontier = []
         for node in frontier:
             room = max_atoms - sum(node)
@@ -271,13 +273,9 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
 
     bad = {k: v for k, v in residuals.items()
            if v > (PROJECTION_TOL if k == "projection" else tol.tol_alg)}
-    status = VERIFIED if not bad else VIOLATED
-    return VerificationReport(
-        claim="factorization-hypotheses", status=status,
-        residuals=residuals,
-        witness={"failed": bad} if bad else None,
-        tolerances={"algebraic": tol.tol_alg, "projection": PROJECTION_TOL},
-        notes=[f"range dimension {rank}, kernel dimension {n - rank}"])
+    return bounded("factorization-hypotheses", not bad, residuals,
+                   {"algebraic": tol.tol_alg, "projection": PROJECTION_TOL},
+                   {"failed": bad}, [f"range dimension {rank}, kernel dimension {n - rank}"])
 
 
 # ---------------------------------------------------------------------------

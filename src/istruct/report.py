@@ -34,3 +34,11 @@ class VerificationReport:
                 "tolerances": dict(self.tolerances), "seeds": dict(self.seeds),
                 "notes": list(self.notes)}
 
+
+def bounded(claim: str, ok: bool, residuals: dict, tolerances: dict = {},
+            witness=None, notes=()) -> VerificationReport:
+    """The report of a claim that holds when ok, its residuals being within
+    its tolerances; the witness is kept only for a violation."""
+    return VerificationReport(claim, VERIFIED if ok else VIOLATED,
+                              residuals=residuals, tolerances=dict(tolerances),
+                              witness=None if ok else witness, notes=list(notes))

@@ -701,10 +701,25 @@ def space_from_dict(obj: dict) -> NormedSpace:
     return NormedSpace(int(dim), descriptor_from_dict(obj["norm"]))
 
 
-_P = (lambda p: "inf" if math.isinf(p) else p, lambda v: math.inf if v == "inf" else float(v))
-_ARRAY = (np.ndarray.tolist, lambda v: np.asarray(v, dtype=float))
-_SPACE = (space_to_dict, space_from_dict)
-# kind -> (type, [(JSON key, attribute, (to JSON, from JSON))]), in field order
+def _number(v, key: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise DescriptorError(f"{key}: {v!r} is not a JSON number")
+    return float(v)
+
+
+def _numbers(v, key: str) -> np.ndarray:
+    """A JSON array of numbers, or of rows of them, as floats."""
+    a = np.asarray(v, dtype=float)
+    for x in np.array(v, dtype=object).ravel():
+        _number(x, key)
+    return a
+
+
+_P = (lambda p: "inf" if math.isinf(p) else p,
+      lambda v, key: math.inf if v == "inf" else _number(v, key))
+_ARRAY = (np.ndarray.tolist, _numbers)
+_SPACE = (space_to_dict, lambda v, key: space_from_dict(v))
+# kind -> (type, [(JSON key, attribute, (to JSON, from JSON(value, key)))]), in field order
 _SERIAL = {"lp": (Lp, [("p", "p", _P)]),
            "wlp": (WeightedLp, [("p", "p", _P), ("weights", "weights", _ARRAY)]),
            "quad": (EuclideanQuadratic, [("G", "gram", _ARRAY)]),
@@ -726,4 +741,4 @@ def descriptor_from_dict(obj: dict) -> NormDescriptor:
     if not isinstance(kind, str) or kind not in _SERIAL:
         raise DescriptorError(f"unknown descriptor kind {kind!r}")
     cls, fields = _SERIAL[kind]
-    return cls(*(back(obj[key]) for key, _, (_, back) in fields))
+    return cls(*(back(obj[key], key) for key, _, (_, back) in fields))

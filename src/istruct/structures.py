@@ -68,6 +68,8 @@ def certify(space: NormedSpace, A, *, samples: int = DEFAULT_SAMPLE_VECTORS,
     n = space.dim
     if A.shape != (n, n):
         raise DimensionMismatchError(f"A must be {n} x {n}, got {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise DimensionMismatchError("A must be finite")
     gram = euclidean_gram(space)
     if gram is not None:
         return _gram_certificates(A[None], gram)[0]

@@ -27,7 +27,7 @@ from .morphisms import (RANK_RTOL, RespectingOperator, _inverses,
                         injection_first, injection_second,
                         matrix_norm_between, surjection_first,
                         surjection_second)
-from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport
+from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport, bounded
 from .spaces import (EuclideanQuadratic, NormedSpace, SubspaceNorm, _gram_defects,
                      block_diag2, direct_sum, euclidean_gram)
 from .structures import (ComplexStructure, _split_on, natural_i_operator,
@@ -315,20 +315,11 @@ def _squares_reports(structures: Sequence[ComplexStructure], *,
     eye = np.eye(Ms.shape[-1])
     dev = np.maximum(np.max(np.abs(inv @ Ms - eye), axis=(1, 2)),
                      np.max(np.abs(Ms @ inv - eye), axis=(1, 2))).tolist()
-    reports = []
-    for s, op, d in zip(structures, ops, dev):
-        if op is None:
-            reports.append(None)
-            continue
-        status = VERIFIED if (op.respect_residual <= tol.tol_alg
-                              and d <= 1e-12) else VIOLATED
-        reports.append(VerificationReport(
-            claim="square-space-isomorphism", status=status,
-            residuals={"respect": op.respect_residual,
-                       "inverse_composition": d},
-            witness=None if status == VERIFIED else {"A": s.A.tolist()},
-            tolerances={"respect": tol.tol_alg, "inverse": 1e-12}))
-    return reports, errors
+    return [None if op is None else bounded(
+        "square-space-isomorphism", op.respect_residual <= tol.tol_alg and d <= 1e-12,
+        {"respect": op.respect_residual, "inverse_composition": d},
+        {"respect": tol.tol_alg, "inverse": 1e-12}, {"A": s.A.tolist()})
+        for s, op, d in zip(structures, ops, dev)], errors
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +347,11 @@ def _cartesian_deviations(Ts: np.ndarray) -> tuple:
 
 def _real_cartesian_reports(Ts: np.ndarray) -> list:
     """verify_real_cartesian_identities of each matrix of a stack (k, m, n)."""
-    m, n = Ts.shape[1:]
     _, dev1, dev2 = _cartesian_deviations(Ts)
-    reports = []
-    for d1, d2 in zip(dev1.tolist(), dev2.tolist()):
-        status = VERIFIED if max(d1, d2) == 0.0 else VIOLATED
-        reports.append(VerificationReport(
-            claim="real-cartesian-identities", status=status,
-            residuals={"restriction": d1, "reassembly": d2},
-            witness=None if status == VERIFIED else {"shape": [m, n]},
-            tolerances={"deviation": 0.0}))
-    return reports
+    return [bounded("real-cartesian-identities", max(d1, d2) == 0.0,
+                    {"restriction": d1, "reassembly": d2}, {"deviation": 0.0},
+                    {"shape": list(Ts.shape[1:])})
+            for d1, d2 in zip(dev1.tolist(), dev2.tolist())]
 
 
 def verify_complex_cartesian_identities(op: RespectingOperator, *,
@@ -431,12 +416,10 @@ def _complex_cartesian_reports(Ts: np.ndarray, As: np.ndarray, Bs: np.ndarray, *
         devs = dict(zip(deviations, dev_row))
         bad = {key: v for key, v in res.items() if v > tol.tol_alg}
         bad_dev = {key: v for key, v in devs.items() if v > tol.abs_tol}
-        status = VERIFIED if not bad and not bad_dev else VIOLATED
-        reports.append(VerificationReport(
-            claim="complex-cartesian-identities", status=status,
-            residuals={**res, **devs},
-            witness=None if status == VERIFIED else {"failed": {**bad, **bad_dev}},
-            tolerances={"respect": tol.tol_alg, "deviation": tol.abs_tol}))
+        reports.append(bounded(
+            "complex-cartesian-identities", not bad and not bad_dev, {**res, **devs},
+            {"respect": tol.tol_alg, "deviation": tol.abs_tol},
+            {"failed": {**bad, **bad_dev}}))
     return reports
 
 
@@ -460,12 +443,9 @@ def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
     direct = decide_real(oracle, corpus)
     back = decide_real(unfolded, corpus)
     mismatches = _mismatches(direct, back)
-    status = VERIFIED if not mismatches else VIOLATED
-    return VerificationReport(
-        claim="real-ideal-roundtrip", status=status,
-        residuals={"mismatches": float(len(mismatches))},
-        witness=mismatches or None,
-        notes=[DECISION_NOTE])
+    return bounded("real-ideal-roundtrip", not mismatches,
+                   {"mismatches": float(len(mismatches))}, witness=mismatches,
+                   notes=[DECISION_NOTE])
 
 
 def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
@@ -490,13 +470,9 @@ def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
     inclusion_violations = [{"index": int(i)}
                             for i in np.flatnonzero(back & ~direct)]
     equality_mismatches = _mismatches(direct, back) if self_conjugate else []
-    bad = inclusion_violations + equality_mismatches
-    status = VERIFIED if not bad else VIOLATED
-    return VerificationReport(
-        claim="complex-ideal-roundtrip", status=status,
-        residuals={"inclusion_violations": float(len(inclusion_violations)),
-                   "equality_mismatches": float(len(equality_mismatches))},
-        witness={"inclusion": inclusion_violations,
-                 "equality": equality_mismatches} if bad else None,
-        notes=[f"audited self-conjugate: {self_conjugate}",
-               DECISION_NOTE])
+    return bounded(
+        "complex-ideal-roundtrip", not (inclusion_violations or equality_mismatches),
+        {"inclusion_violations": float(len(inclusion_violations)),
+         "equality_mismatches": float(len(equality_mismatches))},
+        witness={"inclusion": inclusion_violations, "equality": equality_mismatches},
+        notes=[f"audited self-conjugate: {self_conjugate}", DECISION_NOTE])

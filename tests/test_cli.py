@@ -469,6 +469,37 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      ["'r-rank-all'", "r must", "-1"]),
     (_edit(["oracles", "r-rank-all", "descriptor", "r"], 2.5), "ideal-transforms",
      ["'r-rank-all'", "r must", "2.5"]),
+    # matrix parameters hold finite JSON numbers only
+    (_edit(["claims", "validate-l2-nan"], {"kind": "validate-structure", "space": "plane-l2",
+                                           "A": [[0, -1], [1, float("nan")]]}),
+     "pelczynski-chain", ["'validate-l2-nan'", "'A'", "finite", "nan"]),
+    (_edit(["claims", "factorization", "R"], [[float("nan"), 0], [0, -1]]),
+     "pelczynski-chain", ["'factorization'", "'R'", "nan"]),
+    (_edit(["claims", "factorization", "S"], [[float("inf"), 0], [0, -1]]),
+     "pelczynski-chain", ["'factorization'", "'S'", "inf"]),
+    (_edit(["claims", "reject-l1-rotation", "A"], [["0", "-1"], ["1", "0"]]),
+     "pelczynski-chain", ["'reject-l1-rotation'", "'A'", "'-1'"]),
+    (_edit(["claims", "reject-l1-skew", "A"], [[False, True], [True, False]]),
+     "pelczynski-chain", ["'reject-l1-skew'", "'A'", "True"]),
+    # descriptor numbers are JSON numbers, not strings or booleans
+    (_edit(["spaces", "plane-l3", "norm", "p"], "1.5"), "pelczynski-chain",
+     ["'plane-l3'", "p:", "'1.5'", "JSON number"]),
+    (_edit(["spaces", "plane-l3", "norm", "p"], True), "pelczynski-chain",
+     ["'plane-l3'", "p:", "True", "JSON number"]),
+    (_edit(["spaces", "wl1-2", "norm", "p"], "2"), "pelczynski-chain",
+     ["'wl1-2'", "p:", "'2'", "JSON number"]),
+    (_edit(["spaces", "wl1-2", "norm", "weights"], ["1", "2"]), "pelczynski-chain",
+     ["'wl1-2'", "weights:", "'1'", "JSON number"]),
+    (_edit(["spaces", "wl1-2", "norm", "weights"], [1.0, True]), "pelczynski-chain",
+     ["'wl1-2'", "weights:", "True", "JSON number"]),
+    (_edit(["spaces", "quad-2", "norm", "G"], [[True, False], [False, True]]),
+     "pelczynski-chain", ["'quad-2'", "G:", "True", "JSON number"]),
+    (_edit(["spaces", "hex-2", "norm", "functionals"], [[1, 0], [0, "1"], [1, 1]]),
+     "pelczynski-chain", ["'hex-2'", "functionals:", "'1'", "JSON number"]),
+    (_edit(["spaces", "sub-l1"], {"dim": 1, "norm": {
+        "kind": "sub", "ambient": {"dim": 2, "norm": {"kind": "lp", "p": 1.0}},
+        "basis": [["1"], [0]]}}),
+     "pelczynski-chain", ["'sub-l1'", "basis:", "'1'", "JSON number"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
         "unknown-tolerance", "tolerances-string", "tolerances-number",
         "tolerance-string-nan", "tolerance-negative", "tolerance-boolean",
@@ -485,7 +516,10 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "wrong-oracle-kind", "suite-number", "suite-nested-list", "suite-string",
         "suite-object", "functional-typo", "suite-unknown-claim", "bound-nan",
         "bound-negative", "bound-boolean", "r-negative-fraction", "r-negative",
-        "r-fraction"])
+        "r-fraction", "matrix-nan", "factorization-r-nan", "factorization-s-inf",
+        "matrix-strings", "matrix-booleans", "p-string", "p-boolean", "wlp-p-string",
+        "weights-strings", "weights-boolean", "gram-booleans", "functionals-string",
+        "basis-string"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
                                     edit, suite, words):
     assert _run_edited(scenario_path, tmp_path, edit, suite) == 2

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter, deque
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import istruct
 from istruct.errors import IstructError
 from istruct.pelczynski import (ATOMS, FORWARD, REVERSE, RULES, Atom,
                                 ChainDerivation, Step, SumExpr, apply_rule,
@@ -198,6 +202,21 @@ def test_search_finds_bridge_chain():
 def test_search_without_bridges_fails():
     assert search_chain(expr("X+"), expr("X-"), 10,
                         rules=["R3", "R5", "R6", "R7"]) is None
+
+
+def test_search_stops_when_the_frontier_is_empty():
+    # at most C(14, 6) = 3,003 count vectors are reachable, so a huge depth
+    # must cost no more than exhausting them; in a child process, so that a
+    # search that keeps looping fails at the timeout instead of hanging
+    code = ("from istruct.pelczynski import expr, search_chain\n"
+            "print(search_chain(expr('X+'), expr('X-'), 10**12,\n"
+            "                   rules=['R3', 'R5', 'R6', 'R7']))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(istruct.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"
 
 
 @settings(deadline=None, max_examples=300)

@@ -66,6 +66,18 @@ def test_certify_shape_check():
         certify(lp_space(2, 2.0), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("p", [2.0, 1.0])  # the Gram path and the sampled path
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_certify_rejects_a_non_finite_candidate(p, bad):
+    # a NaN residual compares false against every tolerance, so a non-finite
+    # A must be refused before any residual is computed
+    A = [[0.0, -1.0], [1.0, bad]]
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        certify(lp_space(2, p), A)
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        validate_i_operator(lp_space(2, p), A)
+
+
 def test_natural_i_operator_matrix_layout():
     N = natural_i_operator_matrix(2)
     x = np.array([1.0, 2.0, 3.0, 4.0])
