@@ -646,6 +646,13 @@ def parse_claim(claim_id: str, claim, resolved: dict) -> tuple:
             detail = f" ({exc})" if str(exc) else ""
             raise ScenarioError(f"claim {claim_id!r} parameter {key!r} must be "
                                 f"{ptype.what}, got {value!r}{detail}") from exc
+    if "space" in params:  # a matrix acts on the claim's space
+        n = params["space"].dim
+        for key, (ptype, _) in CLAIMS[kind][1].items():
+            if ptype is MATRIX and params[key].shape != (n, n):
+                raise ScenarioError(f"claim {claim_id!r} parameter {key!r} must be "
+                                    f"{n} x {n} for its space, got "
+                                    f"{' x '.join(map(str, params[key].shape))}")
     return kind, expect, params
 
 

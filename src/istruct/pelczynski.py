@@ -13,13 +13,16 @@ An expression is stored as a count vector: six nonnegative integers, the
 multiplicities of X+, X-, Y+, Y-, Z+, Z- in that (sorted) order.  Each rule
 in each direction is one move (need, delta) of a table built from RULES at
 import: it applies where every count is at least ``need`` and adds ``delta``.
-The chain search is a breadth-first search over raw count tuples.
+The chain search meets in the middle: breadth-first levels from both ends
+meet, the forward nodes on a shortest chain are marked, and a walk from the
+source takes the first move that stays on one.  That is the lex-least
+shortest chain, the one a one-sided breadth-first search finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, lt
+from operator import add, lt, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -191,11 +194,19 @@ def check_derivation(chain: ChainDerivation, *, start: Optional[SumExpr] = None,
 def search_chain(source: SumExpr, target: SumExpr, max_depth: int,
                  rules: Optional[Sequence[str]] = None,
                  max_atoms: int = DEFAULT_MAX_ATOMS) -> Optional[ChainDerivation]:
-    """Breadth-first search over the rewrite relation; None if unreachable.
+    """The lexicographically least shortest chain of at most ``max_depth``
+    steps, moves ordered by rule id as in ``rules`` and fwd before rev; None
+    if there is none.
 
-    Expansion order is deterministic (rule id, then fwd before rev), so the
-    returned chain is reproducible.  Nodes are count tuples; expressions and
-    steps are built only along the chain found.
+    Meet: breadth-first levels grow from the source (forward moves) and from
+    the target (backward moves), always on the smaller frontier, until the
+    two balls meet at summed depth d.  Mark: from the deepest forward level
+    down, a node of level i - 1 lies on a shortest chain iff it has a move to
+    a node of level i that does; it is then d - i + 1 steps from the target.
+    Walk: from the source, take at each step the first move that ends one
+    step nearer the target.  A one-sided breadth-first search meets the
+    nodes of each level in the lex order of their least chains, so it
+    returns the same chain.
     """
     if max_depth < 0:
         raise IstructError("max_depth must be >= 0")
@@ -205,40 +216,71 @@ def search_chain(source: SumExpr, target: SumExpr, max_depth: int,
     if source == target:
         return ChainDerivation(source, [])
     moves = [(rid, d, *MOVES[rid, d]) for rid in rule_ids for d in DIRECTIONS]
-    goal = target.counts
-    seen = {source.counts: None}
-    frontier = [source.counts]
-    # at most C(max_atoms + 6, 6) count vectors exist, so the frontier empties
+    from_source = {source.counts: 0}
+    to_target = {target.counts: 0}
+    front, back = [source.counts], [target.counts]
+    a = b = 0
+    meet = []
+    # at most C(max_atoms + 6, 6) count vectors exist, so a frontier empties
     # long before a large max_depth runs out
-    for _ in range(max_depth):
-        if not frontier:
-            break
-        next_frontier = []
-        for node in frontier:
-            room = max_atoms - sum(node)
-            for rid, d, need, delta, growth in moves:
-                if growth > room or any(map(lt, node, need)):
-                    continue
-                out = tuple(map(add, node, delta))
-                if out in seen:
-                    continue
-                seen[out] = (node, rid, d)
-                if out == goal:
-                    return _backtrack(source, out, seen)
-                next_frontier.append(out)
-        frontier = next_frontier
-    return None
-
-
-def _backtrack(source: SumExpr, goal: tuple, seen: dict) -> ChainDerivation:
+    while not meet:
+        if not front or not back or a + b == max_depth:
+            return None
+        if len(front) <= len(back):
+            a += 1
+            front = _next_level((out for node in front
+                                 for *_, out in _successors(node, moves, max_atoms)),
+                                from_source, a)
+            meet = [node for node in front if node in to_target]
+        else:
+            b += 1
+            back = _next_level((u for node in back
+                                for u in _predecessors(node, moves, max_atoms)),
+                               to_target, b)
+            meet = [node for node in back if node in from_source]
+    d = a + b
+    # the nodes of forward level i - 1 with a move to a marked node of level i
+    marked = meet
+    for i in range(a, 1, -1):
+        marked = _next_level((u for node in marked
+                              for u in _predecessors(node, moves, max_atoms)
+                              if from_source.get(u) == i - 1),
+                             to_target, d - i + 1)
     steps = []
-    node = goal
-    while seen[node] is not None:
-        prev, rid, direction = seen[node]
+    node = source.counts
+    for left in range(d - 1, -1, -1):
+        rid, direction, node = next(m for m in _successors(node, moves, max_atoms)
+                                    if to_target.get(m[2]) == left)
         steps.append(Step(SumExpr.from_counts(node), rid, direction))
-        node = prev
-    steps.reverse()
     return ChainDerivation(source, steps)
+
+
+def _successors(node: tuple, moves: list, max_atoms: int):
+    """(rule id, direction, successor) of each move that applies to node."""
+    room = max_atoms - sum(node)
+    for rid, d, need, delta, growth in moves:
+        if growth <= room and not any(map(lt, node, need)):
+            yield rid, d, tuple(map(add, node, delta))
+
+
+def _predecessors(node: tuple, moves: list, max_atoms: int):
+    """Each u with a move to node: u = node - delta, where u >= need and
+    node has at most max_atoms atoms, the same test as the move from u."""
+    if sum(node) <= max_atoms:
+        for _, _, need, delta, _ in moves:
+            u = tuple(map(sub, node, delta))
+            if not any(map(lt, u, need)):
+                yield u
+
+
+def _next_level(nodes, dist: dict, k: int) -> list:
+    """The nodes not yet in dist, in order and once each, entered at k."""
+    level = []
+    for node in nodes:
+        if node not in dist:
+            dist[node] = k
+            level.append(node)
+    return level
 
 
 # ---------------------------------------------------------------------------

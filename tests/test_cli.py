@@ -481,6 +481,18 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      "pelczynski-chain", ["'reject-l1-rotation'", "'A'", "'-1'"]),
     (_edit(["claims", "reject-l1-skew", "A"], [[False, True], [True, False]]),
      "pelczynski-chain", ["'reject-l1-skew'", "'A'", "True"]),
+    # a matrix parameter is dim x dim for the claim's space
+    (_edit(["claims", "validate-l2-wide"], {"kind": "validate-structure",
+                                            "space": "plane-l2", "A": [[1, 0, 0]]}),
+     "pelczynski-chain", ["'validate-l2-wide'", "'A'", "2 x 2", "1 x 3"]),
+    (_edit(["claims", "reject-l1-rotation", "A"], [[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+     "pelczynski-chain", ["'reject-l1-rotation'", "'A'", "2 x 2", "3 x 3"]),
+    (_edit(["claims", "factorization", "R"], [[1]]), "pelczynski-chain",
+     ["'factorization'", "'R'", "2 x 2", "1 x 1"]),
+    (_edit(["claims", "factorization", "S"], [[1, 0], [0, -1], [0, 0]]), "pelczynski-chain",
+     ["'factorization'", "'S'", "2 x 2", "3 x 2"]),
+    (_edit(["claims", "factorization", "A"], [[0, -1, 0, 0], [1, 0, 0, 0]]),
+     "pelczynski-chain", ["'factorization'", "'A'", "2 x 2", "2 x 4"]),
     # descriptor numbers are JSON numbers, not strings or booleans
     (_edit(["spaces", "plane-l3", "norm", "p"], "1.5"), "pelczynski-chain",
      ["'plane-l3'", "p:", "'1.5'", "JSON number"]),
@@ -517,7 +529,8 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "suite-object", "functional-typo", "suite-unknown-claim", "bound-nan",
         "bound-negative", "bound-boolean", "r-negative-fraction", "r-negative",
         "r-fraction", "matrix-nan", "factorization-r-nan", "factorization-s-inf",
-        "matrix-strings", "matrix-booleans", "p-string", "p-boolean", "wlp-p-string",
+        "matrix-strings", "matrix-booleans", "validate-matrix-size", "reject-matrix-size",
+        "factorization-r-size", "factorization-s-size", "factorization-a-size", "p-string", "p-boolean", "wlp-p-string",
         "weights-strings", "weights-boolean", "gram-booleans", "functionals-string",
         "basis-string"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,

@@ -5,7 +5,7 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import istruct
@@ -78,6 +78,30 @@ def oracle_search_chain(source, target, max_depth, rules=None, max_atoms=8):
 def _exprs(max_size):
     return st.lists(st.sampled_from(TOKENS), min_size=1,
                     max_size=max_size).map(lambda toks: expr(*toks))
+
+
+@st.composite
+def _searches(draw):
+    """(source, target, rules, depth, cap), with rule lists that may be
+    unsorted and repeat an id.  Half the cases draw both ends of up to 10
+    atoms, so that some lie above the cap; in the other half the target ends
+    a random walk from the source under the rules and the cap, so that long
+    chains are drawn too."""
+    rules = draw(st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=8))
+    cap = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        source, target = draw(_exprs(10)), draw(_exprs(10))
+    else:
+        # at most one atom above the cap, where some move may still apply
+        source = draw(_exprs(cap + 1))
+        walk = draw(st.randoms(use_true_random=True))
+        target = source
+        for _ in range(walk.randint(1, 16)):
+            options = [out for rid in rules for d in (FORWARD, REVERSE)
+                       for out in oracle_apply_rule(target, rid, d, cap)]
+            target = walk.choice(options) if options else target
+        assume(target != source)
+    return source, target, rules, draw(st.integers(0, 14)), cap
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +232,24 @@ def test_search_stops_when_the_frontier_is_empty():
     # at most C(14, 6) = 3,003 count vectors are reachable, so a huge depth
     # must cost no more than exhausting them; in a child process, so that a
     # search that keeps looping fails at the timeout instead of hanging
+    # (blocked rules: a frontier dies out; a target above the atom cap has no
+    # predecessor, so the backward frontier is empty after one level)
     code = ("from istruct.pelczynski import expr, search_chain\n"
             "print(search_chain(expr('X+'), expr('X-'), 10**12,\n"
-            "                   rules=['R3', 'R5', 'R6', 'R7']))\n")
+            "                   rules=['R3', 'R5', 'R6', 'R7']))\n"
+            "print(search_chain(expr('X+'), expr(*['X+'] * 9), 10**12))\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(istruct.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "None"
+    assert done.stdout.split() == ["None", "None"]
 
 
 @settings(deadline=None, max_examples=300)
-@given(source=_exprs(4), target=_exprs(4),
-       rules=st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=6,
-                      unique=True),
-       depth=st.integers(0, 8), cap=st.integers(4, 9))
-def test_search_matches_counter_oracle(source, target, rules, depth, cap):
+@given(case=_searches())
+def test_search_matches_counter_oracle(case):
+    source, target, rules, depth, cap = case
     chain = search_chain(source, target, depth, rules=rules, max_atoms=cap)
     expected = oracle_search_chain(source, target, depth, rules=rules, max_atoms=cap)
     if expected is None:
@@ -234,11 +259,14 @@ def test_search_matches_counter_oracle(source, target, rules, depth, cap):
     assert check_derivation(chain, start=source, end=target, max_atoms=cap).ok
 
 
-@pytest.mark.parametrize("depth", [10, 11, 12, 13])
+@pytest.mark.parametrize("depth", [9, 10, 11, 12, 13])
 def test_bridge_search_matches_counter_oracle(depth):
+    # the shortest bridge has ten steps
     chain = search_chain(expr("X+"), expr("X-"), depth)
-    assert chain_to_dict(chain) == chain_to_dict(
-        oracle_search_chain(expr("X+"), expr("X-"), depth))
+    expected = oracle_search_chain(expr("X+"), expr("X-"), depth)
+    assert (chain is None) == (expected is None) == (depth == 9)
+    if expected is not None:
+        assert chain_to_dict(chain) == chain_to_dict(expected)
 
 
 def test_search_rejects_unknown_rule_before_searching():
