@@ -477,7 +477,7 @@ def _h_hs_doubling(params, rng, tol):
 
     def check(shape, Ts):
         Ts = np.stack(Ts)
-        dom, cod = (lp_space(dim, 2.0) for dim in shape)
+        dom, cod = map(corpus_gen._euclidean, shape)
         base = ideal_norms(HILBERT_SCHMIDT, Ts, dom, cod)
         dom2 = direct_sum(dom, dom, "complexification")
         cod2 = direct_sum(cod, cod, "complexification")

@@ -2,10 +2,10 @@
 real <-> complex transforms (doubling, forgetting, conjugating).
 
 `decide_real(oracle, corpus)` and `decide_complex(oracle, corpus)` decide a
-whole corpus in one call.  They group the operators by (domain, codomain),
-build what depends only on the two spaces once per group (the Gram factors,
-the complexified spaces and their natural i-operators), and run the norm and
-rank kernels on each group's stacked matrices.  Each public call groups its
+whole corpus in one call.  They group the operators by (domain, codomain)
+and run the norm and rank kernels on each group's stacked matrices; what
+depends only on a space (its whitening factors, its complexification and the
+natural i-operator there) is cached on the space.  Each public call groups its
 corpus once, and its later decisions (conjugate, square, unfolded) run on
 those groups.  A shape error names the first misshapen operator in corpus
 order.

@@ -9,8 +9,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import CompositionError, RespectViolationError, single
-from .spaces import (NormedSpace, _checked_operator, block_diag2,
-                     euclidean_gram, norm_batch)
+from .spaces import NormedSpace, _checked_operator, block_diag2, norm_batch
 from .structures import (ComplexStructure, conjugate_structure,
                          natural_i_operator, structure_equal)
 
@@ -181,13 +180,16 @@ def _whitened(T: np.ndarray, g_dom: np.ndarray, g_cod: np.ndarray) -> np.ndarray
 def _singular_values(T: np.ndarray, dom: NormedSpace,
                      cod: NormedSpace) -> Optional[np.ndarray]:
     """Singular values of T : dom -> cod in the spaces' norms, largest first,
-    or those of each matrix of a stack (..., m, n): one Cholesky per Gram and
-    one stacked SVD.  Each matrix's values are bitwise those of its own SVD.
-    None unless both spaces are Euclidean-like."""
-    g_dom, g_cod = euclidean_gram(dom), euclidean_gram(cod)
-    if g_dom is None or g_cod is None:
+    or those of each matrix of a stack (..., m, n): L_cod' T L_dom^-T from
+    the whitening factors cached on each space (one Cholesky and one inverse
+    per space, not per call), then one stacked SVD.  The operands and their
+    order are those of _whitened, so the values are bitwise the same, and
+    each matrix's values are bitwise those of its own SVD.  None unless both
+    spaces are Euclidean-like."""
+    w_dom, w_cod = dom._whitening, cod._whitening
+    if w_dom is None or w_cod is None:
         return None
-    return np.linalg.svd(_whitened(T, g_dom, g_cod), compute_uv=False)
+    return np.linalg.svd(w_cod[0] @ T @ w_dom[1], compute_uv=False)
 
 
 def matrix_norm_between(T: np.ndarray, dom: NormedSpace,

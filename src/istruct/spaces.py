@@ -108,11 +108,39 @@ NormDescriptor = Union[
 
 @dataclass(eq=False)
 class NormedSpace:
+    """A dimension and a norm descriptor.
+
+    A space is a value (see space_key) and is immutable after construction:
+    neither its descriptor nor the descriptor's arrays may be changed.  So the
+    data that depends on the space alone is computed on first use and cached
+    on the object, with every cached array read-only: the whitening factors
+    (_whitening), the averaged double X_C (_double, see direct_sum) and the
+    natural structure on it (see structures.natural_i_operator).
+    """
+
     dim: int
     norm_desc: NormDescriptor
 
     def __post_init__(self):
         _check_descriptor(self.dim, self.norm_desc)
+
+    @functools.cached_property
+    def _whitening(self) -> Optional[tuple]:
+        """(L', L'^-1) for the Cholesky factor L L' of the Gram, or None when
+        the space is not Euclidean-like; x -> L'x maps the norm to l2."""
+        gram = euclidean_gram(self)
+        if gram is None:
+            return None
+        L = np.linalg.cholesky(gram)
+        L.flags.writeable = False
+        Lt_inv = np.linalg.inv(L.T)
+        Lt_inv.flags.writeable = False
+        return L.T, Lt_inv
+
+    @functools.cached_property
+    def _double(self) -> "NormedSpace":
+        """X (+) X with the averaged complexification norm."""
+        return NormedSpace(2 * self.dim, ComplexificationOfBase(self))
 
 
 def _check_descriptor(dim: int, d: NormDescriptor) -> None:
@@ -164,12 +192,16 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
 def _gram_defects(grams: np.ndarray) -> list:
     """For each Gram matrix of a stack (k, n, n), the message of the first
     check it fails (finite, symmetric, positive definite), or None."""
+    eye = np.eye(grams.shape[-1])
     finite = np.all(np.isfinite(grams), axis=(1, 2))
-    symmetric = np.all(np.isclose(grams, np.swapaxes(grams, 1, 2), atol=1e-12),
+    # a stand-in for the matrices that fail earlier keeps each later check
+    # finite: no inf - inf below, and eigvalsh sees finite matrices only
+    grams = np.where(finite[:, None, None], grams, eye)
+    transposed = np.swapaxes(grams, 1, 2)
+    # np.isclose(G, G', atol=1e-12) written out, without its generality
+    symmetric = np.all(np.abs(grams - transposed) <= 1e-12 + 1e-5 * np.abs(transposed),
                        axis=(1, 2))
-    # a stand-in for the matrices that fail earlier keeps eigvalsh finite
-    checked = np.where((finite & symmetric)[:, None, None], grams,
-                       np.eye(grams.shape[-1]))
+    checked = np.where(symmetric[:, None, None], grams, eye)
     definite = np.linalg.eigvalsh(checked)[:, 0] > 0
     return ["Gram matrix must be finite" if not f
             else "Gram matrix must be symmetric" if not s
@@ -518,13 +550,14 @@ def _arc_integrals(base: NormedSpace, X: np.ndarray, Y: np.ndarray, start: np.nd
 def direct_sum(left: NormedSpace, right: NormedSpace, mode: str) -> NormedSpace:
     """Combine two spaces.
 
-    mode="complexification": requires identical halves; the result carries the
-    averaged L2 norm.  mode="sum": ||(x, y)|| = ||x|| + ||y||.
+    mode="complexification": requires equal halves; the result carries the
+    averaged L2 norm, and is the same object for every call with the same
+    left half.  mode="sum": ||(x, y)|| = ||x|| + ||y||.
     """
     if mode == "complexification":
         if not space_equal(left, right):
             raise DescriptorError("complexification mode requires identical halves")
-        return NormedSpace(2 * left.dim, ComplexificationOfBase(left))
+        return left._double
     if mode == "sum":
         return NormedSpace(left.dim + right.dim, SumNorm(left, right))
     raise DescriptorError(f"unknown direct-sum mode {mode!r}")

@@ -223,10 +223,21 @@ def natural_i_operator(base: NormedSpace) -> ComplexStructure:
     BY_CONSTRUCTION: N^2 = -I holds bitwise, and on a Euclidean-like base
     (Gram diag(G, G) / 2) every entry of N'GN - G and GN + N'G is a difference
     of two copies of one entry of G, so both are exactly 0 too.
+
+    The structure depends on the base alone, which is immutable (see
+    NormedSpace), so it is built once and cached on the base: every call with
+    the same base returns the same object, which callers share and must not
+    modify; its space is direct_sum(base, base, "complexification") and its
+    N is read-only.
     """
-    space = direct_sum(base, base, "complexification")
-    return ComplexStructure(space, natural_i_operator_matrix(base.dim),
-                            BY_CONSTRUCTION)
+    s = vars(base).get("_natural_i_operator")
+    if s is None:
+        N = natural_i_operator_matrix(base.dim)
+        N.flags.writeable = False
+        s = ComplexStructure(direct_sum(base, base, "complexification"), N,
+                             BY_CONSTRUCTION)
+        vars(base)["_natural_i_operator"] = s
+    return s
 
 
 def complex_scalar_action(s: ComplexStructure, alpha: float, beta: float, x) -> np.ndarray:

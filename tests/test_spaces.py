@@ -112,12 +112,20 @@ def test_bad_descriptors_raise():
 
 
 def test_gram_defects_of_a_stack_are_those_of_each_gram():
+    asym = "Gram matrix must be symmetric"
+    # |G - G'| <= 1e-12 + 1e-5 |G'| entrywise counts as symmetric: an
+    # asymmetry of 1e-6 relative (or 5e-13 absolute) passes, 1e-4 (2e-12) not
     grams = np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]],
-                      [[1.0, 0.0], [0.0, np.inf]], [[2.0, 1.0], [1.0, 2.0]]])
-    defects = spaces._gram_defects(grams)
-    assert defects == [None, "Gram matrix must be symmetric",
-                       "Gram matrix must be positive definite",
-                       "Gram matrix must be finite", None]
+                      [[1.0, 0.0], [0.0, np.inf]], [[2.0, 1.0], [1.0, 2.0]],
+                      [[2.0, 1.0], [1.0 + 1e-6, 2.0]], [[2.0, 1.0], [1.0 + 1e-4, 2.0]],
+                      [[1.0, 0.0], [5e-13, 1.0]], [[1.0, 0.0], [2e-12, 1.0]],
+                      [[np.inf, 1.0], [1.0, -np.inf]], [[np.nan, 0.0], [0.0, 1.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from inf - inf or nan
+        defects = spaces._gram_defects(grams)
+    assert defects == [None, asym, "Gram matrix must be positive definite",
+                       "Gram matrix must be finite", None, None, asym, None, asym,
+                       "Gram matrix must be finite", "Gram matrix must be finite"]
     for gram, defect in zip(grams, defects):
         if defect is None:
             NormedSpace(2, EuclideanQuadratic(gram))
