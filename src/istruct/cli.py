@@ -25,8 +25,8 @@ import numpy as np
 
 from . import corpus as corpus_gen
 from .config import Tolerances
-from .errors import (IstructError, ScenarioError, StructureValidationError,
-                     first_errors)
+from .errors import (DescriptorError, IstructError, ScenarioError,
+                     StructureValidationError, first_errors)
 from .ideals import (HILBERT_SCHMIDT, RealOperator, audit_self_conjugacy,
                      ideal_norms, oracle_from_dict)
 from .morphisms import RespectingOperator, _respect_residuals
@@ -35,7 +35,8 @@ from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          factorization_hypothesis_check, reference_chain,
                          search_chain)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport, bounded
-from .spaces import (block_diag2, complexification_norm,
+from .spaces import (_gram_complexification_norms, _gram_defects, _gram_norms,
+                     block_diag2, complexification_norm,
                      complexification_norm_batch, direct_sum, lp_space,
                      norm_batch, space_from_dict)
 from .structures import (DEFAULT_SAMPLE_ANGLES, DEFAULT_SAMPLE_VECTORS,
@@ -196,19 +197,39 @@ def _choice(rng, seq) -> int:
 def _h_euclidean_closed_form(params, rng, tol):
     """The closed form against the definition: ||x cos phi + y sin phi||^2 is a
     trigonometric polynomial of degree 2, whose mean over 8 uniform angles is
-    exact."""
+    exact.  Each item draws a dim, whether its space has an explicit Gram (and
+    then the Gram's normal draws), x and y; the items run a (dim, explicit
+    Gram) group at a time, and an invalid Gram raises the error of building
+    its space."""
     lo, hi = params["dims"]
     phi = 2.0 * np.pi * np.arange(8) / 8
-    worst = 0.0
-    for _ in range(params["count"]):
+
+    def draw():
         dim = int(rng.integers(lo, hi + 1))
-        space = corpus_gen.random_euclidean_space(dim, rng, explicit_gram=bool(rng.integers(2)))
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        closed = complexification_norm(space, x, y)
-        rows = np.cos(phi)[:, None] * x + np.sin(phi)[:, None] * y
-        defined = math.sqrt(np.mean(norm_batch(space, rows) ** 2))
-        worst = max(worst, abs(closed - defined))
+        explicit_gram = bool(rng.integers(2))
+        Z = rng.standard_normal((dim, dim)) if explicit_gram else None
+        return (dim, explicit_gram), (Z, rng.standard_normal(dim), rng.standard_normal(dim))
+
+    def check(shape, draws):
+        (dim, explicit_gram), (Zs, xs, ys) = shape, zip(*draws)
+        X, Y = np.stack(xs), np.stack(ys)
+        rows = np.cos(phi)[:, None] * X[:, None, :] + np.sin(phi)[:, None] * Y[:, None, :]
+        if explicit_gram:
+            grams = corpus_gen._random_grams(np.stack(Zs))
+            defects = _gram_defects(grams)
+            errors = [None if d is None else DescriptorError(d) for d in defects]
+            grams[[d is not None for d in defects]] = np.eye(dim)  # no value for those
+            closed = _gram_complexification_norms(grams, X, Y)
+            norms = _gram_norms(grams, rows)
+        else:
+            space = corpus_gen._euclidean(dim)
+            errors = [None] * len(X)
+            closed = complexification_norm_batch(space, X, Y)
+            norms = norm_batch(space, rows.reshape(-1, dim)).reshape(rows.shape[:2])
+        defined = np.sqrt(np.mean(norms ** 2, axis=1))
+        return zip(np.abs(closed - defined).tolist(), errors)
+
+    worst = max(_corpus_outcomes(params["count"], draw, check))
     return bounded("euclidean-closed-form", worst <= 1e-10,
                    {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
 

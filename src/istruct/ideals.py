@@ -3,12 +3,12 @@ real <-> complex transforms (doubling, forgetting, conjugating).
 
 `decide_real(oracle, corpus)` and `decide_complex(oracle, corpus)` decide a
 whole corpus in one call.  They group the operators by (domain, codomain)
-and run the norm and rank kernels on each group's stacked matrices; what
-depends only on a space (its whitening factors, its complexification and the
-natural i-operator there) is cached on the space.  Each public call groups its
-corpus once, and its later decisions (conjugate, square, unfolded) run on
-those groups.  A shape error names the first misshapen operator in corpus
-order.
+and run the norm and rank kernels and the predicates on each group's stacked
+matrices; what depends only on a space (its whitening factors, its
+complexification and the natural i-operator there) is cached on the space.
+Each public call groups its corpus once, and its later decisions (conjugate,
+square, unfolded) run on those groups.  A shape error names the first
+misshapen operator in corpus order.
 
 Threshold-style oracles are decision instruments for exercising the
 transforms; they are not operator ideals in the closed-under-addition sense,
@@ -117,8 +117,14 @@ class RankThreshold:
 
 @dataclass(eq=False)
 class MatrixPredicate:
-    """Named pure predicate.  Real kind receives (T, dom, cod); complex kind
-    additionally receives the structure matrices (T, A, B, dom, cod)."""
+    """Named pure predicate, decided a whole group at a time.
+
+    For k operators from dom to cod, a real-kind oracle calls fn(Ts, dom, cod)
+    with Ts the stack (k, m, n) of their matrices, and a complex-kind oracle
+    calls fn(Ts, As, Bs, dom, cod) with the stacks of their domain and
+    codomain structure matrices as well.  fn returns k booleans, the
+    membership of each operator in stack order; any other result is a
+    DescriptorError naming the label."""
 
     label: str
     fn: Callable
@@ -239,8 +245,12 @@ def _decide(oracle: IdealOracle, dom: NormedSpace, cod: NormedSpace,
     if isinstance(d, RankThreshold):
         return np.linalg.matrix_rank(Ts) <= d.r
     if isinstance(d, MatrixPredicate):
-        mats = zip(Ts) if As is None else zip(Ts, As, Bs)
-        return np.array([bool(d.fn(*m, dom, cod)) for m in mats], dtype=bool)
+        out = np.asarray(d.fn(Ts, dom, cod) if As is None else d.fn(Ts, As, Bs, dom, cod))
+        if out.dtype != bool or out.shape != (len(Ts),):
+            raise DescriptorError(
+                f"predicate {d.label!r} must return {len(Ts)} booleans for "
+                f"{len(Ts)} operators, got {out.dtype} of shape {out.shape}")
+        return out
     if kind == "real" and isinstance(d, RealFormOf):
         # [T (+) T, N_X, N_Y] between the complexifications
         nx, ny = natural_i_operator(dom), natural_i_operator(cod)
@@ -343,13 +353,13 @@ def _audit(oracle: IdealOracle, corpus: Sequence[RespectingOperator], groups: li
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _nonzero(T, *rest):
-    return bool(np.any(T != 0.0))
+def _nonzero(Ts, *rest):
+    return np.any(Ts != 0.0, axis=(-2, -1))
 
 
-def _a_entry_sign_complex(T, A, B, dom, cod):
+def _a_entry_sign_complex(Ts, As, Bs, dom, cod):
     # deliberately structure-sensitive: negative control for the audit
-    return bool(A[0, A.shape[1] - 1] <= 0.0)
+    return As[:, 0, -1] <= 0.0
 
 
 # the named predicates usable from scenario files, keyed (label, kind)

@@ -286,7 +286,7 @@ def norm_batch(space: NormedSpace, X: np.ndarray) -> np.ndarray:
     if isinstance(d, WeightedLp):
         return _lp_batch(X, d.p, d.weights)
     if isinstance(d, EuclideanQuadratic):
-        return np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", X, d.gram, X), 0.0))
+        return _gram_norms(d.gram, X)
     if isinstance(d, Polyhedral):
         return np.max(np.abs(X @ d.functionals.T), axis=1)
     if isinstance(d, ComplexificationOfBase):
@@ -355,27 +355,53 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != base.dim:
         raise DimensionMismatchError("X, Y must both be (k, base.dim)")
-    k = X.shape[0]
+    gram = euclidean_gram(base)
+    if gram is not None:
+        return _gram_complexification_norms(gram, X, Y)
     nonzero = np.any(X != 0.0, axis=1) | np.any(Y != 0.0, axis=1)
-    out = np.zeros(k)
+    out = np.zeros(X.shape[0])
     if not np.any(nonzero):
         return out
-    Xn, Yn = X[nonzero], Y[nonzero]
-    _, exp = np.frexp(np.maximum(np.max(np.abs(Xn), axis=1),
-                                 np.max(np.abs(Yn), axis=1)))
-    Xn, Yn = np.ldexp(Xn, -exp[:, None]), np.ldexp(Yn, -exp[:, None])
-
-    gram = euclidean_gram(base)
+    Xn, Yn, exp = _scaled_pairs(X[nonzero], Y[nonzero])
     pieces = _sinusoid_pieces(base)
-    if gram is not None:
-        mean_sq = (np.einsum("ki,ij,kj->k", Xn, gram, Xn)
-                   + np.einsum("ki,ij,kj->k", Yn, gram, Yn)) / 2.0
-    elif pieces is not None:
+    if pieces is not None:
         mean_sq = _sinusoid_mean_sq(Xn, Yn, *pieces)
     else:
         mean_sq = _arc_mean_sq(base, Xn, Yn, _kink_angles(base, Xn, Yn))
     out[nonzero] = np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
     return out
+
+
+def _scaled_pairs(X: np.ndarray, Y: np.ndarray) -> tuple:
+    """(X / 2^e, Y / 2^e, e) for the row pairs (x, y) of X, Y (..., n), 2^e the
+    power of two near each pair's largest entry (e = 0 for a zero pair)."""
+    _, exp = np.frexp(np.maximum(np.max(np.abs(X), axis=-1), np.max(np.abs(Y), axis=-1)))
+    return np.ldexp(X, -exp[..., None]), np.ldexp(Y, -exp[..., None]), exp
+
+
+def _quadratic_forms(grams: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x'Gx for each row x of X (..., r, n) under one Gram G (n, n), or under
+    its item's Gram of a stack (..., n, n).  Every Gram norm is evaluated
+    here.  With r >= 2 rows per item, a stack of items gives each item
+    bitwise the value of the item alone (a test checks it); with r = 1, or
+    with "ki,kij,kj->k", about 1% of the values differ in the last bit."""
+    return np.einsum("...ri,...ij,...rj->...r", X, grams, X)
+
+
+def _gram_norms(grams: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sqrt(x'Gx) for each row x of X (..., r, n); grams as for _quadratic_forms."""
+    return np.sqrt(np.maximum(_quadratic_forms(grams, X), 0.0))
+
+
+def _gram_complexification_norms(grams: np.ndarray, X: np.ndarray,
+                                 Y: np.ndarray) -> np.ndarray:
+    """The averaged norm sqrt((x'Gx + y'Gy) / 2) of each row pair (x, y) of
+    X, Y (..., n), under one Gram G (n, n) or under its pair's Gram of a
+    stack (..., n, n); x and y enter _quadratic_forms as the two rows of one
+    item."""
+    Xn, Yn, exp = _scaled_pairs(X, Y)
+    q = _quadratic_forms(grams, np.stack([Xn, Yn], axis=-2))
+    return np.ldexp(np.sqrt(np.maximum((q[..., 0] + q[..., 1]) / 2.0, 0.0)), exp)
 
 
 def _sinusoid_mean_sq(X: np.ndarray, Y: np.ndarray, F: np.ndarray,

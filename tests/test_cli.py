@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,10 +15,12 @@ from istruct.cli import (bundled_scenario_path, load_scenario, main,
                          run_suite)
 from istruct.config import Tolerances
 from istruct.corpus import (random_complexification_isomorphism,
-                            random_exact_structure, random_respecting_operator)
+                            random_euclidean_space, random_exact_structure,
+                            random_respecting_operator)
 from istruct.errors import IstructError, ScenarioError
 from istruct.pelczynski import chain_to_dict, reference_chain
-from istruct.report import VERIFIED, VIOLATED, VerificationReport
+from istruct.report import VERIFIED, VIOLATED, VerificationReport, bounded
+from istruct.spaces import complexification_norm, norm_batch
 from istruct.theory import (build_complexification_witness, extract_conjugation,
                             verify_complex_cartesian_identities,
                             verify_real_cartesian_identities,
@@ -680,12 +683,13 @@ _LOOPS = {"prop1-roundtrip": _loop_prop1, "squares": _loop_squares,
           "complex-cartesian": _loop_complex_cartesian}
 
 
-def _loop_report(claim_id, parsed, seed, tol):
-    """run_claim's report, with the claim run by its loop."""
+def _loop_report(claim_id, parsed, seed, tol, loop=None):
+    """run_claim's report, with the claim run by its loop (by default the
+    loop of its kind in _LOOPS)."""
     kind, _, params = parsed
     rng = np.random.default_rng([seed, zlib.crc32(claim_id.encode())])
     try:
-        report = _LOOPS[kind](params, rng, tol)
+        report = (loop or _LOOPS[kind])(params, rng, tol)
     except IstructError as exc:
         report = VerificationReport(kind, VIOLATED, residuals={},
                                     witness={"error": str(exc)})
@@ -733,6 +737,95 @@ def test_first_failing_prop1_item_gives_the_loop_message(scenario_path, tmp_path
     loop = _loop_report(claim["id"], parsed, scenario["seed"], Tolerances(tol_alg=1e-20))
     assert "algebraic residual" in loop["witness"]["error"]
     assert claim["report"]["witness"]["error"] == loop["witness"]["error"]
+
+
+def _loop_closed_form(params, rng, tol):
+    """euclidean-closed-form one item at a time, each on its own space."""
+    lo, hi = params["dims"]
+    phi = 2.0 * np.pi * np.arange(8) / 8
+    worst = 0.0
+    for _ in range(params["count"]):
+        dim = int(rng.integers(lo, hi + 1))
+        space = random_euclidean_space(dim, rng, explicit_gram=bool(rng.integers(2)))
+        x = rng.standard_normal(dim)
+        y = rng.standard_normal(dim)
+        closed = complexification_norm(space, x, y)
+        rows = np.cos(phi)[:, None] * x + np.sin(phi)[:, None] * y
+        defined = math.sqrt(np.mean(norm_batch(space, rows) ** 2))
+        worst = max(worst, abs(closed - defined))
+    return bounded("euclidean-closed-form", worst <= 1e-10,
+                   {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
+
+
+def _closed_form_claim(dims):
+    return cli.parse_claim("closed-form", {"kind": "euclidean-closed-form",
+                                           "dims": dims}, {})
+
+
+@pytest.mark.parametrize("dims", [[2, 6], [1, 8], [1, 1]])
+def test_closed_form_groups_report_what_the_loop_reports(dims):
+    parsed = _closed_form_claim(dims)
+    worst = []
+    for seed in range(50):
+        got = cli.run_claim("closed-form", parsed, seed, Tolerances())["report"]
+        assert got == _loop_report("closed-form", parsed, seed, Tolerances(),
+                                   _loop_closed_form), (dims, seed)
+        worst.append(got["residuals"]["worst_abs_error"])
+    assert max(worst) > 0.0  # the comparison sees rounding, not only zeros
+
+
+def _spoiled_grams(random_grams, spoil):
+    """corpus._random_grams with the Gram of each Z whose Z[0, 0] is a key of
+    spoil replaced by spoil[Z[0, 0]](Gram), for one Z or a stack."""
+    def spoiled(Z):
+        G = random_grams(Z).copy()
+        for key, how in spoil.items():
+            hit = Z[..., 0, 0] == key
+            G[hit] = how(G[hit])
+        return G
+
+    return spoiled
+
+
+_NOT_DEFINITE = (lambda G: -G, "Gram matrix must be positive definite")
+_NOT_FINITE = (lambda G: G * np.inf, "Gram matrix must be finite")
+_NOT_SYMMETRIC = (lambda G: G + np.triu(np.ones(G.shape[-2:]), 1),
+                  "Gram matrix must be symmetric")
+
+
+@pytest.mark.parametrize("dims", [[2, 6], [1, 8], [1, 1]])
+def test_closed_form_invalid_gram_gives_the_loop_report(monkeypatch, dims):
+    parsed = _closed_form_claim(dims)
+    random_grams = istruct.corpus._random_grams
+    for seed in (0, 1, 2):
+        drawn = []  # the normal draws of each explicit Gram, in corpus order
+
+        def recorded(Z):
+            drawn.append(Z)
+            return random_grams(Z)
+
+        monkeypatch.setattr(istruct.corpus, "_random_grams", recorded)
+        _loop_report("closed-form", parsed, seed, Tolerances(), _loop_closed_form)
+        keys = [Z[0, 0] for Z in drawn]
+        first, middle, last = keys[0], keys[len(keys) // 2], keys[-1]
+        cases = [({key: _NOT_DEFINITE}, _NOT_DEFINITE) for key in (first, middle, last)]
+        cases += [({middle: _NOT_FINITE}, _NOT_FINITE),
+                  ({middle: _NOT_DEFINITE, last: _NOT_FINITE}, _NOT_DEFINITE),
+                  ({middle: _NOT_FINITE, last: _NOT_DEFINITE}, _NOT_FINITE)]
+        if dims[1] > 1:  # a 1 x 1 Gram is symmetric
+            cases += [({first: _NOT_DEFINITE, middle: _NOT_SYMMETRIC}, _NOT_DEFINITE)]
+            if drawn[-1].shape[0] > 1:
+                cases += [({middle: _NOT_DEFINITE, last: _NOT_SYMMETRIC}, _NOT_DEFINITE),
+                          ({last: _NOT_SYMMETRIC}, _NOT_SYMMETRIC)]
+        for spoil, (_, message) in cases:
+            spoil = {key: how for key, (how, _) in spoil.items()}
+            monkeypatch.setattr(istruct.corpus, "_random_grams",
+                                _spoiled_grams(random_grams, spoil))
+            got = cli.run_claim("closed-form", parsed, seed, Tolerances())["report"]
+            assert got["status"] == VIOLATED
+            assert got["witness"] == {"error": message}
+            assert got == _loop_report("closed-form", parsed, seed, Tolerances(),
+                                       _loop_closed_form)
 
 
 _KERNELS = [(istruct.corpus, "_complexification_isomorphisms"),

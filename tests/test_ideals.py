@@ -18,7 +18,8 @@ from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
 from istruct.morphisms import (RespectingOperator, block_diag2,
                                complexify_operator, conjugate_operator,
                                make_respecting, matrix_norm_between)
-from istruct.spaces import EuclideanQuadratic, NormedSpace, direct_sum, lp_space
+from istruct.spaces import (EuclideanQuadratic, NormedSpace, direct_sum, lp_space,
+                            space_key)
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
 from istruct.theory import split_structure, verify_theorem_complex
 
@@ -105,6 +106,11 @@ def test_kind_mismatch_raises():
 # Corpus decisions against one decision per operator
 # ---------------------------------------------------------------------------
 
+# each bundled predicate written out for one operator
+ONE_OPERATOR = {"nonzero": lambda T, *rest: bool(np.any(T != 0.0)),
+                "a-entry-sign": lambda T, A, B, dom, cod: bool(A[0, A.shape[1] - 1] <= 0.0)}
+
+
 def reference_real(oracle, item):
     """The decision on one RealOperator, written out per descriptor."""
     d = oracle.descriptor
@@ -118,7 +124,7 @@ def reference_real(oracle, item):
     if isinstance(d, RankThreshold):
         return int(np.linalg.matrix_rank(item.matrix)) <= d.r
     if isinstance(d, MatrixPredicate):
-        return bool(d.fn(item.matrix, item.domain, item.codomain))
+        return ONE_OPERATOR[d.label](item.matrix, item.domain, item.codomain)
     assert isinstance(d, RealFormOf)
     return reference_complex(d.base, complexify_operator(
         item.matrix, item.domain, item.codomain))
@@ -133,8 +139,8 @@ def reference_complex(oracle, op):
     if isinstance(d, ConjugateOf):
         return reference_complex(d.base, conjugate_operator(op))
     if isinstance(d, MatrixPredicate):
-        return bool(d.fn(op.matrix, op.domain.A, op.codomain.A,
-                         op.domain.space, op.codomain.space))
+        return ONE_OPERATOR[d.label](op.matrix, op.domain.A, op.codomain.A,
+                                     op.domain.space, op.codomain.space)
     return reference_real(IdealOracle("real", d),
                           RealOperator(op.matrix, op.domain.space, op.codomain.space))
 
@@ -334,6 +340,87 @@ def test_complex_shape_error_names_the_first_misshapen_operator():
         with pytest.raises(DimensionMismatchError, match=r"T must be 4 x 4, got \(2, 2\)"):
             run()
     assert calls == []
+
+
+def _counted_predicate(label, kind, calls):
+    """The bundled predicate, recording the size of each stack it decides."""
+    fn = PREDICATES[(label, kind)]
+
+    def counted(Ts, *rest):
+        calls.append(len(Ts))
+        return fn(Ts, *rest)
+
+    return IdealOracle(kind, MatrixPredicate(label, counted))
+
+
+def _group_count(corpus, spaces):
+    return len({(space_key(d), space_key(c)) for d, c in map(spaces, corpus)})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_predicates_match_a_per_operator_reference(seed):
+    real = mixed_real_corpus(seed)
+    # a T of negative zeros, and one whose negative entries are made -0.0
+    for i, T in ((1, -0.0 * np.ones_like(real[1].matrix)),
+                 (2, np.where(real[2].matrix < 0.0, -0.0, real[2].matrix))):
+        real[i] = RealOperator(T, real[i].domain, real[i].codomain)
+    assert any(np.signbit(op.matrix).any() and not op.matrix.any() for op in real)
+    groups = _group_count(real, lambda op: (op.domain, op.codomain))
+    calls = []
+    oracle = _counted_predicate("nonzero", "real", calls)
+    assert decide_real(oracle, real).tolist() == [
+        ONE_OPERATOR["nonzero"](op.matrix) for op in real]
+    assert len(calls) == groups and sum(calls) == len(real)
+    # on the doubled operators, one call per group as well
+    calls.clear()
+    assert (decide_real(realify_ideal(complexify_ideal(oracle)), real).tolist()
+            == decide_real(oracle, real).tolist())
+    assert len(calls) == 2 * groups
+
+    cplx = mixed_complex_corpus(seed)
+    # zero entries of A, which conjugation turns into -0.0
+    assert any(op.domain.A[0, -1] == 0.0 for op in cplx)
+    groups = _group_count(cplx, lambda op: (op.domain.space, op.codomain.space))
+    for label in ("nonzero", "a-entry-sign"):
+        calls = []
+        oracle = _counted_predicate(label, "complex", calls)
+        for sign, decide in ((1.0, oracle), (-1.0, conjugate_ideal(oracle))):
+            assert decide_complex(decide, cplx).tolist() == [
+                ONE_OPERATOR[label](op.matrix, sign * op.domain.A, sign * op.codomain.A,
+                                    op.domain.space, op.codomain.space) for op in cplx]
+        assert len(calls) == 2 * groups and sum(calls) == 2 * len(cplx)
+
+
+@pytest.mark.parametrize("result, got", [
+    (lambda Ts: bool(np.any(Ts != 0.0)), "bool of shape ()"),  # a per-operator predicate
+    (lambda Ts: np.ones(len(Ts)), "float64 of shape (2,)"),
+    (lambda Ts: np.ones(len(Ts), dtype=np.int64), "int64 of shape (2,)"),
+    (lambda Ts: np.ones(len(Ts) + 1, dtype=bool), "bool of shape (3,)"),
+    (lambda Ts: np.ones((len(Ts), 1), dtype=bool), "bool of shape (2, 1)"),
+    (lambda Ts: None, "object of shape ()"),
+], ids=["scalar", "floats", "ints", "too-many", "column", "none"])
+def test_predicate_with_a_bad_result_is_a_typed_error(result, got):
+    message = f"predicate 'bad' must return 2 booleans for 2 operators, got {got}"
+    real = IdealOracle("real", MatrixPredicate("bad", lambda Ts, dom, cod: result(Ts)))
+    cplx = IdealOracle("complex", MatrixPredicate(
+        "bad", lambda Ts, As, Bs, dom, cod: result(Ts)))
+    real_corpus = [real_op(np.eye(2)), real_op(np.zeros((2, 2)))]
+    cplx_corpus = [complex_op(seed=s) for s in range(2)]
+    for run in (lambda: decide_real(real, real_corpus),
+                lambda: decide_complex(complexify_ideal(real), cplx_corpus),
+                lambda: decide_complex(cplx, cplx_corpus),
+                lambda: decide_real(realify_ideal(cplx), real_corpus),
+                lambda: audit_self_conjugacy(cplx, cplx_corpus)):
+        with pytest.raises(DescriptorError) as exc_info:
+            run()
+        assert str(exc_info.value) == message
+
+
+def test_predicate_may_return_a_list_of_booleans():
+    oracle = IdealOracle("real", MatrixPredicate(
+        "listed", lambda Ts, dom, cod: [bool(T[0, 0] > 0.0) for T in Ts]))
+    corpus = [real_op([[1.0]]), real_op([[-1.0]]), real_op([[2.0]])]
+    assert decide_real(oracle, corpus).tolist() == [True, False, True]
 
 
 def test_corpus_with_a_norm_threshold_off_euclidean_raises():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from istruct import spaces
+from istruct.corpus import _random_grams
 from istruct.errors import (DescriptorError, DimensionMismatchError,
                             QuadratureError)
 from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
@@ -185,6 +186,34 @@ def test_euclidean_cplx_norm_matches_eight_angle_definition(dim):
         X, Y = rng.standard_normal((32, base.dim)), rng.standard_normal((32, base.dim))
         np.testing.assert_allclose(complexification_norm_batch(base, X, Y),
                                    _eight_angle_cplx_norm(base, X, Y), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_stacked_gram_kernels_are_bitwise_one_space_at_a_time(dim):
+    # each item's pair and eight rows against its own Gram, stacked, as
+    # euclidean-closed-form evaluates an explicit-Gram group
+    rng = np.random.default_rng(dim)
+    for k in (1, 2, 7, 40):
+        grams = _random_grams(rng.standard_normal((k, dim, dim)))
+        X = rng.standard_normal((k, dim)) * 2.0 ** rng.integers(-30, 30, (k, 1))
+        Y = rng.standard_normal((k, dim))
+        Y[::3] = 0.0
+        rows = rng.standard_normal((k, 8, dim))
+        closed = spaces._gram_complexification_norms(grams, X, Y)
+        norms = spaces._gram_norms(grams, rows)
+        for i in range(k):
+            space = euclidean_space(dim, grams[i])
+            assert closed[i] == complexification_norm(space, X[i], Y[i])
+            assert norms[i].tolist() == norm_batch(space, rows[i]).tolist()
+
+
+def test_gram_complexification_norm_of_zero_pairs_is_zero():
+    for base in (lp_space(3, 2.0), euclidean_space(3, np.diag([1.0, 2.0, 3.0]))):
+        X = np.array([[0.0, -0.0, 0.0], [1.0, 0.0, 0.0], [-0.0, 0.0, 0.0]])
+        Y = np.array([[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        got = complexification_norm_batch(base, X, Y)
+        assert got.tolist() == [0.0, got[1], 0.0] and got[1] > 0.0
+        assert not np.signbit(got).any()
 
 
 def test_l1_plane_spot_value():
