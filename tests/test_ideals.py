@@ -300,14 +300,15 @@ def test_every_operator_shape_check_gives_the_same_error(call):
     assert str(exc_info.value) == "T must be 4 x 2, got (2, 2)"
 
 
-def _recording_predicate(kind, calls):
-    fn = PREDICATES[("nonzero", kind)]
+def _recording_predicate(kind, calls, label="nonzero"):
+    """The bundled predicate, recording the size of each stack it decides."""
+    fn = PREDICATES[(label, kind)]
 
-    def recorded(*args):
-        calls.append(1)
-        return fn(*args)
+    def recorded(Ts, *rest):
+        calls.append(len(Ts))
+        return fn(Ts, *rest)
 
-    return IdealOracle(kind, MatrixPredicate("nonzero", recorded))
+    return IdealOracle(kind, MatrixPredicate(label, recorded))
 
 
 def test_real_shape_error_names_the_first_misshapen_operator():
@@ -342,17 +343,6 @@ def test_complex_shape_error_names_the_first_misshapen_operator():
     assert calls == []
 
 
-def _counted_predicate(label, kind, calls):
-    """The bundled predicate, recording the size of each stack it decides."""
-    fn = PREDICATES[(label, kind)]
-
-    def counted(Ts, *rest):
-        calls.append(len(Ts))
-        return fn(Ts, *rest)
-
-    return IdealOracle(kind, MatrixPredicate(label, counted))
-
-
 def _group_count(corpus, spaces):
     return len({(space_key(d), space_key(c)) for d, c in map(spaces, corpus)})
 
@@ -367,7 +357,7 @@ def test_stacked_predicates_match_a_per_operator_reference(seed):
     assert any(np.signbit(op.matrix).any() and not op.matrix.any() for op in real)
     groups = _group_count(real, lambda op: (op.domain, op.codomain))
     calls = []
-    oracle = _counted_predicate("nonzero", "real", calls)
+    oracle = _recording_predicate("real", calls)
     assert decide_real(oracle, real).tolist() == [
         ONE_OPERATOR["nonzero"](op.matrix) for op in real]
     assert len(calls) == groups and sum(calls) == len(real)
@@ -383,7 +373,7 @@ def test_stacked_predicates_match_a_per_operator_reference(seed):
     groups = _group_count(cplx, lambda op: (op.domain.space, op.codomain.space))
     for label in ("nonzero", "a-entry-sign"):
         calls = []
-        oracle = _counted_predicate(label, "complex", calls)
+        oracle = _recording_predicate("complex", calls, label)
         for sign, decide in ((1.0, oracle), (-1.0, conjugate_ideal(oracle))):
             assert decide_complex(decide, cplx).tolist() == [
                 ONE_OPERATOR[label](op.matrix, sign * op.domain.A, sign * op.codomain.A,
