@@ -25,8 +25,8 @@ import numpy as np
 
 from . import corpus as corpus_gen
 from .config import Tolerances
-from .errors import (DescriptorError, IstructError, ScenarioError,
-                     StructureValidationError, first_errors)
+from .errors import (IstructError, ScenarioError, StructureValidationError,
+                     first_errors)
 from .ideals import (HILBERT_SCHMIDT, RealOperator, audit_self_conjugacy,
                      ideal_norms, oracle_from_dict)
 from .morphisms import RespectingOperator, _respect_residuals
@@ -35,7 +35,7 @@ from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          factorization_hypothesis_check, reference_chain,
                          search_chain)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport, bounded
-from .spaces import (_gram_complexification_norms, _gram_defects, _gram_norms,
+from .spaces import (_gram_complexification_norms, _gram_errors, _gram_norms,
                      block_diag2, complexification_norm,
                      complexification_norm_batch, direct_sum, lp_space,
                      norm_batch, space_from_dict)
@@ -68,7 +68,7 @@ def load_scenario(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
     _check_scenario(data)
     return data
@@ -216,9 +216,8 @@ def _h_euclidean_closed_form(params, rng, tol):
         rows = np.cos(phi)[:, None] * X[:, None, :] + np.sin(phi)[:, None] * Y[:, None, :]
         if explicit_gram:
             grams = corpus_gen._random_grams(np.stack(Zs))
-            defects = _gram_defects(grams)
-            errors = [None if d is None else DescriptorError(d) for d in defects]
-            grams[[d is not None for d in defects]] = np.eye(dim)  # no value for those
+            errors = _gram_errors(grams)
+            grams[[e is not None for e in errors]] = np.eye(dim)  # no value for those
             closed = _gram_complexification_norms(grams, X, Y)
             norms = _gram_norms(grams, rows)
         else:
@@ -766,9 +765,13 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         report = run_suite(scenario, args.suite, seed=args.seed,
                            tol_alg=args.tol_alg, tol_iso=args.tol_iso)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+            return 2
         bad = [c for c in report["claims"] if c["outcome"] != VERIFIED]
         if bad:
             for c in bad:

@@ -15,9 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DescriptorError, first_errors, single
+from .errors import first_errors, single
 from .morphisms import RespectingOperator, _respect_residuals, make_respecting
-from .spaces import (EuclideanQuadratic, NormedSpace, _gram_defects,
+from .spaces import (EuclideanQuadratic, NormedSpace, _gram_errors,
                      block_diag2, euclidean_space, lp_space)
 from .structures import (BY_CONSTRUCTION, ComplexStructure, _gram_certificates,
                          _rejection, natural_i_operator,
@@ -174,7 +174,6 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     certs = _gram_certificates(A, gram)
     respect, respect_errors = _respect_residuals(S0, A, N, tol)
     errors = first_errors(
-        *([None if d is None else DescriptorError(d) for d in _gram_defects(g)]
-          for g in (y_gram, gram)),
+        _gram_errors(y_gram), _gram_errors(gram),
         [_rejection(c, tol) for c in certs], respect_errors)
     return _Isomorphisms(y_gram, gram, S0, A, certs, respect, errors)

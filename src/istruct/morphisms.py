@@ -168,24 +168,15 @@ def _inverses(Ts: np.ndarray, As, Bs, tol: Tolerances) -> tuple:
 # Operator norm estimation
 # ---------------------------------------------------------------------------
 
-def _whitened(T: np.ndarray, g_dom: np.ndarray, g_cod: np.ndarray) -> np.ndarray:
-    """L_cod' T L_dom^-T for the Cholesky factors G = L L' of the two Grams:
-    T in coordinates where both norms are l2.  T may be a stack (..., m, n),
-    and either Gram a stack (..., n, n) of one Gram per matrix."""
-    l_dom = np.linalg.cholesky(g_dom)
-    l_cod = np.linalg.cholesky(g_cod)
-    return np.swapaxes(l_cod, -1, -2) @ T @ np.linalg.inv(np.swapaxes(l_dom, -1, -2))
-
-
 def _singular_values(T: np.ndarray, dom: NormedSpace,
                      cod: NormedSpace) -> Optional[np.ndarray]:
     """Singular values of T : dom -> cod in the spaces' norms, largest first,
-    or those of each matrix of a stack (..., m, n): L_cod' T L_dom^-T from
-    the whitening factors cached on each space (one Cholesky and one inverse
-    per space, not per call), then one stacked SVD.  The operands and their
-    order are those of _whitened, so the values are bitwise the same, and
-    each matrix's values are bitwise those of its own SVD.  None unless both
-    spaces are Euclidean-like."""
+    or those of each matrix of a stack (..., m, n): L_cod' T L_dom^-T, T in
+    coordinates where both norms are l2, from the whitening factors cached
+    on each space (spaces._whitening_factors: one Cholesky and one inverse
+    per space, not per call), then one stacked SVD.  Each matrix's values
+    are bitwise those of its own SVD.  None unless both spaces are
+    Euclidean-like."""
     w_dom, w_cod = dom._whitening, cod._whitening
     if w_dom is None or w_cod is None:
         return None

@@ -25,7 +25,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -113,9 +113,10 @@ class NormedSpace:
     A space is a value (see space_key) and is immutable after construction:
     neither its descriptor nor the descriptor's arrays may be changed.  So the
     data that depends on the space alone is computed on first use and cached
-    on the object, with every cached array read-only: the whitening factors
-    (_whitening), the averaged double X_C (_double, see direct_sum) and the
-    natural structure on it (see structures.natural_i_operator).
+    on the object, with every cached array read-only: how the norm is
+    computed exactly (_form), the whitening factors (_whitening), the
+    averaged double X_C (_double, see direct_sum) and the natural structure
+    on it (see structures.natural_i_operator).
     """
 
     dim: int
@@ -125,17 +126,15 @@ class NormedSpace:
         _check_descriptor(self.dim, self.norm_desc)
 
     @functools.cached_property
+    def _form(self) -> "_Form":
+        """The exact forms of the norm (see _Form)."""
+        return _closed_form(self)
+
+    @functools.cached_property
     def _whitening(self) -> Optional[tuple]:
-        """(L', L'^-1) for the Cholesky factor L L' of the Gram, or None when
-        the space is not Euclidean-like; x -> L'x maps the norm to l2."""
-        gram = euclidean_gram(self)
-        if gram is None:
-            return None
-        L = np.linalg.cholesky(gram)
-        L.flags.writeable = False
-        Lt_inv = np.linalg.inv(L.T)
-        Lt_inv.flags.writeable = False
-        return L.T, Lt_inv
+        """_whitening_factors of the Gram; None unless Euclidean-like."""
+        gram = self._form.gram
+        return None if gram is None else _whitening_factors(gram)
 
     @functools.cached_property
     def _double(self) -> "NormedSpace":
@@ -162,9 +161,9 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.gram = np.asarray(d.gram, dtype=float)
         if d.gram.shape != (dim, dim):
             raise DescriptorError("Gram matrix shape must be dim x dim")
-        defect = _gram_defects(d.gram[None])[0]
-        if defect is not None:
-            raise DescriptorError(defect)
+        error = _gram_errors(d.gram[None])[0]
+        if error is not None:
+            raise error
     elif isinstance(d, Polyhedral):
         d.functionals = np.asarray(d.functionals, dtype=float)
         if d.functionals.ndim != 2 or d.functionals.shape[1] != dim:
@@ -189,9 +188,9 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         raise DescriptorError(f"unknown descriptor {type(d).__name__}")
 
 
-def _gram_defects(grams: np.ndarray) -> list:
-    """For each Gram matrix of a stack (k, n, n), the message of the first
-    check it fails (finite, symmetric, positive definite), or None."""
+def _gram_errors(grams: np.ndarray) -> list:
+    """For each Gram matrix of a stack (k, n, n), the DescriptorError of the
+    first check it fails (finite, symmetric, positive definite), or None."""
     eye = np.eye(grams.shape[-1])
     finite = np.all(np.isfinite(grams), axis=(1, 2))
     # a stand-in for the matrices that fail earlier keeps each later check
@@ -203,10 +202,21 @@ def _gram_defects(grams: np.ndarray) -> list:
                        axis=(1, 2))
     checked = np.where(symmetric[:, None, None], grams, eye)
     definite = np.linalg.eigvalsh(checked)[:, 0] > 0
-    return ["Gram matrix must be finite" if not f
-            else "Gram matrix must be symmetric" if not s
-            else "Gram matrix must be positive definite" if not d else None
-            for f, s, d in zip(finite, symmetric, definite)]
+    return [DescriptorError("Gram matrix must be finite") if not f
+            else DescriptorError("Gram matrix must be symmetric") if not s
+            else DescriptorError("Gram matrix must be positive definite") if not d
+            else None for f, s, d in zip(finite, symmetric, definite)]
+
+
+def _whitening_factors(grams: np.ndarray) -> tuple:
+    """(L', L'^-1) for the Cholesky factor L L' of a Gram (n, n), or of each
+    Gram of a stack (..., n, n): x -> L'x maps the Gram's norm to l2.  Both
+    are read-only, and each Gram of a stack gets bitwise its own factors.
+    Every Cholesky factorisation of the package is made here."""
+    Lt = np.swapaxes(np.linalg.cholesky(grams), -1, -2)
+    Lt_inv = np.linalg.inv(Lt)
+    Lt.flags.writeable = Lt_inv.flags.writeable = False
+    return Lt, Lt_inv
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -340,12 +350,12 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
                                 Y: np.ndarray) -> np.ndarray:
     """Batched complexification norm.
 
-    Euclidean-like bases (`euclidean_gram`) and bases recognized by
-    `_sinusoid_pieces` are evaluated exactly.  Every other base is integrated
-    arc by arc between the kink angles of each row (`_kink_angles`), so
-    rotating a row moves its arcs with it and rotation invariance holds to a
-    few ulps at every angle.  QUAD_MAX_NODES bounds the norm evaluations per
-    row of that quadrature.
+    Euclidean-like bases and bases whose norm is a sum or a maximum of
+    |<f_j, .>| (the gram and the pieces of the base's _Form) are evaluated
+    exactly.  Every other base is integrated arc by arc between the kink
+    angles of each row (`_kink_angles`), so rotating a row moves its arcs
+    with it and rotation invariance holds to a few ulps at every angle.
+    QUAD_MAX_NODES bounds the norm evaluations per row of that quadrature.
 
     The norm is homogeneous, so each row pair is first scaled by a power of
     two near its largest entry and the value scaled back: nothing overflows or
@@ -355,17 +365,16 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != base.dim:
         raise DimensionMismatchError("X, Y must both be (k, base.dim)")
-    gram = euclidean_gram(base)
-    if gram is not None:
-        return _gram_complexification_norms(gram, X, Y)
+    form = base._form
+    if form.gram is not None:
+        return _gram_complexification_norms(form.gram, X, Y)
     nonzero = np.any(X != 0.0, axis=1) | np.any(Y != 0.0, axis=1)
     out = np.zeros(X.shape[0])
     if not np.any(nonzero):
         return out
     Xn, Yn, exp = _scaled_pairs(X[nonzero], Y[nonzero])
-    pieces = _sinusoid_pieces(base)
-    if pieces is not None:
-        mean_sq = _sinusoid_mean_sq(Xn, Yn, *pieces)
+    if form.pieces is not None:
+        mean_sq = _sinusoid_mean_sq(Xn, Yn, *form.pieces)
     else:
         mean_sq = _arc_mean_sq(base, Xn, Yn, _kink_angles(base, Xn, Yn))
     out[nonzero] = np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
@@ -605,105 +614,93 @@ def block_diag2(T: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def euclidean_gram(space: NormedSpace) -> Optional[np.ndarray]:
-    """Gram matrix G with ||x||^2 = x' G x, or None if not Euclidean-like.
+    """Gram matrix G with ||x||^2 = x' G x, or None if not Euclidean-like."""
+    return space._form.gram
 
-    Recognizes Lp(2), WeightedLp(2), explicit quadratic norms, and (recursively)
-    complexifications of Euclidean-like bases, whose averaged norm has Gram
-    diag(G, G) / 2.
+
+class _Form(NamedTuple):
+    """How a space's norm is computed exactly; each entry is None when the
+    norm has no such form.
+
+    gram: G with ||x||^2 = x'Gx.  Lp(2), WeightedLp(2) and explicit quadratic
+    norms; the complexification of a base with Gram G, whose averaged norm
+    has Gram diag(G, G) / 2; and a subspace, basis' G basis.
+    pieces: (F, combiner) with ||x|| = sum_j |(F x)_j| ("sum") or
+    max_j |(F x)_j| ("max").  Lp and WeightedLp with p = 1 or p = inf,
+    Polyhedral norms, and subspaces of these, whose functionals are F @ basis.
+    breaks: rows g such that ||x cos phi + y sin phi|| is analytic in phi
+    between the zeros of <g, x cos phi + y sin phi>.  A Euclidean-like norm
+    gives the coordinate rows: it is analytic except where the whole vector
+    vanishes, which is a zero of every coordinate.  Lp and WeightedLp give the
+    coordinate rows too (p = inf: the maximum's rows and their crossings),
+    Polyhedral its functionals and their crossings, a sum the block stack of
+    both parts, and a subspace the ambient rows times its basis.  Nested
+    complexifications, and sums or subspaces with such a part, have none.
     """
-    d = space.norm_desc
-    if isinstance(d, Lp) and d.p == 2.0:
-        return np.eye(space.dim)
-    if isinstance(d, WeightedLp) and d.p == 2.0:
-        return np.diag(d.weights)
-    if isinstance(d, EuclideanQuadratic):
-        return d.gram
-    if isinstance(d, ComplexificationOfBase):
-        g = euclidean_gram(d.base)
-        return None if g is None else block_diag2(g / 2.0)
-    if isinstance(d, SubspaceNorm):
-        g = euclidean_gram(d.ambient)
-        if g is None:
-            return None
-        return d.basis.T @ g @ d.basis
-    return None
+
+    gram: Optional[np.ndarray]
+    pieces: Optional[tuple]
+    breaks: Optional[np.ndarray]
 
 
-def _sinusoid_pieces(space: NormedSpace) -> Optional[tuple]:
-    """(F, combiner) with ||x|| = sum_j |(F x)_j| ("sum") or max_j |(F x)_j|
-    ("max"), or None when the norm is not of that form.
-
-    Recognizes Lp and WeightedLp with p = 1 or p = inf, Polyhedral norms, and
-    (recursively) subspaces of these, whose functionals are F @ basis.
-    """
-    d = space.norm_desc
-    if isinstance(d, (Lp, WeightedLp)) and d.p in (1.0, math.inf):
-        F = np.eye(space.dim) if isinstance(d, Lp) else np.diag(d.weights)
-        return F, "sum" if d.p == 1.0 else "max"
-    if isinstance(d, Polyhedral):
-        return d.functionals, "max"
-    if isinstance(d, SubspaceNorm):
-        pieces = _sinusoid_pieces(d.ambient)
-        if pieces is None:
-            return None
-        return pieces[0] @ d.basis, pieces[1]
-    return None
-
-
-def _breakpoint_functionals(space: NormedSpace) -> Optional[np.ndarray]:
-    """Rows g such that ||x cos phi + y sin phi|| is analytic in phi between
-    the zeros of <g, x cos phi + y sin phi>, or None when the norm has no such
-    rows (nested complexifications, and sums or subspaces with such a part).
-
-    A Euclidean-like norm gives the coordinate rows: it is analytic except
-    where the whole vector vanishes, which is a zero of every coordinate.  Lp
-    and WeightedLp give the coordinate rows too (p = inf: the maximum's rows
-    and their crossings), Polyhedral its functionals and their crossings, a
-    sum the block stack of both parts, and a subspace the ambient rows times
-    its basis.
-    """
-    d = space.norm_desc
-    if euclidean_gram(space) is not None:
-        return np.eye(space.dim)
+def _closed_form(space: NormedSpace) -> _Form:
+    """The _Form of a space, from the cached forms of its parts.  Every array
+    of it is read-only; a descriptor's own array enters as a view, so the
+    descriptor's stays as it is."""
+    d, n = space.norm_desc, space.dim
+    gram = pieces = breaks = None
     if isinstance(d, (Lp, WeightedLp)):
-        if not math.isinf(d.p):
-            return np.eye(space.dim)
-        return _with_crossings(np.eye(space.dim) if isinstance(d, Lp)
-                               else np.diag(d.weights))
-    if isinstance(d, Polyhedral):
-        return _with_crossings(d.functionals)
-    if isinstance(d, SumNorm):
-        left, right = _breakpoint_functionals(d.left), _breakpoint_functionals(d.right)
-        if left is None or right is None:
-            return None
-        out = np.zeros((len(left) + len(right), space.dim))
-        out[:len(left), :d.left.dim] = left
-        out[len(left):, d.left.dim:] = right
-        return out
-    if isinstance(d, SubspaceNorm):
-        G = _breakpoint_functionals(d.ambient)
-        return None if G is None else G @ d.basis
-    return None
+        F = np.eye(n) if isinstance(d, Lp) else np.diag(d.weights)
+        if d.p == 2.0:
+            gram = F
+        elif d.p in (1.0, math.inf):
+            pieces = F, "sum" if d.p == 1.0 else "max"
+        breaks = _with_crossings(F) if math.isinf(d.p) else np.eye(n)
+    elif isinstance(d, EuclideanQuadratic):
+        gram = d.gram.view()
+    elif isinstance(d, Polyhedral):
+        pieces = d.functionals.view(), "max"
+        breaks = _with_crossings(d.functionals)
+    elif isinstance(d, ComplexificationOfBase):
+        g = d.base._form.gram
+        gram = None if g is None else block_diag2(g / 2.0)
+    elif isinstance(d, SumNorm):
+        left, right = d.left._form.breaks, d.right._form.breaks
+        if left is not None and right is not None:
+            breaks = np.zeros((len(left) + len(right), n))
+            breaks[:len(left), :d.left.dim] = left
+            breaks[len(left):, d.left.dim:] = right
+    else:  # SubspaceNorm
+        amb = d.ambient._form
+        gram = None if amb.gram is None else d.basis.T @ amb.gram @ d.basis
+        pieces = None if amb.pieces is None else (amb.pieces[0] @ d.basis, amb.pieces[1])
+        breaks = None if amb.breaks is None else amb.breaks @ d.basis
+    if gram is not None:
+        breaks = np.eye(n)
+    for a in (gram, pieces and pieces[0], breaks):
+        if a is not None:
+            a.flags.writeable = False
+    return _Form(gram, pieces, breaks)
 
 
 def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Per row, angles in [0, pi) between which ||x cos phi + y sin phi|| is
     analytic in phi, one column per candidate kink (nan: none there).
 
-    With breakpoint functionals these are their zeros along the row.  A sum
-    takes the angles of both parts, each on its own block, and a subspace
+    With break rows (_Form.breaks) these are their zeros along the row.  A
+    sum takes the angles of both parts, each on its own block, and a subspace
     those of its ambient space.  For the complexification of a base with
-    breakpoint functionals g_k, the inner kinks along psi are the zeros of
+    break rows g_k, the inner kinks along psi are the zeros of
     P_k . (cos psi, sin psi) with P_k = (<g_k, u>, <g_k, v>), where
     (u, v) = x cos phi + y sin phi; the mean over psi stops being analytic in
     phi where two inner kinks collide, at the zeros of P_k x P_l, and where
     some P_k vanishes.  P_k x P_l vanishes there too, unless every P_l stays
     parallel to P_k (rows in a complex line, such as (x, 0), (y, 0)), so each
-    P_k also adds the angle where |P_k| is least.  A base without breakpoint
-    functionals gives no angles: the whole period is one arc.
+    P_k also adds the angle where |P_k| is least.  A base without break rows
+    gives no angles: the whole period is one arc.
     """
     d = space.norm_desc
-    G = _breakpoint_functionals(space)
+    G = space._form.breaks
     if G is not None:
         A, B = X @ G.T, Y @ G.T
         # a functional that vanishes on the whole row has no zero there
@@ -714,7 +711,7 @@ def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray
                           _kink_angles(d.right, X[:, n:], Y[:, n:])])
     if isinstance(d, SubspaceNorm):
         return _kink_angles(d.ambient, X @ d.basis.T, Y @ d.basis.T)
-    G = _breakpoint_functionals(d.base)
+    G = d.base._form.breaks
     if G is None:
         return np.empty((len(X), 0))
     n = d.base.dim
@@ -741,7 +738,8 @@ def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray
 def _with_crossings(F: np.ndarray) -> np.ndarray:
     """F's rows plus f_j + f_l and f_j - f_l for j < l: max_j |<f_j, .>| has
     its kinks where some |<f_j, .>| = |<f_l, .>| or <f_j, .> = 0."""
-    j, l = np.triu_indices(len(F), k=1)
+    # np.triu_indices(len(F), k=1), without its overhead (a third of the time)
+    j, l = np.nonzero(~np.tri(len(F), dtype=bool))
     return np.vstack([F, F[j] + F[l], F[j] - F[l]])
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import DimensionMismatchError, StructureValidationError, single
 from .spaces import (ComplexificationOfBase, Lp, NormedSpace, WeightedLp,
-                     _check_vector, _sinusoid_pieces, direct_sum, euclidean_gram,
+                     _check_vector, direct_sum, euclidean_gram,
                      lp_space, norm, norm_batch, space_equal)
 
 DEFAULT_SAMPLE_VECTORS = 512
@@ -295,16 +295,15 @@ def search_i_operator(space: NormedSpace, *,
     n = space.dim
     if n % 2 != 0:
         return SearchResult(None, float("inf"), ODD_DIMENSION)
-    gram = euclidean_gram(space)
-    if gram is not None:
-        L = np.linalg.cholesky(gram)
+    if space._whitening is not None:
+        L = space._whitening[0].T
         A = np.linalg.solve(L.T, natural_i_operator_matrix(n // 2) @ L.T)
         W = L.T @ np.linalg.solve(L, A.T).T
         c = certify(lp_space(n, 2.0), W)
         # W's residuals measure A against L L', the computed factorisation;
         # G differs from it by Cholesky's backward error, measured here in
         # the same whitened coordinates
-        whitened_gram = np.linalg.solve(L, np.linalg.solve(L, gram).T)
+        whitened_gram = np.linalg.solve(L, np.linalg.solve(L, euclidean_gram(space)).T)
         c = replace(c, isometry_residual=c.isometry_residual + float(
             np.max(np.abs(whitened_gram - np.eye(n)))))
         residual = c.algebraic_residual + c.isometry_residual
@@ -316,7 +315,7 @@ def search_i_operator(space: NormedSpace, *,
         return SearchResult(s, 0.0, FOUND, s.A)
     # p = 2 is Euclidean-like and decided above
     if (isinstance(space.norm_desc, (Lp, WeightedLp))
-            or _sinusoid_pieces(space) is not None):
+            or space._form.pieces is not None):
         return SearchResult(None, float("inf"), NONE_FINITE_GROUP)
     return SearchResult(None, float("inf"), UNDECIDED)
 

@@ -19,17 +19,17 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
-from .errors import DescriptorError, WitnessError, first_errors, single
+from .errors import WitnessError, first_errors, single
 from .ideals import (DECISION_NOTE, _audit, _grouped, _members, complexify_ideal,
                      decide_real, realify_ideal)
 from .morphisms import (RANK_RTOL, RespectingOperator, _inverses,
-                        _respect_residuals, _split_matrix, _whitened,
+                        _respect_residuals, _split_matrix,
                         injection_first, injection_second,
                         matrix_norm_between, surjection_first,
                         surjection_second)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport, bounded
-from .spaces import (EuclideanQuadratic, NormedSpace, SubspaceNorm, _gram_defects,
-                     block_diag2, direct_sum, euclidean_gram)
+from .spaces import (EuclideanQuadratic, NormedSpace, SubspaceNorm, _gram_errors,
+                     _whitening_factors, block_diag2, direct_sum, euclidean_gram)
 from .structures import (ComplexStructure, _split_on, natural_i_operator,
                          natural_i_operator_matrix)
 
@@ -165,8 +165,7 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
     Bt = np.swapaxes(B, 1, 2)
     if grams is not None:
         y = Bt @ grams @ B
-        errors = first_errors(errors, [None if d is None else DescriptorError(d)
-                                        for d in _gram_defects(y)])
+        errors = first_errors(errors, _gram_errors(y))
     else:
         y = [None if e else NormedSpace(half, SubspaceNorm(x, b))
              for e, x, b in zip(errors, spaces, B)]
@@ -179,10 +178,12 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
     round_dev = np.max(np.abs(S_inv @ S - np.eye(dim)), axis=(1, 2)).tolist()
 
     if grams is not None:
-        s_norms = np.linalg.svd(_whitened(S, grams, block_diag2(y / 2.0)),
+        # the X_j's Grams are factored once, for both norms
+        Lt, Lt_inv = _whitening_factors(grams)
+        y_whitening = _whitening_factors(block_diag2(y / 2.0))[0]
+        s_norms = np.linalg.svd(y_whitening @ S @ Lt_inv,
                                 compute_uv=False)[:, 0].tolist()
-        p_norms = np.linalg.svd(_whitened(P, grams, grams),
-                                compute_uv=False)[:, 0].tolist()
+        p_norms = np.linalg.svd(Lt @ P @ Lt_inv, compute_uv=False)[:, 0].tolist()
     norm_bounds, outcomes = [], []
     for j, error in enumerate(errors):
         if error is not None:

@@ -81,6 +81,28 @@ def test_missing_file_is_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for argv in (["list-suites", str(path)],
+                 ["run", str(path), "--suite", "s", "--out", str(tmp_path / "r.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load scenario")
+
+
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schema": 1, "seed": 7, "claims": {
+        "chain": {"kind": "chain-search", "from": [["X", "+"]], "to": [["X", "-"]],
+                  "depth": 10, "rules": ["R3"], "expect_found": False}},
+        "suites": {"only": ["chain"]}}))
+    out = tmp_path / "absent" / "r.json"
+    assert main(["run", str(path), "--suite", "only", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write report {out}")
+
+
 def test_malformed_scenario_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"schema\": 99}")
@@ -249,21 +271,21 @@ def test_constructions_are_not_recertified(scenario_path, monkeypatch, suite):
 
 
 def test_exact_algebra_decides_a_corpus_at_a_time(monkeypatch):
-    # the Gram factors of an ideal norm are built once per (domain,
-    # codomain) group of a corpus; one decision per operator made 2,000
-    # whitenings per pass
+    # Gram factors are built once per space (ideal norms read the factors
+    # cached on the space) and once per shape group of witnesses; one
+    # decision per operator made 2,000 whitenings per pass
     calls = []
-    whitened = istruct.morphisms._whitened
+    factors = istruct.spaces._whitening_factors
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return whitened(*args, **kwargs)
+        return factors(*args, **kwargs)
 
-    # wherever the kernel is reachable: a module may import it by name
+    # wherever the helper is reachable: a module may import it by name
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("istruct.")
-                and getattr(module, "_whitened", None) is whitened):
-            monkeypatch.setattr(module, "_whitened", counted)
+                and getattr(module, "_whitening_factors", None) is factors):
+            monkeypatch.setattr(module, "_whitening_factors", counted)
     report = run_suite(_exact_algebra_scenario(7), "exact-algebra")
     assert all(c["outcome"] == "verified" for c in report["claims"])
     assert 0 < len(calls) < 500

@@ -10,10 +10,10 @@ import istruct
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _run_script(name):
+def _run_script(name, *args):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(istruct.__file__)))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
 
 
@@ -31,3 +31,11 @@ def test_run_paper_suite_passes():
     done = _run_script("run_paper_suite.py")
     assert done.returncode == 0, done.stderr
     assert "claims came out as expected (suite 'paper-all'" in done.stdout
+
+
+def test_run_paper_suite_unwritable_report_exits_2(tmp_path):
+    out = tmp_path / "absent" / "r.json"
+    done = _run_script("run_paper_suite.py", "--suite", "spaces", "--out", str(out))
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write report {out}")

@@ -1,17 +1,21 @@
 """Data derived from a space alone is computed once and cached on the space:
-the whitening factors, the averaged double and the natural structure.  The
-cached values must be bitwise those computed afresh, and the cache must be
-used."""
+the exact forms of the norm, the whitening factors, the averaged double and
+the natural structure.  The cached values must be bitwise those computed
+afresh, and the cache must be used."""
+
+import math
 
 import numpy as np
 import pytest
 
 from istruct import corpus as corpus_gen
+from istruct.corpus import _random_grams
 from istruct.errors import DescriptorError
 from istruct.ideals import (HILBERT_SCHMIDT, OPERATOR_NORM, TRACE_NORM, IdealOracle,
                             NormThreshold, RealOperator, ideal_norms)
-from istruct.morphisms import _whitened, matrix_norm_between
-from istruct.spaces import (EuclideanQuadratic, NormedSpace, WeightedLp, direct_sum,
+from istruct.morphisms import matrix_norm_between
+from istruct.spaces import (EuclideanQuadratic, NormedSpace, Polyhedral, SubspaceNorm,
+                            WeightedLp, _whitening_factors, direct_sum,
                             euclidean_gram, lp_space, space_equal)
 from istruct.structures import natural_i_operator
 from istruct.theory import verify_theorem_real
@@ -42,9 +46,11 @@ IDS = ["l2", "wl2", "quad", "cplx-l2", "cplx-wl2", "cplx-quad", "cplx-cplx-quad"
 
 
 def _reference(functional, Ts, dom, cod):
-    """The ideal norms from a fresh whitening of the two Grams."""
-    sv = np.linalg.svd(_whitened(Ts, euclidean_gram(dom), euclidean_gram(cod)),
-                       compute_uv=False)
+    """The ideal norms from a fresh whitening of the two Grams: L_cod' T
+    L_dom^-T for their Cholesky factors G = L L'."""
+    l_dom = np.linalg.cholesky(euclidean_gram(dom))
+    l_cod = np.linalg.cholesky(euclidean_gram(cod))
+    sv = np.linalg.svd(l_cod.T @ Ts @ np.linalg.inv(l_dom.T), compute_uv=False)
     return {OPERATOR_NORM: sv[..., 0], HILBERT_SCHMIDT: np.sqrt(np.sum(sv * sv, axis=-1)),
             TRACE_NORM: np.sum(sv, axis=-1)}[functional]
 
@@ -89,6 +95,56 @@ def test_cached_arrays_are_read_only(make):
     for factor in x._whitening:
         with pytest.raises(ValueError):
             factor[0, 0] = 1.0
+
+
+def _form_spaces():
+    """One space of each descriptor kind, and one of each form."""
+    l1, l3 = lp_space(2, 1.0), lp_space(2, 3.0)
+    poly = NormedSpace(2, Polyhedral([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    return [l1, l3, lp_space(2, math.inf), _l2(), _weighted_l2(),
+            NormedSpace(2, WeightedLp(math.inf, [0.5, 2.0])), _quad(), poly,
+            direct_sum(_quad(), _quad(), "complexification"),
+            direct_sum(l1, l1, "complexification"), direct_sum(l1, poly, "sum"),
+            direct_sum(l3, direct_sum(l1, l1, "complexification"), "sum"),
+            NormedSpace(1, SubspaceNorm(poly, [[1.0], [2.0]])),
+            NormedSpace(1, SubspaceNorm(_quad(), [[1.0], [2.0]]))]
+
+
+def _form_arrays(form) -> list:
+    return [a for a in (form.gram, form.pieces and form.pieces[0], form.breaks)
+            if a is not None]
+
+
+def test_a_second_read_of_the_form_is_the_same_object():
+    for x in _form_spaces():
+        form = x._form
+        assert x._form is form
+        for part in vars(x.norm_desc).values():
+            if isinstance(part, NormedSpace):
+                # built from the forms of the parts, which stay cached on them
+                assert "_form" in vars(part)
+
+
+def test_form_arrays_are_read_only():
+    for x in _form_spaces():
+        for a in _form_arrays(x._form):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+    # a descriptor's own array enters as a read-only view; it stays writable
+    quad = _quad()
+    assert np.shares_memory(quad._form.gram, quad.norm_desc.gram)
+    assert quad.norm_desc.gram.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_stacked_whitening_factors_are_bitwise_each_grams_own(dim):
+    grams = _random_grams(np.random.default_rng(dim).standard_normal((12, dim, dim)))
+    Lt, Lt_inv = _whitening_factors(grams)
+    for j, gram in enumerate(grams):
+        alone = _whitening_factors(gram)
+        assert np.array_equal(Lt[j], alone[0]) and np.array_equal(Lt_inv[j], alone[1])
+    for factor in (Lt, Lt_inv):
+        assert not factor.flags.writeable
 
 
 def test_a_second_theorem_real_run_factors_no_gram(monkeypatch):

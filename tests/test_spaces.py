@@ -16,9 +16,7 @@ from istruct.errors import (DescriptorError, DimensionMismatchError,
                             QuadratureError)
 from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             NormedSpace, Polyhedral, SubspaceNorm,
-                            WeightedLp, _breakpoint_functionals,
-                            _kink_angles, _sinusoid_pieces,
-                            complexification_norm,
+                            WeightedLp, _kink_angles, complexification_norm,
                             complexification_norm_batch, direct_sum,
                             euclidean_gram, euclidean_space, lp_space, norm,
                             norm_batch, space_equal, space_from_dict,
@@ -123,7 +121,9 @@ def test_gram_defects_of_a_stack_are_those_of_each_gram():
                       [[np.inf, 1.0], [1.0, -np.inf]], [[np.nan, 0.0], [0.0, 1.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from inf - inf or nan
-        defects = spaces._gram_defects(grams)
+        errors = spaces._gram_errors(grams)
+    assert all(e is None or type(e) is DescriptorError for e in errors)
+    defects = [None if e is None else str(e) for e in errors]
     assert defects == [None, asym, "Gram matrix must be positive definite",
                        "Gram matrix must be finite", None, None, asym, None, asym,
                        "Gram matrix must be finite", "Gram matrix must be finite"]
@@ -295,7 +295,7 @@ def _grid_reference(base, x, y, nodes=2 ** 18):
 @pytest.mark.parametrize("name", sorted(EXACT_BASES))
 def test_exact_cplx_norm_matches_fine_grid(name):
     base = EXACT_BASES[name]
-    assert _sinusoid_pieces(base) is not None
+    assert base._form.pieces is not None
     rng = np.random.default_rng(11)
     for _ in range(3):
         x, y = rng.standard_normal(base.dim), rng.standard_normal(base.dim)
@@ -304,16 +304,16 @@ def test_exact_cplx_norm_matches_fine_grid(name):
 
 
 def test_sinusoid_pieces_recognition():
-    assert _sinusoid_pieces(lp_space(2, 1.0))[1] == "sum"
-    assert _sinusoid_pieces(lp_space(2, math.inf))[1] == "max"
-    F, combiner = _sinusoid_pieces(EXACT_BASES["sub-of-l1-4"])
+    assert lp_space(2, 1.0)._form.pieces[1] == "sum"
+    assert lp_space(2, math.inf)._form.pieces[1] == "max"
+    F, combiner = EXACT_BASES["sub-of-l1-4"]._form.pieces
     assert combiner == "sum" and F.shape == (4, 2)
     for other in (lp_space(2, 2.0), lp_space(2, 3.0),
                   NormedSpace(2, EuclideanQuadratic(np.eye(2))),
                   direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "sum"),
                   direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "complexification"),
                   NormedSpace(1, SubspaceNorm(lp_space(2, 3.0), np.ones((2, 1))))):
-        assert _sinusoid_pieces(other) is None
+        assert other._form.pieces is None
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_BASES))
@@ -508,7 +508,7 @@ def _arc_reference(base, kinks, x, y, epsrel=2e-14):
 @pytest.mark.parametrize("name", sorted(ARC_BASES))
 def test_arc_cplx_norm_matches_adaptive_reference(name):
     base, kinks = ARC_BASES[name]
-    assert _sinusoid_pieces(base) is None and euclidean_gram(base) is None
+    assert base._form.pieces is None and euclidean_gram(base) is None
     rng = np.random.default_rng(22)
     x = rng.standard_normal(base.dim)
     noise = rng.standard_normal(base.dim)
@@ -672,31 +672,28 @@ def test_arc_cplx_norm_small_node_budget_raises(monkeypatch):
 def test_breakpoint_functionals_recognition():
     l1, linf = lp_space(2, 1.0), lp_space(2, math.inf)
     crossings = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-    np.testing.assert_array_equal(_breakpoint_functionals(lp_space(3, 3.0)), np.eye(3))
-    np.testing.assert_array_equal(_breakpoint_functionals(linf), crossings)
+    np.testing.assert_array_equal(lp_space(3, 3.0)._form.breaks, np.eye(3))
+    np.testing.assert_array_equal(linf._form.breaks, crossings)
     stacked = np.zeros((6, 4))
     stacked[:2, :2] = np.eye(2)
     stacked[2:, 2:] = crossings
-    np.testing.assert_array_equal(
-        _breakpoint_functionals(direct_sum(l1, linf, "sum")), stacked)
+    np.testing.assert_array_equal(direct_sum(l1, linf, "sum")._form.breaks, stacked)
     hex_sum = direct_sum(NormedSpace(2, Polyhedral(HEX)), l1, "sum")
-    assert _breakpoint_functionals(hex_sum).shape == (9 + 2, 4)
+    assert hex_sum._form.breaks.shape == (9 + 2, 4)
     # a Euclidean-like norm, alone or as a part, contributes its coordinate rows
     np.testing.assert_array_equal(
-        _breakpoint_functionals(direct_sum(l1, lp_space(3, 2.0), "sum")), np.eye(5))
+        direct_sum(l1, lp_space(3, 2.0), "sum")._form.breaks, np.eye(5))
     for euclidean in (lp_space(2, 2.0),
                       NormedSpace(2, WeightedLp(2.0, np.array([1.0, 2.0]))),
                       NormedSpace(2, EuclideanQuadratic(np.eye(2))),
                       NormedSpace(1, SubspaceNorm(lp_space(2, 2.0), np.ones((2, 1)))),
                       _cplx(lp_space(2, 2.0))):
-        np.testing.assert_array_equal(_breakpoint_functionals(euclidean),
-                                      np.eye(euclidean.dim))
+        np.testing.assert_array_equal(euclidean._form.breaks, np.eye(euclidean.dim))
     basis = np.array([[1.0], [2.0], [3.0]])
     np.testing.assert_array_equal(
-        _breakpoint_functionals(NormedSpace(1, SubspaceNorm(lp_space(3, 1.5), basis))),
-        basis)
+        NormedSpace(1, SubspaceNorm(lp_space(3, 1.5), basis))._form.breaks, basis)
     for name in ("cplx-l3", "cplx-l1", "l1+cplx-l1", "sub-of-l1+cplx-l1"):
-        assert _breakpoint_functionals(ARC_BASES[name][0]) is None
+        assert ARC_BASES[name][0]._form.breaks is None
 
 
 def test_nested_kink_angles_skip_identical_pairs():
