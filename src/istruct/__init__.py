@@ -29,8 +29,8 @@ from .theory import (ComplexificationWitness, build_complexification_witness,
                      verify_real_cartesian_identities,
                      verify_squares_isomorphism, verify_theorem_complex,
                      verify_theorem_real)
-from .ideals import (AllOperators, IdealOracle, MatrixPredicate, NoOperators,
-                     NormThreshold, RankThreshold, RealOperator,
+from .ideals import (AllOperators, GroupedCorpus, IdealOracle, MatrixPredicate,
+                     NoOperators, NormThreshold, RankThreshold, RealOperator,
                      audit_self_conjugacy, complexify_ideal, conjugate_ideal,
                      decide_complex, decide_real, ideal_norm, realify_ideal)
 from .pelczynski import (Atom, ChainDerivation, Step, SumExpr, apply_rule,

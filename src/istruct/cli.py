@@ -27,9 +27,9 @@ from . import corpus as corpus_gen
 from .config import Tolerances
 from .errors import (IstructError, ScenarioError, StructureValidationError,
                      first_errors)
-from .ideals import (HILBERT_SCHMIDT, RealOperator, audit_self_conjugacy,
+from .ideals import (HILBERT_SCHMIDT, GroupedCorpus, audit_self_conjugacy,
                      ideal_norms, oracle_from_dict)
-from .morphisms import RespectingOperator, _respect_residuals
+from .morphisms import _respect_residuals
 from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          check_derivation, expr, expr_from_list,
                          factorization_hypothesis_check, reference_chain,
@@ -327,25 +327,31 @@ def _failed(report, error) -> bool:
     return error is not None or not report.ok
 
 
-def _corpus_outcomes(count: int, draw: Callable, check: Callable,
-                     fails: Callable = _erred) -> list:
-    """Run a corpus of count items a shape group at a time.  draw() is called
-    count times in order, each giving (shape, item); the items are grouped by
-    shape in order of first appearance, and check(shape, items) of each group
-    gives (outcome, error) pairs in the group's order.  The result is the
-    outcomes in corpus order up to and including the first item for which
-    fails(outcome, error) holds, where a loop over the items would stop: an
-    error there is raised.  Groups whose items all lie beyond that point are
-    not checked."""
+def _drawn_groups(count: int, draw: Callable) -> dict:
+    """shape -> (indices, items) of a corpus of count items: draw() is called
+    count times in order, each giving (shape, item), and the items are grouped
+    by shape in order of first appearance."""
     groups: dict = {}
     for i in range(count):
         shape, item = draw()
         idx, items = groups.setdefault(shape, ([], []))
         idx.append(i)
         items.append(item)
+    return groups
+
+
+def _corpus_outcomes(count: int, draw: Callable, check: Callable,
+                     fails: Callable = _erred) -> list:
+    """Run a corpus of count items a shape group at a time.  The items are
+    drawn and grouped by _drawn_groups, and check(shape, items) of each group
+    gives (outcome, error) pairs in the group's order.  The result is the
+    outcomes in corpus order up to and including the first item for which
+    fails(outcome, error) holds, where a loop over the items would stop: an
+    error there is raised.  Groups whose items all lie beyond that point are
+    not checked."""
     out: dict = {}
     stop = None
-    for shape, (idx, items) in groups.items():
+    for shape, (idx, items) in _drawn_groups(count, draw).items():
         if stop is not None and idx[0] > stop:
             break
         for i, (outcome, error) in zip(idx, check(shape, items)):
@@ -446,15 +452,21 @@ def _complex_ops(draws: list, tol) -> tuple:
     return (Ts, As, Bs, *_respect_residuals(Ts, As, Bs, tol))
 
 
-def _random_complex_corpus(rng, dims, count, tol) -> list:
-    """count random [T, A, B], drawn in order and built a shape group at a
+def _random_complex_corpus(rng, dims, count, tol) -> GroupedCorpus:
+    """count random [T, A, B], drawn in order and stacked a shape group at a
     time; the first that fails to respect its structures raises."""
-    def check(shape, draws):
-        Ts, _, _, res, errors = _complex_ops(draws, tol)
-        return [(RespectingOperator(dom, cod, T, r), e)
-                for (dom, cod, _), T, r, e in zip(draws, Ts, res, errors)]
-
-    return _corpus_outcomes(count, lambda: _draw_complex_op(rng, dims), check)
+    corpus = GroupedCorpus([], [None] * count)
+    errors: dict = {}  # corpus index -> its respect error
+    for idx, draws in _drawn_groups(count, lambda: _draw_complex_op(rng, dims)).values():
+        Ts, As, Bs, _, group_errors = _complex_ops(draws, tol)
+        doms, cods, _ = zip(*draws)
+        corpus.groups.append((idx, doms[0].space, cods[0].space, Ts, As, Bs))
+        for i, dom, cod in zip(idx, doms, cods):
+            corpus.structures[i] = dom, cod
+        errors.update((i, e) for i, e in zip(idx, group_errors) if e is not None)
+    if errors:
+        raise errors[min(errors)]
+    return corpus
 
 
 def _h_complex_cartesian(params, rng, tol):
@@ -477,9 +489,10 @@ def _draw_real_op(rng, dims) -> tuple:
 
 
 def _h_theorem_real(params, rng, tol):
-    draws = [_draw_real_op(rng, params["dims"]) for _ in range(params["count"])]
-    corpus = [RealOperator(T, *map(corpus_gen._euclidean, shape)) for shape, T in draws]
-    return verify_theorem_real(params["oracle"], corpus)
+    drawn = _drawn_groups(params["count"], lambda: _draw_real_op(rng, params["dims"]))
+    return verify_theorem_real(params["oracle"], GroupedCorpus(
+        [(idx, *map(corpus_gen._euclidean, shape), np.stack(Ts))
+         for shape, (idx, Ts) in drawn.items()]))
 
 
 def _h_theorem_complex(params, rng, tol):

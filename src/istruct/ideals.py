@@ -2,13 +2,14 @@
 real <-> complex transforms (doubling, forgetting, conjugating).
 
 `decide_real(oracle, corpus)` and `decide_complex(oracle, corpus)` decide a
-whole corpus in one call.  They group the operators by (domain, codomain)
-and run the norm and rank kernels and the predicates on each group's stacked
-matrices; what depends only on a space (its whitening factors, its
-complexification and the natural i-operator there) is cached on the space.
-Each public call groups its corpus once, and its later decisions (conjugate,
-square, unfolded) run on those groups.  A shape error names the first
-misshapen operator in corpus order.
+whole corpus in one call, and run the norm and rank kernels and the
+predicates on the stacked matrices of each (domain, codomain) group; what
+depends only on a space (its whitening factors, its complexification and the
+natural i-operator there) is cached on the space.  A corpus is either a
+GroupedCorpus, already held in those groups (the CLI draws its corpora that
+way), or a sequence of operators, which each public call groups once on
+entry; its later decisions (conjugate, square, unfolded) run on the same
+groups.  A shape error names the first misshapen operator in corpus order.
 
 Threshold-style oracles are decision instruments for exercising the
 transforms; they are not operator ideals in the closed-under-addition sense,
@@ -173,27 +174,44 @@ class IdealOracle:
             raise DescriptorError(f"oracle kind must be real or complex, got {self.kind!r}")
 
 
-def decide_real(oracle: IdealOracle, corpus: Sequence[RealOperator]) -> np.ndarray:
+@dataclass(eq=False)
+class GroupedCorpus:
+    """A corpus held in its (domain, codomain) groups, as _groups gives them:
+    (idx, dom, cod, Ts) for real operators and (idx, dom, cod, Ts, As, Bs) for
+    [T, A, B].  structures[i] is the (domain, codomain) ComplexStructure pair
+    of item i of a complex corpus, whose certificates the audit's squares
+    reuse.  The stacks are trusted to map dom to cod."""
+
+    groups: list
+    structures: Sequence = ()
+
+
+def _grouped_corpus(corpus, kind: str) -> GroupedCorpus:
+    """corpus itself when it is a GroupedCorpus, else its one grouping."""
+    if isinstance(corpus, GroupedCorpus):
+        return corpus
+    if kind == "real":
+        return GroupedCorpus(_groups((op.domain, op.codomain, op.matrix) for op in corpus))
+    return GroupedCorpus(_groups((op.domain.space, op.codomain.space, op.matrix,
+                                  op.domain.A, op.codomain.A) for op in corpus),
+                         [(op.domain, op.codomain) for op in corpus])
+
+
+def decide_real(oracle: IdealOracle,
+                corpus: Union[GroupedCorpus, Sequence[RealOperator]]) -> np.ndarray:
     """Membership of each RealOperator of the corpus, as a bool array in
     corpus order (empty for an empty corpus)."""
     _descriptor(oracle, "real")
-    return _members(oracle, _groups((op.domain, op.codomain, op.matrix)
-                                    for op in corpus))
+    return _members(oracle, _grouped_corpus(corpus, "real").groups)
 
 
 def decide_complex(oracle: IdealOracle,
-                   corpus: Sequence[RespectingOperator]) -> np.ndarray:
+                   corpus: Union[GroupedCorpus, Sequence[RespectingOperator]]
+                   ) -> np.ndarray:
     """Membership of each [T, A, B] of the corpus, as a bool array in corpus
     order (empty for an empty corpus)."""
-    return _grouped(oracle, corpus)[1]
-
-
-def _grouped(oracle: IdealOracle, corpus: Sequence[RespectingOperator]) -> tuple:
-    """The groups of a corpus of [T, A, B], and a complex oracle's decisions."""
     _descriptor(oracle, "complex")
-    groups = _groups((op.domain.space, op.codomain.space, op.matrix, op.domain.A,
-                      op.codomain.A) for op in corpus)
-    return groups, _members(oracle, groups)
+    return _members(oracle, _grouped_corpus(corpus, "complex").groups)
 
 
 def _groups(rows) -> list:
@@ -293,21 +311,20 @@ def conjugate_ideal(complex_oracle: IdealOracle) -> IdealOracle:
 # Self-conjugacy audit
 # ---------------------------------------------------------------------------
 
-def _squares(corpus: Sequence[RespectingOperator], groups: list, *,
-             tol: Tolerances) -> list:
+def _squares(corpus: GroupedCorpus, *, tol: Tolerances) -> list:
     """The groups of the squares [T (+) T, A (+) -A, B (+) -B] of a grouped
-    corpus, on each group's averaged-norm doubled spaces; the first failure
-    in corpus order is raised."""
+    complex corpus, on each group's averaged-norm doubled spaces; the first
+    failure in corpus order is raised."""
     squares = []
     errors = {}  # corpus index -> the first error of its square
-    for idx, dom, cod, Ts, As, Bs in groups:
+    for idx, dom, cod, Ts, As, Bs in corpus.groups:
         dom2 = direct_sum(dom, dom, "complexification")
         cod2 = direct_sum(cod, cod, "complexification")
         TT, A2s, B2s = block_diag2(Ts), _split_matrix(As), _split_matrix(Bs)
-        first = first_errors(
-            _split_on(dom2, [corpus[i].domain for i in idx], A2s, tol=tol)[1],
-            _split_on(cod2, [corpus[i].codomain for i in idx], B2s, tol=tol)[1],
-            _respect_residuals(TT, A2s, B2s, tol)[1])
+        doms, cods = zip(*(corpus.structures[i] for i in idx))
+        first = first_errors(_split_on(dom2, doms, A2s, tol=tol)[1],
+                             _split_on(cod2, cods, B2s, tol=tol)[1],
+                             _respect_residuals(TT, A2s, B2s, tol)[1])
         errors.update((i, e) for i, e in zip(idx, first) if e is not None)
         squares.append((idx, dom2, cod2, TT, A2s, B2s))
     if errors:
@@ -316,7 +333,7 @@ def _squares(corpus: Sequence[RespectingOperator], groups: list, *,
 
 
 def audit_self_conjugacy(oracle: IdealOracle,
-                         corpus: Sequence[RespectingOperator], *,
+                         corpus: Union[GroupedCorpus, Sequence[RespectingOperator]], *,
                          tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
     """Check conjugation invariance and square determination on the corpus.
 
@@ -327,14 +344,16 @@ def audit_self_conjugacy(oracle: IdealOracle,
     Euclidean-like spaces (see theory.split_structure); elsewhere the audit
     raises StructureValidationError.
     """
-    return _audit(oracle, corpus, *_grouped(oracle, corpus), tol=tol)
+    _descriptor(oracle, "complex")
+    corpus = _grouped_corpus(corpus, "complex")
+    return _audit(oracle, corpus, _members(oracle, corpus.groups), tol=tol)
 
 
-def _audit(oracle: IdealOracle, corpus: Sequence[RespectingOperator], groups: list,
-           direct: np.ndarray, *, tol: Tolerances) -> VerificationReport:
-    """audit_self_conjugacy of a corpus, its groups and its decisions."""
-    conjugated = _members(conjugate_ideal(oracle), groups)
-    square = _members(oracle, _squares(corpus, groups, tol=tol))
+def _audit(oracle: IdealOracle, corpus: GroupedCorpus, direct: np.ndarray, *,
+           tol: Tolerances) -> VerificationReport:
+    """audit_self_conjugacy of a grouped corpus and its decisions."""
+    conjugated = _members(conjugate_ideal(oracle), corpus.groups)
+    square = _members(oracle, _squares(corpus, tol=tol))
     conj_mismatch = [{"index": int(i)} for i in np.flatnonzero(conjugated != direct)]
     square_fwd = [{"index": int(i)} for i in np.flatnonzero(direct & ~square)]
     square_bwd = [{"index": int(i)} for i in np.flatnonzero(square & ~direct)]

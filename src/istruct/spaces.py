@@ -655,6 +655,8 @@ def _closed_form(space: NormedSpace) -> _Form:
             gram = F
         elif d.p in (1.0, math.inf):
             pieces = F, "sum" if d.p == 1.0 else "max"
+        elif n == 1:  # on a line the norm is w^(1/p) |x|
+            gram = F ** (2.0 / d.p)
         breaks = _with_crossings(F) if math.isinf(d.p) else np.eye(n)
     elif isinstance(d, EuclideanQuadratic):
         gram = d.gram.view()

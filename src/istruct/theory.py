@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import WitnessError, first_errors, single
-from .ideals import (DECISION_NOTE, _audit, _grouped, _members, complexify_ideal,
-                     decide_real, realify_ideal)
+from .ideals import (DECISION_NOTE, _audit, _grouped_corpus, _members,
+                     complexify_ideal, decide_real, realify_ideal)
 from .morphisms import (RANK_RTOL, RespectingOperator, _inverses,
                         _respect_residuals, _split_matrix,
                         injection_first, injection_second,
@@ -437,10 +437,12 @@ def _mismatches(direct: np.ndarray, back: np.ndarray) -> list:
 def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
     """Unfold real -> complex -> real and compare decisions on the corpus.
 
-    Each corpus item is a RealOperator.  The unfolded oracle queries the
-    doubled matrix between the complexified spaces.
+    The corpus is a GroupedCorpus or a sequence of RealOperators, grouped
+    once for both decisions.  The unfolded oracle queries the doubled matrix
+    between the complexified spaces.
     """
     unfolded = realify_ideal(complexify_ideal(oracle))
+    corpus = _grouped_corpus(corpus, "real")
     direct = decide_real(oracle, corpus)
     back = decide_real(unfolded, corpus)
     mismatches = _mismatches(direct, back)
@@ -449,7 +451,7 @@ def verify_theorem_real(oracle, corpus: Sequence) -> VerificationReport:
                    notes=[DECISION_NOTE])
 
 
-def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
+def verify_theorem_complex(oracle, corpus: Sequence, *,
                            self_conjugate: Optional[bool] = None
                            ) -> VerificationReport:
     """Unfold complex -> real -> complex; check inclusion on the corpus, and
@@ -460,14 +462,16 @@ def verify_theorem_complex(oracle, corpus: Sequence[RespectingOperator], *,
     decision-neutral for the oracles shipped here (they depend on the matrix
     and the ambient norms only), mirroring the square-space isomorphism.
     Without self_conjugate the audit runs, whose averaged squares need a
-    corpus over Euclidean-like spaces (see split_structure).  The corpus is
-    grouped once for the audit and both decisions.
+    corpus over Euclidean-like spaces (see split_structure).  The corpus is a
+    GroupedCorpus or a sequence of RespectingOperators, grouped once for the
+    audit and both decisions.
     """
     unfolded = complexify_ideal(realify_ideal(oracle))
-    groups, direct = _grouped(oracle, corpus)
+    corpus = _grouped_corpus(corpus, "complex")
+    direct = _members(oracle, corpus.groups)
     if self_conjugate is None:
-        self_conjugate = _audit(oracle, corpus, groups, direct, tol=DEFAULT_TOL).ok
-    back = _members(unfolded, groups)
+        self_conjugate = _audit(oracle, corpus, direct, tol=DEFAULT_TOL).ok
+    back = _members(unfolded, corpus.groups)
     inclusion_violations = [{"index": int(i)}
                             for i in np.flatnonzero(back & ~direct)]
     equality_mismatches = _mismatches(direct, back) if self_conjugate else []

@@ -18,13 +18,15 @@ from istruct.corpus import (random_complexification_isomorphism,
                             random_euclidean_space, random_exact_structure,
                             random_respecting_operator)
 from istruct.errors import IstructError, ScenarioError
+from istruct.ideals import RealOperator, audit_self_conjugacy
 from istruct.pelczynski import chain_to_dict, reference_chain
 from istruct.report import VERIFIED, VIOLATED, VerificationReport, bounded
-from istruct.spaces import complexification_norm, norm_batch
+from istruct.spaces import complexification_norm, lp_space, norm_batch
 from istruct.theory import (build_complexification_witness, extract_conjugation,
                             verify_complex_cartesian_identities,
                             verify_real_cartesian_identities,
-                            verify_squares_isomorphism)
+                            verify_squares_isomorphism, verify_theorem_complex,
+                            verify_theorem_real)
 
 
 @pytest.fixture(scope="module")
@@ -683,14 +685,22 @@ def _loop_real_cartesian(params, rng, tol):
                               tolerances={"deviation": 0.0})
 
 
+def _loop_respecting_op(params, rng, tol):
+    """One random [T, A, B], drawn in the CLI's order: both dims, both
+    structures, then T."""
+    dim_d = cli._choice(rng, params["dims"])
+    dim_c = cli._choice(rng, params["dims"])
+    dom = random_exact_structure(dim_d, rng)
+    cod = random_exact_structure(dim_c, rng)
+    return random_respecting_operator(dom, cod, rng, tol=tol)
+
+
 def _loop_complex_cartesian(params, rng, tol):
     worst = 0.0
     for _ in range(params["count"]):
-        dom = random_exact_structure(cli._choice(rng, params["dims"]), rng)
-        cod = random_exact_structure(cli._choice(rng, params["dims"]), rng)
-        op = random_respecting_operator(dom, cod, rng, tol=tol)
         rep = verify_complex_cartesian_identities(
-            op, tol=tol, corrupt_annotation=params["corrupt"])
+            _loop_respecting_op(params, rng, tol), tol=tol,
+            corrupt_annotation=params["corrupt"])
         if not rep.ok:
             return rep
         worst = max(worst, max(rep.residuals.values()))
@@ -700,9 +710,32 @@ def _loop_complex_cartesian(params, rng, tol):
                                           "deviation": tol.abs_tol})
 
 
+def _loop_theorem_real(params, rng, tol):
+    corpus = []
+    for _ in range(params["count"]):
+        dim_d = cli._choice(rng, params["dims"])
+        dim_c = cli._choice(rng, params["dims"])
+        corpus.append(RealOperator(rng.standard_normal((dim_c, dim_d)),
+                                   lp_space(dim_d, 2.0), lp_space(dim_c, 2.0)))
+    return verify_theorem_real(params["oracle"], corpus)
+
+
+def _loop_theorem_complex(params, rng, tol):
+    corpus = [_loop_respecting_op(params, rng, tol) for _ in range(params["count"])]
+    return verify_theorem_complex(params["oracle"], corpus)
+
+
+def _loop_self_conjugacy(params, rng, tol):
+    corpus = [_loop_respecting_op(params, rng, tol) for _ in range(params["count"])]
+    return audit_self_conjugacy(params["oracle"], corpus, tol=tol)
+
+
 _LOOPS = {"prop1-roundtrip": _loop_prop1, "squares": _loop_squares,
           "real-cartesian": _loop_real_cartesian,
-          "complex-cartesian": _loop_complex_cartesian}
+          "complex-cartesian": _loop_complex_cartesian,
+          "theorem-real": _loop_theorem_real,
+          "theorem-complex": _loop_theorem_complex,
+          "self-conjugacy": _loop_self_conjugacy}
 
 
 def _loop_report(claim_id, parsed, seed, tol, loop=None):
@@ -736,10 +769,19 @@ _LOOP_TOLERANCES = [Tolerances(), Tolerances(tol_alg=1e-20), Tolerances(tol_alg=
 def test_shape_groups_report_what_the_loop_reports(scenario_path, workload):
     scenario = (load_scenario(scenario_path) if workload == "paper-all"
                 else _exact_algebra_scenario(7))
+    # doubling multiplies HS by sqrt 2, so the mismatches of this claim name
+    # the corpus indices of the operators with HS in (sqrt 2, 2]
+    scenario["oracles"]["r-hs-2"] = {"kind": "real", "descriptor": {
+        "type": "norm_threshold", "functional": "hilbert_schmidt", "bound": 2.0}}
+    scenario["claims"]["theorem-real-hs-2"] = {
+        "kind": "theorem-real", "oracle": "r-hs-2", "count": 30,
+        "dims": [1, 2, 3], "expect": "violated"}
     claims = _parsed_claims(scenario)
+    audits = 2 if workload == "paper-all" else 4
     assert sorted(kind for kind, _, _ in claims.values()) == sorted(
         ["complex-cartesian", "complex-cartesian", "prop1-roundtrip",
-         "real-cartesian", "squares"])
+         "real-cartesian", "squares"] + ["theorem-real"] * 7
+        + ["theorem-complex"] * 4 + ["self-conjugacy"] * audits)
     assert any(params["corrupt"] for _, _, params in claims.values()
                if "corrupt" in params)
     for seed in (1, 2, 3, 7, 101, 12345):
@@ -883,43 +925,65 @@ def test_corpus_claims_run_one_kernel_call_per_shape_group(monkeypatch):
     assert 0 < calls["_complex_cartesian_reports"] <= 8
 
 
-def test_oracle_claims_group_their_corpus_once(monkeypatch):
-    # regrouping at every decision made 52 groupings per exact-algebra pass:
-    # 2 per theorem-real, 6 per theorem-complex and 4 per self-conjugacy claim
-    claims = []  # (kind, oracle, groupings, decisions) of each claim run
-    groups, members = istruct.ideals._groups, istruct.ideals._members
+def _counted_groups(monkeypatch) -> list:
+    """Record the output of each ideals._groups pass."""
+    passes = []
+    groups = istruct.ideals._groups
 
-    def counted_groups(rows):
-        out = groups(rows)
-        claims[-1][2].append(out)
-        return out
+    def counted(rows):
+        passes.append(groups(rows))
+        return passes[-1]
+
+    monkeypatch.setattr(istruct.ideals, "_groups", counted)
+    return passes
+
+
+def test_oracle_claims_group_their_corpus_once(monkeypatch):
+    # the CLI draws each oracle corpus in its shape groups, so no claim
+    # regroups it (regrouping made 20 _groups passes per exact-algebra pass)
+    claims = []  # (kind, oracle, decisions) of each claim run
+    members = istruct.ideals._members
 
     def counted_members(oracle, grouped):
-        claims[-1][3].append((oracle, grouped))
+        claims[-1][2].append((oracle, grouped))
         return members(oracle, grouped)
 
     def counted_run(claim_id, parsed, *args, **kwargs):
         kind, _, params = parsed
-        claims.append((kind, params.get("oracle"), [], []))
+        claims.append((kind, params.get("oracle"), []))
         return run_claim(claim_id, parsed, *args, **kwargs)
 
     run_claim = cli.run_claim
     monkeypatch.setattr(cli, "run_claim", counted_run)
-    monkeypatch.setattr(istruct.ideals, "_groups", counted_groups)
+    passes = _counted_groups(monkeypatch)
     for module in (istruct.ideals, istruct.theory):
         monkeypatch.setattr(module, "_members", counted_members)
     report = run_suite(_exact_algebra_scenario(7), "exact-algebra")
     assert all(c["outcome"] == "verified" for c in report["claims"])
-    expected = {"theorem-real": 2, "theorem-complex": 1, "self-conjugacy": 1}
-    for kind, _, groupings, _ in claims:
-        assert len(groupings) == expected.get(kind, 0), kind
-    assert sum(len(groupings) for _, _, groupings, _ in claims) == 20
+    assert passes == []
     theorem_complex = [c for c in claims if c[0] == "theorem-complex"]
     assert len(theorem_complex) == 4
-    for _, oracle, (grouped,), decisions in theorem_complex:
+    for _, oracle, decisions in theorem_complex:
         # the direct, conjugate and unfolded decisions of one corpus, each
         # once, and one decision of the squares
+        grouped = decisions[0][1]
         on_corpus = [o for o, g in decisions if g is grouped]
         assert len(on_corpus) == 3 and sum(o is oracle for o in on_corpus) == 1
         assert len(set(map(id, on_corpus))) == 3
         assert len(decisions) == 4
+    for kind, _, decisions in claims:
+        if kind == "theorem-real":  # the direct and the unfolded decision
+            assert len(decisions) == 2 and decisions[0][1] is decisions[1][1]
+
+
+def test_theorem_real_groups_a_plain_list_once(monkeypatch):
+    passes = _counted_groups(monkeypatch)
+    rng = np.random.default_rng(3)
+    l2 = [lp_space(n, 2.0) for n in (1, 2, 3)]
+    corpus = [RealOperator(rng.standard_normal((cod.dim, dom.dim)), dom, cod)
+              for dom, cod in [(l2[0], l2[1]), (l2[1], l2[2]), (l2[2], l2[0])] * 4]
+    oracle = cli.oracle_from_dict({"kind": "real", "descriptor": {
+        "type": "norm_threshold", "functional": "operator_norm", "bound": 2.0}})
+    report = verify_theorem_real(oracle, corpus)
+    assert report.ok
+    assert len(passes) == 1 and len(passes[0]) == 3

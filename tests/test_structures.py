@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from istruct.corpus import (pairing_conjugation_matrix, random_exact_structure,
                             signed_pairing_matrix)
 from istruct.config import DEFAULT_TOL
 from istruct.errors import (DimensionMismatchError, StructureValidationError)
+from istruct.morphisms import _split_matrix
 from istruct.spaces import (NormedSpace, Polyhedral, SubspaceNorm, WeightedLp,
-                            direct_sum, euclidean_space, lp_space, norm)
+                            direct_sum, euclidean_gram, euclidean_space,
+                            lp_space, norm, norm_batch)
 from istruct.structures import (BY_CONSTRUCTION, FOUND, NONE_FINITE_GROUP,
                                 ODD_DIMENSION, UNDECIDED,
                                 _sampled_isometry_residual,
@@ -224,6 +227,25 @@ def test_natural_i_operator_proof_matches_certify(base):
     s = natural_i_operator(base)
     assert s.certificate is BY_CONSTRUCTION
     _same_certificate(certify(s.space, s.A), s.certificate)
+
+
+@pytest.mark.parametrize("base, c", [
+    (lp_space(1, 3.0), 1.0),
+    (NormedSpace(1, WeightedLp(1.5, np.array([2.5]))), 2.5 ** (1 / 1.5)),
+], ids=["l3", "weighted-l1.5"])
+def test_one_dimensional_lp_double_certifies_by_its_gram(base, c):
+    # every norm on a line is c|x|, so its Gram is [[c^2]]; the square of N on
+    # cplx(l3^1) took a sampled certify of 93 s before the Gram was known
+    assert euclidean_gram(base).shape == (1, 1)
+    assert euclidean_gram(base)[0, 0] == pytest.approx(c * c, rel=1e-15)
+    x = np.array([[-3.0], [0.5], [7.0]])
+    assert np.allclose(norm_batch(base, x), c * np.abs(x[:, 0]), rtol=1e-15)
+    s = natural_i_operator(base)
+    double = direct_sum(s.space, s.space, "complexification")
+    start = time.perf_counter()
+    cert = certify(double, _split_matrix(s.A))
+    assert time.perf_counter() - start < 1.0
+    _same_certificate(cert, BY_CONSTRUCTION)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 8])
