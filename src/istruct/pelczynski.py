@@ -295,8 +295,8 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
     n = s.space.dim
     R = np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=float)
-    if R.shape != (n, n) or S.shape != (n, n):
-        raise DimensionMismatchError(f"R and S must be {n} x {n}")
+    if R.shape != (n, n) or S.shape != (n, n) or not np.all(np.isfinite([R, S])):
+        raise DimensionMismatchError(f"R and S must be finite {n} x {n} matrices")
     residuals = {
         "RS_minus_I": float(np.max(np.abs(R @ S - np.eye(n)))),
         "R_respects(A,-A)": float(np.max(np.abs(R @ A + A @ R))),

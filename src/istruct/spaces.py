@@ -276,6 +276,8 @@ def _checked_operator(T, dom: NormedSpace, cod: NormedSpace) -> np.ndarray:
     if T.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
             f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
+    if not np.all(np.isfinite(T)):
+        raise DimensionMismatchError("T must be finite")
     return T
 
 
@@ -624,7 +626,8 @@ class _Form(NamedTuple):
 
     gram: G with ||x||^2 = x'Gx.  Lp(2), WeightedLp(2) and explicit quadratic
     norms; the complexification of a base with Gram G, whose averaged norm
-    has Gram diag(G, G) / 2; and a subspace, basis' G basis.
+    has Gram diag(G, G) / 2; and a subspace, basis' G basis.  Any other line
+    gets c^2, c its norm at 1, and keeps the pieces and breaks of its kind.
     pieces: (F, combiner) with ||x|| = sum_j |(F x)_j| ("sum") or
     max_j |(F x)_j| ("max").  Lp and WeightedLp with p = 1 or p = inf,
     Polyhedral norms, and subspaces of these, whose functionals are F @ basis.
@@ -655,8 +658,6 @@ def _closed_form(space: NormedSpace) -> _Form:
             gram = F
         elif d.p in (1.0, math.inf):
             pieces = F, "sum" if d.p == 1.0 else "max"
-        elif n == 1:  # on a line the norm is w^(1/p) |x|
-            gram = F ** (2.0 / d.p)
         breaks = _with_crossings(F) if math.isinf(d.p) else np.eye(n)
     elif isinstance(d, EuclideanQuadratic):
         gram = d.gram.view()
@@ -679,6 +680,8 @@ def _closed_form(space: NormedSpace) -> _Form:
         breaks = None if amb.breaks is None else amb.breaks @ d.basis
     if gram is not None:
         breaks = np.eye(n)
+    elif n == 1:  # every norm on a line is c|x|, c its norm at 1
+        gram = norm_batch(space, np.ones((1, 1)))[None] ** 2
     for a in (gram, pieces and pieces[0], breaks):
         if a is not None:
             a.flags.writeable = False

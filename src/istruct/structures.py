@@ -269,17 +269,17 @@ def search_i_operator(space: NormedSpace, *,
     """Decide whether the space carries an i-operator.
 
     - Odd dimension: none (A^2 = -I forces an even dimension).
-    - Euclidean-like norm with Gram G = L L': A = L^-T J L' is one, J the
-      canonical block rotation (A'GA = G and GA is antisymmetric).  It is
-      checked algebraically in whitened coordinates, where the norm is l2:
+    - Every complexification X_C: the natural operator N, an isometry by
+      construction (see certify), with residual 0.
+    - Any other Euclidean-like norm, with Gram G = L L': A = L^-T J L' is
+      one, J the canonical block rotation (A'GA = G and GA is antisymmetric).
+      It is checked algebraically in whitened coordinates, where the norm is l2:
       W = L' A L^-T against W^2 = -I and W'W = I, and the certificate holds
       W's residuals.  These are A's conditions measured in the space's own
       norm; in the coordinate basis A's entries grow with the condition of G
       and so does the rounding in A^2 + I.  W's residuals measure A against
       L L', not G, so the isometry residual also counts Cholesky's backward
       error max |L^-1 G L^-T - I| (0 for G = I).
-    - Any other complexification X_C: the natural operator N, an isometry by
-      construction (see certify), with residual 0.
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
       up to the weights) and every norm whose unit ball is a polytope
       (l1, l-infinity, weighted l1/l-infinity, Polyhedral and subspaces of
@@ -295,6 +295,9 @@ def search_i_operator(space: NormedSpace, *,
     n = space.dim
     if n % 2 != 0:
         return SearchResult(None, float("inf"), ODD_DIMENSION)
+    if isinstance(space.norm_desc, ComplexificationOfBase):
+        s = natural_i_operator(space.norm_desc.base)
+        return SearchResult(s, 0.0, FOUND, s.A)
     if space._whitening is not None:
         L = space._whitening[0].T
         A = np.linalg.solve(L.T, natural_i_operator_matrix(n // 2) @ L.T)
@@ -310,9 +313,6 @@ def search_i_operator(space: NormedSpace, *,
         if _rejection(c, tol) is not None:
             return SearchResult(None, residual, UNDECIDED, A)
         return SearchResult(ComplexStructure(space, A, c), residual, FOUND, A)
-    if isinstance(space.norm_desc, ComplexificationOfBase):
-        s = natural_i_operator(space.norm_desc.base)
-        return SearchResult(s, 0.0, FOUND, s.A)
     # p = 2 is Euclidean-like and decided above
     if (isinstance(space.norm_desc, (Lp, WeightedLp))
             or space._form.pieces is not None):

@@ -114,6 +114,8 @@ def build_complexification_witness(s: ComplexStructure, T, *,
     T = np.asarray(T, dtype=float)
     if T.shape != (dim, dim):
         raise WitnessError(f"T must be {dim} x {dim}, got {T.shape}")
+    if not np.all(np.isfinite(T)):
+        raise WitnessError("T must be finite")
     gram = euclidean_gram(s.space)
     w = _witnesses(s.A[None], T[None], None if gram is None else gram[None],
                    [s.space], tol=tol)
@@ -205,22 +207,17 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
 
 def _witness_report(r_inv, r_anti, round_dev, s_est: tuple, p_est: tuple) -> tuple:
     """The norm bound and the report of one witness, from its residuals and
-    the (value, exact) norms of S and of I + T."""
+    the (value, exact) norms of S and of I + T.  Sampled norms are lower
+    bounds, which neither prove nor refute ||S|| <= ||I + T||."""
     (s_norm, s_exact), (p_norm, p_exact) = s_est, p_est
     exact = s_exact and p_exact
-    if s_norm <= p_norm + 1e-6:
-        bound_status = VERIFIED
-    elif exact:
-        bound_status = VIOLATED
-    else:
-        # the sampled estimates are one-sided lower bounds; without exact
-        # values an apparent excess is not a refutation
-        bound_status = INCONCLUSIVE
+    bound_status = (INCONCLUSIVE if not exact
+                    else VERIFIED if s_norm <= p_norm + 1e-6 else VIOLATED)
     norm_bound = {"S": s_norm, "I_plus_T": p_norm, "exact": exact,
                   "status": bound_status}
-    status = VERIFIED if (bound_status == VERIFIED and round_dev <= 1e-8) \
-        else (VIOLATED if bound_status == VIOLATED or round_dev > 1e-8
-              else INCONCLUSIVE)
+    # a nan round_dev fails both tests: a verified bound becomes inconclusive
+    status = bound_status if round_dev <= 1e-8 else (
+        VIOLATED if round_dev > 1e-8 or bound_status == VIOLATED else INCONCLUSIVE)
     return norm_bound, VerificationReport(
         claim="complexification-witness",
         status=status,

@@ -6,17 +6,21 @@ from hypothesis.extra.numpy import arrays
 
 from istruct.corpus import (random_exact_structure, random_respecting_matrix,
                             random_respecting_operator)
-from istruct.errors import (CompositionError, DimensionMismatchError,
+from istruct.errors import (CompositionError, DimensionMismatchError, IstructError,
                             RespectViolationError)
 from istruct.config import DEFAULT_TOL
+from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold, RealOperator,
+                            decide_real, ideal_norm)
 from istruct.morphisms import (_inverses, block_diag2, complexify_operator, compose,
                                conjugate_operator, identity_operator,
                                injection_first, injection_second,
                                is_isomorphism, make_respecting,
                                matrix_norm_between, surjection_first,
                                surjection_second)
+from istruct.pelczynski import factorization_hypothesis_check
 from istruct.spaces import NormedSpace, Polyhedral, lp_space
-from istruct.structures import validate_i_operator
+from istruct.structures import natural_i_operator, validate_i_operator
+from istruct.theory import build_complexification_witness
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -194,3 +198,32 @@ def test_matrix_norm_between_identity():
     value, exact = matrix_norm_between(op.matrix, op.domain.space,
                                        op.codomain.space)
     assert exact and value == pytest.approx(1.0)
+
+
+_L2 = lp_space(2, 2.0)
+_ROT = validate_i_operator(_L2, J2)
+_TAKES_AN_OPERATOR = {
+    "make_respecting": lambda T: make_respecting(_ROT, _ROT, T),
+    "complexify_operator": lambda T: complexify_operator(T, _L2, _L2),
+    "is_isomorphism": lambda T: is_isomorphism(make_respecting(_ROT, _ROT, T)),
+    "matrix_norm_between": lambda T: matrix_norm_between(T, _L2, _L2),
+    "ideal_norm": lambda T: ideal_norm("operator_norm", T, _L2, _L2),
+    "decide_real-norm": lambda T: decide_real(
+        IdealOracle("real", NormThreshold("operator_norm", 1.0)), [RealOperator(T, _L2, _L2)]),
+    "decide_real-rank": lambda T: decide_real(
+        IdealOracle("real", RankThreshold(1)), [RealOperator(T, _L2, _L2)]),
+    "witness": lambda T: build_complexification_witness(
+        natural_i_operator(lp_space(1, 2.0)), T),
+    "factorization-R": lambda T: factorization_hypothesis_check(T, np.eye(2), _ROT),
+    "factorization-S": lambda T: factorization_hypothesis_check(np.eye(2), T, _ROT),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(_TAKES_AN_OPERATOR))
+def test_non_finite_operator_is_a_typed_error(entry, bad):
+    # a nan passes every "residual > tol" test, and an inf entry made
+    # is_isomorphism answer True or numpy raise LinAlgError
+    T = np.diag([1.0, bad])
+    with pytest.raises(IstructError, match="finite"):
+        _TAKES_AN_OPERATOR[entry](T)

@@ -39,3 +39,12 @@ def test_run_paper_suite_unwritable_report_exits_2(tmp_path):
     assert done.returncode == 2
     err = done.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write report {out}")
+
+
+def test_report_digest_prints_the_same_lines_twice():
+    runs = [_run_script("report_digest.py", "--seeds", "7") for _ in range(2)]
+    assert all(done.returncode == 0 for done in runs), runs[0].stderr
+    lines = [line.split() for line in runs[0].stdout.splitlines()]
+    assert [(w, s, len(d)) for w, s, d in lines] == [
+        ("paper-all", "7", 64), ("exact-algebra", "7", 64), ("non-euclidean", "7", 64)]
+    assert runs[1].stdout == runs[0].stdout

@@ -232,10 +232,18 @@ def test_natural_i_operator_proof_matches_certify(base):
 @pytest.mark.parametrize("base, c", [
     (lp_space(1, 3.0), 1.0),
     (NormedSpace(1, WeightedLp(1.5, np.array([2.5]))), 2.5 ** (1 / 1.5)),
-], ids=["l3", "weighted-l1.5"])
-def test_one_dimensional_lp_double_certifies_by_its_gram(base, c):
+    (lp_space(1, 1.0), 1.0),
+    (lp_space(1, math.inf), 1.0),
+    (NormedSpace(1, WeightedLp(math.inf, np.array([0.75]))), 0.75),
+    (NormedSpace(1, Polyhedral(np.array([[1.0], [-2.0], [0.5]]))), 2.0),
+    (NormedSpace(1, SubspaceNorm(lp_space(2, 3.0), np.array([[1.0], [2.0]]))),
+     9.0 ** (1 / 3)),
+], ids=["l3", "weighted-l1.5", "l1", "linf", "weighted-linf", "polyhedral",
+        "sub-of-l3"])
+def test_one_dimensional_double_certifies_by_its_gram(base, c):
     # every norm on a line is c|x|, so its Gram is [[c^2]]; the square of N on
-    # cplx(l3^1) took a sampled certify of 93 s before the Gram was known
+    # cplx(l3^1) took a sampled certify of 93 s before the Gram was known, and
+    # on the sub-of-l3 line one of 146-155 s
     assert euclidean_gram(base).shape == (1, 1)
     assert euclidean_gram(base)[0, 0] == pytest.approx(c * c, rel=1e-15)
     x = np.array([[-3.0], [0.5], [7.0]])
@@ -316,8 +324,15 @@ def test_search_proves_none_when_isometry_group_is_finite(space):
     _cplx(lp_space(2, 3.0)),
     _cplx(HEX),
     _cplx(_cplx(lp_space(2, 1.0))),
-], ids=["cplx-l1", "cplx-l3", "cplx-hex", "cplx-cplx-l1"])
+    _cplx(lp_space(2, 2.0)),
+    _cplx(euclidean_space(2, _random_gram(2, 13))),
+    _cplx(lp_space(1, 1.0)),
+    _cplx(lp_space(1, math.inf)),
+], ids=["cplx-l1", "cplx-l3", "cplx-hex", "cplx-cplx-l1", "cplx-l2", "cplx-quad-2",
+        "cplx-l1-line", "cplx-linf-line"])
 def test_search_finds_natural_operator_on_complexifications(space):
+    # N is tested before the whitening, whose Cholesky term gave a Gram base
+    # a residual of 2.2e-16
     result = search_i_operator(space)
     assert result.tag == FOUND
     s = result.found

@@ -92,7 +92,8 @@ def test_witness_reports_a_seed_only_when_a_norm_is_sampled():
     assert exact.norm_bound["exact"] and exact.report.seeds == {}
     sampled = build_complexification_witness(natural_i_operator(lp_space(2, 1.0)), T)
     assert not sampled.norm_bound["exact"] and sampled.report.seeds == {"seed": 0}
-    assert sampled.report.ok
+    # two sampled lower bounds neither prove nor refute ||S|| <= ||I + T||
+    assert sampled.report.status == "inconclusive"
 
 
 def test_witness_on_a_polytope_restricts_the_norm_to_y():
@@ -105,7 +106,7 @@ def test_witness_on_a_polytope_restricts_the_norm_to_y():
                                          conjugation_matrix(2))
     y = wit.S.codomain.space.norm_desc.base
     assert isinstance(y.norm_desc, SubspaceNorm) and y.norm_desc.ambient is space
-    assert wit.report.status == "verified"
+    assert wit.report.status == "inconclusive"  # the norms are sampled
 
 
 def _isomorphism_stack(half_dim, count, seed):
