@@ -243,7 +243,7 @@ def test_natural_i_operator_proof_matches_certify(base):
 def test_one_dimensional_double_certifies_by_its_gram(base, c):
     # every norm on a line is c|x|, so its Gram is [[c^2]]; the square of N on
     # cplx(l3^1) took a sampled certify of 93 s before the Gram was known, and
-    # on the sub-of-l3 line one of 146-155 s
+    # on the sub-of-l3 line one of 2.5-3 minutes
     assert euclidean_gram(base).shape == (1, 1)
     assert euclidean_gram(base)[0, 0] == pytest.approx(c * c, rel=1e-15)
     x = np.array([[-3.0], [0.5], [7.0]])

@@ -19,7 +19,8 @@ from istruct.structures import (ComplexStructure, certify, natural_i_operator,
                                 natural_i_operator_matrix, reevaluate_witness,
                                 validate_i_operator)
 from istruct.theory import (_complex_cartesian_reports, _conjugations,
-                            _real_cartesian_reports, _squares_reports, _witnesses,
+                            _real_cartesian_reports, _squares_reports,
+                            _witness_report, _witnesses,
                             build_complexification_witness,
                             conjugation_matrix, extract_conjugation,
                             split_structure, squares_isomorphism,
@@ -107,6 +108,23 @@ def test_witness_on_a_polytope_restricts_the_norm_to_y():
     y = wit.S.codomain.space.norm_desc.base
     assert isinstance(y.norm_desc, SubspaceNorm) and y.norm_desc.ambient is space
     assert wit.report.status == "inconclusive"  # the norms are sampled
+
+
+@pytest.mark.parametrize("s_norm, exact, round_dev, bound, status", [
+    (1.0, True, 0.0, "verified", "verified"),
+    (3.0, True, 0.0, "violated", "violated"),
+    (1.0, True, 1e-6, "verified", "violated"),
+    (1.0, False, 0.0, "inconclusive", "inconclusive"),
+    (3.0, False, 0.0, "inconclusive", "inconclusive"),
+    (1.0, False, 1e-6, "inconclusive", "violated"),
+    (1.0, True, np.nan, "verified", "inconclusive"),
+    (3.0, True, np.nan, "violated", "violated"),
+])
+def test_witness_status_follows_exactness_and_round_trip(s_norm, exact, round_dev,
+                                                          bound, status):
+    # ||I + T|| = 2; sampled norms are lower bounds that decide nothing
+    norm_bound, report = _witness_report(0.0, 0.0, round_dev, (s_norm, exact), (2.0, exact))
+    assert (norm_bound["status"], report.status) == (bound, status)
 
 
 def _isomorphism_stack(half_dim, count, seed):
