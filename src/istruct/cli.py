@@ -39,8 +39,8 @@ from .spaces import (_gram_complexification_norms, _gram_errors, _gram_norms,
                      block_diag2, complexification_norm,
                      complexification_norm_batch, direct_sum, lp_space,
                      norm_batch, space_from_dict)
-from .structures import (DEFAULT_SAMPLE_ANGLES, DEFAULT_SAMPLE_VECTORS,
-                         UNDECIDED, certify, natural_i_operator,
+from .structures import (BY_CONSTRUCTION, DEFAULT_SAMPLE_ANGLES,
+                         DEFAULT_SAMPLE_VECTORS, UNDECIDED, certify, natural_i_operator,
                          natural_i_operator_matrix, reevaluate_witness,
                          search_i_operator, validate_i_operator,
                          witness_to_dict)
@@ -405,11 +405,11 @@ def _h_prop1_roundtrip(params, rng, tol):
 def _h_squares(params, rng, tol):
     def draw():
         dim = _choice(rng, params["dims"])
-        return dim, corpus_gen.random_exact_structure(dim, rng)
+        return dim, corpus_gen.signed_pairing_matrix(dim, rng)
 
-    reports = _corpus_outcomes(
-        params["count"], draw,
-        lambda dim, structures: zip(*_squares_reports(structures, tol=tol)), _failed)
+    reports = _corpus_outcomes(params["count"], draw, lambda dim, As: zip(
+        *_squares_reports(corpus_gen._euclidean(dim), np.stack(As),
+                          [BY_CONSTRUCTION] * len(As), tol=tol)), _failed)
     return _verdict("square-space-isomorphism", reports,
                     {"worst_respect": _worst(reports, "respect"),
                      "worst_inverse_composition": _worst(reports, "inverse_composition")},
@@ -433,36 +433,34 @@ def _h_real_cartesian(params, rng, tol):
 
 
 def _draw_complex_op(rng, dims) -> tuple:
-    """The draws of one random [T, A, B] between signed-pairing structures:
-    ((dim_d, dim_c), (dom, cod, the normal matrix T is projected from))."""
+    """The draws of one random [T, A, B] on l2, A and B signed pairings:
+    ((dim_d, dim_c), (A, B, the normal matrix T is projected from))."""
     dim_d = _choice(rng, dims)
     dim_c = _choice(rng, dims)
-    dom = corpus_gen.random_exact_structure(dim_d, rng)
-    cod = corpus_gen.random_exact_structure(dim_c, rng)
-    return (dim_d, dim_c), (dom, cod, rng.standard_normal((dim_c, dim_d)))
+    A = corpus_gen.signed_pairing_matrix(dim_d, rng)
+    B = corpus_gen.signed_pairing_matrix(dim_c, rng)
+    return (dim_d, dim_c), (A, B, rng.standard_normal((dim_c, dim_d)))
 
 
 def _complex_ops(draws: list, tol) -> tuple:
     """The operators of one shape group of _draw_complex_op draws: the stacks
     of T, A and B, and the respect residual and error of each T."""
-    doms, cods, T0s = zip(*draws)
-    As = np.stack([s.A for s in doms])
-    Bs = np.stack([s.A for s in cods])
-    Ts = corpus_gen.respecting_part(np.stack(T0s), As, Bs)
+    As, Bs, T0s = map(np.stack, zip(*draws))
+    Ts = corpus_gen.respecting_part(T0s, As, Bs)
     return (Ts, As, Bs, *_respect_residuals(Ts, As, Bs, tol))
 
 
 def _random_complex_corpus(rng, dims, count, tol) -> GroupedCorpus:
     """count random [T, A, B], drawn in order and stacked a shape group at a
-    time; the first that fails to respect its structures raises."""
-    corpus = GroupedCorpus([], [None] * count)
+    time, each signed pairing certified BY_CONSTRUCTION (as in
+    corpus.random_exact_structure); the first that fails to respect its
+    structures raises."""
+    corpus = GroupedCorpus([], [(BY_CONSTRUCTION, BY_CONSTRUCTION)] * count)
     errors: dict = {}  # corpus index -> its respect error
-    for idx, draws in _drawn_groups(count, lambda: _draw_complex_op(rng, dims)).values():
+    for shape, (idx, draws) in _drawn_groups(
+            count, lambda: _draw_complex_op(rng, dims)).items():
         Ts, As, Bs, _, group_errors = _complex_ops(draws, tol)
-        doms, cods, _ = zip(*draws)
-        corpus.groups.append((idx, doms[0].space, cods[0].space, Ts, As, Bs))
-        for i, dom, cod in zip(idx, doms, cods):
-            corpus.structures[i] = dom, cod
+        corpus.groups.append((idx, *map(corpus_gen._euclidean, shape), Ts, As, Bs))
         errors.update((i, e) for i, e in zip(idx, group_errors) if e is not None)
     if errors:
         raise errors[min(errors)]

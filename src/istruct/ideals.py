@@ -178,12 +178,12 @@ class IdealOracle:
 class GroupedCorpus:
     """A corpus held in its (domain, codomain) groups, as _groups gives them:
     (idx, dom, cod, Ts) for real operators and (idx, dom, cod, Ts, As, Bs) for
-    [T, A, B].  structures[i] is the (domain, codomain) ComplexStructure pair
-    of item i of a complex corpus, whose certificates the audit's squares
-    reuse.  The stacks are trusted to map dom to cod."""
+    [T, A, B].  certificates[i] is the (domain, codomain) Certificate pair of
+    item i of a complex corpus, which the audit's squares inherit.  The
+    stacks are trusted to map dom to cod."""
 
     groups: list
-    structures: Sequence = ()
+    certificates: Sequence = ()
 
 
 def _grouped_corpus(corpus, kind: str) -> GroupedCorpus:
@@ -194,7 +194,8 @@ def _grouped_corpus(corpus, kind: str) -> GroupedCorpus:
         return GroupedCorpus(_groups((op.domain, op.codomain, op.matrix) for op in corpus))
     return GroupedCorpus(_groups((op.domain.space, op.codomain.space, op.matrix,
                                   op.domain.A, op.codomain.A) for op in corpus),
-                         [(op.domain, op.codomain) for op in corpus])
+                         [(op.domain.certificate, op.codomain.certificate)
+                          for op in corpus])
 
 
 def decide_real(oracle: IdealOracle,
@@ -321,9 +322,9 @@ def _squares(corpus: GroupedCorpus, *, tol: Tolerances) -> list:
         dom2 = direct_sum(dom, dom, "complexification")
         cod2 = direct_sum(cod, cod, "complexification")
         TT, A2s, B2s = block_diag2(Ts), _split_matrix(As), _split_matrix(Bs)
-        doms, cods = zip(*(corpus.structures[i] for i in idx))
-        first = first_errors(_split_on(dom2, doms, A2s, tol=tol)[1],
-                             _split_on(cod2, cods, B2s, tol=tol)[1],
+        doms, cods = zip(*(corpus.certificates[i] for i in idx))
+        first = first_errors(_split_on(dom2, A2s, doms, tol=tol)[1],
+                             _split_on(cod2, B2s, cods, tol=tol)[1],
                              _respect_residuals(TT, A2s, B2s, tol)[1])
         errors.update((i, e) for i, e in zip(idx, first) if e is not None)
         squares.append((idx, dom2, cod2, TT, A2s, B2s))

@@ -26,6 +26,10 @@ class RespectingOperator:
     matrix: np.ndarray
     respect_residual: float
 
+    def __post_init__(self):
+        # finite only: a corpus checks shapes, naming its first misshapen item
+        self.matrix = _checked_operator(self.matrix, None, None)
+
 
 # ---------------------------------------------------------------------------
 # Canonical injections and surjections on X (+) X

@@ -42,12 +42,13 @@ QUAD_RTOL = 1e-10
 QUAD_FAIL_RTOL = 1e-5
 
 # Elements per intermediate array in the blocked kernels (_arc_integrals,
-# _sinusoid_mean_sq): 65,536 doubles are 512 KB, so a block of evaluation
-# points and the few temporaries of its norm stay near a 2 MB L2 cache.
-# Measured on a 2-core Xeon with 2 MB of L2 per core, 16K-262K elements ran
-# within noise of each other; 8K paid per-block overhead, and 4M elements
-# (32 MB per array, the former bound) made natural-l3 of the paper-all suite
-# 1.5x slower.
+# _sinusoid_mean_sq): 65,536 doubles (512 KB) keep a block and its norm's few
+# temporaries near a 2 MB L2 cache.  On a 2-core Xeon with 2 MB of L2 per core,
+# 16K-262K elements ran within noise; 8K paid per-block overhead, and 4M made
+# natural-l3 of paper-all 1.5x slower (a claim since decided by proof, with no
+# quadrature).  The blocked kernels now serve the non-euclidean benchmark's six
+# fallback rotation claims (24K-40K arc points each at seed 7) and the sampled
+# certify of candidates other than N.
 _BLOCK_ELEMENTS = 65_536
 
 # 8-point Gauss-Legendre rule on [0, 1], the panel rule of the arc quadrature
@@ -270,14 +271,14 @@ def _check_vector(x, dim: int) -> np.ndarray:
     return x
 
 
-def _checked_operator(T, dom: NormedSpace, cod: NormedSpace) -> np.ndarray:
-    """T as a float matrix, checked to map dom to cod."""
+def _checked_operator(T, dom, cod, name: str = "T") -> np.ndarray:
+    """T as a float matrix, checked finite and, unless dom is None, to map dom to cod."""
     T = np.asarray(T, dtype=float)
-    if T.shape != (cod.dim, dom.dim):
+    if dom is not None and T.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
-            f"T must be {cod.dim} x {dom.dim}, got {T.shape}")
+            f"{name} must be {cod.dim} x {dom.dim}, got {T.shape}")
     if not np.all(np.isfinite(T)):
-        raise DimensionMismatchError("T must be finite")
+        raise DimensionMismatchError(f"{name} must be finite")
     return T
 
 

@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
-from .errors import DimensionMismatchError, StructureValidationError, single
+from .errors import StructureValidationError, single
 from .spaces import (ComplexificationOfBase, Lp, NormedSpace, WeightedLp,
-                     _check_vector, direct_sum, euclidean_gram,
-                     lp_space, norm, norm_batch, space_equal)
+                     _check_vector, _checked_operator, direct_sum,
+                     euclidean_gram, lp_space, norm, norm_batch, space_equal)
 
 DEFAULT_SAMPLE_VECTORS = 512
 DEFAULT_SAMPLE_ANGLES = 64
@@ -52,6 +52,9 @@ class ComplexStructure:
     A: np.ndarray
     certificate: Certificate
 
+    def __post_init__(self):
+        self.A = _checked_operator(self.A, self.space, self.space, "A")
+
 
 def structure_equal(a: ComplexStructure, b: ComplexStructure) -> bool:
     return space_equal(a.space, b.space) and np.array_equal(a.A, b.A)
@@ -64,12 +67,7 @@ def structure_equal(a: ComplexStructure, b: ComplexStructure) -> bool:
 def certify(space: NormedSpace, A, *, samples: int = DEFAULT_SAMPLE_VECTORS,
             angles: int = DEFAULT_SAMPLE_ANGLES) -> Certificate:
     """Compute residuals for a candidate i-operator without rejecting it."""
-    A = np.asarray(A, dtype=float)
-    n = space.dim
-    if A.shape != (n, n):
-        raise DimensionMismatchError(f"A must be {n} x {n}, got {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DimensionMismatchError("A must be finite")
+    A = _checked_operator(A, space, space, "A")
     gram = euclidean_gram(space)
     if gram is not None:
         return _gram_certificates(A[None], gram)[0]
@@ -79,7 +77,7 @@ def certify(space: NormedSpace, A, *, samples: int = DEFAULT_SAMPLE_VECTORS,
     # x cos phi + y sin phi of (x, y) to the row at phi - t, and the norm is a
     # mean over the full period of phi, so every rotation is an isometry
     if (isinstance(space.norm_desc, ComplexificationOfBase)
-            and np.array_equal(A, natural_i_operator_matrix(n // 2))):
+            and np.array_equal(A, natural_i_operator_matrix(space.dim // 2))):
         return Certificate(alg, 0.0, 0, True, None)
 
     iso, witness, used = _sampled_isometry_residual(space, A, samples, angles)
@@ -188,24 +186,20 @@ def conjugate_structure(s: ComplexStructure) -> ComplexStructure:
     return ComplexStructure(s.space, -s.A, cert)
 
 
-def _split_on(space2: NormedSpace, structures: Sequence[ComplexStructure],
-              A2s: np.ndarray, *, tol: Tolerances) -> tuple:
-    """theory.split_structure of each structure, all on the space X that space2
-    doubles (either norm), with A2s the stack of their A (+) -A: the split
-    structures, and the error of each that fails (None where it is kept)."""
-    sampled = (isinstance(space2.norm_desc, ComplexificationOfBase)
-               and euclidean_gram(space2.norm_desc.base) is None)
-    certs = []
-    for s, A2 in zip(structures, A2s):
-        cert = certify(space2, A2) if sampled else s.certificate
-        if not sampled and cert.witness is not None:
-            x, alpha, beta = cert.witness
-            cert = replace(cert, witness=(np.concatenate([x, np.zeros_like(x)]),
-                                          alpha, beta))
-        certs.append(cert)
-    errors = [_rejection(c, tol) for c in certs]
-    return ([None if e else ComplexStructure(space2, A2, c)
-             for e, A2, c in zip(errors, A2s, certs)], errors)
+def _split_on(space2: NormedSpace, A2s: np.ndarray,
+              certificates: Sequence[Certificate], *, tol: Tolerances) -> tuple:
+    """theory.split_structure of k structures [X, A] with their certificates,
+    all on the space X that space2 doubles (either norm), with A2s the stack
+    (k, 2n, 2n) of their A (+) -A: the certificates of the split structures,
+    and the error of each that fails (None where it is kept)."""
+    if (isinstance(space2.norm_desc, ComplexificationOfBase)
+            and euclidean_gram(space2.norm_desc.base) is None):
+        certs = [certify(space2, A2) for A2 in A2s]
+    else:  # inherited, with a witness x lifted to (x, 0)
+        certs = [c if c.witness is None else replace(c, witness=(
+            np.concatenate([c.witness[0], np.zeros_like(c.witness[0])]),
+            *c.witness[1:])) for c in certificates]
+    return certs, [_rejection(c, tol) for c in certs]
 
 
 def natural_i_operator_matrix(n: int) -> np.ndarray:

@@ -3,12 +3,13 @@ isomorphism, the Cartesian-square factorization identities, and the
 real/complex transform roundtrip checks for membership oracles.
 
 The witnesses, squares and identities are checked a shape group at a time:
-each has a private kernel over stacks of k items of one shape that makes every
-check of its single-item function and returns, per item, the result and the
-error the single-item call would raise (None if it passes).  The public
-single-item function is the kernel's call with k = 1, unwrapped by
-errors.single to its one result or its one error raised.  A caller that
-stacks a corpus raises the error of its first failing item in corpus order.
+each has a private kernel over stacks of k items of one shape (matrices, and
+the certificates squares inherit) that makes every check of its single-item
+function and returns, per item, the values and the error the single-item call
+would raise (None if it passes).  The public single-item function is the
+kernel's call with k = 1, unwrapped by errors.single, and alone builds its
+structure or operator objects.  A caller that stacks a corpus raises the
+error of its first failing item in corpus order.
 """
 
 from __future__ import annotations
@@ -261,63 +262,64 @@ def split_structure(s: ComplexStructure, *, tol: Tolerances = DEFAULT_TOL,
 
     A rotation turns the first half by cos t I + sin t A and the second by
     cos t I - sin t A, each an isometry of X.  So with the sum norm the pair
-    inherits s's certificate, a witness x lifted to (x, 0).  The averaged norm
-    keeps the argument only on a Euclidean-like X, where its Gram is
-    diag(G, G) / 2; elsewhere the pair is validated by sampling and is in
-    general not an i-operator (on X = l2^2 (+)_1 l2^2 with J (+) J the isometry
-    residual is 7.9e-2), so the averaged square needs Euclidean-like X.
+    inherits s's certificate, a witness x lifted to (x, 0).  On the averaged
+    norm A (+) -A is an i-operator iff X's norm comes from an inner product:
+    a Euclidean-like X inherits too (Gram diag(G, G) / 2), and any other X is
+    sampled (on l2^2 (+)_1 l2^2 with J (+) J the isometry residual is 7.9e-2).
     """
-    split, errors = _split_on(direct_sum(s.space, s.space, mode), [s],
-                              _split_matrix(s.A[None]), tol=tol)
-    return single(split[0], errors[0])
+    space2 = direct_sum(s.space, s.space, mode)
+    A2 = _split_matrix(s.A)
+    certs, errors = _split_on(space2, A2[None], [s.certificate], tol=tol)
+    return single(ComplexStructure(space2, A2, certs[0]), errors[0])
 
 
 def squares_isomorphism(s: ComplexStructure, *,
                         tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
     """Isomorphism [X (+) X, N_X] -> [X (+) X, A (+) -A]."""
-    _, ops, errors = _squares_isomorphisms([s], tol=tol)
-    return single(ops[0], errors[0])
+    Ms, certs, res, errors = _squares_isomorphisms(s.space, s.A[None],
+                                                   [s.certificate], tol=tol)
+    square = ComplexStructure(direct_sum(s.space, s.space, "sum"),
+                              _split_matrix(s.A), certs[0])
+    return single(RespectingOperator(natural_i_operator(s.space), square, Ms[0],
+                                     res[0]), errors[0])
 
 
-def _squares_isomorphisms(structures: Sequence[ComplexStructure], *,
-                          tol: Tolerances) -> tuple:
-    """squares_isomorphism of each structure, all on one space X: the stack of
-    the matrices, the operators, and the error of each that fails (None where
-    it holds).  N_X and the doubled space are built once."""
-    space = structures[0].space
-    As = np.stack([s.A for s in structures])
+def _squares_isomorphisms(space: NormedSpace, As: np.ndarray,
+                          certificates: Sequence, *, tol: Tolerances) -> tuple:
+    """squares_isomorphism of each structure [space, A] of a stack As
+    (k, n, n), certified by certificates: the stack of the matrices, the
+    certificates of the sum-norm squares [X (+) X, A (+) -A], the respect
+    residuals, and the error of each item that fails (None where it holds)."""
     A2s = _split_matrix(As)
-    dom = natural_i_operator(space)
-    cods, split_errors = _split_on(direct_sum(space, space, "sum"), structures,
-                                   A2s, tol=tol)
+    certs, split_errors = _split_on(direct_sum(space, space, "sum"), A2s,
+                                    certificates, tol=tol)
     Ms = squares_isomorphism_matrix(As)
-    res, respect_errors = _respect_residuals(Ms, dom.A, A2s, tol)
-    errors = first_errors(split_errors, respect_errors)
-    return Ms, [None if e else RespectingOperator(dom, c, M, r)
-                for e, c, M, r in zip(errors, cods, Ms, res)], errors
+    res, respect_errors = _respect_residuals(
+        Ms, natural_i_operator_matrix(space.dim), A2s, tol)
+    return Ms, certs, res, first_errors(split_errors, respect_errors)
 
 
 def verify_squares_isomorphism(s: ComplexStructure, *,
                                tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
-    reports, errors = _squares_reports([s], tol=tol)
+    reports, errors = _squares_reports(s.space, s.A[None], [s.certificate], tol=tol)
     return single(reports[0], errors[0])
 
 
-def _squares_reports(structures: Sequence[ComplexStructure], *,
-                     tol: Tolerances) -> tuple:
-    """verify_squares_isomorphism of each structure, all on one space: the
-    reports, and the error of each whose isomorphism fails (None where it
-    holds)."""
-    Ms, ops, errors = _squares_isomorphisms(structures, tol=tol)
-    inv = squares_isomorphism_inverse_matrix(np.stack([s.A for s in structures]))
+def _squares_reports(space: NormedSpace, As: np.ndarray, certificates: Sequence,
+                     *, tol: Tolerances) -> tuple:
+    """verify_squares_isomorphism of each structure [space, A] of a stack As
+    (k, n, n), certified by certificates: the reports, and the error of each
+    whose isomorphism fails (None where it holds)."""
+    Ms, _, res, errors = _squares_isomorphisms(space, As, certificates, tol=tol)
+    inv = squares_isomorphism_inverse_matrix(As)
     eye = np.eye(Ms.shape[-1])
     dev = np.maximum(np.max(np.abs(inv @ Ms - eye), axis=(1, 2)),
                      np.max(np.abs(Ms @ inv - eye), axis=(1, 2))).tolist()
-    return [None if op is None else bounded(
-        "square-space-isomorphism", op.respect_residual <= tol.tol_alg and d <= 1e-12,
-        {"respect": op.respect_residual, "inverse_composition": d},
-        {"respect": tol.tol_alg, "inverse": 1e-12}, {"A": s.A.tolist()})
-        for s, op, d in zip(structures, ops, dev)], errors
+    return [None if e else bounded(
+        "square-space-isomorphism", r <= tol.tol_alg and d <= 1e-12,
+        {"respect": r, "inverse_composition": d},
+        {"respect": tol.tol_alg, "inverse": 1e-12}, {"A": A.tolist()})
+        for e, r, d, A in zip(errors, res, dev, As)], errors
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import json
 import math
@@ -19,9 +20,11 @@ from istruct.corpus import (random_complexification_isomorphism,
                             random_respecting_operator)
 from istruct.errors import IstructError, ScenarioError
 from istruct.ideals import RealOperator, audit_self_conjugacy
+from istruct.morphisms import RespectingOperator
 from istruct.pelczynski import chain_to_dict, reference_chain
 from istruct.report import VERIFIED, VIOLATED, VerificationReport, bounded
 from istruct.spaces import complexification_norm, lp_space, norm_batch
+from istruct.structures import ComplexStructure
 from istruct.theory import (build_complexification_witness, extract_conjugation,
                             verify_complex_cartesian_identities,
                             verify_real_cartesian_identities,
@@ -270,6 +273,26 @@ def test_constructions_are_not_recertified(scenario_path, monkeypatch, suite):
     report = run_suite(scenario, suite)
     assert all(c["outcome"] == "verified" for c in report["claims"])
     assert 0 < len(calls) < 100
+
+
+@pytest.mark.parametrize("suite", ["paper-all", "exact-algebra"])
+def test_corpus_kernels_build_no_structure_per_item(scenario_path, monkeypatch, suite):
+    # the corpus kernels take stacks of matrices and their certificates; a
+    # warm pass built 562 and 2,904 ComplexStructure, and 10 and 60
+    # RespectingOperator, when they took one structure per item
+    scenario = (load_scenario(scenario_path) if suite == "paper-all"
+                else _exact_algebra_scenario(7))
+    run_suite(scenario, suite)  # builds what is cached on shared spaces
+    made = collections.Counter()
+    for cls in (ComplexStructure, RespectingOperator):
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            made[name] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    report = run_suite(scenario, suite)
+    assert all(c["outcome"] == "verified" for c in report["claims"])
+    assert made["RespectingOperator"] == 0
+    assert 0 < made["ComplexStructure"] <= len(report["claims"])
 
 
 def test_exact_algebra_decides_a_corpus_at_a_time(monkeypatch):

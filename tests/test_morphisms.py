@@ -11,7 +11,8 @@ from istruct.errors import (CompositionError, DimensionMismatchError, IstructErr
 from istruct.config import DEFAULT_TOL
 from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold, RealOperator,
                             decide_real, ideal_norm)
-from istruct.morphisms import (_inverses, block_diag2, complexify_operator, compose,
+from istruct.morphisms import (RespectingOperator, _inverses, block_diag2,
+                               complexify_operator, compose,
                                conjugate_operator, identity_operator,
                                injection_first, injection_second,
                                is_isomorphism, make_respecting,
@@ -19,8 +20,10 @@ from istruct.morphisms import (_inverses, block_diag2, complexify_operator, comp
                                surjection_second)
 from istruct.pelczynski import factorization_hypothesis_check
 from istruct.spaces import NormedSpace, Polyhedral, lp_space
-from istruct.structures import natural_i_operator, validate_i_operator
-from istruct.theory import build_complexification_witness
+from istruct.structures import (BY_CONSTRUCTION, ComplexStructure,
+                                natural_i_operator, validate_i_operator)
+from istruct.theory import (build_complexification_witness, extract_conjugation,
+                            split_structure, squares_isomorphism)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -216,6 +219,14 @@ _TAKES_AN_OPERATOR = {
         natural_i_operator(lp_space(1, 2.0)), T),
     "factorization-R": lambda T: factorization_hypothesis_check(T, np.eye(2), _ROT),
     "factorization-S": lambda T: factorization_hypothesis_check(np.eye(2), T, _ROT),
+    # direct constructions: the structure or operator checks its own matrix
+    "direct-is_isomorphism": lambda T: is_isomorphism(RespectingOperator(_ROT, _ROT, T, 0.0)),
+    "direct-extract_conjugation": lambda T: extract_conjugation(
+        RespectingOperator(_ROT, _ROT, T, 0.0)),
+    "direct-split_structure": lambda T: split_structure(
+        ComplexStructure(_L2, T, BY_CONSTRUCTION)),
+    "direct-squares_isomorphism": lambda T: squares_isomorphism(
+        ComplexStructure(_L2, T, BY_CONSTRUCTION)),
 }
 
 
@@ -223,7 +234,8 @@ _TAKES_AN_OPERATOR = {
 @pytest.mark.parametrize("entry", sorted(_TAKES_AN_OPERATOR))
 def test_non_finite_operator_is_a_typed_error(entry, bad):
     # a nan passes every "residual > tol" test, and an inf entry made
-    # is_isomorphism answer True or numpy raise LinAlgError
+    # is_isomorphism answer True or numpy raise LinAlgError; a structure
+    # with a nan in A came out of split_structure as a valid square
     T = np.diag([1.0, bad])
     with pytest.raises(IstructError, match="finite"):
         _TAKES_AN_OPERATOR[entry](T)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import istruct
+from istruct.cli import bundled_scenario_path, load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -48,3 +49,15 @@ def test_report_digest_prints_the_same_lines_twice():
     assert [(w, s, len(d)) for w, s, d in lines] == [
         ("paper-all", "7", 64), ("exact-algebra", "7", 64), ("non-euclidean", "7", 64)]
     assert runs[1].stdout == runs[0].stdout
+
+    # one line per claim entry, each naming its claim
+    claims = [_run_script("report_digest.py", "--seeds", "7", "--per-claim")
+              for _ in range(2)]
+    assert all(done.returncode == 0 for done in claims), claims[0].stderr
+    assert claims[1].stdout == claims[0].stdout
+    ids: dict = {}
+    for workload, seed, claim_id, d in (line.split() for line in claims[0].stdout.splitlines()):
+        assert (seed, len(d)) == ("7", 64)
+        ids.setdefault(workload, []).append(claim_id)
+    assert list(ids) == ["paper-all", "exact-algebra", "non-euclidean"]
+    assert ids["paper-all"] == load_scenario(bundled_scenario_path())["suites"]["paper-all"]

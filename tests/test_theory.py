@@ -13,10 +13,12 @@ from istruct.errors import (RespectViolationError, StructureValidationError,
 from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold,
                             RealOperator)
 from istruct.spaces import (ComplexificationOfBase, NormedSpace, Polyhedral,
-                            SubspaceNorm, direct_sum, lp_space, space_equal)
+                            SubspaceNorm, direct_sum, euclidean_gram, lp_space,
+                            norm_batch, space_equal)
 from istruct.morphisms import RespectingOperator, make_respecting
-from istruct.structures import (ComplexStructure, certify, natural_i_operator,
-                                natural_i_operator_matrix, reevaluate_witness,
+from istruct.structures import (UNDECIDED, ComplexStructure, certify,
+                                natural_i_operator, natural_i_operator_matrix,
+                                reevaluate_witness, search_i_operator,
                                 validate_i_operator)
 from istruct.theory import (_complex_cartesian_reports, _conjugations,
                             _real_cartesian_reports, _squares_reports,
@@ -237,6 +239,24 @@ def test_averaged_square_off_euclidean_is_a_typed_error():
     assert exc_info.value.certificate.isometry_residual > 1e-2
 
 
+def test_averaged_square_of_an_unrecognized_inner_product_passes_by_sampling():
+    # the rows (cos j pi/3, sin j pi/3) of l4^3 span a plane with the norm
+    # (9/8)^(1/4) |x|, since sum_j cos^4(t - j pi/3) = 9/8; no closed form
+    # recognizes it, so only the sampled certify can accept A (+) -A on its
+    # averaged square, which is an i-operator as the norm is an inner product's
+    j = np.arange(3)
+    basis = np.stack([np.cos(j * np.pi / 3), np.sin(j * np.pi / 3)], axis=1)
+    X = NormedSpace(2, SubspaceNorm(lp_space(3, 4.0), basis))
+    x = np.random.default_rng(0).standard_normal((20, 2))
+    assert norm_batch(X, x) == pytest.approx(
+        (9 / 8) ** 0.25 * np.linalg.norm(x, axis=1), rel=1e-14)
+    assert euclidean_gram(X) is None
+    assert search_i_operator(X).tag == UNDECIDED
+    c = split_structure(validate_i_operator(X, J2), mode="complexification").certificate
+    assert not c.exact and c.samples_used > 0
+    assert c.algebraic_residual == 0.0 and c.isometry_residual < 1e-14
+
+
 def test_squares_isomorphism_exact():
     rng = np.random.default_rng(4)
     for dim in (2, 4, 6):
@@ -251,7 +271,9 @@ def test_squares_isomorphism_exact():
 def test_stacked_squares_reports_are_the_single_calls(tol):
     rng = np.random.default_rng(12)
     structures = [random_exact_structure(4, rng) for _ in range(6)]
-    reports, errors = _squares_reports(structures, tol=tol)
+    reports, errors = _squares_reports(
+        structures[0].space, np.stack([s.A for s in structures]),
+        [s.certificate for s in structures], tol=tol)
     for s, report, error in zip(structures, reports, errors):
         if error is None:
             assert verify_squares_isomorphism(s, tol=tol).to_dict() == report.to_dict()
