@@ -31,6 +31,12 @@ class RespectingOperator:
         self.matrix = _checked_operator(self.matrix, None, None)
 
 
+def _fitted_matrix(op: RespectingOperator) -> np.ndarray:
+    """op's matrix, checked to map its domain's space to its codomain's
+    (DimensionMismatchError otherwise): for the single-item functions."""
+    return _checked_operator(op.matrix, op.domain.space, op.codomain.space)
+
+
 # ---------------------------------------------------------------------------
 # Canonical injections and surjections on X (+) X
 # ---------------------------------------------------------------------------
@@ -143,7 +149,7 @@ def is_isomorphism(op: RespectingOperator, *,
     """Square and numerically invertible => inverse operator, which respects
     the structures automatically (T A = B T and T invertible give
     T^{-1} B = A T^{-1})."""
-    T = op.matrix
+    T = _fitted_matrix(op)
     if T.shape[0] != T.shape[1]:
         return IsomorphismResult(False, reason="non-square")
     singular, sv, Tinv, res, errors = _inverses(T[None], op.domain.A, op.codomain.A, tol)

@@ -4,19 +4,20 @@ A space is a dimension plus a norm descriptor.  The complexification norm on
 X (+) X is the L2 average of || x cos(phi) + y sin(phi) || over a full period.
 
 For Euclidean-like bases the mean is (x'Gx + y'Gy) / 2.  For l1,
-l-infinity, weighted l1/l-infinity and polyhedral bases, and subspaces of
-them, the base norm is a sum or a maximum of |<f_j, .>|, so the integrand is
-built from sinusoids |a_j cos(phi) + b_j sin(phi)| and its mean has a closed
-form as well.
+l-infinity, weighted l1/l-infinity and polyhedral bases, l1-sums of these
+and subspaces of all of them, the unit ball is a polytope: the base norm is a
+sum over parts of a sum or a maximum of |<f_j, .>|, so the integrand is built
+from sinusoids |a_j cos(phi) + b_j sin(phi)| and its mean has a closed form
+as well.
 
-Every other base (general p, sums, subspaces, nested complexifications) has
-an integrand that is analytic between finitely many kink angles per row (see
-_kink_angles).  The period is split there and each arc is integrated by
-composite Gauss-Legendre quadrature, which converges spectrally on analytic
-arcs.  The arcs of a level are evaluated in cache-sized blocks whose points
-are stored coordinate-major, and lp norms reduce over coordinates in one
-fixed order, so no value depends on the block size or on the memory layout
-of the input.
+Every other base (general p, sums or subspaces with such a part, nested
+complexifications) has an integrand that is analytic between finitely many
+kink angles per row (see _kink_angles).  The period is split there and each
+arc is integrated by composite Gauss-Legendre quadrature, which converges
+spectrally on analytic arcs.  The arcs of a level are evaluated in
+cache-sized blocks whose points are stored coordinate-major, and lp norms
+reduce over coordinates in one fixed order, so no value depends on the block
+size or on the memory layout of the input.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ QUAD_RTOL = 1e-10
 QUAD_FAIL_RTOL = 1e-5
 
 # Elements per intermediate array in the blocked kernels (_arc_integrals,
-# _sinusoid_mean_sq): 65,536 doubles (512 KB) keep a block and its norm's few
-# temporaries near a 2 MB L2 cache.  On a 2-core Xeon with 2 MB of L2 per core,
-# 16K-262K elements ran within noise; 8K paid per-block overhead, and 4M made
-# natural-l3 of paper-all 1.5x slower (a claim since decided by proof, with no
-# quadrature).  The blocked kernels now serve the non-euclidean benchmark's six
-# fallback rotation claims (24K-40K arc points each at seed 7) and the sampled
-# certify of candidates other than N.
+# _sinusoid_mean_sq, _parts_mean_sq): 65,536 doubles (512 KB) keep a block and
+# its norm's few temporaries near a 2 MB L2 cache.  On a 2-core Xeon with 2 MB
+# of L2 per core, 16K-262K elements ran within noise; 8K paid per-block
+# overhead, and 4M made natural-l3 of paper-all 1.5x slower (a claim since
+# decided by proof, with no quadrature).  The arc quadrature now serves the
+# non-euclidean benchmark's four general-p rotation claims (24K-40K arc points
+# each at seed 7) and the sampled certify of candidates other than N.
 _BLOCK_ELEMENTS = 65_536
 
 # 8-point Gauss-Legendre rule on [0, 1], the panel rule of the arc quadrature
@@ -353,12 +354,14 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
                                 Y: np.ndarray) -> np.ndarray:
     """Batched complexification norm.
 
-    Euclidean-like bases and bases whose norm is a sum or a maximum of
-    |<f_j, .>| (the gram and the pieces of the base's _Form) are evaluated
-    exactly.  Every other base is integrated arc by arc between the kink
-    angles of each row (`_kink_angles`), so rotating a row moves its arcs
-    with it and rotation invariance holds to a few ulps at every angle.
-    QUAD_MAX_NODES bounds the norm evaluations per row of that quadrature.
+    Euclidean-like bases and bases whose unit ball is a polytope, with a norm
+    that is a sum over parts of a sum or a maximum of |<f_j, .>| (the gram
+    and the pieces of the base's _Form), are evaluated exactly: a single part
+    by _sinusoid_mean_sq, several (an l1-sum) arc by arc by _parts_mean_sq.
+    Every other base is integrated by quadrature on the arcs between the kink
+    angles of each row (`_kink_angles`).  Either way rotating a row moves its
+    arcs with it, and rotation invariance holds to a few ulps at every angle.
+    QUAD_MAX_NODES bounds the norm evaluations per row of the quadrature.
 
     The norm is homogeneous, so each row pair is first scaled by a power of
     two near its largest entry and the value scaled back: nothing overflows or
@@ -376,8 +379,10 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
     if not np.any(nonzero):
         return out
     Xn, Yn, exp = _scaled_pairs(X[nonzero], Y[nonzero])
-    if form.pieces is not None:
-        mean_sq = _sinusoid_mean_sq(Xn, Yn, *form.pieces)
+    if form.pieces is not None and len(form.pieces) == 1:
+        mean_sq = _sinusoid_mean_sq(Xn, Yn, *form.pieces[0])
+    elif form.pieces is not None:
+        mean_sq = _parts_mean_sq(Xn, Yn, form.pieces, _kink_angles(base, Xn, Yn))
     else:
         mean_sq = _arc_mean_sq(base, Xn, Yn, _kink_angles(base, Xn, Yn))
     out[nonzero] = np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
@@ -492,14 +497,7 @@ def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
     below QUAD_FAIL_RTOL, otherwise a QuadratureError is raised.
     """
     k = len(X)
-    # a missing kink repeats the row's largest one, which makes an empty arc;
-    # a row with no kink at all gets one at 0, so its single arc is [0, pi)
-    largest = np.fmax.reduce(kinks, axis=1, initial=0.0)
-    ends = np.sort(np.column_stack([np.where(np.isnan(kinks), largest[:, None], kinks),
-                                    largest]), axis=1)
-    widths = np.diff(ends, axis=1, append=ends[:, :1] + np.pi)
-    row, col = np.nonzero(widths > 0.0)
-    start, width = ends[row, col], widths[row, col]
+    row, start, width = _arcs(kinks)
     Xa, Ya = X[row], Y[row]
 
     value = _arc_integrals(base, Xa, Ya, start, width, 0)
@@ -533,6 +531,89 @@ def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
                     f"(last relative change {worst:.3e})")
             active = active[~stop]
     return np.bincount(row, weights=value, minlength=k) / np.pi
+
+
+def _arcs(kinks: np.ndarray) -> tuple:
+    """(row, start, width) of each nonempty arc of [0, pi) between a row's
+    kink angles (nan: no kink), the arcs of each row in order of angle."""
+    # a missing kink repeats the row's largest one, which makes an empty arc;
+    # a row with no kink at all gets one at 0, so its single arc is [0, pi)
+    largest = np.fmax.reduce(kinks, axis=1, initial=0.0)
+    ends = np.sort(np.column_stack([np.where(np.isnan(kinks), largest[:, None], kinks),
+                                    largest]), axis=1)
+    widths = np.diff(ends, axis=1, append=ends[:, :1] + np.pi)
+    row, col = np.nonzero(widths > 0.0)
+    return row, ends[row, col], widths[row, col]
+
+
+def _parts_mean_sq(X: np.ndarray, Y: np.ndarray, parts: tuple,
+                   kinks: np.ndarray) -> np.ndarray:
+    """Exact mean over phi of ||x cos phi + y sin phi||^2, per row, for the
+    base norm sum over parts (F, combiner) of sum_j |(F .)_j| ("sum") or
+    max_j |(F .)_j| ("max"), given the row's kink angles (_kink_angles of a
+    base with break rows).
+
+    Between two kinks every P_j . u keeps its sign and every maximum its
+    maximizer (P_j = (a_j, b_j) as in _sinusoid_mean_sq), so the norm is
+    f = R . u for one R per arc: each part adds sign(P_j . u) P_j of its
+    active functionals (all of a "sum", the maximizer of a "max"), read at
+    the arc's midpoint.  Over an arc of width w, f^2 integrates to
+    |R|^2 w / 2 less half the change of f f' across the arc.  Around the
+    period these changes meet at the kinks, where f is continuous and f'
+    jumps, and a kink from R to R' adds f (f'_after - f'_before) / 2, which
+    is R x R' / 2 (the last arc of a row goes on to minus its first R: the
+    period is pi).  So no angle enters but the widths, and every other term
+    turns with the row.  Both sums are compensated (_compensated_sum):
+    rotating a row reorders its terms, which must not move its value.
+    """
+    row, start, width = _arcs(kinks)
+    projections = [(X @ F.T, Y @ F.T, combiner) for F, combiner in parts]
+    R = np.empty((2, len(row)))
+    # block over arcs to bound the (arcs, functionals) intermediates
+    per_block = max(1, _BLOCK_ELEMENTS // sum(len(F) for F, _ in parts))
+    for lo in range(0, len(row), per_block):
+        arcs = slice(lo, lo + per_block)
+        mid = start[arcs] + width[arcs] / 2.0
+        c, s = np.cos(mid)[:, None], np.sin(mid)[:, None]
+        signed = []
+        for A, B, combiner in projections:
+            a, b = A[row[arcs]], B[row[arcs]]
+            value = a * c + b * s
+            if combiner == "max":
+                pick = np.arange(len(value)), np.argmax(np.abs(value), axis=1)
+                value, a, b = (v[pick][:, None] for v in (value, a, b))
+            sign = np.sign(value)
+            signed.append((sign * a, sign * b))
+        for i, columns in enumerate(zip(*signed)):
+            R[i, arcs] = _compensated_sum(np.hstack(columns))
+    # each arc's successor in its row: the next arc, or the row's first
+    # turned by pi
+    first = np.searchsorted(row, row)
+    last = np.ones(len(row), dtype=bool)
+    last[:-1] = row[1:] != row[:-1]
+    after = np.where(last, first, np.arange(1, len(row) + 1))
+    Ra, Rb = R
+    Sa, Sb = R[:, after] * np.where(last, -1.0, 1.0)
+    terms = (Ra * Ra + Rb * Rb) * width + (Ra * Sb - Rb * Sa)
+    position = np.arange(len(row)) - first
+    table = np.zeros((len(X), np.max(position, initial=0) + 1))
+    table[row, position] = terms
+    return _compensated_sum(table) / (2.0 * np.pi)
+
+
+def _compensated_sum(T: np.ndarray) -> np.ndarray:
+    """The sum of each row of T (k, m): the columns are added left to right,
+    and the rounding error of each addition (Knuth's TwoSum) is added back at
+    the end, so the sum is good to about an ulp in any order of its terms."""
+    total = T[:, 0].copy()
+    error = np.zeros(len(T))
+    for j in range(1, T.shape[1]):
+        term = T[:, j]
+        new = total + term
+        part = new - total
+        error += (total - (new - part)) + (term - part)
+        total = new
+    return total + error
 
 
 # one entry per level reached; no rule is larger than a row's node budget
@@ -629,9 +710,12 @@ class _Form(NamedTuple):
     norms; the complexification of a base with Gram G, whose averaged norm
     has Gram diag(G, G) / 2; and a subspace, basis' G basis.  Any other line
     gets c^2, c its norm at 1, and keeps the pieces and breaks of its kind.
-    pieces: (F, combiner) with ||x|| = sum_j |(F x)_j| ("sum") or
-    max_j |(F x)_j| ("max").  Lp and WeightedLp with p = 1 or p = inf,
-    Polyhedral norms, and subspaces of these, whose functionals are F @ basis.
+    pieces: a tuple of parts (F, combiner) with ||x|| the sum over the parts
+    of sum_j |(F x)_j| ("sum") or max_j |(F x)_j| ("max"), for norms whose
+    unit ball is a polytope.  Lp and WeightedLp with p = 1 or p = inf and
+    Polyhedral norms have one part; an l1-sum of two spaces with pieces has
+    the parts of both, each F zero-padded onto its block; a subspace has its
+    ambient space's parts, each F mapped to F @ basis.
     breaks: rows g such that ||x cos phi + y sin phi|| is analytic in phi
     between the zeros of <g, x cos phi + y sin phi>.  A Euclidean-like norm
     gives the coordinate rows: it is analytic except where the whole vector
@@ -658,35 +742,45 @@ def _closed_form(space: NormedSpace) -> _Form:
         if d.p == 2.0:
             gram = F
         elif d.p in (1.0, math.inf):
-            pieces = F, "sum" if d.p == 1.0 else "max"
+            pieces = ((F, "sum" if d.p == 1.0 else "max"),)
         breaks = _with_crossings(F) if math.isinf(d.p) else np.eye(n)
     elif isinstance(d, EuclideanQuadratic):
         gram = d.gram.view()
     elif isinstance(d, Polyhedral):
-        pieces = d.functionals.view(), "max"
+        pieces = ((d.functionals.view(), "max"),)
         breaks = _with_crossings(d.functionals)
     elif isinstance(d, ComplexificationOfBase):
         g = d.base._form.gram
         gram = None if g is None else block_diag2(g / 2.0)
     elif isinstance(d, SumNorm):
-        left, right = d.left._form.breaks, d.right._form.breaks
-        if left is not None and right is not None:
-            breaks = np.zeros((len(left) + len(right), n))
-            breaks[:len(left), :d.left.dim] = left
-            breaks[len(left):, d.left.dim:] = right
+        left, right, m = d.left._form, d.right._form, d.left.dim
+        if left.breaks is not None and right.breaks is not None:
+            breaks = np.vstack([_on_block(left.breaks, 0, n),
+                                _on_block(right.breaks, m, n)])
+        if left.pieces is not None and right.pieces is not None:
+            pieces = (tuple((_on_block(F, 0, n), c) for F, c in left.pieces)
+                      + tuple((_on_block(F, m, n), c) for F, c in right.pieces))
     else:  # SubspaceNorm
         amb = d.ambient._form
         gram = None if amb.gram is None else d.basis.T @ amb.gram @ d.basis
-        pieces = None if amb.pieces is None else (amb.pieces[0] @ d.basis, amb.pieces[1])
+        pieces = None if amb.pieces is None else tuple((F @ d.basis, c)
+                                                       for F, c in amb.pieces)
         breaks = None if amb.breaks is None else amb.breaks @ d.basis
     if gram is not None:
         breaks = np.eye(n)
     elif n == 1:  # every norm on a line is c|x|, c its norm at 1
         gram = norm_batch(space, np.ones((1, 1)))[None] ** 2
-    for a in (gram, pieces and pieces[0], breaks):
+    for a in (gram, breaks, *(F for F, _ in pieces or ())):
         if a is not None:
             a.flags.writeable = False
     return _Form(gram, pieces, breaks)
+
+
+def _on_block(F: np.ndarray, start: int, n: int) -> np.ndarray:
+    """The rows of F zero-padded to length n, F on the columns from start."""
+    out = np.zeros((len(F), n))
+    out[:, start:start + F.shape[1]] = F
+    return out
 
 
 def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ proves its result is an i-operator (the natural operator N on a
 complexification, signed pairings on l2, A (+) -A on a square) attaches the
 certificate of that proof, BY_CONSTRUCTION or the one it inherits, and runs no
 check.  `certify` measures candidates: exactly (algebraically) for
-Euclidean-like norms, structurally for N on a complexification, and by
-sampling otherwise.
+Euclidean-like norms, structurally for N on a complexification, part by part
+for A1 (+) A2 on an l1-sum whose parts both certify exactly, and by sampling
+otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import StructureValidationError, single
-from .spaces import (ComplexificationOfBase, Lp, NormedSpace, WeightedLp,
+from .spaces import (ComplexificationOfBase, Lp, NormedSpace, SumNorm, WeightedLp,
                      _check_vector, _checked_operator, direct_sum,
                      euclidean_gram, lp_space, norm, norm_batch, space_equal)
 
@@ -68,20 +69,43 @@ def certify(space: NormedSpace, A, *, samples: int = DEFAULT_SAMPLE_VECTORS,
             angles: int = DEFAULT_SAMPLE_ANGLES) -> Certificate:
     """Compute residuals for a candidate i-operator without rejecting it."""
     A = _checked_operator(A, space, space, "A")
+    cert = _exact_certificate(space, A)
+    if cert is not None:
+        return cert
+    alg = float(_algebraic_residuals(A[None])[0])
+    iso, witness, used = _sampled_isometry_residual(space, A, samples, angles)
+    return Certificate(alg, iso, used, False, witness)
+
+
+def _exact_certificate(space: NormedSpace, A: np.ndarray) -> Optional[Certificate]:
+    """certify's exact certificate of A, or None where it would sample."""
     gram = euclidean_gram(space)
     if gram is not None:
         return _gram_certificates(A[None], gram)[0]
-    alg = float(_algebraic_residuals(A[None])[0])
-
+    d = space.norm_desc
     # N = natural_i_operator_matrix on X_C: cos t I + sin t N maps the row
     # x cos phi + y sin phi of (x, y) to the row at phi - t, and the norm is a
     # mean over the full period of phi, so every rotation is an isometry
-    if (isinstance(space.norm_desc, ComplexificationOfBase)
+    if (isinstance(d, ComplexificationOfBase)
             and np.array_equal(A, natural_i_operator_matrix(space.dim // 2))):
-        return Certificate(alg, 0.0, 0, True, None)
+        return Certificate(float(_algebraic_residuals(A[None])[0]), 0.0, 0, True, None)
+    # on ||x1|| + ||x2||, a rotation of A1 (+) A2 is an isometry when the
+    # rotations of A1 and of A2 are, each on its part
+    if isinstance(d, SumNorm):
+        n = d.left.dim
+        if not (np.any(A[:n, n:]) or np.any(A[n:, :n])):
+            parts = (_exact_certificate(d.left, A[:n, :n]),
+                     _exact_certificate(d.right, A[n:, n:]))
+            if None not in parts:
+                return _joined(parts)
+    return None
 
-    iso, witness, used = _sampled_isometry_residual(space, A, samples, angles)
-    return Certificate(alg, iso, used, False, witness)
+
+def _joined(parts) -> Certificate:
+    """The exact certificate of A1 (+) A2 from those of A1 and A2: each
+    residual is the larger of the two parts' (A^2 + I is block diagonal)."""
+    return Certificate(max(c.algebraic_residual for c in parts),
+                       max(c.isometry_residual for c in parts), 0, True, None)
 
 
 def _algebraic_residuals(As: np.ndarray) -> np.ndarray:
@@ -106,9 +130,11 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
     """Max over sampled unit vectors and grid angles of | ||ax + bAx|| - 1 |.
 
     Complexification norms over Euclidean-like, l1, l-infinity, weighted
-    l1/l-infinity, polyhedral and subspace-of-these bases are exact, and every
-    other base is integrated between the kinks of each rotated row to far
-    below QUAD_RTOL, so the check sees little more than rounding at any angle.
+    l1/l-infinity and polyhedral bases, l1-sums of these and subspaces of all
+    of them are exact, and every other base is integrated between the kinks
+    of each rotated row to far below QUAD_RTOL, so the check sees little more
+    than rounding at any angle.  A block-diagonal A on an l1-sum whose blocks
+    both certify exactly never comes here (see certify).
     """
     n = space.dim
     rng = np.random.default_rng(SAMPLE_SEED)
@@ -276,11 +302,14 @@ def search_i_operator(space: NormedSpace, *,
       error max |L^-1 G L^-T - I| (0 for G = I).
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
       up to the weights) and every norm whose unit ball is a polytope
-      (l1, l-infinity, weighted l1/l-infinity, Polyhedral and subspaces of
-      these: the isometries permute the finitely many vertices): the isometry
-      group is finite, so it cannot contain the circle {alpha I + beta A}.
-    - Any other norm (sums, subspaces of general-p bases) is undecided,
-      which is not a nonexistence proof.  So is a Gram matrix so
+      (l1, l-infinity, weighted l1/l-infinity, Polyhedral, l1-sums of these
+      and subspaces of all of them: the isometries permute the finitely many
+      vertices): the isometry group is finite, so it cannot contain the
+      circle {alpha I + beta A}.
+    - An l1-sum whose two parts both have one found: A1 (+) A2, whose
+      certificate joins the parts' (see certify).
+    - Any other norm (other sums, subspaces of general-p bases) is
+      undecided, which is not a nonexistence proof.  So is a Gram matrix so
       ill-conditioned that W misses tol in floating point (a 2 x 2
       Gram of condition 1e8 often does: the whitened residual of even the
       correctly rounded A is of order eps * cond(G)); A is still returned as
@@ -311,6 +340,17 @@ def search_i_operator(space: NormedSpace, *,
     if (isinstance(space.norm_desc, (Lp, WeightedLp))
             or space._form.pieces is not None):
         return SearchResult(None, float("inf"), NONE_FINITE_GROUP)
+    if isinstance(space.norm_desc, SumNorm):
+        d = space.norm_desc
+        parts = [search_i_operator(d.left, tol=tol).found,
+                 search_i_operator(d.right, tol=tol).found]
+        if None not in parts:
+            A = np.zeros((n, n))
+            A[:d.left.dim, :d.left.dim] = parts[0].A
+            A[d.left.dim:, d.left.dim:] = parts[1].A
+            c = _joined([s.certificate for s in parts])
+            residual = c.algebraic_residual + c.isometry_residual
+            return SearchResult(ComplexStructure(space, A, c), residual, FOUND, A)
     return SearchResult(None, float("inf"), UNDECIDED)
 
 

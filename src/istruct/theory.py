@@ -23,7 +23,7 @@ from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import WitnessError, first_errors, single
 from .ideals import (DECISION_NOTE, _audit, _grouped_corpus, _members,
                      complexify_ideal, decide_real, realify_ideal)
-from .morphisms import (RANK_RTOL, RespectingOperator, _inverses,
+from .morphisms import (RANK_RTOL, RespectingOperator, _fitted_matrix, _inverses,
                         _respect_residuals, _split_matrix,
                         injection_first, injection_second,
                         matrix_norm_between, surjection_first,
@@ -53,7 +53,7 @@ def extract_conjugation(iso: RespectingOperator, *,
 
     Verifies T^2 = I and T A = -A T within tol.
     """
-    S = iso.matrix
+    S = _fitted_matrix(iso)
     if S.shape[0] != S.shape[1]:
         raise WitnessError("map is not invertible (non-square)")
     Ts, errors = _conjugations(S[None], iso.domain.A, iso.codomain.A, tol=tol)
@@ -370,7 +370,7 @@ def verify_complex_cartesian_identities(op: RespectingOperator, *,
     respecting (A, A(+)-A); the report then records the violation witness.
     """
     return _complex_cartesian_reports(
-        op.matrix[None], op.domain.A[None], op.codomain.A[None], tol=tol,
+        _fitted_matrix(op)[None], op.domain.A[None], op.codomain.A[None], tol=tol,
         corrupt_annotation=corrupt_annotation)[0]
 
 

@@ -23,7 +23,8 @@ from istruct.spaces import NormedSpace, Polyhedral, lp_space
 from istruct.structures import (BY_CONSTRUCTION, ComplexStructure,
                                 natural_i_operator, validate_i_operator)
 from istruct.theory import (build_complexification_witness, extract_conjugation,
-                            split_structure, squares_isomorphism)
+                            split_structure, squares_isomorphism,
+                            verify_complex_cartesian_identities)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -228,6 +229,18 @@ _TAKES_AN_OPERATOR = {
     "direct-squares_isomorphism": lambda T: squares_isomorphism(
         ComplexStructure(_L2, T, BY_CONSTRUCTION)),
 }
+
+
+@pytest.mark.parametrize("check", [is_isomorphism, extract_conjugation,
+                                   verify_complex_cartesian_identities],
+                         ids=["is_isomorphism", "extract_conjugation",
+                              "verify_complex_cartesian_identities"])
+def test_misshapen_operator_is_a_typed_error(check):
+    # the operator checks only that T is finite when made; a single-item
+    # function checks that T maps its domain's space to its codomain's
+    s4 = euclid_structure(4, 3)
+    with pytest.raises(DimensionMismatchError, match="T must be 4 x 4, got"):
+        check(RespectingOperator(s4, s4, np.eye(2), 0.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -25,7 +25,7 @@ def test_search_l1_structure_gives_all_three_answers():
     tags = {line[:10].strip(): line[11:] for line in done.stdout.splitlines()
             if not line.startswith((" ", "["))}
     assert tags == {"l2 plane": "found", "l1 plane": "none: finite isometry group",
-                    "l1 (+) l2": "undecided"}
+                    "l2 (+) l2": "found", "l1 (+) l2": "undecided"}
 
 
 def test_run_paper_suite_passes():

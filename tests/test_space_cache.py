@@ -111,7 +111,7 @@ def _form_spaces():
 
 
 def _form_arrays(form) -> list:
-    return [a for a in (form.gram, form.pieces and form.pieces[0], form.breaks)
+    return [a for a in (form.gram, form.breaks, *(F for F, _ in form.pieces or ()))
             if a is not None]
 
 

@@ -16,13 +16,15 @@ from istruct.errors import (DescriptorError, DimensionMismatchError,
                             QuadratureError)
 from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             NormedSpace, Polyhedral, SubspaceNorm,
-                            WeightedLp, _kink_angles, complexification_norm,
+                            WeightedLp, _arc_mean_sq, _compensated_sum,
+                            _kink_angles, _parts_mean_sq, complexification_norm,
                             complexification_norm_batch, direct_sum,
                             euclidean_gram, euclidean_space, lp_space, norm,
                             norm_batch, space_equal, space_from_dict,
                             space_to_dict)
-from istruct.structures import (_sampled_isometry_residual,
-                                natural_i_operator_matrix)
+from istruct.structures import (NONE_FINITE_GROUP, ODD_DIMENSION,
+                                _sampled_isometry_residual,
+                                natural_i_operator_matrix, search_i_operator)
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -275,6 +277,8 @@ def _exact_bases():
     bases["poly-3x6"] = NormedSpace(3, Polyhedral(rng.standard_normal((6, 3))))
     bases["sub-of-l1-4"] = NormedSpace(2, SubspaceNorm(lp_space(4, 1.0),
                                                        rng.standard_normal((4, 2))))
+    # an l1-sum of polytope norms is one too, with a part per summand
+    bases["l1+linf"] = direct_sum(lp_space(2, 1.0), lp_space(2, math.inf), "sum")
     return bases
 
 
@@ -304,14 +308,24 @@ def test_exact_cplx_norm_matches_fine_grid(name):
 
 
 def test_sinusoid_pieces_recognition():
-    assert lp_space(2, 1.0)._form.pieces[1] == "sum"
-    assert lp_space(2, math.inf)._form.pieces[1] == "max"
-    F, combiner = EXACT_BASES["sub-of-l1-4"]._form.pieces
+    [(F, combiner)] = lp_space(2, 1.0)._form.pieces
+    assert combiner == "sum" and np.array_equal(F, np.eye(2))
+    assert [c for _, c in lp_space(2, math.inf)._form.pieces] == ["max"]
+    [(F, combiner)] = EXACT_BASES["sub-of-l1-4"]._form.pieces
     assert combiner == "sum" and F.shape == (4, 2)
+    # an l1-sum has the parts of both summands, each on its own block
+    lines = direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "sum")
+    assert [(F.tolist(), c) for F, c in lines._form.pieces] == [
+        ([[1.0, 0.0]], "sum"), ([[0.0, 1.0]], "sum")]
+    hex_ = NormedSpace(2, Polyhedral(HEX))
+    nested = direct_sum(EXACT_BASES["l1+linf"], hex_, "sum")
+    assert [(F.shape, c) for F, c in nested._form.pieces] == [
+        ((2, 6), "sum"), ((2, 6), "max"), ((3, 6), "max")]
+    np.testing.assert_array_equal(nested._form.pieces[2][0][:, 4:], HEX)
     for other in (lp_space(2, 2.0), lp_space(2, 3.0),
                   NormedSpace(2, EuclideanQuadratic(np.eye(2))),
-                  direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "sum"),
                   direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "complexification"),
+                  direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum"),
                   NormedSpace(1, SubspaceNorm(lp_space(2, 3.0), np.ones((2, 1))))):
         assert other._form.pieces is None
 
@@ -419,6 +433,78 @@ def test_exact_cplx_norm_duplicated_and_parallel_functionals():
                                    rtol=1e-14, atol=0.0)
 
 
+def _polytope_sums():
+    rng = np.random.default_rng(19)
+    l1_linf = direct_sum(lp_space(2, 1.0), lp_space(2, math.inf), "sum")
+    hex_ = NormedSpace(2, Polyhedral(HEX))
+    wl1 = NormedSpace(2, WeightedLp(1.0, rng.uniform(0.5, 2.0, 2)))
+    return {"l1+linf": l1_linf,
+            "wl1+hex": direct_sum(wl1, hex_, "sum"),
+            "linf+hex": direct_sum(lp_space(2, math.inf), hex_, "sum"),
+            "sub-of-l1+linf": NormedSpace(3, SubspaceNorm(l1_linf,
+                                                          rng.standard_normal((4, 3)))),
+            "(l1+linf)+hex": direct_sum(l1_linf, hex_, "sum")}
+
+
+POLYTOPE_SUMS = _polytope_sums()
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPE_SUMS))
+def test_parts_kernel_matches_arc_quadrature(name):
+    # the arc quadrature, on the same rows and kinks, is the reference
+    base = POLYTOPE_SUMS[name]
+    assert len(base._form.pieces) >= 2 and euclidean_gram(base) is None
+    rng = np.random.default_rng(20)
+    X, Y = rng.standard_normal((400, base.dim)), rng.standard_normal((400, base.dim))
+    x = X[0]
+    X = np.vstack([X, [x, x, np.zeros(base.dim)]])
+    Y = np.vstack([Y, [2.5 * x, np.zeros(base.dim), x]])
+    kinks = _kink_angles(base, X, Y)
+    np.testing.assert_allclose(_parts_mean_sq(X, Y, base._form.pieces, kinks),
+                               _arc_mean_sq(base, X, Y, kinks), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPE_SUMS))
+def test_parts_cplx_norm_rotation_invariant_to_a_few_ulp(name):
+    base = POLYTOPE_SUMS[name]
+    rng = np.random.default_rng(21)
+    X, Y = rng.standard_normal((64, base.dim)), rng.standard_normal((64, base.dim))
+    ref = complexification_norm_batch(base, X, Y)
+    for t in (0.1234, 1.0, 2.5):
+        c, s = math.cos(t), math.sin(t)
+        rot = complexification_norm_batch(base, c * X - s * Y, s * X + c * Y)
+        assert np.max(np.abs(rot - ref) / np.spacing(ref)) <= 4.0
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPE_SUMS))
+def test_parts_cplx_norm_does_not_depend_on_block_size(name, monkeypatch):
+    # a budget of 1 puts one arc in each block; 4,000,000 puts all in one
+    base = POLYTOPE_SUMS[name]
+    rng = np.random.default_rng(22)
+    X, Y = rng.standard_normal((16, base.dim)), rng.standard_normal((16, base.dim))
+    ref = complexification_norm_batch(base, X, Y)
+    for budget in (1, 4_000_000):
+        monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", budget)
+        np.testing.assert_array_equal(complexification_norm_batch(base, X, Y), ref)
+
+
+def test_compensated_sum_does_not_depend_on_the_order_of_its_terms():
+    terms = np.array([1e16, 1.0, -1e16, 1.0, 3.0 * 2.0 ** -60])
+    rng = np.random.default_rng(23)
+    table = np.array([rng.permutation(terms) for _ in range(24)])
+    np.testing.assert_array_equal(_compensated_sum(table), 2.0 + 3.0 * 2.0 ** -60)
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPE_SUMS))
+def test_search_proves_none_on_polytope_sums(name):
+    # the unit ball is a polytope, so the isometry group is finite; an odd
+    # dimension is answered first
+    space = POLYTOPE_SUMS[name]
+    result = search_i_operator(space)
+    assert result.tag == (ODD_DIMENSION if space.dim % 2 else NONE_FINITE_GROUP)
+    assert result.found is None
+
+
 def test_exact_cplx_norm_large_polyhedral_batch():
     rng = np.random.default_rng(18)
     F = rng.standard_normal((40, 3))
@@ -437,7 +523,7 @@ def test_exact_cplx_norm_large_polyhedral_batch():
 
 
 # ---------------------------------------------------------------------------
-# Arc quadrature: general-p, sum and subspace bases
+# Arc quadrature: general-p bases, and sums and subspaces with such a part
 # ---------------------------------------------------------------------------
 
 def _arc_bases():
@@ -449,9 +535,6 @@ def _arc_bases():
             bases[f"l{p:g}-{dim}"] = (lp_space(dim, p), np.eye(dim))
     bases["l7.5-3"] = (lp_space(3, 7.5), np.eye(3))
     bases["wl3-3"] = (NormedSpace(3, WeightedLp(3.0, rng.uniform(0.5, 2.0, 3))), np.eye(3))
-    # the l-infinity part also kinks where its two coordinates cross
-    bases["l1+linf"] = (direct_sum(lp_space(2, 1.0), lp_space(2, math.inf), "sum"),
-                        np.vstack([np.eye(4), [[0, 0, 1, 1], [0, 0, 1, -1]]]))
     bases["l3+l1"] = (direct_sum(lp_space(2, 3.0), lp_space(2, 1.0), "sum"), np.eye(4))
     basis = rng.standard_normal((4, 2))
     bases["sub-of-l3-4"] = (NormedSpace(2, SubspaceNorm(lp_space(4, 3.0), basis)), basis)

@@ -118,7 +118,8 @@ def _cplx(base):
 ], ids=["l1", "linf", "l3", "weighted-l1", "hex-2", "l1.5-3", "l1+linf"])
 def test_natural_i_operator_is_isometric_under_quadrature(base):
     # certify decides N by its proof; sampling it still checks the
-    # complexification norm's quadrature on the bases the scenarios use
+    # complexification norm on the bases the scenarios use: the arc
+    # quadrature, and for l1+linf the exact kernel of polytope sums
     N = natural_i_operator_matrix(base.dim)
     iso, _, used = _sampled_isometry_residual(_cplx(base), N, 128, 16)
     assert used == 128 * 16
@@ -350,6 +351,45 @@ def test_search_undecided_elsewhere(space):
     result = search_i_operator(space)
     assert result.tag == UNDECIDED
     assert result.found is None
+
+
+_PLANES = direct_sum(lp_space(2, 2.0), lp_space(2, 2.0), "sum")
+_JJ = np.kron(np.eye(2), J2)
+
+
+@pytest.mark.parametrize("space, A", [
+    (_PLANES, _JJ),
+    (direct_sum(_PLANES, _cplx(lp_space(1, 1.0)), "sum"),
+     np.kron(np.eye(3), J2)),
+], ids=["l2+l2", "(l2+l2)+cplx-l1-line"])
+def test_search_finds_the_parts_operators_on_a_sum(space, A):
+    # each part has an i-operator, so their direct sum is one on the l1-sum
+    result = search_i_operator(space)
+    assert result.tag == FOUND
+    assert np.array_equal(result.found.A, A)
+    c = result.found.certificate
+    assert c.exact and c.samples_used == 0
+    assert result.best_residual == 0.0
+
+
+def test_certify_of_a_block_diagonal_operator_on_a_sum_is_exact():
+    c = certify(_PLANES, _JJ)
+    assert c.exact and c.samples_used == 0
+    assert c.algebraic_residual == 0.0 and c.isometry_residual == 0.0
+    # the larger of the parts' residuals, each part certified on its own
+    A = _JJ.copy()
+    A[2:, 2:] *= 1.5
+    c = certify(_PLANES, A)
+    part = certify(lp_space(2, 2.0), A[2:, 2:])
+    assert c.exact and c.samples_used == 0
+    assert c.algebraic_residual == part.algebraic_residual > 0.0
+    assert c.isometry_residual == part.isometry_residual > 0.0
+
+
+def test_certify_samples_a_block_diagonal_operator_with_an_inexact_part():
+    space = direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum")
+    c = certify(space, _JJ, samples=16, angles=8)
+    assert not c.exact and c.samples_used == 16 * 8
 
 
 def _conditioned_gram(n, condition, seed):

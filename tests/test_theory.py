@@ -16,7 +16,8 @@ from istruct.spaces import (ComplexificationOfBase, NormedSpace, Polyhedral,
                             SubspaceNorm, direct_sum, euclidean_gram, lp_space,
                             norm_batch, space_equal)
 from istruct.morphisms import RespectingOperator, make_respecting
-from istruct.structures import (UNDECIDED, ComplexStructure, certify,
+from istruct.structures import (UNDECIDED, Certificate, ComplexStructure,
+                                _sampled_isometry_residual, certify,
                                 natural_i_operator, natural_i_operator_matrix,
                                 reevaluate_witness, search_i_operator,
                                 validate_i_operator)
@@ -200,10 +201,18 @@ def test_split_structure_complexification_mode():
 
 def _sum_of_planes():
     """[l2^2 (+)_1 l2^2, J (+) J]: an i-operator whose space is not
-    Euclidean-like, certified by sampling."""
+    Euclidean-like, certified exactly, one plane at a time."""
     plane = lp_space(2, 2.0)
     JJ = np.kron(np.eye(2), natural_i_operator_matrix(1))
     return validate_i_operator(direct_sum(plane, plane, "sum"), JJ)
+
+
+def _sampled_sum_of_planes():
+    """_sum_of_planes with the certificate sampling gives it, witness and
+    all: a sampled certificate for the split structure to inherit."""
+    s = _sum_of_planes()
+    iso, witness, used = _sampled_isometry_residual(s.space, s.A, 64, 16)
+    return ComplexStructure(s.space, s.A, Certificate(0.0, iso, used, False, witness))
 
 
 # a sampled residual also sees the rounding of the norms it compares, a few
@@ -215,7 +224,8 @@ ROUNDING = 4 * np.finfo(float).eps
     (lambda: random_exact_structure(4, np.random.default_rng(6)), "sum"),
     (lambda: random_exact_structure(4, np.random.default_rng(6)), "complexification"),
     (_sum_of_planes, "sum"),
-], ids=["l2-sum", "l2-complexification", "planes-sum"])
+    (_sampled_sum_of_planes, "sum"),
+], ids=["l2-sum", "l2-complexification", "planes-sum", "sampled-planes-sum"])
 def test_split_structure_inherits_a_certificate_certify_confirms(make, mode):
     s = make()
     sp = split_structure(s, mode=mode)
