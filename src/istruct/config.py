@@ -10,7 +10,9 @@ class Tolerances:
     """Comparison tolerances.
 
     tol_alg bounds exact algebraic residuals (e.g. max-entry of A^2 + I);
-    tol_iso bounds sampled isometry residuals; abs_tol bounds only the
+    tol_iso bounds isometry residuals, sampled or exact, each measured in
+    the space's own norm (a Gram candidate's residuals whitened, see
+    structures._gram_certificates); abs_tol bounds only the
     deviations of the complex Cartesian-square identities.  No check reads
     rel_tol: it is only echoed in a suite's report.
     """

@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import first_errors, single
-from .morphisms import RespectingOperator, _respect_residuals, make_respecting
+from .errors import DescriptorError, first_errors, single
+from .morphisms import RespectingOperator, _respect_residuals
 from .spaces import (EuclideanQuadratic, NormedSpace, _gram_errors,
-                     block_diag2, euclidean_space, lp_space)
+                     _whitening_factors, block_diag2, euclidean_space, lp_space)
 from .structures import (BY_CONSTRUCTION, ComplexStructure, _gram_certificates,
                          _rejection, natural_i_operator,
                          natural_i_operator_matrix)
@@ -29,7 +29,7 @@ SPREAD = 0.3  # normal Z / sqrt(n) has norm ~2, so _near_identity is well condit
 def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A random matrix with A^2 = -I exactly: a signed pairing of coordinates."""
     if dim % 2 != 0:
-        raise ValueError("signed pairing needs even dimension")
+        raise DescriptorError("signed pairing needs even dimension")
     perm = rng.permutation(dim)
     A = np.zeros((dim, dim))
     for i in range(dim // 2):
@@ -38,28 +38,6 @@ def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
         A[q, p] = s
         A[p, q] = -s
     return A
-
-
-def pairing_conjugation_matrix(A: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """A random T with T^2 = I and T A = -A T, exact, for a signed-pairing A."""
-    dim = A.shape[0]
-    T = np.zeros((dim, dim))
-    done = np.zeros(dim, dtype=bool)
-    for p in range(dim):
-        if done[p]:
-            continue
-        q = int(np.argmax(np.abs(A[:, p])))
-        done[p] = done[q] = True
-        kind = int(rng.integers(4))
-        if kind == 0:      # reflect: e_p -> e_p, e_q -> -e_q
-            T[p, p], T[q, q] = 1.0, -1.0
-        elif kind == 1:    # reflect the other way
-            T[p, p], T[q, q] = -1.0, 1.0
-        elif kind == 2:    # swap
-            T[q, p], T[p, q] = 1.0, 1.0
-        else:              # negated swap
-            T[q, p], T[p, q] = -1.0, -1.0
-    return T
 
 
 def random_exact_structure(dim: int, rng: np.random.Generator) -> ComplexStructure:
@@ -79,12 +57,6 @@ def _euclidean(dim: int) -> NormedSpace:
     return lp_space(dim, 2.0)
 
 
-def random_respecting_matrix(A: np.ndarray, B: np.ndarray,
-                             rng: np.random.Generator) -> np.ndarray:
-    """A generic T with T A = B T, by averaging away the defect."""
-    return respecting_part(rng.standard_normal((B.shape[0], A.shape[0])), A, B)
-
-
 def respecting_part(T0: np.ndarray, A, B) -> np.ndarray:
     """(T0 - B T0 A) / 2, of T0 or of each matrix of a stack.
 
@@ -92,13 +64,6 @@ def respecting_part(T0: np.ndarray, A, B) -> np.ndarray:
     the respect residual is bitwise zero.
     """
     return (T0 - B @ T0 @ A) / 2.0
-
-
-def random_respecting_operator(dom: ComplexStructure, cod: ComplexStructure,
-                               rng: np.random.Generator, *,
-                               tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
-    T = random_respecting_matrix(dom.A, cod.A, rng)
-    return make_respecting(dom, cod, T, tol=tol)
 
 
 def random_euclidean_space(dim: int, rng: np.random.Generator,
@@ -171,9 +136,13 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     H = np.swapaxes(S0, 1, 2) @ block_diag2(y_gram / 2.0) @ S0
     gram = (H + np.swapaxes(H, 1, 2)) / 2.0
     A = np.linalg.solve(S0, N @ S0)
-    certs = _gram_certificates(A, gram)
+    gram_errors = _gram_errors(gram)
+    # a Gram that fails its check is whitened as I: its item is an error anyway
+    valid = np.array([e is None for e in gram_errors])[:, None, None]
+    Lt_inv = _whitening_factors(np.where(valid, gram, np.eye(2 * m)))[1]
+    certs = _gram_certificates(A, gram, Lt_inv)
     respect, respect_errors = _respect_residuals(S0, A, N, tol)
     errors = first_errors(
-        _gram_errors(y_gram), _gram_errors(gram),
+        _gram_errors(y_gram), gram_errors,
         [_rejection(c, tol) for c in certs], respect_errors)
     return _Isomorphisms(y_gram, gram, S0, A, certs, respect, errors)

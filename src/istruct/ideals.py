@@ -397,15 +397,6 @@ _SERIAL = {"norm_threshold": (NormThreshold, ("functional", "bound")),
            "none": (NoOperators, ())}
 
 
-def oracle_to_dict(oracle: IdealOracle) -> dict:
-    d = oracle.descriptor
-    for t, (cls, fields) in _SERIAL.items():
-        if isinstance(d, cls):
-            return {"kind": oracle.kind,
-                    "descriptor": {"type": t, **{f: getattr(d, f) for f in fields}}}
-    raise DescriptorError(f"descriptor {type(d).__name__} has no serial form")
-
-
 def oracle_from_dict(obj: dict) -> IdealOracle:
     kind = obj["kind"]
     desc = obj["descriptor"]

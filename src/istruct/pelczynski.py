@@ -324,18 +324,8 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def expr_to_list(e: SumExpr) -> list:
-    return [[a.label, a.sign] for a in e.atoms]
-
-
 def expr_from_list(obj) -> SumExpr:
     return SumExpr(Atom(label, sign) for label, sign in obj)
-
-
-def chain_to_dict(chain: ChainDerivation) -> dict:
-    return {"start": expr_to_list(chain.start),
-            "steps": [{"expr": expr_to_list(st.expr), "rule": st.rule,
-                       "dir": st.direction} for st in chain.steps]}
 
 
 def chain_from_dict(obj: dict) -> ChainDerivation:

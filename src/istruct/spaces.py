@@ -3,15 +3,12 @@
 A space is a dimension plus a norm descriptor.  The complexification norm on
 X (+) X is the L2 average of || x cos(phi) + y sin(phi) || over a full period.
 
-For Euclidean-like bases the mean is (x'Gx + y'Gy) / 2.  For l1,
-l-infinity, weighted l1/l-infinity and polyhedral bases, l1-sums of these
-and subspaces of all of them, the unit ball is a polytope: the base norm is a
-sum over parts of a sum or a maximum of |<f_j, .>|, so the integrand is built
-from sinusoids |a_j cos(phi) + b_j sin(phi)| and its mean has a closed form
-as well.
+The bases with an exact form, listed in _Form, have a closed-form mean: for
+a Gram G it is (x'Gx + y'Gy) / 2, and where the unit ball is a polytope the
+base norm is a sum over parts of a sum or a maximum of |<f_j, .>|, so the
+integrand is built from sinusoids |a_j cos(phi) + b_j sin(phi)|.
 
-Every other base (general p, sums or subspaces with such a part, nested
-complexifications) has an integrand that is analytic between finitely many
+Every other base has an integrand that is analytic between finitely many
 kink angles per row (see _kink_angles).  The period is split there and each
 arc is integrated by composite Gauss-Legendre quadrature, which converges
 spectrally on analytic arcs.  The arcs of a level are evaluated in
@@ -354,9 +351,8 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
                                 Y: np.ndarray) -> np.ndarray:
     """Batched complexification norm.
 
-    Euclidean-like bases and bases whose unit ball is a polytope, with a norm
-    that is a sum over parts of a sum or a maximum of |<f_j, .>| (the gram
-    and the pieces of the base's _Form), are evaluated exactly: a single part
+    A base with a gram or with pieces (see _Form, which lists the kinds) is
+    evaluated exactly: a Gram by _gram_complexification_norms, a single part
     by _sinusoid_mean_sq, several (an l1-sum) arc by arc by _parts_mean_sq.
     Every other base is integrated by quadrature on the arcs between the kink
     angles of each row (`_kink_angles`).  Either way rotating a row moves its
@@ -365,7 +361,8 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
 
     The norm is homogeneous, so each row pair is first scaled by a power of
     two near its largest entry and the value scaled back: nothing overflows or
-    underflows in between, and the scaling itself is exact.
+    underflows in between, and the scaling itself is exact.  A zero pair is
+    scaled by 2^0 and every kernel gives it +0.0, so all rows take one path.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -374,19 +371,14 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
     form = base._form
     if form.gram is not None:
         return _gram_complexification_norms(form.gram, X, Y)
-    nonzero = np.any(X != 0.0, axis=1) | np.any(Y != 0.0, axis=1)
-    out = np.zeros(X.shape[0])
-    if not np.any(nonzero):
-        return out
-    Xn, Yn, exp = _scaled_pairs(X[nonzero], Y[nonzero])
+    Xn, Yn, exp = _scaled_pairs(X, Y)
     if form.pieces is not None and len(form.pieces) == 1:
         mean_sq = _sinusoid_mean_sq(Xn, Yn, *form.pieces[0])
     elif form.pieces is not None:
         mean_sq = _parts_mean_sq(Xn, Yn, form.pieces, _kink_angles(base, Xn, Yn))
     else:
         mean_sq = _arc_mean_sq(base, Xn, Yn, _kink_angles(base, Xn, Yn))
-    out[nonzero] = np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
-    return out
+    return np.ldexp(np.sqrt(np.maximum(mean_sq, 0.0)), exp)
 
 
 def _scaled_pairs(X: np.ndarray, Y: np.ndarray) -> tuple:
@@ -432,10 +424,11 @@ def _sinusoid_mean_sq(X: np.ndarray, Y: np.ndarray, F: np.ndarray,
     A, B = X @ F.T, Y @ F.T
     m = F.shape[0]
     mean_sq = _sum_mean_sq if combiner == "sum" else _max_mean_sq
-    # block over rows to bound the (rows, m, 2m) pairwise intermediates
+    # block over rows to bound the (rows, m, 2m) pairwise intermediates; an
+    # empty batch is one empty block
     rows_per_block = max(1, _BLOCK_ELEMENTS // (2 * m * m))
     return np.concatenate([mean_sq(A[lo:lo + rows_per_block], B[lo:lo + rows_per_block])
-                           for lo in range(0, len(A), rows_per_block)])
+                           for lo in range(0, max(len(A), 1), rows_per_block)])
 
 
 def _sum_mean_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -704,18 +697,21 @@ def euclidean_gram(space: NormedSpace) -> Optional[np.ndarray]:
 
 class _Form(NamedTuple):
     """How a space's norm is computed exactly; each entry is None when the
-    norm has no such form.
+    norm has no such form.  complexification_norm_batch is exact on every
+    base with a gram or pieces, and this is the one list of those bases.
 
     gram: G with ||x||^2 = x'Gx.  Lp(2), WeightedLp(2) and explicit quadratic
     norms; the complexification of a base with Gram G, whose averaged norm
-    has Gram diag(G, G) / 2; and a subspace, basis' G basis.  Any other line
-    gets c^2, c its norm at 1, and keeps the pieces and breaks of its kind.
+    has Gram diag(G, G) / 2; a subspace, basis' G basis; and every line.
     pieces: a tuple of parts (F, combiner) with ||x|| the sum over the parts
     of sum_j |(F x)_j| ("sum") or max_j |(F x)_j| ("max"), for norms whose
     unit ball is a polytope.  Lp and WeightedLp with p = 1 or p = inf and
     Polyhedral norms have one part; an l1-sum of two spaces with pieces has
     the parts of both, each F zero-padded onto its block; a subspace has its
-    ambient space's parts, each F mapped to F @ basis.
+    ambient space's parts, each F mapped to F @ basis; and every line.
+    A line's norm is c|x|, c its norm at 1: a line whose kind gives it no
+    Gram or no pieces gets [[c^2]] or the one part ([[c]], "sum"), and keeps
+    the breaks of its kind; so an l1-sum of lines is a weighted l1 plane.
     breaks: rows g such that ||x cos phi + y sin phi|| is analytic in phi
     between the zeros of <g, x cos phi + y sin phi>.  A Euclidean-like norm
     gives the coordinate rows: it is analytic except where the whole vector
@@ -768,8 +764,10 @@ def _closed_form(space: NormedSpace) -> _Form:
         breaks = None if amb.breaks is None else amb.breaks @ d.basis
     if gram is not None:
         breaks = np.eye(n)
-    elif n == 1:  # every norm on a line is c|x|, c its norm at 1
-        gram = norm_batch(space, np.ones((1, 1)))[None] ** 2
+    if n == 1:  # every norm on a line is c|x|, c its norm at 1
+        c = norm_batch(space, np.ones((1, 1)))[None]
+        gram = c ** 2 if gram is None else gram
+        pieces = pieces or ((c, "sum"),)
     for a in (gram, breaks, *(F for F, _ in pieces or ())):
         if a is not None:
             a.flags.writeable = False

@@ -81,7 +81,7 @@ def _exact_certificate(space: NormedSpace, A: np.ndarray) -> Optional[Certificat
     """certify's exact certificate of A, or None where it would sample."""
     gram = euclidean_gram(space)
     if gram is not None:
-        return _gram_certificates(A[None], gram)[0]
+        return _gram_certificates(A[None], gram, space._whitening[1])[0]
     d = space.norm_desc
     # N = natural_i_operator_matrix on X_C: cos t I + sin t N maps the row
     # x cos phi + y sin phi of (x, y) to the row at phi - t, and the norm is a
@@ -113,14 +113,21 @@ def _algebraic_residuals(As: np.ndarray) -> np.ndarray:
     return np.max(np.abs(As @ As + np.eye(As.shape[-1])), axis=(1, 2))
 
 
-def _gram_certificates(As: np.ndarray, grams: np.ndarray) -> list:
+def _gram_certificates(As: np.ndarray, grams: np.ndarray, Lt_inv: np.ndarray) -> list:
     """certify of each candidate of a stack As (k, n, n) on the Euclidean-like
-    norm whose Gram is grams (one for all, or a stack (k, n, n))."""
+    norm whose Gram G = L L' is grams (one for all, or a stack (k, n, n)),
+    with Lt_inv its L^-T (or their stack) from _whitening_factors.
+
+    Rotations are G-isometries iff A'GA = G and GA is antisymmetric.  Both
+    residual matrices R are measured whitened, as L^-1 R L^-T: that is W'W - I
+    and W + W' for W = L'AL^-T, the operator in coordinates where the norm is
+    l2, so the isometry residual is in the space's own norm and does not scale
+    with G.  An exact zero stays exactly zero."""
     alg = _algebraic_residuals(As)
     At = np.swapaxes(As, 1, 2)
-    # rotations are G-isometries iff A'GA = G and GA is antisymmetric
-    r1 = np.max(np.abs(At @ grams @ As - grams), axis=(1, 2))
-    r2 = np.max(np.abs(At @ grams + grams @ As), axis=(1, 2))
+    L_inv = np.swapaxes(Lt_inv, -1, -2)
+    r1 = np.max(np.abs(L_inv @ (At @ grams @ As - grams) @ Lt_inv), axis=(1, 2))
+    r2 = np.max(np.abs(L_inv @ (At @ grams + grams @ As) @ Lt_inv), axis=(1, 2))
     return [Certificate(float(a), float(max(x, y)), 0, True, None)
             for a, x, y in zip(alg, r1, r2)]
 
@@ -129,12 +136,11 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
                                angles: int):
     """Max over sampled unit vectors and grid angles of | ||ax + bAx|| - 1 |.
 
-    Complexification norms over Euclidean-like, l1, l-infinity, weighted
-    l1/l-infinity and polyhedral bases, l1-sums of these and subspaces of all
-    of them are exact, and every other base is integrated between the kinks
-    of each rotated row to far below QUAD_RTOL, so the check sees little more
-    than rounding at any angle.  A block-diagonal A on an l1-sum whose blocks
-    both certify exactly never comes here (see certify).
+    Complexification norms over the bases with an exact form (listed in
+    spaces._Form) are exact, and every other base is integrated between the
+    kinks of each rotated row to far below QUAD_RTOL, so the check sees
+    little more than rounding at any angle.  A block-diagonal A on an l1-sum
+    whose blocks both certify exactly never comes here (see certify).
     """
     n = space.dim
     rng = np.random.default_rng(SAMPLE_SEED)
@@ -296,16 +302,16 @@ def search_i_operator(space: NormedSpace, *,
       It is checked algebraically in whitened coordinates, where the norm is l2:
       W = L' A L^-T against W^2 = -I and W'W = I, and the certificate holds
       W's residuals.  These are A's conditions measured in the space's own
-      norm; in the coordinate basis A's entries grow with the condition of G
-      and so does the rounding in A^2 + I.  W's residuals measure A against
-      L L', not G, so the isometry residual also counts Cholesky's backward
-      error max |L^-1 G L^-T - I| (0 for G = I).
+      norm, as certify measures a Gram candidate (_gram_certificates); in the
+      coordinate basis A's entries grow with the condition of G and so does
+      the rounding in A^2 + I.  W's residuals measure A against L L', not G,
+      so the isometry residual also counts Cholesky's backward error
+      max |L^-1 G L^-T - I| (0 for G = I).
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
-      up to the weights) and every norm whose unit ball is a polytope
-      (l1, l-infinity, weighted l1/l-infinity, Polyhedral, l1-sums of these
-      and subspaces of all of them: the isometries permute the finitely many
-      vertices): the isometry group is finite, so it cannot contain the
-      circle {alpha I + beta A}.
+      up to the weights) and every norm with pieces, whose unit ball is a
+      polytope (see spaces._Form; l1-sums of lines are among them): the
+      isometries permute the finitely many vertices.  The isometry group is
+      finite, so it cannot contain the circle {alpha I + beta A}.
     - An l1-sum whose two parts both have one found: A1 (+) A2, whose
       certificate joins the parts' (see certify).
     - Any other norm (other sums, subspaces of general-p bases) is
@@ -358,9 +364,7 @@ def search_i_operator(space: NormedSpace, *,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def witness_to_dict(witness) -> Optional[dict]:
+def witness_to_dict(witness) -> dict:
     """A certificate's (x, alpha, beta) witness as JSON data."""
-    if witness is None:
-        return None
     x, alpha, beta = witness
     return {"x": np.asarray(x).tolist(), "alpha": alpha, "beta": beta}

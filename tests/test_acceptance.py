@@ -12,8 +12,7 @@ import numpy as np
 
 from istruct.cli import bundled_scenario_path, load_scenario, run_suite
 from istruct.corpus import (random_complexification_isomorphism,
-                            random_euclidean_space, random_exact_structure,
-                            random_respecting_operator)
+                            random_euclidean_space, random_exact_structure)
 from istruct.errors import StructureValidationError
 from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold,
                             RealOperator, audit_self_conjugacy, ideal_norm)
@@ -30,6 +29,8 @@ from istruct.theory import (build_complexification_witness,
                             verify_real_cartesian_identities,
                             verify_squares_isomorphism, verify_theorem_complex,
                             verify_theorem_real)
+
+from helpers import random_respecting_operator
 
 
 def report(number, label, ok):

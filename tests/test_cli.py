@@ -16,12 +16,11 @@ from istruct.cli import (bundled_scenario_path, load_scenario, main,
                          run_suite)
 from istruct.config import Tolerances
 from istruct.corpus import (random_complexification_isomorphism,
-                            random_euclidean_space, random_exact_structure,
-                            random_respecting_operator)
+                            random_euclidean_space, random_exact_structure)
 from istruct.errors import IstructError, ScenarioError
 from istruct.ideals import RealOperator, audit_self_conjugacy
 from istruct.morphisms import RespectingOperator
-from istruct.pelczynski import chain_to_dict, reference_chain
+from istruct.pelczynski import reference_chain
 from istruct.report import VERIFIED, VIOLATED, VerificationReport, bounded
 from istruct.spaces import complexification_norm, lp_space, norm_batch
 from istruct.structures import ComplexStructure
@@ -30,6 +29,8 @@ from istruct.theory import (build_complexification_witness, extract_conjugation,
                             verify_real_cartesian_identities,
                             verify_squares_isomorphism, verify_theorem_complex,
                             verify_theorem_real)
+
+from helpers import chain_to_dict, random_respecting_operator
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,16 @@ def test_unknown_suite_is_resolution_error(scenario_path, tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_claim_of_unknown_kind_exits_2(tmp_path, capsys):
+    scenario = {"schema": 1, "seed": 7, "spaces": {},
+                "claims": {"odd": {"kind": "no-such-kind"}}, "suites": {"only": ["odd"]}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["run", str(path), "--suite", "only", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "unknown kind 'no-such-kind'" in capsys.readouterr().err
 
 
 def test_missing_file_is_parse_error(tmp_path, capsys):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from istruct.corpus import (random_euclidean_space, random_exact_structure,
-                            random_respecting_operator)
+from istruct.corpus import random_euclidean_space, random_exact_structure
 from istruct.errors import (DescriptorError, DimensionMismatchError,
                             RespectViolationError, StructureValidationError)
 from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
@@ -14,7 +13,7 @@ from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
                             audit_self_conjugacy, complexify_ideal,
                             conjugate_ideal, decide_complex, decide_real,
                             ideal_norm, ideal_norms, oracle_from_dict,
-                            oracle_to_dict, realify_ideal)
+                            realify_ideal)
 from istruct.morphisms import (RespectingOperator, block_diag2,
                                complexify_operator, conjugate_operator,
                                make_respecting, matrix_norm_between)
@@ -22,6 +21,8 @@ from istruct.spaces import (EuclideanQuadratic, NormedSpace, direct_sum, lp_spac
                             space_key)
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
 from istruct.theory import split_structure, verify_theorem_complex
+
+from helpers import random_respecting_operator
 
 L2_2 = lp_space(2, 2.0)
 
@@ -588,6 +589,10 @@ def test_audit_off_euclidean_is_a_typed_error():
 # Serialization
 # ---------------------------------------------------------------------------
 
+_DESCRIPTOR_TYPES = {"norm_threshold": NormThreshold, "rank_threshold": RankThreshold,
+                     "predicate": MatrixPredicate, "all": AllOperators, "none": NoOperators}
+
+
 @pytest.mark.parametrize("obj", [
     {"kind": "real", "descriptor": {"type": "norm_threshold",
                                     "functional": "operator_norm", "bound": 2.0}},
@@ -597,8 +602,14 @@ def test_audit_off_euclidean_is_a_typed_error():
     {"kind": "real", "descriptor": {"type": "none"}},
 ])
 def test_oracle_serialization_roundtrip(obj):
+    # the oracle carries the kind, the descriptor type and every field given
     oracle = oracle_from_dict(obj)
-    assert oracle_to_dict(oracle) == obj
+    cls = _DESCRIPTOR_TYPES[obj["descriptor"]["type"]]
+    assert oracle.kind == obj["kind"] and type(oracle.descriptor) is cls
+    fields = {k: v for k, v in obj["descriptor"].items() if k != "type"}
+    assert {k: getattr(oracle.descriptor, k) for k in fields} == fields
+    if cls is MatrixPredicate:
+        assert oracle.descriptor.fn is PREDICATES[(fields["label"], obj["kind"])]
 
 
 @pytest.mark.parametrize("make, bad", [
@@ -614,6 +625,11 @@ def test_threshold_parameters_are_range_checked(make, bad):
 def test_threshold_parameters_are_stored_as_float_and_int():
     assert type(NormThreshold("operator_norm", 2).bound) is float
     assert type(RankThreshold(np.int64(3)).r) is int
+
+
+def test_oracle_of_unknown_kind_is_a_typed_error():
+    with pytest.raises(DescriptorError, match="oracle kind must be real or complex"):
+        IdealOracle("quaternionic", AllOperators())
 
 
 def test_unknown_predicate_rejected():

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from istruct.corpus import (random_exact_structure, random_respecting_matrix,
-                            random_respecting_operator)
+from istruct.corpus import random_exact_structure
 from istruct.errors import (CompositionError, DimensionMismatchError, IstructError,
                             RespectViolationError)
 from istruct.config import DEFAULT_TOL
@@ -25,6 +24,8 @@ from istruct.structures import (BY_CONSTRUCTION, ComplexStructure,
 from istruct.theory import (build_complexification_witness, extract_conjugation,
                             split_structure, squares_isomorphism,
                             verify_complex_cartesian_identities)
+
+from helpers import random_respecting_matrix, random_respecting_operator
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 

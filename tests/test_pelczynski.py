@@ -12,12 +12,13 @@ import istruct
 from istruct.errors import IstructError
 from istruct.pelczynski import (ATOMS, FORWARD, REVERSE, RULES, Atom,
                                 ChainDerivation, Step, SumExpr, apply_rule,
-                                chain_from_dict, chain_to_dict,
-                                check_derivation, expr, expr_from_list,
-                                expr_to_list, factorization_hypothesis_check,
+                                chain_from_dict, check_derivation, expr,
+                                expr_from_list, factorization_hypothesis_check,
                                 reference_chain, search_chain)
 from istruct.spaces import lp_space
 from istruct.structures import validate_i_operator
+
+from helpers import chain_to_dict, expr_to_list
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 TOKENS = [str(a) for a in ATOMS]
@@ -267,6 +268,11 @@ def test_bridge_search_matches_counter_oracle(depth):
     assert (chain is None) == (expected is None) == (depth == 9)
     if expected is not None:
         assert chain_to_dict(chain) == chain_to_dict(expected)
+
+
+def test_search_with_a_negative_depth_is_a_typed_error():
+    with pytest.raises(IstructError, match="max_depth must be >= 0"):
+        search_chain(expr("X+"), expr("X-"), -1)
 
 
 def test_search_rejects_unknown_rule_before_searching():

@@ -322,11 +322,15 @@ def test_sinusoid_pieces_recognition():
     assert [(F.shape, c) for F, c in nested._form.pieces] == [
         ((2, 6), "sum"), ((2, 6), "max"), ((3, 6), "max")]
     np.testing.assert_array_equal(nested._form.pieces[2][0][:, 4:], HEX)
+    # every line is c|x|, c its norm at 1
+    [(F, combiner)] = NormedSpace(1, SubspaceNorm(lp_space(2, 3.0),
+                                                  np.ones((2, 1))))._form.pieces
+    assert combiner == "sum" and F.shape == (1, 1)
+    assert F[0, 0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
     for other in (lp_space(2, 2.0), lp_space(2, 3.0),
                   NormedSpace(2, EuclideanQuadratic(np.eye(2))),
                   direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "complexification"),
-                  direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum"),
-                  NormedSpace(1, SubspaceNorm(lp_space(2, 3.0), np.ones((2, 1))))):
+                  direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum")):
         assert other._form.pieces is None
 
 
@@ -443,7 +447,11 @@ def _polytope_sums():
             "linf+hex": direct_sum(lp_space(2, math.inf), hex_, "sum"),
             "sub-of-l1+linf": NormedSpace(3, SubspaceNorm(l1_linf,
                                                           rng.standard_normal((4, 3)))),
-            "(l1+linf)+hex": direct_sum(l1_linf, hex_, "sum")}
+            "(l1+linf)+hex": direct_sum(l1_linf, hex_, "sum"),
+            # every line is c|x|, so an l1-sum of lines is a weighted l1 plane
+            "l2-line+l2-line": direct_sum(lp_space(1, 2.0), lp_space(1, 2.0), "sum"),
+            "l1-line+l2-line": direct_sum(lp_space(1, 1.0), lp_space(1, 2.0), "sum"),
+            "l3-line+l1-line": direct_sum(lp_space(1, 3.0), lp_space(1, 1.0), "sum")}
 
 
 POLYTOPE_SUMS = _polytope_sums()
@@ -841,6 +849,43 @@ def test_euclidean_gram_recognition():
 def test_space_serialization_roundtrip(space):
     back = space_from_dict(space_to_dict(space))
     assert space_equal(space, back)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: NormedSpace(0, Lp(2.0)), DescriptorError, "dimension must be positive"),
+    (lambda: NormedSpace(2, WeightedLp(1.0, np.ones(3))), DescriptorError,
+     "weight vector length"),
+    (lambda: NormedSpace(2, WeightedLp(0.5, np.ones(2))), DescriptorError,
+     "WeightedLp requires p >= 1"),
+    (lambda: NormedSpace(2, EuclideanQuadratic(np.eye(3))), DescriptorError,
+     "Gram matrix shape"),
+    (lambda: NormedSpace(2, Polyhedral(np.ones((3, 3)))), DescriptorError,
+     "rows of length dim"),
+    (lambda: NormedSpace(2, Polyhedral(np.ones(2))), DescriptorError,
+     "rows of length dim"),
+    (lambda: NormedSpace(3, spaces.SumNorm(lp_space(1, 1.0), lp_space(1, 1.0))),
+     DescriptorError, "sum-norm dim"),
+    (lambda: NormedSpace(2, SubspaceNorm(lp_space(3, 1.0), np.ones((2, 2)))),
+     DescriptorError, "basis must be ambient.dim x dim"),
+    (lambda: NormedSpace(2, SubspaceNorm(lp_space(3, 1.0), np.ones((3, 2)))),
+     DescriptorError, "full column rank"),
+    (lambda: NormedSpace(2, object()), DescriptorError, "unknown descriptor object"),
+    (lambda: norm_batch(lp_space(2, 1.0), np.ones((3, 3))), DimensionMismatchError,
+     "batch of dim-2 rows"),
+    (lambda: norm_batch(lp_space(2, 1.0), np.ones(2)), DimensionMismatchError,
+     "batch of dim-2 rows"),
+    (lambda: complexification_norm_batch(lp_space(2, 3.0), np.ones((3, 2)),
+                                         np.ones((2, 2))),
+     DimensionMismatchError, "X, Y must both be"),
+    (lambda: complexification_norm_batch(lp_space(2, 3.0), np.ones((3, 3)),
+                                         np.ones((3, 3))),
+     DimensionMismatchError, "X, Y must both be"),
+], ids=["dim-0", "weights-length", "weighted-p", "gram-shape", "functionals-width",
+        "functionals-flat", "sum-dim", "basis-shape", "basis-rank", "unknown",
+        "norm-batch-width", "norm-batch-flat", "cplx-batch-pair", "cplx-batch-width"])
+def test_bad_descriptor_or_batch_is_a_typed_error(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 def test_space_from_dict_rejects_unknown_kind():

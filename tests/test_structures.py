@@ -5,16 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from istruct.corpus import (pairing_conjugation_matrix, random_exact_structure,
-                            signed_pairing_matrix)
+from istruct.corpus import random_exact_structure, signed_pairing_matrix
 from istruct.config import DEFAULT_TOL
-from istruct.errors import (DimensionMismatchError, StructureValidationError)
+from istruct.errors import (DescriptorError, DimensionMismatchError,
+                            StructureValidationError)
 from istruct.morphisms import _split_matrix
 from istruct.spaces import (NormedSpace, Polyhedral, SubspaceNorm, WeightedLp,
                             direct_sum, euclidean_gram, euclidean_space,
                             lp_space, norm, norm_batch)
 from istruct.structures import (BY_CONSTRUCTION, FOUND, NONE_FINITE_GROUP,
-                                ODD_DIMENSION, UNDECIDED,
+                                ODD_DIMENSION, UNDECIDED, ComplexStructure,
                                 _sampled_isometry_residual,
                                 certify, complex_scalar_action,
                                 conjugate_structure, natural_i_operator,
@@ -144,6 +144,20 @@ def test_conjugate_structure_negates_matrix():
     assert c.certificate.isometry_residual == s.certificate.isometry_residual
 
 
+def test_conjugate_structure_flips_a_sampled_witness():
+    # A^2 = -I, but the rotations are not l1 isometries; the worst sampled
+    # angle has alpha and beta both nonzero, so the sign of beta matters
+    space, A = lp_space(2, 1.0), np.array([[0.5, -1.0], [1.25, -0.5]])
+    cert = certify(space, A, samples=16, angles=8)
+    x, alpha, beta = cert.witness
+    assert alpha != 0.0 and beta != 0.0 and cert.isometry_residual > 0.1
+    conj = conjugate_structure(ComplexStructure(space, A, cert))
+    assert conj.certificate.witness[2] == -beta
+    assert reevaluate_witness(space, conj.A, conj.certificate.witness) == pytest.approx(
+        cert.isometry_residual, rel=1e-14)
+    assert reevaluate_witness(space, conj.A, cert.witness) < cert.isometry_residual / 2
+
+
 def test_complex_scalar_action():
     s = validate_i_operator(lp_space(2, 2.0), J2)
     out = complex_scalar_action(s, 0.0, 1.0, [1.0, 0.0])
@@ -183,14 +197,9 @@ def test_signed_pairing_is_exact(dim):
         assert np.array_equal(A @ A, -np.eye(dim))
 
 
-@pytest.mark.parametrize("dim", [2, 4, 6])
-def test_pairing_conjugation_is_exact(dim):
-    rng = np.random.default_rng(dim)
-    for _ in range(5):
-        A = signed_pairing_matrix(dim, rng)
-        T = pairing_conjugation_matrix(A, rng)
-        assert np.array_equal(T @ T, np.eye(dim))
-        assert np.array_equal(T @ A, -(A @ T))
+def test_signed_pairing_of_odd_dimension_is_a_typed_error():
+    with pytest.raises(DescriptorError, match="even dimension"):
+        signed_pairing_matrix(3, np.random.default_rng(0))
 
 
 def test_random_exact_structure_certificate():
@@ -413,6 +422,27 @@ def test_search_finds_structure_on_ill_conditioned_grams(n, condition):
         c = result.found.certificate
         assert c.exact and c.algebraic_residual <= DEFAULT_TOL.tol_alg
         assert c.isometry_residual <= DEFAULT_TOL.tol_iso
+
+
+def test_gram_certificate_rejects_a_non_isometry_on_a_tiny_gram():
+    # A halves the norm of e1; measured in coordinates, A'GA - G is only
+    # 3e-10 on G = 1e-10 I, but whitened it is W'W - I = diag(-3/4, 3)
+    A = np.array([[0.0, -2.0], [0.5, 0.0]])
+    space = euclidean_space(2, 1e-10 * np.eye(2))
+    assert certify(space, A).isometry_residual == pytest.approx(3.0, rel=1e-12)
+    with pytest.raises(StructureValidationError, match="isometry residual"):
+        validate_i_operator(space, A)
+
+
+def test_gram_certificate_accepts_the_search_structure_on_a_large_gram():
+    # in coordinates the residual of the search's A grows with G (4.8e-7
+    # here); whitened it is what the search itself measured
+    M = np.eye(4) + 0.15 * np.random.default_rng(0).standard_normal((4, 4))
+    space = euclidean_space(4, 1e9 * M.T @ M)
+    result = search_i_operator(space)
+    assert result.tag == FOUND
+    c = validate_i_operator(space, result.found.A).certificate
+    assert c.exact and c.isometry_residual <= 1e-14
 
 
 def test_search_certificate_counts_cholesky_backward_error():

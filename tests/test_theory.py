@@ -6,8 +6,7 @@ import pytest
 
 from istruct.config import DEFAULT_TOL, Tolerances
 from istruct.corpus import (random_complexification_isomorphism,
-                            random_exact_structure,
-                            random_respecting_operator)
+                            random_exact_structure)
 from istruct.errors import (RespectViolationError, StructureValidationError,
                             WitnessError)
 from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold,
@@ -31,6 +30,8 @@ from istruct.theory import (_complex_cartesian_reports, _conjugations,
                             verify_real_cartesian_identities,
                             verify_squares_isomorphism,
                             verify_theorem_complex, verify_theorem_real)
+
+from helpers import random_respecting_operator
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -162,6 +163,24 @@ def test_extract_conjugation_rejects_a_singular_map():
     iso = make_respecting(s, natural_i_operator(lp_space(1, 2.0)), np.zeros((2, 2)))
     with pytest.raises(WitnessError, match="singular"):
         extract_conjugation(iso)
+
+
+def _odd_structure():
+    # no structure exists in odd dimension; the zero matrix stands in for one
+    space, zero = lp_space(3, 2.0), np.zeros((3, 3))
+    return ComplexStructure(space, zero, certify(space, zero))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: RespectingOperator(random_exact_structure(2, np.random.default_rng(0)),
+                                random_exact_structure(4, np.random.default_rng(1)),
+                                np.ones((4, 2)), 0.0), "non-square"),
+    (lambda: RespectingOperator(_odd_structure(), _odd_structure(), np.eye(3), 0.0),
+     "codomain dimension must be even"),
+], ids=["non-square", "odd-codomain"])
+def test_extract_conjugation_of_a_map_without_one_is_a_typed_error(make, match):
+    with pytest.raises(WitnessError, match=match):
+        extract_conjugation(make())
 
 
 def test_stacked_conjugations_give_each_item_its_first_error():
