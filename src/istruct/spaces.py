@@ -10,8 +10,9 @@ integrand is built from sinusoids |a_j cos(phi) + b_j sin(phi)|.
 
 Every other base has an integrand that is analytic between finitely many
 kink angles per row (see _kink_angles).  The period is split there and each
-arc is integrated by composite Gauss-Legendre quadrature, which converges
-spectrally on analytic arcs.  The arcs of a level are evaluated in
+arc is integrated by adaptive Gauss-Kronrod panels, which converge
+spectrally on analytic arcs and are bisected only where their error
+estimate has not settled.  The open panels of a round are evaluated in
 cache-sized blocks whose points are stored coordinate-major, and lp norms
 reduce over coordinates in one fixed order, so no value depends on the block
 size or on the memory layout of the input.
@@ -31,28 +32,57 @@ from .errors import DescriptorError, DimensionMismatchError, QuadratureError
 
 # Arc quadrature policy (bases without a closed form).  QUAD_RTOL is the
 # relative accuracy sought for the mean square and QUAD_MAX_NODES the norm
-# evaluations allowed per row.  Each arc is refined until two successive
-# doublings each change it by less than its share of QUAD_RTOL.  A row that
-# reaches the node budget first keeps its value if its last relative change is
-# below QUAD_FAIL_RTOL; otherwise a QuadratureError is raised.
+# evaluations allowed per row.  Each arc is split into Gauss-Kronrod panels,
+# and a panel is bisected until the difference of its 21-point Kronrod and
+# embedded 10-point Gauss values is below its share of QUAD_RTOL.  A row that
+# a split would take past the node budget stops there and keeps its value if
+# the summed differences of its open panels are below QUAD_FAIL_RTOL of it;
+# otherwise a QuadratureError is raised.
 QUAD_MAX_NODES = 4096
 QUAD_RTOL = 1e-10
 QUAD_FAIL_RTOL = 1e-5
 
-# Elements per intermediate array in the blocked kernels (_arc_integrals,
+# Elements per intermediate array in the blocked kernels (_panel_integrals,
 # _sinusoid_mean_sq, _parts_mean_sq): 65,536 doubles (512 KB) keep a block and
 # its norm's few temporaries near a 2 MB L2 cache.  On a 2-core Xeon with 2 MB
 # of L2 per core, 16K-262K elements ran within noise; 8K paid per-block
 # overhead, and 4M made natural-l3 of paper-all 1.5x slower (a claim since
 # decided by proof, with no quadrature).  The arc quadrature now serves the
-# non-euclidean benchmark's four general-p rotation claims (24K-40K arc points
-# each at seed 7) and the sampled certify of candidates other than N.
+# non-euclidean benchmark's four general-p rotation claims (8K-15K norm
+# evaluations each at seeds 1 and 7) and the sampled certify of candidates
+# other than N.
 _BLOCK_ELEMENTS = 65_536
 
-# 8-point Gauss-Legendre rule on [0, 1], the panel rule of the arc quadrature
-_GL_POINTS = 8
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
-_GL_T, _GL_W = (_GL_T + 1.0) / 2.0, _GL_W / 2.0
+# QUADPACK's 21-point Gauss-Kronrod rule dqk21 (Piessens, de Doncker-Kapenga,
+# Ueberhuber and Kahaner, 1983) on [-1, 1]: the abscissae x >= 0, of which the
+# odd-indexed ones are those of the embedded 10-point Gauss rule, the Kronrod
+# weights of the same abscissae and the Gauss weights of the odd-indexed ones.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+
+def _gauss_kronrod_table() -> tuple:
+    """(nodes, Kronrod weights, Gauss weights) of dqk21 on [0, 1], the nodes
+    in increasing order; the Gauss rule takes the odd-indexed nodes."""
+    x, wgk, wg = np.array(_XGK), np.array(_WGK), np.array(_WG)
+    nodes = np.concatenate([1.0 - x, 1.0 + x[-2::-1]]) / 2.0
+    return nodes, np.concatenate([wgk, wgk[-2::-1]]) / 2.0, np.concatenate([wg, wg[::-1]]) / 2.0
+
+
+_GK_T, _GK_W, _G_W = _gauss_kronrod_table()
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +313,26 @@ def _checked_operator(T, dom, cod, name: str = "T") -> np.ndarray:
 def norm(space: NormedSpace, x) -> float:
     """Evaluate the space's norm at a single vector."""
     x = _check_vector(x, space.dim)
-    return float(norm_batch(space, x[None, :])[0])
+    return float(_norm_rows(space, x[None, :])[0])
 
 
 def norm_batch(space: NormedSpace, X: np.ndarray) -> np.ndarray:
-    """Evaluate the norm for each row of X (shape (k, dim))."""
+    """Evaluate the norm for each row of X (shape (k, dim), finite entries)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != space.dim:
         raise DimensionMismatchError(f"expected batch of dim-{space.dim} rows, got {X.shape}")
+    _check_batch_finite(X)
+    return _norm_rows(space, X)
+
+
+def _check_batch_finite(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        raise DimensionMismatchError("batch entries must be finite")
+
+
+def _norm_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
+    """norm_batch without its checks, for the rows the package builds itself
+    (the parts of a sum, a subspace's ambient rows, quadrature nodes)."""
     d = space.norm_desc
     if isinstance(d, Lp):
         return _lp_batch(X, d.p, None)
@@ -302,12 +344,12 @@ def norm_batch(space: NormedSpace, X: np.ndarray) -> np.ndarray:
         return np.max(np.abs(X @ d.functionals.T), axis=1)
     if isinstance(d, ComplexificationOfBase):
         n = d.base.dim
-        return complexification_norm_batch(d.base, X[:, :n], X[:, n:])
+        return _complexification_rows(d.base, X[:, :n], X[:, n:])
     if isinstance(d, SumNorm):
         n = d.left.dim
-        return norm_batch(d.left, X[:, :n]) + norm_batch(d.right, X[:, n:])
+        return _norm_rows(d.left, X[:, :n]) + _norm_rows(d.right, X[:, n:])
     if isinstance(d, SubspaceNorm):
-        return norm_batch(d.ambient, X @ d.basis.T)
+        return _norm_rows(d.ambient, X @ d.basis.T)
     raise DescriptorError(f"unknown descriptor {type(d).__name__}")
 
 
@@ -344,12 +386,13 @@ def complexification_norm(base: NormedSpace, x, y) -> float:
     """Averaged norm ( mean over phi of ||x cos phi + y sin phi||^2 )^(1/2)."""
     x = _check_vector(x, base.dim)
     y = _check_vector(y, base.dim)
-    return float(complexification_norm_batch(base, x[None, :], y[None, :])[0])
+    return float(_complexification_rows(base, x[None, :], y[None, :])[0])
 
 
 def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
                                 Y: np.ndarray) -> np.ndarray:
-    """Batched complexification norm.
+    """Batched complexification norm of the row pairs of X, Y (k, base.dim),
+    whose entries must be finite.
 
     A base with a gram or with pieces (see _Form, which lists the kinds) is
     evaluated exactly: a Gram by _gram_complexification_norms, a single part
@@ -368,6 +411,13 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != base.dim:
         raise DimensionMismatchError("X, Y must both be (k, base.dim)")
+    _check_batch_finite(X)
+    _check_batch_finite(Y)
+    return _complexification_rows(base, X, Y)
+
+
+def _complexification_rows(base: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """complexification_norm_batch without its checks (see _norm_rows)."""
     form = base._form
     if form.gram is not None:
         return _gram_complexification_norms(form.gram, X, Y)
@@ -480,50 +530,51 @@ def _arc_mean_sq(base: NormedSpace, X: np.ndarray, Y: np.ndarray,
     """Mean over phi of ||x cos phi + y sin phi||^2, per row, integrated arc by
     arc between the row's kink angles in [0, pi) (nan: no kink).
 
-    The integrand has period pi and is analytic inside each arc.  Each arc
-    takes composite 8-point Gauss-Legendre after the smoothstep substitution
-    (see _arc_rule) and doubles its panels until two successive doublings have
-    each changed it by less than its width's share of QUAD_RTOL times the
-    row's integral: at 8 and 16 nodes two estimates can agree by chance while
-    both are still off.  A row whose next doubling would take it past
-    QUAD_MAX_NODES evaluations stops there; its unsettled change must then be
-    below QUAD_FAIL_RTOL, otherwise a QuadratureError is raised.
+    The integrand has period pi and is analytic inside each arc.  Each arc is
+    mapped onto t in [0, 1] by the smoothstep substitution (see
+    _panel_integrals) and starts as one panel there.  A panel is accepted once
+    its Kronrod and Gauss values differ by at most its share of the period
+    (its arc's width times its length in t, over pi) of QUAD_RTOL times the
+    row's current integral, so the accepted differences of a row add up to
+    at most QUAD_RTOL of it; every other panel is bisected, and the open
+    panels of all rows are evaluated together, one round at a time.  A row
+    whose splits would take it past QUAD_MAX_NODES evaluations stops before
+    them with every open panel's Kronrod value; the open panels' summed
+    differences must then be below QUAD_FAIL_RTOL of the row's integral,
+    otherwise a QuadratureError is raised.
     """
     k = len(X)
     row, start, width = _arcs(kinks)
-    Xa, Ya = X[row], Y[row]
-
-    value = _arc_integrals(base, Xa, Ya, start, width, 0)
-    change = np.zeros(len(row))
-    passed = np.zeros(len(row), dtype=bool)
-    # levels 0 and 1 are always taken: their difference is the first estimate
-    used = 3 * _GL_POINTS * np.bincount(row, minlength=k)
-    active = np.arange(len(row))
-    level = 0
-    while active.size:
-        level += 1
-        new = _arc_integrals(base, Xa[active], Ya[active], start[active],
-                             width[active], level)
-        change[active] = new - value[active]
-        value[active] = new
-        total = np.bincount(row, weights=value, minlength=k)
-        ok = np.abs(change[active]) <= QUAD_RTOL / np.pi * total[row[active]] * width[active]
-        settled = ok & passed[active]
-        passed[active] = ok
-        active = active[~settled]
-        # rows whose next doubling would pass the node budget stop here
-        used += _GL_POINTS * 2 ** (level + 1) * np.bincount(row[active], minlength=k)
-        stop = (used > QUAD_MAX_NODES)[row[active]]
+    # the open panels: their arc, and their left end and length in t
+    arc, left, size = np.arange(len(row)), np.zeros(len(row)), np.ones(len(row))
+    used = len(_GK_T) * np.bincount(row, minlength=k)
+    done = np.zeros(k)  # the accepted panels' sum, per row
+    while arc.size:
+        r = row[arc]
+        K, G = _panel_integrals(base, X[r], Y[r], start[arc], width[arc], left, size)
+        total = done + np.bincount(r, weights=K, minlength=k)
+        error = np.abs(K - G)
+        ok = error <= QUAD_RTOL / np.pi * total[r] * width[arc] * size
+        split = ~ok
+        # a row stops before the splits that would pass the node budget
+        used += 2 * len(_GK_T) * np.bincount(r[split], minlength=k)
+        stop = (used > QUAD_MAX_NODES)[r] & split
         if np.any(stop):
-            unsettled = np.bincount(row[active[stop]],
-                                    weights=np.abs(change[active[stop]]), minlength=k)
+            unsettled = np.bincount(r[stop], weights=error[stop], minlength=k)
             worst = float(np.max(unsettled / total))
             if worst > QUAD_FAIL_RTOL:
                 raise QuadratureError(
                     f"quadrature did not settle within {QUAD_MAX_NODES} nodes "
-                    f"(last relative change {worst:.3e})")
-            active = active[~stop]
-    return np.bincount(row, weights=value, minlength=k) / np.pi
+                    f"(estimated relative error {worst:.3e})")
+            ok |= stop
+            split &= ~stop
+        done += np.bincount(r[ok], weights=K[ok], minlength=k)
+        # each split panel becomes its two halves, in order along the arc
+        half = size[split] / 2.0
+        arc = np.repeat(arc[split], 2)
+        left = np.column_stack([left[split], left[split] + half]).ravel()
+        size = np.repeat(half, 2)
+    return done / np.pi
 
 
 def _arcs(kinks: np.ndarray) -> tuple:
@@ -609,35 +660,27 @@ def _compensated_sum(T: np.ndarray) -> np.ndarray:
     return total + error
 
 
-# one entry per level reached; no rule is larger than a row's node budget
-@functools.lru_cache(maxsize=None)
-def _arc_rule(level: int) -> tuple:
-    """Nodes and weights on [0, 1] of composite 8-point Gauss-Legendre with
-    2**level panels, after the substitution t -> 3t^2 - 2t^3.
+def _panel_integrals(base: NormedSpace, X: np.ndarray, Y: np.ndarray, start: np.ndarray,
+                     width: np.ndarray, left: np.ndarray, size: np.ndarray) -> tuple:
+    """(Kronrod, Gauss) values, per row, of the integral of
+    ||x cos phi + y sin phi||^2 over the panel [left, left + size] of t in
+    [0, 1], with phi = start + width (3t^2 - 2t^3).
 
-    The substitution's derivative 6t(1 - t) vanishes at both ends, which turns
-    an endpoint singularity |phi - phi_0|^p of the integrand into t^(2p + 1).
+    The substitution's derivative 6t(1 - t) vanishes at both ends of the arc,
+    which turns an endpoint singularity |phi - phi_0|^p of the integrand into
+    t^(2p + 1).  Each panel's sums run over its own nodes in one fixed order,
+    so no value depends on the block size.
     """
-    panels = 2 ** level
-    t = ((np.arange(panels)[:, None] + _GL_T) / panels).ravel()
-    weights = np.tile(_GL_W, panels) / panels
-    nodes, weights = t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t) * weights
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by the cache
-    return nodes, weights
-
-
-def _arc_integrals(base: NormedSpace, X: np.ndarray, Y: np.ndarray, start: np.ndarray,
-                   width: np.ndarray, level: int) -> np.ndarray:
-    """Integral of ||x cos phi + y sin phi||^2 over [start, start + width] per
-    row, by the rule of _arc_rule at the given level."""
-    s, w = _arc_rule(level)
-    n = len(s)
+    n = len(_GK_T)
     k, d = X.shape
-    out = np.empty(k)
+    kronrod, gauss = np.empty(k), np.empty(k)
     per_block = max(1, _BLOCK_ELEMENTS // (n * d))
     for lo in range(0, k, per_block):
         hi = min(k, lo + per_block)
-        phi = width[lo:hi, None] * s
+        t = size[lo:hi, None] * _GK_T
+        t += left[lo:hi, None]
+        phi = t * t * (3.0 - 2.0 * t)
+        phi *= width[lo:hi, None]
         phi += start[lo:hi, None]
         c = np.cos(phi)
         sn = np.sin(phi, out=phi)
@@ -648,11 +691,13 @@ def _arc_integrals(base: NormedSpace, X: np.ndarray, Y: np.ndarray, start: np.nd
             column = Z[:, j].reshape(hi - lo, n)
             np.multiply(X[lo:hi, j, None], c, out=column)
             column += Y[lo:hi, j, None] * sn
-        vals = norm_batch(base, Z).reshape(hi - lo, n)
-        terms = vals * vals
-        terms *= w
-        out[lo:hi] = width[lo:hi] * np.sum(terms, axis=1)
-    return out
+        vals = _norm_rows(base, Z).reshape(hi - lo, n)
+        f = vals * vals
+        f *= 6.0 * t * (1.0 - t)
+        scale = width[lo:hi] * size[lo:hi]
+        kronrod[lo:hi] = scale * np.sum(f * _GK_W, axis=1)
+        gauss[lo:hi] = scale * np.sum(f[:, 1::2] * _G_W, axis=1)
+    return kronrod, gauss
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,9 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
 
     Complexification norms over the bases with an exact form (listed in
     spaces._Form) are exact, and every other base is integrated between the
-    kinks of each rotated row to far below QUAD_RTOL, so the check sees
-    little more than rounding at any angle.  A block-diagonal A on an l1-sum
+    kinks of each rotated row by Gauss-Kronrod panels that each settle to
+    their share of QUAD_RTOL; the Kronrod values are then good to about
+    rounding, so the check sees little more than rounding at any angle.  A block-diagonal A on an l1-sum
     whose blocks both certify exactly never comes here (see certify).
     """
     n = space.dim

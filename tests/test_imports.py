@@ -1,7 +1,11 @@
-"""No module of the package imports a name it never uses (no linter is
-installed, so this is the check)."""
+"""What the package imports: no module imports a name it never uses (no
+linter is installed, so this is the check), and importing the CLI loads no
+numpy submodule it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,14 @@ def test_every_imported_name_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_importing_the_cli_does_not_load_numpy_polynomial():
+    # numpy loads numpy.polynomial only on first use, and it costs a few ms of
+    # every process that imports the package
+    code = "import sys, istruct.cli\nprint('numpy.polynomial' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(istruct.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -3,6 +3,9 @@ import json
 import math
 import tracemalloc
 import warnings
+import zlib
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +157,41 @@ def test_dimension_checks():
         norm(lp_space(2, 2.0), [1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError):
         norm(lp_space(2, 2.0), [np.nan, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("space", [lp_space(2, 1.0), lp_space(2, 3.0),
+                                   euclidean_space(2, np.diag([1.0, 2.0])),
+                                   direct_sum(lp_space(2, 3.0), lp_space(2, 3.0),
+                                              "complexification")],
+                         ids=["l1", "l3", "quad", "cplx"])
+def test_norm_batch_rejects_non_finite_rows(space, bad):
+    X = np.ones((3, space.dim))
+    X[1, 0] = bad
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        norm_batch(space, X)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+@pytest.mark.parametrize("base", [lp_space(2, 3.0), lp_space(2, 1.0), lp_space(2, 2.0)],
+                         ids=["l3", "l1", "l2"])
+def test_complexification_norm_batch_rejects_non_finite_rows(base, where, bad):
+    good = np.array([[0.5, 1.0], [0.0, 1.0]])
+    wrong = good.copy()
+    wrong[1, 0] = bad
+    X, Y = (wrong, good) if where == "x" else (good, wrong)
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        complexification_norm_batch(base, X, Y)
+
+
+def test_batch_of_huge_finite_rows_is_accepted():
+    # the entries are finite although their sum overflows
+    X = np.full((2, 2), 1e308)
+    np.testing.assert_array_equal(norm_batch(lp_space(2, math.inf), X), 1e308)
+    # x cos + y sin = x (cos + sin), and (cos + sin)^2 averages to 1
+    np.testing.assert_allclose(complexification_norm_batch(lp_space(2, math.inf), X, X),
+                               1e308, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +796,142 @@ def test_arc_cplx_norm_small_node_budget_raises(monkeypatch):
         with pytest.raises(QuadratureError, match="did not settle within 64 nodes"):
             complexification_norm_batch(base, X, Y)
     complexification_norm_batch(base, X, Y)
+
+
+def test_arc_cplx_norm_budget_stop_keeps_a_settled_value(monkeypatch):
+    # a generic row of l3 has two arcs; with the budget of their first panels
+    # no panel can be split, so every row stops on its first estimates, which
+    # are well inside QUAD_FAIL_RTOL but not yet at QUAD_RTOL
+    base, kinks = ARC_BASES["l3-2"]
+    rng = np.random.default_rng(25)
+    X, Y = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+    settled = complexification_norm_batch(base, X, Y)
+    monkeypatch.setattr(spaces, "QUAD_MAX_NODES", 2 * len(spaces._GK_T))
+    stopped = complexification_norm_batch(base, X, Y)
+    assert np.any(stopped != settled)
+    for x, y, value in zip(X, Y, stopped):
+        ref = _arc_reference(base, kinks, x, y)
+        assert value ** 2 == pytest.approx(ref ** 2, rel=spaces.QUAD_FAIL_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("claim", [1, 2])
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("p, dim", [(3.0, 2), (1.5, 3)])
+def test_rotation_batches_take_few_norm_evaluations(p, dim, seed, claim, monkeypatch):
+    # the batches of the non-euclidean benchmark's general-p rotation claims:
+    # 4 pairs, each turned by 16 grid angles; refining only the panels that
+    # have not settled takes 8K-15K base-norm evaluations per batch
+    base = lp_space(dim, p)
+    claim_id = f"rotation-l{p:g}-{dim}-{claim}"
+    rng = np.random.default_rng([seed, zlib.crc32(claim_id.encode())])
+    xy = rng.standard_normal((4, 2, dim))
+    x, y = xy[:, None, 0, :], xy[:, None, 1, :]
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    X, Y = (c * x - s * y).reshape(-1, dim), (s * x + c * y).reshape(-1, dim)
+    rows = []
+    norm_rows = spaces._norm_rows
+
+    def counted(space, Z):
+        rows.append(len(Z))
+        return norm_rows(space, Z)
+
+    monkeypatch.setattr(spaces, "_norm_rows", counted)
+    vals = complexification_norm_batch(base, X, Y).reshape(4, 16)
+    assert sum(rows) <= 16_000
+    assert np.max(np.abs(vals / vals[:, :1] - 1.0)) <= 1e-14
+
+
+def _solve(A, b):
+    """x with A x = b, by Gaussian elimination with partial pivoting, in the
+    arithmetic of the entries (here Fraction or Decimal)."""
+    n = len(b)
+    M = [list(row) + [v] for row, v in zip(A, b)]
+    for i in range(n):
+        pivot = max(range(i, n), key=lambda r: abs(M[r][i]))
+        M[i], M[pivot] = M[pivot], M[i]
+        for r in range(i + 1, n):
+            factor = M[r][i] / M[i][i]
+            M[r] = [a - factor * c for a, c in zip(M[r], M[i])]
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = (M[i][n] - sum(M[i][j] * x[j] for j in range(i + 1, n))) / M[i][i]
+    return x
+
+
+def _dqk21_exact(guess_x):
+    """dqk21's abscissae x >= 0, Kronrod weights and Gauss weights on [-1, 1]
+    (in the order of spaces._XGK, _WGK, _WG) to 50 digits, derived afresh.
+
+    The Gauss abscissae are the zeros of P10; the Kronrod abscissae added to
+    them are those of the Stieltjes polynomial E11, the odd x^11 + ... with
+    integral E11 P10 x^k = 0 for odd k < 11.  Each zero is found by Newton's
+    method from guess_x; the weights are the ones that integrate the even
+    powers exactly."""
+    moment = [Fraction(2, m + 1) if m % 2 == 0 else Fraction(0) for m in range(64)]
+    legendre = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for n in range(1, 10):
+        shifted = [Fraction(0)] + legendre[n]
+        previous = legendre[n - 1] + [Fraction(0), Fraction(0)]
+        legendre.append([((2 * n + 1) * a - n * b) / (n + 1)
+                         for a, b in zip(shifted, previous)])
+    p10 = legendre[10]
+
+    def weighted(k, j):  # integral of x^j P10 x^k
+        return sum(c * moment[i + j + k] for i, c in enumerate(p10))
+
+    odd = [1, 3, 5, 7, 9]
+    c = _solve([[weighted(k, j) for j in odd] for k in odd], [-weighted(k, 11) for k in odd])
+    e11 = [Fraction(0)] * 12
+    e11[11] = Fraction(1)
+    for j, cj in zip(odd, c):
+        e11[j] = cj
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = []
+        for i, guess in enumerate(guess_x):
+            poly = [Decimal(v.numerator) / Decimal(v.denominator)
+                    for v in (p10 if i % 2 else e11)]
+            root = Decimal(guess)
+            for _ in range(8):
+                value = slope = Decimal(0)
+                for a in reversed(poly):  # Horner, with the derivative alongside
+                    slope = slope * root + value
+                    value = value * root + a
+                root -= value / slope
+            x.append(root)
+        two = Decimal(2)
+        kronrod = _solve([[two * xi ** (2 * m) if i < 10 else Decimal(int(m == 0))
+                           for i, xi in enumerate(x)] for m in range(11)],
+                         [two / (2 * m + 1) for m in range(11)])
+        gauss = _solve([[two * xi ** (2 * m) for xi in x[1::2]] for m in range(5)],
+                       [two / (2 * m + 1) for m in range(5)])
+    return x, kronrod, gauss
+
+
+def test_gauss_kronrod_table_is_dqk21():
+    # every literal is the double nearest to its value derived afresh
+    x, kronrod, gauss = _dqk21_exact(spaces._XGK)
+    for literals, exact in ((spaces._XGK, x), (spaces._WGK, kronrod), (spaces._WG, gauss)):
+        assert list(literals) == [float(v) for v in exact]
+    # the rules on [0, 1] the quadrature uses
+    t, wk, wg = spaces._GK_T, spaces._GK_W, spaces._G_W
+    assert t.shape == wk.shape == (21,) and wg.shape == (10,)
+    assert 0.0 < t[0] and np.all(np.diff(t) > 0.0) and t[-1] < 1.0
+    # symmetric about 1/2, and each weight set sums to 1
+    np.testing.assert_allclose(t + t[::-1], 1.0, rtol=0.0, atol=2e-16)
+    np.testing.assert_array_equal(wk, wk[::-1])
+    np.testing.assert_array_equal(wg, wg[::-1])
+    assert abs(math.fsum(wk) - 1.0) <= 1e-15 and abs(math.fsum(wg) - 1.0) <= 1e-15
+    # Kronrod is exact up to degree 31 and Gauss, on the odd-indexed nodes,
+    # up to degree 19
+    for nodes, weights, degree in ((t, wk, 31), (t[1::2], wg, 19)):
+        for k in range(degree + 1):
+            assert abs(math.fsum(weights * nodes ** k) - 1.0 / (k + 1)) <= 1e-15, k
+    # those are the 10-point Gauss-Legendre nodes and weights
+    x, w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(t[1::2], (x + 1.0) / 2.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(wg, w / 2.0, rtol=0.0, atol=1e-15)
 
 
 def test_breakpoint_functionals_recognition():
