@@ -9,12 +9,11 @@ SAMPLE_SEED = 0  # every sampled check draws its directions from this seed
 class Tolerances:
     """Comparison tolerances.
 
-    tol_alg bounds exact algebraic residuals (e.g. max-entry of A^2 + I);
+    tol_alg bounds exact algebraic residuals (max-entry of A^2 + I, and of
+    W^2 + I for a Gram candidate, W as in structures._gram_certificates);
     tol_iso bounds isometry residuals, sampled or exact, each measured in
-    the space's own norm (a Gram candidate's residuals whitened, see
-    structures._gram_certificates); abs_tol bounds only the
-    deviations of the complex Cartesian-square identities.  No check reads
-    rel_tol: it is only echoed in a suite's report.
+    the space's own norm; abs_tol bounds only the deviations of the complex
+    Cartesian-square identities.  No check reads rel_tol; reports echo it.
     """
 
     abs_tol: float = 1e-12

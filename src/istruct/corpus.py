@@ -139,8 +139,7 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     gram_errors = _gram_errors(gram)
     # a Gram that fails its check is whitened as I: its item is an error anyway
     valid = np.array([e is None for e in gram_errors])[:, None, None]
-    Lt_inv = _whitening_factors(np.where(valid, gram, np.eye(2 * m)))[1]
-    certs = _gram_certificates(A, gram, Lt_inv)
+    certs = _gram_certificates(A, *_whitening_factors(np.where(valid, gram, np.eye(2 * m))))
     respect, respect_errors = _respect_residuals(S0, A, N, tol)
     errors = first_errors(
         _gram_errors(y_gram), gram_errors,

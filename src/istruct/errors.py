@@ -10,7 +10,7 @@ class DimensionMismatchError(IstructError):
 
 
 class DescriptorError(IstructError):
-    """A norm descriptor violates its construction invariants."""
+    """A norm, oracle or chain descriptor violates its construction invariants."""
 
 
 class QuadratureError(IstructError):
@@ -63,3 +63,12 @@ def single(value, error):
     if error is not None:
         raise error
     return value
+
+
+def json_field(obj, key: str, what: str):
+    """obj[key], or an error naming the key if what is not a JSON object with it."""
+    if not isinstance(obj, dict):
+        raise DescriptorError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise DescriptorError(f"{what} lacks the key {key!r}")
+    return obj[key]

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DescriptorError, first_errors
+from .errors import DescriptorError, first_errors, json_field
 from .morphisms import (RespectingOperator, _respect_residuals,
                         _singular_values, _split_matrix)
 from .report import VerificationReport, bounded
@@ -398,13 +398,13 @@ _SERIAL = {"norm_threshold": (NormThreshold, ("functional", "bound")),
 
 
 def oracle_from_dict(obj: dict) -> IdealOracle:
-    kind = obj["kind"]
-    desc = obj["descriptor"]
-    t = desc.get("type")
+    kind = json_field(obj, "kind", "an oracle")
+    desc = json_field(obj, "descriptor", "an oracle")
+    t = json_field(desc, "type", "an oracle descriptor")
     if not isinstance(t, str) or t not in _SERIAL:
         raise DescriptorError(f"unknown oracle descriptor type {t!r}")
     cls, fields = _SERIAL[t]
-    args = [desc[f] for f in fields]
+    args = [json_field(desc, f, f"an oracle descriptor of type {t!r}") for f in fields]
     if cls is MatrixPredicate:
         fn = PREDICATES.get((args[0], kind))
         if fn is None:

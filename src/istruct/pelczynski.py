@@ -28,8 +28,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionMismatchError, IstructError
+from .errors import DescriptorError, IstructError, json_field
+from .morphisms import _respect_residuals
 from .report import VerificationReport, bounded
+from .spaces import _checked_operator
 from .structures import ComplexStructure
 
 LABELS = ("X", "Y", "Z")
@@ -128,7 +130,7 @@ MOVES: dict = {(rid, d): _move(*(pair if d == FORWARD else pair[::-1]))
 
 
 def _check_rule(rule_id: str, direction: str = FORWARD):
-    if rule_id not in RULES:
+    if not isinstance(rule_id, str) or rule_id not in RULES:
         raise IstructError(f"unknown rule id {rule_id!r}")
     if direction not in DIRECTIONS:
         raise IstructError(f"direction must be {FORWARD!r} or {REVERSE!r}, "
@@ -293,14 +295,12 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
     S R is a projection splitting the space into its range and kernel."""
     A = s.A
     n = s.space.dim
-    R = np.asarray(R, dtype=float)
-    S = np.asarray(S, dtype=float)
-    if R.shape != (n, n) or S.shape != (n, n) or not np.all(np.isfinite([R, S])):
-        raise DimensionMismatchError(f"R and S must be finite {n} x {n} matrices")
+    R = _checked_operator(R, s.space, s.space, "R")
+    S = _checked_operator(S, s.space, s.space, "S")
     residuals = {
         "RS_minus_I": float(np.max(np.abs(R @ S - np.eye(n)))),
-        "R_respects(A,-A)": float(np.max(np.abs(R @ A + A @ R))),
-        "S_respects(-A,A)": float(np.max(np.abs(S @ (-A) - A @ S))),
+        "R_respects(A,-A)": _respect_residuals(R[None], A, -A, tol)[0][0],
+        "S_respects(-A,A)": _respect_residuals(S[None], -A, A, tol)[0][0],
     }
     P = S @ R
     residuals["projection"] = float(np.max(np.abs(P @ P - P)))
@@ -325,17 +325,23 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
 # ---------------------------------------------------------------------------
 
 def expr_from_list(obj) -> SumExpr:
+    if not (isinstance(obj, list) and all(isinstance(a, list) and len(a) == 2 for a in obj)):
+        raise DescriptorError(f"an expression must be a list of [label, sign] pairs, got {obj!r}")
     return SumExpr(Atom(label, sign) for label, sign in obj)
 
 
 def chain_from_dict(obj: dict) -> ChainDerivation:
-    """The chain a JSON object describes; an unknown rule id or direction is
-    an error here, before any step is checked."""
-    steps = [Step(expr_from_list(st["expr"]), st["rule"], st.get("dir", FORWARD))
-             for st in obj["steps"]]
+    """The chain a JSON object describes; a missing key, an unknown rule id or
+    direction is an error here, before any step is checked."""
+    steps = json_field(obj, "steps", "a chain")
+    if not isinstance(steps, list):
+        raise DescriptorError(f"a chain's steps must be a list, got {type(steps).__name__}")
+    steps = [Step(expr_from_list(json_field(st, "expr", "a chain step")),
+                  json_field(st, "rule", "a chain step"), st.get("dir", FORWARD))
+             for st in steps]
     for step in steps:
         _check_rule(step.rule, step.direction)
-    return ChainDerivation(expr_from_list(obj["start"]), steps)
+    return ChainDerivation(expr_from_list(json_field(obj, "start", "a chain")), steps)
 
 
 def reference_chain() -> ChainDerivation:

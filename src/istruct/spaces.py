@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DescriptorError, DimensionMismatchError, QuadratureError
+from .errors import DescriptorError, DimensionMismatchError, QuadratureError, json_field
 
 # Arc quadrature policy (bases without a closed form).  QUAD_RTOL is the
 # relative accuracy sought for the mean square and QUAD_MAX_NODES the norm
@@ -895,10 +895,10 @@ def space_to_dict(space: NormedSpace) -> dict:
 
 
 def space_from_dict(obj: dict) -> NormedSpace:
-    dim = obj["dim"]
+    dim = json_field(obj, "dim", "a space")
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
         raise DescriptorError(f"dimension must be an integer, got {dim!r}")
-    return NormedSpace(int(dim), descriptor_from_dict(obj["norm"]))
+    return NormedSpace(int(dim), descriptor_from_dict(json_field(obj, "norm", "a space")))
 
 
 def _number(v, key: str) -> float:
@@ -908,11 +908,11 @@ def _number(v, key: str) -> float:
 
 
 def _numbers(v, key: str) -> np.ndarray:
-    """A JSON array of numbers, or of rows of them, as floats."""
-    a = np.asarray(v, dtype=float)
+    """A JSON array of numbers, or of rows of them, as floats; a ragged
+    array's rows are entries that are not numbers."""
     for x in np.array(v, dtype=object).ravel():
         _number(x, key)
-    return a
+    return np.asarray(v, dtype=float)
 
 
 _P = (lambda p: "inf" if math.isinf(p) else p,
@@ -937,8 +937,8 @@ def descriptor_to_dict(d: NormDescriptor) -> dict:
 
 
 def descriptor_from_dict(obj: dict) -> NormDescriptor:
-    kind = obj.get("kind")
+    kind = json_field(obj, "kind", "a norm")
     if not isinstance(kind, str) or kind not in _SERIAL:
         raise DescriptorError(f"unknown descriptor kind {kind!r}")
     cls, fields = _SERIAL[kind]
-    return cls(*(back(obj[key], key) for key, _, (_, back) in fields))
+    return cls(*(back(json_field(obj, key, f"{kind} norm"), key) for key, _, (_, back) in fields))

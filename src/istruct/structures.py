@@ -19,13 +19,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
-from .errors import StructureValidationError, single
+from .errors import IstructError, StructureValidationError, single
 from .spaces import (ComplexificationOfBase, Lp, NormedSpace, SumNorm, WeightedLp,
-                     _check_vector, _checked_operator, direct_sum,
-                     euclidean_gram, lp_space, norm, norm_batch, space_equal)
+                     _check_vector, _checked_operator, _on_block, direct_sum,
+                     euclidean_gram, norm, norm_batch, space_equal)
 
 DEFAULT_SAMPLE_VECTORS = 512
 DEFAULT_SAMPLE_ANGLES = 64
+# fewer grid angles check nothing: angle 0 is the reference, every norm even
+MIN_SAMPLE_VECTORS = 1
+MIN_SAMPLE_ANGLES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +71,9 @@ def structure_equal(a: ComplexStructure, b: ComplexStructure) -> bool:
 def certify(space: NormedSpace, A, *, samples: int = DEFAULT_SAMPLE_VECTORS,
             angles: int = DEFAULT_SAMPLE_ANGLES) -> Certificate:
     """Compute residuals for a candidate i-operator without rejecting it."""
+    if samples < MIN_SAMPLE_VECTORS or angles < MIN_SAMPLE_ANGLES:
+        raise IstructError(f"certify needs samples >= {MIN_SAMPLE_VECTORS} and "
+                           f"angles >= {MIN_SAMPLE_ANGLES}, got {samples} and {angles}")
     A = _checked_operator(A, space, space, "A")
     cert = _exact_certificate(space, A)
     if cert is not None:
@@ -79,16 +85,16 @@ def certify(space: NormedSpace, A, *, samples: int = DEFAULT_SAMPLE_VECTORS,
 
 def _exact_certificate(space: NormedSpace, A: np.ndarray) -> Optional[Certificate]:
     """certify's exact certificate of A, or None where it would sample."""
-    gram = euclidean_gram(space)
-    if gram is not None:
-        return _gram_certificates(A[None], gram, space._whitening[1])[0]
     d = space.norm_desc
     # N = natural_i_operator_matrix on X_C: cos t I + sin t N maps the row
     # x cos phi + y sin phi of (x, y) to the row at phi - t, and the norm is a
     # mean over the full period of phi, so every rotation is an isometry
+    # (tested first: the Gram test would lose N's exact zeros to rounding)
     if (isinstance(d, ComplexificationOfBase)
             and np.array_equal(A, natural_i_operator_matrix(space.dim // 2))):
         return Certificate(float(_algebraic_residuals(A[None])[0]), 0.0, 0, True, None)
+    if space._whitening is not None:
+        return _gram_certificates(A[None], *space._whitening)[0]
     # on ||x1|| + ||x2||, a rotation of A1 (+) A2 is an isometry when the
     # rotations of A1 and of A2 are, each on its part
     if isinstance(d, SumNorm):
@@ -113,21 +119,20 @@ def _algebraic_residuals(As: np.ndarray) -> np.ndarray:
     return np.max(np.abs(As @ As + np.eye(As.shape[-1])), axis=(1, 2))
 
 
-def _gram_certificates(As: np.ndarray, grams: np.ndarray, Lt_inv: np.ndarray) -> list:
+def _gram_certificates(As: np.ndarray, Lt: np.ndarray, Lt_inv: np.ndarray) -> list:
     """certify of each candidate of a stack As (k, n, n) on the Euclidean-like
-    norm whose Gram G = L L' is grams (one for all, or a stack (k, n, n)),
-    with Lt_inv its L^-T (or their stack) from _whitening_factors.
+    norm whose Gram L L' has the _whitening_factors Lt = L' and Lt_inv = L'^-1
+    (one pair for all, or their stacks).
 
-    Rotations are G-isometries iff A'GA = G and GA is antisymmetric.  Both
-    residual matrices R are measured whitened, as L^-1 R L^-T: that is W'W - I
-    and W + W' for W = L'AL^-T, the operator in coordinates where the norm is
-    l2, so the isometry residual is in the space's own norm and does not scale
-    with G.  An exact zero stays exactly zero."""
-    alg = _algebraic_residuals(As)
-    At = np.swapaxes(As, 1, 2)
-    L_inv = np.swapaxes(Lt_inv, -1, -2)
-    r1 = np.max(np.abs(L_inv @ (At @ grams @ As - grams) @ Lt_inv), axis=(1, 2))
-    r2 = np.max(np.abs(L_inv @ (At @ grams + grams @ As) @ Lt_inv), axis=(1, 2))
+    Every residual is read off W = L'AL'^-1, the candidate where the norm is
+    l2, so in the space's own norm and not scaled by the Gram: the algebraic
+    one from W^2 + I, the isometry one from W'W - I and W + W' (rotations are
+    isometries iff W is orthogonal and antisymmetric).  For G = I, W is A."""
+    W = Lt @ As @ Lt_inv
+    Wt = np.swapaxes(W, 1, 2)
+    alg = _algebraic_residuals(W)
+    r1 = np.max(np.abs(Wt @ W - np.eye(W.shape[-1])), axis=(1, 2))
+    r2 = np.max(np.abs(W + Wt), axis=(1, 2))
     return [Certificate(float(a), float(max(x, y)), 0, True, None)
             for a, x, y in zip(alg, r1, r2)]
 
@@ -140,8 +145,9 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
     spaces._Form) are exact, and every other base is integrated between the
     kinks of each rotated row by Gauss-Kronrod panels that each settle to
     their share of QUAD_RTOL; the Kronrod values are then good to about
-    rounding, so the check sees little more than rounding at any angle.  A block-diagonal A on an l1-sum
-    whose blocks both certify exactly never comes here (see certify).
+    rounding, so the check sees little more than rounding at any angle.  A
+    block-diagonal A on an l1-sum whose blocks both certify exactly never
+    comes here (see certify).
     """
     n = space.dim
     rng = np.random.default_rng(SAMPLE_SEED)
@@ -149,8 +155,7 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
     theta = 2.0 * np.pi * np.arange(angles) / angles
     al, be = np.cos(theta), np.sin(theta)
 
-    worst = -1.0
-    witness = None
+    worst, witness = -1.0, None
     chunk = max(1, 32768 // angles)
     for lo in range(0, samples, chunk):
         Xc = X[lo:lo + chunk]
@@ -159,15 +164,12 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
         # reference norm)
         R = al[None, :, None] * Xc[:, None, :] + be[None, :, None] * AXc[:, None, :]
         vals = norm_batch(space, R.reshape(-1, n)).reshape(len(Xc), angles)
-        ref = vals[:, 0]
-        ok = ref > 0
-        dev = np.abs(vals[ok] / ref[ok, None] - 1.0)
-        if dev.size:
-            i, j = np.unravel_index(np.argmax(dev), dev.shape)
-            if dev[i, j] > worst:
-                worst = float(dev[i, j])
-                xi = Xc[ok][i] / ref[ok][i]
-                witness = (xi, float(al[j]), float(be[j]))
+        ref = vals[:, 0]  # > 0: a norm is definite and no sample is 0
+        dev = np.abs(vals / ref[:, None] - 1.0)
+        i, j = np.unravel_index(np.argmax(dev), dev.shape)
+        if dev[i, j] > worst:
+            worst = float(dev[i, j])
+            witness = (Xc[i] / ref[i], float(al[j]), float(be[j]))
     return max(worst, 0.0), witness, samples * angles
 
 
@@ -300,14 +302,9 @@ def search_i_operator(space: NormedSpace, *,
       construction (see certify), with residual 0.
     - Any other Euclidean-like norm, with Gram G = L L': A = L^-T J L' is
       one, J the canonical block rotation (A'GA = G and GA is antisymmetric).
-      It is checked algebraically in whitened coordinates, where the norm is l2:
-      W = L' A L^-T against W^2 = -I and W'W = I, and the certificate holds
-      W's residuals.  These are A's conditions measured in the space's own
-      norm, as certify measures a Gram candidate (_gram_certificates); in the
-      coordinate basis A's entries grow with the condition of G and so does
-      the rounding in A^2 + I.  W's residuals measure A against L L', not G,
-      so the isometry residual also counts Cholesky's backward error
-      max |L^-1 G L^-T - I| (0 for G = I).
+      certify measures it off W = L' A L^-T, against L L'; the isometry
+      residual adds Cholesky's backward error max |L^-1 G L^-T - I| (0 for
+      G = I), so validate_i_operator accepts what is found.
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
       up to the weights) and every norm with pieces, whose unit ball is a
       polytope (see spaces._Form; l1-sums of lines are among them): the
@@ -316,11 +313,10 @@ def search_i_operator(space: NormedSpace, *,
     - An l1-sum whose two parts both have one found: A1 (+) A2, whose
       certificate joins the parts' (see certify).
     - Any other norm (other sums, subspaces of general-p bases) is
-      undecided, which is not a nonexistence proof.  So is a Gram matrix so
-      ill-conditioned that W misses tol in floating point (a 2 x 2
-      Gram of condition 1e8 often does: the whitened residual of even the
-      correctly rounded A is of order eps * cond(G)); A is still returned as
-      best_candidate.
+      undecided, which is not a nonexistence proof.  So is a Gram so
+      ill-conditioned that W misses tol in floating point (a 2 x 2 Gram of
+      condition 1e8 often does: W's residual of even the correctly rounded A
+      is of order eps * cond(G)); A is still returned as best_candidate.
     """
     n = space.dim
     if n % 2 != 0:
@@ -329,16 +325,11 @@ def search_i_operator(space: NormedSpace, *,
         s = natural_i_operator(space.norm_desc.base)
         return SearchResult(s, 0.0, FOUND, s.A)
     if space._whitening is not None:
-        L = space._whitening[0].T
-        A = np.linalg.solve(L.T, natural_i_operator_matrix(n // 2) @ L.T)
-        W = L.T @ np.linalg.solve(L, A.T).T
-        c = certify(lp_space(n, 2.0), W)
-        # W's residuals measure A against L L', the computed factorisation;
-        # G differs from it by Cholesky's backward error, measured here in
-        # the same whitened coordinates
-        whitened_gram = np.linalg.solve(L, np.linalg.solve(L, euclidean_gram(space)).T)
-        c = replace(c, isometry_residual=c.isometry_residual + float(
-            np.max(np.abs(whitened_gram - np.eye(n)))))
+        Lt, Lt_inv = space._whitening
+        A = Lt_inv @ natural_i_operator_matrix(n // 2) @ Lt
+        c = certify(space, A)
+        backward = np.max(np.abs(Lt_inv.T @ euclidean_gram(space) @ Lt_inv - np.eye(n)))
+        c = replace(c, isometry_residual=c.isometry_residual + float(backward))
         residual = c.algebraic_residual + c.isometry_residual
         if _rejection(c, tol) is not None:
             return SearchResult(None, residual, UNDECIDED, A)
@@ -352,9 +343,7 @@ def search_i_operator(space: NormedSpace, *,
         parts = [search_i_operator(d.left, tol=tol).found,
                  search_i_operator(d.right, tol=tol).found]
         if None not in parts:
-            A = np.zeros((n, n))
-            A[:d.left.dim, :d.left.dim] = parts[0].A
-            A[d.left.dim:, d.left.dim:] = parts[1].A
+            A = np.vstack([_on_block(parts[0].A, 0, n), _on_block(parts[1].A, d.left.dim, n)])
             c = _joined([s.certificate for s in parts])
             residual = c.algebraic_residual + c.isometry_residual
             return SearchResult(ComplexStructure(space, A, c), residual, FOUND, A)

@@ -17,12 +17,13 @@ from istruct.cli import (bundled_scenario_path, load_scenario, main,
 from istruct.config import Tolerances
 from istruct.corpus import (random_complexification_isomorphism,
                             random_euclidean_space, random_exact_structure)
-from istruct.errors import IstructError, ScenarioError
-from istruct.ideals import RealOperator, audit_self_conjugacy
+from istruct.errors import DescriptorError, IstructError, ScenarioError
+from istruct.ideals import RealOperator, audit_self_conjugacy, oracle_from_dict
 from istruct.morphisms import RespectingOperator
-from istruct.pelczynski import reference_chain
+from istruct.pelczynski import chain_from_dict, reference_chain
 from istruct.report import VERIFIED, VIOLATED, VerificationReport, bounded
-from istruct.spaces import complexification_norm, lp_space, norm_batch
+from istruct.spaces import (complexification_norm, descriptor_from_dict, lp_space,
+                            norm_batch, space_from_dict)
 from istruct.structures import ComplexStructure
 from istruct.theory import (build_complexification_witness, extract_conjugation,
                             verify_complex_cartesian_identities,
@@ -573,6 +574,11 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "kind": "sub", "ambient": {"dim": 2, "norm": {"kind": "lp", "p": 1.0}},
         "basis": [["1"], [0]]}}),
      "pelczynski-chain", ["'sub-l1'", "basis:", "'1'", "JSON number"]),
+    # a missing key is named, not a bare KeyError
+    (_edit(["spaces", "plane-l3", "norm"], {"kind": "lp"}), "pelczynski-chain",
+     ["'plane-l3'", "DescriptorError", "lacks the key 'p'"]),
+    (_edit(["oracles", "r-rank-all", "descriptor"], {"type": "rank_threshold"}),
+     "ideal-transforms", ["'r-rank-all'", "DescriptorError", "lacks the key 'r'"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
         "unknown-tolerance", "tolerances-string", "tolerances-number",
         "tolerance-string-nan", "tolerance-negative", "tolerance-boolean",
@@ -593,7 +599,7 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "matrix-strings", "matrix-booleans", "validate-matrix-size", "reject-matrix-size",
         "factorization-r-size", "factorization-s-size", "factorization-a-size", "p-string", "p-boolean", "wlp-p-string",
         "weights-strings", "weights-boolean", "gram-booleans", "functionals-string",
-        "basis-string"])
+        "basis-string", "norm-missing-key", "oracle-missing-key"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
                                     edit, suite, words):
     assert _run_edited(scenario_path, tmp_path, edit, suite) == 2
@@ -602,6 +608,52 @@ def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
     for word in words:
         assert word in err
     assert claim_runs == []
+
+
+_LP = {"kind": "lp", "p": 1.0}
+
+
+@pytest.mark.parametrize("read, obj, error, words", [
+    (space_from_dict, {}, DescriptorError, ["space", "'dim'"]),
+    (space_from_dict, {"dim": 2}, DescriptorError, ["space", "'norm'"]),
+    (space_from_dict, [2, _LP], DescriptorError, ["space", "JSON object", "list"]),
+    (space_from_dict, {"dim": 2, "norm": {"kind": "lp"}}, DescriptorError, ["lp norm", "'p'"]),
+    (space_from_dict, {"dim": 2, "norm": "lp"}, DescriptorError, ["norm", "JSON object"]),
+    (space_from_dict, {"dim": 4, "norm": {"kind": "sum", "left": {"dim": 2, "norm": _LP}}},
+     DescriptorError, ["sum norm", "'right'"]),
+    (descriptor_from_dict, {"p": 1.0}, DescriptorError, ["norm", "'kind'"]),
+    (descriptor_from_dict, {"kind": "poly", "functionals": [[1, 0], [0]]}, DescriptorError,
+     ["functionals:", "[1, 0]", "JSON number"]),
+    (oracle_from_dict, {"kind": "real", "descriptor": {"type": "rank_threshold"}},
+     DescriptorError, ["'rank_threshold'", "'r'"]),
+    (oracle_from_dict, {"kind": "real"}, DescriptorError, ["oracle", "'descriptor'"]),
+    (oracle_from_dict, {"kind": "real", "descriptor": {}}, DescriptorError,
+     ["oracle descriptor", "'type'"]),
+    (oracle_from_dict, {"descriptor": {"type": "all"}}, DescriptorError, ["oracle", "'kind'"]),
+    (oracle_from_dict, "all", DescriptorError, ["oracle", "JSON object", "str"]),
+    (chain_from_dict, {"start": [["X", "+"]]}, IstructError, ["chain", "'steps'"]),
+    (chain_from_dict, {"steps": []}, IstructError, ["chain", "'start'"]),
+    (chain_from_dict, {"steps": 3, "start": [["X", "+"]]}, IstructError, ["steps", "list"]),
+    (chain_from_dict, {"steps": [{"rule": "R3"}], "start": [["X", "+"]]}, IstructError,
+     ["chain step", "'expr'"]),
+    (chain_from_dict, {"steps": [{"expr": [["X", "+"]]}], "start": [["X", "+"]]},
+     IstructError, ["chain step", "'rule'"]),
+    (chain_from_dict, {"steps": ["R3"], "start": [["X", "+"]]}, IstructError,
+     ["chain step", "JSON object"]),
+    (chain_from_dict, {"steps": [], "start": "X+"}, IstructError, ["[label, sign]"]),
+    (chain_from_dict, {"steps": [{"expr": [["X", "+"]], "rule": ["R3"]}],
+                       "start": [["X", "+"]]}, IstructError, ["unknown rule id"]),
+    (chain_from_dict, None, IstructError, ["chain", "JSON object"]),
+], ids=["space-no-dim", "space-no-norm", "space-list", "lp-no-p", "norm-string",
+        "sum-no-right", "norm-no-kind", "ragged-functionals", "rank-no-r", "oracle-no-descriptor",
+        "descriptor-no-type", "oracle-no-kind", "oracle-string",
+        "chain-no-steps", "chain-no-start", "steps-number", "step-no-expr",
+        "step-no-rule", "step-string", "start-string", "rule-list", "chain-null"])
+def test_json_readers_raise_typed_errors_naming_the_key(read, obj, error, words):
+    with pytest.raises(error) as exc:
+        read(obj)
+    for word in words:
+        assert word in str(exc.value)
 
 
 @pytest.mark.parametrize("edit, words", [

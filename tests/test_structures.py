@@ -7,7 +7,7 @@ import pytest
 
 from istruct.corpus import random_exact_structure, signed_pairing_matrix
 from istruct.config import DEFAULT_TOL
-from istruct.errors import (DescriptorError, DimensionMismatchError,
+from istruct.errors import (DescriptorError, DimensionMismatchError, IstructError,
                             StructureValidationError)
 from istruct.morphisms import _split_matrix
 from istruct.spaces import (NormedSpace, Polyhedral, SubspaceNorm, WeightedLp,
@@ -290,12 +290,23 @@ def test_search_finds_structure_on_euclidean_plane():
     assert np.array_equal(s.A, J2)
 
 
+def _assert_validator_accepts(space, result):
+    """validate_i_operator accepts the structure the search found, and
+    certify measures it with residuals no larger than the found certificate's."""
+    found = result.found.certificate
+    c = validate_i_operator(space, result.found.A).certificate
+    assert c.exact
+    assert c.algebraic_residual <= found.algebraic_residual
+    assert c.isometry_residual <= found.isometry_residual
+
+
 @pytest.mark.parametrize("space", [
     euclidean_space(4, _random_gram(4, 11)),
     euclidean_space(6, _random_gram(6, 12)),
     NormedSpace(2, WeightedLp(2.0, np.array([1.0, 9.0]))),
     direct_sum(lp_space(2, 2.0), lp_space(2, 2.0), "complexification"),
-], ids=["quad-4", "quad-6", "weighted-l2", "cplx-l2"])
+    lp_space(4, 2.0),
+], ids=["quad-4", "quad-6", "weighted-l2", "cplx-l2", "l2-4"])
 def test_search_finds_structure_on_euclidean_like_spaces(space):
     result = search_i_operator(space)
     assert result.tag == FOUND
@@ -303,6 +314,7 @@ def test_search_finds_structure_on_euclidean_like_spaces(space):
     assert c.exact and c.samples_used == 0
     assert result.best_residual == c.algebraic_residual + c.isometry_residual
     assert result.best_residual <= 1e-12
+    _assert_validator_accepts(space, result)
 
 
 def test_search_odd_dimension():
@@ -349,6 +361,7 @@ def test_search_finds_natural_operator_on_complexifications(space):
     assert np.array_equal(s.A, natural_i_operator_matrix(space.dim // 2))
     assert s.certificate.exact and s.certificate.samples_used == 0
     assert result.best_residual == 0.0
+    _assert_validator_accepts(space, result)
 
 
 @pytest.mark.parametrize("space", [
@@ -379,6 +392,7 @@ def test_search_finds_the_parts_operators_on_a_sum(space, A):
     c = result.found.certificate
     assert c.exact and c.samples_used == 0
     assert result.best_residual == 0.0
+    _assert_validator_accepts(space, result)
 
 
 def test_certify_of_a_block_diagonal_operator_on_a_sum_is_exact():
@@ -417,11 +431,27 @@ def test_search_finds_structure_on_ill_conditioned_grams(n, condition):
     # eps * cond(G), misses tol_alg on part of them (in dim 2 even for the
     # correctly rounded operator)
     for seed in range(10):
-        result = search_i_operator(euclidean_space(n, _conditioned_gram(n, condition, seed)))
+        space = euclidean_space(n, _conditioned_gram(n, condition, seed))
+        result = search_i_operator(space)
         assert result.tag == FOUND
         c = result.found.certificate
         assert c.exact and c.algebraic_residual <= DEFAULT_TOL.tol_alg
         assert c.isometry_residual <= DEFAULT_TOL.tol_iso
+        _assert_validator_accepts(space, result)
+
+
+@pytest.mark.parametrize("sampling", [
+    {"samples": 0}, {"angles": 0}, {"angles": 1}, {"angles": 2},
+], ids=["samples-0", "angles-0", "angles-1", "angles-2"])
+def test_degenerate_sampling_is_a_typed_error(sampling):
+    # no vectors, or a grid of angle 0 (the reference) and pi (every norm is
+    # even), checks nothing; the default grid rejects this rotation of l1^2
+    with pytest.raises(StructureValidationError) as exc:
+        validate_i_operator(lp_space(2, 1.0), J2)
+    # a sampled lower bound of sqrt(2) - 1, reached at x = e1 and angle pi/4
+    assert 0.41 < exc.value.certificate.isometry_residual <= math.sqrt(2) - 1
+    with pytest.raises(IstructError, match="samples >= 1 and angles >= 3"):
+        validate_i_operator(lp_space(2, 1.0), J2, **sampling)
 
 
 def test_gram_certificate_rejects_a_non_isometry_on_a_tiny_gram():
