@@ -39,10 +39,12 @@ from .spaces import (_gram_complexification_norms, _gram_errors, _gram_norms,
                      block_diag2, complexification_norm,
                      complexification_norm_batch, direct_sum, lp_space,
                      norm_batch, space_from_dict)
-from .structures import (BY_CONSTRUCTION, DEFAULT_SAMPLE_ANGLES, DEFAULT_SAMPLE_VECTORS,
-                         MIN_SAMPLE_ANGLES, MIN_SAMPLE_VECTORS, UNDECIDED, certify,
-                         natural_i_operator, natural_i_operator_matrix, reevaluate_witness,
-                         search_i_operator, validate_i_operator, witness_to_dict)
+from .structures import (BY_CONSTRUCTION, DEFAULT_SAMPLE_ANGLES,
+                         DEFAULT_SAMPLE_VECTORS, MIN_SAMPLE_ANGLES,
+                         MIN_SAMPLE_VECTORS, UNDECIDED, certify, natural_i_operator,
+                         natural_i_operator_matrix, reevaluate_witness,
+                         search_i_operator, validate_i_operator,
+                         witness_to_dict)
 from .theory import (_complex_cartesian_reports, _conjugations,
                      _real_cartesian_reports, _squares_reports, _witnesses,
                      verify_theorem_complex, verify_theorem_real)

@@ -139,7 +139,8 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     gram_errors = _gram_errors(gram)
     # a Gram that fails its check is whitened as I: its item is an error anyway
     valid = np.array([e is None for e in gram_errors])[:, None, None]
-    certs = _gram_certificates(A, *_whitening_factors(np.where(valid, gram, np.eye(2 * m))))
+    whitened = np.where(valid, gram, np.eye(2 * m))
+    certs = _gram_certificates(A, whitened, *_whitening_factors(whitened))
     respect, respect_errors = _respect_residuals(S0, A, N, tol)
     errors = first_errors(
         _gram_errors(y_gram), gram_errors,

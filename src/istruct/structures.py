@@ -21,7 +21,7 @@ import numpy as np
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import IstructError, StructureValidationError, single
 from .spaces import (ComplexificationOfBase, Lp, NormedSpace, SumNorm, WeightedLp,
-                     _check_vector, _checked_operator, _on_block, direct_sum,
+                     _check_vector, _checked_operator, direct_sum,
                      euclidean_gram, norm, norm_batch, space_equal)
 
 DEFAULT_SAMPLE_VECTORS = 512
@@ -94,7 +94,7 @@ def _exact_certificate(space: NormedSpace, A: np.ndarray) -> Optional[Certificat
             and np.array_equal(A, natural_i_operator_matrix(space.dim // 2))):
         return Certificate(float(_algebraic_residuals(A[None])[0]), 0.0, 0, True, None)
     if space._whitening is not None:
-        return _gram_certificates(A[None], *space._whitening)[0]
+        return _gram_certificates(A[None], euclidean_gram(space), *space._whitening)[0]
     # on ||x1|| + ||x2||, a rotation of A1 (+) A2 is an isometry when the
     # rotations of A1 and of A2 are, each on its part
     if isinstance(d, SumNorm):
@@ -119,20 +119,25 @@ def _algebraic_residuals(As: np.ndarray) -> np.ndarray:
     return np.max(np.abs(As @ As + np.eye(As.shape[-1])), axis=(1, 2))
 
 
-def _gram_certificates(As: np.ndarray, Lt: np.ndarray, Lt_inv: np.ndarray) -> list:
+def _gram_certificates(As: np.ndarray, grams: np.ndarray, Lt: np.ndarray,
+                       Lt_inv: np.ndarray) -> list:
     """certify of each candidate of a stack As (k, n, n) on the Euclidean-like
-    norm whose Gram L L' has the _whitening_factors Lt = L' and Lt_inv = L'^-1
-    (one pair for all, or their stacks).
+    norm with Gram G = grams, whose _whitening_factors are Lt = L' and
+    Lt_inv = L'^-1 (one Gram for all, or their stacks).
 
-    Every residual is read off W = L'AL'^-1, the candidate where the norm is
-    l2, so in the space's own norm and not scaled by the Gram: the algebraic
-    one from W^2 + I, the isometry one from W'W - I and W + W' (rotations are
-    isometries iff W is orthogonal and antisymmetric).  For G = I, W is A."""
+    Rotations are G-isometries iff A'GA = G and GA is antisymmetric.  Both
+    are measured whitened, for W = L'AL'^-1 and M = L^-1 G L^-T (I up to
+    Cholesky's backward error): L^-1 (A'GA - G) L^-T is W'MW - M and
+    L^-1 (GA + A'G) L^-T is MW + W'M, for any invertible L.  So A is measured
+    against G itself, in the space's own norm, without the growth with the
+    condition of G of A'GA formed in coordinates; the algebraic residual is
+    W^2 + I.  For G = I, W is A and M is I."""
     W = Lt @ As @ Lt_inv
-    Wt = np.swapaxes(W, 1, 2)
+    M = np.swapaxes(Lt_inv, -1, -2) @ grams @ Lt_inv
+    MW = M @ W
     alg = _algebraic_residuals(W)
-    r1 = np.max(np.abs(Wt @ W - np.eye(W.shape[-1])), axis=(1, 2))
-    r2 = np.max(np.abs(W + Wt), axis=(1, 2))
+    r1 = np.max(np.abs(np.swapaxes(W, 1, 2) @ MW - M), axis=(1, 2))
+    r2 = np.max(np.abs(MW + np.swapaxes(MW, 1, 2)), axis=(1, 2))
     return [Certificate(float(a), float(max(x, y)), 0, True, None)
             for a, x, y in zip(alg, r1, r2)]
 
@@ -145,9 +150,8 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
     spaces._Form) are exact, and every other base is integrated between the
     kinks of each rotated row by Gauss-Kronrod panels that each settle to
     their share of QUAD_RTOL; the Kronrod values are then good to about
-    rounding, so the check sees little more than rounding at any angle.  A
-    block-diagonal A on an l1-sum whose blocks both certify exactly never
-    comes here (see certify).
+    rounding, so the check sees little more than rounding at any angle.  A block-diagonal A on an l1-sum
+    whose blocks both certify exactly never comes here (see certify).
     """
     n = space.dim
     rng = np.random.default_rng(SAMPLE_SEED)
@@ -155,7 +159,8 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
     theta = 2.0 * np.pi * np.arange(angles) / angles
     al, be = np.cos(theta), np.sin(theta)
 
-    worst, witness = -1.0, None
+    worst = -1.0
+    witness = None
     chunk = max(1, 32768 // angles)
     for lo in range(0, samples, chunk):
         Xc = X[lo:lo + chunk]
@@ -164,13 +169,20 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
         # reference norm)
         R = al[None, :, None] * Xc[:, None, :] + be[None, :, None] * AXc[:, None, :]
         vals = norm_batch(space, R.reshape(-1, n)).reshape(len(Xc), angles)
-        ref = vals[:, 0]  # > 0: a norm is definite and no sample is 0
-        dev = np.abs(vals / ref[:, None] - 1.0)
-        i, j = np.unravel_index(np.argmax(dev), dev.shape)
-        if dev[i, j] > worst:
-            worst = float(dev[i, j])
-            witness = (Xc[i] / ref[i], float(al[j]), float(be[j]))
-    return max(worst, 0.0), witness, samples * angles
+        ref = vals[:, 0]
+        # a reference that under- or overflowed (|x|^p in an Lp norm of large
+        # p) measures nothing; a rotated norm that did counts as infinitely far
+        ok = (ref > 0) & (ref < np.inf)
+        dev = np.abs(vals[ok] / ref[ok, None] - 1.0)
+        dev[np.isnan(dev)] = np.inf
+        if dev.size:
+            i, j = np.unravel_index(np.argmax(dev), dev.shape)
+            if dev[i, j] > worst:
+                worst = float(dev[i, j])
+                xi = Xc[ok][i] / ref[ok][i]
+                witness = (xi, float(al[j]), float(be[j]))
+    # no sample with a usable reference is no evidence of an isometry
+    return (worst if worst >= 0.0 else np.inf), witness, samples * angles
 
 
 def reevaluate_witness(space: NormedSpace, A: np.ndarray, witness) -> float:
@@ -302,9 +314,10 @@ def search_i_operator(space: NormedSpace, *,
       construction (see certify), with residual 0.
     - Any other Euclidean-like norm, with Gram G = L L': A = L^-T J L' is
       one, J the canonical block rotation (A'GA = G and GA is antisymmetric).
-      certify measures it off W = L' A L^-T, against L L'; the isometry
-      residual adds Cholesky's backward error max |L^-1 G L^-T - I| (0 for
-      G = I), so validate_i_operator accepts what is found.
+      Its certificate is certify's (see _gram_certificates) with Cholesky's
+      backward error max |L^-1 G L^-T - I| added to the isometry residual,
+      as A is exact for L L' and not for G; so validate_i_operator accepts
+      every structure found.
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
       up to the weights) and every norm with pieces, whose unit ball is a
       polytope (see spaces._Form; l1-sums of lines are among them): the
@@ -328,6 +341,8 @@ def search_i_operator(space: NormedSpace, *,
         Lt, Lt_inv = space._whitening
         A = Lt_inv @ natural_i_operator_matrix(n // 2) @ Lt
         c = certify(space, A)
+        # A is exact for L L', and G differs from it by Cholesky's backward
+        # error; the found certificate counts it on top of certify's measure
         backward = np.max(np.abs(Lt_inv.T @ euclidean_gram(space) @ Lt_inv - np.eye(n)))
         c = replace(c, isometry_residual=c.isometry_residual + float(backward))
         residual = c.algebraic_residual + c.isometry_residual
@@ -343,7 +358,9 @@ def search_i_operator(space: NormedSpace, *,
         parts = [search_i_operator(d.left, tol=tol).found,
                  search_i_operator(d.right, tol=tol).found]
         if None not in parts:
-            A = np.vstack([_on_block(parts[0].A, 0, n), _on_block(parts[1].A, d.left.dim, n)])
+            A = np.zeros((n, n))
+            A[:d.left.dim, :d.left.dim] = parts[0].A
+            A[d.left.dim:, d.left.dim:] = parts[1].A
             c = _joined([s.certificate for s in parts])
             residual = c.algebraic_residual + c.isometry_residual
             return SearchResult(ComplexStructure(space, A, c), residual, FOUND, A)

@@ -291,13 +291,16 @@ def test_search_finds_structure_on_euclidean_plane():
 
 
 def _assert_validator_accepts(space, result):
-    """validate_i_operator accepts the structure the search found, and
-    certify measures it with residuals no larger than the found certificate's."""
+    """validate_i_operator accepts the structure the search found: it
+    measures the found certificate's residuals, which on a Gram also count
+    Cholesky's backward error."""
     found = result.found.certificate
     c = validate_i_operator(space, result.found.A).certificate
-    assert c.exact
-    assert c.algebraic_residual <= found.algebraic_residual
+    assert c.exact and c.witness is None and c.samples_used == 0
+    assert c.algebraic_residual == found.algebraic_residual
     assert c.isometry_residual <= found.isometry_residual
+    if euclidean_gram(space) is None or np.array_equal(euclidean_gram(space), np.eye(space.dim)):
+        assert c.isometry_residual == found.isometry_residual
 
 
 @pytest.mark.parametrize("space", [
@@ -454,6 +457,18 @@ def test_degenerate_sampling_is_a_typed_error(sampling):
         validate_i_operator(lp_space(2, 1.0), J2, **sampling)
 
 
+@pytest.mark.parametrize("p", [300.0, 1000.0, 1e6])
+def test_sampled_check_rejects_a_rotation_when_lp_norms_under_or_overflow(p):
+    # |x|^p underflows to 0 or overflows to inf on many Gaussian samples (on
+    # all of them at p = 1e6); those samples measure nothing, and J2 is still
+    # no isometry of lp^2
+    with np.errstate(over="ignore"):
+        with pytest.raises(StructureValidationError) as exc:
+            validate_i_operator(lp_space(2, p), J2)
+    assert exc.value.certificate.isometry_residual > 0.1
+    assert (exc.value.certificate.witness is None) == (p == 1e6)
+
+
 def test_gram_certificate_rejects_a_non_isometry_on_a_tiny_gram():
     # A halves the norm of e1; measured in coordinates, A'GA - G is only
     # 3e-10 on G = 1e-10 I, but whitened it is W'W - I = diag(-3/4, 3)
@@ -466,7 +481,7 @@ def test_gram_certificate_rejects_a_non_isometry_on_a_tiny_gram():
 
 def test_gram_certificate_accepts_the_search_structure_on_a_large_gram():
     # in coordinates the residual of the search's A grows with G (4.8e-7
-    # here); whitened it is what the search itself measured
+    # here); whitened it does not
     M = np.eye(4) + 0.15 * np.random.default_rng(0).standard_normal((4, 4))
     space = euclidean_space(4, 1e9 * M.T @ M)
     result = search_i_operator(space)
@@ -476,8 +491,8 @@ def test_gram_certificate_accepts_the_search_structure_on_a_large_gram():
 
 
 def test_search_certificate_counts_cholesky_backward_error():
-    # the whitened check certifies A for the computed L L'; what separates
-    # that from G enters the isometry residual
+    # the search's A is exact for the computed L L'; what separates that
+    # from G enters the found isometry residual, on top of certify's
     for seed in range(5):
         gram = _conditioned_gram(8, 1e8, seed)
         L = np.linalg.cholesky(gram)
@@ -501,4 +516,7 @@ def test_search_undecided_when_gram_too_ill_conditioned():
     assert result.found is None
     assert result.best_candidate is not None
     assert result.best_residual > DEFAULT_TOL.tol_alg
+    # certify measures the candidate against G itself: the validator rejects it too
+    with pytest.raises(StructureValidationError):
+        validate_i_operator(space, result.best_candidate)
 
