@@ -188,9 +188,12 @@ SPACE = _named("space")
 # ---------------------------------------------------------------------------
 
 def _choice(rng, seq) -> int:
-    """One entry of seq, drawn from the same stream as rng.choice(seq) (a
-    test checks that), without converting seq to an array."""
-    return int(seq[int(rng.integers(len(seq)))])
+    """One entry of seq, drawn as rng.choice(seq) draws it (a test checks
+    that), without converting seq to an array: rng.integers(len(seq)) by
+    Lemire's method over the generator's own 32-bit stream
+    (corpus._below).  The caller holds rng.bit_generator.lock, as
+    _drawn_groups does for a whole corpus."""
+    return int(seq[corpus_gen._below(rng, len(seq))])
 
 
 def _h_euclidean_closed_form(params, rng, tol):
@@ -204,8 +207,8 @@ def _h_euclidean_closed_form(params, rng, tol):
     phi = 2.0 * np.pi * np.arange(8) / 8
 
     def draw():
-        dim = int(rng.integers(lo, hi + 1))
-        explicit_gram = bool(rng.integers(2))
+        dim = lo + corpus_gen._below(rng, hi + 1 - lo)
+        explicit_gram = bool(corpus_gen._below(rng, 2))
         Z = rng.standard_normal((dim, dim)) if explicit_gram else None
         return (dim, explicit_gram), (Z, rng.standard_normal(dim), rng.standard_normal(dim))
 
@@ -227,7 +230,7 @@ def _h_euclidean_closed_form(params, rng, tol):
         defined = np.sqrt(np.mean(norms ** 2, axis=1))
         return zip(np.abs(closed - defined).tolist(), errors)
 
-    worst = max(_corpus_outcomes(params["count"], draw, check))
+    worst = max(_corpus_outcomes(rng, params["count"], draw, check))
     return bounded("euclidean-closed-form", worst <= 1e-10,
                    {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
 
@@ -326,20 +329,22 @@ def _failed(report, error) -> bool:
     return error is not None or not report.ok
 
 
-def _drawn_groups(count: int, draw: Callable) -> dict:
+def _drawn_groups(rng, count: int, draw: Callable) -> dict:
     """shape -> (indices, items) of a corpus of count items: draw() is called
     count times in order, each giving (shape, item), and the items are grouped
-    by shape in order of first appearance."""
+    by shape in order of first appearance.  The draws are made under rng's
+    bit generator lock, which the stream helpers of corpus need."""
     groups: dict = {}
-    for i in range(count):
-        shape, item = draw()
-        idx, items = groups.setdefault(shape, ([], []))
-        idx.append(i)
-        items.append(item)
+    with rng.bit_generator.lock:
+        for i in range(count):
+            shape, item = draw()
+            idx, items = groups.setdefault(shape, ([], []))
+            idx.append(i)
+            items.append(item)
     return groups
 
 
-def _corpus_outcomes(count: int, draw: Callable, check: Callable,
+def _corpus_outcomes(rng, count: int, draw: Callable, check: Callable,
                      fails: Callable = _erred) -> list:
     """Run a corpus of count items a shape group at a time.  The items are
     drawn and grouped by _drawn_groups, and check(shape, items) of each group
@@ -350,7 +355,7 @@ def _corpus_outcomes(count: int, draw: Callable, check: Callable,
     not checked."""
     out: dict = {}
     stop = None
-    for shape, (idx, items) in _drawn_groups(count, draw).items():
+    for shape, (idx, items) in _drawn_groups(rng, count, draw).items():
         if stop is not None and idx[0] > stop:
             break
         for i, (outcome, error) in zip(idx, check(shape, items)):
@@ -391,7 +396,7 @@ def _h_prop1_roundtrip(params, rng, tol):
         w = _witnesses(c.A, Ts, c.gram, None, tol=tol)
         return zip(w.outcomes, first_errors(c.errors, conj_errors, w.errors))
 
-    reports = _corpus_outcomes(params["count"], draw, check)
+    reports = _corpus_outcomes(rng, params["count"], draw, check)
     worst = {key: _worst(reports, key) for key in
              ("involution", "anticommutation", "inverse_composition", "norm_excess")}
     ok = (worst["involution"] <= 1e-8 and worst["anticommutation"] <= 1e-8
@@ -406,7 +411,7 @@ def _h_squares(params, rng, tol):
         dim = _choice(rng, params["dims"])
         return dim, corpus_gen.signed_pairing_matrix(dim, rng)
 
-    reports = _corpus_outcomes(params["count"], draw, lambda dim, As: zip(
+    reports = _corpus_outcomes(rng, params["count"], draw, lambda dim, As: zip(
         *_squares_reports(corpus_gen._euclidean(dim), np.stack(As),
                           [BY_CONSTRUCTION] * len(As), tol=tol)), _failed)
     return _verdict("square-space-isomorphism", reports,
@@ -419,12 +424,12 @@ def _h_real_cartesian(params, rng, tol):
     max_dim = params["max_dim"]
 
     def draw():
-        m = int(rng.integers(1, max_dim + 1))
-        n = int(rng.integers(1, max_dim + 1))
+        m = 1 + corpus_gen._below(rng, max_dim)
+        n = 1 + corpus_gen._below(rng, max_dim)
         return (m, n), rng.standard_normal((m, n))
 
     reports = _corpus_outcomes(
-        params["count"], draw,
+        rng, params["count"], draw,
         lambda shape, Ts: ((r, None) for r in _real_cartesian_reports(np.stack(Ts))),
         _failed)
     return _verdict("real-cartesian-identities", reports,
@@ -457,7 +462,7 @@ def _random_complex_corpus(rng, dims, count, tol) -> GroupedCorpus:
     corpus = GroupedCorpus([], [(BY_CONSTRUCTION, BY_CONSTRUCTION)] * count)
     errors: dict = {}  # corpus index -> its respect error
     for shape, (idx, draws) in _drawn_groups(
-            count, lambda: _draw_complex_op(rng, dims)).items():
+            rng, count, lambda: _draw_complex_op(rng, dims)).items():
         Ts, As, Bs, _, group_errors = _complex_ops(draws, tol)
         corpus.groups.append((idx, *map(corpus_gen._euclidean, shape), Ts, As, Bs))
         errors.update((i, e) for i, e in zip(idx, group_errors) if e is not None)
@@ -473,7 +478,7 @@ def _h_complex_cartesian(params, rng, tol):
             Ts, As, Bs, tol=tol, corrupt_annotation=params["corrupt"]), errors)
 
     reports = _corpus_outcomes(
-        params["count"], lambda: _draw_complex_op(rng, params["dims"]), check, _failed)
+        rng, params["count"], lambda: _draw_complex_op(rng, params["dims"]), check, _failed)
     return _verdict("complex-cartesian-identities", reports, {"worst": _worst(reports)},
                     {"respect": tol.tol_alg, "deviation": tol.abs_tol})
 
@@ -486,7 +491,7 @@ def _draw_real_op(rng, dims) -> tuple:
 
 
 def _h_theorem_real(params, rng, tol):
-    drawn = _drawn_groups(params["count"], lambda: _draw_real_op(rng, params["dims"]))
+    drawn = _drawn_groups(rng, params["count"], lambda: _draw_real_op(rng, params["dims"]))
     return verify_theorem_real(params["oracle"], GroupedCorpus(
         [(idx, *map(corpus_gen._euclidean, shape), np.stack(Ts))
          for shape, (idx, Ts) in drawn.items()]))
@@ -514,7 +519,7 @@ def _h_hs_doubling(params, rng, tol):
         doubled = ideal_norms(HILBERT_SCHMIDT, block_diag2(Ts), dom2, cod2)
         return ((d, None) for d in np.abs(doubled - math.sqrt(2.0) * base).tolist())
 
-    worst = max(_corpus_outcomes(params["count"],
+    worst = max(_corpus_outcomes(rng, params["count"],
                                  lambda: _draw_real_op(rng, params["dims"]), check))
     return bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
                    {"abs": bound}, {"worst": worst})

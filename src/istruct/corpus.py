@@ -5,6 +5,18 @@ The "exact" generators produce structure matrices with entries in {0, +-1}
 identities come out with deviation exactly zero.  The "float" generators
 produce generic well-conditioned instances where residuals at roundoff scale
 are expected.
+
+Scalar integer draws do not call numpy once per scalar.  They read the
+generator's own buffered 32-bit stream, ``rng.bit_generator.ctypes.next_uint32``,
+and run over it the algorithms numpy's ``Generator`` runs over the same
+stream: Lemire's multiply-and-reject for ``integers(n)`` (``_below``) and
+masked-rejection Fisher-Yates for ``permutation`` (``signed_pairing_matrix``).
+So every value, the interleaving with ``standard_normal`` and the generator's
+final state are numpy's.  A test pins this against ``Generator`` on PCG64
+and MT19937 and fails if numpy changes either algorithm.  ctypes releases the
+GIL during the call, so every draw is made under ``rng.bit_generator.lock``:
+``signed_pairing_matrix`` takes it, and a caller of ``_below`` holds it (the
+CLI holds it across a whole corpus draw).
 """
 
 from __future__ import annotations
@@ -26,17 +38,51 @@ from .structures import (BY_CONSTRUCTION, ComplexStructure, _gram_certificates,
 SPREAD = 0.3  # normal Z / sqrt(n) has norm ~2, so _near_identity is well conditioned
 
 
+def _stream(rng: np.random.Generator):
+    """A reader of rng's buffered 32-bit stream, one value per call: the
+    stream numpy's own integer draws read.  The caller holds
+    rng.bit_generator.lock while it reads."""
+    c = rng.bit_generator.ctypes
+    return functools.partial(c.next_uint32, c.state)
+
+
+def _below(rng: np.random.Generator, n: int) -> int:
+    """rng.integers(n) for 1 <= n <= 2**32, by the same draws: Lemire's
+    method over _stream, and no draw for n = 1.  The caller holds
+    rng.bit_generator.lock."""
+    if n == 1:
+        return 0
+    uint32 = _stream(rng)
+    m = uint32() * n
+    if m & 0xFFFFFFFF < n:
+        threshold = (0x100000000 - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = uint32() * n
+    return m >> 32
+
+
 def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A random matrix with A^2 = -I exactly: a signed pairing of coordinates."""
+    """A random matrix with A^2 = -I exactly: a signed pairing of coordinates.
+
+    The draws are rng.permutation(dim) and then rng.integers(2) for each
+    pair's sign, made as numpy makes them: Fisher-Yates with masked
+    rejection, and bit 31 of one 32-bit value per sign."""
     if dim % 2 != 0:
         raise DescriptorError("signed pairing needs even dimension")
-    perm = rng.permutation(dim)
     A = np.zeros((dim, dim))
-    for i in range(dim // 2):
-        p, q = int(perm[2 * i]), int(perm[2 * i + 1])
-        s = 1.0 if rng.integers(2) == 0 else -1.0
-        A[q, p] = s
-        A[p, q] = -s
+    perm = list(range(dim))
+    with rng.bit_generator.lock:
+        uint32 = _stream(rng)
+        for i in range(dim - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = uint32() & mask
+            while j > i:
+                j = uint32() & mask
+            perm[i], perm[j] = perm[j], perm[i]
+        for p, q in zip(perm[::2], perm[1::2]):
+            s = -1.0 if uint32() >> 31 else 1.0
+            A[q, p] = s
+            A[p, q] = -s
     return A
 
 

@@ -170,8 +170,12 @@ class IdealOracle:
     descriptor: Descriptor
 
     def __post_init__(self):
-        if self.kind not in ("real", "complex"):
-            raise DescriptorError(f"oracle kind must be real or complex, got {self.kind!r}")
+        _check_kind(self.kind)
+
+
+def _check_kind(kind) -> None:
+    if kind not in ("real", "complex"):
+        raise DescriptorError(f"oracle kind must be real or complex, got {kind!r}")
 
 
 @dataclass(eq=False)
@@ -399,6 +403,7 @@ _SERIAL = {"norm_threshold": (NormThreshold, ("functional", "bound")),
 
 def oracle_from_dict(obj: dict) -> IdealOracle:
     kind = json_field(obj, "kind", "an oracle")
+    _check_kind(kind)  # before a list kind reaches the PREDICATES lookup
     desc = json_field(obj, "descriptor", "an oracle")
     t = json_field(desc, "type", "an oracle descriptor")
     if not isinstance(t, str) or t not in _SERIAL:
@@ -406,8 +411,9 @@ def oracle_from_dict(obj: dict) -> IdealOracle:
     cls, fields = _SERIAL[t]
     args = [json_field(desc, f, f"an oracle descriptor of type {t!r}") for f in fields]
     if cls is MatrixPredicate:
-        fn = PREDICATES.get((args[0], kind))
+        label = args[0]
+        fn = PREDICATES.get((label, kind)) if isinstance(label, str) else None
         if fn is None:
-            raise DescriptorError(f"unknown {kind} predicate {args[0]!r}")
+            raise DescriptorError(f"unknown {kind} predicate: 'label' is {label!r}")
         args.append(fn)
     return IdealOracle(kind, cls(*args))

@@ -353,14 +353,42 @@ def _norm_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
     raise DescriptorError(f"unknown descriptor {type(d).__name__}")
 
 
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
 def _lp_batch(X: np.ndarray, p: float, weights) -> np.ndarray:
     A = np.abs(X)
     if math.isinf(p):
         return _fold_columns(np.maximum, A if weights is None else A * weights)
+    # |x|**p under- or overflows for large p or extreme entries.  When no
+    # step of the sums did, every row is right as it is.  Otherwise a row
+    # whose sum is 0 or subnormal (digits lost) with a nonzero entry, or
+    # infinite from finite entries, is summed again scaled by its largest
+    # entry, and every other row keeps its bits
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return _lp_root(_power_sums(A, p, weights), p)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            S = _power_sums(A, p, weights)
+    out = _lp_root(S, p)
+    lost = np.flatnonzero(~(S >= _SMALLEST_NORMAL) | (S == np.inf))
+    scale = A[lost].max(axis=1)
+    keep = (scale > 0.0) & (scale < np.inf)
+    lost, scale = lost[keep], scale[keep]
+    out[lost] = _lp_root(_power_sums(A[lost] / scale[:, None], p, weights), p) * scale
+    return out
+
+
+def _power_sums(A: np.ndarray, p: float, weights) -> np.ndarray:
+    """sum_i w_i |x_i|**p (p finite) of each row of A = |X|."""
     P = A if p == 1.0 else A * A if p == 2.0 else A ** p
     if weights is not None:
         P = P * weights
-    S = _fold_columns(np.add, P)
+    return _fold_columns(np.add, P)
+
+
+def _lp_root(S: np.ndarray, p: float) -> np.ndarray:
     return S if p == 1.0 else np.sqrt(S) if p == 2.0 else S ** (1.0 / p)
 
 

@@ -1,5 +1,6 @@
-"""Builders that only the tests need: random respecting operators, and the
-JSON form of a chain (the package reads chains from JSON, but writes none)."""
+"""Builders that only the tests need: random respecting operators, the JSON
+form of a chain (the package reads chains from JSON, but writes none), and
+signed pairings drawn through numpy's own Generator calls."""
 
 from __future__ import annotations
 
@@ -7,9 +8,25 @@ import numpy as np
 
 from istruct.config import DEFAULT_TOL, Tolerances
 from istruct.corpus import respecting_part
+from istruct.errors import DescriptorError
 from istruct.morphisms import RespectingOperator, make_respecting
 from istruct.pelczynski import ChainDerivation, SumExpr
 from istruct.structures import ComplexStructure
+
+
+def numpy_signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """corpus.signed_pairing_matrix drawn by rng.permutation and one
+    rng.integers(2) per pair: the reference its stream draws must match."""
+    if dim % 2 != 0:
+        raise DescriptorError("signed pairing needs even dimension")
+    perm = rng.permutation(dim)
+    A = np.zeros((dim, dim))
+    for i in range(dim // 2):
+        p, q = int(perm[2 * i]), int(perm[2 * i + 1])
+        s = 1.0 if rng.integers(2) == 0 else -1.0
+        A[q, p] = s
+        A[p, q] = -s
+    return A
 
 
 def random_respecting_matrix(A: np.ndarray, B: np.ndarray,

@@ -631,6 +631,10 @@ _LP = {"kind": "lp", "p": 1.0}
      ["oracle descriptor", "'type'"]),
     (oracle_from_dict, {"descriptor": {"type": "all"}}, DescriptorError, ["oracle", "'kind'"]),
     (oracle_from_dict, "all", DescriptorError, ["oracle", "JSON object", "str"]),
+    (oracle_from_dict, {"kind": ["real"], "descriptor": {"type": "predicate", "label": "nonzero"}},
+     DescriptorError, ["oracle kind", "['real']"]),
+    (oracle_from_dict, {"kind": "real", "descriptor": {"type": "predicate", "label": ["nonzero"]}},
+     DescriptorError, ["predicate", "'label'", "['nonzero']"]),
     (chain_from_dict, {"start": [["X", "+"]]}, IstructError, ["chain", "'steps'"]),
     (chain_from_dict, {"steps": []}, IstructError, ["chain", "'start'"]),
     (chain_from_dict, {"steps": 3, "start": [["X", "+"]]}, IstructError, ["steps", "list"]),
@@ -646,7 +650,8 @@ _LP = {"kind": "lp", "p": 1.0}
     (chain_from_dict, None, IstructError, ["chain", "JSON object"]),
 ], ids=["space-no-dim", "space-no-norm", "space-list", "lp-no-p", "norm-string",
         "sum-no-right", "norm-no-kind", "ragged-functionals", "rank-no-r", "oracle-no-descriptor",
-        "descriptor-no-type", "oracle-no-kind", "oracle-string",
+        "descriptor-no-type", "oracle-no-kind", "oracle-string", "oracle-kind-list",
+        "predicate-label-list",
         "chain-no-steps", "chain-no-start", "steps-number", "step-no-expr",
         "step-no-rule", "step-string", "start-string", "rule-list", "chain-null"])
 def test_json_readers_raise_typed_errors_naming_the_key(read, obj, error, words):
@@ -824,17 +829,36 @@ _LOOPS = {"prop1-roundtrip": _loop_prop1, "squares": _loop_squares,
           "self-conjugacy": _loop_self_conjugacy}
 
 
-def _loop_report(claim_id, parsed, seed, tol, loop=None):
+def _loop_run(claim_id, parsed, seed, tol, loop=None):
     """run_claim's report, with the claim run by its loop (by default the
-    loop of its kind in _LOOPS)."""
+    loop of its kind in _LOOPS), and the loop's rng afterwards.  The loop
+    draws under the rng's lock, as the handlers' corpus draws do."""
     kind, _, params = parsed
     rng = np.random.default_rng([seed, zlib.crc32(claim_id.encode())])
     try:
-        report = (loop or _LOOPS[kind])(params, rng, tol)
+        with rng.bit_generator.lock:
+            report = (loop or _LOOPS[kind])(params, rng, tol)
     except IstructError as exc:
         report = VerificationReport(kind, VIOLATED, residuals={},
                                     witness={"error": str(exc)})
-    return cli._jsonify(report.to_dict())
+    return cli._jsonify(report.to_dict()), rng
+
+
+def _loop_report(claim_id, parsed, seed, tol, loop=None):
+    return _loop_run(claim_id, parsed, seed, tol, loop)[0]
+
+
+@pytest.fixture
+def handler_rngs(monkeypatch):
+    """The rng of each claim handler call that run_claim makes, in order."""
+    rngs = []
+    for kind, (handler, schema) in list(cli.CLAIMS.items()):
+        def recorded(params, rng, tol, handler=handler):
+            rngs.append(rng)
+            return handler(params, rng, tol)
+
+        monkeypatch.setitem(cli.CLAIMS, kind, (recorded, schema))
+    return rngs
 
 
 def _parsed_claims(scenario):
@@ -852,7 +876,7 @@ _LOOP_TOLERANCES = [Tolerances(), Tolerances(tol_alg=1e-20), Tolerances(tol_alg=
 
 
 @pytest.mark.parametrize("workload", ["paper-all", "exact-algebra"])
-def test_shape_groups_report_what_the_loop_reports(scenario_path, workload):
+def test_shape_groups_report_what_the_loop_reports(scenario_path, handler_rngs, workload):
     scenario = (load_scenario(scenario_path) if workload == "paper-all"
                 else _exact_algebra_scenario(7))
     # doubling multiplies HS by sqrt 2, so the mismatches of this claim name
@@ -874,7 +898,14 @@ def test_shape_groups_report_what_the_loop_reports(scenario_path, workload):
         for tol in _LOOP_TOLERANCES:
             for cid, parsed in claims.items():
                 got = cli.run_claim(cid, parsed, seed, tol)["report"]
-                assert got == _loop_report(cid, parsed, seed, tol), (cid, seed, tol)
+                want, loop_rng = _loop_run(cid, parsed, seed, tol)
+                assert got == want, (cid, seed, tol)
+                # at the passing tolerances both drew the same stream, so a
+                # draw that leaves the report as it is still shows; a corrupt
+                # claim's loop stops at its first item, the handler does not
+                if tol == Tolerances() and not parsed[2].get("corrupt"):
+                    assert handler_rngs[-1].bit_generator.state == \
+                        loop_rng.bit_generator.state, (cid, seed)
 
 
 def test_first_failing_prop1_item_gives_the_loop_message(scenario_path, tmp_path):
@@ -913,13 +944,16 @@ def _closed_form_claim(dims):
 
 
 @pytest.mark.parametrize("dims", [[2, 6], [1, 8], [1, 1]])
-def test_closed_form_groups_report_what_the_loop_reports(dims):
+def test_closed_form_groups_report_what_the_loop_reports(handler_rngs, dims):
     parsed = _closed_form_claim(dims)
     worst = []
     for seed in range(50):
         got = cli.run_claim("closed-form", parsed, seed, Tolerances())["report"]
-        assert got == _loop_report("closed-form", parsed, seed, Tolerances(),
-                                   _loop_closed_form), (dims, seed)
+        want, loop_rng = _loop_run("closed-form", parsed, seed, Tolerances(),
+                                   _loop_closed_form)
+        assert got == want, (dims, seed)
+        assert handler_rngs[-1].bit_generator.state == loop_rng.bit_generator.state, \
+            (dims, seed)
         worst.append(got["residuals"]["worst_abs_error"])
     assert max(worst) > 0.0  # the comparison sees rounding, not only zeros
 

@@ -96,6 +96,30 @@ def test_norm_axioms(desc, x, y, c):
     assert norm(space, c * x) == pytest.approx(abs(c) * nx, abs=1e-9, rel=1e-9)
 
 
+def test_large_p_lp_norm_neither_underflows_nor_overflows():
+    # |x|^p is 0 or inf for the first three vectors, and subnormal (digits
+    # lost) for the last
+    assert norm(lp_space(2, 1000.0), [0.1, 0.1]) == pytest.approx(0.1 * 2.0 ** 1e-3,
+                                                                 rel=1e-15)
+    assert norm(lp_space(2, 1000.0), [3.0, 0.0]) == 3.0
+    assert norm(lp_space(2, 300.0), [0.05, 0.0]) == 0.05
+    assert norm(lp_space(2, 300.0), [0.0885, 0.0]) == pytest.approx(0.0885, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [300.0, 1000.0])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_large_p_lp_norm_is_homogeneous_at_extreme_scales(p, weighted):
+    # ||t x|| = |t| ||x|| although |t x|^p under- or overflows for most rows
+    space = (NormedSpace(3, WeightedLp(p, np.array([0.5, 2.0, 3.0]))) if weighted
+             else lp_space(3, p))
+    X = np.random.default_rng(18).standard_normal((16, 3))
+    ref = norm_batch(space, X)
+    for t in (1e-200, -1e-120, 1e-50, 1e-5, 1.0, -1e5, 1e50, 1e120, -1e200):
+        vals = norm_batch(space, t * X)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+        np.testing.assert_allclose(vals, abs(t) * ref, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Descriptor validation
 # ---------------------------------------------------------------------------
