@@ -162,9 +162,12 @@ COUNT = _integer(1)
 SAMPLES, ANGLES = _integer(MIN_SAMPLE_VECTORS), _integer(MIN_SAMPLE_ANGLES)
 DIMS = _integers(1)
 EVEN_DIMS = _integers(2, even=True)
-DIM_RANGE = ParamType("a pair [lo, hi] of integers with 1 <= lo <= hi",
+# a corpus draws a dimension as an integer below n, for n <= 2**32 (corpus._below)
+DIM_RANGE = ParamType("a pair [lo, hi] of integers with 1 <= lo <= hi < lo + 2**32",
                       lambda v, _: isinstance(v, list) and len(v) == 2
-                      and all(_is_int(x, 1) for x in v) and v[0] <= v[1])
+                      and all(_is_int(x, 1) for x in v) and 0 <= v[1] - v[0] < 2 ** 32)
+MAX_DIM = ParamType("an integer >= 1 and <= 2**32",
+                    lambda v, _: _is_int(v, 1) and v <= 2 ** 32)
 BOUND = ParamType("a finite number >= 0", lambda v, _: _is_number(v) and v >= 0,
                   lambda v, _: float(v))
 FLAG = ParamType("true or false", lambda v, _: isinstance(v, bool))
@@ -190,9 +193,8 @@ SPACE = _named("space")
 def _choice(rng, seq) -> int:
     """One entry of seq, drawn as rng.choice(seq) draws it (a test checks
     that), without converting seq to an array: rng.integers(len(seq)) by
-    Lemire's method over the generator's own 32-bit stream
-    (corpus._below).  The caller holds rng.bit_generator.lock, as
-    _drawn_groups does for a whole corpus."""
+    Lemire's method over the generator's own 32-bit stream, under its
+    lock (corpus._below)."""
     return int(seq[corpus_gen._below(rng, len(seq))])
 
 
@@ -332,8 +334,9 @@ def _failed(report, error) -> bool:
 def _drawn_groups(rng, count: int, draw: Callable) -> dict:
     """shape -> (indices, items) of a corpus of count items: draw() is called
     count times in order, each giving (shape, item), and the items are grouped
-    by shape in order of first appearance.  The draws are made under rng's
-    bit generator lock, which the stream helpers of corpus need."""
+    by shape in order of first appearance.  The lock the stream helpers of
+    corpus take for each draw is held across the corpus, so that each of
+    theirs is a cheap re-entry."""
     groups: dict = {}
     with rng.bit_generator.lock:
         for i in range(count):
@@ -608,7 +611,7 @@ CLAIMS = {
                         {"count": (COUNT, 10), "half_dims": (DIMS, [1, 2, 3])}),
     "squares": (_h_squares, {"count": (COUNT, 10), "dims": (EVEN_DIMS, [2, 4, 6])}),
     "real-cartesian": (_h_real_cartesian,
-                       {"count": (COUNT, 25), "max_dim": (_integer(1), 6)}),
+                       {"count": (COUNT, 25), "max_dim": (MAX_DIM, 6)}),
     "complex-cartesian": (_h_complex_cartesian,
                           {"count": (COUNT, 25), "dims": (EVEN_DIMS, [2, 4]),
                            "corrupt": (FLAG, False)}),

@@ -14,9 +14,9 @@ masked-rejection Fisher-Yates for ``permutation`` (``signed_pairing_matrix``).
 So every value, the interleaving with ``standard_normal`` and the generator's
 final state are numpy's.  A test pins this against ``Generator`` on PCG64
 and MT19937 and fails if numpy changes either algorithm.  ctypes releases the
-GIL during the call, so every draw is made under ``rng.bit_generator.lock``:
-``signed_pairing_matrix`` takes it, and a caller of ``_below`` holds it (the
-CLI holds it across a whole corpus draw).
+GIL during the call, so both helpers draw under ``rng.bit_generator.lock``, a
+re-entrant lock (the CLI also holds it across a whole corpus draw, which
+makes each helper's acquisition a cheap re-entry).
 """
 
 from __future__ import annotations
@@ -38,26 +38,24 @@ from .structures import (BY_CONSTRUCTION, ComplexStructure, _gram_certificates,
 SPREAD = 0.3  # normal Z / sqrt(n) has norm ~2, so _near_identity is well conditioned
 
 
-def _stream(rng: np.random.Generator):
-    """A reader of rng's buffered 32-bit stream, one value per call: the
-    stream numpy's own integer draws read.  The caller holds
-    rng.bit_generator.lock while it reads."""
-    c = rng.bit_generator.ctypes
-    return functools.partial(c.next_uint32, c.state)
-
-
 def _below(rng: np.random.Generator, n: int) -> int:
     """rng.integers(n) for 1 <= n <= 2**32, by the same draws: Lemire's
-    method over _stream, and no draw for n = 1.  The caller holds
-    rng.bit_generator.lock."""
+    method over the 32-bit stream, and no draw for n = 1.  Beyond 2**32 the
+    method's rejection loop would never end, so a larger n is a
+    DescriptorError."""
     if n == 1:
         return 0
-    uint32 = _stream(rng)
-    m = uint32() * n
-    if m & 0xFFFFFFFF < n:
-        threshold = (0x100000000 - n) % n
-        while m & 0xFFFFFFFF < threshold:
-            m = uint32() * n
+    if not 1 < n <= 0x100000000:
+        raise DescriptorError(f"cannot draw an integer below {n}: "
+                              "the bound must lie in [1, 2**32]")
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        c = bit_generator.ctypes
+        m = c.next_uint32(c.state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = c.next_uint32(c.state) * n
     return m >> 32
 
 
@@ -72,7 +70,8 @@ def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     A = np.zeros((dim, dim))
     perm = list(range(dim))
     with rng.bit_generator.lock:
-        uint32 = _stream(rng)
+        c = rng.bit_generator.ctypes
+        uint32 = functools.partial(c.next_uint32, c.state)
         for i in range(dim - 1, 0, -1):
             mask = (1 << i.bit_length()) - 1
             j = uint32() & mask

@@ -170,8 +170,9 @@ def _sampled_isometry_residual(space: NormedSpace, A: np.ndarray, samples: int,
         R = al[None, :, None] * Xc[:, None, :] + be[None, :, None] * AXc[:, None, :]
         vals = norm_batch(space, R.reshape(-1, n)).reshape(len(Xc), angles)
         ref = vals[:, 0]
-        # a reference that under- or overflowed (|x|^p in an Lp norm of large
-        # p) measures nothing; a rotated norm that did counts as infinitely far
+        # a reference that under- or overflowed (a Gram norm with extreme
+        # entries, say) measures nothing; a rotated norm that did counts as
+        # infinitely far
         ok = (ref > 0) & (ref < np.inf)
         dev = np.abs(vals[ok] / ref[ok, None] - 1.0)
         dev[np.isnan(dev)] = np.inf

@@ -579,6 +579,11 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      ["'plane-l3'", "DescriptorError", "lacks the key 'p'"]),
     (_edit(["oracles", "r-rank-all", "descriptor"], {"type": "rank_threshold"}),
      "ideal-transforms", ["'r-rank-all'", "DescriptorError", "lacks the key 'r'"]),
+    # a corpus draw below n > 2**32 would never end (corpus._below)
+    (_edit(["claims", "real-cartesian", "max_dim"], 2 ** 32 + 1), "squares",
+     ["'real-cartesian'", "'max_dim'", "2**32", "4294967297"]),
+    (_edit(["claims", "closed-form", "dims"], [1, 2 ** 32 + 1]), "spaces",
+     ["'closed-form'", "'dims'", "2**32", "4294967297"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
         "unknown-tolerance", "tolerances-string", "tolerances-number",
         "tolerance-string-nan", "tolerance-negative", "tolerance-boolean",
@@ -599,7 +604,8 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "matrix-strings", "matrix-booleans", "validate-matrix-size", "reject-matrix-size",
         "factorization-r-size", "factorization-s-size", "factorization-a-size", "p-string", "p-boolean", "wlp-p-string",
         "weights-strings", "weights-boolean", "gram-booleans", "functionals-string",
-        "basis-string", "norm-missing-key", "oracle-missing-key"])
+        "basis-string", "norm-missing-key", "oracle-missing-key",
+        "max-dim-beyond-2-32", "dims-span-beyond-2-32"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
                                     edit, suite, words):
     assert _run_edited(scenario_path, tmp_path, edit, suite) == 2
@@ -831,13 +837,11 @@ _LOOPS = {"prop1-roundtrip": _loop_prop1, "squares": _loop_squares,
 
 def _loop_run(claim_id, parsed, seed, tol, loop=None):
     """run_claim's report, with the claim run by its loop (by default the
-    loop of its kind in _LOOPS), and the loop's rng afterwards.  The loop
-    draws under the rng's lock, as the handlers' corpus draws do."""
+    loop of its kind in _LOOPS), and the loop's rng afterwards."""
     kind, _, params = parsed
     rng = np.random.default_rng([seed, zlib.crc32(claim_id.encode())])
     try:
-        with rng.bit_generator.lock:
-            report = (loop or _LOOPS[kind])(params, rng, tol)
+        report = (loop or _LOOPS[kind])(params, rng, tol)
     except IstructError as exc:
         report = VerificationReport(kind, VIOLATED, residuals={},
                                     witness={"error": str(exc)})

@@ -29,12 +29,11 @@ def test_stream_draws_are_the_generators_draws(bit_generator):
     for seed in range(50):
         ours = np.random.Generator(bit_generator(seed))
         theirs = np.random.Generator(bit_generator(seed))
-        with ours.bit_generator.lock:
-            for n in _BOUNDS:
-                for _ in range(8):
-                    assert _below(ours, n) == int(theirs.integers(n)), (seed, n)
-                    assert ours.standard_normal() == theirs.standard_normal()
-                assert _state(ours) == _state(theirs), (seed, n)
+        for n in _BOUNDS:
+            for _ in range(8):
+                assert _below(ours, n) == int(theirs.integers(n)), (seed, n)
+                assert ours.standard_normal() == theirs.standard_normal()
+            assert _state(ours) == _state(theirs), (seed, n)
         for dim in range(2, 9):
             if dim % 2:
                 with pytest.raises(DescriptorError):
@@ -48,3 +47,12 @@ def test_stream_draws_are_the_generators_draws(bit_generator):
             assert _state(ours) == _state(theirs), (seed, dim)
     if bit_generator is np.random.PCG64:
         assert {"has_uint32", "uinteger"} <= set(_state(ours))
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 32 + 1, 2 ** 40])
+def test_a_draw_below_a_bound_outside_1_to_2_32_is_a_typed_error(n):
+    rng = np.random.default_rng(0)
+    state = _state(rng)
+    with pytest.raises(DescriptorError, match=str(n)):
+        _below(rng, n)
+    assert _state(rng) == state

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from istruct import structures
 from istruct.corpus import random_exact_structure, signed_pairing_matrix
 from istruct.config import DEFAULT_TOL
 from istruct.errors import (DescriptorError, DimensionMismatchError, IstructError,
@@ -466,6 +467,20 @@ def test_sampled_check_rejects_a_rotation_when_lp_norms_under_or_overflow(p):
         validate_i_operator(lp_space(2, p), J2)
     assert exc.value.certificate.isometry_residual > 0.1
     assert exc.value.certificate.witness is not None
+
+
+@pytest.mark.parametrize("value", [0.0, np.inf])
+def test_sampled_check_with_no_usable_reference_is_no_isometry(value, monkeypatch):
+    # every sampled norm under- or overflowed: no sample measures, and that
+    # is no evidence of an isometry, so the residual is infinite and there is
+    # no witness
+    monkeypatch.setattr(structures, "norm_batch", lambda space, X: np.full(len(X), value))
+    iso, witness, evaluated = _sampled_isometry_residual(lp_space(2, 1.0), J2, 16, 8)
+    assert (iso, witness, evaluated) == (np.inf, None, 16 * 8)
+    with pytest.raises(StructureValidationError) as exc:
+        validate_i_operator(lp_space(2, 1.0), J2)
+    assert exc.value.certificate.isometry_residual == np.inf
+    assert exc.value.certificate.witness is None
 
 
 def test_gram_certificate_rejects_a_non_isometry_on_a_tiny_gram():
