@@ -75,13 +75,20 @@ def load_scenario(path: str) -> dict:
     return data
 
 
+_SECTIONS = ("spaces", "oracles", "claims", "suites", "tolerances")
+
+
 def _check_scenario(data) -> None:
-    """Check a scenario's schema, seed, sections (an absent one is empty) and suites."""
+    """Check a scenario's keys, schema, seed, sections (an absent one is
+    empty) and suites."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
         raise ScenarioError("scenario must be an object with schema = 1")
+    unknown = _unknown_keys(data, {"schema", "seed", *_SECTIONS})
+    if unknown:
+        raise ScenarioError(f"scenario has unknown key(s) {unknown}")
     if "seed" not in data:
         raise ScenarioError("scenario must declare a seed (reproducibility)")
-    for section in ("spaces", "oracles", "claims", "suites", "tolerances"):
+    for section in _SECTIONS:
         if not isinstance(data.setdefault(section, {}), dict):
             raise ScenarioError(f"scenario section {section!r} must be an object")
     for name, claim_ids in data["suites"].items():
@@ -91,6 +98,12 @@ def _check_scenario(data) -> None:
         for cid in claim_ids:
             if cid not in data["claims"]:
                 raise ScenarioError(f"suite {name!r} references unknown claim {cid!r}")
+
+
+def _unknown_keys(obj: dict, known: set) -> str:
+    """obj's keys outside known, quoted and sorted ('' if none): a misspelled
+    key would run a default, so the error names every one."""
+    return "" if obj.keys() <= known else ", ".join(map(repr, sorted(obj.keys() - known)))
 
 
 def _build_all(scenario: dict, what: str, from_dict) -> dict:
@@ -594,9 +607,8 @@ _COMPLEX_CORPUS = {"oracle": (_named("oracle", "complex"), REQUIRED),
 _FIXTURE = {"fixture": (FIXTURE, "bundled")}
 _FLIP = [[1.0, 0.0], [0.0, -1.0]]
 
-# kind -> (handler, {parameter: (type, default or REQUIRED)}); a parameter the
-# schema does not list is ignored (older files give search-structure a budget
-# and natural-i-operator samples, angles and a seed)
+# kind -> (handler, {parameter: (type, default or REQUIRED)}); a claim key
+# outside _CLAIM_KEYS is a scenario error
 CLAIMS = {
     "euclidean-closed-form": (_h_euclidean_closed_form,
                               {"count": (COUNT, 50), "dims": (DIM_RANGE, [2, 8])}),
@@ -636,6 +648,11 @@ CLAIMS = {
     "search-structure": (_h_search_structure,
                          {"space": (SPACE, REQUIRED), "expect_found": (FLAG, True)}),
 }
+# keys that older files give a kind and that its claims ignore
+_LEGACY = {"search-structure": ("budget",),
+           "natural-i-operator": ("samples", "angles", "seed")}
+_CLAIM_KEYS = {kind: {"kind", "expect", *schema, *_LEGACY.get(kind, ())}
+               for kind, (_, schema) in CLAIMS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +688,9 @@ def parse_claim(claim_id: str, claim, resolved: dict) -> tuple:
     expect = claim.get("expect", VERIFIED)
     if expect not in (VERIFIED, VIOLATED, INCONCLUSIVE):
         raise ScenarioError(f"claim {claim_id!r} expects unknown status {expect!r}")
+    unknown = _unknown_keys(claim, _CLAIM_KEYS[kind])
+    if unknown:
+        raise ScenarioError(f"claim {claim_id!r} of kind {kind!r} has unknown key(s) {unknown}")
     params = {}
     for key, (ptype, default) in CLAIMS[kind][1].items():
         value = claim.get(key, default)

@@ -476,8 +476,18 @@ def _quadratic_forms(grams: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _gram_norms(grams: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sqrt(x'Gx) for each row x of X (..., r, n); grams as for _quadratic_forms."""
-    return np.sqrt(np.maximum(_quadratic_forms(grams, X), 0.0))
+    """sqrt(x'Gx) for each row x of X (..., r, n); grams as for _quadratic_forms.
+    A row whose x'Gx over- or underflowed (not finite, or below the smallest
+    normal) is evaluated again scaled by the power of two near its largest
+    entry (a zero row by 2^0, to its own value); every other keeps its bits."""
+    q = _quadratic_forms(grams, X)
+    out = np.sqrt(np.maximum(q, 0.0))
+    lost = ~(q < np.inf) | (q < _SMALLEST_NORMAL)
+    if lost.any():
+        _, exp = np.frexp(np.max(np.abs(X), axis=-1))
+        q = _quadratic_forms(grams, np.ldexp(X, -exp[..., None]))
+        out = np.where(lost, np.ldexp(np.sqrt(np.maximum(q, 0.0)), exp), out)
+    return out
 
 
 def _gram_complexification_norms(grams: np.ndarray, X: np.ndarray,

@@ -5,10 +5,10 @@ alpha*I + beta*A with alpha^2 + beta^2 = 1 an isometry.  A construction that
 proves its result is an i-operator (the natural operator N on a
 complexification, signed pairings on l2, A (+) -A on a square) attaches the
 certificate of that proof, BY_CONSTRUCTION or the one it inherits, and runs no
-check.  `certify` measures candidates: exactly (algebraically) for
-Euclidean-like norms, structurally for N on a complexification, part by part
-for A1 (+) A2 on an l1-sum whose parts both certify exactly, and by sampling
-otherwise.
+check.  `certify` measures candidates, the search's among them: exactly
+(algebraically) for Euclidean-like norms, structurally for N on a
+complexification, part by part for A1 (+) A2 on an l1-sum whose parts both
+certify exactly, and by sampling otherwise.
 """
 
 from __future__ import annotations
@@ -311,61 +311,58 @@ def search_i_operator(space: NormedSpace, *,
     """Decide whether the space carries an i-operator.
 
     - Odd dimension: none (A^2 = -I forces an even dimension).
-    - Every complexification X_C: the natural operator N, an isometry by
-      construction (see certify), with residual 0.
-    - Any other Euclidean-like norm, with Gram G = L L': A = L^-T J L' is
-      one, J the canonical block rotation (A'GA = G and GA is antisymmetric).
-      Its certificate is certify's (see _gram_certificates) with Cholesky's
-      backward error max |L^-1 G L^-T - I| added to the isometry residual,
-      as A is exact for L L' and not for G; so validate_i_operator accepts
-      every structure found.
+    - A space whose form constructs an i-operator (see _construction): found
+      iff certify's certificate of the construction passes tol, and returned
+      with that certificate unchanged, so validate_i_operator accepts exactly
+      what the search finds.  Otherwise undecided, with the construction as
+      best_candidate: on a Gram of condition 1e8 or more, W's residual of even
+      the correctly rounded A is of order eps * cond(G) and can miss tol.
     - Lp or WeightedLp with p != 2 (signed permutations by Banach-Lamperti,
       up to the weights) and every norm with pieces, whose unit ball is a
       polytope (see spaces._Form; l1-sums of lines are among them): the
       isometries permute the finitely many vertices.  The isometry group is
       finite, so it cannot contain the circle {alpha I + beta A}.
-    - An l1-sum whose two parts both have one found: A1 (+) A2, whose
-      certificate joins the parts' (see certify).
     - Any other norm (other sums, subspaces of general-p bases) is
-      undecided, which is not a nonexistence proof.  So is a Gram so
-      ill-conditioned that W misses tol in floating point (a 2 x 2 Gram of
-      condition 1e8 often does: W's residual of even the correctly rounded A
-      is of order eps * cond(G)); A is still returned as best_candidate.
+      undecided, which is not a nonexistence proof.
     """
-    n = space.dim
-    if n % 2 != 0:
+    if space.dim % 2 != 0:
         return SearchResult(None, float("inf"), ODD_DIMENSION)
-    if isinstance(space.norm_desc, ComplexificationOfBase):
-        s = natural_i_operator(space.norm_desc.base)
-        return SearchResult(s, 0.0, FOUND, s.A)
-    if space._whitening is not None:
-        Lt, Lt_inv = space._whitening
-        A = Lt_inv @ natural_i_operator_matrix(n // 2) @ Lt
+    A = _construction(space)
+    if A is not None:
         c = certify(space, A)
-        # A is exact for L L', and G differs from it by Cholesky's backward
-        # error; the found certificate counts it on top of certify's measure
-        backward = np.max(np.abs(Lt_inv.T @ euclidean_gram(space) @ Lt_inv - np.eye(n)))
-        c = replace(c, isometry_residual=c.isometry_residual + float(backward))
         residual = c.algebraic_residual + c.isometry_residual
         if _rejection(c, tol) is not None:
             return SearchResult(None, residual, UNDECIDED, A)
         return SearchResult(ComplexStructure(space, A, c), residual, FOUND, A)
-    # p = 2 is Euclidean-like and decided above
+    # p = 2 is Euclidean-like and constructs one
     if (isinstance(space.norm_desc, (Lp, WeightedLp))
             or space._form.pieces is not None):
         return SearchResult(None, float("inf"), NONE_FINITE_GROUP)
-    if isinstance(space.norm_desc, SumNorm):
-        d = space.norm_desc
-        parts = [search_i_operator(d.left, tol=tol).found,
-                 search_i_operator(d.right, tol=tol).found]
-        if None not in parts:
-            A = np.zeros((n, n))
-            A[:d.left.dim, :d.left.dim] = parts[0].A
-            A[d.left.dim:, d.left.dim:] = parts[1].A
-            c = _joined([s.certificate for s in parts])
-            residual = c.algebraic_residual + c.isometry_residual
-            return SearchResult(ComplexStructure(space, A, c), residual, FOUND, A)
     return SearchResult(None, float("inf"), UNDECIDED)
+
+
+def _construction(space: NormedSpace) -> Optional[np.ndarray]:
+    """The i-operator that the space's form gives, each certified exactly by
+    certify, or None: N on a complexification X_C (an isometry by the
+    argument in certify); A = L^-T J L' on any other Gram G = L L', J the
+    canonical block rotation (A'GA = G and GA is antisymmetric); and
+    A1 (+) A2 on an l1-sum whose two parts both construct one."""
+    n, d = space.dim, space.norm_desc
+    if n % 2 != 0:
+        return None
+    if isinstance(d, ComplexificationOfBase):
+        return natural_i_operator_matrix(n // 2)
+    if space._whitening is not None:
+        Lt, Lt_inv = space._whitening
+        return Lt_inv @ natural_i_operator_matrix(n // 2) @ Lt
+    if isinstance(d, SumNorm):
+        left, right = _construction(d.left), _construction(d.right)
+        if left is not None and right is not None:
+            A = np.zeros((n, n))
+            k = d.left.dim
+            A[:k, :k], A[k:, k:] = left, right
+            return A
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,35 @@ def test_claim_of_unknown_kind_exits_2(tmp_path, capsys):
 def test_missing_file_is_parse_error(tmp_path, capsys):
     code = main(["list-suites", str(tmp_path / "absent.json")])
     assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot load scenario")
+
+
+def test_unknown_keys_exit_2_naming_every_key(scenario_path, tmp_path, capsys, claim_runs):
+    # a misspelled parameter or top-level key would run the defaults, and
+    # could verify
+    for claim, extra, words in [
+            ({"kind": "real-cartesian", "cuont": 1, "max_dimm": 1000}, {},
+             ["claim 'rc'", "'cuont', 'max_dimm'"]),
+            ({"kind": "real-cartesian"}, {"sutes": {}}, ["scenario", "'sutes'"])]:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"schema": 1, "seed": 7, "claims": {"rc": claim},
+                                    "suites": {"only": ["rc"]}, **extra}))
+        assert main(["run", str(path), "--suite", "only",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key(s)" in err
+        for word in words:
+            assert word in err
+    assert claim_runs == []
+    # the bundled scenario gives no claim a legacy key either
+    for claim in load_scenario(scenario_path)["claims"].values():
+        assert set(claim) <= {"kind", "expect"} | set(cli.CLAIMS[claim["kind"]][1])
+    # the legacy keys of the non-Euclidean benchmark scenario are ignored
+    scenario = _bench_scenarios().non_euclidean(7)
+    resolved = {"space": cli._build_all(scenario, "space", cli.space_from_dict)}
+    for claim_id, claim in scenario["claims"].items():
+        cli.parse_claim(claim_id, claim, resolved)
 
 
 def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -256,14 +285,18 @@ def test_paper_suite_runs_without_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def _exact_algebra_scenario(seed):
-    """The benchmark's exact-algebra scenario, loaded from its file."""
+def _bench_scenarios():
+    """The benchmark's scenario module, loaded from its file."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "scenarios.py")
     spec = importlib.util.spec_from_file_location("bench_scenarios", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.exact_algebra(seed)
+    return module
+
+
+def _exact_algebra_scenario(seed):
+    return _bench_scenarios().exact_algebra(seed)
 
 
 @pytest.mark.parametrize("suite", ["paper-all", "exact-algebra"])
@@ -912,10 +945,11 @@ def test_shape_groups_report_what_the_loop_reports(scenario_path, handler_rngs, 
                         loop_rng.bit_generator.state, (cid, seed)
 
 
-def test_first_failing_prop1_item_gives_the_loop_message(scenario_path, tmp_path):
+def test_first_failing_prop1_item_gives_the_loop_message(scenario_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", scenario_path, "--suite", "prop1-roundtrip", "--out", str(out),
                  "--tol-alg", "1e-20"]) == 1
+    assert "FAILED: prop1 (prop1-roundtrip)" in capsys.readouterr().err.splitlines()
     claim = json.loads(out.read_text())["claims"][0]
     scenario = load_scenario(scenario_path)
     parsed = _parsed_claims(scenario)[claim["id"]]

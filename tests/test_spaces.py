@@ -120,6 +120,27 @@ def test_large_p_lp_norm_is_homogeneous_at_extreme_scales(p, weighted):
         np.testing.assert_allclose(vals, abs(t) * ref, rtol=1e-14, atol=0.0)
 
 
+def test_gram_norm_neither_underflows_nor_overflows():
+    # x'Gx is inf at 1e200 and 0 at 1e-200: those rows are evaluated again
+    # scaled, and a sum inherits the value of its part
+    space = euclidean_space(2, [[2.0, 0.5], [0.5, 1.0]])
+    for t in (1e200, 1e-200, -1e200):
+        assert norm(space, [t, 0.0]) == pytest.approx(math.sqrt(2.0) * abs(t), rel=1e-15)
+    assert norm(direct_sum(space, space, "sum"), [1e200, 0.0, 1e200, 0.0]) == \
+        pytest.approx(2.0 * math.sqrt(2.0) * 1e200, rel=1e-15)
+    # on a stack of Grams too, where every other row keeps its bits
+    grams = np.stack([euclidean_gram(space), np.eye(2)])
+    X = np.array([[[1e200, 0.0], [1.0, 2.0], [0.0, 0.0]],
+                  [[3e-200, 4e-200], [0.3, -0.7], [1e-170, 1e170]]])
+    vals = spaces._gram_norms(grams, X)
+    plain = np.sqrt(spaces._quadratic_forms(grams, X))
+    kept = [(0, 1), (0, 2), (1, 1)]
+    assert all(vals[k] == plain[k] for k in kept)
+    np.testing.assert_allclose([vals[0, 0], vals[1, 0], vals[1, 2]],
+                               [math.sqrt(2.0) * 1e200, 5e-200, math.hypot(1e-170, 1e170)],
+                               rtol=1e-15, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Descriptor validation
 # ---------------------------------------------------------------------------
