@@ -26,7 +26,7 @@ import numpy as np
 from . import corpus as corpus_gen
 from .config import Tolerances
 from .errors import (IstructError, ScenarioError, StructureValidationError,
-                     first_errors)
+                     first_errors, unknown_keys)
 from .ideals import (HILBERT_SCHMIDT, GroupedCorpus, audit_self_conjugacy,
                      ideal_norms, oracle_from_dict)
 from .morphisms import _respect_residuals
@@ -83,8 +83,7 @@ def _check_scenario(data) -> None:
     empty) and suites."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
         raise ScenarioError("scenario must be an object with schema = 1")
-    unknown = _unknown_keys(data, {"schema", "seed", *_SECTIONS})
-    if unknown:
+    if unknown := unknown_keys(data, {"schema", "seed", *_SECTIONS}):
         raise ScenarioError(f"scenario has unknown key(s) {unknown}")
     if "seed" not in data:
         raise ScenarioError("scenario must declare a seed (reproducibility)")
@@ -98,12 +97,6 @@ def _check_scenario(data) -> None:
         for cid in claim_ids:
             if cid not in data["claims"]:
                 raise ScenarioError(f"suite {name!r} references unknown claim {cid!r}")
-
-
-def _unknown_keys(obj: dict, known: set) -> str:
-    """obj's keys outside known, quoted and sorted ('' if none): a misspelled
-    key would run a default, so the error names every one."""
-    return "" if obj.keys() <= known else ", ".join(map(repr, sorted(obj.keys() - known)))
 
 
 def _build_all(scenario: dict, what: str, from_dict) -> dict:
@@ -688,8 +681,7 @@ def parse_claim(claim_id: str, claim, resolved: dict) -> tuple:
     expect = claim.get("expect", VERIFIED)
     if expect not in (VERIFIED, VIOLATED, INCONCLUSIVE):
         raise ScenarioError(f"claim {claim_id!r} expects unknown status {expect!r}")
-    unknown = _unknown_keys(claim, _CLAIM_KEYS[kind])
-    if unknown:
+    if unknown := unknown_keys(claim, _CLAIM_KEYS[kind]):
         raise ScenarioError(f"claim {claim_id!r} of kind {kind!r} has unknown key(s) {unknown}")
     params = {}
     for key, (ptype, default) in CLAIMS[kind][1].items():

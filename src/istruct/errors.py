@@ -72,3 +72,9 @@ def json_field(obj, key: str, what: str):
     if key not in obj:
         raise DescriptorError(f"{what} lacks the key {key!r}")
     return obj[key]
+
+
+def unknown_keys(obj: dict, known: set) -> str:
+    """obj's keys outside known, quoted and sorted ('' if none): a misspelled
+    key would run a default, so the error names every one."""
+    return "" if obj.keys() <= known else ", ".join(map(repr, sorted(obj.keys() - known)))

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DescriptorError, first_errors, json_field
+from .errors import DescriptorError, first_errors, json_field, unknown_keys
 from .morphisms import (RespectingOperator, _respect_residuals,
                         _singular_values, _split_matrix)
 from .report import VerificationReport, bounded
@@ -60,14 +60,12 @@ class RealOperator:
 class IdealNormValue:
     functional: str
     value: float
-    exact: bool
 
 
 def ideal_norm(functional: str, T, dom: NormedSpace, cod: NormedSpace) -> IdealNormValue:
     """operator_norm, hilbert_schmidt, or trace_norm of T : dom -> cod."""
     T = _checked_operator(T, dom, cod)
-    return IdealNormValue(functional, float(ideal_norms(functional, T, dom, cod)),
-                          True)
+    return IdealNormValue(functional, float(ideal_norms(functional, T, dom, cod)))
 
 
 def ideal_norms(functional: str, Ts: np.ndarray, dom: NormedSpace,
@@ -345,9 +343,9 @@ def audit_self_conjugacy(oracle: IdealOracle,
     Passing means: decisions agree on [T, A, B] vs [T, -A, -B], and the
     membership of the doubled operator [T (+) T, A (+) -A, B (+) -B] matches
     the membership of [T, A, B] in both directions.  The doubled spaces carry
-    the averaged norm, on which A (+) -A is an i-operator only for
-    Euclidean-like spaces (see theory.split_structure); elsewhere the audit
-    raises StructureValidationError.
+    the averaged norm, on which A (+) -A is an i-operator only for inner
+    product spaces: on spaces with neither a Gram nor dimension 2 the audit
+    raises StructureValidationError at once (see theory.split_structure).
     """
     _descriptor(oracle, "complex")
     corpus = _grouped_corpus(corpus, "complex")
@@ -410,6 +408,10 @@ def oracle_from_dict(obj: dict) -> IdealOracle:
         raise DescriptorError(f"unknown oracle descriptor type {t!r}")
     cls, fields = _SERIAL[t]
     args = [json_field(desc, f, f"an oracle descriptor of type {t!r}") for f in fields]
+    if unknown := unknown_keys(obj, {"kind", "descriptor"}):
+        raise DescriptorError(f"an oracle has unknown key(s) {unknown}")
+    if unknown := unknown_keys(desc, {"type", *fields}):
+        raise DescriptorError(f"an oracle descriptor of type {t!r} has unknown key(s) {unknown}")
     if cls is MatrixPredicate:
         label = args[0]
         fn = PREDICATES.get((label, kind)) if isinstance(label, str) else None

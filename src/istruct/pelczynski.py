@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DescriptorError, IstructError, json_field
+from .errors import DescriptorError, IstructError, json_field, unknown_keys
 from .morphisms import _respect_residuals
 from .report import VerificationReport, bounded
 from .spaces import _checked_operator
@@ -331,17 +331,25 @@ def expr_from_list(obj) -> SumExpr:
 
 
 def chain_from_dict(obj: dict) -> ChainDerivation:
-    """The chain a JSON object describes; a missing key, an unknown rule id or
-    direction is an error here, before any step is checked."""
+    """The chain a JSON object describes; a missing or unknown key, an unknown
+    rule id or direction is an error here, before any step is checked."""
     steps = json_field(obj, "steps", "a chain")
+    if unknown := unknown_keys(obj, {"start", "steps"}):
+        raise DescriptorError(f"a chain has unknown key(s) {unknown}")
     if not isinstance(steps, list):
         raise DescriptorError(f"a chain's steps must be a list, got {type(steps).__name__}")
-    steps = [Step(expr_from_list(json_field(st, "expr", "a chain step")),
-                  json_field(st, "rule", "a chain step"), st.get("dir", FORWARD))
-             for st in steps]
+    steps = [_step_from_dict(st) for st in steps]
     for step in steps:
         _check_rule(step.rule, step.direction)
     return ChainDerivation(expr_from_list(json_field(obj, "start", "a chain")), steps)
+
+
+def _step_from_dict(obj: dict) -> Step:
+    step = Step(expr_from_list(json_field(obj, "expr", "a chain step")),
+                json_field(obj, "rule", "a chain step"), obj.get("dir", FORWARD))
+    if unknown := unknown_keys(obj, {"expr", "rule", "dir"}):
+        raise DescriptorError(f"a chain step has unknown key(s) {unknown}")
+    return step
 
 
 def reference_chain() -> ChainDerivation:

@@ -28,7 +28,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DescriptorError, DimensionMismatchError, QuadratureError, json_field
+from .errors import (DescriptorError, DimensionMismatchError, QuadratureError, json_field,
+                     unknown_keys)
 
 # Arc quadrature policy (bases without a closed form).  QUAD_RTOL is the
 # relative accuracy sought for the mean square and QUAD_MAX_NODES the norm
@@ -934,6 +935,8 @@ def space_to_dict(space: NormedSpace) -> dict:
 
 def space_from_dict(obj: dict) -> NormedSpace:
     dim = json_field(obj, "dim", "a space")
+    if unknown := unknown_keys(obj, {"dim", "norm"}):
+        raise DescriptorError(f"a space has unknown key(s) {unknown}")
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
         raise DescriptorError(f"dimension must be an integer, got {dim!r}")
     return NormedSpace(int(dim), descriptor_from_dict(json_field(obj, "norm", "a space")))
@@ -979,4 +982,6 @@ def descriptor_from_dict(obj: dict) -> NormDescriptor:
     if not isinstance(kind, str) or kind not in _SERIAL:
         raise DescriptorError(f"unknown descriptor kind {kind!r}")
     cls, fields = _SERIAL[kind]
+    if unknown := unknown_keys(obj, {"kind", *(key for key, _, _ in fields)}):
+        raise DescriptorError(f"{kind} norm has unknown key(s) {unknown}")
     return cls(*(back(json_field(obj, key, f"{kind} norm"), key) for key, _, (_, back) in fields))

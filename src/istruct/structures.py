@@ -5,7 +5,8 @@ alpha*I + beta*A with alpha^2 + beta^2 = 1 an isometry.  A construction that
 proves its result is an i-operator (the natural operator N on a
 complexification, signed pairings on l2, A (+) -A on a square) attaches the
 certificate of that proof, BY_CONSTRUCTION or the one it inherits, and runs no
-check.  `certify` measures candidates, the search's among them: exactly
+check; an averaged square that no theorem covers is refused (_split_on).
+Only candidates are measured, by `certify`, the search's among them: exactly
 (algebraically) for Euclidean-like norms, structurally for N on a
 complexification, part by part for A1 (+) A2 on an l1-sum whose parts both
 certify exactly, and by sampling otherwise.
@@ -236,17 +237,17 @@ def conjugate_structure(s: ComplexStructure) -> ComplexStructure:
 
 def _split_on(space2: NormedSpace, A2s: np.ndarray,
               certificates: Sequence[Certificate], *, tol: Tolerances) -> tuple:
-    """theory.split_structure of k structures [X, A] with their certificates,
-    all on the space X that space2 doubles (either norm), with A2s the stack
-    (k, 2n, 2n) of their A (+) -A: the certificates of the split structures,
-    and the error of each that fails (None where it is kept)."""
-    if (isinstance(space2.norm_desc, ComplexificationOfBase)
-            and euclidean_gram(space2.norm_desc.base) is None):
-        certs = [certify(space2, A2) for A2 in A2s]
-    else:  # inherited, with a witness x lifted to (x, 0)
-        certs = [c if c.witness is None else replace(c, witness=(
-            np.concatenate([c.witness[0], np.zeros_like(c.witness[0])]),
-            *c.witness[1:])) for c in certificates]
+    """theory.split_structure of k structures [X, A] with their certificates, on
+    the X that space2 doubles (either norm), with A2s (k, 2n, 2n) their A (+) -A:
+    the squares' certificates (None if refused unchecked) and errors (None if kept)."""
+    d = space2.norm_desc
+    if (isinstance(d, ComplexificationOfBase) and d.base.dim != 2
+            and euclidean_gram(d.base) is None):
+        return [None] * len(A2s), [StructureValidationError(
+            "A (+) -A is an i-operator on the averaged square iff X's norm is an inner "
+            "product's, which only a Gram or dimension 2 proves here") for _ in A2s]
+    certs = [c if c.witness is None else replace(c, witness=(np.concatenate(
+        [c.witness[0], np.zeros_like(c.witness[0])]), *c.witness[1:])) for c in certificates]
     return certs, [_rejection(c, tol) for c in certs]
 
 

@@ -263,9 +263,9 @@ def split_structure(s: ComplexStructure, *, tol: Tolerances = DEFAULT_TOL,
     A rotation turns the first half by cos t I + sin t A and the second by
     cos t I - sin t A, each an isometry of X.  So with the sum norm the pair
     inherits s's certificate, a witness x lifted to (x, 0).  On the averaged
-    norm A (+) -A is an i-operator iff X's norm comes from an inner product:
-    a Euclidean-like X inherits too (Gram diag(G, G) / 2), and any other X is
-    sampled (on l2^2 (+)_1 l2^2 with J (+) J the isometry residual is 7.9e-2).
+    norm A (+) -A is an i-operator iff X's norm comes from an inner product,
+    so it inherits only where that is proved: X has a Gram, or X is a plane
+    (A = PJP^-1 makes P^-1 of its unit ball a disc).  Any other X is refused.
     """
     space2 = direct_sum(s.space, s.space, mode)
     A2 = _split_matrix(s.A)
@@ -461,7 +461,8 @@ def verify_theorem_complex(oracle, corpus: Sequence, *,
     decision-neutral for the oracles shipped here (they depend on the matrix
     and the ambient norms only), mirroring the square-space isomorphism.
     Without self_conjugate the audit runs, whose averaged squares need a
-    corpus over Euclidean-like spaces (see split_structure).  The corpus is a
+    corpus over spaces with a Gram or planes; any other corpus raises
+    StructureValidationError at once (see split_structure).  The corpus is a
     GroupedCorpus or a sequence of RespectingOperators, grouped once for the
     audit and both decisions.
     """

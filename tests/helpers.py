@@ -1,11 +1,13 @@
 """Builders that only the tests need: random respecting operators, the JSON
-form of a chain (the package reads chains from JSON, but writes none), and
-signed pairings drawn through numpy's own Generator calls."""
+form of a chain (the package reads chains from JSON, but writes none),
+signed pairings drawn through numpy's own Generator calls, and a counter of
+sampled isometry checks."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from istruct import structures
 from istruct.config import DEFAULT_TOL, Tolerances
 from istruct.corpus import respecting_part
 from istruct.errors import DescriptorError
@@ -50,3 +52,17 @@ def chain_to_dict(chain: ChainDerivation) -> dict:
     return {"start": expr_to_list(chain.start),
             "steps": [{"expr": expr_to_list(st.expr), "rule": st.rule,
                        "dir": st.direction} for st in chain.steps]}
+
+
+def count_sampled_checks(monkeypatch) -> list:
+    """A list that gains one entry per call of certify's sampled isometry
+    check, structures._sampled_isometry_residual, until monkeypatch undoes it."""
+    calls = []
+    sampled = structures._sampled_isometry_residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sampled(*args, **kwargs)
+
+    monkeypatch.setattr(structures, "_sampled_isometry_residual", counted)
+    return calls

@@ -31,7 +31,7 @@ from istruct.theory import (build_complexification_witness, extract_conjugation,
                             verify_squares_isomorphism, verify_theorem_complex,
                             verify_theorem_real)
 
-from helpers import chain_to_dict, random_respecting_operator
+from helpers import chain_to_dict, count_sampled_checks, random_respecting_operator
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +318,20 @@ def test_constructions_are_not_recertified(scenario_path, monkeypatch, suite):
     report = run_suite(scenario, suite)
     assert all(c["outcome"] == "verified" for c in report["claims"])
     assert 0 < len(calls) < 100
+
+
+@pytest.mark.parametrize("suite, expected", [
+    ("paper-all", 2), ("exact-algebra", 0), ("non-euclidean", 0)])
+def test_only_candidates_are_sampled(scenario_path, monkeypatch, suite, expected):
+    # a construction carries its certificate or is refused by a theorem, so
+    # only candidates run the sampled check: paper-all's reject-l1-rotation
+    # and reject-l1-skew
+    sampled = count_sampled_checks(monkeypatch)
+    scenario = (load_scenario(scenario_path) if suite == "paper-all"
+                else getattr(_bench_scenarios(), suite.replace("-", "_"))(7))
+    report = run_suite(scenario, suite, seed=7)
+    assert all(c["outcome"] == "verified" for c in report["claims"])
+    assert len(sampled) == expected
 
 
 @pytest.mark.parametrize("suite", ["paper-all", "exact-algebra"])
@@ -617,6 +631,21 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
      ["'real-cartesian'", "'max_dim'", "2**32", "4294967297"]),
     (_edit(["claims", "closed-form", "dims"], [1, 2 ** 32 + 1]), "spaces",
      ["'closed-form'", "'dims'", "2**32", "4294967297"]),
+    # a misspelled descriptor key would build the default ("direction" for
+    # "dir" would run the step forward)
+    (_edit(["spaces", "plane-l1", "norm", "wieghts"], [1, 2]), "pelczynski-chain",
+     ["'plane-l1'", "lp norm has unknown key(s) 'wieghts'"]),
+    (_edit(["spaces", "plane-l1", "extra"], 1), "pelczynski-chain",
+     ["'plane-l1'", "a space has unknown key(s) 'extra'"]),
+    (_edit(["oracles", "r-rank-all", "descriptor", "rr"], 3), "ideal-transforms",
+     ["'r-rank-all'", "'rank_threshold' has unknown key(s) 'rr'"]),
+    (_edit(["oracles", "r-rank-all", "weight"], 3), "ideal-transforms",
+     ["'r-rank-all'", "an oracle has unknown key(s) 'weight'"]),
+    (_edit(["claims", "chain-reference", "fixture"], _chain_with("direction", "reverse")),
+     "pelczynski-chain", ["'chain-reference'", "a chain step has unknown key(s) 'direction'"]),
+    (_edit(["claims", "chain-reference", "fixture"], {**chain_to_dict(reference_chain()),
+                                                      "end": [], "name": "x"}),
+     "pelczynski-chain", ["'chain-reference'", "a chain has unknown key(s) 'end', 'name'"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
         "unknown-tolerance", "tolerances-string", "tolerances-number",
         "tolerance-string-nan", "tolerance-negative", "tolerance-boolean",
@@ -638,7 +667,9 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "factorization-r-size", "factorization-s-size", "factorization-a-size", "p-string", "p-boolean", "wlp-p-string",
         "weights-strings", "weights-boolean", "gram-booleans", "functionals-string",
         "basis-string", "norm-missing-key", "oracle-missing-key",
-        "max-dim-beyond-2-32", "dims-span-beyond-2-32"])
+        "max-dim-beyond-2-32", "dims-span-beyond-2-32", "norm-unknown-key",
+        "space-unknown-key", "descriptor-unknown-key", "oracle-unknown-key",
+        "step-unknown-key", "chain-unknown-keys"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
                                     edit, suite, words):
     assert _run_edited(scenario_path, tmp_path, edit, suite) == 2

@@ -22,7 +22,7 @@ from istruct.spaces import (EuclideanQuadratic, NormedSpace, direct_sum, lp_spac
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
 from istruct.theory import split_structure, verify_theorem_complex
 
-from helpers import random_respecting_operator
+from helpers import count_sampled_checks, random_respecting_operator
 
 L2_2 = lp_space(2, 2.0)
 
@@ -572,17 +572,21 @@ def test_audit_flags_structure_sensitive_oracle():
     assert rep.witness["conjugation"]
 
 
-def test_audit_off_euclidean_is_a_typed_error():
-    # A (+) -A on the averaged square of l2^2 (+)_1 l2^2 misses isometry
+def test_audit_off_euclidean_is_a_typed_error(monkeypatch):
+    # A (+) -A on the averaged square of l2^2 (+)_1 l2^2 is no i-operator, as
+    # that norm is no inner product's: the theorem refuses it unchecked
     plane = lp_space(2, 2.0)
     s = validate_i_operator(direct_sum(plane, plane, "sum"),
                             np.kron(np.eye(2), natural_i_operator_matrix(1)))
     rng = np.random.default_rng(9)
     corpus = [random_respecting_operator(s, s, rng)]
     oracle = IdealOracle("complex", AllOperators())
+    sampled = count_sampled_checks(monkeypatch)
     with pytest.raises(StructureValidationError) as exc_info:
         audit_self_conjugacy(oracle, corpus)
-    assert exc_info.value.certificate.isometry_residual > 1e-2
+    assert exc_info.value.certificate is None
+    assert "iff X's norm is an inner product's" in str(exc_info.value)
+    assert sampled == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from istruct.corpus import (random_complexification_isomorphism,
                             random_exact_structure)
 from istruct.errors import (RespectViolationError, StructureValidationError,
                             WitnessError)
-from istruct.ideals import (IdealOracle, NormThreshold, RankThreshold,
-                            RealOperator)
+from istruct.ideals import (AllOperators, IdealOracle, NormThreshold,
+                            RankThreshold, RealOperator)
 from istruct.spaces import (ComplexificationOfBase, NormedSpace, Polyhedral,
                             SubspaceNorm, direct_sum, euclidean_gram, lp_space,
                             norm_batch, space_equal)
@@ -31,7 +32,7 @@ from istruct.theory import (_complex_cartesian_reports, _conjugations,
                             verify_squares_isomorphism,
                             verify_theorem_complex, verify_theorem_real)
 
-from helpers import random_respecting_operator
+from helpers import count_sampled_checks, random_respecting_operator
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -262,17 +263,23 @@ def test_split_structure_inherits_a_certificate_certify_confirms(make, mode):
         assert redo == pytest.approx(inherited.isometry_residual, abs=1e-15)
 
 
-def test_averaged_square_off_euclidean_is_a_typed_error():
+def test_averaged_square_off_euclidean_is_a_typed_error(monkeypatch):
+    # l2^2 (+)_1 l2^2 has no Gram and is no plane: the theorem refuses the
+    # averaged square of J (+) J before any check is run
+    s = _sum_of_planes()
+    sampled = count_sampled_checks(monkeypatch)
     with pytest.raises(StructureValidationError) as exc_info:
-        split_structure(_sum_of_planes(), mode="complexification")
-    assert exc_info.value.certificate.isometry_residual > 1e-2
+        split_structure(s, mode="complexification")
+    assert exc_info.value.certificate is None
+    assert "iff X's norm is an inner product's" in str(exc_info.value)
+    assert sampled == []
 
 
-def test_averaged_square_of_an_unrecognized_inner_product_passes_by_sampling():
+def test_averaged_square_of_an_unrecognized_inner_product_passes_by_the_plane_rule():
     # the rows (cos j pi/3, sin j pi/3) of l4^3 span a plane with the norm
     # (9/8)^(1/4) |x|, since sum_j cos^4(t - j pi/3) = 9/8; no closed form
-    # recognizes it, so only the sampled certify can accept A (+) -A on its
-    # averaged square, which is an i-operator as the norm is an inner product's
+    # recognizes it, but a plane with an i-operator is Euclidean, so A (+) -A
+    # on its averaged square inherits the sampled certificate of [X, J]
     j = np.arange(3)
     basis = np.stack([np.cos(j * np.pi / 3), np.sin(j * np.pi / 3)], axis=1)
     X = NormedSpace(2, SubspaceNorm(lp_space(3, 4.0), basis))
@@ -284,6 +291,35 @@ def test_averaged_square_of_an_unrecognized_inner_product_passes_by_sampling():
     c = split_structure(validate_i_operator(X, J2), mode="complexification").certificate
     assert not c.exact and c.samples_used > 0
     assert c.algebraic_residual == 0.0 and c.isometry_residual < 1e-14
+
+
+def test_averaged_square_of_a_plane_rejects_an_invalid_operator(monkeypatch):
+    # J is no i-operator on l1^2; the averaged square of [l1^2, J] inherits
+    # certify's sampled certificate, with its witness lifted to (x, 0)
+    plane = lp_space(2, 1.0)
+    c = certify(plane, J2)
+    assert c.isometry_residual > 1e-2
+    sampled = count_sampled_checks(monkeypatch)
+    with pytest.raises(StructureValidationError) as exc_info:
+        split_structure(ComplexStructure(plane, J2, c), mode="complexification")
+    inherited = exc_info.value.certificate
+    assert inherited.isometry_residual == c.isometry_residual
+    assert np.array_equal(inherited.witness[0], np.concatenate([c.witness[0], [0.0, 0.0]]))
+    assert sampled == []
+
+
+def test_complex_theorem_audit_on_a_non_euclidean_base_fails_fast(monkeypatch):
+    # cplx(l1^2) has no Gram and dimension 4, so the audit's averaged squares
+    # are refused by the theorem, without nested quadrature
+    s = natural_i_operator(lp_space(2, 1.0))
+    rng = np.random.default_rng(5)
+    corpus = [random_respecting_operator(s, s, rng) for _ in range(2)]
+    sampled = count_sampled_checks(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(StructureValidationError, match="inner product"):
+        verify_theorem_complex(IdealOracle("complex", AllOperators()), corpus)
+    assert time.perf_counter() - start < 1.0
+    assert sampled == []
 
 
 def test_squares_isomorphism_exact():
