@@ -15,7 +15,6 @@ import argparse
 import datetime
 import json
 import math
-import numbers
 import sys
 import zlib
 from importlib import resources
@@ -26,7 +25,7 @@ import numpy as np
 from . import corpus as corpus_gen
 from .config import Tolerances
 from .errors import (IstructError, ScenarioError, StructureValidationError,
-                     first_errors, unknown_keys)
+                     first_errors, is_json_int, is_json_number, unknown_keys)
 from .ideals import (HILBERT_SCHMIDT, GroupedCorpus, audit_self_conjugacy,
                      ideal_norms, oracle_from_dict)
 from .morphisms import _respect_residuals
@@ -45,9 +44,9 @@ from .structures import (BY_CONSTRUCTION, DEFAULT_SAMPLE_ANGLES,
                          natural_i_operator_matrix, reevaluate_witness,
                          search_i_operator, validate_i_operator,
                          witness_to_dict)
-from .theory import (_complex_cartesian_reports, _conjugations,
-                     _real_cartesian_reports, _squares_reports, _witnesses,
-                     verify_theorem_complex, verify_theorem_real)
+from .theory import (HYP_TOL, NORM_SLACK, _complex_cartesian_reports,
+                     _conjugations, _real_cartesian_reports, _squares_reports,
+                     _witnesses, verify_theorem_complex, verify_theorem_real)
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +81,7 @@ def _check_scenario(data) -> None:
     """Check a scenario's keys, schema, seed, sections (an absent one is
     empty) and suites."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
-        raise ScenarioError("scenario must be an object with schema = 1")
+        raise ScenarioError(f"scenario must be an object with schema = {SCHEMA_VERSION}")
     if unknown := unknown_keys(data, {"schema", "seed", *_SECTIONS}):
         raise ScenarioError(f"scenario has unknown key(s) {unknown}")
     if "seed" not in data:
@@ -128,14 +127,8 @@ class ParamType(NamedTuple):
 REQUIRED = object()  # the default of a parameter a claim must give
 
 
-def _is_number(v) -> bool:
-    """A finite JSON number (booleans, strings and NaN are not)."""
-    return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
-
-
 def _is_int(v, lo: int, even: bool = False) -> bool:
-    return (not isinstance(v, bool) and isinstance(v, numbers.Integral)
-            and v >= lo and not (even and v % 2))
+    return is_json_int(v) and v >= lo and not (even and v % 2)
 
 
 def _integer(lo: int) -> ParamType:
@@ -146,6 +139,11 @@ def _integers(lo: int, even: bool = False) -> ParamType:
     def ok(v, _):
         return isinstance(v, list) and v and all(_is_int(x, lo, even) for x in v)
     return ParamType(f"a nonempty list of {'even ' if even else ''}integers >= {lo}", ok)
+
+
+def _l2(dims: ParamType) -> ParamType:
+    """dims read as the l2 spaces of those dimensions, the ones corpus shares."""
+    return dims._replace(read=lambda v, _: [corpus_gen._euclidean(int(d)) for d in v])
 
 
 def _named(what: str, kind: str = None) -> ParamType:
@@ -166,19 +164,21 @@ def _load_fixture(path: str, resolved) -> ChainDerivation:
 
 COUNT = _integer(1)
 SAMPLES, ANGLES = _integer(MIN_SAMPLE_VECTORS), _integer(MIN_SAMPLE_ANGLES)
-DIMS = _integers(1)
-EVEN_DIMS = _integers(2, even=True)
-# a corpus draws a dimension as an integer below n, for n <= 2**32 (corpus._below)
-DIM_RANGE = ParamType("a pair [lo, hi] of integers with 1 <= lo <= hi < lo + 2**32",
+DIMS = _l2(_integers(1))
+EVEN_DIMS = _l2(_integers(2, even=True))
+_DRAW_BOUND = corpus_gen.DRAW_BOUND  # a corpus draws an integer below n <= this
+_BOUND_TEXT = f"2**{_DRAW_BOUND.bit_length() - 1}"
+DIM_RANGE = ParamType(f"a pair [lo, hi] of integers with 1 <= lo <= hi < lo + {_BOUND_TEXT}",
                       lambda v, _: isinstance(v, list) and len(v) == 2
-                      and all(_is_int(x, 1) for x in v) and 0 <= v[1] - v[0] < 2 ** 32)
-MAX_DIM = ParamType("an integer >= 1 and <= 2**32",
-                    lambda v, _: _is_int(v, 1) and v <= 2 ** 32)
-BOUND = ParamType("a finite number >= 0", lambda v, _: _is_number(v) and v >= 0,
+                      and all(_is_int(x, 1) for x in v) and 0 <= v[1] - v[0] < _DRAW_BOUND)
+MAX_DIM = ParamType(f"an integer >= 1 and <= {_BOUND_TEXT}",
+                    lambda v, _: _is_int(v, 1) and v <= _DRAW_BOUND)
+BOUND = ParamType("a finite number >= 0", lambda v, _: is_json_number(v) and 0 <= v < math.inf,
                   lambda v, _: float(v))
 FLAG = ParamType("true or false", lambda v, _: isinstance(v, bool))
 MATRIX = ParamType("a matrix (a list of equal-length rows of finite numbers)",
-                   lambda v, _: np.ndim(v) == 2 and all(_is_number(x) for row in v for x in row),
+                   lambda v, _: np.ndim(v) == 2 and all(
+                       is_json_number(x) and math.isfinite(x) for row in v for x in row),
                    lambda v, _: np.asarray(v, dtype=float))
 EXPR = ParamType("a nonempty list of [label, sign] atoms (labels X, Y, Z; signs +, -)",
                  lambda v, _: isinstance(v, list) and all(isinstance(a, list) for a in v),
@@ -196,12 +196,12 @@ SPACE = _named("space")
 # Claim handlers: (typed parameters, rng, tolerances) -> VerificationReport
 # ---------------------------------------------------------------------------
 
-def _choice(rng, seq) -> int:
+def _choice(rng, seq):
     """One entry of seq, drawn as rng.choice(seq) draws it (a test checks
     that), without converting seq to an array: rng.integers(len(seq)) by
     Lemire's method over the generator's own 32-bit stream, under its
     lock (corpus._below)."""
-    return int(seq[corpus_gen._below(rng, len(seq))])
+    return seq[corpus_gen._below(rng, len(seq))]
 
 
 def _h_euclidean_closed_form(params, rng, tol):
@@ -376,13 +376,11 @@ def _corpus_outcomes(rng, count: int, draw: Callable, check: Callable,
     return [out[i][0] for i in range(len(out) if stop is None else stop + 1)]
 
 
-def _verdict(kind: str, reports: list, residuals: dict,
-             tolerances: dict) -> VerificationReport:
-    """A corpus claim's report: its last report run when that one failed, or
-    else verified with the corpus's worst residuals."""
-    if not reports[-1].ok:
-        return reports[-1]
-    return bounded(kind, True, residuals, tolerances)
+def _verdict(reports: list, residuals: dict) -> VerificationReport:
+    """A corpus claim's report: its last item's when that one failed, or else
+    verified with the corpus's worst residuals, under its items' claim and tolerances."""
+    last = reports[-1]
+    return last if not last.ok else bounded(last.claim, True, residuals, last.tolerances)
 
 
 def _worst(reports: list, key: str = None) -> float:
@@ -401,32 +399,30 @@ def _h_prop1_roundtrip(params, rng, tol):
         c = corpus_gen._complexification_isomorphisms(
             *(np.stack(z) for z in zip(*draws)), tol=tol)
         Ts, conj_errors = _conjugations(c.S0, c.A, natural_i_operator_matrix(m),
-                                        tol=1e-8)
+                                        tol=HYP_TOL)
         w = _witnesses(c.A, Ts, c.gram, None, tol=tol)
         return zip(w.outcomes, first_errors(c.errors, conj_errors, w.errors))
 
     reports = _corpus_outcomes(rng, params["count"], draw, check)
     worst = {key: _worst(reports, key) for key in
              ("involution", "anticommutation", "inverse_composition", "norm_excess")}
-    ok = (worst["involution"] <= 1e-8 and worst["anticommutation"] <= 1e-8
-          and worst["inverse_composition"] <= 1e-8
-          and worst["norm_excess"] <= 1e-6)
+    ok = (max(worst["involution"], worst["anticommutation"], worst["inverse_composition"])
+          <= HYP_TOL and worst["norm_excess"] <= NORM_SLACK)
     return bounded("complexification-roundtrip", ok, worst,
-                   {"residuals": 1e-8, "norm_slack": 1e-6}, dict(worst))
+                   {"residuals": HYP_TOL, "norm_slack": NORM_SLACK}, dict(worst))
 
 
 def _h_squares(params, rng, tol):
     def draw():
-        dim = _choice(rng, params["dims"])
-        return dim, corpus_gen.signed_pairing_matrix(dim, rng)
+        space = _choice(rng, params["dims"])
+        return space, corpus_gen.signed_pairing_matrix(space.dim, rng)
 
-    reports = _corpus_outcomes(rng, params["count"], draw, lambda dim, As: zip(
-        *_squares_reports(corpus_gen._euclidean(dim), np.stack(As),
-                          [BY_CONSTRUCTION] * len(As), tol=tol)), _failed)
-    return _verdict("square-space-isomorphism", reports,
-                    {"worst_respect": _worst(reports, "respect"),
-                     "worst_inverse_composition": _worst(reports, "inverse_composition")},
-                    {"respect": 0.0, "inverse": 1e-12})
+    reports = _corpus_outcomes(rng, params["count"], draw, lambda space, As: zip(
+        *_squares_reports(space, np.stack(As), [BY_CONSTRUCTION] * len(As), tol=tol)),
+        _failed)
+    return _verdict(reports, {
+        "worst_respect": _worst(reports, "respect"),
+        "worst_inverse_composition": _worst(reports, "inverse_composition")})
 
 
 def _h_real_cartesian(params, rng, tol):
@@ -441,18 +437,17 @@ def _h_real_cartesian(params, rng, tol):
         rng, params["count"], draw,
         lambda shape, Ts: ((r, None) for r in _real_cartesian_reports(np.stack(Ts))),
         _failed)
-    return _verdict("real-cartesian-identities", reports,
-                    {"worst_deviation": _worst(reports)}, {"deviation": 0.0})
+    return _verdict(reports, {"worst_deviation": _worst(reports)})
 
 
-def _draw_complex_op(rng, dims) -> tuple:
-    """The draws of one random [T, A, B] on l2, A and B signed pairings:
-    ((dim_d, dim_c), (A, B, the normal matrix T is projected from))."""
-    dim_d = _choice(rng, dims)
-    dim_c = _choice(rng, dims)
-    A = corpus_gen.signed_pairing_matrix(dim_d, rng)
-    B = corpus_gen.signed_pairing_matrix(dim_c, rng)
-    return (dim_d, dim_c), (A, B, rng.standard_normal((dim_c, dim_d)))
+def _draw_complex_op(rng, spaces) -> tuple:
+    """The draws of one random [T, A, B] between two of the spaces, A and B signed
+    pairings: ((dom, cod), (A, B, the normal matrix T is projected from))."""
+    dom = _choice(rng, spaces)
+    cod = _choice(rng, spaces)
+    A = corpus_gen.signed_pairing_matrix(dom.dim, rng)
+    B = corpus_gen.signed_pairing_matrix(cod.dim, rng)
+    return (dom, cod), (A, B, rng.standard_normal((cod.dim, dom.dim)))
 
 
 def _complex_ops(draws: list, tol) -> tuple:
@@ -463,17 +458,17 @@ def _complex_ops(draws: list, tol) -> tuple:
     return (Ts, As, Bs, *_respect_residuals(Ts, As, Bs, tol))
 
 
-def _random_complex_corpus(rng, dims, count, tol) -> GroupedCorpus:
-    """count random [T, A, B], drawn in order and stacked a shape group at a
-    time, each signed pairing certified BY_CONSTRUCTION (as in
-    corpus.random_exact_structure); the first that fails to respect its
+def _random_complex_corpus(rng, spaces, count, tol) -> GroupedCorpus:
+    """count random [T, A, B] between the spaces, drawn in order and stacked a
+    shape group at a time, each signed pairing certified BY_CONSTRUCTION (as
+    in corpus.random_exact_structure); the first that fails to respect its
     structures raises."""
     corpus = GroupedCorpus([], [(BY_CONSTRUCTION, BY_CONSTRUCTION)] * count)
     errors: dict = {}  # corpus index -> its respect error
     for shape, (idx, draws) in _drawn_groups(
-            rng, count, lambda: _draw_complex_op(rng, dims)).items():
+            rng, count, lambda: _draw_complex_op(rng, spaces)).items():
         Ts, As, Bs, _, group_errors = _complex_ops(draws, tol)
-        corpus.groups.append((idx, *map(corpus_gen._euclidean, shape), Ts, As, Bs))
+        corpus.groups.append((idx, *shape, Ts, As, Bs))
         errors.update((i, e) for i, e in zip(idx, group_errors) if e is not None)
     if errors:
         raise errors[min(errors)]
@@ -488,22 +483,21 @@ def _h_complex_cartesian(params, rng, tol):
 
     reports = _corpus_outcomes(
         rng, params["count"], lambda: _draw_complex_op(rng, params["dims"]), check, _failed)
-    return _verdict("complex-cartesian-identities", reports, {"worst": _worst(reports)},
-                    {"respect": tol.tol_alg, "deviation": tol.abs_tol})
+    return _verdict(reports, {"worst": _worst(reports)})
 
 
-def _draw_real_op(rng, dims) -> tuple:
-    """The draws of one random real T: ((dim_d, dim_c), T of shape (dim_c, dim_d))."""
-    dim_d = _choice(rng, dims)
-    dim_c = _choice(rng, dims)
-    return (dim_d, dim_c), rng.standard_normal((dim_c, dim_d))
+def _draw_real_op(rng, spaces) -> tuple:
+    """The draws of one random real T between two of the spaces: ((dom, cod),
+    T of shape (cod.dim, dom.dim))."""
+    dom = _choice(rng, spaces)
+    cod = _choice(rng, spaces)
+    return (dom, cod), rng.standard_normal((cod.dim, dom.dim))
 
 
 def _h_theorem_real(params, rng, tol):
     drawn = _drawn_groups(rng, params["count"], lambda: _draw_real_op(rng, params["dims"]))
     return verify_theorem_real(params["oracle"], GroupedCorpus(
-        [(idx, *map(corpus_gen._euclidean, shape), np.stack(Ts))
-         for shape, (idx, Ts) in drawn.items()]))
+        [(idx, *shape, np.stack(Ts)) for shape, (idx, Ts) in drawn.items()]))
 
 
 def _h_theorem_complex(params, rng, tol):
@@ -519,9 +513,8 @@ def _h_self_conjugacy(params, rng, tol):
 def _h_hs_doubling(params, rng, tol):
     bound = params["tol"]
 
-    def check(shape, Ts):
-        Ts = np.stack(Ts)
-        dom, cod = map(corpus_gen._euclidean, shape)
+    def check(spaces, Ts):
+        (dom, cod), Ts = spaces, np.stack(Ts)
         base = ideal_norms(HILBERT_SCHMIDT, Ts, dom, cod)
         dom2 = direct_sum(dom, dom, "complexification")
         cod2 = direct_sum(cod, cod, "complexification")
@@ -613,7 +606,7 @@ CLAIMS = {
     "validate-structure": (_h_validate_structure, _STRUCTURE),
     "reject-structure": (_h_reject_structure, _STRUCTURE),
     "prop1-roundtrip": (_h_prop1_roundtrip,
-                        {"count": (COUNT, 10), "half_dims": (DIMS, [1, 2, 3])}),
+                        {"count": (COUNT, 10), "half_dims": (_integers(1), [1, 2, 3])}),
     "squares": (_h_squares, {"count": (COUNT, 10), "dims": (EVEN_DIMS, [2, 4, 6])}),
     "real-cartesian": (_h_real_cartesian,
                        {"count": (COUNT, 25), "max_dim": (MAX_DIM, 6)}),

@@ -36,6 +36,7 @@ from .structures import (BY_CONSTRUCTION, ComplexStructure, _gram_certificates,
                          natural_i_operator_matrix)
 
 SPREAD = 0.3  # normal Z / sqrt(n) has norm ~2, so _near_identity is well conditioned
+DRAW_BOUND = 2 ** 32  # _below draws an integer below n for 1 <= n <= DRAW_BOUND
 
 
 def _below(rng: np.random.Generator, n: int) -> int:
@@ -45,7 +46,7 @@ def _below(rng: np.random.Generator, n: int) -> int:
     DescriptorError."""
     if n == 1:
         return 0
-    if not 1 < n <= 0x100000000:
+    if not 1 < n <= DRAW_BOUND:
         raise DescriptorError(f"cannot draw an integer below {n}: "
                               "the bound must lie in [1, 2**32]")
     bit_generator = rng.bit_generator
@@ -53,7 +54,7 @@ def _below(rng: np.random.Generator, n: int) -> int:
         c = bit_generator.ctypes
         m = c.next_uint32(c.state) * n
         if m & 0xFFFFFFFF < n:
-            threshold = (0x100000000 - n) % n
+            threshold = (DRAW_BOUND - n) % n
             while m & 0xFFFFFFFF < threshold:
                 m = c.next_uint32(c.state) * n
     return m >> 32

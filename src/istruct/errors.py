@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and checks of JSON input."""
+
+import numbers
 
 
 class IstructError(Exception):
@@ -72,6 +74,16 @@ def json_field(obj, key: str, what: str):
     if key not in obj:
         raise DescriptorError(f"{what} lacks the key {key!r}")
     return obj[key]
+
+
+def is_json_number(v) -> bool:
+    """A JSON number: a Real that is not a bool (it may be NaN or infinite)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_json_int(v) -> bool:
+    """A JSON integer: an Integral that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def unknown_keys(obj: dict, known: set) -> str:

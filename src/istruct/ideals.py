@@ -18,14 +18,14 @@ and every report produced here says so.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DescriptorError, first_errors, json_field, unknown_keys
+from .errors import (DescriptorError, first_errors, is_json_int, is_json_number,
+                     json_field, unknown_keys)
 from .morphisms import (RespectingOperator, _respect_residuals,
                         _singular_values, _split_matrix)
 from .report import VerificationReport, bounded
@@ -97,11 +97,10 @@ class NormThreshold:
     def __post_init__(self):
         if self.functional not in (OPERATOR_NORM, HILBERT_SCHMIDT, TRACE_NORM):
             raise DescriptorError(f"unknown ideal-norm functional {self.functional!r}")
-        b = self.bound
-        if isinstance(b, bool) or not isinstance(b, numbers.Real) or not 0 <= b < np.inf:
+        if not is_json_number(self.bound) or not 0 <= self.bound < np.inf:
             raise DescriptorError(
-                f"norm threshold bound must be a finite number >= 0, got {b!r}")
-        self.bound = float(b)
+                f"norm threshold bound must be a finite number >= 0, got {self.bound!r}")
+        self.bound = float(self.bound)
 
 
 @dataclass(eq=False)
@@ -109,7 +108,7 @@ class RankThreshold:
     r: int
 
     def __post_init__(self):
-        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral) or self.r < 0:
+        if not is_json_int(self.r) or self.r < 0:
             raise DescriptorError(f"rank threshold r must be an integer >= 0, got {self.r!r}")
         self.r = int(self.r)
 

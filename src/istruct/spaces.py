@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import (DescriptorError, DimensionMismatchError, QuadratureError, json_field,
-                     unknown_keys)
+from .errors import (DescriptorError, DimensionMismatchError, QuadratureError,
+                     is_json_int, is_json_number, json_field, unknown_keys)
 
 # Arc quadrature policy (bases without a closed form).  QUAD_RTOL is the
 # relative accuracy sought for the mean square and QUAD_MAX_NODES the norm
@@ -182,7 +181,7 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.weights = np.asarray(d.weights, dtype=float)
         if d.weights.shape != (dim,):
             raise DescriptorError("weight vector length must equal dim")
-        _check_finite(d.weights, "weights")
+        _check_finite(d.weights, "weights", DescriptorError)
         if not (d.p >= 1):
             raise DescriptorError("WeightedLp requires p >= 1")
         if not np.all(d.weights > 0):
@@ -198,7 +197,7 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.functionals = np.asarray(d.functionals, dtype=float)
         if d.functionals.ndim != 2 or d.functionals.shape[1] != dim:
             raise DescriptorError("functionals must be rows of length dim")
-        _check_finite(d.functionals, "functionals")
+        _check_finite(d.functionals, "functionals", DescriptorError)
         if np.linalg.matrix_rank(d.functionals) < dim:
             raise DescriptorError("functionals must span the dual (definite norm)")
     elif isinstance(d, ComplexificationOfBase):
@@ -211,7 +210,7 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.basis = np.asarray(d.basis, dtype=float)
         if d.basis.shape != (d.ambient.dim, dim):
             raise DescriptorError("basis must be ambient.dim x dim")
-        _check_finite(d.basis, "basis")
+        _check_finite(d.basis, "basis", DescriptorError)
         if np.linalg.matrix_rank(d.basis) < dim:
             raise DescriptorError("basis must have full column rank")
     else:
@@ -249,9 +248,10 @@ def _whitening_factors(grams: np.ndarray) -> tuple:
     return Lt, Lt_inv
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise DescriptorError(f"{what} must be finite")
+def _check_finite(a: np.ndarray, what: str, error: type) -> None:
+    """Raise error("<what> must be finite") unless every entry of a is."""
+    if not np.isfinite(a).all():
+        raise error(f"{what} must be finite")
 
 
 def space_equal(a: NormedSpace, b: NormedSpace) -> bool:
@@ -295,8 +295,7 @@ def _check_vector(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise DimensionMismatchError(f"expected vector of length {dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DimensionMismatchError("vector entries must be finite")
+    _check_finite(x, "vector entries", DimensionMismatchError)
     return x
 
 
@@ -306,8 +305,7 @@ def _checked_operator(T, dom, cod, name: str = "T") -> np.ndarray:
     if dom is not None and T.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
             f"{name} must be {cod.dim} x {dom.dim}, got {T.shape}")
-    if not np.all(np.isfinite(T)):
-        raise DimensionMismatchError(f"{name} must be finite")
+    _check_finite(T, name, DimensionMismatchError)
     return T
 
 
@@ -322,13 +320,8 @@ def norm_batch(space: NormedSpace, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != space.dim:
         raise DimensionMismatchError(f"expected batch of dim-{space.dim} rows, got {X.shape}")
-    _check_batch_finite(X)
+    _check_finite(X, "batch entries", DimensionMismatchError)
     return _norm_rows(space, X)
-
-
-def _check_batch_finite(X: np.ndarray) -> None:
-    if not np.isfinite(X).all():
-        raise DimensionMismatchError("batch entries must be finite")
 
 
 def _norm_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
@@ -440,8 +433,8 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != base.dim:
         raise DimensionMismatchError("X, Y must both be (k, base.dim)")
-    _check_batch_finite(X)
-    _check_batch_finite(Y)
+    _check_finite(X, "batch entries", DimensionMismatchError)
+    _check_finite(Y, "batch entries", DimensionMismatchError)
     return _complexification_rows(base, X, Y)
 
 
@@ -937,13 +930,13 @@ def space_from_dict(obj: dict) -> NormedSpace:
     dim = json_field(obj, "dim", "a space")
     if unknown := unknown_keys(obj, {"dim", "norm"}):
         raise DescriptorError(f"a space has unknown key(s) {unknown}")
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+    if not is_json_int(dim):
         raise DescriptorError(f"dimension must be an integer, got {dim!r}")
     return NormedSpace(int(dim), descriptor_from_dict(json_field(obj, "norm", "a space")))
 
 
 def _number(v, key: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+    if not is_json_number(v):
         raise DescriptorError(f"{key}: {v!r} is not a JSON number")
     return float(v)
 

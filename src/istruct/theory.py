@@ -29,12 +29,13 @@ from .morphisms import (RANK_RTOL, RespectingOperator, _fitted_matrix, _inverses
                         matrix_norm_between, surjection_first,
                         surjection_second)
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport, bounded
-from .spaces import (EuclideanQuadratic, NormedSpace, SubspaceNorm, _gram_errors,
+from .spaces import (EuclideanQuadratic, NormedSpace, SubspaceNorm, _check_finite, _gram_errors,
                      _whitening_factors, block_diag2, direct_sum, euclidean_gram)
 from .structures import (ComplexStructure, _split_on, natural_i_operator,
                          natural_i_operator_matrix)
 
-HYP_TOL = 1e-8  # residuals of T as an anticommuting involution
+HYP_TOL = 1e-8  # residuals of T as an anticommuting involution, and of S^-1 S - I
+NORM_SLACK = 1e-6  # how far ||S|| may exceed ||I + T||
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +116,7 @@ def build_complexification_witness(s: ComplexStructure, T, *,
     T = np.asarray(T, dtype=float)
     if T.shape != (dim, dim):
         raise WitnessError(f"T must be {dim} x {dim}, got {T.shape}")
-    if not np.all(np.isfinite(T)):
-        raise WitnessError("T must be finite")
+    _check_finite(T, "T", WitnessError)
     gram = euclidean_gram(s.space)
     w = _witnesses(s.A[None], T[None], None if gram is None else gram[None],
                    [s.space], tol=tol)
@@ -213,12 +213,12 @@ def _witness_report(r_inv, r_anti, round_dev, s_est: tuple, p_est: tuple) -> tup
     (s_norm, s_exact), (p_norm, p_exact) = s_est, p_est
     exact = s_exact and p_exact
     bound_status = (INCONCLUSIVE if not exact
-                    else VERIFIED if s_norm <= p_norm + 1e-6 else VIOLATED)
+                    else VERIFIED if s_norm <= p_norm + NORM_SLACK else VIOLATED)
     norm_bound = {"S": s_norm, "I_plus_T": p_norm, "exact": exact,
                   "status": bound_status}
     # a nan round_dev fails both tests: a verified bound becomes inconclusive
-    status = bound_status if round_dev <= 1e-8 else (
-        VIOLATED if round_dev > 1e-8 or bound_status == VIOLATED else INCONCLUSIVE)
+    status = bound_status if round_dev <= HYP_TOL else (
+        VIOLATED if round_dev > HYP_TOL or bound_status == VIOLATED else INCONCLUSIVE)
     return norm_bound, VerificationReport(
         claim="complexification-witness",
         status=status,
@@ -226,7 +226,7 @@ def _witness_report(r_inv, r_anti, round_dev, s_est: tuple, p_est: tuple) -> tup
                    "inverse_composition": round_dev,
                    "norm_excess": max(0.0, s_norm - p_norm)},
         witness=None if status == VERIFIED else {"norm_bound": norm_bound},
-        tolerances={"hyp_tol": HYP_TOL, "norm_slack": 1e-6},
+        tolerances={"hyp_tol": HYP_TOL, "norm_slack": NORM_SLACK},
         seeds={} if exact else {"seed": SAMPLE_SEED})
 
 

@@ -25,7 +25,8 @@ from istruct.report import VERIFIED, VIOLATED, VerificationReport, bounded
 from istruct.spaces import (complexification_norm, descriptor_from_dict, lp_space,
                             norm_batch, space_from_dict)
 from istruct.structures import ComplexStructure
-from istruct.theory import (build_complexification_witness, extract_conjugation,
+from istruct.theory import (HYP_TOL, NORM_SLACK, build_complexification_witness,
+                            extract_conjugation,
                             verify_complex_cartesian_identities,
                             verify_real_cartesian_identities,
                             verify_squares_isomorphism, verify_theorem_complex,
@@ -803,23 +804,23 @@ def _loop_prop1(params, rng, tol):
     for _ in range(params["count"]):
         m = cli._choice(rng, params["half_dims"])
         s, iso = random_complexification_isomorphism(m, rng, tol=tol)
-        T = extract_conjugation(iso, tol=1e-8)
+        T = extract_conjugation(iso, tol=HYP_TOL)
         r = build_complexification_witness(s, T, tol=tol).report.residuals
         for key in worst:
             worst[key] = max(worst[key], r[key])
-    ok = (worst["involution"] <= 1e-8 and worst["anticommutation"] <= 1e-8
-          and worst["inverse_composition"] <= 1e-8
-          and worst["norm_excess"] <= 1e-6)
+    ok = (worst["involution"] <= HYP_TOL and worst["anticommutation"] <= HYP_TOL
+          and worst["inverse_composition"] <= HYP_TOL
+          and worst["norm_excess"] <= NORM_SLACK)
     return VerificationReport(
         "complexification-roundtrip", VERIFIED if ok else VIOLATED,
         residuals=worst, witness=None if ok else dict(worst),
-        tolerances={"residuals": 1e-8, "norm_slack": 1e-6})
+        tolerances={"residuals": HYP_TOL, "norm_slack": NORM_SLACK})
 
 
 def _loop_squares(params, rng, tol):
     worst_respect = worst_inv = 0.0
     for _ in range(params["count"]):
-        s = random_exact_structure(cli._choice(rng, params["dims"]), rng)
+        s = random_exact_structure(cli._choice(rng, params["dims"]).dim, rng)
         rep = verify_squares_isomorphism(s, tol=tol)
         if not rep.ok:
             return rep
@@ -829,7 +830,7 @@ def _loop_squares(params, rng, tol):
         "square-space-isomorphism", VERIFIED,
         residuals={"worst_respect": worst_respect,
                    "worst_inverse_composition": worst_inv},
-        tolerances={"respect": 0.0, "inverse": 1e-12})
+        tolerances={"respect": tol.tol_alg, "inverse": 1e-12})
 
 
 def _loop_real_cartesian(params, rng, tol):
@@ -847,12 +848,10 @@ def _loop_real_cartesian(params, rng, tol):
 
 
 def _loop_respecting_op(params, rng, tol):
-    """One random [T, A, B], drawn in the CLI's order: both dims, both
+    """One random [T, A, B], drawn in the CLI's order: both spaces, both
     structures, then T."""
-    dim_d = cli._choice(rng, params["dims"])
-    dim_c = cli._choice(rng, params["dims"])
-    dom = random_exact_structure(dim_d, rng)
-    cod = random_exact_structure(dim_c, rng)
+    spaces = [cli._choice(rng, params["dims"]) for _ in range(2)]
+    dom, cod = (random_exact_structure(space.dim, rng) for space in spaces)
     return random_respecting_operator(dom, cod, rng, tol=tol)
 
 
@@ -874,10 +873,10 @@ def _loop_complex_cartesian(params, rng, tol):
 def _loop_theorem_real(params, rng, tol):
     corpus = []
     for _ in range(params["count"]):
-        dim_d = cli._choice(rng, params["dims"])
-        dim_c = cli._choice(rng, params["dims"])
-        corpus.append(RealOperator(rng.standard_normal((dim_c, dim_d)),
-                                   lp_space(dim_d, 2.0), lp_space(dim_c, 2.0)))
+        dom = cli._choice(rng, params["dims"])
+        cod = cli._choice(rng, params["dims"])
+        corpus.append(RealOperator(rng.standard_normal((cod.dim, dom.dim)),
+                                   lp_space(dom.dim, 2.0), lp_space(cod.dim, 2.0)))
     return verify_theorem_real(params["oracle"], corpus)
 
 
@@ -987,6 +986,14 @@ def test_first_failing_prop1_item_gives_the_loop_message(scenario_path, tmp_path
     loop = _loop_report(claim["id"], parsed, scenario["seed"], Tolerances(tol_alg=1e-20))
     assert "algebraic residual" in loop["witness"]["error"]
     assert claim["report"]["witness"]["error"] == loop["witness"]["error"]
+
+
+def test_corpus_verdict_states_the_tolerances_its_items_apply():
+    resolved = {"space": {}, "oracle": {}}
+    parsed = cli.parse_claim("sq", {"kind": "squares", "count": 3}, resolved)
+    report = cli.run_claim("sq", parsed, 1, Tolerances(tol_alg=1e-10))["report"]
+    assert report["status"] == VERIFIED
+    assert report["tolerances"] == {"respect": 1e-10, "inverse": 1e-12}
 
 
 def _loop_closed_form(params, rng, tol):
