@@ -9,10 +9,9 @@ one did not, 2 parse or resolution error.
 """
 
 import argparse
-import json
 import sys
 
-from istruct.cli import bundled_scenario_path, load_scenario, run_suite
+from istruct.cli import bundled_scenario_path, load_scenario, run_suite, write_report
 from istruct.errors import ScenarioError
 
 
@@ -27,6 +26,8 @@ def main():
     try:
         scenario = load_scenario(bundled_scenario_path())
         report = run_suite(scenario, args.suite, seed=args.seed)
+        if args.out:
+            write_report(report, args.out)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -44,13 +45,6 @@ def main():
           f"seed {report['seed']})")
 
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
-            return 2
         print(f"full report written to {args.out}")
     return 1 if failures else 0
 

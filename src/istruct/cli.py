@@ -28,7 +28,6 @@ from .errors import (IstructError, ScenarioError, StructureValidationError,
                      first_errors, is_json_int, is_json_number, unknown_keys)
 from .ideals import (HILBERT_SCHMIDT, GroupedCorpus, audit_self_conjugacy,
                      ideal_norms, oracle_from_dict)
-from .morphisms import _respect_residuals
 from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
                          check_derivation, expr, expr_from_list,
                          factorization_hypothesis_check, reference_chain,
@@ -37,7 +36,7 @@ from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport, bounde
 from .spaces import (_gram_complexification_norms, _gram_errors, _gram_norms,
                      block_diag2, complexification_norm,
                      complexification_norm_batch, direct_sum, lp_space,
-                     norm_batch, space_from_dict)
+                     space_from_dict)
 from .structures import (BY_CONSTRUCTION, DEFAULT_SAMPLE_ANGLES,
                          DEFAULT_SAMPLE_VECTORS, MIN_SAMPLE_ANGLES,
                          MIN_SAMPLE_VECTORS, UNDECIDED, certify, natural_i_operator,
@@ -64,24 +63,39 @@ _BAD_INPUT = (IstructError, AttributeError, KeyError, OSError, TypeError,
 # Scenario loading
 # ---------------------------------------------------------------------------
 
-def load_scenario(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; a file that cannot be read or
+    decoded, or nests too deep to decode, is a ScenarioError naming what it is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        raise ScenarioError(f"cannot load {what} {path}: {exc}") from exc
+
+
+def load_scenario(path: str) -> dict:
+    data = _read_json(path, "scenario")
     _check_scenario(data)
     return data
 
 
 _SECTIONS = ("spaces", "oracles", "claims", "suites", "tolerances")
+# arrays and objects a scenario may nest: a space of 30 sum levels, far inside
+# the 200 levels that the recursion of space_from_dict supports
+MAX_DEPTH = 64
 
 
 def _check_scenario(data) -> None:
     """Check a scenario's keys, schema, seed, sections (an absent one is
-    empty) and suites."""
+    empty), suites and nesting depth."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
         raise ScenarioError(f"scenario must be an object with schema = {SCHEMA_VERSION}")
+    level = [data]  # the arrays and objects at one depth
+    for _ in range(MAX_DEPTH):
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)
+                 if isinstance(v, (dict, list))]
+    if level:
+        raise ScenarioError(f"scenario nests arrays and objects more than {MAX_DEPTH} deep")
     if unknown := unknown_keys(data, {"schema", "seed", *_SECTIONS}):
         raise ScenarioError(f"scenario has unknown key(s) {unknown}")
     if "seed" not in data:
@@ -158,8 +172,7 @@ def _named(what: str, kind: str = None) -> ParamType:
 def _load_fixture(path: str, resolved) -> ChainDerivation:
     if path == "bundled":
         return reference_chain()
-    with open(path, "r", encoding="utf-8") as fh:
-        return chain_from_dict(json.load(fh))
+    return chain_from_dict(_read_json(path, "chain"))
 
 
 COUNT = _integer(1)
@@ -209,8 +222,8 @@ def _h_euclidean_closed_form(params, rng, tol):
     trigonometric polynomial of degree 2, whose mean over 8 uniform angles is
     exact.  Each item draws a dim, whether its space has an explicit Gram (and
     then the Gram's normal draws), x and y; the items run a (dim, explicit
-    Gram) group at a time, and an invalid Gram raises the error of building
-    its space."""
+    Gram) group at a time through the stacked Gram kernels, l2 as the Gram I,
+    and an invalid Gram raises the error of building its space."""
     lo, hi = params["dims"]
     phi = 2.0 * np.pi * np.arange(8) / 8
 
@@ -224,18 +237,10 @@ def _h_euclidean_closed_form(params, rng, tol):
         (dim, explicit_gram), (Zs, xs, ys) = shape, zip(*draws)
         X, Y = np.stack(xs), np.stack(ys)
         rows = np.cos(phi)[:, None] * X[:, None, :] + np.sin(phi)[:, None] * Y[:, None, :]
-        if explicit_gram:
-            grams = corpus_gen._random_grams(np.stack(Zs))
-            errors = _gram_errors(grams)
-            grams[[e is not None for e in errors]] = np.eye(dim)  # no value for those
-            closed = _gram_complexification_norms(grams, X, Y)
-            norms = _gram_norms(grams, rows)
-        else:
-            space = corpus_gen._euclidean(dim)
-            errors = [None] * len(X)
-            closed = complexification_norm_batch(space, X, Y)
-            norms = norm_batch(space, rows.reshape(-1, dim)).reshape(rows.shape[:2])
-        defined = np.sqrt(np.mean(norms ** 2, axis=1))
+        errors, grams = _gram_errors(corpus_gen._random_grams(np.stack(Zs)) if explicit_gram
+                                     else np.broadcast_to(np.eye(dim), (len(X), dim, dim)))
+        closed = _gram_complexification_norms(grams, X, Y)
+        defined = np.sqrt(np.mean(_gram_norms(grams, rows) ** 2, axis=1))
         return zip(np.abs(closed - defined).tolist(), errors)
 
     worst = max(_corpus_outcomes(rng, params["count"], draw, check))
@@ -273,13 +278,15 @@ def _h_rotation_invariance(params, rng, tol):
 
 
 def _h_natural_i_operator(params, rng, tol):
+    """N's certificate, held to the claim's tolerances or the run's tighter ones."""
     s = natural_i_operator(params["space"])
     c = certify(s.space, s.A)
+    tol_alg, tol_iso = min(1e-12, tol.tol_alg), min(1e-8, tol.tol_iso)
     return bounded(
         "natural-i-operator",
-        c.algebraic_residual <= 1e-12 and c.isometry_residual <= 1e-8,
+        c.algebraic_residual <= tol_alg and c.isometry_residual <= tol_iso,
         {"algebraic": c.algebraic_residual, "isometry": c.isometry_residual},
-        {"algebraic": 1e-12, "isometry": 1e-8},
+        {"algebraic": tol_alg, "isometry": tol_iso},
         {"residuals": [c.algebraic_residual, c.isometry_residual]})
 
 
@@ -450,36 +457,27 @@ def _draw_complex_op(rng, spaces) -> tuple:
     return (dom, cod), (A, B, rng.standard_normal((cod.dim, dom.dim)))
 
 
-def _complex_ops(draws: list, tol) -> tuple:
-    """The operators of one shape group of _draw_complex_op draws: the stacks
-    of T, A and B, and the respect residual and error of each T."""
+def _complex_ops(draws: list) -> tuple:
+    """The stacks of T, A and B of one shape group of _draw_complex_op draws:
+    each T respects its signed pairings bitwise (corpus.respecting_part), and
+    the claims measure the respect where they report it."""
     As, Bs, T0s = map(np.stack, zip(*draws))
-    Ts = corpus_gen.respecting_part(T0s, As, Bs)
-    return (Ts, As, Bs, *_respect_residuals(Ts, As, Bs, tol))
+    return corpus_gen.respecting_part(T0s, As, Bs), As, Bs
 
 
-def _random_complex_corpus(rng, spaces, count, tol) -> GroupedCorpus:
+def _random_complex_corpus(rng, spaces, count) -> GroupedCorpus:
     """count random [T, A, B] between the spaces, drawn in order and stacked a
     shape group at a time, each signed pairing certified BY_CONSTRUCTION (as
-    in corpus.random_exact_structure); the first that fails to respect its
-    structures raises."""
-    corpus = GroupedCorpus([], [(BY_CONSTRUCTION, BY_CONSTRUCTION)] * count)
-    errors: dict = {}  # corpus index -> its respect error
-    for shape, (idx, draws) in _drawn_groups(
-            rng, count, lambda: _draw_complex_op(rng, spaces)).items():
-        Ts, As, Bs, _, group_errors = _complex_ops(draws, tol)
-        corpus.groups.append((idx, *shape, Ts, As, Bs))
-        errors.update((i, e) for i, e in zip(idx, group_errors) if e is not None)
-    if errors:
-        raise errors[min(errors)]
-    return corpus
+    in corpus.random_exact_structure)."""
+    drawn = _drawn_groups(rng, count, lambda: _draw_complex_op(rng, spaces)).items()
+    return GroupedCorpus([(idx, *shape, *_complex_ops(draws)) for shape, (idx, draws) in drawn],
+                         [(BY_CONSTRUCTION, BY_CONSTRUCTION)] * count)
 
 
 def _h_complex_cartesian(params, rng, tol):
     def check(shape, draws):
-        Ts, As, Bs, _, errors = _complex_ops(draws, tol)
-        return zip(_complex_cartesian_reports(
-            Ts, As, Bs, tol=tol, corrupt_annotation=params["corrupt"]), errors)
+        return ((r, None) for r in _complex_cartesian_reports(
+            *_complex_ops(draws), tol=tol, corrupt_annotation=params["corrupt"]))
 
     reports = _corpus_outcomes(
         rng, params["count"], lambda: _draw_complex_op(rng, params["dims"]), check, _failed)
@@ -501,12 +499,12 @@ def _h_theorem_real(params, rng, tol):
 
 
 def _h_theorem_complex(params, rng, tol):
-    corpus = _random_complex_corpus(rng, params["dims"], params["count"], tol)
+    corpus = _random_complex_corpus(rng, params["dims"], params["count"])
     return verify_theorem_complex(params["oracle"], corpus)
 
 
 def _h_self_conjugacy(params, rng, tol):
-    corpus = _random_complex_corpus(rng, params["dims"], params["count"], tol)
+    corpus = _random_complex_corpus(rng, params["dims"], params["count"])
     return audit_self_conjugacy(params["oracle"], corpus, tol=tol)
 
 
@@ -750,6 +748,17 @@ def run_suite(scenario: dict, suite: str, *, seed=None, tol_alg=None,
             "claims": results}
 
 
+def write_report(report: dict, path: str) -> None:
+    """Write a suite's report as indented JSON with sorted keys; a path that
+    cannot be written is a ScenarioError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write report {path}: {exc}") from exc
+
+
 def bundled_scenario_path() -> str:
     return str(resources.files("istruct.data") / "paper_all.json")
 
@@ -788,13 +797,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         report = run_suite(scenario, args.suite, seed=args.seed,
                            tol_alg=args.tol_alg, tol_iso=args.tol_iso)
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
-            return 2
+        write_report(report, args.out)
         bad = [c for c in report["claims"] if c["outcome"] != VERIFIED]
         if bad:
             for c in bad:

@@ -173,8 +173,9 @@ class _Isomorphisms(NamedTuple):
 def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
                                    tol: Tolerances) -> _Isomorphisms:
     """The isomorphisms of complexification_draws stacked (k, m, m) and
-    (k, 2m, 2m): every Gram checked as a descriptor, every A certified and
-    every S0 checked to respect (A, N)."""
+    (k, 2m, 2m): every Gram checked as a descriptor (X's failing ones
+    replaced by I, as _gram_errors gives them), every A certified and every
+    S0 checked to respect (A, N)."""
     m = Zy.shape[-1]
     y_gram = _random_grams(Zy)
     N = natural_i_operator_matrix(m)
@@ -182,13 +183,10 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     H = np.swapaxes(S0, 1, 2) @ block_diag2(y_gram / 2.0) @ S0
     gram = (H + np.swapaxes(H, 1, 2)) / 2.0
     A = np.linalg.solve(S0, N @ S0)
-    gram_errors = _gram_errors(gram)
-    # a Gram that fails its check is whitened as I: its item is an error anyway
-    valid = np.array([e is None for e in gram_errors])[:, None, None]
-    whitened = np.where(valid, gram, np.eye(2 * m))
-    certs = _gram_certificates(A, whitened, *_whitening_factors(whitened))
+    gram_errors, gram = _gram_errors(gram)
+    certs = _gram_certificates(A, gram, *_whitening_factors(gram))
     respect, respect_errors = _respect_residuals(S0, A, N, tol)
     errors = first_errors(
-        _gram_errors(y_gram), gram_errors,
+        _gram_errors(y_gram)[0], gram_errors,
         [_rejection(c, tol) for c in certs], respect_errors)
     return _Isomorphisms(y_gram, gram, S0, A, certs, respect, errors)

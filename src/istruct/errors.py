@@ -49,7 +49,8 @@ class WitnessError(IstructError):
 
 
 class ScenarioError(IstructError):
-    """A scenario file failed to parse or resolve."""
+    """A scenario file failed to parse or resolve, or its report could not be
+    written."""
 
 
 def first_errors(*stages) -> list:

@@ -72,7 +72,7 @@ def ideal_norms(functional: str, Ts: np.ndarray, dom: NormedSpace,
                 cod: NormedSpace) -> np.ndarray:
     """The ideal norm of each matrix of a stack Ts (..., cod.dim, dom.dim), from
     one stacked SVD; each value is bitwise that of ideal_norm."""
-    sv = _singular_values(Ts, dom, cod)
+    sv = _singular_values(Ts, dom._whitening, cod._whitening)
     if sv is None:
         raise DescriptorError(
             "ideal norms require Euclidean-like norms on both spaces")

@@ -178,16 +178,14 @@ def _inverses(Ts: np.ndarray, As, Bs, tol: Tolerances) -> tuple:
 # Operator norm estimation
 # ---------------------------------------------------------------------------
 
-def _singular_values(T: np.ndarray, dom: NormedSpace,
-                     cod: NormedSpace) -> Optional[np.ndarray]:
-    """Singular values of T : dom -> cod in the spaces' norms, largest first,
-    or those of each matrix of a stack (..., m, n): L_cod' T L_dom^-T, T in
-    coordinates where both norms are l2, from the whitening factors cached
-    on each space (spaces._whitening_factors: one Cholesky and one inverse
-    per space, not per call), then one stacked SVD.  Each matrix's values
-    are bitwise those of its own SVD.  None unless both spaces are
-    Euclidean-like."""
-    w_dom, w_cod = dom._whitening, cod._whitening
+def _singular_values(T: np.ndarray, w_dom: Optional[tuple],
+                     w_cod: Optional[tuple]) -> Optional[np.ndarray]:
+    """Singular values, largest first, of T : dom -> cod or of each matrix of a
+    stack (..., m, n) in Gram norms, given by the spaces' whitening factors
+    (L', L'^-1) (spaces._whitening_factors, of one Gram or of a stack like T):
+    L_cod' T L_dom'^-1 is T where both norms are l2, and each matrix's values
+    are bitwise those of its own SVD.  Every Gram operator norm is read here.
+    None unless both pairs are given."""
     if w_dom is None or w_cod is None:
         return None
     return np.linalg.svd(w_cod[0] @ T @ w_dom[1], compute_uv=False)
@@ -202,7 +200,7 @@ def matrix_norm_between(T: np.ndarray, dom: NormedSpace,
     directions (which attain the sup for the common polyhedral cases).
     """
     T = _checked_operator(T, dom, cod)
-    sv = _singular_values(T, dom, cod)
+    sv = _singular_values(T, dom._whitening, cod._whitening)
     if sv is not None:
         return float(sv[0]), True
 

@@ -47,10 +47,9 @@ QUAD_FAIL_RTOL = 1e-5
 # its norm's few temporaries near a 2 MB L2 cache.  On a 2-core Xeon with 2 MB
 # of L2 per core, 16K-262K elements ran within noise; 8K paid per-block
 # overhead, and 4M made natural-l3 of paper-all 1.5x slower (a claim since
-# decided by proof, with no quadrature).  The arc quadrature now serves the
-# non-euclidean benchmark's four general-p rotation claims (8K-15K norm
-# evaluations each at seeds 1 and 7) and the sampled certify of candidates
-# other than N.
+# decided by proof, with no quadrature).  Of the benchmark's claims, only the
+# non-euclidean workload's four general-p rotation claims run the arc
+# quadrature (8K-15K norm evaluations each at seeds 1 and 7).
 _BLOCK_ELEMENTS = 65_536
 
 # QUADPACK's 21-point Gauss-Kronrod rule dqk21 (Piessens, de Doncker-Kapenga,
@@ -190,7 +189,7 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         d.gram = np.asarray(d.gram, dtype=float)
         if d.gram.shape != (dim, dim):
             raise DescriptorError("Gram matrix shape must be dim x dim")
-        error = _gram_errors(d.gram[None])[0]
+        error = _gram_errors(d.gram[None])[0][0]
         if error is not None:
             raise error
     elif isinstance(d, Polyhedral):
@@ -217,9 +216,10 @@ def _check_descriptor(dim: int, d: NormDescriptor) -> None:
         raise DescriptorError(f"unknown descriptor {type(d).__name__}")
 
 
-def _gram_errors(grams: np.ndarray) -> list:
+def _gram_errors(grams: np.ndarray) -> tuple:
     """For each Gram matrix of a stack (k, n, n), the DescriptorError of the
-    first check it fails (finite, symmetric, positive definite), or None."""
+    first check it fails (finite, symmetric, positive definite), or None; and
+    the stack with each failing Gram replaced by I, which every kernel takes."""
     eye = np.eye(grams.shape[-1])
     finite = np.all(np.isfinite(grams), axis=(1, 2))
     # a stand-in for the matrices that fail earlier keeps each later check
@@ -229,12 +229,13 @@ def _gram_errors(grams: np.ndarray) -> list:
     # np.isclose(G, G', atol=1e-12) written out, without its generality
     symmetric = np.all(np.abs(grams - transposed) <= 1e-12 + 1e-5 * np.abs(transposed),
                        axis=(1, 2))
-    checked = np.where(symmetric[:, None, None], grams, eye)
-    definite = np.linalg.eigvalsh(checked)[:, 0] > 0
-    return [DescriptorError("Gram matrix must be finite") if not f
-            else DescriptorError("Gram matrix must be symmetric") if not s
-            else DescriptorError("Gram matrix must be positive definite") if not d
-            else None for f, s, d in zip(finite, symmetric, definite)]
+    grams = np.where(symmetric[:, None, None], grams, eye)
+    definite = np.linalg.eigvalsh(grams)[:, 0] > 0
+    errors = [DescriptorError("Gram matrix must be finite") if not f
+              else DescriptorError("Gram matrix must be symmetric") if not s
+              else DescriptorError("Gram matrix must be positive definite") if not d
+              else None for f, s, d in zip(finite, symmetric, definite)]
+    return errors, np.where(definite[:, None, None], grams, eye)
 
 
 def _whitening_factors(grams: np.ndarray) -> tuple:

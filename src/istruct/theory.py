@@ -24,7 +24,7 @@ from .errors import WitnessError, first_errors, single
 from .ideals import (DECISION_NOTE, _audit, _grouped_corpus, _members,
                      complexify_ideal, decide_real, realify_ideal)
 from .morphisms import (RANK_RTOL, RespectingOperator, _fitted_matrix, _inverses,
-                        _respect_residuals, _split_matrix,
+                        _respect_residuals, _singular_values, _split_matrix,
                         injection_first, injection_second,
                         matrix_norm_between, surjection_first,
                         surjection_second)
@@ -167,8 +167,8 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
     B = U[:, :, :half]
     Bt = np.swapaxes(B, 1, 2)
     if grams is not None:
-        y = Bt @ grams @ B
-        errors = first_errors(errors, _gram_errors(y))
+        y_errors, y = _gram_errors(Bt @ grams @ B)
+        errors = first_errors(errors, y_errors)
     else:
         y = [None if e else NormedSpace(half, SubspaceNorm(x, b))
              for e, x, b in zip(errors, spaces, B)]
@@ -181,20 +181,17 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
     round_dev = np.max(np.abs(S_inv @ S - np.eye(dim)), axis=(1, 2)).tolist()
 
     if grams is not None:
-        # the X_j's Grams are factored once, for both norms
-        Lt, Lt_inv = _whitening_factors(grams)
-        y_whitening = _whitening_factors(block_diag2(y / 2.0))[0]
-        s_norms = np.linalg.svd(y_whitening @ S @ Lt_inv,
-                                compute_uv=False)[:, 0].tolist()
-        p_norms = np.linalg.svd(Lt @ P @ Lt_inv, compute_uv=False)[:, 0].tolist()
+        wx = _whitening_factors(grams)  # the X_j's Grams factored once, for both norms
+        s_norms = _singular_values(S, wx, _whitening_factors(block_diag2(y / 2.0)))
+        p_norms = _singular_values(P, wx, wx)
     norm_bounds, outcomes = [], []
     for j, error in enumerate(errors):
         if error is not None:
             norm_bound = report = None
         elif grams is not None:
             norm_bound, report = _witness_report(
-                r_inv[j], r_anti[j], round_dev[j], (s_norms[j], True),
-                (p_norms[j], True))
+                r_inv[j], r_anti[j], round_dev[j], (float(s_norms[j, 0]), True),
+                (float(p_norms[j, 0]), True))
         else:
             norm_bound, report = _witness_report(
                 r_inv[j], r_anti[j], round_dev[j],

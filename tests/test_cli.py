@@ -32,7 +32,7 @@ from istruct.theory import (HYP_TOL, NORM_SLACK, build_complexification_witness,
                             verify_squares_isomorphism, verify_theorem_complex,
                             verify_theorem_real)
 
-from helpers import chain_to_dict, count_sampled_checks, random_respecting_operator
+from helpers import chain_to_dict, count_sampled_checks, random_respecting_matrix
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +468,36 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
                  "--out", str(tmp_path / "report.json"), *extra])
 
 
+_LP = {"kind": "lp", "p": 1.0}
+
+
+def _sum_tower(levels: int, leaf: dict) -> dict:
+    """A space of `levels` nested sums, each of the one below and an l1 line."""
+    space = {"dim": 1, "norm": leaf}
+    for _ in range(levels):
+        space = {"dim": space["dim"] + 1, "norm": {"kind": "sum", "left": space,
+                                                   "right": {"dim": 1, "norm": _LP}}}
+    return space
+
+
+def _depth(value) -> int:
+    """How deep arrays and objects nest in a JSON value (0 for a scalar)."""
+    if not isinstance(value, (dict, list)):
+        return 0
+    return 1 + max(map(_depth, value.values() if isinstance(value, dict) else value),
+                   default=0)
+
+
+def _with_deep_space(space):
+    """An edit that adds space as 'deep' and a natural-i-operator claim on it,
+    the one claim of suite 'deep'."""
+    def edit(scenario):
+        scenario["spaces"]["deep"] = space
+        scenario["claims"]["natural-deep"] = {"kind": "natural-i-operator", "space": "deep"}
+        scenario["suites"]["deep"] = ["natural-deep"]
+    return edit
+
+
 @pytest.mark.parametrize("edit, suite, words", [
     (_nan_in_hex_functionals, "pelczynski-chain", ["'hex-2'", "finite"]),
     (_fractional_dim, "pelczynski-chain", ["'plane-l3'", "integer", "2.7"]),
@@ -647,6 +677,8 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
     (_edit(["claims", "chain-reference", "fixture"], {**chain_to_dict(reference_chain()),
                                                       "end": [], "name": "x"}),
      "pelczynski-chain", ["'chain-reference'", "a chain has unknown key(s) 'end', 'name'"]),
+    # beyond the recursion of space_from_dict, which 200 levels pass
+    (_with_deep_space(_sum_tower(250, _LP)), "deep", ["nests arrays and objects", "64"]),
 ], ids=["nan-functional", "fractional-dim", "missing-parameter", "seed-not-integer",
         "unknown-tolerance", "tolerances-string", "tolerances-number",
         "tolerance-string-nan", "tolerance-negative", "tolerance-boolean",
@@ -670,7 +702,7 @@ def _run_edited(scenario_path, tmp_path, edit, suite, *extra):
         "basis-string", "norm-missing-key", "oracle-missing-key",
         "max-dim-beyond-2-32", "dims-span-beyond-2-32", "norm-unknown-key",
         "space-unknown-key", "descriptor-unknown-key", "oracle-unknown-key",
-        "step-unknown-key", "chain-unknown-keys"])
+        "step-unknown-key", "chain-unknown-keys", "space-of-250-sums"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
                                     edit, suite, words):
     assert _run_edited(scenario_path, tmp_path, edit, suite) == 2
@@ -679,9 +711,6 @@ def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
     for word in words:
         assert word in err
     assert claim_runs == []
-
-
-_LP = {"kind": "lp", "p": 1.0}
 
 
 @pytest.mark.parametrize("read, obj, error, words", [
@@ -730,6 +759,60 @@ def test_json_readers_raise_typed_errors_naming_the_key(read, obj, error, words)
         read(obj)
     for word in words:
         assert word in str(exc.value)
+
+
+def test_scenario_at_the_nesting_bound_runs(scenario_path, tmp_path, capsys):
+    edit = _with_deep_space(_sum_tower(30, _LP))
+    scenario = load_scenario(scenario_path)
+    edit(scenario)
+    assert _depth(scenario) == cli.MAX_DEPTH
+    assert _run_edited(scenario_path, tmp_path, edit, "deep") == 0
+    claim = json.loads((tmp_path / "report.json").read_text())["claims"][0]
+    assert claim["outcome"] == VERIFIED and claim["report"]["residuals"] == {
+        "algebraic": 0.0, "isometry": 0.0}
+    # a one-element weight list under the same tower is one level too deep
+    edit = _with_deep_space(_sum_tower(30, {"kind": "wlp", "p": 1.0, "weights": [1.0]}))
+    edit(scenario)
+    assert _depth(scenario) == cli.MAX_DEPTH + 1
+    assert _run_edited(scenario_path, tmp_path, edit, "deep") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: scenario nests arrays and objects more than {cli.MAX_DEPTH} deep"]
+
+
+def test_json_file_nested_too_deep_to_decode_exits_2(scenario_path, tmp_path, capsys,
+                                                     claim_runs):
+    # arrays nested deeper than the JSON decoder's recursion, as a scenario
+    # file and as a chain file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", str(deep), "--suite", "s", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot load scenario {deep}")
+    assert "recursion" in err[0]
+    assert _run_edited(scenario_path, tmp_path,
+                       _edit(["claims", "chain-reference", "fixture"], str(deep)),
+                       "pelczynski-chain") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: claim 'chain-reference'")
+    assert f"cannot load chain {deep}" in err[0] and "recursion" in err[0]
+    assert claim_runs == []
+
+
+def _natural_suite(scenario):
+    scenario["suites"]["natural"] = [cid for cid, claim in scenario["claims"].items()
+                                     if claim["kind"] == "natural-i-operator"]
+
+
+def test_natural_i_operator_reports_the_tighter_run_tolerances(scenario_path, tmp_path):
+    for flags, tolerances in [((), {"algebraic": 1e-12, "isometry": 1e-8}),
+                              (("--tol-iso", "1e-20"), {"algebraic": 1e-12, "isometry": 1e-20}),
+                              (("--tol-alg", "1e-20"), {"algebraic": 1e-20, "isometry": 1e-8})]:
+        assert _run_edited(scenario_path, tmp_path, _natural_suite, "natural", *flags) == 0
+        claims = json.loads((tmp_path / "report.json").read_text())["claims"]
+        assert len(claims) == 7
+        for claim in claims:
+            assert claim["report"]["tolerances"] == tolerances, (flags, claim["id"])
+            assert claim["report"]["status"] == VERIFIED
 
 
 @pytest.mark.parametrize("edit, words", [
@@ -847,19 +930,20 @@ def _loop_real_cartesian(params, rng, tol):
                               tolerances={"deviation": 0.0})
 
 
-def _loop_respecting_op(params, rng, tol):
+def _loop_respecting_op(params, rng):
     """One random [T, A, B], drawn in the CLI's order: both spaces, both
-    structures, then T."""
+    structures, then T.  Like the CLI it checks no respect when it draws: T
+    respects bitwise, and each claim measures the respect where it reports it."""
     spaces = [cli._choice(rng, params["dims"]) for _ in range(2)]
     dom, cod = (random_exact_structure(space.dim, rng) for space in spaces)
-    return random_respecting_operator(dom, cod, rng, tol=tol)
+    return RespectingOperator(dom, cod, random_respecting_matrix(dom.A, cod.A, rng), 0.0)
 
 
 def _loop_complex_cartesian(params, rng, tol):
     worst = 0.0
     for _ in range(params["count"]):
         rep = verify_complex_cartesian_identities(
-            _loop_respecting_op(params, rng, tol), tol=tol,
+            _loop_respecting_op(params, rng), tol=tol,
             corrupt_annotation=params["corrupt"])
         if not rep.ok:
             return rep
@@ -881,12 +965,12 @@ def _loop_theorem_real(params, rng, tol):
 
 
 def _loop_theorem_complex(params, rng, tol):
-    corpus = [_loop_respecting_op(params, rng, tol) for _ in range(params["count"])]
+    corpus = [_loop_respecting_op(params, rng) for _ in range(params["count"])]
     return verify_theorem_complex(params["oracle"], corpus)
 
 
 def _loop_self_conjugacy(params, rng, tol):
-    corpus = [_loop_respecting_op(params, rng, tol) for _ in range(params["count"])]
+    corpus = [_loop_respecting_op(params, rng) for _ in range(params["count"])]
     return audit_self_conjugacy(params["oracle"], corpus, tol=tol)
 
 

@@ -1,14 +1,16 @@
 """The corpus draws read the generator's 32-bit stream themselves; numpy's
 Generator must make the same draws from it, value for value and state for
 state.  If numpy changes its integer or permutation algorithm, this fails
-instead of the reports changing unnoticed."""
+instead of the reports changing unnoticed.  The complex corpora check no
+respect when they draw, which rests on the respecting part of signed
+pairings respecting them exactly; that is tested here too."""
 
 import json
 
 import numpy as np
 import pytest
 
-from istruct.corpus import _below, signed_pairing_matrix
+from istruct.corpus import _below, respecting_part, signed_pairing_matrix
 from istruct.errors import DescriptorError
 
 from helpers import numpy_signed_pairing_matrix
@@ -56,3 +58,19 @@ def test_a_draw_below_a_bound_outside_1_to_2_32_is_a_typed_error(n):
     with pytest.raises(DescriptorError, match=str(n)):
         _below(rng, n)
     assert _state(rng) == state
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300, "mixed"])
+def test_respecting_part_of_signed_pairings_respects_exactly(scale):
+    rng = np.random.default_rng(11)
+    for n in (2, 4, 6, 8):
+        for m in (2, 4, 6, 8):
+            k = 40
+            As = np.stack([signed_pairing_matrix(n, rng) for _ in range(k)])
+            Bs = np.stack([signed_pairing_matrix(m, rng) for _ in range(k)])
+            T0s = rng.standard_normal((k, m, n))
+            # "mixed": every entry at its own scale in [1e-300, 1e300]
+            T0s *= 10.0 ** rng.integers(-300, 301, T0s.shape) if scale == "mixed" else scale
+            Ts = respecting_part(T0s, As, Bs)
+            assert np.all(np.isfinite(Ts)) and np.all(Ts != 0.0)
+            assert np.array_equal(Ts @ As - Bs @ Ts, np.zeros((k, m, n))), (n, m)

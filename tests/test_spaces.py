@@ -171,12 +171,15 @@ def test_gram_defects_of_a_stack_are_those_of_each_gram():
                       [[np.inf, 1.0], [1.0, -np.inf]], [[np.nan, 0.0], [0.0, 1.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from inf - inf or nan
-        errors = spaces._gram_errors(grams)
+        errors, checked = spaces._gram_errors(grams)
     assert all(e is None or type(e) is DescriptorError for e in errors)
     defects = [None if e is None else str(e) for e in errors]
     assert defects == [None, asym, "Gram matrix must be positive definite",
                        "Gram matrix must be finite", None, None, asym, None, asym,
                        "Gram matrix must be finite", "Gram matrix must be finite"]
+    # each failing Gram is replaced by I, and every other one kept bitwise
+    for gram, defect, kept in zip(grams, defects, checked):
+        assert np.array_equal(kept, np.eye(2) if defect else gram)
     for gram, defect in zip(grams, defects):
         if defect is None:
             NormedSpace(2, EuclideanQuadratic(gram))
