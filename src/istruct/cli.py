@@ -209,14 +209,6 @@ SPACE = _named("space")
 # Claim handlers: (typed parameters, rng, tolerances) -> VerificationReport
 # ---------------------------------------------------------------------------
 
-def _choice(rng, seq):
-    """One entry of seq, drawn as rng.choice(seq) draws it (a test checks
-    that), without converting seq to an array: rng.integers(len(seq)) by
-    Lemire's method over the generator's own 32-bit stream, under its
-    lock (corpus._below)."""
-    return seq[corpus_gen._below(rng, len(seq))]
-
-
 def _h_euclidean_closed_form(params, rng, tol):
     """The closed form against the definition: ||x cos phi + y sin phi||^2 is a
     trigonometric polynomial of degree 2, whose mean over 8 uniform angles is
@@ -227,9 +219,9 @@ def _h_euclidean_closed_form(params, rng, tol):
     lo, hi = params["dims"]
     phi = 2.0 * np.pi * np.arange(8) / 8
 
-    def draw():
-        dim = lo + corpus_gen._below(rng, hi + 1 - lo)
-        explicit_gram = bool(corpus_gen._below(rng, 2))
+    def draw(stream):
+        dim = lo + stream.below(hi + 1 - lo)
+        explicit_gram = bool(stream.below(2))
         Z = rng.standard_normal((dim, dim)) if explicit_gram else None
         return (dim, explicit_gram), (Z, rng.standard_normal(dim), rng.standard_normal(dim))
 
@@ -345,18 +337,22 @@ def _failed(report, error) -> bool:
 
 
 def _drawn_groups(rng, count: int, draw: Callable) -> dict:
-    """shape -> (indices, items) of a corpus of count items: draw() is called
-    count times in order, each giving (shape, item), and the items are grouped
-    by shape in order of first appearance.  The lock the stream helpers of
-    corpus take for each draw is held across the corpus, so that each of
-    theirs is a cheap re-entry."""
+    """shape -> (indices, items) of a corpus of count items: draw(stream) is
+    called count times in order, each giving (shape, item), and the items are
+    grouped by shape in order of first appearance.  stream is one
+    corpus.stream_reader of rng for the whole corpus: rng's lock is taken and
+    the 32-bit stream bound once, and each draw reads its integers and
+    pairings from stream and its normals from rng, in the order a loop over
+    the items draws them."""
     groups: dict = {}
-    with rng.bit_generator.lock:
+    with corpus_gen.stream_reader(rng) as stream:
         for i in range(count):
-            shape, item = draw()
-            idx, items = groups.setdefault(shape, ([], []))
-            idx.append(i)
-            items.append(item)
+            shape, item = draw(stream)
+            group = groups.get(shape)
+            if group is None:
+                group = groups[shape] = ([], [])
+            group[0].append(i)
+            group[1].append(item)
     return groups
 
 
@@ -398,8 +394,8 @@ def _worst(reports: list, key: str = None) -> float:
 
 
 def _h_prop1_roundtrip(params, rng, tol):
-    def draw():
-        m = _choice(rng, params["half_dims"])
+    def draw(stream):
+        m = params["half_dims"][stream.below(len(params["half_dims"]))]
         return m, corpus_gen.complexification_draws(m, rng)
 
     def check(m, draws):
@@ -420,12 +416,13 @@ def _h_prop1_roundtrip(params, rng, tol):
 
 
 def _h_squares(params, rng, tol):
-    def draw():
-        space = _choice(rng, params["dims"])
-        return space, corpus_gen.signed_pairing_matrix(space.dim, rng)
+    def draw(stream):
+        space = params["dims"][stream.below(len(params["dims"]))]
+        return space, stream.pairing(space.dim)
 
-    reports = _corpus_outcomes(rng, params["count"], draw, lambda space, As: zip(
-        *_squares_reports(space, np.stack(As), [BY_CONSTRUCTION] * len(As), tol=tol)),
+    reports = _corpus_outcomes(rng, params["count"], draw, lambda space, pairings: zip(
+        *_squares_reports(space, corpus_gen._pairing_matrices(space.dim, pairings),
+                          [BY_CONSTRUCTION] * len(pairings), tol=tol)),
         _failed)
     return _verdict(reports, {
         "worst_respect": _worst(reports, "respect"),
@@ -435,9 +432,9 @@ def _h_squares(params, rng, tol):
 def _h_real_cartesian(params, rng, tol):
     max_dim = params["max_dim"]
 
-    def draw():
-        m = 1 + corpus_gen._below(rng, max_dim)
-        n = 1 + corpus_gen._below(rng, max_dim)
+    def draw(stream):
+        m = 1 + stream.below(max_dim)
+        n = 1 + stream.below(max_dim)
         return (m, n), rng.standard_normal((m, n))
 
     reports = _corpus_outcomes(
@@ -447,53 +444,58 @@ def _h_real_cartesian(params, rng, tol):
     return _verdict(reports, {"worst_deviation": _worst(reports)})
 
 
-def _draw_complex_op(rng, spaces) -> tuple:
+def _draw_complex_op(rng, stream, spaces) -> tuple:
     """The draws of one random [T, A, B] between two of the spaces, A and B signed
-    pairings: ((dom, cod), (A, B, the normal matrix T is projected from))."""
-    dom = _choice(rng, spaces)
-    cod = _choice(rng, spaces)
-    A = corpus_gen.signed_pairing_matrix(dom.dim, rng)
-    B = corpus_gen.signed_pairing_matrix(cod.dim, rng)
-    return (dom, cod), (A, B, rng.standard_normal((cod.dim, dom.dim)))
+    pairings: ((dom, cod), (A's pairing, B's pairing, the normal matrix T is
+    projected from)), the choice of spaces and the pairings read from stream."""
+    dom = spaces[stream.below(len(spaces))]
+    cod = spaces[stream.below(len(spaces))]
+    return (dom, cod), (stream.pairing(dom.dim), stream.pairing(cod.dim),
+                        rng.standard_normal((cod.dim, dom.dim)))
 
 
-def _complex_ops(draws: list) -> tuple:
-    """The stacks of T, A and B of one shape group of _draw_complex_op draws:
-    each T respects its signed pairings bitwise (corpus.respecting_part), and
-    the claims measure the respect where they report it."""
-    As, Bs, T0s = map(np.stack, zip(*draws))
-    return corpus_gen.respecting_part(T0s, As, Bs), As, Bs
+def _complex_ops(shape: tuple, draws: list) -> tuple:
+    """The stacks of T, A and B of the shape group (dom, cod) of _draw_complex_op
+    draws: each T respects its signed pairings bitwise (corpus.respecting_part),
+    and the claims measure the respect where they report it."""
+    (dom, cod), (a, b, T0s) = shape, zip(*draws)
+    As = corpus_gen._pairing_matrices(dom.dim, a)
+    Bs = corpus_gen._pairing_matrices(cod.dim, b)
+    return corpus_gen.respecting_part(np.stack(T0s), As, Bs), As, Bs
 
 
 def _random_complex_corpus(rng, spaces, count) -> GroupedCorpus:
     """count random [T, A, B] between the spaces, drawn in order and stacked a
     shape group at a time, each signed pairing certified BY_CONSTRUCTION (as
     in corpus.random_exact_structure)."""
-    drawn = _drawn_groups(rng, count, lambda: _draw_complex_op(rng, spaces)).items()
-    return GroupedCorpus([(idx, *shape, *_complex_ops(draws)) for shape, (idx, draws) in drawn],
+    drawn = _drawn_groups(rng, count, lambda stream: _draw_complex_op(rng, stream, spaces))
+    return GroupedCorpus([(idx, *shape, *_complex_ops(shape, draws))
+                          for shape, (idx, draws) in drawn.items()],
                          [(BY_CONSTRUCTION, BY_CONSTRUCTION)] * count)
 
 
 def _h_complex_cartesian(params, rng, tol):
     def check(shape, draws):
         return ((r, None) for r in _complex_cartesian_reports(
-            *_complex_ops(draws), tol=tol, corrupt_annotation=params["corrupt"]))
+            *_complex_ops(shape, draws), tol=tol, corrupt_annotation=params["corrupt"]))
 
     reports = _corpus_outcomes(
-        rng, params["count"], lambda: _draw_complex_op(rng, params["dims"]), check, _failed)
+        rng, params["count"], lambda stream: _draw_complex_op(rng, stream, params["dims"]),
+        check, _failed)
     return _verdict(reports, {"worst": _worst(reports)})
 
 
-def _draw_real_op(rng, spaces) -> tuple:
+def _draw_real_op(rng, stream, spaces) -> tuple:
     """The draws of one random real T between two of the spaces: ((dom, cod),
-    T of shape (cod.dim, dom.dim))."""
-    dom = _choice(rng, spaces)
-    cod = _choice(rng, spaces)
+    T of shape (cod.dim, dom.dim)), the choice of spaces read from stream."""
+    dom = spaces[stream.below(len(spaces))]
+    cod = spaces[stream.below(len(spaces))]
     return (dom, cod), rng.standard_normal((cod.dim, dom.dim))
 
 
 def _h_theorem_real(params, rng, tol):
-    drawn = _drawn_groups(rng, params["count"], lambda: _draw_real_op(rng, params["dims"]))
+    drawn = _drawn_groups(rng, params["count"],
+                          lambda stream: _draw_real_op(rng, stream, params["dims"]))
     return verify_theorem_real(params["oracle"], GroupedCorpus(
         [(idx, *shape, np.stack(Ts)) for shape, (idx, Ts) in drawn.items()]))
 
@@ -520,7 +522,8 @@ def _h_hs_doubling(params, rng, tol):
         return ((d, None) for d in np.abs(doubled - math.sqrt(2.0) * base).tolist())
 
     worst = max(_corpus_outcomes(rng, params["count"],
-                                 lambda: _draw_real_op(rng, params["dims"]), check))
+                                 lambda stream: _draw_real_op(rng, stream, params["dims"]),
+                                 check))
     return bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
                    {"abs": bound}, {"worst": worst})
 

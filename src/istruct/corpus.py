@@ -9,18 +9,26 @@ are expected.
 Scalar integer draws do not call numpy once per scalar.  They read the
 generator's own buffered 32-bit stream, ``rng.bit_generator.ctypes.next_uint32``,
 and run over it the algorithms numpy's ``Generator`` runs over the same
-stream: Lemire's multiply-and-reject for ``integers(n)`` (``_below``) and
-masked-rejection Fisher-Yates for ``permutation`` (``signed_pairing_matrix``).
-So every value, the interleaving with ``standard_normal`` and the generator's
-final state are numpy's.  A test pins this against ``Generator`` on PCG64
-and MT19937 and fails if numpy changes either algorithm.  ctypes releases the
-GIL during the call, so both helpers draw under ``rng.bit_generator.lock``, a
-re-entrant lock (the CLI also holds it across a whole corpus draw, which
-makes each helper's acquisition a cheap re-entry).
+stream: Lemire's multiply-and-reject for ``integers(n)`` (``_Reader.below``)
+and masked-rejection Fisher-Yates for ``permutation`` with bit 31 of one
+32-bit value per sign (``_Reader.pairing``).  So every value, the
+interleaving with ``standard_normal`` and the generator's final state are
+numpy's.  A test pins this against ``Generator`` on PCG64 and MT19937 and
+fails if numpy changes either algorithm.
+
+numpy's own draws release the GIL while they hold ``rng.bit_generator.lock``
+(re-entrant), so the stream is read only under that lock: ``stream_reader``
+takes it and yields a ``_Reader`` bound to the stream once.  A corpus draw
+(the CLI's ``_drawn_groups``) uses one reader for all its items, and
+``_below`` and ``signed_pairing_matrix`` are one-draw wrappers over one.  A
+pairing is drawn as ints, and ``_pairing_matrices`` scatters the pairings of
+one dimension into a stack of matrices at once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 from typing import NamedTuple
 
@@ -39,51 +47,104 @@ SPREAD = 0.3  # normal Z / sqrt(n) has norm ~2, so _near_identity is well condit
 DRAW_BOUND = 2 ** 32  # _below draws an integer below n for 1 <= n <= DRAW_BOUND
 
 
-def _below(rng: np.random.Generator, n: int) -> int:
-    """rng.integers(n) for 1 <= n <= 2**32, by the same draws: Lemire's
-    method over the 32-bit stream, and no draw for n = 1.  Beyond 2**32 the
-    method's rejection loop would never end, so a larger n is a
-    DescriptorError."""
-    if n == 1:
-        return 0
-    if not 1 < n <= DRAW_BOUND:
-        raise DescriptorError(f"cannot draw an integer below {n}: "
-                              "the bound must lie in [1, 2**32]")
-    bit_generator = rng.bit_generator
-    with bit_generator.lock:
+# next_uint32(state) called with the GIL held: the call takes nanoseconds, and
+# releasing and taking back the GIL around it would cost more than the call
+_HELD_UINT32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+
+
+class _Reader:
+    """numpy's scalar integer draws over a bit generator's 32-bit stream,
+    with next_uint32 bound to the generator's state once.  Use it only while
+    the generator's lock is held (stream_reader)."""
+
+    __slots__ = ("_uint32",)
+
+    def __init__(self, bit_generator):
         c = bit_generator.ctypes
-        m = c.next_uint32(c.state) * n
+        next_uint32 = _HELD_UINT32(ctypes.cast(c.next_uint32, ctypes.c_void_p).value)
+        self._uint32 = functools.partial(next_uint32, c.state_address)
+
+    def below(self, n: int) -> int:
+        """rng.integers(n) for 1 <= n <= 2**32, by the same draws: Lemire's
+        method, and no draw for n = 1.  Beyond 2**32 the method's rejection
+        loop would never end, so a larger n is a DescriptorError, raised
+        before any draw."""
+        if n == 1:
+            return 0
+        if not 1 < n <= DRAW_BOUND:
+            raise DescriptorError(f"cannot draw an integer below {n}: "
+                                  "the bound must lie in [1, 2**32]")
+        m = self._uint32() * n
         if m & 0xFFFFFFFF < n:
             threshold = (DRAW_BOUND - n) % n
             while m & 0xFFFFFFFF < threshold:
-                m = c.next_uint32(c.state) * n
-    return m >> 32
+                m = self._uint32() * n
+        return m >> 32
 
-
-def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A random matrix with A^2 = -I exactly: a signed pairing of coordinates.
-
-    The draws are rng.permutation(dim) and then rng.integers(2) for each
-    pair's sign, made as numpy makes them: Fisher-Yates with masked
-    rejection, and bit 31 of one 32-bit value per sign."""
-    if dim % 2 != 0:
-        raise DescriptorError("signed pairing needs even dimension")
-    A = np.zeros((dim, dim))
-    perm = list(range(dim))
-    with rng.bit_generator.lock:
-        c = rng.bit_generator.ctypes
-        uint32 = functools.partial(c.next_uint32, c.state)
-        for i in range(dim - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
+    def pairing(self, dim: int) -> tuple:
+        """A random signed pairing of dim coordinates as (perm, signs): the
+        draws of rng.permutation(dim) (Fisher-Yates with masked rejection)
+        and then of rng.integers(2) for each pair's sign (bit 31 of one
+        32-bit value), as lists of ints.  See _pairing_matrices."""
+        if dim % 2 != 0:
+            raise DescriptorError("signed pairing needs even dimension")
+        uint32 = self._uint32
+        perm = list(range(dim))
+        for i, mask in _shuffle_masks(dim):
             j = uint32() & mask
             while j > i:
                 j = uint32() & mask
             perm[i], perm[j] = perm[j], perm[i]
-        for p, q in zip(perm[::2], perm[1::2]):
-            s = -1.0 if uint32() >> 31 else 1.0
-            A[q, p] = s
-            A[p, q] = -s
-    return A
+        signs = []
+        for _ in range(dim // 2):
+            signs.append(uint32() >> 31)
+        return perm, signs
+
+
+@functools.lru_cache(maxsize=None)
+def _shuffle_masks(dim: int) -> tuple:
+    """(i, the mask numpy draws j <= i under) of each Fisher-Yates step of a
+    permutation of dim, in order."""
+    return tuple((i, (1 << i.bit_length()) - 1) for i in range(dim - 1, 0, -1))
+
+
+@contextlib.contextmanager
+def stream_reader(rng: np.random.Generator):
+    """A _Reader of rng's stream, for draws made while rng's lock is held."""
+    with rng.bit_generator.lock:
+        yield _Reader(rng.bit_generator)
+
+
+def _below(rng: np.random.Generator, n: int) -> int:
+    """rng.integers(n) for 1 <= n <= 2**32 (_Reader.below)."""
+    with stream_reader(rng) as stream:
+        return stream.below(n)
+
+
+def _pairing_matrices(dim: int, draws: list) -> np.ndarray:
+    """The matrices of pairing draws (perm, signs) of one dim, stacked (k, dim,
+    dim): A[q, p] = s and A[p, q] = -s for each pair (p, q) = (perm[2i],
+    perm[2i + 1]), s = -1.0 for sign bit 1 and 1.0 for 0, and +0.0 elsewhere.
+    One scatter puts each s at its flat offset, and A - A' puts s and -s in
+    place exactly, so each matrix is bitwise the one signed_pairing_matrix
+    builds alone."""
+    at, values = [], []
+    for k, (perm, signs) in enumerate(draws):
+        for h, bit in enumerate(signs):
+            at.append((k * dim + perm[2 * h + 1]) * dim + perm[2 * h])
+            values.append(-1.0 if bit else 1.0)
+    A = np.zeros((len(draws), dim, dim))
+    A.reshape(-1)[at] = values
+    return A - np.swapaxes(A, 1, 2)
+
+
+def signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random matrix with A^2 = -I exactly: a signed pairing of coordinates,
+    drawn as rng.permutation(dim) and then rng.integers(2) for each pair's
+    sign would draw it (_Reader.pairing)."""
+    with stream_reader(rng) as stream:
+        draw = stream.pairing(dim)
+    return _pairing_matrices(dim, [draw])[0]
 
 
 def random_exact_structure(dim: int, rng: np.random.Generator) -> ComplexStructure:

@@ -357,9 +357,12 @@ def _lp_batch(X: np.ndarray, p: float, weights) -> np.ndarray:
         return _fold_columns(np.maximum, A if weights is None else A * weights)
     # |x|**p under- or overflows for large p or extreme entries.  When no
     # step of the sums did, every row is right as it is.  Otherwise a row
-    # whose sum is 0 or subnormal (digits lost) with a nonzero entry, or
-    # infinite from finite entries, is summed again scaled by its largest
-    # entry, and every other row keeps its bits
+    # whose sum is 0 or subnormal (digits lost), or infinite, is summed again
+    # scaled by the power of two near its largest entry, which is exact (as
+    # in _gram_norms), and every other row keeps its bits.  Past p ~ 1000 the
+    # scaled sum can be lost too (0.5**p underflows); such a row with a
+    # nonzero finite entry is summed divided by its largest entry, whose
+    # p-th power is then 1
     try:
         with np.errstate(over="raise", under="raise"):
             return _lp_root(_power_sums(A, p, weights), p)
@@ -367,12 +370,20 @@ def _lp_batch(X: np.ndarray, p: float, weights) -> np.ndarray:
         with np.errstate(over="ignore"):
             S = _power_sums(A, p, weights)
     out = _lp_root(S, p)
-    lost = np.flatnonzero(~(S >= _SMALLEST_NORMAL) | (S == np.inf))
+    lost = np.flatnonzero(_lost_sums(S))
     scale = A[lost].max(axis=1)
-    keep = (scale > 0.0) & (scale < np.inf)
+    _, exp = np.frexp(scale)
+    S = _power_sums(np.ldexp(A[lost], -exp[:, None]), p, weights)
+    out[lost] = np.ldexp(_lp_root(S, p), exp)
+    keep = _lost_sums(S) & (scale > 0.0) & (scale < np.inf)
     lost, scale = lost[keep], scale[keep]
     out[lost] = _lp_root(_power_sums(A[lost] / scale[:, None], p, weights), p) * scale
     return out
+
+
+def _lost_sums(S: np.ndarray) -> np.ndarray:
+    """Where a power sum lost its digits: 0 or subnormal, or infinite."""
+    return ~(S >= _SMALLEST_NORMAL) | (S == np.inf)
 
 
 def _power_sums(A: np.ndarray, p: float, weights) -> np.ndarray:

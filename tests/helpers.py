@@ -1,7 +1,8 @@
 """Builders that only the tests need: random respecting operators, the JSON
 form of a chain (the package reads chains from JSON, but writes none),
-signed pairings drawn through numpy's own Generator calls, and a counter of
-sampled isometry checks."""
+one entry of a sequence drawn as rng.choice draws it, signed pairings drawn
+through numpy's own Generator calls, and a counter of sampled isometry
+checks."""
 
 from __future__ import annotations
 
@@ -9,11 +10,19 @@ import numpy as np
 
 from istruct import structures
 from istruct.config import DEFAULT_TOL, Tolerances
-from istruct.corpus import respecting_part
+from istruct.corpus import _below, respecting_part
 from istruct.errors import DescriptorError
 from istruct.morphisms import RespectingOperator, make_respecting
 from istruct.pelczynski import ChainDerivation, SumExpr
 from istruct.structures import ComplexStructure
+
+
+def choice(rng: np.random.Generator, seq):
+    """One entry of seq, drawn as rng.choice(seq) draws it (a test checks
+    that), without converting seq to an array: rng.integers(len(seq)) through
+    corpus._below.  The loop references draw their spaces with it, item by
+    item."""
+    return seq[_below(rng, len(seq))]
 
 
 def numpy_signed_pairing_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,7 +32,7 @@ from istruct.theory import (HYP_TOL, NORM_SLACK, build_complexification_witness,
                             verify_squares_isomorphism, verify_theorem_complex,
                             verify_theorem_real)
 
-from helpers import chain_to_dict, count_sampled_checks, random_respecting_matrix
+from helpers import chain_to_dict, choice, count_sampled_checks, random_respecting_matrix
 
 
 @pytest.fixture(scope="module")
@@ -398,12 +398,12 @@ def test_audit_witness_lists_the_same_indices():
 
 @pytest.mark.parametrize("length", [2, 3, 4])
 def test_choice_draws_the_stream_of_rng_choice(length):
-    # the corpus handlers draw dimensions with cli._choice; if numpy changes
-    # rng.choice, this fails instead of the reports changing unnoticed
+    # the loop references draw their spaces with choice; if numpy changes
+    # rng.choice, this fails instead of the references drifting unnoticed
     seq = [2 * k + 1 for k in range(length)]
     a, b = np.random.default_rng(2024), np.random.default_rng(2024)
     assert [int(a.choice(seq)) for _ in range(1000)] == \
-        [cli._choice(b, seq) for _ in range(1000)]
+        [choice(b, seq) for _ in range(1000)]
     assert a.standard_normal() == b.standard_normal()
 
 
@@ -885,7 +885,7 @@ def _loop_prop1(params, rng, tol):
     worst = {"involution": 0.0, "anticommutation": 0.0,
              "inverse_composition": 0.0, "norm_excess": 0.0}
     for _ in range(params["count"]):
-        m = cli._choice(rng, params["half_dims"])
+        m = choice(rng, params["half_dims"])
         s, iso = random_complexification_isomorphism(m, rng, tol=tol)
         T = extract_conjugation(iso, tol=HYP_TOL)
         r = build_complexification_witness(s, T, tol=tol).report.residuals
@@ -903,7 +903,7 @@ def _loop_prop1(params, rng, tol):
 def _loop_squares(params, rng, tol):
     worst_respect = worst_inv = 0.0
     for _ in range(params["count"]):
-        s = random_exact_structure(cli._choice(rng, params["dims"]).dim, rng)
+        s = random_exact_structure(choice(rng, params["dims"]).dim, rng)
         rep = verify_squares_isomorphism(s, tol=tol)
         if not rep.ok:
             return rep
@@ -934,7 +934,7 @@ def _loop_respecting_op(params, rng):
     """One random [T, A, B], drawn in the CLI's order: both spaces, both
     structures, then T.  Like the CLI it checks no respect when it draws: T
     respects bitwise, and each claim measures the respect where it reports it."""
-    spaces = [cli._choice(rng, params["dims"]) for _ in range(2)]
+    spaces = [choice(rng, params["dims"]) for _ in range(2)]
     dom, cod = (random_exact_structure(space.dim, rng) for space in spaces)
     return RespectingOperator(dom, cod, random_respecting_matrix(dom.A, cod.A, rng), 0.0)
 
@@ -957,8 +957,8 @@ def _loop_complex_cartesian(params, rng, tol):
 def _loop_theorem_real(params, rng, tol):
     corpus = []
     for _ in range(params["count"]):
-        dom = cli._choice(rng, params["dims"])
-        cod = cli._choice(rng, params["dims"])
+        dom = choice(rng, params["dims"])
+        cod = choice(rng, params["dims"])
         corpus.append(RealOperator(rng.standard_normal((cod.dim, dom.dim)),
                                    lp_space(dom.dim, 2.0), lp_space(cod.dim, 2.0)))
     return verify_theorem_real(params["oracle"], corpus)

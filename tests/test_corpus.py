@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from istruct.corpus import _below, respecting_part, signed_pairing_matrix
+from istruct.corpus import (_below, _pairing_matrices, respecting_part,
+                            signed_pairing_matrix, stream_reader)
 from istruct.errors import DescriptorError
 
 from helpers import numpy_signed_pairing_matrix
@@ -24,6 +25,12 @@ def _state(rng) -> dict:
     them; on PCG64 it holds the buffered half of a 64-bit draw (has_uint32,
     uinteger)."""
     return json.loads(json.dumps(rng.bit_generator.state, default=np.ndarray.tolist))
+
+
+def _numpy_pairing(dim: int, rng) -> tuple:
+    """_Reader.pairing drawn by numpy's own calls: the permutation, then one
+    rng.integers(2) per pair's sign."""
+    return rng.permutation(dim).tolist(), [int(rng.integers(2)) for _ in range(dim // 2)]
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
@@ -47,6 +54,37 @@ def test_stream_draws_are_the_generators_draws(bit_generator):
                                               numpy_signed_pairing_matrix(dim, theirs))
             assert ours.standard_normal() == theirs.standard_normal()
             assert _state(ours) == _state(theirs), (seed, dim)
+        # one reader across a mixed sequence, as a corpus draws: the integers
+        # and pairings read from the stream, the normals from the generator
+        ops = np.random.default_rng(seed)
+        with stream_reader(ours) as stream:
+            for _ in range(40):
+                op = ops.integers(3)
+                if op == 0:
+                    n = _BOUNDS[ops.integers(len(_BOUNDS))]
+                    assert stream.below(n) == int(theirs.integers(n)), (seed, n)
+                elif op == 1:
+                    dim = 2 * int(ops.integers(1, 5))
+                    assert stream.pairing(dim) == _numpy_pairing(dim, theirs), (seed, dim)
+                else:
+                    assert ours.standard_normal() == theirs.standard_normal()
+            # an out-of-range bound or an odd pairing draws nothing
+            for n in (0, 2 ** 32 + 1, 2 ** 40):
+                with pytest.raises(DescriptorError, match=str(n)):
+                    stream.below(n)
+            with pytest.raises(DescriptorError):
+                stream.pairing(3)
+            assert _state(ours) == _state(theirs), seed
+        # a shape group's scatter is the stack of the matrices drawn one by one
+        for dim in (2, 4, 6, 8):
+            for k in (1, 2, 17):
+                with stream_reader(ours) as stream:
+                    draws = [stream.pairing(dim) for _ in range(k)]
+                stacked = np.stack([signed_pairing_matrix(dim, theirs) for _ in range(k)])
+                scattered = _pairing_matrices(dim, draws)
+                assert scattered.dtype == stacked.dtype and scattered.shape == stacked.shape
+                assert scattered.tobytes() == stacked.tobytes(), (seed, dim, k)
+        assert _state(ours) == _state(theirs), seed
     if bit_generator is np.random.PCG64:
         assert {"has_uint32", "uinteger"} <= set(_state(ours))
 

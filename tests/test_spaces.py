@@ -120,6 +120,30 @@ def test_large_p_lp_norm_is_homogeneous_at_extreme_scales(p, weighted):
         np.testing.assert_allclose(vals, abs(t) * ref, rtol=1e-14, atol=0.0)
 
 
+def test_l2_norm_is_the_identity_gram_norm_at_extreme_scales():
+    # both evaluate a row whose sum of squares over- or underflowed again
+    # scaled by the same power of two, so they agree bitwise there too
+    rng = np.random.default_rng(0)
+    for n in range(1, 10):
+        for scale in (1e-200, 1e200):
+            X = rng.standard_normal((2000, n)) * scale
+            np.testing.assert_array_equal(norm_batch(lp_space(n, 2.0), X),
+                                          norm_batch(euclidean_space(n, np.eye(n)), X))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 20.0])
+def test_lp_norm_is_exactly_homogeneous_under_powers_of_two_at_extreme_scales(p):
+    # |x|**p under- or overflows at 2**(+-800) and beyond for each p; a row
+    # scaled by 2**k is summed again as the same scaled row, so its norm is
+    # exactly 2**k times.  At p = 2 that holds against the unscaled row too.
+    X = np.random.default_rng(19).standard_normal((500, 4))
+    exps = (-850, -800, 800, 850) + ((0,) if p == 2.0 else ())
+    vals = {a: norm_batch(lp_space(4, p), np.ldexp(X, a)) for a in exps}
+    for a in exps:
+        for b in exps:
+            np.testing.assert_array_equal(np.ldexp(vals[a], b - a), vals[b])
+
+
 def test_gram_norm_neither_underflows_nor_overflows():
     # x'Gx is inf at 1e200 and 0 at 1e-200: those rows are evaluated again
     # scaled, and a sum inherits the value of its part
