@@ -131,11 +131,13 @@ def _build_all(scenario: dict, what: str, from_dict) -> dict:
 
 class ParamType(NamedTuple):
     """The values a claim parameter accepts, in words and as a test of
-    (value, resolved spaces and oracles), and what its handler gets for one."""
+    (value, resolved spaces and oracles), what its handler gets for one, and
+    for a corpus's dimensions the largest dimension its draws reach."""
 
     what: str
     ok: Callable
     read: Callable = lambda v, resolved: v
+    reach: Callable = None
 
 
 REQUIRED = object()  # the default of a parameter a claim must give
@@ -157,7 +159,8 @@ def _integers(lo: int, even: bool = False) -> ParamType:
 
 def _l2(dims: ParamType) -> ParamType:
     """dims read as the l2 spaces of those dimensions, the ones corpus shares."""
-    return dims._replace(read=lambda v, _: [corpus_gen._euclidean(int(d)) for d in v])
+    return dims._replace(read=lambda v, _: [corpus_gen._euclidean(int(d)) for d in v],
+                         reach=max)
 
 
 def _named(what: str, kind: str = None) -> ParamType:
@@ -179,13 +182,16 @@ COUNT = _integer(1)
 SAMPLES, ANGLES = _integer(MIN_SAMPLE_VECTORS), _integer(MIN_SAMPLE_ANGLES)
 DIMS = _l2(_integers(1))
 EVEN_DIMS = _l2(_integers(2, even=True))
-_DRAW_BOUND = corpus_gen.DRAW_BOUND  # a corpus draws an integer below n <= this
-_BOUND_TEXT = f"2**{_DRAW_BOUND.bit_length() - 1}"
-DIM_RANGE = ParamType(f"a pair [lo, hi] of integers with 1 <= lo <= hi < lo + {_BOUND_TEXT}",
+HALF_DIMS = _integers(1)._replace(reach=lambda v: 2 * max(v))
+DIM_RANGE = ParamType("a pair [lo, hi] of integers with 1 <= lo <= hi",
                       lambda v, _: isinstance(v, list) and len(v) == 2
-                      and all(_is_int(x, 1) for x in v) and 0 <= v[1] - v[0] < _DRAW_BOUND)
-MAX_DIM = ParamType(f"an integer >= 1 and <= {_BOUND_TEXT}",
-                    lambda v, _: _is_int(v, 1) and v <= _DRAW_BOUND)
+                      and all(_is_int(x, 1) for x in v) and v[0] <= v[1],
+                      reach=lambda v: v[1])
+MAX_DIM = _integer(1)._replace(reach=lambda v: v)
+# count x (2 d)**2 floats (128 MiB) at most in a corpus claim, d the largest
+# dimension its draws reach: the largest bundled or benchmark corpus is 300 x
+# 12**2 = 43,200 (exact-algebra's real-cartesian).  It keeps draws below 2**32
+CORPUS_FLOATS = 2 ** 24
 BOUND = ParamType("a finite number >= 0", lambda v, _: is_json_number(v) and 0 <= v < math.inf,
                   lambda v, _: float(v))
 FLAG = ParamType("true or false", lambda v, _: isinstance(v, bool))
@@ -399,11 +405,10 @@ def _h_prop1_roundtrip(params, rng, tol):
         return m, corpus_gen.complexification_draws(m, rng)
 
     def check(m, draws):
-        c = corpus_gen._complexification_isomorphisms(
-            *(np.stack(z) for z in zip(*draws)), tol=tol)
+        c = corpus_gen._complexification_isomorphisms(*map(np.stack, zip(*draws)), tol=tol)
         Ts, conj_errors = _conjugations(c.S0, c.A, natural_i_operator_matrix(m),
                                         tol=HYP_TOL)
-        w = _witnesses(c.A, Ts, c.gram, None, tol=tol)
+        w = _witnesses(c.A, Ts, c.gram, c.whitening, None, tol=tol)
         return zip(w.outcomes, first_errors(c.errors, conj_errors, w.errors))
 
     reports = _corpus_outcomes(rng, params["count"], draw, check)
@@ -607,7 +612,7 @@ CLAIMS = {
     "validate-structure": (_h_validate_structure, _STRUCTURE),
     "reject-structure": (_h_reject_structure, _STRUCTURE),
     "prop1-roundtrip": (_h_prop1_roundtrip,
-                        {"count": (COUNT, 10), "half_dims": (_integers(1), [1, 2, 3])}),
+                        {"count": (COUNT, 10), "half_dims": (HALF_DIMS, [1, 2, 3])}),
     "squares": (_h_squares, {"count": (COUNT, 10), "dims": (EVEN_DIMS, [2, 4, 6])}),
     "real-cartesian": (_h_real_cartesian,
                        {"count": (COUNT, 25), "max_dim": (MAX_DIM, 6)}),
@@ -690,6 +695,15 @@ def parse_claim(claim_id: str, claim, resolved: dict) -> tuple:
             detail = f" ({exc})" if str(exc) else ""
             raise ScenarioError(f"claim {claim_id!r} parameter {key!r} must be "
                                 f"{ptype.what}, got {value!r}{detail}") from exc
+    for key, (ptype, default) in CLAIMS[kind][1].items():
+        if ptype.reach is not None:  # a corpus of count items
+            value, count = claim.get(key, default), params["count"]
+            floats = count * (2 * ptype.reach(value)) ** 2
+            if floats > CORPUS_FLOATS:
+                raise ScenarioError(
+                    f"claim {claim_id!r} parameters 'count' = {count} and {key!r} = {value!r} "
+                    f"ask for a corpus of {floats} floats (count x (2 d)**2, d the largest "
+                    f"dimension drawn), more than 2**{CORPUS_FLOATS.bit_length() - 1}")
     if "space" in params:  # a matrix acts on the claim's space
         n = params["space"].dim
         for key, (ptype, _) in CLAIMS[kind][1].items():

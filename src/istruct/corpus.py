@@ -83,14 +83,15 @@ class _Reader:
 
     def pairing(self, dim: int) -> tuple:
         """A random signed pairing of dim coordinates as (perm, signs): the
-        draws of rng.permutation(dim) (Fisher-Yates with masked rejection)
-        and then of rng.integers(2) for each pair's sign (bit 31 of one
-        32-bit value), as lists of ints.  See _pairing_matrices."""
+        draws of rng.permutation(dim) (Fisher-Yates, each j <= i drawn under
+        i's bit mask with rejection) and then of rng.integers(2) for each
+        pair's sign (bit 31 of one 32-bit value), as ints (_pairing_matrices)."""
         if dim % 2 != 0:
             raise DescriptorError("signed pairing needs even dimension")
         uint32 = self._uint32
         perm = list(range(dim))
-        for i, mask in _shuffle_masks(dim):
+        for i in range(dim - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
             j = uint32() & mask
             while j > i:
                 j = uint32() & mask
@@ -99,13 +100,6 @@ class _Reader:
         for _ in range(dim // 2):
             signs.append(uint32() >> 31)
         return perm, signs
-
-
-@functools.lru_cache(maxsize=None)
-def _shuffle_masks(dim: int) -> tuple:
-    """(i, the mask numpy draws j <= i under) of each Fisher-Yates step of a
-    permutation of dim, in order."""
-    return tuple((i, (1 << i.bit_length()) - 1) for i in range(dim - 1, 0, -1))
 
 
 @contextlib.contextmanager
@@ -219,11 +213,12 @@ def random_complexification_isomorphism(half_dim: int, rng: np.random.Generator,
 
 class _Isomorphisms(NamedTuple):
     """random_complexification_isomorphism of each item of a stack: Y's
-    Gram, X's Gram, S0, A, A's certificate, S0's respect residual, and the
-    error of each item or None."""
+    Gram, X's Gram and its _whitening_factors (L', L'^-1), S0, A, A's
+    certificate, S0's respect residual, and the error of each item or None."""
 
     y_gram: np.ndarray
     gram: np.ndarray
+    whitening: tuple
     S0: np.ndarray
     A: np.ndarray
     certificates: list
@@ -245,9 +240,10 @@ def _complexification_isomorphisms(Zy: np.ndarray, Zs: np.ndarray, *,
     gram = (H + np.swapaxes(H, 1, 2)) / 2.0
     A = np.linalg.solve(S0, N @ S0)
     gram_errors, gram = _gram_errors(gram)
-    certs = _gram_certificates(A, gram, *_whitening_factors(gram))
+    whitening = _whitening_factors(gram)
+    certs = _gram_certificates(A, gram, *whitening)
     respect, respect_errors = _respect_residuals(S0, A, N, tol)
     errors = first_errors(
         _gram_errors(y_gram)[0], gram_errors,
         [_rejection(c, tol) for c in certs], respect_errors)
-    return _Isomorphisms(y_gram, gram, S0, A, certs, respect, errors)
+    return _Isomorphisms(y_gram, gram, whitening, S0, A, certs, respect, errors)

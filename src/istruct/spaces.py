@@ -291,6 +291,9 @@ def euclidean_space(dim: int, gram: Optional[np.ndarray] = None) -> NormedSpace:
 # ---------------------------------------------------------------------------
 # Norm evaluation
 # ---------------------------------------------------------------------------
+# The entry points (norm, norm_batch and the complexification norms) evaluate
+# with over- and underflow ignored, whatever the caller's numpy error state:
+# the kernels find the rows whose digits were lost and evaluate them again.
 
 def _check_vector(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -313,7 +316,8 @@ def _checked_operator(T, dom, cod, name: str = "T") -> np.ndarray:
 def norm(space: NormedSpace, x) -> float:
     """Evaluate the space's norm at a single vector."""
     x = _check_vector(x, space.dim)
-    return float(_norm_rows(space, x[None, :])[0])
+    with np.errstate(over="ignore", under="ignore"):
+        return float(_norm_rows(space, x[None, :])[0])
 
 
 def norm_batch(space: NormedSpace, X: np.ndarray) -> np.ndarray:
@@ -322,7 +326,8 @@ def norm_batch(space: NormedSpace, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != space.dim:
         raise DimensionMismatchError(f"expected batch of dim-{space.dim} rows, got {X.shape}")
     _check_finite(X, "batch entries", DimensionMismatchError)
-    return _norm_rows(space, X)
+    with np.errstate(over="ignore", under="ignore"):
+        return _norm_rows(space, X)
 
 
 def _norm_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
@@ -367,8 +372,7 @@ def _lp_batch(X: np.ndarray, p: float, weights) -> np.ndarray:
         with np.errstate(over="raise", under="raise"):
             return _lp_root(_power_sums(A, p, weights), p)
     except FloatingPointError:
-        with np.errstate(over="ignore"):
-            S = _power_sums(A, p, weights)
+        S = _power_sums(A, p, weights)
     out = _lp_root(S, p)
     lost = np.flatnonzero(_lost_sums(S))
     scale = A[lost].max(axis=1)
@@ -420,7 +424,8 @@ def complexification_norm(base: NormedSpace, x, y) -> float:
     """Averaged norm ( mean over phi of ||x cos phi + y sin phi||^2 )^(1/2)."""
     x = _check_vector(x, base.dim)
     y = _check_vector(y, base.dim)
-    return float(_complexification_rows(base, x[None, :], y[None, :])[0])
+    with np.errstate(over="ignore", under="ignore"):
+        return float(_complexification_rows(base, x[None, :], y[None, :])[0])
 
 
 def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
@@ -447,7 +452,8 @@ def complexification_norm_batch(base: NormedSpace, X: np.ndarray,
         raise DimensionMismatchError("X, Y must both be (k, base.dim)")
     _check_finite(X, "batch entries", DimensionMismatchError)
     _check_finite(Y, "batch entries", DimensionMismatchError)
-    return _complexification_rows(base, X, Y)
+    with np.errstate(over="ignore", under="ignore"):
+        return _complexification_rows(base, X, Y)
 
 
 def _complexification_rows(base: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -925,8 +931,7 @@ def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray
 def _with_crossings(F: np.ndarray) -> np.ndarray:
     """F's rows plus f_j + f_l and f_j - f_l for j < l: max_j |<f_j, .>| has
     its kinks where some |<f_j, .>| = |<f_l, .>| or <f_j, .> = 0."""
-    # np.triu_indices(len(F), k=1), without its overhead (a third of the time)
-    j, l = np.nonzero(~np.tri(len(F), dtype=bool))
+    j, l = np.triu_indices(len(F), k=1)
     return np.vstack([F, F[j] + F[l], F[j] - F[l]])
 
 

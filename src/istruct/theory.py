@@ -119,7 +119,7 @@ def build_complexification_witness(s: ComplexStructure, T, *,
     _check_finite(T, "T", WitnessError)
     gram = euclidean_gram(s.space)
     w = _witnesses(s.A[None], T[None], None if gram is None else gram[None],
-                   [s.space], tol=tol)
+                   s.space._whitening, [s.space], tol=tol)
     report = single(w.outcomes[0], w.errors[0])
     y = w.y[0]
     ny = natural_i_operator(y if isinstance(y, NormedSpace)
@@ -147,11 +147,12 @@ class _Witnesses(NamedTuple):
 
 
 def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
-               spaces: Sequence[NormedSpace], *, tol: Tolerances) -> _Witnesses:
+               whitening: Optional[tuple], spaces: Sequence[NormedSpace], *,
+               tol: Tolerances) -> _Witnesses:
     """The witnesses for k structures [X_j, A_j] of one dimension n and their
-    involutions T_j, stacked (k, n, n).  grams stacks the X_j's Grams when they
-    are Euclidean-like, and is None otherwise; then Y_j is built and the norms
-    are estimated item by item on the spaces X_j."""
+    involutions T_j, stacked (k, n, n).  For Euclidean-like X_j, grams stacks
+    their Grams and whitening is their _whitening_factors; otherwise both are
+    None, Y_j is built and the norms are estimated item by item on the X_j."""
     dim = Ts.shape[-1]
     half = dim // 2
     r_inv, r_anti = (r.tolist() for r in _involution_residuals(Ts, As))
@@ -181,9 +182,8 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
     round_dev = np.max(np.abs(S_inv @ S - np.eye(dim)), axis=(1, 2)).tolist()
 
     if grams is not None:
-        wx = _whitening_factors(grams)  # the X_j's Grams factored once, for both norms
-        s_norms = _singular_values(S, wx, _whitening_factors(block_diag2(y / 2.0)))
-        p_norms = _singular_values(P, wx, wx)
+        s_norms = _singular_values(S, whitening, _whitening_factors(block_diag2(y / 2.0)))
+        p_norms = _singular_values(P, whitening, whitening)
     norm_bounds, outcomes = [], []
     for j, error in enumerate(errors):
         if error is not None:

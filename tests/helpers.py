@@ -1,10 +1,12 @@
 """Builders that only the tests need: random respecting operators, the JSON
 form of a chain (the package reads chains from JSON, but writes none),
 one entry of a sequence drawn as rng.choice draws it, signed pairings drawn
-through numpy's own Generator calls, and a counter of sampled isometry
-checks."""
+through numpy's own Generator calls, a counter of sampled isometry checks,
+and a log of linear-algebra calls that shows which repeat their input."""
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -75,3 +77,44 @@ def count_sampled_checks(monkeypatch) -> list:
 
     monkeypatch.setattr(structures, "_sampled_isometry_residual", counted)
     return calls
+
+
+LINALG = ("cholesky", "inv", "svd", "eigvalsh", "solve", "matrix_rank")
+
+
+def input_key(*args, **kwargs) -> tuple:
+    """The identity of a call's inputs: each array by its dtype, shape and
+    bytes, any other argument by its repr."""
+    def one(a):
+        return (a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else repr(a)
+    return (*map(one, args), *((k, one(v)) for k, v in sorted(kwargs.items())))
+
+
+@contextlib.contextmanager
+def linalg_calls():
+    """Log the calls of np.linalg's LINALG functions made in the block: yields
+    name -> the input_key of each call, in order.  The package looks each one
+    up on np.linalg when it calls it, so every call of the package is logged,
+    and none that numpy makes inside np.linalg.  Run one claim per block to
+    count its repeated calls (repeats)."""
+    log = {name: [] for name in LINALG}
+    originals = {name: getattr(np.linalg, name) for name in LINALG}
+
+    def logged(name, f):
+        def call(*args, **kwargs):
+            log[name].append(input_key(*args, **kwargs))
+            return f(*args, **kwargs)
+        return call
+
+    for name, f in originals.items():
+        setattr(np.linalg, name, logged(name, f))
+    try:
+        yield log
+    finally:
+        for name, f in originals.items():
+            setattr(np.linalg, name, f)
+
+
+def repeats(log: dict) -> dict:
+    """name -> how many of its logged calls repeat an earlier call's input."""
+    return {name: len(keys) - len(set(keys)) for name, keys in log.items()}

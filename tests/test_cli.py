@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -32,7 +33,8 @@ from istruct.theory import (HYP_TOL, NORM_SLACK, build_complexification_witness,
                             verify_squares_isomorphism, verify_theorem_complex,
                             verify_theorem_real)
 
-from helpers import chain_to_dict, choice, count_sampled_checks, random_respecting_matrix
+from helpers import (LINALG, chain_to_dict, choice, count_sampled_checks, linalg_calls,
+                     random_respecting_matrix, repeats)
 
 
 @pytest.fixture(scope="module")
@@ -657,11 +659,18 @@ def _with_deep_space(space):
      ["'plane-l3'", "DescriptorError", "lacks the key 'p'"]),
     (_edit(["oracles", "r-rank-all", "descriptor"], {"type": "rank_threshold"}),
      "ideal-transforms", ["'r-rank-all'", "DescriptorError", "lacks the key 'r'"]),
-    # a corpus draw below n > 2**32 would never end (corpus._below)
+    # a corpus of count x (2 d)**2 > 2**24 floats is refused before it is
+    # drawn; this also keeps a corpus draw below n <= 2**32 (corpus._below)
     (_edit(["claims", "real-cartesian", "max_dim"], 2 ** 32 + 1), "squares",
-     ["'real-cartesian'", "'max_dim'", "2**32", "4294967297"]),
+     ["'real-cartesian'", "'max_dim'", "2**24", "4294967297"]),
     (_edit(["claims", "closed-form", "dims"], [1, 2 ** 32 + 1]), "spaces",
-     ["'closed-form'", "'dims'", "2**32", "4294967297"]),
+     ["'closed-form'", "'dims'", "2**24", "4294967297"]),
+    (_edit(["claims", "real-cartesian", "max_dim"], 2 ** 32), "squares",
+     ["'real-cartesian'", "'count' = 25", "'max_dim' = 4294967296", "2**24"]),
+    (_edit(["claims", "theorem-real-opnorm", "dims"], [100000]), "ideal-transforms",
+     ["'theorem-real-opnorm'", "'count' = 30", "'dims' = [100000]", "2**24"]),
+    (_edit(["claims", "closed-form", "dims"], [2, 1000]), "spaces",
+     ["'closed-form'", "'count' = 40", "'dims' = [2, 1000]", "2**24"]),
     # a misspelled descriptor key would build the default ("direction" for
     # "dir" would run the step forward)
     (_edit(["spaces", "plane-l1", "norm", "wieghts"], [1, 2]), "pelczynski-chain",
@@ -700,7 +709,8 @@ def _with_deep_space(space):
         "factorization-r-size", "factorization-s-size", "factorization-a-size", "p-string", "p-boolean", "wlp-p-string",
         "weights-strings", "weights-boolean", "gram-booleans", "functionals-string",
         "basis-string", "norm-missing-key", "oracle-missing-key",
-        "max-dim-beyond-2-32", "dims-span-beyond-2-32", "norm-unknown-key",
+        "max-dim-beyond-2-32", "dims-span-beyond-2-32", "max-dim-2-32",
+        "theorem-real-dim-100000", "closed-form-hi-1000", "norm-unknown-key",
         "space-unknown-key", "descriptor-unknown-key", "oracle-unknown-key",
         "step-unknown-key", "chain-unknown-keys", "space-of-250-sums"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
@@ -711,6 +721,24 @@ def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
     for word in words:
         assert word in err
     assert claim_runs == []
+
+
+@pytest.mark.parametrize("claim, key, at_bound, beyond", [
+    ({"kind": "real-cartesian"}, "max_dim", 2048, 2049),
+    ({"kind": "euclidean-closed-form"}, "dims", [1, 2048], [1, 2049]),
+    ({"kind": "prop1-roundtrip"}, "half_dims", [1, 1024], [1025, 1]),
+    ({"kind": "squares"}, "dims", [2048, 2], [2, 2050]),
+], ids=["max-dim", "closed-form-hi", "half-dims-doubled", "dims"])
+def test_a_corpus_of_2_24_floats_parses_and_a_larger_one_does_not(claim, key, at_bound,
+                                                                    beyond):
+    # count x (2 d)**2 with d the largest dimension drawn; nothing is drawn
+    assert 1 * (2 * 2048) ** 2 == cli.CORPUS_FLOATS
+    cli.parse_claim("c", {**claim, "count": 1, key: at_bound}, {})
+    for count, value in ((2, at_bound), (1, beyond)):
+        with pytest.raises(ScenarioError, match=(
+                f"claim 'c' parameters 'count' = {count} and '{key}' = "
+                rf"{re.escape(repr(value))} ask for a corpus of \d+ floats")):
+            cli.parse_claim("c", {**claim, "count": count, key: value}, {})
 
 
 @pytest.mark.parametrize("read, obj, error, words", [
@@ -1203,6 +1231,20 @@ def test_corpus_claims_run_one_kernel_call_per_shape_group(monkeypatch):
     assert 0 < calls["_squares_reports"] <= 3
     assert 0 < calls["_real_cartesian_reports"] <= 36
     assert 0 < calls["_complex_cartesian_reports"] <= 8
+
+
+def test_prop1_factorises_no_gram_twice():
+    # X's Gram stack is whitened once, for A's certificates and the witness
+    # norms: with half_dims [1, 2, 3], X's and Y_C's factors of each shape
+    # group (9 Cholesky and 12 inv calls, 3 of each a repeat, when the
+    # witness whitened X's Grams again)
+    parsed = cli.parse_claim("prop1", _exact_algebra_scenario(1)["claims"]["prop1"],
+                             {"space": {}, "oracle": {}})
+    with linalg_calls() as log:
+        entry = cli.run_claim("prop1", parsed, 1, Tolerances())
+    assert entry["outcome"] == VERIFIED
+    assert repeats(log) == dict.fromkeys(LINALG, 0)
+    assert len(log["cholesky"]) == 6 and len(log["inv"]) == 9
 
 
 def _counted_groups(monkeypatch) -> list:

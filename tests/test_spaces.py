@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -1187,3 +1188,68 @@ def test_descriptor_serial_form_rejects_unknown_types():
         spaces.descriptor_to_dict(object())
     with pytest.raises(DescriptorError, match="unknown descriptor kind 'mystery'"):
         spaces.descriptor_from_dict({"kind": "mystery"})
+
+
+def _error_state_calls() -> list:
+    """(label, call) of the four norm entry points on 12 spaces at 3 scales:
+    1 with one entry 1e-300, 1e-200 and 1e200."""
+    l1, l2, linf = lp_space(2, 1.0), lp_space(2, 2.0), lp_space(2, math.inf)
+    w = np.array([0.5, 1.0, 2.0])
+    spaces = {
+        "l1": lp_space(3, 1.0), "l2": lp_space(3, 2.0), "l3": lp_space(3, 3.0),
+        "linf": lp_space(3, math.inf), "wl1": NormedSpace(3, WeightedLp(1.0, w)),
+        "wl3": NormedSpace(3, WeightedLp(3.0, w)),
+        "gram": euclidean_space(3, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+        "hex": NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
+        "l1+linf": direct_sum(l1, linf, "sum"), "l1+l2": direct_sum(l1, l2, "sum"),
+        "sub-l3": NormedSpace(2, SubspaceNorm(lp_space(3, 3.0), np.array(
+            [[1.0, 0.0], [0.5, 1.0], [0.0, -2.0]]))),
+        "cplx-l1": NormedSpace(4, ComplexificationOfBase(l1)),
+    }
+    calls = []
+    for name, space in spaces.items():
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        x, y = rng.standard_normal((2, space.dim))
+        for scale in (1.0, 1e-200, 1e200):
+            if scale == 1.0:
+                x = x.copy()
+                x[0] = 1e-300
+            xs, ys = x * scale, y * scale
+            X, Y = np.stack([xs, ys]), np.stack([ys, -xs])
+            label = f"{name} at {scale:g}"
+            calls += [
+                (f"norm {label}", functools.partial(norm, space, xs)),
+                (f"norm_batch {label}", functools.partial(norm_batch, space, X)),
+                (f"complexification_norm {label}",
+                 functools.partial(complexification_norm, space, xs, ys)),
+                (f"complexification_norm_batch {label}",
+                 functools.partial(complexification_norm_batch, space, X, Y))]
+    return calls
+
+
+def test_norm_entry_points_give_the_same_bits_under_any_error_state():
+    # the entry points fix the over- and underflow modes themselves: 50 of
+    # these calls raised FloatingPointError under np.errstate(all="raise"),
+    # and a norm that overflows warned of an overflow in ldexp
+    calls = _error_state_calls()
+    assert len(calls) == 144
+    differ = []
+    for label, call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+                default = np.asarray(call())
+            try:
+                with np.errstate(all="raise"):
+                    strict = np.asarray(call())
+            except FloatingPointError as exc:
+                differ.append((label, str(exc)))
+                continue
+        if strict.tobytes() != default.tobytes():
+            differ.append((label, default, strict))
+    assert differ == []
+    # a norm beyond the largest float is inf, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0, 3.0):
+            assert norm(lp_space(2, p), [1.5e308, 1.5e308]) == math.inf

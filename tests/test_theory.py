@@ -13,8 +13,9 @@ from istruct.errors import (RespectViolationError, StructureValidationError,
 from istruct.ideals import (AllOperators, IdealOracle, NormThreshold,
                             RankThreshold, RealOperator)
 from istruct.spaces import (ComplexificationOfBase, NormedSpace, Polyhedral,
-                            SubspaceNorm, direct_sum, euclidean_gram, lp_space,
-                            norm_batch, space_equal)
+                            SubspaceNorm, _whitening_factors, block_diag2,
+                            direct_sum, euclidean_gram, lp_space, norm_batch,
+                            space_equal)
 from istruct.morphisms import RespectingOperator, make_respecting
 from istruct.structures import (UNDECIDED, Certificate, ComplexStructure,
                                 _sampled_isometry_residual, certify,
@@ -32,7 +33,8 @@ from istruct.theory import (_complex_cartesian_reports, _conjugations,
                             verify_squares_isomorphism,
                             verify_theorem_complex, verify_theorem_real)
 
-from helpers import count_sampled_checks, random_respecting_operator
+from helpers import (count_sampled_checks, input_key, linalg_calls,
+                     random_respecting_operator)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -145,8 +147,8 @@ def test_stacked_witnesses_are_the_single_calls(half_dim):
     Ts, errors = _conjugations(np.stack([iso.matrix for iso in isos]), As,
                                isos[0].codomain.A, tol=1e-9)
     assert errors == [None] * 5
-    w = _witnesses(As, Ts, np.stack([s.space.norm_desc.gram for s in ss]), None,
-                   tol=DEFAULT_TOL)
+    grams = np.stack([s.space.norm_desc.gram for s in ss])
+    w = _witnesses(As, Ts, grams, _whitening_factors(grams), None, tol=DEFAULT_TOL)
     assert w.errors == [None] * 5
     for j, (s, iso) in enumerate(pairs):
         T = extract_conjugation(iso)
@@ -157,6 +159,21 @@ def test_stacked_witnesses_are_the_single_calls(half_dim):
         assert np.array_equal(one.S.matrix, w.S[j])
         assert np.array_equal(one.S_inverse.matrix, w.S_inverse[j])
         assert np.array_equal(one.Y_basis, w.B[j])
+
+
+@pytest.mark.parametrize("half_dim", [1, 2, 3])
+def test_a_witness_factorises_only_the_gram_of_y_c(half_dim):
+    # X's factors are the space's cached _whitening; only Y_C's Gram,
+    # diag(G_Y, G_Y) / 2, is factorised for the witness
+    s, iso = random_complexification_isomorphism(half_dim, np.random.default_rng(half_dim))
+    T = extract_conjugation(iso)
+    assert s.space._whitening is not None
+    with linalg_calls() as log:
+        w = build_complexification_witness(s, T)
+    y_gram = w.S.codomain.space.norm_desc.base.norm_desc.gram
+    assert log["cholesky"] == [input_key(block_diag2(y_gram[None] / 2.0))]
+    assert len(log["inv"]) == 1  # of Y_C's factor
+    assert w.report.ok and w.norm_bound["exact"]
 
 
 def test_extract_conjugation_rejects_a_singular_map():
