@@ -192,6 +192,13 @@ MAX_DIM = _integer(1)._replace(reach=lambda v: v)
 # dimension its draws reach: the largest bundled or benchmark corpus is 300 x
 # 12**2 = 43,200 (exact-algebra's real-cartesian).  It keeps draws below 2**32
 CORPUS_FLOATS = 2 ** 24
+# kind -> (the parameter turned through 'angles', the vectors of the claim's
+# space that each of its items turns): their product with angles and the
+# space's dimension counts the floats a sampled claim asks for, bounded by
+# CORPUS_FLOATS too.  The largest bundled or benchmark one is 128 x 16 x 1 x 4
+# = 8,192 (paper-all's validate-cplx-l1)
+_SAMPLED = {"rotation-invariance": ("count", 2), "validate-structure": ("samples", 1),
+            "reject-structure": ("samples", 1)}
 BOUND = ParamType("a finite number >= 0", lambda v, _: is_json_number(v) and 0 <= v < math.inf,
                   lambda v, _: float(v))
 FLAG = ParamType("true or false", lambda v, _: isinstance(v, bool))
@@ -241,7 +248,7 @@ def _h_euclidean_closed_form(params, rng, tol):
         defined = np.sqrt(np.mean(_gram_norms(grams, rows) ** 2, axis=1))
         return zip(np.abs(closed - defined).tolist(), errors)
 
-    worst = max(_corpus_outcomes(rng, params["count"], draw, check))
+    worst = float(np.max(_corpus_outcomes(rng, params["count"], draw, check)))
     return bounded("euclidean-closed-form", worst <= 1e-10,
                    {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
 
@@ -394,9 +401,9 @@ def _verdict(reports: list, residuals: dict) -> VerificationReport:
 
 def _worst(reports: list, key: str = None) -> float:
     """The largest residual under key of any report (under any key when key
-    is None), and 0 for no reports."""
-    return max([0.0] + [max(r.residuals.values()) if key is None else r.residuals[key]
-                        for r in reports])
+    is None), NaN if any is NaN, and 0 for no reports."""
+    return float(np.max([0.0, *(v for r in reports for v in (
+        r.residuals.values() if key is None else [r.residuals[key]]))]))
 
 
 def _h_prop1_roundtrip(params, rng, tol):
@@ -414,8 +421,9 @@ def _h_prop1_roundtrip(params, rng, tol):
     reports = _corpus_outcomes(rng, params["count"], draw, check)
     worst = {key: _worst(reports, key) for key in
              ("involution", "anticommutation", "inverse_composition", "norm_excess")}
-    ok = (max(worst["involution"], worst["anticommutation"], worst["inverse_composition"])
-          <= HYP_TOL and worst["norm_excess"] <= NORM_SLACK)
+    ok = (all(worst[key] <= HYP_TOL for key in
+              ("involution", "anticommutation", "inverse_composition"))
+          and worst["norm_excess"] <= NORM_SLACK)
     return bounded("complexification-roundtrip", ok, worst,
                    {"residuals": HYP_TOL, "norm_slack": NORM_SLACK}, dict(worst))
 
@@ -526,9 +534,9 @@ def _h_hs_doubling(params, rng, tol):
         doubled = ideal_norms(HILBERT_SCHMIDT, block_diag2(Ts), dom2, cod2)
         return ((d, None) for d in np.abs(doubled - math.sqrt(2.0) * base).tolist())
 
-    worst = max(_corpus_outcomes(rng, params["count"],
-                                 lambda stream: _draw_real_op(rng, stream, params["dims"]),
-                                 check))
+    worst = float(np.max(_corpus_outcomes(
+        rng, params["count"], lambda stream: _draw_real_op(rng, stream, params["dims"]),
+        check)))
     return bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
                    {"abs": bound}, {"worst": worst})
 
@@ -652,19 +660,14 @@ _CLAIM_KEYS = {kind: {"kind", "expect", *schema, *_LEGACY.get(kind, ())}
 # ---------------------------------------------------------------------------
 
 def _jsonify(obj):
+    """obj with each non-finite float replaced by its repr: strict JSON has no
+    NaN or infinity."""
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if math.isfinite(f) else repr(f)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 
@@ -704,6 +707,16 @@ def parse_claim(claim_id: str, claim, resolved: dict) -> tuple:
                     f"claim {claim_id!r} parameters 'count' = {count} and {key!r} = {value!r} "
                     f"ask for a corpus of {floats} floats (count x (2 d)**2, d the largest "
                     f"dimension drawn), more than 2**{CORPUS_FLOATS.bit_length() - 1}")
+    if kind in _SAMPLED:
+        key, vectors = _SAMPLED[kind]
+        n = params["space"].dim
+        floats = params[key] * params["angles"] * vectors * n
+        if floats > CORPUS_FLOATS:
+            raise ScenarioError(
+                f"claim {claim_id!r} parameters {key!r} = {params[key]} and 'angles' = "
+                f"{params['angles']} ask for {floats} floats ({key} x angles x {vectors} x dim, "
+                f"dim = {n} the dimension of its space), more than "
+                f"2**{CORPUS_FLOATS.bit_length() - 1}")
     if "space" in params:  # a matrix acts on the claim's space
         n = params["space"].dim
         for key, (ptype, _) in CLAIMS[kind][1].items():
@@ -784,11 +797,6 @@ def bundled_scenario_path() -> str:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def list_suites(path: str) -> list:
-    scenario = load_scenario(path)
-    return sorted(scenario["suites"])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="istruct",
                                      description="run scenario verification suites")
@@ -808,7 +816,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "list-suites":
-            for name in list_suites(args.scenario):
+            for name in sorted(load_scenario(args.scenario)["suites"]):
                 print(name)
             return 0
         scenario = load_scenario(args.scenario)

@@ -56,16 +56,10 @@ class RealOperator:
 # Ideal norms (Euclidean-normed spaces only)
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class IdealNormValue:
-    functional: str
-    value: float
-
-
-def ideal_norm(functional: str, T, dom: NormedSpace, cod: NormedSpace) -> IdealNormValue:
+def ideal_norm(functional: str, T, dom: NormedSpace, cod: NormedSpace) -> float:
     """operator_norm, hilbert_schmidt, or trace_norm of T : dom -> cod."""
     T = _checked_operator(T, dom, cod)
-    return IdealNormValue(functional, float(ideal_norms(functional, T, dom, cod)))
+    return float(ideal_norms(functional, T, dom, cod))
 
 
 def ideal_norms(functional: str, Ts: np.ndarray, dom: NormedSpace,

@@ -84,10 +84,10 @@ def _respect_residuals(Ts: np.ndarray, As, Bs, tol: Tolerances) -> tuple:
     """max |T A - B T| of each [T, A, B] of a stack Ts (k, m, n), with As and
     Bs stacks or one matrix for all, as a list; and for each, the
     RespectViolationError (with the max-entry witness) of a residual above
-    tol.tol_alg, or None."""
+    tol.tol_alg or NaN, or None."""
     R = Ts @ As - Bs @ Ts
     res = np.max(np.abs(R), axis=(1, 2)).tolist()
-    return res, [_respect_violation(R[j], r, tol) if r > tol.tol_alg else None
+    return res, [_respect_violation(R[j], r, tol) if not r <= tol.tol_alg else None
                  for j, r in enumerate(res)]
 
 

@@ -304,20 +304,23 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
     }
     P = S @ R
     residuals["projection"] = float(np.max(np.abs(P @ P - P)))
-    U, sv, Vt = np.linalg.svd(P)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
-    # range basis (the summand carried by the image) and kernel basis
-    range_basis = U[:, :rank]
-    kernel_basis = Vt[rank:].T
-    split = np.hstack([range_basis, kernel_basis])
-    residuals["split_rank_defect"] = float(
-        n - np.linalg.matrix_rank(split)) if split.size else float(n)
+    notes = []
+    if np.all(np.isfinite(P)):  # else no SVD of P, and its residual is not finite
+        U, sv, Vt = np.linalg.svd(P)
+        rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
+        # range basis (the summand carried by the image) and kernel basis
+        range_basis = U[:, :rank]
+        kernel_basis = Vt[rank:].T
+        split = np.hstack([range_basis, kernel_basis])
+        residuals["split_rank_defect"] = float(
+            n - np.linalg.matrix_rank(split)) if split.size else float(n)
+        notes = [f"range dimension {rank}, kernel dimension {n - rank}"]
 
     bad = {k: v for k, v in residuals.items()
-           if v > (PROJECTION_TOL if k == "projection" else tol.tol_alg)}
+           if not v <= (PROJECTION_TOL if k == "projection" else tol.tol_alg)}
     return bounded("factorization-hypotheses", not bad, residuals,
                    {"algebraic": tol.tol_alg, "projection": PROJECTION_TOL},
-                   {"failed": bad}, [f"range dimension {rank}, kernel dimension {n - rank}"])
+                   {"failed": bad}, notes)
 
 
 # ---------------------------------------------------------------------------

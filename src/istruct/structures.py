@@ -210,11 +210,11 @@ def validate_i_operator(space: NormedSpace, A, *, tol: Tolerances = DEFAULT_TOL,
 def _rejection(cert: Certificate,
                tol: Tolerances) -> Optional[StructureValidationError]:
     """The error that rejects a certificate's residuals, or None within tol."""
-    if cert.algebraic_residual > tol.tol_alg:
+    if not cert.algebraic_residual <= tol.tol_alg:
         return StructureValidationError(
             f"algebraic residual ||A^2 + I||_max = {cert.algebraic_residual:.3e} "
             f"exceeds {tol.tol_alg:.1e}", certificate=cert)
-    if cert.isometry_residual > tol.tol_iso:
+    if not cert.isometry_residual <= tol.tol_iso:
         return StructureValidationError(
             f"isometry residual {cert.isometry_residual:.3e} exceeds "
             f"{tol.tol_iso:.1e}", certificate=cert)

@@ -80,7 +80,7 @@ def _conjugations(Ss: np.ndarray, As, Bs, *, tol: float) -> tuple:
     r_inv, r_anti = _involution_residuals(Ts, As)
     return Ts, first_errors(errors, [
         WitnessError(f"extracted map fails the involution/anticommutation "
-                     f"residuals ({a:.3e}, {b:.3e})") if max(a, b) > tol else None
+                     f"residuals ({a:.3e}, {b:.3e})") if not (a <= tol and b <= tol) else None
         for a, b in zip(r_inv, r_anti)])
 
 
@@ -161,7 +161,7 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
     rank = np.sum(sv > RANK_RTOL * sv[:, :1], axis=1)
     errors = first_errors(
         [WitnessError(f"T is not an anticommuting involution (residuals "
-                      f"{a:.3e}, {b:.3e})") if max(a, b) > HYP_TOL else None
+                      f"{a:.3e}, {b:.3e})") if not (a <= HYP_TOL and b <= HYP_TOL) else None
          for a, b in zip(r_inv, r_anti)],
         [WitnessError(f"I + T has rank {r}, expected {half}") if r != half
          else None for r in rank])
@@ -345,7 +345,7 @@ def _cartesian_deviations(Ts: np.ndarray) -> tuple:
 def _real_cartesian_reports(Ts: np.ndarray) -> list:
     """verify_real_cartesian_identities of each matrix of a stack (k, m, n)."""
     _, dev1, dev2 = _cartesian_deviations(Ts)
-    return [bounded("real-cartesian-identities", max(d1, d2) == 0.0,
+    return [bounded("real-cartesian-identities", d1 == 0.0 and d2 == 0.0,
                     {"restriction": d1, "reassembly": d2}, {"deviation": 0.0},
                     {"shape": list(Ts.shape[1:])})
             for d1, d2 in zip(dev1.tolist(), dev2.tolist())]
@@ -411,8 +411,8 @@ def _complex_cartesian_reports(Ts: np.ndarray, As: np.ndarray, Bs: np.ndarray, *
                                 np.stack(list(deviations.values()), axis=1).tolist()):
         res = dict(zip(residuals, res_row))
         devs = dict(zip(deviations, dev_row))
-        bad = {key: v for key, v in res.items() if v > tol.tol_alg}
-        bad_dev = {key: v for key, v in devs.items() if v > tol.abs_tol}
+        bad = {key: v for key, v in res.items() if not v <= tol.tol_alg}
+        bad_dev = {key: v for key, v in devs.items() if not v <= tol.abs_tol}
         reports.append(bounded(
             "complex-cartesian-identities", not bad and not bad_dev, {**res, **devs},
             {"respect": tol.tol_alg, "deviation": tol.abs_tol},

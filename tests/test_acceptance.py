@@ -188,11 +188,11 @@ def test_criterion_7_ideal_transform_roundtrips():
         m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         T = rng.standard_normal((m, n))
         dom, cod = lp_space(n, 2.0), lp_space(m, 2.0)
-        base = ideal_norm("hilbert_schmidt", T, dom, cod).value
+        base = ideal_norm("hilbert_schmidt", T, dom, cod)
         dom2 = natural_i_operator(dom).space
         cod2 = natural_i_operator(cod).space
         doubled = ideal_norm("hilbert_schmidt", block_diag2(T),
-                             dom2, cod2).value
+                             dom2, cod2)
         worst = max(worst, abs(doubled - math.sqrt(2.0) * base))
     ok &= worst <= 1e-10
     report(7, f"oracle roundtrips over 3 real families + audited complex "

@@ -671,6 +671,11 @@ def _with_deep_space(space):
      ["'theorem-real-opnorm'", "'count' = 30", "'dims' = [100000]", "2**24"]),
     (_edit(["claims", "closed-form", "dims"], [2, 1000]), "spaces",
      ["'closed-form'", "'count' = 40", "'dims' = [2, 1000]", "2**24"]),
+    # so is a sampled claim of more than 2**24 floats (29.8 and 14.9 GiB asked)
+    (_edit(["claims", "rotation-l1", "count"], 10 ** 9), "spaces",
+     ["'rotation-l1'", "'count' = 1000000000", "'angles' = 16", "2**24"]),
+    (_edit(["claims", "reject-l1-skew", "samples"], 10 ** 9), "structures",
+     ["'reject-l1-skew'", "'samples' = 1000000000", "'angles' = 16", "2**24"]),
     # a misspelled descriptor key would build the default ("direction" for
     # "dir" would run the step forward)
     (_edit(["spaces", "plane-l1", "norm", "wieghts"], [1, 2]), "pelczynski-chain",
@@ -710,7 +715,8 @@ def _with_deep_space(space):
         "weights-strings", "weights-boolean", "gram-booleans", "functionals-string",
         "basis-string", "norm-missing-key", "oracle-missing-key",
         "max-dim-beyond-2-32", "dims-span-beyond-2-32", "max-dim-2-32",
-        "theorem-real-dim-100000", "closed-form-hi-1000", "norm-unknown-key",
+        "theorem-real-dim-100000", "closed-form-hi-1000", "rotation-count-10-9",
+        "reject-samples-10-9", "norm-unknown-key",
         "space-unknown-key", "descriptor-unknown-key", "oracle-unknown-key",
         "step-unknown-key", "chain-unknown-keys", "space-of-250-sums"])
 def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
@@ -739,6 +745,24 @@ def test_a_corpus_of_2_24_floats_parses_and_a_larger_one_does_not(claim, key, at
                 f"claim 'c' parameters 'count' = {count} and '{key}' = "
                 rf"{re.escape(repr(value))} ask for a corpus of \d+ floats")):
             cli.parse_claim("c", {**claim, "count": count, key: value}, {})
+
+
+@pytest.mark.parametrize("claim, key, at_bound", [
+    ({"kind": "rotation-invariance", "angles": 16}, "count", 2 ** 18),
+    ({"kind": "validate-structure", "A": [[0, -1], [1, 0]], "angles": 32}, "samples", 2 ** 18),
+    ({"kind": "reject-structure", "A": [[0, -1], [1, 0]], "angles": 32}, "samples", 2 ** 18),
+], ids=["rotation-count", "validate-samples", "reject-samples"])
+def test_a_sampled_claim_of_2_24_floats_parses_and_a_larger_one_does_not(claim, key,
+                                                                         at_bound):
+    # count x angles x 2 x dim for rotation-invariance, samples x angles x dim
+    # for the structure claims, here on a plane; nothing is sampled
+    resolved = {"space": {"plane": lp_space(2, 2.0)}}
+    claim = {**claim, "space": "plane"}
+    cli.parse_claim("c", {**claim, key: at_bound}, resolved)
+    with pytest.raises(ScenarioError, match=(
+            f"claim 'c' parameters '{key}' = {at_bound + 1} and 'angles' = "
+            rf"{claim['angles']} ask for \d+ floats .* more than 2\*\*24")):
+        cli.parse_claim("c", {**claim, key: at_bound + 1}, resolved)
 
 
 @pytest.mark.parametrize("read, obj, error, words", [
@@ -1309,3 +1333,85 @@ def test_theorem_real_groups_a_plain_list_once(monkeypatch):
     report = verify_theorem_real(oracle, corpus)
     assert report.ok
     assert len(passes) == 1 and len(passes[0]) == 3
+
+
+def test_factorization_of_non_finite_products_exits_1_with_its_report(scenario_path,
+                                                                      tmp_path, capsys):
+    # finite R and S that respect their structures exactly, with R S - I and
+    # S R not finite: the SVD of S R used to end the run in LinAlgError
+    big = 1e200
+    edit = _edit(["claims", "factorization"], {
+        "kind": "factorization-check", "space": "plane-l2",
+        "R": [[big, big], [big, -big]], "S": [[big, -big], [-big, -big]]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _run_edited(scenario_path, tmp_path, edit, "pelczynski-chain") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "FAILED: factorization (factorization-check)" in err.splitlines()
+    claims = json.loads((tmp_path / "report.json").read_text())["claims"]
+    report = next(c for c in claims if c["id"] == "factorization")["report"]
+    assert report["witness"] == {"failed": {"RS_minus_I": "inf", "projection": "nan"}}
+
+
+def _plain_json(obj) -> bool:
+    """obj holds only dicts with string keys, lists, str, int, float, bool and
+    None, by exact type: no numpy scalar or array, and no tuple."""
+    if type(obj) is dict:
+        return all(type(k) is str and _plain_json(v) for k, v in obj.items())
+    if type(obj) is list:
+        return all(_plain_json(v) for v in obj)
+    return type(obj) in (str, int, float, bool, type(None))
+
+
+def test_claim_entries_hold_only_json_values(scenario_path, monkeypatch):
+    # _jsonify replaces non-finite floats and converts nothing else: no claim
+    # entry of the benchmark workloads holds a numpy value, a tuple or a
+    # non-string key, at passing tolerances or at failing ones
+    entries = []
+    monkeypatch.setattr(cli, "_jsonify", lambda entry: entries.append(entry) or entry)
+    bench = _bench_scenarios()
+    outcomes = collections.Counter()
+    for workload in bench.WORKLOADS:
+        for seed in (1, 7):
+            for tols in ({}, {"tol_alg": 1e-20, "tol_iso": 1e-20},
+                         {"tol_alg": 0.0, "tol_iso": 0.0}):
+                scenario = (load_scenario(scenario_path) if workload == "paper-all" else
+                            getattr(bench, workload.replace("-", "_"))(seed))
+                report = run_suite(scenario, workload, seed=seed, **tols)
+                outcomes.update(c["outcome"] for c in report["claims"])
+    assert len(entries) == sum(outcomes.values())
+    assert outcomes[VIOLATED] > 0
+    assert all(_plain_json(entry) for entry in entries)
+
+
+def test_worst_keeps_a_nan_wherever_it_stands():
+    reports = [bounded("c", True, {"a": 0.0, "b": math.nan}),
+               bounded("c", True, {"a": 1.0, "b": 0.0})]
+    assert math.isnan(cli._worst(reports))
+    assert math.isnan(cli._worst(reports, "b"))
+    assert cli._worst(reports, "a") == 1.0 and type(cli._worst(reports, "a")) is float
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("euclidean-closed-form", {"count": 2, "dims": [2, 2]}),
+    ("hs-doubling", {"count": 2, "dims": [cli.corpus_gen._euclidean(2)], "tol": 1e-10}),
+], ids=["closed-form", "hs-doubling"])
+def test_a_nan_corpus_error_fails_the_claim(monkeypatch, kind, params):
+    # max([0.0, nan]) is 0.0: the worst error is taken with NaN kept
+    monkeypatch.setattr(cli, "_corpus_outcomes", lambda *args: [0.0, math.nan])
+    report = cli.CLAIMS[kind][0](params, np.random.default_rng(0), Tolerances())
+    assert report.status == VIOLATED
+    assert all(math.isnan(v) for v in report.residuals.values())
+
+
+@pytest.mark.parametrize("key", ["involution", "anticommutation", "inverse_composition"])
+def test_a_nan_prop1_residual_fails_the_claim(monkeypatch, key):
+    residuals = {"involution": 0.0, "anticommutation": 0.0, "inverse_composition": 0.0,
+                 "norm_excess": 0.0}
+    monkeypatch.setattr(cli, "_corpus_outcomes", lambda *args: [
+        bounded("complexification-witness", True, residuals),
+        bounded("complexification-witness", True, {**residuals, key: math.nan})])
+    report = cli._h_prop1_roundtrip({"count": 2, "half_dims": [1]},
+                                    np.random.default_rng(0), Tolerances())
+    assert report.status == VIOLATED
+    assert math.isnan(report.residuals[key])

@@ -46,9 +46,9 @@ def complex_op(seed=0, dim=4):
 
 def test_ideal_norm_values():
     T = np.diag([3.0, 4.0])
-    assert ideal_norm("operator_norm", T, L2_2, L2_2).value == pytest.approx(4.0)
-    assert ideal_norm("hilbert_schmidt", T, L2_2, L2_2).value == pytest.approx(5.0)
-    assert ideal_norm("trace_norm", T, L2_2, L2_2).value == pytest.approx(7.0)
+    assert ideal_norm("operator_norm", T, L2_2, L2_2) == pytest.approx(4.0)
+    assert ideal_norm("hilbert_schmidt", T, L2_2, L2_2) == pytest.approx(5.0)
+    assert ideal_norm("trace_norm", T, L2_2, L2_2) == pytest.approx(7.0)
 
 
 def test_ideal_norm_respects_weighted_geometry():
@@ -56,7 +56,7 @@ def test_ideal_norm_respects_weighted_geometry():
     from istruct.spaces import NormedSpace, WeightedLp
     cod = NormedSpace(2, WeightedLp(2.0, np.array([4.0, 4.0])))
     v = ideal_norm("operator_norm", np.eye(2), L2_2, cod)
-    assert v.value == pytest.approx(2.0)
+    assert v == pytest.approx(2.0)
 
 
 def test_ideal_norm_requires_euclidean():
@@ -120,7 +120,7 @@ def reference_real(oracle, item):
     if isinstance(d, NoOperators):
         return False
     if isinstance(d, NormThreshold):
-        value = ideal_norm(d.functional, item.matrix, item.domain, item.codomain).value
+        value = ideal_norm(d.functional, item.matrix, item.domain, item.codomain)
         return value <= d.bound + THRESHOLD_ATOL
     if isinstance(d, RankThreshold):
         return int(np.linalg.matrix_rank(item.matrix)) <= d.r
@@ -254,7 +254,7 @@ def test_stacked_ideal_norms_are_bitwise_per_matrix(functional):
         dom, cod = random_euclidean_space(n, rng, True), random_euclidean_space(m, rng, True)
         Ts = rng.standard_normal((20, m, n))
         stacked = ideal_norms(functional, Ts, dom, cod)
-        assert stacked.tolist() == [ideal_norm(functional, T, dom, cod).value for T in Ts]
+        assert stacked.tolist() == [ideal_norm(functional, T, dom, cod) for T in Ts]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,7 @@ def test_realified_norm_threshold_matches_base():
         T = rng.standard_normal((2, 2))
         item = real_op(T)
         expected = ideal_norm("operator_norm", T, item.domain,
-                              item.codomain).value <= 1.0 + 1e-9
+                              item.codomain) <= 1.0 + 1e-9
         assert decide_real(dropped, [item])[0] == expected
 
 
@@ -546,8 +546,8 @@ def test_hs_norm_doubles_by_sqrt2():
     from istruct.structures import natural_i_operator
     dom2 = natural_i_operator(item.domain).space
     cod2 = natural_i_operator(item.codomain).space
-    base = ideal_norm("hilbert_schmidt", T, item.domain, item.codomain).value
-    doubled = ideal_norm("hilbert_schmidt", block_diag2(T), dom2, cod2).value
+    base = ideal_norm("hilbert_schmidt", T, item.domain, item.codomain)
+    doubled = ideal_norm("hilbert_schmidt", block_diag2(T), dom2, cod2)
     assert doubled == pytest.approx(math.sqrt(2.0) * base, rel=1e-12)
 
 

@@ -18,9 +18,10 @@ from istruct.morphisms import (RespectingOperator, _inverses, block_diag2,
                                matrix_norm_between, surjection_first,
                                surjection_second)
 from istruct.pelczynski import factorization_hypothesis_check
-from istruct.spaces import NormedSpace, Polyhedral, lp_space
+from istruct.spaces import NormedSpace, Polyhedral, euclidean_space, lp_space
 from istruct.structures import (BY_CONSTRUCTION, ComplexStructure,
-                                natural_i_operator, validate_i_operator)
+                                natural_i_operator, search_i_operator,
+                                validate_i_operator)
 from istruct.theory import (build_complexification_witness, extract_conjugation,
                             split_structure, squares_isomorphism,
                             verify_complex_cartesian_identities)
@@ -253,3 +254,19 @@ def test_non_finite_operator_is_a_typed_error(entry, bad):
     T = np.diag([1.0, bad])
     with pytest.raises(IstructError, match="finite"):
         _TAKES_AN_OPERATOR[entry](T)
+
+
+def test_a_nan_respect_residual_fails_its_tolerance():
+    # A = [[0, -10], [0.1, 0]] with an exact certificate; for the finite
+    # T = 1e308 (1 1; 1 1), T A - A T is [[inf, nan], [0, -inf]], whose max
+    # entry is NaN, which "r > tol" let through
+    s = search_i_operator(euclidean_space(2, np.diag([1.0, 100.0]))).found
+    assert s.certificate.exact
+    big = make_respecting(s, s, 1e154 * np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RespectViolationError) as exc_info:
+            make_respecting(s, s, 1e308 * np.ones((2, 2)))
+        assert np.isnan(exc_info.value.residual)
+        # f g = 1e308 I: T A - A T is [[0, nan], [0, 0]]
+        with pytest.raises(RespectViolationError):
+            compose(big, big)

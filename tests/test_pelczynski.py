@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import istruct
+from istruct import pelczynski
 from istruct.errors import IstructError
 from istruct.pelczynski import (ATOMS, FORWARD, REVERSE, RULES, Atom,
                                 ChainDerivation, Step, SumExpr, apply_rule,
@@ -338,3 +339,27 @@ def test_factorization_check_fails_for_identity():
     rep = factorization_hypothesis_check(np.eye(2), np.eye(2), s)
     assert rep.status == "violated"
     assert "R_respects(A,-A)" in rep.witness["failed"]
+
+
+def test_factorization_check_of_non_finite_products_is_violated():
+    # R and S are finite and respect (A, -A) and (-A, A) exactly, but R S - I
+    # overflows and S R has inf entries, whose SVD raised LinAlgError
+    R = np.array([[1e200, 1e200], [1e200, -1e200]])
+    S = np.array([[1e200, -1e200], [-1e200, -1e200]])
+    s = validate_i_operator(lp_space(2, 2.0), J2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = factorization_hypothesis_check(R, S, s)
+    assert rep.status == "violated"
+    assert rep.residuals["R_respects(A,-A)"] == rep.residuals["S_respects(-A,A)"] == 0.0
+    assert list(rep.witness["failed"]) == ["RS_minus_I", "projection"]
+    assert not any(np.isfinite(list(rep.witness["failed"].values())))
+    assert rep.notes == []
+
+
+def test_a_nan_respect_residual_fails_the_factorization_check(monkeypatch):
+    monkeypatch.setattr(pelczynski, "_respect_residuals",
+                        lambda *args: ([float("nan")], [None]))
+    flip = np.diag([1.0, -1.0])
+    rep = factorization_hypothesis_check(flip, flip, validate_i_operator(lp_space(2, 2.0), J2))
+    assert rep.status == "violated"
+    assert list(rep.witness["failed"]) == ["R_respects(A,-A)", "S_respects(-A,A)"]

@@ -16,7 +16,8 @@ from istruct.spaces import (NormedSpace, Polyhedral, SubspaceNorm, WeightedLp,
                             direct_sum, euclidean_gram, euclidean_space,
                             lp_space, norm, norm_batch)
 from istruct.structures import (BY_CONSTRUCTION, FOUND, NONE_FINITE_GROUP,
-                                ODD_DIMENSION, UNDECIDED, ComplexStructure,
+                                ODD_DIMENSION, UNDECIDED, Certificate,
+                                ComplexStructure,
                                 _sampled_isometry_residual,
                                 certify, complex_scalar_action,
                                 conjugate_structure, natural_i_operator,
@@ -592,3 +593,11 @@ def test_search_undecided_when_gram_too_ill_conditioned():
     with pytest.raises(StructureValidationError):
         validate_i_operator(space, result.best_candidate)
 
+
+@pytest.mark.parametrize("residuals", [(math.nan, 0.0), (0.0, math.nan)],
+                         ids=["algebraic", "isometry"])
+def test_a_nan_certificate_residual_rejects_the_candidate(monkeypatch, residuals):
+    monkeypatch.setattr(structures, "certify",
+                        lambda *args, **kwargs: Certificate(*residuals, 0, True))
+    with pytest.raises(StructureValidationError):
+        validate_i_operator(lp_space(2, 2.0), J2)

@@ -1,10 +1,12 @@
 import itertools
+import math
 import re
 import time
 
 import numpy as np
 import pytest
 
+from istruct import theory
 from istruct.config import DEFAULT_TOL, Tolerances
 from istruct.corpus import (random_complexification_isomorphism,
                             random_exact_structure)
@@ -479,3 +481,66 @@ def test_theorem_complex_structure_sensitive_oracle_violated():
     # over a corpus of random signed pairings both signs of the probed entry
     # occur, so the unfolded oracle disagrees with the direct one
     assert rep.status == "violated"
+
+
+# a NaN residual fails every tolerance test, wherever it stands: Python's
+# max(0.0, nan) is 0.0, and nan > tol is False
+_NAN_PAIRS = [(math.nan, 0.0), (0.0, math.nan)]
+
+
+def _planted_involution_residuals(monkeypatch, a, b):
+    monkeypatch.setattr(theory, "_involution_residuals",
+                        lambda Ts, As: (np.full(len(Ts), a), np.full(len(Ts), b)))
+
+
+@pytest.mark.parametrize("a, b", _NAN_PAIRS)
+def test_a_nan_involution_residual_fails_the_conjugation(monkeypatch, a, b):
+    _, iso = random_complexification_isomorphism(1, np.random.default_rng(0))
+    _planted_involution_residuals(monkeypatch, a, b)
+    with pytest.raises(WitnessError, match="involution/anticommutation"):
+        extract_conjugation(iso)
+
+
+@pytest.mark.parametrize("a, b", _NAN_PAIRS)
+def test_a_nan_involution_residual_fails_the_witness(monkeypatch, a, b):
+    s = validate_i_operator(lp_space(2, 2.0), J2)
+    _planted_involution_residuals(monkeypatch, a, b)
+    with pytest.raises(WitnessError, match="anticommuting involution"):
+        build_complexification_witness(s, np.diag([1.0, -1.0]))
+
+
+def _planted_deviations(monkeypatch, d1, d2):
+    deviations = theory._cartesian_deviations
+
+    def planted(Ts):
+        TT, _, _ = deviations(Ts)
+        return TT, np.full(len(Ts), d1), np.full(len(Ts), d2)
+    monkeypatch.setattr(theory, "_cartesian_deviations", planted)
+
+
+def test_a_nan_deviation_fails_the_real_cartesian_identities(monkeypatch):
+    # max(nan, 0.0) is NaN, which fails "== 0.0"; max(0.0, nan) was 0.0
+    _planted_deviations(monkeypatch, 0.0, math.nan)
+    assert verify_real_cartesian_identities(np.ones((2, 3))).status == "violated"
+
+
+@pytest.mark.parametrize("d1, d2", _NAN_PAIRS)
+def test_a_nan_deviation_fails_the_complex_cartesian_identities(monkeypatch, d1, d2):
+    s = validate_i_operator(lp_space(2, 2.0), J2)
+    op = random_respecting_operator(s, s, np.random.default_rng(3))
+    _planted_deviations(monkeypatch, d1, d2)
+    rep = verify_complex_cartesian_identities(op)
+    assert rep.status == "violated"
+    assert list(rep.witness["failed"]) == (["restriction"] if math.isnan(d1)
+                                           else ["reassembly"])
+
+
+def test_a_nan_respect_residual_fails_the_complex_cartesian_identities(monkeypatch):
+    s = validate_i_operator(lp_space(2, 2.0), J2)
+    op = random_respecting_operator(s, s, np.random.default_rng(3))
+    residuals = theory._respect_residuals
+    monkeypatch.setattr(theory, "_respect_residuals", lambda *args: (
+        [math.nan] * len(residuals(*args)[0]), None))
+    rep = verify_complex_cartesian_identities(op)
+    assert rep.status == "violated"
+    assert len(rep.witness["failed"]) == 11
