@@ -43,9 +43,10 @@ from .structures import (BY_CONSTRUCTION, DEFAULT_SAMPLE_ANGLES,
                          natural_i_operator_matrix, reevaluate_witness,
                          search_i_operator, validate_i_operator,
                          witness_to_dict)
-from .theory import (HYP_TOL, NORM_SLACK, _complex_cartesian_reports,
-                     _conjugations, _real_cartesian_reports, _squares_reports,
-                     _witnesses, verify_theorem_complex, verify_theorem_real)
+from .theory import (HYP_TOL, NORM_SLACK, REAL_CARTESIAN, _complex_cartesian_check,
+                     _complex_cartesian_residuals, _conjugations, _real_cartesian_residuals,
+                     _squares_check, _squares_residuals, _witnesses,
+                     verify_theorem_complex, verify_theorem_real)
 
 SCHEMA_VERSION = 1
 
@@ -246,9 +247,9 @@ def _h_euclidean_closed_form(params, rng, tol):
                                      else np.broadcast_to(np.eye(dim), (len(X), dim, dim)))
         closed = _gram_complexification_norms(grams, X, Y)
         defined = np.sqrt(np.mean(_gram_norms(grams, rows) ** 2, axis=1))
-        return zip(np.abs(closed - defined).tolist(), errors)
+        return np.abs(closed - defined), errors
 
-    worst = float(np.max(_corpus_outcomes(rng, params["count"], draw, check)))
+    worst = float(np.max(_corpus_outcomes(rng, params["count"], draw, check)[0]))
     return bounded("euclidean-closed-form", worst <= 1e-10,
                    {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
 
@@ -339,16 +340,6 @@ def _h_reject_structure(params, rng, tol):
         notes=["candidate rejected as required"])
 
 
-def _erred(outcome, error) -> bool:
-    """An item fails when its check raised."""
-    return error is not None
-
-
-def _failed(report, error) -> bool:
-    """An item fails when its check raised or its report is not ok."""
-    return error is not None or not report.ok
-
-
 def _drawn_groups(rng, count: int, draw: Callable) -> dict:
     """shape -> (indices, items) of a corpus of count items: draw(stream) is
     called count times in order, each giving (shape, item), and the items are
@@ -370,40 +361,45 @@ def _drawn_groups(rng, count: int, draw: Callable) -> dict:
 
 
 def _corpus_outcomes(rng, count: int, draw: Callable, check: Callable,
-                     fails: Callable = _erred) -> list:
+                     bounds: np.ndarray = None) -> tuple:
     """Run a corpus of count items a shape group at a time.  The items are
     drawn and grouped by _drawn_groups, and check(shape, items) of each group
-    gives (outcome, error) pairs in the group's order.  The result is the
-    outcomes in corpus order up to and including the first item for which
-    fails(outcome, error) holds, where a loop over the items would stop: an
-    error there is raised.  Groups whose items all lie beyond that point are
-    not checked."""
-    out: dict = {}
-    stop = None
+    gives (R, errors): a row of R per item in the group's order, and the
+    error of each item whose check raised (None elsewhere; () if none can).
+    An item fails where its check raised or, given bounds, where a value of
+    its row is not within its column's bound.  At the first failing item in
+    corpus order a loop over the items would stop: an error there is raised,
+    and groups whose items all lie beyond it are not checked.  The result is
+    the rows of the checked groups and that item as (shape, item, row), or None."""
+    rows, stop = [], None  # stop: (corpus index, shape, item, row, error)
     for shape, (idx, items) in _drawn_groups(rng, count, draw).items():
-        if stop is not None and idx[0] > stop:
+        if stop is not None and idx[0] > stop[0]:
             break
-        for i, (outcome, error) in zip(idx, check(shape, items)):
-            out[i] = outcome, error
-            if fails(outcome, error) and (stop is None or i < stop):
-                stop = i
-    if stop is not None and out[stop][1] is not None:
-        raise out[stop][1]
-    return [out[i][0] for i in range(len(out) if stop is None else stop + 1)]
+        R, errors = check(shape, items)
+        failing = [j for j, e in enumerate(errors) if e is not None]
+        if bounds is not None:
+            failing += np.flatnonzero(~np.all(R <= bounds, axis=1)).tolist()
+        if failing and (stop is None or idx[min(failing)] < stop[0]):
+            j = min(failing)
+            stop = idx[j], shape, items[j], R[j], errors[j] if errors else None
+        rows.append(R)
+    if stop is not None and stop[4] is not None:
+        raise stop[4]
+    return np.concatenate(rows), stop and stop[1:4]
 
 
-def _verdict(reports: list, residuals: dict) -> VerificationReport:
-    """A corpus claim's report: its last item's when that one failed, or else
-    verified with the corpus's worst residuals, under its items' claim and tolerances."""
-    last = reports[-1]
-    return last if not last.ok else bounded(last.claim, True, residuals, last.tolerances)
-
-
-def _worst(reports: list, key: str = None) -> float:
-    """The largest residual under key of any report (under any key when key
-    is None), NaN if any is NaN, and 0 for no reports."""
-    return float(np.max([0.0, *(v for r in reports for v in (
-        r.residuals.values() if key is None else [r.residuals[key]]))]))
+def _verdict(check, outcome: tuple, worst: dict,
+             witness: Callable = lambda shape, item: None) -> VerificationReport:
+    """A corpus claim's report from its _corpus_outcomes within check.bounds
+    (check a theory._Residuals): its first failing item's, witness(shape, item)
+    the witness, or else verified with the worst residuals, worst naming the
+    columns each is the largest of (NaN if any is NaN)."""
+    R, failing = outcome
+    if failing is not None:
+        shape, item, row = failing
+        return check.report(row, witness(shape, item))
+    return bounded(check.claim, True, {key: float(np.max(R[:, columns]))
+                                       for key, columns in worst.items()}, check.tolerances)
 
 
 def _h_prop1_roundtrip(params, rng, tol):
@@ -416,11 +412,12 @@ def _h_prop1_roundtrip(params, rng, tol):
         Ts, conj_errors = _conjugations(c.S0, c.A, natural_i_operator_matrix(m),
                                         tol=HYP_TOL)
         w = _witnesses(c.A, Ts, c.gram, c.whitening, None, tol=tol)
-        return zip(w.outcomes, first_errors(c.errors, conj_errors, w.errors))
+        return (np.array([[r.residuals[key] for key in keys] if r else [0.0] * 4
+                          for r in w.outcomes]), first_errors(c.errors, conj_errors, w.errors))
 
-    reports = _corpus_outcomes(rng, params["count"], draw, check)
-    worst = {key: _worst(reports, key) for key in
-             ("involution", "anticommutation", "inverse_composition", "norm_excess")}
+    keys = ("involution", "anticommutation", "inverse_composition", "norm_excess")
+    R = _corpus_outcomes(rng, params["count"], draw, check)[0]
+    worst = {key: float(np.max(R[:, j])) for j, key in enumerate(keys)}
     ok = (all(worst[key] <= HYP_TOL for key in
               ("involution", "anticommutation", "inverse_composition"))
           and worst["norm_excess"] <= NORM_SLACK)
@@ -433,13 +430,16 @@ def _h_squares(params, rng, tol):
         space = params["dims"][stream.below(len(params["dims"]))]
         return space, stream.pairing(space.dim)
 
-    reports = _corpus_outcomes(rng, params["count"], draw, lambda space, pairings: zip(
-        *_squares_reports(space, corpus_gen._pairing_matrices(space.dim, pairings),
-                          [BY_CONSTRUCTION] * len(pairings), tol=tol)),
-        _failed)
-    return _verdict(reports, {
-        "worst_respect": _worst(reports, "respect"),
-        "worst_inverse_composition": _worst(reports, "inverse_composition")})
+    def check(space, pairings):
+        return _squares_residuals(space, corpus_gen._pairing_matrices(space.dim, pairings),
+                                  [BY_CONSTRUCTION] * len(pairings), tol=tol)
+
+    squares = _squares_check(tol)
+    return _verdict(
+        squares, _corpus_outcomes(rng, params["count"], draw, check, squares.bounds),
+        {"worst_respect": 0, "worst_inverse_composition": 1},
+        lambda space, pairing: {"A": corpus_gen._pairing_matrices(
+            space.dim, [pairing])[0].tolist()})
 
 
 def _h_real_cartesian(params, rng, tol):
@@ -450,11 +450,10 @@ def _h_real_cartesian(params, rng, tol):
         n = 1 + stream.below(max_dim)
         return (m, n), rng.standard_normal((m, n))
 
-    reports = _corpus_outcomes(
-        rng, params["count"], draw,
-        lambda shape, Ts: ((r, None) for r in _real_cartesian_reports(np.stack(Ts))),
-        _failed)
-    return _verdict(reports, {"worst_deviation": _worst(reports)})
+    outcome = _corpus_outcomes(rng, params["count"], draw, lambda shape, Ts: (
+        _real_cartesian_residuals(np.stack(Ts)), ()), REAL_CARTESIAN.bounds)
+    return _verdict(REAL_CARTESIAN, outcome, {"worst_deviation": slice(None)},
+                    lambda shape, T: {"shape": list(shape)})
 
 
 def _draw_complex_op(rng, stream, spaces) -> tuple:
@@ -489,13 +488,12 @@ def _random_complex_corpus(rng, spaces, count) -> GroupedCorpus:
 
 def _h_complex_cartesian(params, rng, tol):
     def check(shape, draws):
-        return ((r, None) for r in _complex_cartesian_reports(
-            *_complex_ops(shape, draws), tol=tol, corrupt_annotation=params["corrupt"]))
+        return _complex_cartesian_residuals(*_complex_ops(shape, draws), params["corrupt"]), ()
 
-    reports = _corpus_outcomes(
+    identities = _complex_cartesian_check(tol, params["corrupt"])
+    return _verdict(identities, _corpus_outcomes(
         rng, params["count"], lambda stream: _draw_complex_op(rng, stream, params["dims"]),
-        check, _failed)
-    return _verdict(reports, {"worst": _worst(reports)})
+        check, identities.bounds), {"worst": slice(None)})
 
 
 def _draw_real_op(rng, stream, spaces) -> tuple:
@@ -532,11 +530,11 @@ def _h_hs_doubling(params, rng, tol):
         dom2 = direct_sum(dom, dom, "complexification")
         cod2 = direct_sum(cod, cod, "complexification")
         doubled = ideal_norms(HILBERT_SCHMIDT, block_diag2(Ts), dom2, cod2)
-        return ((d, None) for d in np.abs(doubled - math.sqrt(2.0) * base).tolist())
+        return np.abs(doubled - math.sqrt(2.0) * base), ()
 
     worst = float(np.max(_corpus_outcomes(
         rng, params["count"], lambda stream: _draw_real_op(rng, stream, params["dims"]),
-        check)))
+        check)[0]))
     return bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
                    {"abs": bound}, {"worst": worst})
 

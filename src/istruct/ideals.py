@@ -8,8 +8,10 @@ depends only on a space (its whitening factors, its complexification and the
 natural i-operator there) is cached on the space.  A corpus is either a
 GroupedCorpus, already held in those groups (the CLI draws its corpora that
 way), or a sequence of operators, which each public call groups once on
-entry; its later decisions (conjugate, square, unfolded) run on the same
-groups.  A shape error names the first misshapen operator in corpus order.
+entry; its later decisions run on the same groups, and an oracle that reads
+no structure (any but a predicate) decides the conjugates as the direct
+operators and the theorem's unfolded ones as the squares.  A shape error
+names the first misshapen operator in corpus order.
 
 Threshold-style oracles are decision instruments for exercising the
 transforms; they are not operator ideals in the closed-under-addition sense,
@@ -342,13 +344,25 @@ def audit_self_conjugacy(oracle: IdealOracle,
     """
     _descriptor(oracle, "complex")
     corpus = _grouped_corpus(corpus, "complex")
-    return _audit(oracle, corpus, _members(oracle, corpus.groups), tol=tol)
+    return _audit(oracle, corpus, _members(oracle, corpus.groups), tol=tol)[0]
+
+
+def _reads_structures(oracle: IdealOracle) -> bool:
+    """Whether a complex oracle may read A and B: a predicate may, also under
+    ConjugateOf; any other decides [T, A, B] on T and the spaces alone."""
+    d = oracle.descriptor
+    while isinstance(d, ConjugateOf):
+        d = d.base.descriptor
+    return isinstance(d, MatrixPredicate)
 
 
 def _audit(oracle: IdealOracle, corpus: GroupedCorpus, direct: np.ndarray, *,
-           tol: Tolerances) -> VerificationReport:
-    """audit_self_conjugacy of a grouped corpus and its decisions."""
-    conjugated = _members(conjugate_ideal(oracle), corpus.groups)
+           tol: Tolerances) -> tuple:
+    """audit_self_conjugacy of a grouped corpus and its decisions, and the
+    decisions of the squares.  The conjugate decisions of an oracle that
+    reads no structure are its direct ones."""
+    conjugated = (_members(conjugate_ideal(oracle), corpus.groups)
+                  if _reads_structures(oracle) else direct)
     square = _members(oracle, _squares(corpus, tol=tol))
     conj_mismatch = [{"index": int(i)} for i in np.flatnonzero(conjugated != direct)]
     square_fwd = [{"index": int(i)} for i in np.flatnonzero(direct & ~square)]
@@ -361,7 +375,7 @@ def _audit(oracle: IdealOracle, corpus: GroupedCorpus, direct: np.ndarray, *,
         witness={"conjugation": conj_mismatch, "square_forward": square_fwd,
                  "square_backward": square_bwd},
         notes=[DECISION_NOTE,
-               "no violation on a finite corpus is not a proof of self-conjugacy"])
+               "no violation on a finite corpus is not a proof of self-conjugacy"]), square
 
 
 # ---------------------------------------------------------------------------

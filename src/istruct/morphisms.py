@@ -85,7 +85,8 @@ def _respect_residuals(Ts: np.ndarray, As, Bs, tol: Tolerances) -> tuple:
     Bs stacks or one matrix for all, as a list; and for each, the
     RespectViolationError (with the max-entry witness) of a residual above
     tol.tol_alg or NaN, or None."""
-    R = Ts @ As - Bs @ Ts
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
+        R = Ts @ As - Bs @ Ts
     res = np.max(np.abs(R), axis=(1, 2)).tolist()
     return res, [_respect_violation(R[j], r, tol) if not r <= tol.tol_alg else None
                  for j, r in enumerate(res)]

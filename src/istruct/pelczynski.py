@@ -297,13 +297,14 @@ def factorization_hypothesis_check(R, S, s: ComplexStructure, *,
     n = s.space.dim
     R = _checked_operator(R, s.space, s.space, "R")
     S = _checked_operator(S, s.space, s.space, "S")
-    residuals = {
-        "RS_minus_I": float(np.max(np.abs(R @ S - np.eye(n)))),
-        "R_respects(A,-A)": _respect_residuals(R[None], A, -A, tol)[0][0],
-        "S_respects(-A,A)": _respect_residuals(S[None], -A, A, tol)[0][0],
-    }
-    P = S @ R
-    residuals["projection"] = float(np.max(np.abs(P @ P - P)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
+        residuals = {
+            "RS_minus_I": float(np.max(np.abs(R @ S - np.eye(n)))),
+            "R_respects(A,-A)": _respect_residuals(R[None], A, -A, tol)[0][0],
+            "S_respects(-A,A)": _respect_residuals(S[None], -A, A, tol)[0][0],
+        }
+        P = S @ R
+        residuals["projection"] = float(np.max(np.abs(P @ P - P)))
     notes = []
     if np.all(np.isfinite(P)):  # else no SVD of P, and its residual is not finite
         U, sv, Vt = np.linalg.svd(P)

@@ -5,11 +5,12 @@ real/complex transform roundtrip checks for membership oracles.
 The witnesses, squares and identities are checked a shape group at a time:
 each has a private kernel over stacks of k items of one shape (matrices, and
 the certificates squares inherit) that makes every check of its single-item
-function and returns, per item, the values and the error the single-item call
-would raise (None if it passes).  The public single-item function is the
-kernel's call with k = 1, unwrapped by errors.single, and alone builds its
-structure or operator objects.  A caller that stacks a corpus raises the
-error of its first failing item in corpus order.
+function.  It returns the witness reports, or for squares and identities a
+row of residuals per item (read by their _Residuals), and the error of each
+item that the single-item call would raise (None where it passes).  The
+public single-item function is the kernel's call with k = 1, unwrapped by
+errors.single, and alone builds its structure or operator objects.  A caller
+that stacks a corpus raises the error of its first failing item in corpus order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import WitnessError, first_errors, single
 from .ideals import (DECISION_NOTE, _audit, _grouped_corpus, _members,
-                     complexify_ideal, decide_real, realify_ideal)
+                     _reads_structures, complexify_ideal, decide_real, realify_ideal)
 from .morphisms import (RANK_RTOL, RespectingOperator, _fitted_matrix, _inverses,
                         _respect_residuals, _singular_values, _split_matrix,
                         injection_first, injection_second,
@@ -36,6 +37,23 @@ from .structures import (ComplexStructure, _split_on, natural_i_operator,
 
 HYP_TOL = 1e-8  # residuals of T as an anticommuting involution, and of S^-1 S - I
 NORM_SLACK = 1e-6  # how far ||S|| may exceed ||I + T||
+
+
+class _Residuals(NamedTuple):
+    """A claim's items read off their rows of residuals, a column per name:
+    an item holds iff each lies within its column's bound (a NaN does not)."""
+
+    claim: str
+    names: tuple
+    bounds: np.ndarray
+    tolerances: dict  # as the reports state them
+
+    def report(self, row: np.ndarray, witness=None) -> VerificationReport:
+        """One item's report; a failure's witness is by default its failing residuals."""
+        row = row.tolist()
+        bad = {k: v for k, v, b in zip(self.names, row, self.bounds.tolist()) if not v <= b}
+        return bounded(self.claim, not bad, dict(zip(self.names, row)), self.tolerances,
+                       {"failed": bad} if witness is None else witness)
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +316,27 @@ def _squares_isomorphisms(space: NormedSpace, As: np.ndarray,
 
 def verify_squares_isomorphism(s: ComplexStructure, *,
                                tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
-    reports, errors = _squares_reports(s.space, s.A[None], [s.certificate], tol=tol)
-    return single(reports[0], errors[0])
+    R, errors = _squares_residuals(s.space, s.A[None], [s.certificate], tol=tol)
+    return single(_squares_check(tol).report(R[0], {"A": s.A.tolist()}), errors[0])
 
 
-def _squares_reports(space: NormedSpace, As: np.ndarray, certificates: Sequence,
-                     *, tol: Tolerances) -> tuple:
+def _squares_check(tol: Tolerances) -> _Residuals:
+    return _Residuals("square-space-isomorphism", ("respect", "inverse_composition"),
+                      np.array([tol.tol_alg, 1e-12]),
+                      {"respect": tol.tol_alg, "inverse": 1e-12})
+
+
+def _squares_residuals(space: NormedSpace, As: np.ndarray, certificates: Sequence,
+                       *, tol: Tolerances) -> tuple:
     """verify_squares_isomorphism of each structure [space, A] of a stack As
-    (k, n, n), certified by certificates: the reports, and the error of each
-    whose isomorphism fails (None where it holds)."""
+    (k, n, n), certified by certificates: its row of _squares_check residuals,
+    and the error of each whose isomorphism fails (None where it holds)."""
     Ms, _, res, errors = _squares_isomorphisms(space, As, certificates, tol=tol)
     inv = squares_isomorphism_inverse_matrix(As)
     eye = np.eye(Ms.shape[-1])
     dev = np.maximum(np.max(np.abs(inv @ Ms - eye), axis=(1, 2)),
-                     np.max(np.abs(Ms @ inv - eye), axis=(1, 2))).tolist()
-    return [None if e else bounded(
-        "square-space-isomorphism", r <= tol.tol_alg and d <= 1e-12,
-        {"respect": r, "inverse_composition": d},
-        {"respect": tol.tol_alg, "inverse": 1e-12}, {"A": A.tolist()})
-        for e, r, d, A in zip(errors, res, dev, As)], errors
+                     np.max(np.abs(Ms @ inv - eye), axis=(1, 2)))
+    return np.stack([res, dev], axis=1), errors
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +346,9 @@ def _squares_reports(space: NormedSpace, As: np.ndarray, certificates: Sequence,
 def verify_real_cartesian_identities(T) -> VerificationReport:
     """T = Q1 (T (+) T) J1 and T (+) T = J1 T Q1 + J2 T Q2, as exact matrix
     equalities for an arbitrary rectangular T."""
-    return _real_cartesian_reports(np.asarray(T, dtype=float)[None])[0]
+    T = np.asarray(T, dtype=float)
+    return REAL_CARTESIAN.report(_real_cartesian_residuals(T[None])[0],
+                                 {"shape": list(T.shape)})
 
 
 def _cartesian_deviations(Ts: np.ndarray) -> tuple:
@@ -342,13 +364,13 @@ def _cartesian_deviations(Ts: np.ndarray) -> tuple:
     return TT, restriction, reassembly
 
 
-def _real_cartesian_reports(Ts: np.ndarray) -> list:
-    """verify_real_cartesian_identities of each matrix of a stack (k, m, n)."""
-    _, dev1, dev2 = _cartesian_deviations(Ts)
-    return [bounded("real-cartesian-identities", d1 == 0.0 and d2 == 0.0,
-                    {"restriction": d1, "reassembly": d2}, {"deviation": 0.0},
-                    {"shape": list(Ts.shape[1:])})
-            for d1, d2 in zip(dev1.tolist(), dev2.tolist())]
+REAL_CARTESIAN = _Residuals("real-cartesian-identities", ("restriction", "reassembly"),
+                            np.zeros(2), {"deviation": 0.0})
+
+
+def _real_cartesian_residuals(Ts: np.ndarray) -> np.ndarray:
+    """The rows of REAL_CARTESIAN residuals of a stack of matrices (k, m, n)."""
+    return np.stack(_cartesian_deviations(Ts)[1:], axis=1)
 
 
 def verify_complex_cartesian_identities(op: RespectingOperator, *,
@@ -366,58 +388,42 @@ def verify_complex_cartesian_identities(op: RespectingOperator, *,
     With corrupt_annotation=True the J2 factor is deliberately annotated as
     respecting (A, A(+)-A); the report then records the violation witness.
     """
-    return _complex_cartesian_reports(
-        _fitted_matrix(op)[None], op.domain.A[None], op.codomain.A[None], tol=tol,
-        corrupt_annotation=corrupt_annotation)[0]
+    R = _complex_cartesian_residuals(_fitted_matrix(op)[None], op.domain.A[None],
+                                     op.codomain.A[None], corrupt_annotation)
+    return _complex_cartesian_check(tol, corrupt_annotation).report(R[0])
 
 
-def _complex_cartesian_reports(Ts: np.ndarray, As: np.ndarray, Bs: np.ndarray, *,
-                               tol: Tolerances, corrupt_annotation: bool) -> list:
-    """verify_complex_cartesian_identities of each [T, A, B] of the stacks
-    Ts (k, m, n), As (k, n, n) and Bs (k, m, m)."""
-    n, m = As.shape[-1], Bs.shape[-1]
+_RESPECTS = ("J1_X(A,split)", "TT(split,split)", "Q1_Y(split,B)", "Q1_X(split,A)",
+             "J1_Y(B,split)", "T(A,B)", "Q2_X(split,-A)", "T(-A,-B)", "J2_Y(-B,split)",
+             "J2_X(-A,split)", "Q2_Y(split,-B)")
+
+
+def _complex_cartesian_check(tol: Tolerances, corrupt_annotation: bool) -> _Residuals:
+    # the wrong claim that J2 respects (A, A (+) -A) comes last
+    respects = _RESPECTS + ("J2_X(A,split)",) * corrupt_annotation
+    return _Residuals("complex-cartesian-identities",
+                      respects + ("restriction", "reassembly", "conjugate_restriction"),
+                      np.repeat([tol.tol_alg, tol.abs_tol], [len(respects), 3]),
+                      {"respect": tol.tol_alg, "deviation": tol.abs_tol})
+
+
+def _complex_cartesian_residuals(Ts: np.ndarray, As: np.ndarray, Bs: np.ndarray,
+                                 corrupt_annotation: bool) -> np.ndarray:
+    """The rows of _complex_cartesian_check residuals of each [T, A, B] of the
+    stacks Ts (k, m, n), As (k, n, n) and Bs (k, m, m)."""
     A2, B2 = _split_matrix(As), _split_matrix(Bs)
     TT, restriction, reassembly = _cartesian_deviations(Ts)
-    j1x, j2x = injection_first(n), injection_second(n)
-    q1x, q2x = surjection_first(n), surjection_second(n)
-    j1y, j2y = injection_first(m), injection_second(m)
-    q1y, q2y = surjection_first(m), surjection_second(m)
-
-    def rr(L, Adom, Acod):
-        return _respect_residuals(L, Adom, Acod, tol)[0]
-
-    residuals = {
-        "J1_X(A,split)": rr(j1x, As, A2),
-        "TT(split,split)": rr(TT, A2, B2),
-        "Q1_Y(split,B)": rr(q1y, B2, Bs),
-        "Q1_X(split,A)": rr(q1x, A2, As),
-        "J1_Y(B,split)": rr(j1y, Bs, B2),
-        "T(A,B)": rr(Ts, As, Bs),
-        "Q2_X(split,-A)": rr(q2x, A2, -As),
-        "T(-A,-B)": rr(Ts, -As, -Bs),
-        "J2_Y(-B,split)": rr(j2y, -Bs, B2),
-        "J2_X(-A,split)": rr(j2x, -As, A2),
-        "Q2_Y(split,-B)": rr(q2y, B2, -Bs),
-    }
-    if corrupt_annotation:
-        # wrong claim: J2 respects (A, A (+) -A)
-        residuals["J2_X(A,split)"] = rr(j2x, As, A2)
-    deviations = {
-        "restriction": restriction, "reassembly": reassembly,
-        "conjugate_restriction": np.max(np.abs(Ts - q2y @ TT @ j2x), axis=(1, 2))}
-
-    reports = []
-    for res_row, dev_row in zip(np.stack(list(residuals.values()), axis=1).tolist(),
-                                np.stack(list(deviations.values()), axis=1).tolist()):
-        res = dict(zip(residuals, res_row))
-        devs = dict(zip(deviations, dev_row))
-        bad = {key: v for key, v in res.items() if not v <= tol.tol_alg}
-        bad_dev = {key: v for key, v in devs.items() if not v <= tol.abs_tol}
-        reports.append(bounded(
-            "complex-cartesian-identities", not bad and not bad_dev, {**res, **devs},
-            {"respect": tol.tol_alg, "deviation": tol.abs_tol},
-            {"failed": {**bad, **bad_dev}}))
-    return reports
+    maps = (injection_first, injection_second, surjection_first, surjection_second)
+    j1x, j2x, q1x, q2x = (f(As.shape[-1]) for f in maps)
+    j1y, j2y, q1y, q2y = (f(Bs.shape[-1]) for f in maps)
+    respects = [(j1x, As, A2), (TT, A2, B2), (q1y, B2, Bs), (q1x, A2, As), (j1y, Bs, B2),
+                (Ts, As, Bs), (q2x, A2, -As), (Ts, -As, -Bs), (j2y, -Bs, B2),
+                (j2x, -As, A2), (q2y, B2, -Bs)] + [(j2x, As, A2)] * corrupt_annotation
+    # each the residual of _respect_residuals, whose errors nothing here raises
+    return np.stack([*(np.max(np.abs(L @ Adom - Acod @ L), axis=(1, 2))
+                       for L, Adom, Acod in respects),
+                     restriction, reassembly,
+                     np.max(np.abs(Ts - q2y @ TT @ j2x), axis=(1, 2))], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +465,21 @@ def verify_theorem_complex(oracle, corpus: Sequence, *,
     and the ambient norms only), mirroring the square-space isomorphism.
     Without self_conjugate the audit runs, whose averaged squares need a
     corpus over spaces with a Gram or planes; any other corpus raises
-    StructureValidationError at once (see split_structure).  The corpus is a
-    GroupedCorpus or a sequence of RespectingOperators, grouped once for the
-    audit and both decisions.
+    StructureValidationError at once (see split_structure).  Its squares
+    T (+) T map between the spaces of the unfolded ones (natural_i_operator(X)
+    .space is X's averaged double), so it decides the unfolded operators of an
+    oracle that reads no structure.  The corpus is a GroupedCorpus or a
+    sequence of RespectingOperators, grouped once for all decisions.
     """
     unfolded = complexify_ideal(realify_ideal(oracle))
     corpus = _grouped_corpus(corpus, "complex")
     direct = _members(oracle, corpus.groups)
+    square = None
     if self_conjugate is None:
-        self_conjugate = _audit(oracle, corpus, direct, tol=DEFAULT_TOL).ok
-    back = _members(unfolded, corpus.groups)
+        audit, square = _audit(oracle, corpus, direct, tol=DEFAULT_TOL)
+        self_conjugate = audit.ok
+    back = (square if square is not None and not _reads_structures(oracle)
+            else _members(unfolded, corpus.groups))
     inclusion_violations = [{"index": int(i)}
                             for i in np.flatnonzero(back & ~direct)]
     equality_mismatches = _mismatches(direct, back) if self_conjugate else []

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -18,14 +19,14 @@ from istruct.cli import (bundled_scenario_path, load_scenario, main,
 from istruct.config import Tolerances
 from istruct.corpus import (random_complexification_isomorphism,
                             random_euclidean_space, random_exact_structure)
-from istruct.errors import DescriptorError, IstructError, ScenarioError
+from istruct.errors import DescriptorError, IstructError, ScenarioError, WitnessError
 from istruct.ideals import RealOperator, audit_self_conjugacy, oracle_from_dict
 from istruct.morphisms import RespectingOperator
 from istruct.pelczynski import chain_from_dict, reference_chain
 from istruct.report import VERIFIED, VIOLATED, VerificationReport, bounded
 from istruct.spaces import (complexification_norm, descriptor_from_dict, lp_space,
                             norm_batch, space_from_dict)
-from istruct.structures import ComplexStructure
+from istruct.structures import BY_CONSTRUCTION, ComplexStructure
 from istruct.theory import (HYP_TOL, NORM_SLACK, build_complexification_witness,
                             extract_conjugation,
                             verify_complex_cartesian_identities,
@@ -1132,6 +1133,200 @@ def test_corpus_verdict_states_the_tolerances_its_items_apply():
     assert report["tolerances"] == {"respect": 1e-10, "inverse": 1e-12}
 
 
+# ---------------------------------------------------------------------------
+# The squares and Cartesian claims read their verdicts off residual arrays.
+# The reference below is the per-item path they replaced: the report of each
+# item from its one-item function, the items drawn and grouped as the claim
+# draws them, and the corpus stopped at its first failing item
+# ---------------------------------------------------------------------------
+
+def _per_item_outcomes(rng, count, draw, one) -> list:
+    """The reports up to and including the first failing item in corpus
+    order, one(shape, item) the report of each item; an error there is raised,
+    and groups whose items all lie beyond it are not checked."""
+    out, stop = {}, None
+    for shape, (idx, items) in cli._drawn_groups(rng, count, draw).items():
+        if stop is not None and idx[0] > stop:
+            break
+        for i, item in zip(idx, items):
+            try:
+                out[i] = one(shape, item), None
+            except IstructError as exc:
+                out[i] = None, exc
+            if (out[i][1] is not None or not out[i][0].ok) and (stop is None or i < stop):
+                stop = i
+    if stop is not None and out[stop][1] is not None:
+        raise out[stop][1]
+    return [out[i][0] for i in range(len(out) if stop is None else stop + 1)]
+
+
+def _per_item_verdict(reports, worst) -> VerificationReport:
+    """The last report when it failed, or else verified with, under each key
+    of worst, the largest of the residuals it names (None: all) of any report,
+    NaN if any is NaN."""
+    last = reports[-1]
+    if not last.ok:
+        return last
+    return bounded(last.claim, True, {key: float(np.max([0.0, *(
+        v for r in reports for name, v in r.residuals.items()
+        if names is None or name in names)])) for key, names in worst.items()},
+        last.tolerances)
+
+
+def _per_item_squares(params, rng, tol):
+    def draw(stream):
+        space = params["dims"][stream.below(len(params["dims"]))]
+        return space, stream.pairing(space.dim)
+
+    def one(space, pairing):
+        A = cli.corpus_gen._pairing_matrices(space.dim, [pairing])[0]
+        return verify_squares_isomorphism(ComplexStructure(space, A, BY_CONSTRUCTION), tol=tol)
+
+    return _per_item_verdict(_per_item_outcomes(rng, params["count"], draw, one), {
+        "worst_respect": ["respect"], "worst_inverse_composition": ["inverse_composition"]})
+
+
+def _per_item_real_cartesian(params, rng, tol):
+    def draw(stream):
+        m = 1 + stream.below(params["max_dim"])
+        n = 1 + stream.below(params["max_dim"])
+        return (m, n), rng.standard_normal((m, n))
+
+    return _per_item_verdict(_per_item_outcomes(
+        rng, params["count"], draw, lambda shape, T: verify_real_cartesian_identities(T)),
+        {"worst_deviation": None})
+
+
+def _per_item_complex_cartesian(params, rng, tol):
+    def one(shape, draw):
+        T, A, B = (stack[0] for stack in cli._complex_ops(shape, [draw]))
+        op = RespectingOperator(ComplexStructure(shape[0], A, BY_CONSTRUCTION),
+                                ComplexStructure(shape[1], B, BY_CONSTRUCTION), T, 0.0)
+        return verify_complex_cartesian_identities(op, tol=tol,
+                                                   corrupt_annotation=params["corrupt"])
+
+    return _per_item_verdict(_per_item_outcomes(
+        rng, params["count"], lambda stream: cli._draw_complex_op(rng, stream, params["dims"]),
+        one), {"worst": None})
+
+
+_PER_ITEM = {"squares": _per_item_squares, "real-cartesian": _per_item_real_cartesian,
+             "complex-cartesian": _per_item_complex_cartesian}
+
+
+def test_array_verdicts_report_what_the_per_item_path_reports(handler_rngs):
+    claims = {cid: parsed for cid, parsed in _parsed_claims(_exact_algebra_scenario(7)).items()
+              if parsed[0] in _PER_ITEM}
+    assert sorted(claims) == ["complex-cartesian", "complex-cartesian-corrupt",
+                              "real-cartesian", "squares"]
+    seen = collections.Counter()
+    for seed in (1, 2, 7, 101):
+        for tol in _LOOP_TOLERANCES:
+            for cid, parsed in claims.items():
+                got = cli.run_claim(cid, parsed, seed, tol)["report"]
+                want, rng = _loop_run(cid, parsed, seed, tol, _PER_ITEM[parsed[0]])
+                assert got == want, (cid, seed, tol)
+                assert handler_rngs[-1].bit_generator.state == rng.bit_generator.state
+                seen[cid, got["status"], "error" in (got["witness"] or {})] += 1
+    # real-cartesian is exact at every tolerance and the corrupt claim fails
+    # at every one; the others verify and fail, squares also on an error
+    assert {key[:2] for key in seen} == {
+        ("complex-cartesian", VERIFIED), ("complex-cartesian", VIOLATED),
+        ("complex-cartesian-corrupt", VIOLATED), ("real-cartesian", VERIFIED),
+        ("squares", VERIFIED), ("squares", VIOLATED)}
+    assert seen["squares", VIOLATED, True] > 0
+
+
+def _planted(monkeypatch, kernel: str, plant) -> tuple:
+    """Pass the output of cli's kernel through plant(idx, out), idx the corpus
+    indices of the rows of its group.  Returns (shape, idx) of every group
+    drawn and the idx of every group checked, in order."""
+    drawn, checked = [], []
+    drawn_groups, run = cli._drawn_groups, getattr(cli, kernel)
+
+    def recorded(*args):
+        groups = drawn_groups(*args)
+        drawn[:] = [(shape, idx) for shape, (idx, _) in groups.items()]
+        return groups
+
+    def planted(*args, **kwargs):
+        checked.append(drawn[len(checked)][1])
+        return plant(checked[-1], run(*args, **kwargs))
+
+    monkeypatch.setattr(cli, "_drawn_groups", recorded)
+    monkeypatch.setattr(cli, kernel, planted)
+    return drawn, checked
+
+
+_NO_NAMES = {"space": {}, "oracle": {}}
+
+
+def test_an_array_verdict_names_the_first_failure_in_corpus_order(monkeypatch):
+    # every item of the second shape group fails, and the last of the first:
+    # the second group's first item comes first in corpus order, and no group
+    # after the second is checked, since each starts beyond it
+    parsed = cli.parse_claim("cc", {"kind": "complex-cartesian", "count": 40,
+                                    "dims": [2, 4]}, _NO_NAMES)
+    rows = {}
+
+    def plant(idx, R):
+        R = R.copy()
+        R[-1 if idx is drawn[0][1] else slice(None), -1] = 1.0
+        rows.update(zip(idx, R))
+        return R
+
+    drawn, checked = _planted(monkeypatch, "_complex_cartesian_residuals", plant)
+    report = cli.run_claim("cc", parsed, 3, Tolerances())["report"]
+    first = drawn[1][1][0]
+    assert drawn[0][1][-1] > first and len(drawn) > 2
+    assert checked == [idx for _, idx in drawn[:2]]
+    assert report == cli._complex_cartesian_check(Tolerances(), False).report(
+        rows[first]).to_dict()
+    assert report["status"] == VIOLATED
+    assert report["witness"] == {"failed": {"conjugate_restriction": 1.0}}
+
+
+def test_a_nan_residual_fails_its_item_and_shows_in_the_report(monkeypatch):
+    # a NaN is within no bound: an item that passes but for one NaN residual
+    # is the claim's first failure, and its report carries the NaN
+    parsed = cli.parse_claim("rc", {"kind": "real-cartesian", "count": 40, "max_dim": 3},
+                             _NO_NAMES)
+
+    def plant(idx, R):
+        if idx is drawn[0][1]:
+            R = R.copy()
+            R[len(idx) // 2, 1] = math.nan
+        return R
+
+    drawn, _ = _planted(monkeypatch, "_real_cartesian_residuals", plant)
+    report = cli.run_claim("rc", parsed, 3, Tolerances())["report"]
+    assert len(drawn[0][1]) > 2
+    assert report["status"] == VIOLATED
+    assert report["residuals"] == {"restriction": 0.0, "reassembly": "nan"}
+    assert report["witness"] == {"shape": list(drawn[0][0])}
+
+
+def test_the_first_squares_error_in_corpus_order_is_raised(monkeypatch):
+    # the last item of the first shape group and the first of the second
+    # raise: the second's comes first in corpus order
+    parsed = cli.parse_claim("sq", {"kind": "squares", "count": 30, "dims": [2, 4, 6]},
+                             _NO_NAMES)
+
+    def plant(idx, out):
+        R, errors = out
+        j = -1 if idx is drawn[0][1] else 0
+        errors = list(errors)
+        errors[j] = WitnessError(f"planted at item {idx[j]}")
+        return R, errors
+
+    drawn, checked = _planted(monkeypatch, "_squares_residuals", plant)
+    report = cli.run_claim("sq", parsed, 1, Tolerances())["report"]
+    first = drawn[1][1][0]
+    assert drawn[0][1][-1] > first
+    assert report["status"] == VIOLATED
+    assert report["witness"] == {"error": f"planted at item {first}"}
+
+
 def _loop_closed_form(params, rng, tol):
     """euclidean-closed-form one item at a time, each on its own space."""
     lo, hi = params["dims"]
@@ -1226,9 +1421,9 @@ def test_closed_form_invalid_gram_gives_the_loop_report(monkeypatch, dims):
 
 _KERNELS = [(istruct.corpus, "_complexification_isomorphisms"),
             (istruct.theory, "_conjugations"), (istruct.theory, "_witnesses"),
-            (istruct.theory, "_squares_reports"),
-            (istruct.theory, "_real_cartesian_reports"),
-            (istruct.theory, "_complex_cartesian_reports")]
+            (istruct.theory, "_squares_residuals"),
+            (istruct.theory, "_real_cartesian_residuals"),
+            (istruct.theory, "_complex_cartesian_residuals")]
 
 
 def test_corpus_claims_run_one_kernel_call_per_shape_group(monkeypatch):
@@ -1252,9 +1447,9 @@ def test_corpus_claims_run_one_kernel_call_per_shape_group(monkeypatch):
     assert 0 < calls["_complexification_isomorphisms"] <= 3
     assert 0 < calls["_conjugations"] <= 3
     assert 0 < calls["_witnesses"] <= 3
-    assert 0 < calls["_squares_reports"] <= 3
-    assert 0 < calls["_real_cartesian_reports"] <= 36
-    assert 0 < calls["_complex_cartesian_reports"] <= 8
+    assert 0 < calls["_squares_residuals"] <= 3
+    assert 0 < calls["_real_cartesian_residuals"] <= 36
+    assert 0 < calls["_complex_cartesian_residuals"] <= 8
 
 
 def test_prop1_factorises_no_gram_twice():
@@ -1269,6 +1464,20 @@ def test_prop1_factorises_no_gram_twice():
     assert entry["outcome"] == VERIFIED
     assert repeats(log) == dict.fromkeys(LINALG, 0)
     assert len(log["cholesky"]) == 6 and len(log["inv"]) == 9
+
+
+@pytest.mark.parametrize("claim_id", ["theorem-complex-c-opnorm", "audit-c-opnorm"])
+def test_a_structure_free_oracle_runs_one_svd_per_decision(claim_id):
+    # an operator-norm oracle decides the conjugate as the direct and the
+    # unfolded as the squares: 8 SVD calls, each once (16 with 8 repeats and
+    # 12 with 4 when every decision ran)
+    scenario = _exact_algebra_scenario(1)
+    resolved = {"space": {}, "oracle": cli._build_all(scenario, "oracle", cli.oracle_from_dict)}
+    parsed = cli.parse_claim(claim_id, scenario["claims"][claim_id], resolved)
+    with linalg_calls() as log:
+        entry = cli.run_claim(claim_id, parsed, 1, Tolerances())
+    assert entry["outcome"] == VERIFIED
+    assert len(log["svd"]) == 8 and repeats(log)["svd"] == 0
 
 
 def _counted_groups(monkeypatch) -> list:
@@ -1309,14 +1518,22 @@ def test_oracle_claims_group_their_corpus_once(monkeypatch):
     assert passes == []
     theorem_complex = [c for c in claims if c[0] == "theorem-complex"]
     assert len(theorem_complex) == 4
+    predicates = 0
     for _, oracle, decisions in theorem_complex:
-        # the direct, conjugate and unfolded decisions of one corpus, each
-        # once, and one decision of the squares
+        # a predicate may read A and B: the direct, conjugate and unfolded
+        # decisions of one corpus, each once, and one decision of the squares.
+        # Any other oracle decides the conjugate as the direct and the unfolded
+        # as the squares, so the direct and the squares decision alone
+        reads = isinstance(oracle.descriptor, istruct.ideals.MatrixPredicate)
+        predicates += reads
         grouped = decisions[0][1]
         on_corpus = [o for o, g in decisions if g is grouped]
-        assert len(on_corpus) == 3 and sum(o is oracle for o in on_corpus) == 1
-        assert len(set(map(id, on_corpus))) == 3
-        assert len(decisions) == 4
+        assert len(on_corpus) == (3 if reads else 1)
+        assert sum(o is oracle for o in on_corpus) == 1
+        assert len(set(map(id, on_corpus))) == len(on_corpus)
+        assert len(decisions) == (4 if reads else 2)
+        assert [o for o, g in decisions if g is not grouped] == [oracle]
+    assert predicates == 2
     for kind, _, decisions in claims:
         if kind == "theorem-real":  # the direct and the unfolded decision
             assert len(decisions) == 2 and decisions[0][1] is decisions[1][1]
@@ -1353,6 +1570,24 @@ def test_factorization_of_non_finite_products_exits_1_with_its_report(scenario_p
     assert report["witness"] == {"failed": {"RS_minus_I": "inf", "projection": "nan"}}
 
 
+def test_an_overflowing_factorization_prints_only_its_failure(scenario_path, tmp_path,
+                                                              capsys):
+    # R S, S R and T A - B T overflow: each residual is not finite and fails
+    # its test, with no numpy RuntimeWarning on stderr
+    edit = _edit(["claims", "factorization"], {
+        "kind": "factorization-check", "space": "plane-l2",
+        "R": [[1e308, 1e308], [1e308, 1e308]], "S": [[1e308, 0.0], [0.0, 1e308]]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_edited(scenario_path, tmp_path, edit, "pelczynski-chain") == 1
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == ["FAILED: factorization (factorization-check)"]
+    claims = json.loads((tmp_path / "report.json").read_text())["claims"]
+    report = next(c for c in claims if c["id"] == "factorization")["report"]
+    assert report["status"] == VIOLATED
+    assert set(report["witness"]["failed"].values()) <= {"inf", "nan"}
+
+
 def _plain_json(obj) -> bool:
     """obj holds only dicts with string keys, lists, str, int, float, bool and
     None, by exact type: no numpy scalar or array, and no tuple."""
@@ -1385,11 +1620,15 @@ def test_claim_entries_hold_only_json_values(scenario_path, monkeypatch):
 
 
 def test_worst_keeps_a_nan_wherever_it_stands():
-    reports = [bounded("c", True, {"a": 0.0, "b": math.nan}),
-               bounded("c", True, {"a": 1.0, "b": 0.0})]
-    assert math.isnan(cli._worst(reports))
-    assert math.isnan(cli._worst(reports, "b"))
-    assert cli._worst(reports, "a") == 1.0 and type(cli._worst(reports, "a")) is float
+    # a verified verdict's worst residuals are np.max over the rows of its
+    # corpus; max(0.0, nan) would be 0.0
+    check = cli._squares_check(Tolerances())
+    worst = {"a": 0, "b": 1, "any": slice(None)}
+    for R in ([[0.0, math.nan], [1.0, 0.0]], [[1.0, 0.0], [0.0, math.nan]]):
+        report = cli._verdict(check, (np.array(R), None), worst)
+        assert report.status == VERIFIED
+        assert math.isnan(report.residuals["any"]) and math.isnan(report.residuals["b"])
+        assert report.residuals["a"] == 1.0 and type(report.residuals["a"]) is float
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -1398,7 +1637,8 @@ def test_worst_keeps_a_nan_wherever_it_stands():
 ], ids=["closed-form", "hs-doubling"])
 def test_a_nan_corpus_error_fails_the_claim(monkeypatch, kind, params):
     # max([0.0, nan]) is 0.0: the worst error is taken with NaN kept
-    monkeypatch.setattr(cli, "_corpus_outcomes", lambda *args: [0.0, math.nan])
+    monkeypatch.setattr(cli, "_corpus_outcomes",
+                        lambda *args: (np.array([0.0, math.nan]), None))
     report = cli.CLAIMS[kind][0](params, np.random.default_rng(0), Tolerances())
     assert report.status == VIOLATED
     assert all(math.isnan(v) for v in report.residuals.values())
@@ -1406,11 +1646,10 @@ def test_a_nan_corpus_error_fails_the_claim(monkeypatch, kind, params):
 
 @pytest.mark.parametrize("key", ["involution", "anticommutation", "inverse_composition"])
 def test_a_nan_prop1_residual_fails_the_claim(monkeypatch, key):
-    residuals = {"involution": 0.0, "anticommutation": 0.0, "inverse_composition": 0.0,
-                 "norm_excess": 0.0}
-    monkeypatch.setattr(cli, "_corpus_outcomes", lambda *args: [
-        bounded("complexification-witness", True, residuals),
-        bounded("complexification-witness", True, {**residuals, key: math.nan})])
+    keys = ["involution", "anticommutation", "inverse_composition", "norm_excess"]
+    R = np.zeros((2, 4))
+    R[1, keys.index(key)] = math.nan
+    monkeypatch.setattr(cli, "_corpus_outcomes", lambda *args: (R, None))
     report = cli._h_prop1_roundtrip({"count": 2, "half_dims": [1]},
                                     np.random.default_rng(0), Tolerances())
     assert report.status == VIOLATED

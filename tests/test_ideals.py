@@ -1,15 +1,18 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from istruct.config import DEFAULT_TOL
 from istruct.corpus import random_euclidean_space, random_exact_structure
 from istruct.errors import (DescriptorError, DimensionMismatchError,
                             RespectViolationError, StructureValidationError)
-from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
+from istruct.ideals import (DECISION_NOTE, AllOperators, ComplexifiedReal, ConjugateOf,
                             IdealOracle, MatrixPredicate, NoOperators,
                             NormThreshold, RankThreshold, RealFormOf,
                             RealOperator, PREDICATES, THRESHOLD_ATOL,
+                            _grouped_corpus, _members, _squares,
                             audit_self_conjugacy, complexify_ideal,
                             conjugate_ideal, decide_complex, decide_real,
                             ideal_norm, ideal_norms, oracle_from_dict,
@@ -17,6 +20,7 @@ from istruct.ideals import (AllOperators, ComplexifiedReal, ConjugateOf,
 from istruct.morphisms import (RespectingOperator, block_diag2,
                                complexify_operator, conjugate_operator,
                                make_respecting, matrix_norm_between)
+from istruct.report import bounded
 from istruct.spaces import (EuclideanQuadratic, NormedSpace, direct_sum, lp_space,
                             space_key)
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
@@ -496,6 +500,58 @@ def test_grouped_audit_and_roundtrip_match_one_at_a_time(seed):
             assert report["notes"][0] == f"audited self-conjugate: {self_conjugate}"
     # the a-entry-sign predicate fails the audit, the thresholds pass it
     assert statuses == {"verified", "violated"}
+
+
+def four_decisions_reports(oracle, corpus, self_conjugate=None):
+    """The audit's and the theorem's reports, each decision made by _members
+    on its own: the direct, conjugate, squares and unfolded decisions."""
+    corpus = _grouped_corpus(corpus, "complex")
+    direct = _members(oracle, corpus.groups)
+    conjugated = _members(conjugate_ideal(oracle), corpus.groups)
+    square = _members(oracle, _squares(corpus, tol=DEFAULT_TOL))
+    back = _members(complexify_ideal(realify_ideal(oracle)), corpus.groups)
+    conj = _indices(conjugated != direct)
+    fwd, bwd = _indices(direct & ~square), _indices(square & ~direct)
+    audit = bounded(
+        "self-conjugacy-audit", not (conj or fwd or bwd),
+        {"conjugation_mismatches": float(len(conj)),
+         "square_forward_failures": float(len(fwd)),
+         "square_backward_failures": float(len(bwd))},
+        witness={"conjugation": conj, "square_forward": fwd, "square_backward": bwd},
+        notes=[DECISION_NOTE,
+               "no violation on a finite corpus is not a proof of self-conjugacy"])
+    if self_conjugate is None:
+        self_conjugate = audit.ok
+    inclusion = _indices(back & ~direct)
+    equality = [{"index": i, "direct": bool(d), "unfolded": bool(b)}
+                for i, (d, b) in enumerate(zip(direct, back)) if d != b] * self_conjugate
+    theorem = bounded(
+        "complex-ideal-roundtrip", not (inclusion or equality),
+        {"inclusion_violations": float(len(inclusion)),
+         "equality_mismatches": float(len(equality))},
+        witness={"inclusion": inclusion, "equality": equality},
+        notes=[f"audited self-conjugate: {self_conjugate}", DECISION_NOTE])
+    return audit.to_dict(), theorem.to_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_decisions_give_the_reports_of_all_four(seed):
+    # an oracle that reads no structure takes its direct decisions as its
+    # conjugate ones and the squares' as its unfolded ones; a predicate makes
+    # all four decisions
+    corpus = mixed_complex_corpus(seed)
+    oracles = _complex_oracles() + [IdealOracle("complex", RankThreshold(r)) for r in (0, 64)]
+    statuses = collections.Counter()
+    for oracle in oracles:
+        audit, theorem = four_decisions_reports(oracle, corpus)
+        assert audit_self_conjugacy(oracle, corpus).to_dict() == audit
+        assert verify_theorem_complex(oracle, corpus).to_dict() == theorem
+        for given in (True, False):
+            assert verify_theorem_complex(oracle, corpus, self_conjugate=given).to_dict() \
+                == four_decisions_reports(oracle, corpus, given)[1]
+        statuses.update([(audit["status"], theorem["status"])])
+    # the rank threshold 2 and the sign predicate fail the audit, the others pass
+    assert set(statuses) >= {("verified", "verified"), ("violated", "verified")}
 
 
 # ---------------------------------------------------------------------------

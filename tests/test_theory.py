@@ -24,9 +24,10 @@ from istruct.structures import (UNDECIDED, Certificate, ComplexStructure,
                                 natural_i_operator, natural_i_operator_matrix,
                                 reevaluate_witness, search_i_operator,
                                 validate_i_operator)
-from istruct.theory import (_complex_cartesian_reports, _conjugations,
-                            _real_cartesian_reports, _squares_reports,
-                            _witness_report, _witnesses,
+from istruct.theory import (REAL_CARTESIAN, _complex_cartesian_check,
+                            _complex_cartesian_residuals, _conjugations,
+                            _real_cartesian_residuals, _squares_check,
+                            _squares_residuals, _witness_report, _witnesses,
                             build_complexification_witness,
                             conjugation_matrix, extract_conjugation,
                             split_structure, squares_isomorphism,
@@ -351,16 +352,28 @@ def test_squares_isomorphism_exact():
         assert rep.residuals["inverse_composition"] <= 1e-12
 
 
+def _row_of(report, check) -> list:
+    """A one-item report's residuals in the order of check's columns; its
+    claim, tolerances and status as check reads them off that row."""
+    row = [report.residuals[name] for name in check.names]
+    assert report.claim == check.claim and report.tolerances == check.tolerances
+    assert report.ok == all(v <= b for v, b in zip(row, check.bounds))
+    return row
+
+
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(tol_alg=-1.0)])
 def test_stacked_squares_reports_are_the_single_calls(tol):
     rng = np.random.default_rng(12)
     structures = [random_exact_structure(4, rng) for _ in range(6)]
-    reports, errors = _squares_reports(
+    R, errors = _squares_residuals(
         structures[0].space, np.stack([s.A for s in structures]),
         [s.certificate for s in structures], tol=tol)
-    for s, report, error in zip(structures, reports, errors):
+    assert R.shape == (6, 2)
+    for s, row, error in zip(structures, R.tolist(), errors):
         if error is None:
-            assert verify_squares_isomorphism(s, tol=tol).to_dict() == report.to_dict()
+            report = verify_squares_isomorphism(s, tol=tol)
+            assert _row_of(report, _squares_check(tol)) == row
+            assert report.ok or report.witness == {"A": s.A.tolist()}
         else:
             with pytest.raises(type(error), match=re.escape(str(error))):
                 verify_squares_isomorphism(s, tol=tol)
@@ -389,19 +402,26 @@ def test_real_cartesian_identities_exact():
 def test_stacked_cartesian_reports_are_the_single_calls():
     rng = np.random.default_rng(13)
     Ts = rng.standard_normal((7, 3, 5))
-    for T, report in zip(Ts, _real_cartesian_reports(Ts)):
-        assert verify_real_cartesian_identities(T).to_dict() == report.to_dict()
+    R = _real_cartesian_residuals(Ts)
+    assert R.shape == (7, 2)
+    for T, row in zip(Ts, R.tolist()):
+        assert _row_of(verify_real_cartesian_identities(T), REAL_CARTESIAN) == row
     ops = [random_respecting_operator(random_exact_structure(4, rng),
                                       random_exact_structure(2, rng), rng)
            for _ in range(5)]
     stacks = [np.stack(x) for x in zip(*((op.matrix, op.domain.A, op.codomain.A)
                                          for op in ops))]
     for corrupt in (False, True):
-        reports = _complex_cartesian_reports(*stacks, tol=DEFAULT_TOL,
-                                             corrupt_annotation=corrupt)
-        for op, report in zip(ops, reports):
-            assert verify_complex_cartesian_identities(
-                op, corrupt_annotation=corrupt).to_dict() == report.to_dict()
+        for tol in (DEFAULT_TOL, Tolerances(tol_alg=5e-16)):
+            check = _complex_cartesian_check(tol, corrupt)
+            R = _complex_cartesian_residuals(*stacks, corrupt)
+            assert R.shape == (5, 14 + corrupt)
+            for op, row in zip(ops, R.tolist()):
+                report = verify_complex_cartesian_identities(
+                    op, tol=tol, corrupt_annotation=corrupt)
+                assert _row_of(report, check) == row
+                assert report.ok or report.witness == {"failed": {
+                    k: v for k, v, b in zip(check.names, row, check.bounds) if not v <= b}}
 
 
 def test_complex_cartesian_identities():
@@ -538,9 +558,14 @@ def test_a_nan_deviation_fails_the_complex_cartesian_identities(monkeypatch, d1,
 def test_a_nan_respect_residual_fails_the_complex_cartesian_identities(monkeypatch):
     s = validate_i_operator(lp_space(2, 2.0), J2)
     op = random_respecting_operator(s, s, np.random.default_rng(3))
-    residuals = theory._respect_residuals
-    monkeypatch.setattr(theory, "_respect_residuals", lambda *args: (
-        [math.nan] * len(residuals(*args)[0]), None))
+    kernel = theory._complex_cartesian_residuals
+
+    def planted(*args):
+        R = kernel(*args)
+        R[:, :11] = math.nan  # every respect residual
+        return R
+
+    monkeypatch.setattr(theory, "_complex_cartesian_residuals", planted)
     rep = verify_complex_cartesian_identities(op)
     assert rep.status == "violated"
     assert len(rep.witness["failed"]) == 11
