@@ -43,9 +43,9 @@ from .structures import (BY_CONSTRUCTION, DEFAULT_SAMPLE_ANGLES,
                          natural_i_operator_matrix, reevaluate_witness,
                          search_i_operator, validate_i_operator,
                          witness_to_dict)
-from .theory import (HYP_TOL, NORM_SLACK, REAL_CARTESIAN, _complex_cartesian_check,
+from .theory import (HYP_TOL, REAL_CARTESIAN, ROUNDTRIP, _complex_cartesian_check,
                      _complex_cartesian_residuals, _conjugations, _real_cartesian_residuals,
-                     _squares_check, _squares_residuals, _witnesses,
+                     _Residuals, _squares_check, _squares_residuals, _witnesses,
                      verify_theorem_complex, verify_theorem_real)
 
 SCHEMA_VERSION = 1
@@ -247,11 +247,11 @@ def _h_euclidean_closed_form(params, rng, tol):
                                      else np.broadcast_to(np.eye(dim), (len(X), dim, dim)))
         closed = _gram_complexification_norms(grams, X, Y)
         defined = np.sqrt(np.mean(_gram_norms(grams, rows) ** 2, axis=1))
-        return np.abs(closed - defined), errors
+        return np.abs(closed - defined)[:, None], errors
 
-    worst = float(np.max(_corpus_outcomes(rng, params["count"], draw, check)[0]))
-    return bounded("euclidean-closed-form", worst <= 1e-10,
-                   {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
+    return _corpus_verdict(rng, params["count"], draw, check, _Residuals(
+        "euclidean-closed-form", ("abs_error",), np.array([1e-10]), {"abs": 1e-10}),
+        {"worst_abs_error": 0})
 
 
 def _h_l1_spot_value(params, rng, tol):
@@ -360,46 +360,40 @@ def _drawn_groups(rng, count: int, draw: Callable) -> dict:
     return groups
 
 
-def _corpus_outcomes(rng, count: int, draw: Callable, check: Callable,
-                     bounds: np.ndarray = None) -> tuple:
-    """Run a corpus of count items a shape group at a time.  The items are
-    drawn and grouped by _drawn_groups, and check(shape, items) of each group
-    gives (R, errors): a row of R per item in the group's order, and the
-    error of each item whose check raised (None elsewhere; () if none can).
-    An item fails where its check raised or, given bounds, where a value of
-    its row is not within its column's bound.  At the first failing item in
-    corpus order a loop over the items would stop: an error there is raised,
-    and groups whose items all lie beyond it are not checked.  The result is
-    the rows of the checked groups and that item as (shape, item, row), or None."""
+def _corpus_verdict(rng, count: int, draw: Callable, check: Callable, residuals: _Residuals,
+                    worst: dict, witness: Callable = lambda shape, item: None
+                    ) -> VerificationReport:
+    """The report of a corpus of count items, run a shape group at a time.
+    The items are drawn and grouped by _drawn_groups, and check(shape, items)
+    of each group gives (R, errors): a row of R per item in the group's order,
+    its columns those of residuals, and the error of each item whose check
+    raised (None elsewhere; () if none can).  An item fails where its check
+    raised or where a value of its row is not within its column's bound.  At
+    the first failing item in corpus order a loop over the items would stop:
+    an error there is raised, groups whose items all lie beyond it are not
+    checked, and the report is that item's, witness(shape, item) its witness.
+    Else the corpus is verified with the worst residuals, worst naming the
+    columns each is the largest of."""
     rows, stop = [], None  # stop: (corpus index, shape, item, row, error)
     for shape, (idx, items) in _drawn_groups(rng, count, draw).items():
         if stop is not None and idx[0] > stop[0]:
             break
         R, errors = check(shape, items)
         failing = [j for j, e in enumerate(errors) if e is not None]
-        if bounds is not None:
-            failing += np.flatnonzero(~np.all(R <= bounds, axis=1)).tolist()
+        failing += np.flatnonzero(~np.all(R <= residuals.bounds, axis=1)).tolist()
         if failing and (stop is None or idx[min(failing)] < stop[0]):
             j = min(failing)
             stop = idx[j], shape, items[j], R[j], errors[j] if errors else None
         rows.append(R)
-    if stop is not None and stop[4] is not None:
-        raise stop[4]
-    return np.concatenate(rows), stop and stop[1:4]
-
-
-def _verdict(check, outcome: tuple, worst: dict,
-             witness: Callable = lambda shape, item: None) -> VerificationReport:
-    """A corpus claim's report from its _corpus_outcomes within check.bounds
-    (check a theory._Residuals): its first failing item's, witness(shape, item)
-    the witness, or else verified with the worst residuals, worst naming the
-    columns each is the largest of (NaN if any is NaN)."""
-    R, failing = outcome
-    if failing is not None:
-        shape, item, row = failing
-        return check.report(row, witness(shape, item))
-    return bounded(check.claim, True, {key: float(np.max(R[:, columns]))
-                                       for key, columns in worst.items()}, check.tolerances)
+    if stop is not None:
+        _, shape, item, row, error = stop
+        if error is not None:
+            raise error
+        return residuals.report(row, witness(shape, item))
+    R = np.concatenate(rows)
+    return bounded(residuals.claim, True, {key: float(np.max(R[:, columns]))
+                                           for key, columns in worst.items()},
+                   residuals.tolerances)
 
 
 def _h_prop1_roundtrip(params, rng, tol):
@@ -412,17 +406,10 @@ def _h_prop1_roundtrip(params, rng, tol):
         Ts, conj_errors = _conjugations(c.S0, c.A, natural_i_operator_matrix(m),
                                         tol=HYP_TOL)
         w = _witnesses(c.A, Ts, c.gram, c.whitening, None, tol=tol)
-        return (np.array([[r.residuals[key] for key in keys] if r else [0.0] * 4
-                          for r in w.outcomes]), first_errors(c.errors, conj_errors, w.errors))
+        return w.residuals, first_errors(c.errors, conj_errors, w.errors)
 
-    keys = ("involution", "anticommutation", "inverse_composition", "norm_excess")
-    R = _corpus_outcomes(rng, params["count"], draw, check)[0]
-    worst = {key: float(np.max(R[:, j])) for j, key in enumerate(keys)}
-    ok = (all(worst[key] <= HYP_TOL for key in
-              ("involution", "anticommutation", "inverse_composition"))
-          and worst["norm_excess"] <= NORM_SLACK)
-    return bounded("complexification-roundtrip", ok, worst,
-                   {"residuals": HYP_TOL, "norm_slack": NORM_SLACK}, dict(worst))
+    return _corpus_verdict(rng, params["count"], draw, check, ROUNDTRIP,
+                           {key: j for j, key in enumerate(ROUNDTRIP.names)})
 
 
 def _h_squares(params, rng, tol):
@@ -434,9 +421,8 @@ def _h_squares(params, rng, tol):
         return _squares_residuals(space, corpus_gen._pairing_matrices(space.dim, pairings),
                                   [BY_CONSTRUCTION] * len(pairings), tol=tol)
 
-    squares = _squares_check(tol)
-    return _verdict(
-        squares, _corpus_outcomes(rng, params["count"], draw, check, squares.bounds),
+    return _corpus_verdict(
+        rng, params["count"], draw, check, _squares_check(tol),
         {"worst_respect": 0, "worst_inverse_composition": 1},
         lambda space, pairing: {"A": corpus_gen._pairing_matrices(
             space.dim, [pairing])[0].tolist()})
@@ -450,10 +436,9 @@ def _h_real_cartesian(params, rng, tol):
         n = 1 + stream.below(max_dim)
         return (m, n), rng.standard_normal((m, n))
 
-    outcome = _corpus_outcomes(rng, params["count"], draw, lambda shape, Ts: (
-        _real_cartesian_residuals(np.stack(Ts)), ()), REAL_CARTESIAN.bounds)
-    return _verdict(REAL_CARTESIAN, outcome, {"worst_deviation": slice(None)},
-                    lambda shape, T: {"shape": list(shape)})
+    return _corpus_verdict(rng, params["count"], draw, lambda shape, Ts: (
+        _real_cartesian_residuals(np.stack(Ts)), ()), REAL_CARTESIAN,
+        {"worst_deviation": slice(None)}, lambda shape, T: {"shape": list(shape)})
 
 
 def _draw_complex_op(rng, stream, spaces) -> tuple:
@@ -490,10 +475,9 @@ def _h_complex_cartesian(params, rng, tol):
     def check(shape, draws):
         return _complex_cartesian_residuals(*_complex_ops(shape, draws), params["corrupt"]), ()
 
-    identities = _complex_cartesian_check(tol, params["corrupt"])
-    return _verdict(identities, _corpus_outcomes(
+    return _corpus_verdict(
         rng, params["count"], lambda stream: _draw_complex_op(rng, stream, params["dims"]),
-        check, identities.bounds), {"worst": slice(None)})
+        check, _complex_cartesian_check(tol, params["corrupt"]), {"worst": slice(None)})
 
 
 def _draw_real_op(rng, stream, spaces) -> tuple:
@@ -530,13 +514,12 @@ def _h_hs_doubling(params, rng, tol):
         dom2 = direct_sum(dom, dom, "complexification")
         cod2 = direct_sum(cod, cod, "complexification")
         doubled = ideal_norms(HILBERT_SCHMIDT, block_diag2(Ts), dom2, cod2)
-        return np.abs(doubled - math.sqrt(2.0) * base), ()
+        return np.abs(doubled - math.sqrt(2.0) * base)[:, None], ()
 
-    worst = float(np.max(_corpus_outcomes(
+    return _corpus_verdict(
         rng, params["count"], lambda stream: _draw_real_op(rng, stream, params["dims"]),
-        check)[0]))
-    return bounded("hs-doubling", worst <= bound, {"worst_abs_dev": worst},
-                   {"abs": bound}, {"worst": worst})
+        check, _Residuals("hs-doubling", ("abs_dev",), np.array([bound]), {"abs": bound}),
+        {"worst_abs_dev": 0})
 
 
 def _h_pelczynski_chain(params, rng, tol):

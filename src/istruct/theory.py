@@ -5,12 +5,12 @@ real/complex transform roundtrip checks for membership oracles.
 The witnesses, squares and identities are checked a shape group at a time:
 each has a private kernel over stacks of k items of one shape (matrices, and
 the certificates squares inherit) that makes every check of its single-item
-function.  It returns the witness reports, or for squares and identities a
-row of residuals per item (read by their _Residuals), and the error of each
-item that the single-item call would raise (None where it passes).  The
-public single-item function is the kernel's call with k = 1, unwrapped by
-errors.single, and alone builds its structure or operator objects.  A caller
-that stacks a corpus raises the error of its first failing item in corpus order.
+function.  It returns a row of residuals per item, read by the check's
+_Residuals, and the error of each item that the single-item call would raise
+(None where it passes).  The public single-item function is the kernel's call
+with k = 1, unwrapped by errors.single, and alone builds its report and its
+structure or operator objects.  A caller that stacks a corpus raises the error
+of its first failing item in corpus order.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ from .spaces import (EuclideanQuadratic, NormedSpace, SubspaceNorm, _check_finit
 from .structures import (ComplexStructure, _split_on, natural_i_operator,
                          natural_i_operator_matrix)
 
-HYP_TOL = 1e-8  # residuals of T as an anticommuting involution, and of S^-1 S - I
-NORM_SLACK = 1e-6  # how far ||S|| may exceed ||I + T||
-
-
 class _Residuals(NamedTuple):
     """A claim's items read off their rows of residuals, a column per name:
     an item holds iff each lies within its column's bound (a NaN does not)."""
@@ -54,6 +50,15 @@ class _Residuals(NamedTuple):
         bad = {k: v for k, v, b in zip(self.names, row, self.bounds.tolist()) if not v <= b}
         return bounded(self.claim, not bad, dict(zip(self.names, row)), self.tolerances,
                        {"failed": bad} if witness is None else witness)
+
+
+HYP_TOL = 1e-8  # residuals of T as an anticommuting involution, and of S^-1 S - I
+NORM_SLACK = 1e-6  # how far ||S|| may exceed ||I + T||
+# the rows of _witnesses: a witness holds within these bounds
+ROUNDTRIP = _Residuals("complexification-roundtrip",
+                       ("involution", "anticommutation", "inverse_composition", "norm_excess"),
+                       np.array([HYP_TOL, HYP_TOL, HYP_TOL, NORM_SLACK]),
+                       {"residuals": HYP_TOL, "norm_slack": NORM_SLACK})
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +143,32 @@ def build_complexification_witness(s: ComplexStructure, T, *,
     gram = euclidean_gram(s.space)
     w = _witnesses(s.A[None], T[None], None if gram is None else gram[None],
                    s.space._whitening, [s.space], tol=tol)
-    report = single(w.outcomes[0], w.errors[0])
+    norm_bound, report = _witness_report(w.residuals[0], w.norms[0],
+                                         single(w.exact[0], w.errors[0]))
     y = w.y[0]
     ny = natural_i_operator(y if isinstance(y, NormedSpace)
                             else NormedSpace(dim // 2, EuclideanQuadratic(y)))
     return ComplexificationWitness(
         T, w.B[0], RespectingOperator(s, ny, w.S[0], w.respect[0][0]),
         RespectingOperator(ny, s, w.S_inverse[0], w.respect[1][0]),
-        w.norm_bounds[0], report)
+        norm_bound, report)
 
 
 class _Witnesses(NamedTuple):
     """build_complexification_witness of each item of a stack: the stacks of
     Y's bases and of S and S^-1, the respect residuals of S and S^-1, Y's Gram
-    (or Y itself when X is not Euclidean-like), the norm bound and the report
-    or the error of each item."""
+    (or Y itself when X is not Euclidean-like), and of each item its row of
+    ROUNDTRIP residuals, its norms (||S||, ||I + T||), whether both are exact,
+    and its error."""
 
     B: np.ndarray
     S: np.ndarray
     S_inverse: np.ndarray
     respect: tuple
     y: list
-    norm_bounds: list
-    outcomes: list
+    residuals: np.ndarray
+    norms: np.ndarray
+    exact: list
     errors: list
 
 
@@ -169,18 +177,19 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
                tol: Tolerances) -> _Witnesses:
     """The witnesses for k structures [X_j, A_j] of one dimension n and their
     involutions T_j, stacked (k, n, n).  For Euclidean-like X_j, grams stacks
-    their Grams and whitening is their _whitening_factors; otherwise both are
-    None, Y_j is built and the norms are estimated item by item on the X_j."""
+    their Grams and whitening is their _whitening_factors, and the norms are
+    exact; otherwise both are None, Y_j is built and the norms are estimated
+    item by item on the X_j (NaN where an item raised)."""
     dim = Ts.shape[-1]
     half = dim // 2
-    r_inv, r_anti = (r.tolist() for r in _involution_residuals(Ts, As))
+    r_inv, r_anti = _involution_residuals(Ts, As)
     P = np.eye(dim) + Ts
     U, sv, _ = np.linalg.svd(P)
     rank = np.sum(sv > RANK_RTOL * sv[:, :1], axis=1)
     errors = first_errors(
         [WitnessError(f"T is not an anticommuting involution (residuals "
                       f"{a:.3e}, {b:.3e})") if not (a <= HYP_TOL and b <= HYP_TOL) else None
-         for a, b in zip(r_inv, r_anti)],
+         for a, b in zip(r_inv.tolist(), r_anti.tolist())],
         [WitnessError(f"I + T has rank {r}, expected {half}") if r != half
          else None for r in rank])
     B = U[:, :, :half]
@@ -197,49 +206,43 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
     res_s, err_s = _respect_residuals(S, As, N, tol)
     res_inv, err_inv = _respect_residuals(S_inv, N, As, tol)
     errors = first_errors(errors, err_s, err_inv)
-    round_dev = np.max(np.abs(S_inv @ S - np.eye(dim)), axis=(1, 2)).tolist()
+    round_dev = np.max(np.abs(S_inv @ S - np.eye(dim)), axis=(1, 2))
 
     if grams is not None:
-        s_norms = _singular_values(S, whitening, _whitening_factors(block_diag2(y / 2.0)))
-        p_norms = _singular_values(P, whitening, whitening)
-    norm_bounds, outcomes = [], []
-    for j, error in enumerate(errors):
-        if error is not None:
-            norm_bound = report = None
-        elif grams is not None:
-            norm_bound, report = _witness_report(
-                r_inv[j], r_anti[j], round_dev[j], (float(s_norms[j, 0]), True),
-                (float(p_norms[j, 0]), True))
-        else:
-            norm_bound, report = _witness_report(
-                r_inv[j], r_anti[j], round_dev[j],
-                matrix_norm_between(S[j], spaces[j], natural_i_operator(y[j]).space),
-                matrix_norm_between(P[j], spaces[j], spaces[j]))
-        norm_bounds.append(norm_bound)
-        outcomes.append(report)
-    return _Witnesses(B, S, S_inv, (res_s, res_inv), list(y), norm_bounds,
-                      outcomes, errors)
+        norms = np.stack([
+            _singular_values(S, whitening, _whitening_factors(block_diag2(y / 2.0)))[:, 0],
+            _singular_values(P, whitening, whitening)[:, 0]], axis=1)
+        exact = [True] * len(Ts)
+    else:  # rows (||S||, exact, ||I + T||, exact)
+        est = np.array([(np.nan, 0.0) * 2 if e else (
+            *matrix_norm_between(S[j], spaces[j], natural_i_operator(y[j]).space),
+            *matrix_norm_between(P[j], spaces[j], spaces[j])) for j, e in enumerate(errors)])
+        norms, exact = est[:, ::2], (est[:, 1] * est[:, 3] > 0).tolist()
+    # np.maximum keeps a NaN norm, where max(0.0, nan) would give 0.0
+    excess = np.maximum(0.0, norms[:, 0] - norms[:, 1])
+    return _Witnesses(B, S, S_inv, (res_s, res_inv), list(y),
+                      np.stack([r_inv, r_anti, round_dev, excess], axis=1), norms, exact, errors)
 
 
-def _witness_report(r_inv, r_anti, round_dev, s_est: tuple, p_est: tuple) -> tuple:
-    """The norm bound and the report of one witness, from its residuals and
-    the (value, exact) norms of S and of I + T.  Sampled norms are lower
-    bounds, which neither prove nor refute ||S|| <= ||I + T||."""
-    (s_norm, s_exact), (p_norm, p_exact) = s_est, p_est
-    exact = s_exact and p_exact
+def _witness_report(row: np.ndarray, norms: np.ndarray, exact: bool) -> tuple:
+    """The norm bound and the report of one witness, from its row of ROUNDTRIP
+    residuals, the norms (||S||, ||I + T||) and whether both are exact.
+    Sampled norms are lower bounds, which neither prove nor refute
+    ||S|| <= ||I + T||."""
+    residuals = dict(zip(ROUNDTRIP.names, row.tolist()))
+    s_norm, p_norm = norms.tolist()
     bound_status = (INCONCLUSIVE if not exact
                     else VERIFIED if s_norm <= p_norm + NORM_SLACK else VIOLATED)
     norm_bound = {"S": s_norm, "I_plus_T": p_norm, "exact": exact,
                   "status": bound_status}
     # a nan round_dev fails both tests: a verified bound becomes inconclusive
+    round_dev = residuals["inverse_composition"]
     status = bound_status if round_dev <= HYP_TOL else (
         VIOLATED if round_dev > HYP_TOL or bound_status == VIOLATED else INCONCLUSIVE)
     return norm_bound, VerificationReport(
         claim="complexification-witness",
         status=status,
-        residuals={"involution": r_inv, "anticommutation": r_anti,
-                   "inverse_composition": round_dev,
-                   "norm_excess": max(0.0, s_norm - p_norm)},
+        residuals=residuals,
         witness=None if status == VERIFIED else {"norm_bound": norm_bound},
         tolerances={"hyp_tol": HYP_TOL, "norm_slack": NORM_SLACK},
         seeds={} if exact else {"seed": SAMPLE_SEED})
@@ -351,16 +354,14 @@ def verify_real_cartesian_identities(T) -> VerificationReport:
                                  {"shape": list(T.shape)})
 
 
-def _cartesian_deviations(Ts: np.ndarray) -> tuple:
+def _cartesian_deviations(Ts: np.ndarray, j1x, q1x, q2x, j1y, j2y, q1y) -> tuple:
     """T (+) T of each matrix of a stack Ts (k, m, n), and the max-entry
-    deviations from T = Q1 (T (+) T) J1 and T (+) T = J1 T Q1 + J2 T Q2."""
-    m, n = Ts.shape[1:]
+    deviations from T = Q1 (T (+) T) J1 and T (+) T = J1 T Q1 + J2 T Q2, given
+    the injections j and surjections q of the domain's double (x, dimension n)
+    and of the codomain's (y, dimension m)."""
     TT = block_diag2(Ts)
-    restriction = np.max(np.abs(
-        Ts - surjection_first(m) @ TT @ injection_first(n)), axis=(1, 2))
-    reassembly = np.max(np.abs(
-        TT - (injection_first(m) @ Ts @ surjection_first(n)
-              + injection_second(m) @ Ts @ surjection_second(n))), axis=(1, 2))
+    restriction = np.max(np.abs(Ts - q1y @ TT @ j1x), axis=(1, 2))
+    reassembly = np.max(np.abs(TT - (j1y @ Ts @ q1x + j2y @ Ts @ q2x)), axis=(1, 2))
     return TT, restriction, reassembly
 
 
@@ -370,7 +371,10 @@ REAL_CARTESIAN = _Residuals("real-cartesian-identities", ("restriction", "reasse
 
 def _real_cartesian_residuals(Ts: np.ndarray) -> np.ndarray:
     """The rows of REAL_CARTESIAN residuals of a stack of matrices (k, m, n)."""
-    return np.stack(_cartesian_deviations(Ts)[1:], axis=1)
+    m, n = Ts.shape[1:]
+    return np.stack(_cartesian_deviations(
+        Ts, injection_first(n), surjection_first(n), surjection_second(n),
+        injection_first(m), injection_second(m), surjection_first(m))[1:], axis=1)
 
 
 def verify_complex_cartesian_identities(op: RespectingOperator, *,
@@ -412,10 +416,10 @@ def _complex_cartesian_residuals(Ts: np.ndarray, As: np.ndarray, Bs: np.ndarray,
     """The rows of _complex_cartesian_check residuals of each [T, A, B] of the
     stacks Ts (k, m, n), As (k, n, n) and Bs (k, m, m)."""
     A2, B2 = _split_matrix(As), _split_matrix(Bs)
-    TT, restriction, reassembly = _cartesian_deviations(Ts)
     maps = (injection_first, injection_second, surjection_first, surjection_second)
     j1x, j2x, q1x, q2x = (f(As.shape[-1]) for f in maps)
     j1y, j2y, q1y, q2y = (f(Bs.shape[-1]) for f in maps)
+    TT, restriction, reassembly = _cartesian_deviations(Ts, j1x, q1x, q2x, j1y, j2y, q1y)
     respects = [(j1x, As, A2), (TT, A2, B2), (q1y, B2, Bs), (q1x, A2, As), (j1y, Bs, B2),
                 (Ts, As, Bs), (q2x, A2, -As), (Ts, -As, -Bs), (j2y, -Bs, B2),
                 (j2x, -As, A2), (q2y, B2, -Bs)] + [(j2x, As, A2)] * corrupt_annotation

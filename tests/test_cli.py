@@ -27,7 +27,7 @@ from istruct.report import VERIFIED, VIOLATED, VerificationReport, bounded
 from istruct.spaces import (complexification_norm, descriptor_from_dict, lp_space,
                             norm_batch, space_from_dict)
 from istruct.structures import BY_CONSTRUCTION, ComplexStructure
-from istruct.theory import (HYP_TOL, NORM_SLACK, build_complexification_witness,
+from istruct.theory import (HYP_TOL, NORM_SLACK, ROUNDTRIP, build_complexification_witness,
                             extract_conjugation,
                             verify_complex_cartesian_identities,
                             verify_real_cartesian_identities,
@@ -937,20 +937,21 @@ def test_bad_tolerance_flag_exits_2(scenario_path, tmp_path, capsys, claim_runs,
 def _loop_prop1(params, rng, tol):
     worst = {"involution": 0.0, "anticommutation": 0.0,
              "inverse_composition": 0.0, "norm_excess": 0.0}
+    tolerances = {"residuals": HYP_TOL, "norm_slack": NORM_SLACK}
     for _ in range(params["count"]):
         m = choice(rng, params["half_dims"])
         s, iso = random_complexification_isomorphism(m, rng, tol=tol)
         T = extract_conjugation(iso, tol=HYP_TOL)
         r = build_complexification_witness(s, T, tol=tol).report.residuals
+        failed = {key: v for key, v in r.items()
+                  if not v <= (NORM_SLACK if key == "norm_excess" else HYP_TOL)}
+        if failed:
+            return VerificationReport("complexification-roundtrip", VIOLATED, residuals=r,
+                                      witness={"failed": failed}, tolerances=tolerances)
         for key in worst:
             worst[key] = max(worst[key], r[key])
-    ok = (worst["involution"] <= HYP_TOL and worst["anticommutation"] <= HYP_TOL
-          and worst["inverse_composition"] <= HYP_TOL
-          and worst["norm_excess"] <= NORM_SLACK)
-    return VerificationReport(
-        "complexification-roundtrip", VERIFIED if ok else VIOLATED,
-        residuals=worst, witness=None if ok else dict(worst),
-        tolerances={"residuals": HYP_TOL, "norm_slack": NORM_SLACK})
+    return VerificationReport("complexification-roundtrip", VERIFIED, residuals=worst,
+                              tolerances=tolerances)
 
 
 def _loop_squares(params, rng, tol):
@@ -1327,6 +1328,66 @@ def test_the_first_squares_error_in_corpus_order_is_raised(monkeypatch):
     assert report["witness"] == {"error": f"planted at item {first}"}
 
 
+def _spoil_closed_form(idx, j, closed):
+    closed[j] += 1.0 + idx[j]
+    return {"abs_error": pytest.approx(1.0 + idx[j], abs=1e-9)}
+
+
+def _spoil_hs_doubling(idx, j, TT):
+    # T (+) T made 0: the deviation is sqrt 2 ||T||_HS, ||T||_F on l2
+    m, n = TT.shape[1] // 2, TT.shape[2] // 2
+    want = math.sqrt(2.0) * np.linalg.norm(TT[j, :m, :n])
+    TT[j] = 0.0
+    return {"abs_dev": pytest.approx(want, rel=1e-12)}
+
+
+def _spoil_prop1(idx, j, w):
+    w.residuals[j, 3] = 1.0 + idx[j]
+    return dict(zip(ROUNDTRIP.names, w.residuals[j].tolist()))
+
+
+@pytest.mark.parametrize("claim, kernel, spoil", [
+    ({"kind": "euclidean-closed-form", "count": 40, "dims": [2, 4]},
+     "_gram_complexification_norms", _spoil_closed_form),
+    ({"kind": "hs-doubling", "count": 40, "dims": [1, 2, 3]}, "block_diag2",
+     _spoil_hs_doubling),
+    ({"kind": "prop1-roundtrip", "count": 40}, "_witnesses", _spoil_prop1),
+], ids=["closed-form", "hs-doubling", "prop1"])
+def test_a_corpus_reports_its_first_failing_item(monkeypatch, claim, kernel, spoil):
+    # every item of the second shape group breaks its bound, and the last of
+    # the first: the report is the second group's first item's, and no group
+    # after the second is checked, since each starts beyond it
+    parsed = cli.parse_claim("c", claim, _NO_NAMES)
+    want = {}
+
+    def plant(idx, out):
+        spoiled = (range(len(idx)) if idx is drawn[1][1]
+                   else [len(idx) - 1] if idx is drawn[0][1] else [])
+        for j in spoiled:
+            want[idx[j]] = spoil(idx, j, out)
+        return out
+
+    drawn, checked = _planted(monkeypatch, kernel, plant)
+    report = cli.run_claim("c", parsed, 3, Tolerances())["report"]
+    first = drawn[1][1][0]
+    assert drawn[0][1][-1] > first and len(drawn) > 2
+    assert checked == [idx for _, idx in drawn[:2]]
+    assert report["status"] == VIOLATED
+    assert report["residuals"] == want[first]
+    assert report["residuals"] != want[drawn[1][1][1]]
+
+
+def test_a_prop1_claim_builds_one_report(monkeypatch):
+    # its items' residuals are read off the witnesses' rows, not their reports
+    built = []
+    post_init = VerificationReport.__post_init__
+    monkeypatch.setattr(VerificationReport, "__post_init__",
+                        lambda report: built.append(report.claim) or post_init(report))
+    parsed = cli.parse_claim("prop1", {"kind": "prop1-roundtrip", "count": 30}, _NO_NAMES)
+    assert cli.run_claim("prop1", parsed, 1, Tolerances())["outcome"] == VERIFIED
+    assert built == ["complexification-roundtrip"]
+
+
 def _loop_closed_form(params, rng, tol):
     """euclidean-closed-form one item at a time, each on its own space."""
     lo, hi = params["dims"]
@@ -1340,9 +1401,12 @@ def _loop_closed_form(params, rng, tol):
         closed = complexification_norm(space, x, y)
         rows = np.cos(phi)[:, None] * x + np.sin(phi)[:, None] * y
         defined = math.sqrt(np.mean(norm_batch(space, rows) ** 2))
-        worst = max(worst, abs(closed - defined))
-    return bounded("euclidean-closed-form", worst <= 1e-10,
-                   {"worst_abs_error": worst}, {"abs": 1e-10}, {"worst": worst})
+        error = abs(closed - defined)
+        if not error <= 1e-10:
+            return bounded("euclidean-closed-form", False, {"abs_error": error},
+                           {"abs": 1e-10}, {"failed": {"abs_error": error}})
+        worst = max(worst, error)
+    return bounded("euclidean-closed-form", True, {"worst_abs_error": worst}, {"abs": 1e-10})
 
 
 def _closed_form_claim(dims):
@@ -1619,16 +1683,28 @@ def test_claim_entries_hold_only_json_values(scenario_path, monkeypatch):
     assert all(_plain_json(entry) for entry in entries)
 
 
+def _verdict_of_rows(R, worst):
+    """_corpus_verdict of one shape group whose check gives the rows R, each
+    within 2.0 in two columns "a" and "b"."""
+    check = cli._Residuals("rows", ("a", "b"), np.array([2.0, 2.0]), {"abs": 2.0})
+    return cli._corpus_verdict(np.random.default_rng(0), len(R), lambda stream: (0, None),
+                               lambda shape, items: (np.array(R), ()), check, worst)
+
+
 def test_worst_keeps_a_nan_wherever_it_stands():
-    # a verified verdict's worst residuals are np.max over the rows of its
-    # corpus; max(0.0, nan) would be 0.0
-    check = cli._squares_check(Tolerances())
+    # a NaN is within no bound, in either row: its item fails and the report
+    # carries the NaN, where max(0.0, nan) would be 0.0; a verified verdict's
+    # worst residuals are np.max over the rows of its corpus
     worst = {"a": 0, "b": 1, "any": slice(None)}
-    for R in ([[0.0, math.nan], [1.0, 0.0]], [[1.0, 0.0], [0.0, math.nan]]):
-        report = cli._verdict(check, (np.array(R), None), worst)
-        assert report.status == VERIFIED
-        assert math.isnan(report.residuals["any"]) and math.isnan(report.residuals["b"])
-        assert report.residuals["a"] == 1.0 and type(report.residuals["a"]) is float
+    for R, first in (([[0.0, math.nan], [1.0, 0.0]], 0.0),
+                     ([[1.0, 0.0], [0.0, math.nan]], 0.0)):
+        report = _verdict_of_rows(R, worst)
+        assert report.status == VIOLATED
+        assert math.isnan(report.residuals["b"]) and report.residuals["a"] == first
+    report = _verdict_of_rows([[0.0, 0.5], [1.0, 0.0]], worst)
+    assert report.status == VERIFIED
+    assert report.residuals == {"a": 1.0, "b": 0.5, "any": 1.0}
+    assert type(report.residuals["a"]) is float
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -1636,9 +1712,16 @@ def test_worst_keeps_a_nan_wherever_it_stands():
     ("hs-doubling", {"count": 2, "dims": [cli.corpus_gen._euclidean(2)], "tol": 1e-10}),
 ], ids=["closed-form", "hs-doubling"])
 def test_a_nan_corpus_error_fails_the_claim(monkeypatch, kind, params):
-    # max([0.0, nan]) is 0.0: the worst error is taken with NaN kept
-    monkeypatch.setattr(cli, "_corpus_outcomes",
-                        lambda *args: (np.array([0.0, math.nan]), None))
+    # the last norm of each group is NaN, so is its error: within no bound
+    kernel = "_gram_complexification_norms" if kind == "euclidean-closed-form" else "ideal_norms"
+    run = getattr(cli, kernel)
+
+    def planted(*args):
+        out = run(*args)
+        out[-1] = math.nan
+        return out
+
+    monkeypatch.setattr(cli, kernel, planted)
     report = cli.CLAIMS[kind][0](params, np.random.default_rng(0), Tolerances())
     assert report.status == VIOLATED
     assert all(math.isnan(v) for v in report.residuals.values())
@@ -1646,10 +1729,14 @@ def test_a_nan_corpus_error_fails_the_claim(monkeypatch, kind, params):
 
 @pytest.mark.parametrize("key", ["involution", "anticommutation", "inverse_composition"])
 def test_a_nan_prop1_residual_fails_the_claim(monkeypatch, key):
-    keys = ["involution", "anticommutation", "inverse_composition", "norm_excess"]
-    R = np.zeros((2, 4))
-    R[1, keys.index(key)] = math.nan
-    monkeypatch.setattr(cli, "_corpus_outcomes", lambda *args: (R, None))
+    witnesses = cli._witnesses
+
+    def planted(*args, **kwargs):
+        w = witnesses(*args, **kwargs)
+        w.residuals[1, ROUNDTRIP.names.index(key)] = math.nan
+        return w
+
+    monkeypatch.setattr(cli, "_witnesses", planted)
     report = cli._h_prop1_roundtrip({"count": 2, "half_dims": [1]},
                                     np.random.default_rng(0), Tolerances())
     assert report.status == VIOLATED

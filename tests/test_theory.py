@@ -24,7 +24,7 @@ from istruct.structures import (UNDECIDED, Certificate, ComplexStructure,
                                 natural_i_operator, natural_i_operator_matrix,
                                 reevaluate_witness, search_i_operator,
                                 validate_i_operator)
-from istruct.theory import (REAL_CARTESIAN, _complex_cartesian_check,
+from istruct.theory import (REAL_CARTESIAN, ROUNDTRIP, _complex_cartesian_check,
                             _complex_cartesian_residuals, _conjugations,
                             _real_cartesian_residuals, _squares_check,
                             _squares_residuals, _witness_report, _witnesses,
@@ -133,8 +133,29 @@ def test_witness_on_a_polytope_restricts_the_norm_to_y():
 def test_witness_status_follows_exactness_and_round_trip(s_norm, exact, round_dev,
                                                           bound, status):
     # ||I + T|| = 2; sampled norms are lower bounds that decide nothing
-    norm_bound, report = _witness_report(0.0, 0.0, round_dev, (s_norm, exact), (2.0, exact))
+    row = np.array([0.0, 0.0, round_dev, max(0.0, s_norm - 2.0)])
+    norm_bound, report = _witness_report(row, np.array([s_norm, 2.0]), exact)
     assert (norm_bound["status"], report.status) == (bound, status)
+
+
+def test_a_nan_norm_of_s_shows_in_the_norm_excess(monkeypatch):
+    # the excess is read off the kernel's row, where max(0.0, nan) was 0.0:
+    # the report and the row both carry the NaN, and the bound fails
+    singular_values = theory._singular_values
+    calls = []
+
+    def planted(T, w_dom, w_cod):
+        calls.append(T)
+        sv = singular_values(T, w_dom, w_cod)
+        return sv * math.nan if len(calls) == 1 else sv  # ||S|| comes first
+
+    monkeypatch.setattr(theory, "_singular_values", planted)
+    wit = build_complexification_witness(natural_i_operator(lp_space(2, 2.0)),
+                                         conjugation_matrix(2))
+    assert math.isnan(wit.norm_bound["S"]) and wit.norm_bound["I_plus_T"] == 2.0
+    assert math.isnan(wit.report.residuals["norm_excess"])
+    assert wit.report.status == "violated"
+    assert wit.report.witness == {"norm_bound": wit.norm_bound}
 
 
 def _isomorphism_stack(half_dim, count, seed):
@@ -157,8 +178,10 @@ def test_stacked_witnesses_are_the_single_calls(half_dim):
         T = extract_conjugation(iso)
         assert np.array_equal(T, Ts[j])
         one = build_complexification_witness(s, T)
-        assert one.report.to_dict() == w.outcomes[j].to_dict()
-        assert one.norm_bound == w.norm_bounds[j]
+        assert one.report.status == "verified"
+        assert one.report.residuals == dict(zip(ROUNDTRIP.names, w.residuals[j].tolist()))
+        assert [one.norm_bound["S"], one.norm_bound["I_plus_T"]] == w.norms[j].tolist()
+        assert one.norm_bound["exact"] is w.exact[j] is True
         assert np.array_equal(one.S.matrix, w.S[j])
         assert np.array_equal(one.S_inverse.matrix, w.S_inverse[j])
         assert np.array_equal(one.Y_basis, w.B[j])
@@ -532,8 +555,8 @@ def test_a_nan_involution_residual_fails_the_witness(monkeypatch, a, b):
 def _planted_deviations(monkeypatch, d1, d2):
     deviations = theory._cartesian_deviations
 
-    def planted(Ts):
-        TT, _, _ = deviations(Ts)
+    def planted(Ts, *maps):
+        TT, _, _ = deviations(Ts, *maps)
         return TT, np.full(len(Ts), d1), np.full(len(Ts), d2)
     monkeypatch.setattr(theory, "_cartesian_deviations", planted)
 
