@@ -13,8 +13,8 @@ from istruct.structures import search_i_operator
 def main():
     for label, space in [("l2 plane", lp_space(2, 2.0)),
                          ("l1 plane", lp_space(2, 1.0)),
-                         ("l2 (+) l2", direct_sum(lp_space(2, 2.0), lp_space(2, 2.0), "sum")),
-                         ("l1 (+) l2", direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum"))]:
+                         ("l2 (+) l2", direct_sum(lp_space(2, 2.0), lp_space(2, 2.0))),
+                         ("l1 (+) l2", direct_sum(lp_space(2, 1.0), lp_space(2, 2.0)))]:
         result = search_i_operator(space)
         print(f"{label:10} {result.tag}")
         if result.found is not None:

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import corpus as corpus_gen
-from .config import Tolerances
+from .config import MAX_FLOATS, Tolerances
 from .errors import (IstructError, ScenarioError, StructureValidationError,
                      first_errors, is_json_int, is_json_number, unknown_keys)
 from .ideals import (HILBERT_SCHMIDT, GroupedCorpus, audit_self_conjugacy,
@@ -35,8 +35,7 @@ from .pelczynski import (RULES, ChainDerivation, Step, chain_from_dict,
 from .report import INCONCLUSIVE, VERIFIED, VIOLATED, VerificationReport, bounded
 from .spaces import (_gram_complexification_norms, _gram_errors, _gram_norms,
                      block_diag2, complexification_norm,
-                     complexification_norm_batch, direct_sum, lp_space,
-                     space_from_dict)
+                     complexification_norm_batch, lp_space, space_from_dict)
 from .structures import (BY_CONSTRUCTION, DEFAULT_SAMPLE_ANGLES,
                          DEFAULT_SAMPLE_VECTORS, MIN_SAMPLE_ANGLES,
                          MIN_SAMPLE_VECTORS, UNDECIDED, certify, natural_i_operator,
@@ -189,14 +188,13 @@ DIM_RANGE = ParamType("a pair [lo, hi] of integers with 1 <= lo <= hi",
                       and all(_is_int(x, 1) for x in v) and v[0] <= v[1],
                       reach=lambda v: v[1])
 MAX_DIM = _integer(1)._replace(reach=lambda v: v)
-# count x (2 d)**2 floats (128 MiB) at most in a corpus claim, d the largest
+# count x (2 d)**2 floats, at most MAX_FLOATS, in a corpus claim, d the largest
 # dimension its draws reach: the largest bundled or benchmark corpus is 300 x
 # 12**2 = 43,200 (exact-algebra's real-cartesian).  It keeps draws below 2**32
-CORPUS_FLOATS = 2 ** 24
 # kind -> (the parameter turned through 'angles', the vectors of the claim's
 # space that each of its items turns): their product with angles and the
 # space's dimension counts the floats a sampled claim asks for, bounded by
-# CORPUS_FLOATS too.  The largest bundled or benchmark one is 128 x 16 x 1 x 4
+# MAX_FLOATS too.  The largest bundled or benchmark one is 128 x 16 x 1 x 4
 # = 8,192 (paper-all's validate-cplx-l1)
 _SAMPLED = {"rotation-invariance": ("count", 2), "validate-structure": ("samples", 1),
             "reject-structure": ("samples", 1)}
@@ -251,7 +249,7 @@ def _h_euclidean_closed_form(params, rng, tol):
 
     return _corpus_verdict(rng, params["count"], draw, check, _Residuals(
         "euclidean-closed-form", ("abs_error",), np.array([1e-10]), {"abs": 1e-10}),
-        {"worst_abs_error": 0})
+        {"worst_abs_error": 0}, lambda shape, _: {"dim": shape[0], "explicit_gram": shape[1]})
 
 
 def _h_l1_spot_value(params, rng, tol):
@@ -409,7 +407,8 @@ def _h_prop1_roundtrip(params, rng, tol):
         return w.residuals, first_errors(c.errors, conj_errors, w.errors)
 
     return _corpus_verdict(rng, params["count"], draw, check, ROUNDTRIP,
-                           {key: j for j, key in enumerate(ROUNDTRIP.names)})
+                           {key: j for j, key in enumerate(ROUNDTRIP.names)},
+                           lambda m, _: {"half_dim": m})
 
 
 def _h_squares(params, rng, tol):
@@ -511,15 +510,14 @@ def _h_hs_doubling(params, rng, tol):
     def check(spaces, Ts):
         (dom, cod), Ts = spaces, np.stack(Ts)
         base = ideal_norms(HILBERT_SCHMIDT, Ts, dom, cod)
-        dom2 = direct_sum(dom, dom, "complexification")
-        cod2 = direct_sum(cod, cod, "complexification")
+        dom2, cod2 = natural_i_operator(dom).space, natural_i_operator(cod).space
         doubled = ideal_norms(HILBERT_SCHMIDT, block_diag2(Ts), dom2, cod2)
         return np.abs(doubled - math.sqrt(2.0) * base)[:, None], ()
 
     return _corpus_verdict(
         rng, params["count"], lambda stream: _draw_real_op(rng, stream, params["dims"]),
         check, _Residuals("hs-doubling", ("abs_dev",), np.array([bound]), {"abs": bound}),
-        {"worst_abs_dev": 0})
+        {"worst_abs_dev": 0}, lambda _, T: {"shape": list(T.shape)})
 
 
 def _h_pelczynski_chain(params, rng, tol):
@@ -683,21 +681,21 @@ def parse_claim(claim_id: str, claim, resolved: dict) -> tuple:
         if ptype.reach is not None:  # a corpus of count items
             value, count = claim.get(key, default), params["count"]
             floats = count * (2 * ptype.reach(value)) ** 2
-            if floats > CORPUS_FLOATS:
+            if floats > MAX_FLOATS:
                 raise ScenarioError(
                     f"claim {claim_id!r} parameters 'count' = {count} and {key!r} = {value!r} "
                     f"ask for a corpus of {floats} floats (count x (2 d)**2, d the largest "
-                    f"dimension drawn), more than 2**{CORPUS_FLOATS.bit_length() - 1}")
+                    f"dimension drawn), more than 2**{MAX_FLOATS.bit_length() - 1}")
     if kind in _SAMPLED:
         key, vectors = _SAMPLED[kind]
         n = params["space"].dim
         floats = params[key] * params["angles"] * vectors * n
-        if floats > CORPUS_FLOATS:
+        if floats > MAX_FLOATS:
             raise ScenarioError(
                 f"claim {claim_id!r} parameters {key!r} = {params[key]} and 'angles' = "
                 f"{params['angles']} ask for {floats} floats ({key} x angles x {vectors} x dim, "
                 f"dim = {n} the dimension of its space), more than "
-                f"2**{CORPUS_FLOATS.bit_length() - 1}")
+                f"2**{MAX_FLOATS.bit_length() - 1}")
     if "space" in params:  # a matrix acts on the claim's space
         n = params["space"].dim
         for key, (ptype, _) in CLAIMS[kind][1].items():

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 SAMPLE_SEED = 0  # every sampled check draws its directions from this seed
+MAX_FLOATS = 2 ** 24  # floats (128 MiB) in a claim's draws or a space's break rows
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,7 @@ from .errors import (DescriptorError, first_errors, is_json_int, is_json_number,
 from .morphisms import (RespectingOperator, _respect_residuals,
                         _singular_values, _split_matrix)
 from .report import VerificationReport, bounded
-from .spaces import (NormedSpace, _checked_operator, block_diag2, direct_sum,
-                     space_key)
+from .spaces import NormedSpace, _checked_operator, block_diag2, space_key
 from .structures import _split_on, natural_i_operator
 
 THRESHOLD_ATOL = 1e-9  # norm thresholds accept up to bound + THRESHOLD_ATOL
@@ -316,8 +315,7 @@ def _squares(corpus: GroupedCorpus, *, tol: Tolerances) -> list:
     squares = []
     errors = {}  # corpus index -> the first error of its square
     for idx, dom, cod, Ts, As, Bs in corpus.groups:
-        dom2 = direct_sum(dom, dom, "complexification")
-        cod2 = direct_sum(cod, cod, "complexification")
+        dom2, cod2 = natural_i_operator(dom).space, natural_i_operator(cod).space
         TT, A2s, B2s = block_diag2(Ts), _split_matrix(As), _split_matrix(Bs)
         doms, cods = zip(*(corpus.certificates[i] for i in idx))
         first = first_errors(_split_on(dom2, A2s, doms, tol=tol)[1],
@@ -340,7 +338,7 @@ def audit_self_conjugacy(oracle: IdealOracle,
     the membership of [T, A, B] in both directions.  The doubled spaces carry
     the averaged norm, on which A (+) -A is an i-operator only for inner
     product spaces: on spaces with neither a Gram nor dimension 2 the audit
-    raises StructureValidationError at once (see theory.split_structure).
+    raises StructureValidationError at once (see structures._split_on).
     """
     _descriptor(oracle, "complex")
     corpus = _grouped_corpus(corpus, "complex")

@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from .config import MAX_FLOATS
 from .errors import (DescriptorError, DimensionMismatchError, QuadratureError,
                      is_json_int, is_json_number, json_field, unknown_keys)
 
@@ -142,9 +143,9 @@ class NormedSpace:
     neither its descriptor nor the descriptor's arrays may be changed.  So the
     data that depends on the space alone is computed on first use and cached
     on the object, with every cached array read-only: how the norm is
-    computed exactly (_form), the whitening factors (_whitening), the
-    averaged double X_C (_double, see direct_sum) and the natural structure
-    on it (see structures.natural_i_operator).
+    computed exactly (_form), the break rows of its kinks (_breaks), the
+    whitening factors (_whitening) and the natural structure on its averaged
+    double X_C (structures.natural_i_operator, whose space is X_C).
     """
 
     dim: int
@@ -165,9 +166,12 @@ class NormedSpace:
         return None if gram is None else _whitening_factors(gram)
 
     @functools.cached_property
-    def _double(self) -> "NormedSpace":
-        """X (+) X with the averaged complexification norm."""
-        return NormedSpace(2 * self.dim, ComplexificationOfBase(self))
+    def _breaks(self) -> Optional[np.ndarray]:
+        """_break_rows, read-only."""
+        G = _break_rows(self)
+        if G is not None:
+            G.flags.writeable = False
+        return G
 
 
 def _check_descriptor(dim: int, d: NormDescriptor) -> None:
@@ -348,9 +352,8 @@ def _norm_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
     if isinstance(d, SumNorm):
         n = d.left.dim
         return _norm_rows(d.left, X[:, :n]) + _norm_rows(d.right, X[:, n:])
-    if isinstance(d, SubspaceNorm):
-        return _norm_rows(d.ambient, X @ d.basis.T)
-    raise DescriptorError(f"unknown descriptor {type(d).__name__}")
+    # SubspaceNorm: _check_descriptor refused every other kind
+    return _norm_rows(d.ambient, X @ d.basis.T)
 
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
@@ -754,20 +757,10 @@ def _panel_integrals(base: NormedSpace, X: np.ndarray, Y: np.ndarray, start: np.
 # Direct sums
 # ---------------------------------------------------------------------------
 
-def direct_sum(left: NormedSpace, right: NormedSpace, mode: str) -> NormedSpace:
-    """Combine two spaces.
-
-    mode="complexification": requires equal halves; the result carries the
-    averaged L2 norm, and is the same object for every call with the same
-    left half.  mode="sum": ||(x, y)|| = ||x|| + ||y||.
-    """
-    if mode == "complexification":
-        if not space_equal(left, right):
-            raise DescriptorError("complexification mode requires identical halves")
-        return left._double
-    if mode == "sum":
-        return NormedSpace(left.dim + right.dim, SumNorm(left, right))
-    raise DescriptorError(f"unknown direct-sum mode {mode!r}")
+def direct_sum(left: NormedSpace, right: NormedSpace) -> NormedSpace:
+    """The l1-sum: ||(x, y)|| = ||x|| + ||y||.  X's averaged double X_C is
+    structures.natural_i_operator(X).space."""
+    return NormedSpace(left.dim + right.dim, SumNorm(left, right))
 
 
 def block_diag2(T: np.ndarray) -> np.ndarray:
@@ -805,21 +798,12 @@ class _Form(NamedTuple):
     the parts of both, each F zero-padded onto its block; a subspace has its
     ambient space's parts, each F mapped to F @ basis; and every line.
     A line's norm is c|x|, c its norm at 1: a line whose kind gives it no
-    Gram or no pieces gets [[c^2]] or the one part ([[c]], "sum"), and keeps
-    the breaks of its kind; so an l1-sum of lines is a weighted l1 plane.
-    breaks: rows g such that ||x cos phi + y sin phi|| is analytic in phi
-    between the zeros of <g, x cos phi + y sin phi>.  A Euclidean-like norm
-    gives the coordinate rows: it is analytic except where the whole vector
-    vanishes, which is a zero of every coordinate.  Lp and WeightedLp give the
-    coordinate rows too (p = inf: the maximum's rows and their crossings),
-    Polyhedral its functionals and their crossings, a sum the block stack of
-    both parts, and a subspace the ambient rows times its basis.  Nested
-    complexifications, and sums or subspaces with such a part, have none.
+    Gram or no pieces gets [[c^2]] or the one part ([[c]], "sum"); so an
+    l1-sum of lines is a weighted l1 plane.
     """
 
     gram: Optional[np.ndarray]
     pieces: Optional[tuple]
-    breaks: Optional[np.ndarray]
 
 
 def _closed_form(space: NormedSpace) -> _Form:
@@ -827,27 +811,22 @@ def _closed_form(space: NormedSpace) -> _Form:
     of it is read-only; a descriptor's own array enters as a view, so the
     descriptor's stays as it is."""
     d, n = space.norm_desc, space.dim
-    gram = pieces = breaks = None
+    gram = pieces = None
     if isinstance(d, (Lp, WeightedLp)):
         F = np.eye(n) if isinstance(d, Lp) else np.diag(d.weights)
         if d.p == 2.0:
             gram = F
         elif d.p in (1.0, math.inf):
             pieces = ((F, "sum" if d.p == 1.0 else "max"),)
-        breaks = _with_crossings(F) if math.isinf(d.p) else np.eye(n)
     elif isinstance(d, EuclideanQuadratic):
         gram = d.gram.view()
     elif isinstance(d, Polyhedral):
         pieces = ((d.functionals.view(), "max"),)
-        breaks = _with_crossings(d.functionals)
     elif isinstance(d, ComplexificationOfBase):
         g = d.base._form.gram
         gram = None if g is None else block_diag2(g / 2.0)
     elif isinstance(d, SumNorm):
         left, right, m = d.left._form, d.right._form, d.left.dim
-        if left.breaks is not None and right.breaks is not None:
-            breaks = np.vstack([_on_block(left.breaks, 0, n),
-                                _on_block(right.breaks, m, n)])
         if left.pieces is not None and right.pieces is not None:
             pieces = (tuple((_on_block(F, 0, n), c) for F, c in left.pieces)
                       + tuple((_on_block(F, m, n), c) for F, c in right.pieces))
@@ -856,17 +835,54 @@ def _closed_form(space: NormedSpace) -> _Form:
         gram = None if amb.gram is None else d.basis.T @ amb.gram @ d.basis
         pieces = None if amb.pieces is None else tuple((F @ d.basis, c)
                                                        for F, c in amb.pieces)
-        breaks = None if amb.breaks is None else amb.breaks @ d.basis
-    if gram is not None:
-        breaks = np.eye(n)
     if n == 1:  # every norm on a line is c|x|, c its norm at 1
         c = norm_batch(space, np.ones((1, 1)))[None]
         gram = c ** 2 if gram is None else gram
         pieces = pieces or ((c, "sum"),)
-    for a in (gram, breaks, *(F for F, _ in pieces or ())):
+    for a in (gram, *(F for F, _ in pieces or ())):
         if a is not None:
             a.flags.writeable = False
-    return _Form(gram, pieces, breaks)
+    return _Form(gram, pieces)
+
+
+def _break_rows(space: NormedSpace) -> Optional[np.ndarray]:
+    """Rows g such that ||x cos phi + y sin phi|| is analytic in phi between
+    the zeros of <g, x cos phi + y sin phi>, or None.  A Euclidean-like norm
+    gives the coordinate rows: it is analytic except where the whole vector
+    vanishes, which is a zero of every coordinate.  Lp and WeightedLp give the
+    coordinate rows too (p = inf: the maximum's rows and their crossings),
+    Polyhedral its functionals and their crossings, a sum the block stack of
+    both parts, and a subspace the ambient rows times its basis.  Nested
+    complexifications, and sums or subspaces with such a part, have none.
+    Rows of more than MAX_FLOATS floats are refused before they are built."""
+    d, n = space.norm_desc, space.dim
+    if isinstance(d, SubspaceNorm) and d.ambient._form.gram is None:
+        G = d.ambient._breaks
+        return None if G is None else G @ d.basis
+    if isinstance(d, ComplexificationOfBase) and d.base._form.gram is None:
+        return None
+    if isinstance(d, SumNorm):
+        left, right = d.left._breaks, d.right._breaks
+        if left is None or right is None:
+            return None
+        _check_break_rows(n, len(left) + len(right))
+        return np.vstack([_on_block(left, 0, n), _on_block(right, d.left.dim, n)])
+    if isinstance(d, Polyhedral) or (isinstance(d, (Lp, WeightedLp)) and math.isinf(d.p)):
+        F = (d.functionals if isinstance(d, Polyhedral)
+             else np.eye(n) if isinstance(d, Lp) else np.diag(d.weights))
+        # max_j |<f_j, .>| has its kinks where some <f_j, .> = 0 or
+        # |<f_j, .>| = |<f_l, .>|: F's rows, and f_j + f_l and f_j - f_l, j < l
+        _check_break_rows(n, len(F) ** 2)
+        j, l = np.triu_indices(len(F), k=1)
+        return np.vstack([F, F[j] + F[l], F[j] - F[l]])
+    _check_break_rows(n, n)
+    return np.eye(n)
+
+
+def _check_break_rows(n: int, rows: int) -> None:
+    if rows * n > MAX_FLOATS:
+        raise DescriptorError(f"the kinks of a space of dimension {n} need {rows} break "
+                              f"rows, more than 2**{MAX_FLOATS.bit_length() - 1} floats")
 
 
 def _on_block(F: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -880,7 +896,7 @@ def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     """Per row, angles in [0, pi) between which ||x cos phi + y sin phi|| is
     analytic in phi, one column per candidate kink (nan: none there).
 
-    With break rows (_Form.breaks) these are their zeros along the row.  A
+    With break rows (_break_rows) these are their zeros along the row.  A
     sum takes the angles of both parts, each on its own block, and a subspace
     those of its ambient space.  For the complexification of a base with
     break rows g_k, the inner kinks along psi are the zeros of
@@ -893,7 +909,7 @@ def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     gives no angles: the whole period is one arc.
     """
     d = space.norm_desc
-    G = space._form.breaks
+    G = space._breaks
     if G is not None:
         A, B = X @ G.T, Y @ G.T
         # a functional that vanishes on the whole row has no zero there
@@ -904,7 +920,7 @@ def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray
                           _kink_angles(d.right, X[:, n:], Y[:, n:])])
     if isinstance(d, SubspaceNorm):
         return _kink_angles(d.ambient, X @ d.basis.T, Y @ d.basis.T)
-    G = d.base._form.breaks
+    G = d.base._breaks
     if G is None:
         return np.empty((len(X), 0))
     n = d.base.dim
@@ -926,13 +942,6 @@ def _kink_angles(space: NormedSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     # 2 |P_k|^2 = const + (a^2 + c^2 - b^2 - e^2) cos 2 phi + 2 (ab + ce) sin 2 phi
     least = (np.arctan2(2.0 * (a * b + c * e), a * a + c * c - b * b - e * e) + np.pi) / 2.0
     return np.mod(np.hstack([(centre - half) / 2.0, (centre + half) / 2.0, least]), np.pi)
-
-
-def _with_crossings(F: np.ndarray) -> np.ndarray:
-    """F's rows plus f_j + f_l and f_j - f_l for j < l: max_j |<f_j, .>| has
-    its kinks where some |<f_j, .>| = |<f_l, .>| or <f_j, .> = 0."""
-    j, l = np.triu_indices(len(F), k=1)
-    return np.vstack([F, F[j] + F[l], F[j] - F[l]])
 
 
 # ---------------------------------------------------------------------------

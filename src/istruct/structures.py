@@ -22,8 +22,8 @@ import numpy as np
 from .config import DEFAULT_TOL, SAMPLE_SEED, Tolerances
 from .errors import IstructError, StructureValidationError, single
 from .spaces import (ComplexificationOfBase, Lp, NormedSpace, SumNorm, WeightedLp,
-                     _check_vector, _checked_operator, direct_sum,
-                     euclidean_gram, norm, norm_batch, space_equal)
+                     _check_vector, _checked_operator, euclidean_gram, norm,
+                     norm_batch, space_equal)
 
 DEFAULT_SAMPLE_VECTORS = 512
 DEFAULT_SAMPLE_ANGLES = 64
@@ -237,9 +237,16 @@ def conjugate_structure(s: ComplexStructure) -> ComplexStructure:
 
 def _split_on(space2: NormedSpace, A2s: np.ndarray,
               certificates: Sequence[Certificate], *, tol: Tolerances) -> tuple:
-    """theory.split_structure of k structures [X, A] with their certificates, on
-    the X that space2 doubles (either norm), with A2s (k, 2n, 2n) their A (+) -A:
-    the squares' certificates (None if refused unchecked) and errors (None if kept)."""
+    """The squares [space2, A (+) -A] of k structures [X, A] with their
+    certificates, space2 being X (+) X with the sum norm or X_C, and A2s
+    (k, 2n, 2n) their A (+) -A: the squares' certificates (None if refused
+    unchecked) and errors (None if kept).  A rotation turns the first half by
+    cos t I + sin t A and the second by cos t I - sin t A, each an isometry of
+    X.  So with the sum norm a square inherits its certificate, a witness x
+    lifted to (x, 0).  On X_C, A (+) -A is an i-operator iff X's norm comes
+    from an inner product, so it inherits only where that is proved: X has a
+    Gram, or X is a plane (A = PJP^-1 makes P^-1 of its unit ball a disc).
+    Any other X is refused."""
     d = space2.norm_desc
     if (isinstance(d, ComplexificationOfBase) and d.base.dim != 2
             and euclidean_gram(d.base) is None):
@@ -270,14 +277,13 @@ def natural_i_operator(base: NormedSpace) -> ComplexStructure:
     The structure depends on the base alone, which is immutable (see
     NormedSpace), so it is built once and cached on the base: every call with
     the same base returns the same object, which callers share and must not
-    modify; its space is direct_sum(base, base, "complexification") and its
-    N is read-only.
+    modify; its space is base's averaged double X_C, and its N is read-only.
     """
     s = vars(base).get("_natural_i_operator")
     if s is None:
         N = natural_i_operator_matrix(base.dim)
         N.flags.writeable = False
-        s = ComplexStructure(direct_sum(base, base, "complexification"), N,
+        s = ComplexStructure(NormedSpace(2 * base.dim, ComplexificationOfBase(base)), N,
                              BY_CONSTRUCTION)
         vars(base)["_natural_i_operator"] = s
     return s

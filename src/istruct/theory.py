@@ -227,12 +227,12 @@ def _witnesses(As: np.ndarray, Ts: np.ndarray, grams: Optional[np.ndarray],
 def _witness_report(row: np.ndarray, norms: np.ndarray, exact: bool) -> tuple:
     """The norm bound and the report of one witness, from its row of ROUNDTRIP
     residuals, the norms (||S||, ||I + T||) and whether both are exact.
-    Sampled norms are lower bounds, which neither prove nor refute
-    ||S|| <= ||I + T||."""
+    The bound holds as the row's norm_excess holds ROUNDTRIP's bound; sampled
+    norms are lower bounds, which neither prove nor refute it."""
     residuals = dict(zip(ROUNDTRIP.names, row.tolist()))
     s_norm, p_norm = norms.tolist()
     bound_status = (INCONCLUSIVE if not exact
-                    else VERIFIED if s_norm <= p_norm + NORM_SLACK else VIOLATED)
+                    else VERIFIED if residuals["norm_excess"] <= NORM_SLACK else VIOLATED)
     norm_bound = {"S": s_norm, "I_plus_T": p_norm, "exact": exact,
                   "status": bound_status}
     # a nan round_dev fails both tests: a verified bound becomes inconclusive
@@ -274,18 +274,11 @@ def squares_isomorphism_inverse_matrix(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def split_structure(s: ComplexStructure, *, tol: Tolerances = DEFAULT_TOL,
-                    mode: str = "sum") -> ComplexStructure:
-    """[X (+) X, A (+) -A] with the sum norm (or the averaged norm).
-
-    A rotation turns the first half by cos t I + sin t A and the second by
-    cos t I - sin t A, each an isometry of X.  So with the sum norm the pair
-    inherits s's certificate, a witness x lifted to (x, 0).  On the averaged
-    norm A (+) -A is an i-operator iff X's norm comes from an inner product,
-    so it inherits only where that is proved: X has a Gram, or X is a plane
-    (A = PJP^-1 makes P^-1 of its unit ball a disc).  Any other X is refused.
-    """
-    space2 = direct_sum(s.space, s.space, mode)
+def split_structure(s: ComplexStructure, *,
+                    tol: Tolerances = DEFAULT_TOL) -> ComplexStructure:
+    """[X (+) X, A (+) -A] with the sum norm; it inherits s's certificate (see
+    structures._split_on)."""
+    space2 = direct_sum(s.space, s.space)
     A2 = _split_matrix(s.A)
     certs, errors = _split_on(space2, A2[None], [s.certificate], tol=tol)
     return single(ComplexStructure(space2, A2, certs[0]), errors[0])
@@ -296,7 +289,7 @@ def squares_isomorphism(s: ComplexStructure, *,
     """Isomorphism [X (+) X, N_X] -> [X (+) X, A (+) -A]."""
     Ms, certs, res, errors = _squares_isomorphisms(s.space, s.A[None],
                                                    [s.certificate], tol=tol)
-    square = ComplexStructure(direct_sum(s.space, s.space, "sum"),
+    square = ComplexStructure(direct_sum(s.space, s.space),
                               _split_matrix(s.A), certs[0])
     return single(RespectingOperator(natural_i_operator(s.space), square, Ms[0],
                                      res[0]), errors[0])
@@ -309,7 +302,7 @@ def _squares_isomorphisms(space: NormedSpace, As: np.ndarray,
     certificates of the sum-norm squares [X (+) X, A (+) -A], the respect
     residuals, and the error of each item that fails (None where it holds)."""
     A2s = _split_matrix(As)
-    certs, split_errors = _split_on(direct_sum(space, space, "sum"), A2s,
+    certs, split_errors = _split_on(direct_sum(space, space), A2s,
                                     certificates, tol=tol)
     Ms = squares_isomorphism_matrix(As)
     res, respect_errors = _respect_residuals(
@@ -469,7 +462,7 @@ def verify_theorem_complex(oracle, corpus: Sequence, *,
     and the ambient norms only), mirroring the square-space isomorphism.
     Without self_conjugate the audit runs, whose averaged squares need a
     corpus over spaces with a Gram or planes; any other corpus raises
-    StructureValidationError at once (see split_structure).  Its squares
+    StructureValidationError at once (see structures._split_on).  Its squares
     T (+) T map between the spaces of the unfolded ones (natural_i_operator(X)
     .space is X's averaged double), so it decides the unfolded operators of an
     oracle that reads no structure.  The corpus is a GroupedCorpus or a

@@ -1,8 +1,9 @@
-"""Builders that only the tests need: random respecting operators, the JSON
-form of a chain (the package reads chains from JSON, but writes none),
-one entry of a sequence drawn as rng.choice draws it, signed pairings drawn
-through numpy's own Generator calls, a counter of sampled isometry checks,
-and a log of linear-algebra calls that shows which repeat their input."""
+"""Builders that only the tests need: random respecting operators, the
+averaged square of a structure, the JSON form of a chain (the package reads
+chains from JSON, but writes none), one entry of a sequence drawn as
+rng.choice draws it, signed pairings drawn through numpy's own Generator
+calls, a counter of sampled isometry checks, and a log of linear-algebra
+calls that shows which repeat their input."""
 
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ import numpy as np
 from istruct import structures
 from istruct.config import DEFAULT_TOL, Tolerances
 from istruct.corpus import _below, respecting_part
-from istruct.errors import DescriptorError
-from istruct.morphisms import RespectingOperator, make_respecting
+from istruct.errors import DescriptorError, single
+from istruct.morphisms import RespectingOperator, _split_matrix, make_respecting
 from istruct.pelczynski import ChainDerivation, SumExpr
-from istruct.structures import ComplexStructure
+from istruct.structures import ComplexStructure, _split_on, natural_i_operator
 
 
 def choice(rng: np.random.Generator, seq):
@@ -53,6 +54,15 @@ def random_respecting_operator(dom: ComplexStructure, cod: ComplexStructure,
                                tol: Tolerances = DEFAULT_TOL) -> RespectingOperator:
     T = random_respecting_matrix(dom.A, cod.A, rng)
     return make_respecting(dom, cod, T, tol=tol)
+
+
+def averaged_square(s: ComplexStructure, *,
+                    tol: Tolerances = DEFAULT_TOL) -> ComplexStructure:
+    """[X_C, A (+) -A] for s = [X, A], X_C = natural_i_operator(X).space, as
+    the self-conjugacy audit builds it (structures._split_on)."""
+    space2, A2 = natural_i_operator(s.space).space, _split_matrix(s.A)
+    certs, errors = _split_on(space2, A2[None], [s.certificate], tol=tol)
+    return single(ComplexStructure(space2, A2, certs[0]), errors[0])
 
 
 def expr_to_list(e: SumExpr) -> list:

@@ -16,7 +16,7 @@ import istruct
 from istruct import cli
 from istruct.cli import (bundled_scenario_path, load_scenario, main,
                          run_suite)
-from istruct.config import Tolerances
+from istruct.config import MAX_FLOATS, Tolerances
 from istruct.corpus import (random_complexification_isomorphism,
                             random_euclidean_space, random_exact_structure)
 from istruct.errors import DescriptorError, IstructError, ScenarioError, WitnessError
@@ -217,6 +217,37 @@ def test_undecided_structure_search_is_inconclusive(tmp_path, capsys):
     assert claim["outcome"] == "violated"
     assert claim["report"]["status"] == "inconclusive"
     assert claim["report"]["notes"] == ["tag: undecided"]
+
+
+def test_a_structure_search_that_finds_the_unexpected_is_violated():
+    parsed = cli.parse_claim("s", {"kind": "search-structure", "space": "plane",
+                                   "expect_found": False},
+                             {"space": {"plane": lp_space(2, 2.0)}})
+    report = cli.run_claim("s", parsed, 1, Tolerances())["report"]
+    assert report["status"] == VIOLATED
+    assert report["witness"] == {"found": True, "expected": False, "tag": "found"}
+
+
+def test_mutations_of_a_chain_illegal_at_step_0_fail_there(tmp_path):
+    # the chain fails at step 0, so a mutation of step j > 0 fails at step 0
+    # too, not at j: each of them is a failure of the claim
+    chain = chain_to_dict(reference_chain())
+    chain["steps"][0]["expr"] = chain["start"]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    parsed = cli.parse_claim("m", {"kind": "chain-mutations", "fixture": str(path)}, {})
+    report = cli.run_claim("m", parsed, 1, Tolerances())["report"]
+    steps = len(chain["steps"])
+    assert report["status"] == VIOLATED
+    assert report["residuals"] == {"failures": float(steps - 1)}
+    assert [f["index"] for f in report["witness"]] == list(range(1, steps))
+    assert all(f["status"] == VIOLATED and f["witness"]["step"] == 0
+               for f in report["witness"])
+
+
+def test_a_violated_report_needs_a_witness():
+    with pytest.raises(ValueError, match="witness"):
+        VerificationReport("c", VIOLATED)
 
 
 _J = [[0.0, -1.0], [1.0, 0.0]]
@@ -739,7 +770,7 @@ def test_bad_scenario_input_exits_2(scenario_path, tmp_path, capsys, claim_runs,
 def test_a_corpus_of_2_24_floats_parses_and_a_larger_one_does_not(claim, key, at_bound,
                                                                     beyond):
     # count x (2 d)**2 with d the largest dimension drawn; nothing is drawn
-    assert 1 * (2 * 2048) ** 2 == cli.CORPUS_FLOATS
+    assert 1 * (2 * 2048) ** 2 == MAX_FLOATS
     cli.parse_claim("c", {**claim, "count": 1, key: at_bound}, {})
     for count, value in ((2, at_bound), (1, beyond)):
         with pytest.raises(ScenarioError, match=(
@@ -764,6 +795,18 @@ def test_a_sampled_claim_of_2_24_floats_parses_and_a_larger_one_does_not(claim, 
             f"claim 'c' parameters '{key}' = {at_bound + 1} and 'angles' = "
             rf"{claim['angles']} ask for \d+ floats .* more than 2\*\*24")):
         cli.parse_claim("c", {**claim, key: at_bound + 1}, resolved)
+
+
+def test_rotation_invariance_on_a_large_cube_builds_no_break_rows():
+    # l_inf^1200's one part gives its averaged norm exactly; its 1200^2
+    # crossing rows, which a kink path would need, are not built
+    big = lp_space(1200, math.inf)
+    parsed = cli.parse_claim("r", {"kind": "rotation-invariance", "space": "big",
+                                   "count": 1, "angles": 3}, {"space": {"big": big}})
+    report = cli.run_claim("r", parsed, 1, Tolerances())["report"]
+    assert report["status"] == VERIFIED
+    assert report["residuals"]["worst_abs_dev"] <= 1e-8
+    assert "_breaks" not in vars(big)
 
 
 @pytest.mark.parametrize("read, obj, error, words", [
@@ -1307,6 +1350,27 @@ def test_a_nan_residual_fails_its_item_and_shows_in_the_report(monkeypatch):
     assert report["witness"] == {"shape": list(drawn[0][0])}
 
 
+def test_a_failing_squares_item_names_its_matrix(monkeypatch):
+    parsed = cli.parse_claim("sq", {"kind": "squares", "count": 10, "dims": [4]},
+                             _NO_NAMES)
+    stacks = []
+    run = cli._squares_residuals
+
+    def planted(space, As, certificates, *, tol):
+        R, errors = run(space, As, certificates, tol=tol)
+        stacks.append(As)
+        R = R.copy()
+        R[3:, 0] = 1.0
+        return R, errors
+
+    monkeypatch.setattr(cli, "_squares_residuals", planted)
+    report = cli.run_claim("sq", parsed, 1, Tolerances())["report"]
+    assert len(stacks) == 1 and len(stacks[0]) == 10
+    assert report["status"] == VIOLATED
+    assert report["residuals"]["respect"] == 1.0
+    assert report["witness"] == {"A": stacks[0][3].tolist()}
+
+
 def test_the_first_squares_error_in_corpus_order_is_raised(monkeypatch):
     # the last item of the first shape group and the first of the second
     # raise: the second's comes first in corpus order
@@ -1346,17 +1410,20 @@ def _spoil_prop1(idx, j, w):
     return dict(zip(ROUNDTRIP.names, w.residuals[j].tolist()))
 
 
-@pytest.mark.parametrize("claim, kernel, spoil", [
+@pytest.mark.parametrize("claim, kernel, spoil, witness", [
     ({"kind": "euclidean-closed-form", "count": 40, "dims": [2, 4]},
-     "_gram_complexification_norms", _spoil_closed_form),
+     "_gram_complexification_norms", _spoil_closed_form,
+     lambda shape: {"dim": shape[0], "explicit_gram": shape[1]}),
     ({"kind": "hs-doubling", "count": 40, "dims": [1, 2, 3]}, "block_diag2",
-     _spoil_hs_doubling),
-    ({"kind": "prop1-roundtrip", "count": 40}, "_witnesses", _spoil_prop1),
+     _spoil_hs_doubling, lambda shape: {"shape": [shape[1].dim, shape[0].dim]}),
+    ({"kind": "prop1-roundtrip", "count": 40}, "_witnesses", _spoil_prop1,
+     lambda shape: {"half_dim": shape}),
 ], ids=["closed-form", "hs-doubling", "prop1"])
-def test_a_corpus_reports_its_first_failing_item(monkeypatch, claim, kernel, spoil):
+def test_a_corpus_reports_its_first_failing_item(monkeypatch, claim, kernel, spoil, witness):
     # every item of the second shape group breaks its bound, and the last of
-    # the first: the report is the second group's first item's, and no group
-    # after the second is checked, since each starts beyond it
+    # the first: the report is the second group's first item's, its witness
+    # the item's shape group, and no group after the second is checked, since
+    # each starts beyond it
     parsed = cli.parse_claim("c", claim, _NO_NAMES)
     want = {}
 
@@ -1375,6 +1442,7 @@ def test_a_corpus_reports_its_first_failing_item(monkeypatch, claim, kernel, spo
     assert report["status"] == VIOLATED
     assert report["residuals"] == want[first]
     assert report["residuals"] != want[drawn[1][1][1]]
+    assert json.loads(json.dumps(report["witness"])) == witness(drawn[1][0])
 
 
 def test_a_prop1_claim_builds_one_report(monkeypatch):

@@ -24,9 +24,9 @@ from istruct.report import bounded
 from istruct.spaces import (EuclideanQuadratic, NormedSpace, direct_sum, lp_space,
                             space_key)
 from istruct.structures import natural_i_operator_matrix, validate_i_operator
-from istruct.theory import split_structure, verify_theorem_complex
+from istruct.theory import verify_theorem_complex
 
-from helpers import count_sampled_checks, random_respecting_operator
+from helpers import averaged_square, count_sampled_checks, random_respecting_operator
 
 L2_2 = lp_space(2, 2.0)
 
@@ -451,8 +451,7 @@ def reference_audit(oracle, corpus):
         direct.append(reference_complex(oracle, op))
         conjugated.append(reference_complex(oracle, conjugate_operator(op)))
         square.append(reference_complex(oracle, RespectingOperator(
-            split_structure(op.domain, mode="complexification"),
-            split_structure(op.codomain, mode="complexification"),
+            averaged_square(op.domain), averaged_square(op.codomain),
             block_diag2(op.matrix), 0.0)))
     return direct, conjugated, square
 
@@ -632,7 +631,7 @@ def test_audit_off_euclidean_is_a_typed_error(monkeypatch):
     # A (+) -A on the averaged square of l2^2 (+)_1 l2^2 is no i-operator, as
     # that norm is no inner product's: the theorem refuses it unchecked
     plane = lp_space(2, 2.0)
-    s = validate_i_operator(direct_sum(plane, plane, "sum"),
+    s = validate_i_operator(direct_sum(plane, plane),
                             np.kron(np.eye(2), natural_i_operator_matrix(1)))
     rng = np.random.default_rng(9)
     corpus = [random_respecting_operator(s, s, rng)]

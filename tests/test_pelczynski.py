@@ -162,6 +162,7 @@ def test_expr_keeps_sorted_atom_order():
     assert len(e) == 7
     assert expr_to_list(e)[:3] == [["X", "+"], ["X", "+"], ["X", "-"]]
     assert SumExpr.from_counts(e.counts) == e
+    assert repr(expr("Y-", "X+")) == "SumExpr(X+ . Y-)"
 
 
 def test_apply_rule_rejects_bad_ids():

@@ -10,7 +10,6 @@ import pytest
 
 from istruct import corpus as corpus_gen
 from istruct.corpus import _random_grams
-from istruct.errors import DescriptorError
 from istruct.ideals import (HILBERT_SCHMIDT, OPERATOR_NORM, TRACE_NORM, IdealOracle,
                             NormThreshold, RealOperator, ideal_norms)
 from istruct.morphisms import matrix_norm_between
@@ -36,7 +35,7 @@ def _quad():
 def _double(make):
     def build():
         x = make()
-        return direct_sum(x, x, "complexification")
+        return natural_i_operator(x).space
     return build
 
 
@@ -79,11 +78,10 @@ def test_one_double_and_one_natural_structure_per_space(make):
     x = make()
     s = natural_i_operator(x)
     assert natural_i_operator(x) is s
-    assert s.space is direct_sum(x, x, "complexification")
-    # equal but distinct halves still combine, to an equal space
-    assert space_equal(direct_sum(x, make(), "complexification"), s.space)
-    with pytest.raises(DescriptorError):
-        direct_sum(x, lp_space(x.dim, 1.0), "complexification")
+    assert s.space.norm_desc.base is x
+    # an equal but distinct base has an equal double
+    assert space_equal(natural_i_operator(make()).space, s.space)
+    assert not space_equal(natural_i_operator(lp_space(x.dim, 1.0)).space, s.space)
 
 
 @pytest.mark.parametrize("make", SPACES, ids=IDS)
@@ -103,15 +101,16 @@ def _form_spaces():
     poly = NormedSpace(2, Polyhedral([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     return [l1, l3, lp_space(2, math.inf), _l2(), _weighted_l2(),
             NormedSpace(2, WeightedLp(math.inf, [0.5, 2.0])), _quad(), poly,
-            direct_sum(_quad(), _quad(), "complexification"),
-            direct_sum(l1, l1, "complexification"), direct_sum(l1, poly, "sum"),
-            direct_sum(l3, direct_sum(l1, l1, "complexification"), "sum"),
+            natural_i_operator(_quad()).space,
+            natural_i_operator(l1).space, direct_sum(l1, poly),
+            direct_sum(l3, natural_i_operator(l1).space),
             NormedSpace(1, SubspaceNorm(poly, [[1.0], [2.0]])),
             NormedSpace(1, SubspaceNorm(_quad(), [[1.0], [2.0]]))]
 
 
-def _form_arrays(form) -> list:
-    return [a for a in (form.gram, form.breaks, *(F for F, _ in form.pieces or ()))
+def _form_arrays(x: NormedSpace) -> list:
+    form = x._form
+    return [a for a in (form.gram, x._breaks, *(F for F, _ in form.pieces or ()))
             if a is not None]
 
 
@@ -127,7 +126,7 @@ def test_a_second_read_of_the_form_is_the_same_object():
 
 def test_form_arrays_are_read_only():
     for x in _form_spaces():
-        for a in _form_arrays(x._form):
+        for a in _form_arrays(x):
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
     # a descriptor's own array enters as a read-only view; it stays writable

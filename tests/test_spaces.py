@@ -19,7 +19,7 @@ from istruct.corpus import _random_grams
 from istruct.errors import (DescriptorError, DimensionMismatchError,
                             QuadratureError)
 from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
-                            NormedSpace, Polyhedral, SubspaceNorm,
+                            NormedSpace, Polyhedral, SubspaceNorm, SumNorm,
                             WeightedLp, _arc_mean_sq, _compensated_sum,
                             _kink_angles, _parts_mean_sq, complexification_norm,
                             complexification_norm_batch, direct_sum,
@@ -27,7 +27,7 @@ from istruct.spaces import (ComplexificationOfBase, EuclideanQuadratic, Lp,
                             norm_batch, space_equal, space_from_dict,
                             space_to_dict)
 from istruct.structures import (NONE_FINITE_GROUP, ODD_DIMENSION,
-                                _sampled_isometry_residual,
+                                _sampled_isometry_residual, natural_i_operator,
                                 natural_i_operator_matrix, search_i_operator)
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -151,7 +151,7 @@ def test_gram_norm_neither_underflows_nor_overflows():
     space = euclidean_space(2, [[2.0, 0.5], [0.5, 1.0]])
     for t in (1e200, 1e-200, -1e200):
         assert norm(space, [t, 0.0]) == pytest.approx(math.sqrt(2.0) * abs(t), rel=1e-15)
-    assert norm(direct_sum(space, space, "sum"), [1e200, 0.0, 1e200, 0.0]) == \
+    assert norm(direct_sum(space, space), [1e200, 0.0, 1e200, 0.0]) == \
         pytest.approx(2.0 * math.sqrt(2.0) * 1e200, rel=1e-15)
     # on a stack of Grams too, where every other row keeps its bits
     grams = np.stack([euclidean_gram(space), np.eye(2)])
@@ -235,8 +235,7 @@ def test_dimension_checks():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("space", [lp_space(2, 1.0), lp_space(2, 3.0),
                                    euclidean_space(2, np.diag([1.0, 2.0])),
-                                   direct_sum(lp_space(2, 3.0), lp_space(2, 3.0),
-                                              "complexification")],
+                                   natural_i_operator(lp_space(2, 3.0)).space],
                          ids=["l1", "l3", "quad", "cplx"])
 def test_norm_batch_rejects_non_finite_rows(space, bad):
     X = np.ones((3, space.dim))
@@ -362,7 +361,7 @@ def test_complexification_degenerate_rows():
 
 def test_complexified_space_norm_dispatch():
     base = lp_space(2, 2.0)
-    space = direct_sum(base, base, "complexification")
+    space = natural_i_operator(base).space
     assert space.dim == 4
     v = norm(space, [1.0, 0.0, 0.0, 0.0])
     assert v == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
@@ -389,7 +388,7 @@ def _exact_bases():
     bases["sub-of-l1-4"] = NormedSpace(2, SubspaceNorm(lp_space(4, 1.0),
                                                        rng.standard_normal((4, 2))))
     # an l1-sum of polytope norms is one too, with a part per summand
-    bases["l1+linf"] = direct_sum(lp_space(2, 1.0), lp_space(2, math.inf), "sum")
+    bases["l1+linf"] = direct_sum(lp_space(2, 1.0), lp_space(2, math.inf))
     return bases
 
 
@@ -425,11 +424,11 @@ def test_sinusoid_pieces_recognition():
     [(F, combiner)] = EXACT_BASES["sub-of-l1-4"]._form.pieces
     assert combiner == "sum" and F.shape == (4, 2)
     # an l1-sum has the parts of both summands, each on its own block
-    lines = direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "sum")
+    lines = direct_sum(lp_space(1, 1.0), lp_space(1, 1.0))
     assert [(F.tolist(), c) for F, c in lines._form.pieces] == [
         ([[1.0, 0.0]], "sum"), ([[0.0, 1.0]], "sum")]
     hex_ = NormedSpace(2, Polyhedral(HEX))
-    nested = direct_sum(EXACT_BASES["l1+linf"], hex_, "sum")
+    nested = direct_sum(EXACT_BASES["l1+linf"], hex_)
     assert [(F.shape, c) for F, c in nested._form.pieces] == [
         ((2, 6), "sum"), ((2, 6), "max"), ((3, 6), "max")]
     np.testing.assert_array_equal(nested._form.pieces[2][0][:, 4:], HEX)
@@ -440,8 +439,8 @@ def test_sinusoid_pieces_recognition():
     assert F[0, 0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
     for other in (lp_space(2, 2.0), lp_space(2, 3.0),
                   NormedSpace(2, EuclideanQuadratic(np.eye(2))),
-                  direct_sum(lp_space(1, 1.0), lp_space(1, 1.0), "complexification"),
-                  direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum")):
+                  natural_i_operator(lp_space(1, 1.0)).space,
+                  direct_sum(lp_space(2, 1.0), lp_space(2, 2.0))):
         assert other._form.pieces is None
 
 
@@ -550,19 +549,19 @@ def test_exact_cplx_norm_duplicated_and_parallel_functionals():
 
 def _polytope_sums():
     rng = np.random.default_rng(19)
-    l1_linf = direct_sum(lp_space(2, 1.0), lp_space(2, math.inf), "sum")
+    l1_linf = direct_sum(lp_space(2, 1.0), lp_space(2, math.inf))
     hex_ = NormedSpace(2, Polyhedral(HEX))
     wl1 = NormedSpace(2, WeightedLp(1.0, rng.uniform(0.5, 2.0, 2)))
     return {"l1+linf": l1_linf,
-            "wl1+hex": direct_sum(wl1, hex_, "sum"),
-            "linf+hex": direct_sum(lp_space(2, math.inf), hex_, "sum"),
+            "wl1+hex": direct_sum(wl1, hex_),
+            "linf+hex": direct_sum(lp_space(2, math.inf), hex_),
             "sub-of-l1+linf": NormedSpace(3, SubspaceNorm(l1_linf,
                                                           rng.standard_normal((4, 3)))),
-            "(l1+linf)+hex": direct_sum(l1_linf, hex_, "sum"),
+            "(l1+linf)+hex": direct_sum(l1_linf, hex_),
             # every line is c|x|, so an l1-sum of lines is a weighted l1 plane
-            "l2-line+l2-line": direct_sum(lp_space(1, 2.0), lp_space(1, 2.0), "sum"),
-            "l1-line+l2-line": direct_sum(lp_space(1, 1.0), lp_space(1, 2.0), "sum"),
-            "l3-line+l1-line": direct_sum(lp_space(1, 3.0), lp_space(1, 1.0), "sum")}
+            "l2-line+l2-line": direct_sum(lp_space(1, 2.0), lp_space(1, 2.0)),
+            "l1-line+l2-line": direct_sum(lp_space(1, 1.0), lp_space(1, 2.0)),
+            "l3-line+l1-line": direct_sum(lp_space(1, 3.0), lp_space(1, 1.0))}
 
 
 POLYTOPE_SUMS = _polytope_sums()
@@ -654,14 +653,14 @@ def _arc_bases():
             bases[f"l{p:g}-{dim}"] = (lp_space(dim, p), np.eye(dim))
     bases["l7.5-3"] = (lp_space(3, 7.5), np.eye(3))
     bases["wl3-3"] = (NormedSpace(3, WeightedLp(3.0, rng.uniform(0.5, 2.0, 3))), np.eye(3))
-    bases["l3+l1"] = (direct_sum(lp_space(2, 3.0), lp_space(2, 1.0), "sum"), np.eye(4))
+    bases["l3+l1"] = (direct_sum(lp_space(2, 3.0), lp_space(2, 1.0)), np.eye(4))
     basis = rng.standard_normal((4, 2))
     bases["sub-of-l3-4"] = (NormedSpace(2, SubspaceNorm(lp_space(4, 3.0), basis)), basis)
     # a Euclidean-like part kinks only where its whole block vanishes
-    l1_l2 = direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum")
+    l1_l2 = direct_sum(lp_space(2, 1.0), lp_space(2, 2.0))
     bases["l1+l2"] = (l1_l2, np.eye(4))
     gram = np.array([[2.0, 0.5], [0.5, 1.0]])
-    bases["quad+l3"] = (direct_sum(euclidean_space(2, gram), lp_space(3, 3.0), "sum"),
+    bases["quad+l3"] = (direct_sum(euclidean_space(2, gram), lp_space(3, 3.0)),
                         np.eye(5))
     basis = rng.standard_normal((4, 3))
     bases["sub-of-l1+l2"] = (NormedSpace(3, SubspaceNorm(l1_l2, basis)), basis)
@@ -672,7 +671,7 @@ def _arc_bases():
                         ("hex", NormedSpace(2, Polyhedral(HEX))),
                         ("l1.5-3", lp_space(3, 1.5)), ("l1+l2", l1_l2)):
         bases[f"cplx-{name}"] = (_cplx(inner), None)
-    l1_cplx = direct_sum(lp_space(1, 1.0), _cplx(lp_space(2, 1.0)), "sum")
+    l1_cplx = direct_sum(lp_space(1, 1.0), _cplx(lp_space(2, 1.0)))
     bases["l1+cplx-l1"] = (l1_cplx, None)
     basis = rng.standard_normal((5, 3))
     bases["sub-of-l1+cplx-l1"] = (NormedSpace(3, SubspaceNorm(l1_cplx, basis)), None)
@@ -680,7 +679,7 @@ def _arc_bases():
 
 
 def _cplx(base):
-    return direct_sum(base, base, "complexification")
+    return natural_i_operator(base).space
 
 
 ARC_BASES = _arc_bases()
@@ -792,7 +791,7 @@ def _layout_spaces():
     M = rng.standard_normal((3, 3))
     out["quad-3"] = NormedSpace(3, EuclideanQuadratic(M @ M.T + 3.0 * np.eye(3)))
     out["poly-3"] = NormedSpace(3, Polyhedral(rng.standard_normal((7, 3))))
-    out["sum-9"] = direct_sum(lp_space(4, 3.0), lp_space(5, 1.0), "sum")
+    out["sum-9"] = direct_sum(lp_space(4, 3.0), lp_space(5, 1.0))
     out["sub-3"] = NormedSpace(3, SubspaceNorm(lp_space(9, 1.5), rng.standard_normal((9, 3))))
     out["cplx-l1-4"] = _cplx(lp_space(2, 1.0))
     out["cplx-l3-4"] = _cplx(lp_space(2, 3.0))
@@ -1010,28 +1009,52 @@ def test_gauss_kronrod_table_is_dqk21():
 def test_breakpoint_functionals_recognition():
     l1, linf = lp_space(2, 1.0), lp_space(2, math.inf)
     crossings = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-    np.testing.assert_array_equal(lp_space(3, 3.0)._form.breaks, np.eye(3))
-    np.testing.assert_array_equal(linf._form.breaks, crossings)
+    np.testing.assert_array_equal(lp_space(3, 3.0)._breaks, np.eye(3))
+    np.testing.assert_array_equal(linf._breaks, crossings)
     stacked = np.zeros((6, 4))
     stacked[:2, :2] = np.eye(2)
     stacked[2:, 2:] = crossings
-    np.testing.assert_array_equal(direct_sum(l1, linf, "sum")._form.breaks, stacked)
-    hex_sum = direct_sum(NormedSpace(2, Polyhedral(HEX)), l1, "sum")
-    assert hex_sum._form.breaks.shape == (9 + 2, 4)
+    np.testing.assert_array_equal(direct_sum(l1, linf)._breaks, stacked)
+    hex_sum = direct_sum(NormedSpace(2, Polyhedral(HEX)), l1)
+    assert hex_sum._breaks.shape == (9 + 2, 4)
     # a Euclidean-like norm, alone or as a part, contributes its coordinate rows
     np.testing.assert_array_equal(
-        direct_sum(l1, lp_space(3, 2.0), "sum")._form.breaks, np.eye(5))
+        direct_sum(l1, lp_space(3, 2.0))._breaks, np.eye(5))
     for euclidean in (lp_space(2, 2.0),
                       NormedSpace(2, WeightedLp(2.0, np.array([1.0, 2.0]))),
                       NormedSpace(2, EuclideanQuadratic(np.eye(2))),
                       NormedSpace(1, SubspaceNorm(lp_space(2, 2.0), np.ones((2, 1)))),
                       _cplx(lp_space(2, 2.0))):
-        np.testing.assert_array_equal(euclidean._form.breaks, np.eye(euclidean.dim))
+        np.testing.assert_array_equal(euclidean._breaks, np.eye(euclidean.dim))
     basis = np.array([[1.0], [2.0], [3.0]])
     np.testing.assert_array_equal(
-        NormedSpace(1, SubspaceNorm(lp_space(3, 1.5), basis))._form.breaks, basis)
+        NormedSpace(1, SubspaceNorm(lp_space(3, 1.5), basis))._breaks, basis)
     for name in ("cplx-l3", "cplx-l1", "l1+cplx-l1", "sub-of-l1+cplx-l1"):
-        assert ARC_BASES[name][0]._form.breaks is None
+        assert ARC_BASES[name][0]._breaks is None
+
+
+def test_break_rows_are_built_for_kinks_only_and_bounded():
+    # the search answers l_inf^300 from its one part and builds no break rows
+    big = lp_space(300, math.inf)
+    tracemalloc.start()
+    try:
+        assert search_i_operator(big).tag == NONE_FINITE_GROUP
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_000_000 and "_breaks" not in vars(big)
+    # the kinks of l1^2 (+) l_inf^300 need its 300^2 crossing rows of length
+    # 300, 2.7e7 floats: refused before any is allocated
+    space = direct_sum(lp_space(2, 1.0), big)
+    X = np.ones((1, space.dim))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DescriptorError, match="dimension 300 need 90000 break rows"):
+            complexification_norm_batch(space, X, 0.5 * X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_000_000
 
 
 def test_nested_kink_angles_skip_identical_pairs():
@@ -1056,15 +1079,16 @@ def test_nested_kink_angles_skip_identical_pairs():
 # Direct sums and Gram recognition
 # ---------------------------------------------------------------------------
 
-def test_direct_sum_modes():
+def test_direct_sum_is_the_l1_sum():
     a, b = lp_space(2, 1.0), lp_space(3, 2.0)
-    s = direct_sum(a, b, "sum")
+    s = direct_sum(a, b)
     assert s.dim == 5
     assert norm(s, [1, 1, 3, 4, 0]) == pytest.approx(2.0 + 5.0)
-    with pytest.raises(DescriptorError):
-        direct_sum(a, b, "complexification")
-    with pytest.raises(DescriptorError):
-        direct_sum(a, a, "tensor")
+    # equal halves give the l1-sum too, not the averaged double X_C
+    aa = direct_sum(a, a)
+    assert isinstance(aa.norm_desc, SumNorm)
+    assert norm(aa, [1, 1, 0, 0]) == 2.0
+    assert norm(natural_i_operator(a).space, [1, 1, 0, 0]) == pytest.approx(math.sqrt(2.0))
 
 
 def test_euclidean_gram_recognition():
@@ -1072,7 +1096,7 @@ def test_euclidean_gram_recognition():
     w = NormedSpace(2, WeightedLp(2.0, np.array([2.0, 3.0])))
     assert np.allclose(euclidean_gram(w), np.diag([2.0, 3.0]))
     assert euclidean_gram(lp_space(3, 1.0)) is None
-    cplx = direct_sum(lp_space(2, 2.0), lp_space(2, 2.0), "complexification")
+    cplx = natural_i_operator(lp_space(2, 2.0)).space
     assert np.allclose(euclidean_gram(cplx), np.eye(4) / 2.0)
     sub = NormedSpace(1, SubspaceNorm(lp_space(2, 2.0),
                                       np.array([[1.0], [1.0]])))
@@ -1089,8 +1113,8 @@ def test_euclidean_gram_recognition():
     NormedSpace(2, WeightedLp(1.5, np.array([1.0, 2.0]))),
     NormedSpace(2, EuclideanQuadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))),
     NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0]]))),
-    direct_sum(lp_space(2, 1.0), lp_space(2, 1.0), "complexification"),
-    direct_sum(lp_space(1, 1.0), lp_space(2, 2.0), "sum"),
+    natural_i_operator(lp_space(2, 1.0)).space,
+    direct_sum(lp_space(1, 1.0), lp_space(2, 2.0)),
     NormedSpace(1, SubspaceNorm(lp_space(2, 1.0), np.array([[1.0], [0.0]]))),
 ])
 def test_space_serialization_roundtrip(space):
@@ -1156,9 +1180,9 @@ _L2_1 = {"dim": 1, "norm": {"kind": "lp", "p": 2.0}}
     (NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
      {"dim": 2, "norm": {"kind": "poly",
                          "functionals": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}}),
-    (direct_sum(lp_space(2, 1.0), lp_space(2, 1.0), "complexification"),
+    (natural_i_operator(lp_space(2, 1.0)).space,
      {"dim": 4, "norm": {"kind": "cplx", "base": _L1_2}}),
-    (direct_sum(lp_space(2, 1.0), lp_space(1, 2.0), "sum"),
+    (direct_sum(lp_space(2, 1.0), lp_space(1, 2.0)),
      {"dim": 3, "norm": {"kind": "sum", "left": _L1_2, "right": _L2_1}}),
     (NormedSpace(1, SubspaceNorm(lp_space(2, 1.0), np.array([[1.0], [3.0]]))),
      {"dim": 1, "norm": {"kind": "sub", "ambient": _L1_2, "basis": [[1.0], [3.0]]}}),
@@ -1201,7 +1225,7 @@ def _error_state_calls() -> list:
         "wl3": NormedSpace(3, WeightedLp(3.0, w)),
         "gram": euclidean_space(3, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]),
         "hex": NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
-        "l1+linf": direct_sum(l1, linf, "sum"), "l1+l2": direct_sum(l1, l2, "sum"),
+        "l1+linf": direct_sum(l1, linf), "l1+l2": direct_sum(l1, l2),
         "sub-l3": NormedSpace(2, SubspaceNorm(lp_space(3, 3.0), np.array(
             [[1.0, 0.0], [0.5, 1.0], [0.0, -2.0]]))),
         "cplx-l1": NormedSpace(4, ComplexificationOfBase(l1)),

@@ -107,7 +107,7 @@ HEX = NormedSpace(2, Polyhedral(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])))
 
 
 def _cplx(base):
-    return direct_sum(base, base, "complexification")
+    return natural_i_operator(base).space
 
 
 @pytest.mark.parametrize("base", [
@@ -117,7 +117,7 @@ def _cplx(base):
     NormedSpace(2, WeightedLp(1.0, np.array([1.0, 2.0]))),
     HEX,
     lp_space(3, 1.5),
-    direct_sum(lp_space(2, 1.0), lp_space(2, math.inf), "sum"),
+    direct_sum(lp_space(2, 1.0), lp_space(2, math.inf)),
 ], ids=["l1", "linf", "l3", "weighted-l1", "hex-2", "l1.5-3", "l1+linf"])
 def test_natural_i_operator_is_isometric_under_quadrature(base):
     # certify decides N by its proof; sampling it still checks the
@@ -132,7 +132,7 @@ def test_natural_i_operator_is_isometric_under_quadrature(base):
 @pytest.mark.parametrize("space, A", [
     (_cplx(lp_space(2, 1.0)), -natural_i_operator_matrix(2)),
     (_cplx(lp_space(2, 1.0)), natural_i_operator_matrix(2)[:, [1, 0, 3, 2]]),
-    (direct_sum(lp_space(2, 1.0), lp_space(2, 1.0), "sum"), natural_i_operator_matrix(2)),
+    (direct_sum(lp_space(2, 1.0), lp_space(2, 1.0)), natural_i_operator_matrix(2)),
 ], ids=["minus-N", "column-permuted-N", "N-on-sum"])
 def test_structural_certificate_is_only_for_n_on_a_complexification(space, A):
     c = certify(space, A, samples=16, angles=8)
@@ -262,7 +262,7 @@ def test_one_dimensional_double_certifies_by_its_gram(base, c):
     x = np.array([[-3.0], [0.5], [7.0]])
     assert np.allclose(norm_batch(base, x), c * np.abs(x[:, 0]), rtol=1e-15)
     s = natural_i_operator(base)
-    double = direct_sum(s.space, s.space, "complexification")
+    double = natural_i_operator(s.space).space
     start = time.perf_counter()
     cert = certify(double, _split_matrix(s.A))
     assert time.perf_counter() - start < 1.0
@@ -308,7 +308,7 @@ def _assert_validator_accepts(space, result):
     euclidean_space(4, _random_gram(4, 11)),
     euclidean_space(6, _random_gram(6, 12)),
     NormedSpace(2, WeightedLp(2.0, np.array([1.0, 9.0]))),
-    direct_sum(lp_space(2, 2.0), lp_space(2, 2.0), "complexification"),
+    natural_i_operator(lp_space(2, 2.0)).space,
     lp_space(4, 2.0),
 ], ids=["quad-4", "quad-6", "weighted-l2", "cplx-l2", "l2-4"])
 def test_search_finds_structure_on_euclidean_like_spaces(space):
@@ -369,7 +369,7 @@ def test_search_finds_natural_operator_on_complexifications(space):
 
 
 @pytest.mark.parametrize("space", [
-    direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum"),
+    direct_sum(lp_space(2, 1.0), lp_space(2, 2.0)),
     NormedSpace(2, SubspaceNorm(lp_space(3, 3.0), np.array([[1.0, 0.0], [0.0, 1.0],
                                                             [1.0, 1.0]]))),
 ], ids=["l1+l2", "sub-of-l3"])
@@ -379,13 +379,13 @@ def test_search_undecided_elsewhere(space):
     assert result.found is None
 
 
-_PLANES = direct_sum(lp_space(2, 2.0), lp_space(2, 2.0), "sum")
+_PLANES = direct_sum(lp_space(2, 2.0), lp_space(2, 2.0))
 _JJ = np.kron(np.eye(2), J2)
 
 
 @pytest.mark.parametrize("space, A", [
     (_PLANES, _JJ),
-    (direct_sum(_PLANES, _cplx(lp_space(1, 1.0)), "sum"),
+    (direct_sum(_PLANES, _cplx(lp_space(1, 1.0))),
      np.kron(np.eye(3), J2)),
 ], ids=["l2+l2", "(l2+l2)+cplx-l1-line"])
 def test_search_finds_the_parts_operators_on_a_sum(space, A):
@@ -414,7 +414,7 @@ def test_certify_of_a_block_diagonal_operator_on_a_sum_is_exact():
 
 
 def test_certify_samples_a_block_diagonal_operator_with_an_inexact_part():
-    space = direct_sum(lp_space(2, 1.0), lp_space(2, 2.0), "sum")
+    space = direct_sum(lp_space(2, 1.0), lp_space(2, 2.0))
     c = certify(space, _JJ, samples=16, angles=8)
     assert not c.exact and c.samples_used == 16 * 8
 

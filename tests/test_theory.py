@@ -14,8 +14,8 @@ from istruct.errors import (RespectViolationError, StructureValidationError,
                             WitnessError)
 from istruct.ideals import (AllOperators, IdealOracle, NormThreshold,
                             RankThreshold, RealOperator)
-from istruct.spaces import (ComplexificationOfBase, NormedSpace, Polyhedral,
-                            SubspaceNorm, _whitening_factors, block_diag2,
+from istruct.spaces import (NormedSpace, Polyhedral, SubspaceNorm, SumNorm,
+                            _whitening_factors, block_diag2,
                             direct_sum, euclidean_gram, lp_space, norm_batch,
                             space_equal)
 from istruct.morphisms import RespectingOperator, make_respecting
@@ -36,8 +36,8 @@ from istruct.theory import (REAL_CARTESIAN, ROUNDTRIP, _complex_cartesian_check,
                             verify_squares_isomorphism,
                             verify_theorem_complex, verify_theorem_real)
 
-from helpers import (count_sampled_checks, input_key, linalg_calls,
-                     random_respecting_operator)
+from helpers import (averaged_square, count_sampled_checks, input_key,
+                     linalg_calls, random_respecting_operator)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -129,10 +129,13 @@ def test_witness_on_a_polytope_restricts_the_norm_to_y():
     (1.0, False, 1e-6, "inconclusive", "violated"),
     (1.0, True, np.nan, "verified", "inconclusive"),
     (3.0, True, np.nan, "violated", "violated"),
+    (2.000001, True, 0.0, "violated", "violated"),
 ])
 def test_witness_status_follows_exactness_and_round_trip(s_norm, exact, round_dev,
                                                           bound, status):
-    # ||I + T|| = 2; sampled norms are lower bounds that decide nothing
+    # ||I + T|| = 2; sampled norms are lower bounds that decide nothing.  The
+    # bound holds iff the row's norm_excess does, 2.000001 - 2 being 1e-6 +
+    # 1.4e-16 in floats: above NORM_SLACK, although 2.000001 <= 2 + 1e-6
     row = np.array([0.0, 0.0, round_dev, max(0.0, s_norm - 2.0)])
     norm_bound, report = _witness_report(row, np.array([s_norm, 2.0]), exact)
     assert (norm_bound["status"], report.status) == (bound, status)
@@ -255,11 +258,13 @@ def test_split_structure_shape():
     assert np.array_equal(sp.A[4:, 4:], -s.A)
 
 
-def test_split_structure_complexification_mode():
+def test_split_structure_is_the_sum_square():
+    # the square of [X, A] is on the l1-sum X (+) X, never on X_C
     s = random_exact_structure(2, np.random.default_rng(3))
-    sp = split_structure(s, mode="complexification")
-    assert isinstance(sp.space.norm_desc, ComplexificationOfBase)
-    assert space_equal(sp.space.norm_desc.base, s.space)
+    sp = split_structure(s)
+    assert isinstance(sp.space.norm_desc, SumNorm)
+    assert space_equal(sp.space, direct_sum(s.space, s.space))
+    assert averaged_square(s).space is natural_i_operator(s.space).space
 
 
 def _sum_of_planes():
@@ -267,7 +272,7 @@ def _sum_of_planes():
     Euclidean-like, certified exactly, one plane at a time."""
     plane = lp_space(2, 2.0)
     JJ = np.kron(np.eye(2), natural_i_operator_matrix(1))
-    return validate_i_operator(direct_sum(plane, plane, "sum"), JJ)
+    return validate_i_operator(direct_sum(plane, plane), JJ)
 
 
 def _sampled_sum_of_planes():
@@ -283,15 +288,15 @@ def _sampled_sum_of_planes():
 ROUNDING = 4 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("make, mode", [
-    (lambda: random_exact_structure(4, np.random.default_rng(6)), "sum"),
-    (lambda: random_exact_structure(4, np.random.default_rng(6)), "complexification"),
-    (_sum_of_planes, "sum"),
-    (_sampled_sum_of_planes, "sum"),
+@pytest.mark.parametrize("make, square", [
+    (lambda: random_exact_structure(4, np.random.default_rng(6)), split_structure),
+    (lambda: random_exact_structure(4, np.random.default_rng(6)), averaged_square),
+    (_sum_of_planes, split_structure),
+    (_sampled_sum_of_planes, split_structure),
 ], ids=["l2-sum", "l2-complexification", "planes-sum", "sampled-planes-sum"])
-def test_split_structure_inherits_a_certificate_certify_confirms(make, mode):
+def test_split_structure_inherits_a_certificate_certify_confirms(make, square):
     s = make()
-    sp = split_structure(s, mode=mode)
+    sp = square(s)
     inherited = sp.certificate
     assert inherited.algebraic_residual == s.certificate.algebraic_residual
     assert inherited.isometry_residual == s.certificate.isometry_residual
@@ -312,7 +317,7 @@ def test_averaged_square_off_euclidean_is_a_typed_error(monkeypatch):
     s = _sum_of_planes()
     sampled = count_sampled_checks(monkeypatch)
     with pytest.raises(StructureValidationError) as exc_info:
-        split_structure(s, mode="complexification")
+        averaged_square(s)
     assert exc_info.value.certificate is None
     assert "iff X's norm is an inner product's" in str(exc_info.value)
     assert sampled == []
@@ -331,7 +336,7 @@ def test_averaged_square_of_an_unrecognized_inner_product_passes_by_the_plane_ru
         (9 / 8) ** 0.25 * np.linalg.norm(x, axis=1), rel=1e-14)
     assert euclidean_gram(X) is None
     assert search_i_operator(X).tag == UNDECIDED
-    c = split_structure(validate_i_operator(X, J2), mode="complexification").certificate
+    c = averaged_square(validate_i_operator(X, J2)).certificate
     assert not c.exact and c.samples_used > 0
     assert c.algebraic_residual == 0.0 and c.isometry_residual < 1e-14
 
@@ -344,7 +349,7 @@ def test_averaged_square_of_a_plane_rejects_an_invalid_operator(monkeypatch):
     assert c.isometry_residual > 1e-2
     sampled = count_sampled_checks(monkeypatch)
     with pytest.raises(StructureValidationError) as exc_info:
-        split_structure(ComplexStructure(plane, J2, c), mode="complexification")
+        averaged_square(ComplexStructure(plane, J2, c))
     inherited = exc_info.value.certificate
     assert inherited.isometry_residual == c.isometry_residual
     assert np.array_equal(inherited.witness[0], np.concatenate([c.witness[0], [0.0, 0.0]]))
